@@ -252,7 +252,6 @@ impl AnalysisConfig {
                 "crates/core/src/online.rs",
                 "crates/core/src/trainer.rs",
                 "crates/service/src/reactor/",
-                "crates/service/src/server.rs",
                 "crates/service/src/session.rs",
                 "crates/simdb/src/engine.rs",
                 "crates/simdb/src/wal/",
@@ -750,7 +749,7 @@ mod framework_tests {
             assert!(cfg.matches_any(path, &cfg.reactor_scope), "{path} in reactor scope");
             assert!(cfg.matches_any(path, &cfg.panic_hot_paths), "{path} panic-checked");
         }
-        assert!(!cfg.matches_any("crates/service/src/server.rs", &cfg.reactor_scope));
+        assert!(!cfg.matches_any("crates/service/src/session.rs", &cfg.reactor_scope));
     }
 
     #[test]

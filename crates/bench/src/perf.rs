@@ -503,7 +503,7 @@ fn svc_env_spec(seed: u64) -> cdbtune::EnvSpec {
     }
 }
 
-/// Boots an events-runtime daemon subprocess, drives the open-loop load
+/// Boots a daemon subprocess, drives the open-loop load
 /// against it, and returns `(p99_ms, p999_ms, rejection_rate)`. `None`
 /// when no daemon binary is available (registry-less containers build
 /// it next to `perf`; see scripts/local_verify.sh).
@@ -526,8 +526,6 @@ fn svc_open_loop(opts: &PerfOptions) -> Option<(f64, f64, f64)> {
         .args([
             "--addr",
             "127.0.0.1:0",
-            "--runtime",
-            "events",
             "--workers",
             "2",
             "--queue",

@@ -458,7 +458,7 @@ pub enum TraceEvent {
         q_mean: f64,
     },
     /// A periodic health sample of the event-driven reactor (emitted on
-    /// each sweep tick of the `--runtime=events` daemon).
+    /// each sweep tick of the daemon).
     ReactorSample {
         /// Connections currently registered with the poller.
         conns: u64,

@@ -6,14 +6,13 @@
 //! the drain flag. The drain persists every live session as a training
 //! checkpoint before the process exits 0.
 //!
-//! Two runtimes serve the same wire protocol: `--runtime=events` (the
-//! default; one reactor thread multiplexing every connection, sharded
-//! compute pool, per-tenant quotas — built for 10k concurrent sessions)
-//! and `--runtime=threads` (the original blocking pool).
+//! One reactor thread multiplexes every connection and a sharded compute
+//! pool owns the sessions (`service::reactor`), with per-tenant quotas —
+//! built for 10k concurrent sessions.
 
 use cdbtune::cli::{configure_threads, shared_flags_help, telemetry_from_args, Args};
 use service::reactor::poll::raise_nofile_limit;
-use service::{spawn_runtime, ReactorConfig, RuntimeConfig, RuntimeKind, ServiceConfig};
+use service::{spawn, ReactorConfig, ServiceConfig};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -45,7 +44,7 @@ fn usage() -> String {
         "cdbtuned — multi-session tuning daemon (JSONL over TCP)
 
 USAGE:
-  cdbtuned [--runtime events|threads] [--addr HOST:PORT] [--workers N]
+  cdbtuned [--addr HOST:PORT] [--workers N]
            [--queue N] [--max-conns N] [--idle-timeout-ms T]
            [--tenant-max-sessions N] [--tenant-max-inflight N]
            [--registry-dir DIR] [--checkpoint-dir DIR] [--max-distance D]
@@ -53,25 +52,21 @@ USAGE:
            [--trace-out FILE --trace-level LEVEL]
 
 FLAGS:
-  --runtime         events = one reactor thread + sharded compute pool
-                    (10k-session scale); threads = the original blocking
-                    worker pool                            (default events)
   --addr            bind address; port 0 picks an ephemeral port
                     (default 127.0.0.1:0)
-  --workers         compute shards (events) or worker threads =
-                    concurrent sessions (threads)          (default 2)
-  --queue           run-queue capacity per shard (events) or admission
-                    queue capacity (threads); load beyond it is
-                    rejected with a typed reason            (default 4)
-  --max-conns       events only: most simultaneous connections before
+  --workers         compute shards                         (default 2)
+  --queue           run-queue capacity per shard; a create_session
+                    beyond it is rejected with a typed reason
+                    (default 4)
+  --max-conns       most simultaneous connections before
                     rejected{{queue_full}}              (default 12000)
-  --idle-timeout-ms events only: reap connections silent this long;
-                    0 disables                          (default 30000)
-  --tenant-max-sessions  events only: live-session cap per tenant
-                    token (rejected{{tenant_quota}}); 0 = unlimited
+  --idle-timeout-ms reap connections silent this long; 0 disables
+                    (default 30000)
+  --tenant-max-sessions  live-session cap per tenant token
+                    (rejected{{tenant_quota}}); 0 = unlimited
                     (default 256)
-  --tenant-max-inflight  events only: in-flight compute cap per tenant
-                    token (excess waits, fairly); 0 = unlimited
+  --tenant-max-inflight  in-flight compute cap per tenant token
+                    (excess waits, fairly); 0 = unlimited
                     (default 64)
   --registry-dir    persist the model registry here (warm starts
                     survive restarts); omit for in-memory only
@@ -103,37 +98,40 @@ fn run() -> Result<(), String> {
     // session training and the shared batched-inference tier both ride the
     // sharded tinynn kernels.
     configure_threads(&args)?;
-    let kind: RuntimeKind = args.get("runtime", "events".to_string())?.parse()?;
-    let cfg = RuntimeConfig {
-        service: ServiceConfig {
-            addr: args.get("addr", "127.0.0.1:0".to_string())?,
-            workers: args.get("workers", 2usize)?,
-            queue_capacity: args.get("queue", 4usize)?,
-            registry_dir: args.raw("registry-dir").map(str::to_string),
-            checkpoint_dir: args.raw("checkpoint-dir").map(str::to_string),
-            max_distance: args.get("max-distance", 0.25f64)?,
-            batch_max: args.get("batch-max", 32usize)?,
-            batch_deadline_us: args.get("batch-deadline-us", 500u64)?,
-            telemetry: telemetry_from_args(&args)?,
-        },
-        kind,
-        reactor: ReactorConfig {
-            max_conns: args.get("max-conns", 12_000usize)?,
-            idle_timeout_ms: args.get("idle-timeout-ms", 30_000u64)?,
-            tenant_max_sessions: args.get("tenant-max-sessions", 256u64)?,
-            tenant_max_inflight: args.get("tenant-max-inflight", 64u64)?,
-        },
+    // `benchmark/` boots the daemon with `--runtime events`, so that value
+    // is accepted and selects nothing. `Args` ignores flags nobody reads,
+    // so any other value is refused here rather than booting silently.
+    if let Some(other) = args.raw("runtime").filter(|&v| v != "events") {
+        return Err(format!(
+            "--runtime {other}: the threads runtime was removed; cdbtuned has one runtime, drop the flag"
+        ));
+    }
+    let service_cfg = ServiceConfig {
+        addr: args.get("addr", "127.0.0.1:0".to_string())?,
+        workers: args.get("workers", 2usize)?,
+        queue_capacity: args.get("queue", 4usize)?,
+        registry_dir: args.raw("registry-dir").map(str::to_string),
+        checkpoint_dir: args.raw("checkpoint-dir").map(str::to_string),
+        max_distance: args.get("max-distance", 0.25f64)?,
+        batch_max: args.get("batch-max", 32usize)?,
+        batch_deadline_us: args.get("batch-deadline-us", 500u64)?,
+        telemetry: telemetry_from_args(&args)?,
     };
-    if kind == RuntimeKind::Events {
-        // Best-effort: 10k connections need 10k fds. Failure is not
-        // fatal — admission control sheds what the fd table can't hold.
-        match raise_nofile_limit() {
-            Ok((soft, hard)) => eprintln!("cdbtuned: nofile limit {soft}/{hard}"),
-            Err(e) => eprintln!("cdbtuned: could not raise nofile limit: {e}"),
-        }
+    let reactor_cfg = ReactorConfig {
+        max_conns: args.get("max-conns", 12_000usize)?,
+        idle_timeout_ms: args.get("idle-timeout-ms", 30_000u64)?,
+        tenant_max_sessions: args.get("tenant-max-sessions", 256u64)?,
+        tenant_max_inflight: args.get("tenant-max-inflight", 64u64)?,
+    };
+    // Best-effort: 10k connections need 10k fds. Failure is not fatal —
+    // admission control sheds what the fd table can't hold.
+    match raise_nofile_limit() {
+        Ok((soft, hard)) => eprintln!("cdbtuned: nofile limit {soft}/{hard}"),
+        Err(e) => eprintln!("cdbtuned: could not raise nofile limit: {e}"),
     }
     install_signal_handlers();
-    let handle = spawn_runtime(cfg).map_err(|e| format!("binding the listener: {e}"))?;
+    let handle =
+        spawn(service_cfg, reactor_cfg).map_err(|e| format!("binding the listener: {e}"))?;
     println!("cdbtuned listening on {}", handle.addr());
     std::io::stdout().flush().ok();
 

@@ -22,14 +22,15 @@
 //!   microbatcher that packs concurrent sessions' actor-forward requests
 //!   into one `[batch × 63]` matrix per versioned snapshot and answers
 //!   each row, so K warm sessions share one resident model.
-//! * [`server`] — the daemon: bounded admission queue, fixed worker pool,
-//!   graceful drain persisting live sessions as [`cdbtune::TrainingCheckpoint`]s.
-//! * [`reactor`] — the event-driven runtime (`--runtime=events`): one
-//!   reactor thread multiplexing thousands of connections over a libc-free
-//!   epoll shim, a sharded compute pool, typed admission control, and
-//!   per-tenant quotas — 10k concurrent sessions on one box.
+//! * [`reactor`] — the daemon: one reactor thread multiplexing thousands
+//!   of connections over a libc-free epoll shim, a sharded compute pool,
+//!   typed admission control, per-tenant quotas, and a graceful drain
+//!   persisting live sessions as [`cdbtune::TrainingCheckpoint`]s — 10k
+//!   concurrent sessions on one box.
 //! * [`client`] — a minimal blocking client for tests and the `bench`
 //!   load generator.
+//! * [`reference`] — the seeded session script the differential tests run
+//!   over the wire and in process, and require to agree.
 //!
 //! Everything here is **std-only** (no new external dependencies): the
 //! wire format rides on [`cdbtune::jsonio`], concurrency on
@@ -42,17 +43,16 @@ pub mod client;
 pub mod fingerprint;
 pub mod proto;
 pub mod reactor;
+pub mod reference;
 pub mod registry;
-pub mod server;
 pub mod session;
 
 pub use batcher::{BatchStats, PolicyServer};
 pub use client::Client;
 pub use fingerprint::{StateStats, WorkloadFingerprint};
 pub use proto::{Request, Response, PROTO_VERSION};
-pub use reactor::{spawn_runtime, ReactorConfig, RuntimeConfig, RuntimeHandle, RuntimeKind};
+pub use reactor::{spawn, EventsHandle, ReactorConfig, ServiceConfig, ShutdownStats};
 pub use registry::{ModelRegistry, RegistryEntry};
-pub use server::{spawn, ServerHandle, ServiceConfig, ShutdownStats};
 pub use session::{SessionOutcome, TuningSession};
 
 /// Per-thread allocation tracking for regression tests: warm-lookup and

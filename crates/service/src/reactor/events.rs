@@ -24,14 +24,14 @@
 //! steps on a fairness queue. Idle connections are reaped on a sweep
 //! tick (slow-loris defense), settling any live session so the trace
 //! stays balanced. SIGTERM drain checkpoints every live session before
-//! closing it, exactly like the threads runtime.
+//! closing it.
 
 use super::conn::{Conn, ReadOutcome};
 use super::poll::{drain_wakes, waker_pair, PollEvent, Poller, Waker, INTEREST_READ, INTEREST_WRITE};
+use super::{ServiceConfig, ShutdownStats};
 use crate::batcher::PolicyServer;
 use crate::proto::{Request, Response};
 use crate::registry::ModelRegistry;
-use crate::server::{ServiceConfig, ShutdownStats};
 use crate::session::TuningSession;
 use cdbtune::{EnvSpec, Telemetry, TraceEvent};
 use std::collections::{HashMap, VecDeque};
@@ -58,8 +58,8 @@ const WAKER: u64 = 1;
 /// First token handed to a client connection.
 const FIRST_CONN: u64 = 2;
 
-/// Tuning knobs specific to the events runtime (the shared service
-/// settings ride along in [`ServiceConfig`]).
+/// Admission and quota knobs of the reactor (bind address, shards and
+/// batcher settings ride along in [`ServiceConfig`]).
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
     /// Most simultaneous connections before `rejected{queue_full}`.
@@ -85,7 +85,7 @@ impl Default for ReactorConfig {
 }
 
 /// Counters and services shared by the reactor, the workers, and the
-/// handle. The events-runtime twin of the threads runtime's `Shared`.
+/// handle.
 struct Svc {
     shutdown: AtomicBool,
     queued_jobs: AtomicU64,
@@ -209,7 +209,7 @@ struct Tenant {
     waiting: VecDeque<u64>,
 }
 
-/// A running events-runtime daemon.
+/// A running daemon.
 pub struct EventsHandle {
     addr: SocketAddr,
     svc: Arc<Svc>,
@@ -265,7 +265,7 @@ impl EventsHandle {
 
 /// Boots the event-driven daemon: binds, spawns the compute shards and
 /// the reactor thread, and returns immediately with the handle.
-pub fn spawn_events(cfg: ServiceConfig, reactor_cfg: ReactorConfig) -> std::io::Result<EventsHandle> {
+pub fn spawn(cfg: ServiceConfig, reactor_cfg: ReactorConfig) -> std::io::Result<EventsHandle> {
     let registry = match &cfg.registry_dir {
         Some(dir) => ModelRegistry::open(dir)?,
         None => ModelRegistry::in_memory(),
@@ -599,7 +599,7 @@ impl Reactor {
             }
         }
         // Stop feeding the shards; workers drain their queues and exit.
-        // (spawn_events joins them right after `run` returns.)
+        // (`spawn` joins them right after `run` returns.)
         self.job_txs.clear();
         self.conns.clear();
     }
@@ -1169,7 +1169,7 @@ mod tests {
     }
 
     fn events_daemon(reactor: ReactorConfig) -> EventsHandle {
-        spawn_events(
+        spawn(
             ServiceConfig { workers: 2, queue_capacity: 8, ..ServiceConfig::default() },
             reactor,
         )
@@ -1188,36 +1188,20 @@ mod tests {
             .expect("create_session")
     }
 
-    /// Runs the canonical script (create, steps, recommend, close) and
-    /// returns every response line, normalized to its wire form.
-    fn run_script(addr: SocketAddr, seed: u64, steps: usize) -> Vec<String> {
-        let mut client = Client::connect(addr).expect("connect");
-        client.set_timeout(Some(Duration::from_secs(30))).ok();
-        let mut out = Vec::new();
-        let mut push = |r: Response| out.push(r.to_json_line());
-        push(create(&mut client, seed, None));
-        for _ in 0..steps {
-            push(client.request(&Request::Step).expect("step"));
-        }
-        push(client.request(&Request::Recommend).expect("recommend"));
-        push(client.request(&Request::CloseSession).expect("close"));
-        out
-    }
-
     #[test]
-    fn events_runtime_matches_threads_runtime_on_a_seeded_script() {
+    fn wire_lines_match_the_in_process_reference_on_a_seeded_script() {
         // Same seeds, cold registry on both sides: every response line of
-        // the script must be bit-identical across runtimes (the session
-        // ids line up because both daemons allocate from 1).
-        let events = events_daemon(ReactorConfig::default());
-        let threads = crate::server::spawn(ServiceConfig::default()).expect("spawn threads");
-        for seed in [11u64, 42] {
-            let via_events = run_script(events.addr(), seed, 3);
-            let via_threads = run_script(threads.addr(), seed, 3);
-            assert_eq!(via_events, via_threads, "seed {seed} diverged across runtimes");
+        // the script must be bit-identical to what a bare TuningSession
+        // answers (the session ids line up because both count from 1).
+        use crate::reference::{in_process, over_the_wire};
+        let daemon = events_daemon(ReactorConfig::default());
+        let specs = [11u64, 42].map(tiny_spec);
+        let expected = in_process(&specs, 4, 3).expect("reference scripts");
+        for (spec, want) in specs.iter().zip(&expected) {
+            let got = over_the_wire(daemon.addr(), spec, 4, 3).expect("script over the wire");
+            assert_eq!(&got, want, "seed {} diverged from the in-process session", spec.seed);
         }
-        events.shutdown();
-        threads.shutdown();
+        daemon.shutdown();
     }
 
     #[test]
@@ -1362,7 +1346,7 @@ mod tests {
     #[test]
     fn shutdown_drains_live_sessions_with_the_drained_flag() {
         let telemetry = Telemetry::ring(2048, TraceLevel::Summary);
-        let handle = spawn_events(
+        let handle = spawn(
             ServiceConfig { telemetry: telemetry.clone(), ..ServiceConfig::default() },
             ReactorConfig::default(),
         )

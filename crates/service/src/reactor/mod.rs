@@ -1,120 +1,70 @@
-//! The event-driven service tier: 10k concurrent tuning sessions on one
-//! box.
+//! The `cdbtuned` daemon: 10k concurrent tuning sessions on one box.
 //!
-//! The threads runtime ([`crate::server`]) spends one OS thread per
-//! served connection and tops out around the worker-pool size. This
-//! module multiplexes every connection onto **one reactor thread** over
-//! a readiness poller ([`poll`] — a libc-free epoll shim with a
-//! portable fallback), frames requests incrementally ([`frame`]), and
-//! ships session compute to a small sharded worker pool ([`events`]).
+//! Every connection is multiplexed onto **one reactor thread** over a
+//! readiness poller ([`poll`] — a libc-free epoll shim with a portable
+//! fallback), requests are framed incrementally ([`frame`]), and session
+//! compute is shipped to a small sharded worker pool ([`events`]).
 //! Connections never block on compute; compute never touches a socket.
 //!
-//! Pick a runtime with [`spawn_runtime`]; both speak the same
-//! [`crate::proto`] wire protocol and share session/registry/batcher
-//! semantics, so a seeded client script produces identical outcomes on
-//! either.
+//! Boot it with [`spawn`]; it speaks the [`crate::proto`] wire protocol.
 
 pub(crate) mod conn;
 pub mod events;
 pub mod frame;
 pub mod poll;
 
-pub use events::{spawn_events, EventsHandle, ReactorConfig};
+pub use events::{spawn, EventsHandle, ReactorConfig};
 
-use crate::server::{spawn, ServerHandle, ServiceConfig, ShutdownStats};
-use std::net::SocketAddr;
+use cdbtune::Telemetry;
 
-/// Which service runtime to boot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeKind {
-    /// The original blocking runtime: thread-per-served-connection,
-    /// bounded admission queue.
-    Threads,
-    /// The event-driven runtime: one reactor thread, sharded compute
-    /// pool, per-tenant quotas.
-    Events,
+/// Daemon configuration.
+pub struct ServiceConfig {
+    /// Bind address (`127.0.0.1:0` picks an ephemeral port).
+    pub addr: String,
+    /// Compute shards (worker threads owning the sessions).
+    pub workers: usize,
+    /// Run-queue capacity per shard; a `create_session` beyond it is
+    /// rejected.
+    pub queue_capacity: usize,
+    /// Disk-backed model registry (`None` = in-memory only).
+    pub registry_dir: Option<String>,
+    /// Where the shutdown drain persists live sessions (`None` = drop).
+    pub checkpoint_dir: Option<String>,
+    /// Maximum fingerprint distance a warm start will accept.
+    pub max_distance: f64,
+    /// Largest number of actor-forward requests one batched inference
+    /// pass serves (the shared tier's `[batch × 63]` pack width).
+    pub batch_max: usize,
+    /// How long (µs) the batcher holds the oldest queued request while
+    /// waiting for company before flushing a partial batch.
+    pub batch_deadline_us: u64,
+    /// Service-level trace handle.
+    pub telemetry: Telemetry,
 }
 
-impl std::str::FromStr for RuntimeKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(RuntimeKind::Threads),
-            "events" => Ok(RuntimeKind::Events),
-            other => Err(format!("unknown runtime {other:?} (expected events|threads)")),
-        }
-    }
-}
-
-/// Full runtime configuration: the shared service settings plus the
-/// events-runtime knobs (ignored by the threads runtime).
-pub struct RuntimeConfig {
-    /// Shared daemon settings (bind address, shards, batcher, ...).
-    pub service: ServiceConfig,
-    /// Which runtime serves connections.
-    pub kind: RuntimeKind,
-    /// Events-runtime admission and quota knobs.
-    pub reactor: ReactorConfig,
-}
-
-impl Default for RuntimeConfig {
+impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
-            service: ServiceConfig::default(),
-            kind: RuntimeKind::Events,
-            reactor: ReactorConfig::default(),
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            queue_capacity: 4,
+            registry_dir: None,
+            checkpoint_dir: None,
+            max_distance: 0.25,
+            batch_max: 32,
+            batch_deadline_us: 500,
+            telemetry: Telemetry::null(),
         }
     }
 }
 
-/// A running daemon of either runtime, behind one interface.
-pub enum RuntimeHandle {
-    /// Handle to the blocking thread-pool runtime.
-    Threads(ServerHandle),
-    /// Handle to the event-driven runtime.
-    Events(EventsHandle),
-}
-
-impl RuntimeHandle {
-    /// The bound address (with the real port when `:0` was requested).
-    pub fn addr(&self) -> SocketAddr {
-        match self {
-            RuntimeHandle::Threads(h) => h.addr(),
-            RuntimeHandle::Events(h) => h.addr(),
-        }
-    }
-
-    /// True once shutdown has been requested.
-    pub fn is_draining(&self) -> bool {
-        match self {
-            RuntimeHandle::Threads(h) => h.is_draining(),
-            RuntimeHandle::Events(h) => h.is_draining(),
-        }
-    }
-
-    /// Flips the shutdown flag without blocking (signal-handler path).
-    pub fn request_shutdown(&self) {
-        match self {
-            RuntimeHandle::Threads(h) => h.request_shutdown(),
-            RuntimeHandle::Events(h) => h.request_shutdown(),
-        }
-    }
-
-    /// Drains and stops the daemon; see the runtime-specific docs.
-    pub fn shutdown(self) -> ShutdownStats {
-        match self {
-            RuntimeHandle::Threads(h) => h.shutdown(),
-            RuntimeHandle::Events(h) => h.shutdown(),
-        }
-    }
-}
-
-/// Boots the configured runtime and returns immediately with a handle.
-pub fn spawn_runtime(cfg: RuntimeConfig) -> std::io::Result<RuntimeHandle> {
-    match cfg.kind {
-        // lint:allow(reactor) reason=the thread-pool listener blocks on its own worker threads, not the reactor
-        RuntimeKind::Threads => Ok(RuntimeHandle::Threads(spawn(cfg.service)?)),
-        RuntimeKind::Events => Ok(RuntimeHandle::Events(spawn_events(cfg.service, cfg.reactor)?)),
-    }
+/// What the daemon did, reported by [`EventsHandle::shutdown`].
+#[derive(Debug, Clone, Copy)]
+pub struct ShutdownStats {
+    /// Sessions opened over the daemon's lifetime.
+    pub total_sessions: u64,
+    /// Live sessions persisted (and force-closed) by the drain.
+    pub drained_sessions: u64,
+    /// Connections and session creates admission control turned away.
+    pub rejected: u64,
 }

@@ -20,7 +20,6 @@ rustc $EDITION --crate-type proc-macro --crate-name serde_derive \
 rustc $EDITION --crate-type rlib --crate-name rand vendor-stubs/rand.rs --out-dir "$OUT"
 rustc $EDITION --crate-type rlib --crate-name rand_distr vendor-stubs/rand_distr.rs \
     -L "$OUT" --extern rand="$OUT/librand.rlib" --out-dir "$OUT"
-rustc $EDITION --crate-type rlib --crate-name crossbeam vendor-stubs/crossbeam.rs --out-dir "$OUT"
 rustc $EDITION --crate-type rlib --crate-name serde vendor-stubs/serde.rs \
     -L "$OUT" --extern serde_derive --out-dir "$OUT"
 rustc $EDITION --crate-type rlib --crate-name serde_json vendor-stubs/serde_json.rs \
@@ -48,8 +47,7 @@ run_tests() {
 }
 
 EXT_BASE=(--extern rand="$OUT/librand.rlib" --extern rand_distr="$OUT/librand_distr.rlib"
-    --extern serde="$OUT/libserde.rlib" --extern serde_json="$OUT/libserde_json.rlib"
-    --extern crossbeam="$OUT/libcrossbeam.rlib")
+    --extern serde="$OUT/libserde.rlib" --extern serde_json="$OUT/libserde_json.rlib")
 
 build tinynn crates/tinynn/src/lib.rs "${EXT_BASE[@]}"
 build simdb crates/simdb/src/lib.rs "${EXT_BASE[@]}"
@@ -215,12 +213,16 @@ trace_tmp=$(mktemp -d)
 "$OUT/trace_summary" "$trace_tmp/run.jsonl"
 rm -rf "$trace_tmp"
 
-echo "== daemon smoke: threads runtime (client-driven shutdown) =="
+echo "== daemon smoke (guarded sessions, open-loop gate, SIGTERM drain) =="
 # Disk registry/checkpoints need real serde, so the offline smoke runs the
-# daemon in-memory only: boot on an ephemeral port, run two short client
-# sessions, shut down via the protocol, and validate the daemon trace.
+# daemon in-memory only: boot on an ephemeral port, run a guarded
+# closed-loop pair (--safe exercises the trust region + drift detector end
+# to end through the wire; the safety layer is runtime-only, so it works
+# under the serde stub) and an open-loop burst (rejection-rate gated), then
+# SIGTERM with a session still held and require a clean exit plus a
+# balanced service trace.
 svc_tmp=$(mktemp -d)
-"$OUT/cdbtuned" --addr 127.0.0.1:0 --runtime threads --workers 2 --queue 2 \
+"$OUT/cdbtuned" --addr 127.0.0.1:0 --workers 2 --queue 256 \
     --trace-out "$svc_tmp/daemon.jsonl" --trace-level step \
     >"$svc_tmp/stdout" 2>"$svc_tmp/stderr" &
 svc_pid=$!
@@ -236,38 +238,7 @@ if [ -z "$addr" ]; then
     kill "$svc_pid" 2>/dev/null || true
     exit 1
 fi
-# --safe exercises the guarded loop (trust region + drift detector) end
-# to end through the wire; the safety layer is runtime-only, so it works
-# under the serde stub.
-"$OUT/svc_load" --addr "$addr" --sessions 2 --steps 2 \
-    --knobs 4 --scale 0.003 --safe true --shutdown true
-wait "$svc_pid"
-"$OUT/trace_summary" "$svc_tmp/daemon.jsonl"
-rm -rf "$svc_tmp"
-
-echo "== daemon smoke: events runtime (open-loop gate, SIGTERM drain) =="
-# The reactor runtime must honor the same drain contract: boot, run a
-# closed-loop pair and an open-loop burst (rejection-rate gated), then
-# SIGTERM with a session still held and require a clean exit plus a
-# balanced service trace.
-evt_tmp=$(mktemp -d)
-"$OUT/cdbtuned" --addr 127.0.0.1:0 --runtime events --workers 2 --queue 256 \
-    --trace-out "$evt_tmp/daemon.jsonl" --trace-level step \
-    >"$evt_tmp/stdout" 2>"$evt_tmp/stderr" &
-evt_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^cdbtuned listening on //p' "$evt_tmp/stdout")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "events cdbtuned never reported its address"
-    cat "$evt_tmp/stderr"
-    kill "$evt_pid" 2>/dev/null || true
-    exit 1
-fi
-"$OUT/svc_load" --addr "$addr" --sessions 2 --steps 2 --knobs 4 --scale 0.003
+"$OUT/svc_load" --addr "$addr" --sessions 2 --steps 2 --knobs 4 --scale 0.003 --safe true
 "$OUT/svc_load" --addr "$addr" --mode open --sessions 20 --rate 200 --steps 1 \
     --knobs 4 --scale 0.003 --warm-start false --max-reject-rate 0.0
 # Hold a session live across the SIGTERM so the drain has work to do.
@@ -275,10 +246,26 @@ fi
     --knobs 4 --scale 0.003 --hold-ms 10000 >/dev/null 2>&1 &
 holder_pid=$!
 sleep 1.5
-kill -TERM "$evt_pid"
-wait "$evt_pid" # exit 0 = clean drain
+kill -TERM "$svc_pid"
+wait "$svc_pid" # exit 0 = clean drain
 wait "$holder_pid" || true
-"$OUT/trace_summary" "$evt_tmp/daemon.jsonl"
-rm -rf "$evt_tmp"
+"$OUT/trace_summary" "$svc_tmp/daemon.jsonl"
+# --runtime selects nothing: `events` is accepted and ignored (benchmark/
+# passes it), any other value must be refused, not silently booted.
+rc=0
+"$OUT/cdbtuned" --runtime threads 2>"$svc_tmp/runtime.err" || rc=$?
+[ "$rc" -eq 2 ]
+grep -q "threads runtime was removed" "$svc_tmp/runtime.err"
+rm -rf "$svc_tmp"
+
+echo "== service e2e (tests/service_e2e.rs) =="
+# The suite is in-memory only (no registry or checkpoint directory), so it
+# runs for real under the serde shim.
+rustc $EDITION --test --crate-name service_e2e tests/service_e2e.rs \
+    -L "$OUT" "${EXT_BASE[@]}" \
+    --extern workload="$OUT/libworkload.rlib" --extern cdbtune="$OUT/libcdbtune.rlib" \
+    --extern service="$OUT/libservice.rlib" --extern bench="$OUT/libbench.rlib" \
+    -o "$OUT/service_e2e"
+"$OUT/service_e2e" --test-threads "$(nproc)"
 
 echo "== local verify OK =="

@@ -56,10 +56,12 @@ target/release/cdbtune tune --model "$tmp/model.json" --knobs 3 --scale 0.003 \
     --steps 4 --safe true --dynamic "base=rw,scale=0.003,flash=3+3x2.0,shift=4:wo" \
     | grep -q "^safety:"
 
-# Daemon smoke (threads runtime): boot cdbtuned on an ephemeral port, run
-# one short client session, then SIGTERM a held session and assert the
-# drain checkpoints it and the service trace stays balanced.
-target/release/cdbtuned --addr 127.0.0.1:0 --runtime threads --workers 2 --queue 2 \
+# Daemon smoke: boot cdbtuned on an ephemeral port with a disk registry,
+# run a guarded closed-loop pair (--safe threads through the wire) and a
+# rejection-gated open-loop burst, then SIGTERM a held session and assert
+# the drain checkpoints it, the completed sessions published, and the
+# service trace stays balanced.
+target/release/cdbtuned --addr 127.0.0.1:0 --workers 2 --queue 256 \
     --registry-dir "$tmp/registry" --checkpoint-dir "$tmp/ckpt" \
     --trace-out "$tmp/daemon.jsonl" --trace-level step \
     >"$tmp/daemon.out" 2>"$tmp/daemon.err" &
@@ -76,9 +78,10 @@ if [ -z "$addr" ]; then
     kill "$daemon_pid" 2>/dev/null || true
     exit 1
 fi
-# One guarded session (--safe threads through the wire) and one plain.
-target/release/svc_load --addr "$addr" --sessions 1 --steps 2 \
+target/release/svc_load --addr "$addr" --sessions 2 --steps 2 \
     --knobs 4 --scale 0.003 --safe true
+target/release/svc_load --addr "$addr" --mode open --sessions 30 --rate 300 \
+    --steps 1 --knobs 4 --scale 0.003 --warm-start false --max-reject-rate 0.0
 # Hold a session live across the SIGTERM so the drain has work to do.
 target/release/svc_load --addr "$addr" --sessions 1 --steps 1 \
     --knobs 4 --scale 0.003 --hold-ms 10000 >/dev/null 2>&1 &
@@ -91,46 +94,14 @@ if ! ls "$tmp"/ckpt/session-*/checkpoint.json >/dev/null 2>&1; then
     echo "tier1: drain did not checkpoint the held session" >&2
     exit 1
 fi
-ls "$tmp"/registry/entry-*.json >/dev/null # completed session published
+ls "$tmp"/registry/entry-*.json >/dev/null # completed sessions published
 target/release/trace_summary "$tmp/daemon.jsonl"
+# --runtime selects nothing: `events` is accepted and ignored (benchmark/
+# passes it), any other value must be refused, not silently booted.
+rc=0
+target/release/cdbtuned --runtime threads 2>"$tmp/runtime.err" || rc=$?
+[ "$rc" -eq 2 ]
+grep -q "threads runtime was removed" "$tmp/runtime.err"
 
-# Daemon smoke (events runtime, PR 8): the reactor must honor the exact
-# same drain contract — boot with --runtime events, run a closed-loop
-# session and a rejection-gated open-loop burst, then SIGTERM a held
-# session and assert the drain checkpoints it and the trace balances.
-target/release/cdbtuned --addr 127.0.0.1:0 --runtime events --workers 2 --queue 256 \
-    --registry-dir "$tmp/eregistry" --checkpoint-dir "$tmp/eckpt" \
-    --trace-out "$tmp/events.jsonl" --trace-level step \
-    >"$tmp/events.out" 2>"$tmp/events.err" &
-events_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^cdbtuned listening on //p' "$tmp/events.out")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "tier1: events cdbtuned never reported its address" >&2
-    cat "$tmp/events.err" >&2
-    kill "$events_pid" 2>/dev/null || true
-    exit 1
-fi
-target/release/svc_load --addr "$addr" --sessions 2 --steps 2 \
-    --knobs 4 --scale 0.003 --safe true
-target/release/svc_load --addr "$addr" --mode open --sessions 30 --rate 300 \
-    --steps 1 --knobs 4 --scale 0.003 --warm-start false --max-reject-rate 0.0
-target/release/svc_load --addr "$addr" --sessions 1 --steps 1 \
-    --knobs 4 --scale 0.003 --hold-ms 10000 >/dev/null 2>&1 &
-eholder_pid=$!
-sleep 1.5
-kill -TERM "$events_pid"
-wait "$events_pid" # exit 0 = clean drain
-wait "$eholder_pid" || true
-if ! ls "$tmp"/eckpt/session-*/checkpoint.json >/dev/null 2>&1; then
-    echo "tier1: events drain did not checkpoint the held session" >&2
-    exit 1
-fi
-target/release/trace_summary "$tmp/events.jsonl"
-
-# The reactor-vs-threads differential and framing-robustness e2e.
-cargo test -q --test reactor_e2e
+# The wire-vs-in-process differential, admission and framing-robustness e2e.
+cargo test -q --test service_e2e

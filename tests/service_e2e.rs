@@ -1,12 +1,20 @@
 //! End-to-end exercise of the `cdbtuned` service: boot the daemon on a
 //! loopback port, drive concurrent sessions through the bench client,
-//! hit the bounded-admission backpressure, and show the registry
-//! warm-start converging in fewer steps than a cold session.
+//! hit the run-queue backpressure, and show the registry warm-start
+//! converging in fewer steps than a cold session. The reactor must also
+//! be observably equivalent to a bare in-process session on the same
+//! seeded script, enforce per-tenant quotas over the wire, survive
+//! adversarial byte-dribbled framing, and hold up under an open-loop
+//! arrival schedule.
 
-use bench::svc::{run_load, LoadSpec};
+use bench::svc::{run_load, run_open_load, LoadSpec, OpenLoadSpec};
 use bench::TraceSummary;
 use cdbtune::{EnvSpec, Telemetry, TraceLevel};
-use service::{spawn, Client, Request, Response, ServiceConfig};
+use service::reference::{in_process, over_the_wire};
+use service::{spawn, Client, EventsHandle, ReactorConfig, Request, Response, ServiceConfig};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 use workload::WorkloadKind;
 
 fn tiny_spec(seed: u64) -> EnvSpec {
@@ -25,12 +33,15 @@ fn tiny_spec(seed: u64) -> EnvSpec {
 #[test]
 fn three_concurrent_sessions_run_to_completion() {
     let telemetry = Telemetry::ring(512, TraceLevel::Step);
-    let handle = spawn(ServiceConfig {
-        workers: 3,
-        queue_capacity: 4,
-        telemetry: telemetry.clone(),
-        ..ServiceConfig::default()
-    })
+    let handle = spawn(
+        ServiceConfig {
+            workers: 3,
+            queue_capacity: 4,
+            telemetry: telemetry.clone(),
+            ..ServiceConfig::default()
+        },
+        ReactorConfig::default(),
+    )
     .expect("daemon boots on a loopback port");
     let report = run_load(&LoadSpec {
         addr: handle.addr().to_string(),
@@ -55,17 +66,18 @@ fn three_concurrent_sessions_run_to_completion() {
     assert!(summary.issues.is_empty(), "daemon trace flagged: {:?}", summary.issues);
     assert_eq!(summary.mode, "serve");
     assert_eq!(summary.sessions.len(), 3);
-    assert_eq!(summary.admissions, 3);
+    // The reactor admits twice per session: the connection at accept, then
+    // the create at its shard's run queue.
+    assert_eq!(summary.admissions, 6);
     assert!(summary.sessions.iter().all(|s| s.published));
 }
 
 #[test]
 fn oversubscription_trips_the_bounded_queue() {
-    let handle = spawn(ServiceConfig {
-        workers: 1,
-        queue_capacity: 1,
-        ..ServiceConfig::default()
-    })
+    let handle = spawn(
+        ServiceConfig { workers: 1, queue_capacity: 1, ..ServiceConfig::default() },
+        ReactorConfig::default(),
+    )
     .expect("daemon boots");
     let report = run_load(&LoadSpec {
         addr: handle.addr().to_string(),
@@ -92,7 +104,7 @@ fn oversubscription_trips_the_bounded_queue() {
 
 #[test]
 fn near_identical_session_warm_starts_and_converges_faster() {
-    let handle = spawn(ServiceConfig::default()).expect("daemon boots");
+    let handle = spawn(ServiceConfig::default(), ReactorConfig::default()).expect("daemon boots");
     let addr = handle.addr();
 
     // Cold reference session: tune from scratch, note how many steps it
@@ -180,5 +192,109 @@ fn near_identical_session_warm_starts_and_converges_faster() {
          cold took {cold_steps_to_best}"
     );
     let _ = warm.request(&Request::CloseSession).expect("warm close");
+    handle.shutdown();
+}
+
+fn daemon(reactor: ReactorConfig) -> EventsHandle {
+    spawn(ServiceConfig { workers: 2, queue_capacity: 16, ..ServiceConfig::default() }, reactor)
+        .expect("daemon boots on a loopback port")
+}
+
+#[test]
+fn wire_lines_match_the_in_process_reference_on_a_seeded_script() {
+    let handle = daemon(ReactorConfig::default());
+    let specs = [5u64, 23].map(tiny_spec);
+    let expected = in_process(&specs, 6, 3).expect("reference scripts");
+    for (spec, want) in specs.iter().zip(&expected) {
+        let got = over_the_wire(handle.addr(), spec, 6, 3).expect("script over the wire");
+        assert_eq!(
+            &got, want,
+            "seed {}: the daemon must be bit-identical to the in-process session on the wire",
+            spec.seed
+        );
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn tenant_quota_is_enforced_over_the_wire() {
+    let handle = daemon(ReactorConfig {
+        tenant_max_sessions: 1,
+        ..ReactorConfig::default()
+    });
+    let addr = handle.addr();
+    let create = |client: &mut Client| {
+        client
+            .request(&Request::CreateSession {
+                spec: tiny_spec(3),
+                max_steps: 4,
+                warm_start: false,
+                safe: false,
+                tenant: Some("acme".to_string()),
+            })
+            .expect("create request")
+    };
+    let mut first = Client::connect(addr).expect("connect");
+    assert!(matches!(create(&mut first), Response::SessionCreated { .. }));
+    let mut second = Client::connect(addr).expect("connect");
+    match create(&mut second) {
+        Response::Rejected { reason, .. } => assert_eq!(reason, "tenant_quota"),
+        other => panic!("expected a typed tenant_quota rejection, got {other:?}"),
+    }
+    // Closing the first session frees the slot for the same tenant.
+    let _ = first.request(&Request::CloseSession).expect("close");
+    let mut third = Client::connect(addr).expect("connect");
+    assert!(matches!(create(&mut third), Response::SessionCreated { .. }));
+    handle.shutdown();
+}
+
+#[test]
+fn byte_dribbled_frames_parse_and_oversized_frames_get_a_typed_error() {
+    let handle = daemon(ReactorConfig::default());
+
+    // Dribble a status request a few bytes at a time: the decoder must
+    // reassemble it across arbitrary read boundaries.
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let frame = Request::Status.to_json_line() + "\n";
+    for chunk in frame.as_bytes().chunks(3) {
+        raw.write_all(chunk).expect("dribble");
+        raw.flush().expect("flush");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("status response");
+    assert!(line.contains("\"service_status\""), "unexpected reply: {line}");
+
+    // An unterminated oversized frame draws frame_too_large, then close.
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    raw.write_all(&vec![b'a'; 70 * 1024]).expect("oversized blob");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error line");
+    assert!(line.contains("frame_too_large"), "unexpected reply: {line}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("eof"), 0, "daemon must close the conn");
+    handle.shutdown();
+}
+
+#[test]
+fn open_loop_arrivals_complete_under_the_reactor() {
+    let handle = daemon(ReactorConfig::default());
+    let report = run_open_load(&OpenLoadSpec {
+        addr: handle.addr().to_string(),
+        sessions: 24,
+        rate: 120.0,
+        steps: 1,
+        spec: tiny_spec(17),
+        warm_start: false,
+        safe: false,
+        tenant: None,
+        hold_ms: 0,
+    });
+    assert_eq!(report.errors(), 0, "{}", report.render());
+    assert_eq!(report.completed(), 24, "{}", report.render());
+    assert!(report.rejection_rate() == 0.0, "{}", report.render());
+    assert!(report.request_latency.p99_ms > 0.0);
     handle.shutdown();
 }
