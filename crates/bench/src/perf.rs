@@ -17,12 +17,14 @@
 //!    multicore `≥ 1.8x` gate.
 //! 3. **collect_parallel** — multi-worker seed collection throughput.
 //! 4. **simdb workload** — single-environment tuning-iteration throughput.
-//! 5. **batched inference** — recommendations/sec of the shared serving
-//!    tier's packed actor forward ([`rl::SnapshotPolicy`]) at batch 1, 32
-//!    and 256 against the per-session `Ddpg::act` cost model; the batch-32
-//!    ratio is the `≥ 2x` serving gate, and `infer_batch_monotone`
-//!    (batch-256 vs batch-32 per-recommendation throughput, `≥ 1`) guards
-//!    the row-tiled forward against the old large-batch cache cliff.
+//! 5. **batched inference** — recommendations/sec of
+//!    [`rl::SnapshotPolicy`]'s packed actor forward at batch 1, 32 and 256
+//!    against the per-session `Ddpg::act` cost model; the batch-32 ratio
+//!    is the `≥ 2x` gate, and `infer_batch_monotone` (batch-256 vs
+//!    batch-32 per-recommendation throughput, `≥ 1`) guards the row-tiled
+//!    forward against the old large-batch cache cliff. These legs measure
+//!    the policy type, not the daemon's path: `service::PolicyServer`
+//!    answers one row per request and never packs a batch.
 //!
 //! Every benchmark is seeded, warmed up, and reported as the median of
 //! several repetitions. [`run_suite`] returns a [`PerfReport`] that

@@ -43,9 +43,6 @@ pub struct TraceSummary {
     pub safety_clamps: u64,
     /// Closed regret windows: (window, regret, budget, over budget, radius).
     pub regret_windows: Vec<(u64, f64, f64, bool, f64)>,
-    /// Batched inference passes of the shared serving tier:
-    /// (rows, capacity, queue wait µs, deadline hit, mean Q).
-    pub infer_batches: Vec<(u64, u64, u64, bool, f64)>,
     /// Reactor health samples over time: (conns, sessions, queued jobs,
     /// busy workers) per `reactor_sample` sweep tick.
     pub reactor_samples: Vec<(u64, u64, u64, u64)>,
@@ -293,21 +290,6 @@ impl TraceSummary {
                     }
                     s.regret_windows.push((*window, *regret, *budget, *over_budget, *radius));
                 }
-                TraceEvent::InferenceBatch { rows, capacity, queue_wait_us, deadline_hit, q_mean } => {
-                    if *rows == 0 || rows > capacity {
-                        s.issues.push(format!(
-                            "line {}: inference batch of {rows} rows vs capacity {capacity}",
-                            i + 1
-                        ));
-                    }
-                    if !q_mean.is_finite() {
-                        s.issues.push(format!(
-                            "line {}: inference batch has a non-finite mean Q",
-                            i + 1
-                        ));
-                    }
-                    s.infer_batches.push((*rows, *capacity, *queue_wait_us, *deadline_hit, *q_mean));
-                }
                 TraceEvent::ReactorSample { conns, sessions, queued_jobs, busy_workers } => {
                     if sessions > conns {
                         s.issues.push(format!(
@@ -529,20 +511,6 @@ impl TraceSummary {
                 self.regret_windows.len()
             );
         }
-        if !self.infer_batches.is_empty() {
-            let rows: u64 = self.infer_batches.iter().map(|&(r, ..)| r).sum();
-            let peak = self.infer_batches.iter().map(|&(r, ..)| r).max().unwrap_or(0);
-            let deadline =
-                self.infer_batches.iter().filter(|&&(_, _, _, hit, _)| hit).count();
-            let _ = writeln!(
-                out,
-                "\nbatched serving: {} rows in {} batches (peak {}, {} deadline flushes)",
-                rows,
-                self.infer_batches.len(),
-                peak,
-                deadline
-            );
-        }
         if !self.reactor_samples.is_empty() || self.idle_closes > 0 {
             let peak_conns = self.reactor_samples.iter().map(|&(c, ..)| c).max().unwrap_or(0);
             let peak_sessions =
@@ -713,13 +681,6 @@ pub fn exemplar_events() -> Vec<TraceEvent> {
             over_budget: false,
             radius: 0.18,
         },
-        TraceEvent::InferenceBatch {
-            rows: 7,
-            capacity: 32,
-            queue_wait_us: 410,
-            deadline_hit: true,
-            q_mean: 0.62,
-        },
         TraceEvent::ReactorSample { conns: 120, sessions: 96, queued_jobs: 5, busy_workers: 2 },
         TraceEvent::IdleClose { conn: 44, idle_ms: 31000, had_session: true },
         TraceEvent::RunEnd {
@@ -765,7 +726,6 @@ mod tests {
         assert_eq!(s.rollbacks, vec![(13, 2400.0, 5100.0, 0.53, true)]);
         assert_eq!(s.safety_clamps, 1);
         assert_eq!(s.regret_windows, vec![(2, 0.4, 0.75, false, 0.18)]);
-        assert_eq!(s.infer_batches, vec![(7, 32, 410, true, 0.62)]);
         assert_eq!(s.reactor_samples, vec![(120, 96, 5, 2)]);
         assert_eq!(s.idle_closes, 1);
         assert_eq!(s.over_budget_windows(), 0);
@@ -781,7 +741,6 @@ mod tests {
         assert!(rendered.contains("safety layer:"));
         assert!(rendered.contains("drift at step   12"));
         assert!(rendered.contains("rollback at step   13"));
-        assert!(rendered.contains("batched serving: 7 rows in 1 batches"));
     }
 
     #[test]
@@ -799,31 +758,6 @@ mod tests {
         let s = TraceSummary::from_events(&events);
         assert!(s.issues.iter().any(|i| i.contains("below its")), "{:?}", s.issues);
         assert!(s.issues.iter().any(|i| i.contains("over_budget=true")), "{:?}", s.issues);
-    }
-
-    #[test]
-    fn malformed_inference_batches_are_issues() {
-        // A batch reporting more rows than its capacity and a non-finite
-        // mean Q are both serving-tier bugs the summary must surface.
-        let mut events = exemplar_events();
-        for ev in &mut events {
-            if let TraceEvent::InferenceBatch { rows, capacity, q_mean, .. } = ev {
-                *rows = 40;
-                *capacity = 32;
-                *q_mean = f64::NAN;
-            }
-        }
-        let s = TraceSummary::from_events(&events);
-        assert!(
-            s.issues.iter().any(|i| i.contains("inference batch of 40 rows")),
-            "{:?}",
-            s.issues
-        );
-        assert!(
-            s.issues.iter().any(|i| i.contains("non-finite mean Q")),
-            "{:?}",
-            s.issues
-        );
     }
 
     #[test]

@@ -62,6 +62,16 @@ impl Args {
     pub fn has(&self, key: &str) -> bool {
         self.flags.contains_key(key)
     }
+
+    /// Errors on the first (alphabetically) flag that is not in `known`
+    /// (names without the `--`). The lookups above ignore flags nobody
+    /// reads, so without this a removed or misspelt flag boots silently.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+        match self.flags.keys().filter(|k| !known.contains(&k.as_str())).min() {
+            Some(flag) => Err(format!("unknown flag --{flag}")),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The typed description of one tunable instance: engine flavor, hardware,
@@ -269,6 +279,17 @@ mod tests {
         let bad = args(&[("knobs", "eight")]);
         assert!(bad.get("knobs", 40usize).unwrap_err().contains("--knobs"));
         assert!(a.required("out").unwrap_err().contains("--out"));
+    }
+
+    #[test]
+    fn unknown_flags_are_named_not_ignored() {
+        let known = ["knobs", "seed"];
+        assert!(args(&[("knobs", "8"), ("seed", "1")]).reject_unknown(&known).is_ok());
+        assert!(args(&[]).reject_unknown(&known).is_ok());
+        let err = args(&[("knobs", "8"), ("wrokers", "8"), ("removed-flag", "32")])
+            .reject_unknown(&known)
+            .unwrap_err();
+        assert!(err.contains("--removed-flag"), "{err}");
     }
 
     #[test]

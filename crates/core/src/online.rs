@@ -30,7 +30,7 @@ use simdb::{KnobConfig, PerfMetrics};
 use std::sync::Arc;
 
 /// A shared inference backend serving actor/critic forward passes for many
-/// sessions at once (the daemon's batched inference tier). A session
+/// sessions at once (the daemon's shared serving tier). A session
 /// admitted against a published model version calls through this instead of
 /// owning a private [`Ddpg`] until its first fine-tune update forks a
 /// private copy. `None` replies mean the backend no longer serves that
@@ -221,7 +221,7 @@ pub struct OnlineSession {
     /// inference through the shared tier; materialized (copy-on-write
     /// fork) by the first fine-tune update or the first shared-tier miss.
     agent: Option<Ddpg>,
-    /// Shared batched-inference backend + published model version.
+    /// Shared inference backend + published model version.
     shared: Option<(u64, Arc<dyn SharedPolicy>)>,
     /// Effective fine-tune minibatch size (resolved from
     /// [`OnlineConfig::minibatch`], `0` = the model's trainer batch size).
@@ -267,7 +267,7 @@ impl OnlineSession {
 
     /// [`OnlineSession::begin`] for the serving tier: the session borrows
     /// the shared `model` snapshot (an `Arc` bump, no weight copy) and,
-    /// when `shared` names a batched-inference backend publishing that
+    /// when `shared` names a shared inference backend publishing that
     /// model as `version`, serves actor/critic forwards through it until
     /// the first fine-tune update forks a private agent (copy-on-write).
     /// With `shared = None` the private agent is materialized eagerly,
@@ -411,7 +411,7 @@ impl OnlineSession {
     }
 
     /// Actor recommendation for the current state: the owned agent once
-    /// forked, the shared batched tier otherwise. A shared-tier refusal
+    /// forked, the shared tier otherwise. A shared-tier refusal
     /// (version retired, backend draining) forks on the spot.
     fn policy_act(&mut self) -> Vec<f32> {
         if self.agent.is_none() {

@@ -443,20 +443,6 @@ pub enum TraceEvent {
         /// Trust-region radius after the window's adaptation.
         radius: f64,
     },
-    /// The serving tier flushed one batched actor/critic forward pass
-    /// (many sessions' states packed into a single matrix).
-    InferenceBatch {
-        /// Rows (requests) packed into the flush.
-        rows: u64,
-        /// The batcher's configured maximum batch height.
-        capacity: u64,
-        /// Queue wait of the oldest request in the batch (µs).
-        queue_wait_us: u64,
-        /// The flush fired on the deadline (false = the batch filled up).
-        deadline_hit: bool,
-        /// Mean critic score of the batch's `(state, action)` rows.
-        q_mean: f64,
-    },
     /// A periodic health sample of the event-driven reactor (emitted on
     /// each sweep tick of the daemon).
     ReactorSample {
@@ -499,7 +485,6 @@ impl TraceEvent {
             TraceEvent::Rollback { .. } => "rollback",
             TraceEvent::SafetyClamp { .. } => "safety_clamp",
             TraceEvent::RegretWindow { .. } => "regret_window",
-            TraceEvent::InferenceBatch { .. } => "inference_batch",
             TraceEvent::ReactorSample { .. } => "reactor_sample",
             TraceEvent::IdleClose { .. } => "idle_close",
         }
@@ -513,7 +498,6 @@ impl TraceEvent {
             | TraceEvent::Admission { .. }
             | TraceEvent::ServiceQueue { .. }
             | TraceEvent::SafetyClamp { .. }
-            | TraceEvent::InferenceBatch { .. }
             | TraceEvent::ReactorSample { .. }
             | TraceEvent::IdleClose { .. } => TraceLevel::Step,
             _ => TraceLevel::Summary,
@@ -690,13 +674,6 @@ impl TraceEvent {
                     .f64("budget", *budget)
                     .bool("over_budget", *over_budget)
                     .f64("radius", *radius);
-            }
-            TraceEvent::InferenceBatch { rows, capacity, queue_wait_us, deadline_hit, q_mean } => {
-                o.u64("rows", *rows)
-                    .u64("capacity", *capacity)
-                    .u64("queue_wait_us", *queue_wait_us)
-                    .bool("deadline_hit", *deadline_hit)
-                    .f64("q_mean", *q_mean);
             }
             TraceEvent::ReactorSample { conns, sessions, queued_jobs, busy_workers } => {
                 o.u64("conns", *conns)
@@ -887,13 +864,6 @@ impl TraceEvent {
                 budget: j.num("budget"),
                 over_budget: j.boolean("over_budget"),
                 radius: j.num("radius"),
-            }),
-            "inference_batch" => Ok(TraceEvent::InferenceBatch {
-                rows: j.u64("rows"),
-                capacity: j.u64("capacity"),
-                queue_wait_us: j.u64("queue_wait_us"),
-                deadline_hit: j.boolean("deadline_hit"),
-                q_mean: j.num("q_mean"),
             }),
             "reactor_sample" => Ok(TraceEvent::ReactorSample {
                 conns: j.u64("conns"),
@@ -1242,13 +1212,6 @@ mod tests {
                 budget: 0.75,
                 over_budget: false,
                 radius: 0.18,
-            },
-            TraceEvent::InferenceBatch {
-                rows: 7,
-                capacity: 32,
-                queue_wait_us: 410,
-                deadline_hit: true,
-                q_mean: 0.62,
             },
             TraceEvent::ReactorSample { conns: 120, sessions: 96, queued_jobs: 5, busy_workers: 2 },
             TraceEvent::IdleClose { conn: 44, idle_ms: 31000, had_session: true },

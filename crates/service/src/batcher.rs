@@ -1,311 +1,154 @@
-//! The shared inference tier: a deadline-based microbatcher over
-//! versioned model snapshots.
+//! The shared serving tier: one resident evaluation-mode policy per
+//! published registry version, answered on the caller's thread.
 //!
 //! Every warm session created off the same registry entry runs the same
-//! actor network — yet before this tier existed each session cloned the
-//! weights and ran its own single-row forward passes. The
-//! [`PolicyServer`] instead keeps ONE evaluation-mode
-//! [`rl::SnapshotPolicy`] per published snapshot version and serves all
-//! sessions through it: actor-forward requests queue on a channel, a
-//! worker thread collects up to `max_batch` of them (or whatever arrived
-//! when the oldest request's deadline expires), packs the states into one
-//! `[rows × state_dim]` matrix per version, runs a single batched actor
-//! pass (plus a batched critic pass for Q-value telemetry), and answers
-//! each row to its waiting session.
+//! actor network, so the [`PolicyServer`] keeps ONE
+//! [`rl::SnapshotPolicy`] per snapshot version and K warm sessions share
+//! it (and one `Arc<TrainedModel>`) instead of cloning weights K times.
+//! A request is a lock, a version lookup, a width check and a single-row
+//! actor forward. There is no queue and no batching: compute shards call
+//! in synchronously, so at most `workers` requests are ever in flight —
+//! nothing a batch could amortise over (DESIGN.md §13).
 //!
 //! Sessions reach the tier through the [`cdbtune::SharedPolicy`] trait.
 //! The tier is strictly read-only over published snapshots: the moment a
 //! session takes its first online gradient step it forks a private copy
 //! (copy-on-write, handled by [`cdbtune::OnlineSession`]) and stops
-//! calling in. A `None` reply — unknown version, shutdown in progress, or
-//! a dimension mismatch — tells the session to fork immediately; the tier
-//! never blocks a session forever.
+//! calling in. A `None` reply — unknown or evicted version, a dimension
+//! mismatch, or the tier shut down — tells the session to fork
+//! immediately.
 
-use cdbtune::{SharedPolicy, Telemetry, TraceEvent, TraceLevel, TrainedModel};
+use cdbtune::{SharedPolicy, Telemetry, TrainedModel};
 use rl::SnapshotPolicy;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-use tinynn::Matrix;
-
-/// One queued actor-forward request.
-struct Pending {
-    version: u64,
-    state: Vec<f32>,
-    reply: Sender<Option<Vec<f32>>>,
-    enqueued: Instant,
-}
 
 /// Lifetime counters of one [`PolicyServer`] (monotone; read via
 /// [`PolicyServer::stats`] and reported on the daemon's status line).
+/// The shape dates from the microbatcher and is frozen by the wire
+/// protocol and `benchmark/`: every request is its own forward pass, so
+/// `batches == rows` and `deadline_flushes == 0`, always.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Batched forward passes executed.
+    /// Actor forward passes executed (equals `rows`).
     pub batches: u64,
-    /// Rows (actor-forward requests) served across all batches.
+    /// Actor-forward requests served.
     pub rows: u64,
-    /// Batches flushed because the oldest request's deadline expired.
+    /// Always 0: nothing waits on a deadline any more.
     pub deadline_flushes: u64,
-    /// Batches flushed because they reached `max_batch` rows.
-    pub full_flushes: u64,
 }
 
-/// The shared batched-inference tier. One per daemon; see the module docs.
+type Policies = Vec<(u64, SnapshotPolicy)>;
+
+/// The shared serving tier. One per daemon; see the module docs.
 pub struct PolicyServer {
-    queue_tx: Mutex<Option<Sender<Pending>>>,
-    policies: Mutex<Vec<(u64, SnapshotPolicy)>>,
-    max_batch: usize,
-    deadline: Duration,
-    telemetry: Telemetry,
-    batches: AtomicU64,
+    /// Resident policies by registry version; `None` once shut down.
+    policies: Mutex<Option<Policies>>,
     rows: AtomicU64,
-    deadline_flushes: AtomicU64,
-    full_flushes: AtomicU64,
-    worker_handle: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl PolicyServer {
-    /// Spawns the tier: one worker thread that batches up to `max_batch`
-    /// requests or whatever arrived within `deadline_us` microseconds of
-    /// the oldest queued request, whichever comes first.
-    pub fn spawn(max_batch: usize, deadline_us: u64, telemetry: Telemetry) -> Arc<Self> {
-        let (tx, rx) = channel();
-        let server = Arc::new(Self {
-            queue_tx: Mutex::new(Some(tx)),
-            policies: Mutex::new(Vec::new()),
-            max_batch: max_batch.max(1),
-            deadline: Duration::from_micros(deadline_us),
-            telemetry,
-            batches: AtomicU64::new(0),
-            rows: AtomicU64::new(0),
-            deadline_flushes: AtomicU64::new(0),
-            full_flushes: AtomicU64::new(0),
-            worker_handle: Mutex::new(None),
-        });
-        let worker = {
-            let server = Arc::clone(&server);
-            std::thread::Builder::new()
-                .name("policy-batcher".into())
-                // lint:allow(reactor) reason=worker_loop blocks on the dedicated policy-batcher thread spawned here
-                .spawn(move || server.worker_loop(rx))
-                .ok()
-        };
-        // lint:allow(reactor) reason=the handle slot lock is touched only at spawn and shutdown
-        if let Ok(mut handle) = server.worker_handle.lock() {
-            *handle = worker;
-        }
-        server
+    /// An empty tier, open for [`PolicyServer::ensure`].
+    pub fn new() -> Arc<Self> {
+        Arc::new(Self { policies: Mutex::new(Some(Vec::new())), rows: AtomicU64::new(0) })
+    }
+
+    // `benchmark/src/probes.rs` is the only caller: it was written against
+    // the microbatcher's constructor and may not be edited. Batch height,
+    // deadline and trace handle no longer mean anything and are ignored.
+    #[doc(hidden)]
+    pub fn spawn(_max_batch: usize, _deadline_us: u64, _telemetry: Telemetry) -> Arc<Self> {
+        Self::new()
+    }
+
+    /// Runs `f` on the resident policies under the tier lock. `None` once
+    /// the tier is shut down (or if a caller panicked mid-forward), which
+    /// every entry point turns into a refusal.
+    fn with<R>(&self, f: impl FnOnce(&mut Policies) -> R) -> Option<R> {
+        // lint:allow(reactor) reason=the tier lock is held for an in-memory scan or one single-row forward pass
+        self.policies.lock().ok()?.as_mut().map(f)
     }
 
     /// Registers a published snapshot under its registry version, building
     /// the evaluation-mode policy once. Idempotent: later calls with the
     /// same version are no-ops, so every warm session can call this.
     pub fn ensure(&self, version: u64, model: &TrainedModel) {
-        // lint:allow(reactor) reason=the policy-list lock guards an in-memory version map
-        if let Ok(mut policies) = self.policies.lock() {
-            if policies.iter().any(|(v, _)| *v == version) {
-                return;
-            }
-            let mut policy = SnapshotPolicy::from_snapshot(&model.snapshot);
-            policy.prewarm(self.max_batch);
-            policies.push((version, policy));
+        let absent = |p: &mut Policies| p.iter().all(|(v, _)| *v != version);
+        if self.with(absent) != Some(true) {
+            return;
         }
+        // Built outside the lock: a first sighting of a version must not
+        // stall the other shards' `act`.
+        let mut policy = SnapshotPolicy::from_snapshot(&model.snapshot);
+        policy.prewarm(1);
+        self.with(|p| {
+            if absent(p) {
+                p.push((version, policy));
+            }
+        });
+    }
+
+    /// Evicts every policy whose version is not in `live`. The registry
+    /// replaces a beaten entry under a fresh id, so without this the tier
+    /// keeps one policy per superseded entry for the daemon's lifetime. A
+    /// session still borrowing an evicted version gets `None` and forks.
+    pub fn retain(&self, live: &[u64]) {
+        self.with(|p| p.retain(|(v, _)| live.contains(v)));
     }
 
     /// Registered snapshot versions, ascending.
     pub fn versions(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .policies
-            .lock()
-            .map(|p| p.iter().map(|(v, _)| *v).collect())
-            .unwrap_or_default();
+        let mut v: Vec<u64> =
+            self.with(|p| p.iter().map(|(v, _)| *v).collect()).unwrap_or_default();
         v.sort_unstable();
         v
     }
 
     /// Lifetime counters.
     pub fn stats(&self) -> BatchStats {
-        BatchStats {
-            batches: self.batches.load(Ordering::Relaxed),
-            rows: self.rows.load(Ordering::Relaxed),
-            deadline_flushes: self.deadline_flushes.load(Ordering::Relaxed),
-            full_flushes: self.full_flushes.load(Ordering::Relaxed),
-        }
+        let rows = self.rows.load(Ordering::Relaxed);
+        BatchStats { batches: rows, rows, deadline_flushes: 0 }
     }
 
-    /// Stops accepting new requests, drains everything already queued
-    /// (every waiting session still gets its reply), and joins the worker.
+    /// Drops every resident policy and refuses all later requests.
     pub fn shutdown(&self) {
-        let tx = match self.queue_tx.lock() {
-            Ok(mut guard) => guard.take(),
-            Err(_) => None,
-        };
-        drop(tx);
-        let worker = match self.worker_handle.lock() {
-            Ok(mut guard) => guard.take(),
-            Err(_) => None,
-        };
-        if let Some(handle) = worker {
-            let _ = handle.join();
-        }
-    }
-
-    /// Enqueues one actor-forward request and blocks until the batch it
-    /// lands in is flushed. `None` means the tier cannot serve it (unknown
-    /// version or shutdown) and the caller should fall back to a private
-    /// agent.
-    fn enqueue(&self, version: u64, state: &[f32]) -> Option<Vec<f32>> {
-        let tx = match self.queue_tx.lock() {
-            Ok(guard) => guard.as_ref().cloned(),
-            Err(_) => None,
-        }?;
-        let (reply_tx, reply_rx) = channel();
-        // lint:allow(determinism) reason=queue-wait telemetry only; actions stay deterministic
-        let enqueued = Instant::now();
-        // lint:allow(channel) reason=tx is a clone of the sender; the queue_tx guard died at the end of the match above
-        tx.send(Pending { version, state: state.to_vec(), reply: reply_tx, enqueued }).ok()?;
-        drop(tx);
-        reply_rx.recv().ok().flatten()
-    }
-
-    fn worker_loop(&self, rx: Receiver<Pending>) {
-        let mut batch: Vec<Pending> = Vec::with_capacity(self.max_batch);
-        let mut states = Matrix::zeros(1, 1);
-        let mut actions = Matrix::zeros(1, 1);
-        let mut qs = Matrix::zeros(1, 1);
-        loop {
-            // Block for the first request of the next batch; an error here
-            // means the channel is both empty and closed — drain complete.
-            let first = match rx.recv() {
-                Ok(p) => p,
-                Err(_) => break,
-            };
-            // lint:allow(determinism) reason=flush deadline; batching latency, not policy output
-            let deadline = Instant::now() + self.deadline;
-            batch.push(first);
-            while batch.len() < self.max_batch {
-                // lint:allow(determinism) reason=flush deadline; batching latency, not policy output
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                match rx.recv_timeout(remaining) {
-                    Ok(p) => batch.push(p),
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            let deadline_hit = batch.len() < self.max_batch;
-            self.flush(&mut batch, deadline_hit, &mut states, &mut actions, &mut qs);
-        }
-    }
-
-    /// Runs one batched forward pass per distinct snapshot version in the
-    /// batch and replies to every row.
-    fn flush(
-        &self,
-        batch: &mut Vec<Pending>,
-        deadline_hit: bool,
-        states: &mut Matrix,
-        actions: &mut Matrix,
-        qs: &mut Matrix,
-    ) {
-        if batch.is_empty() {
-            return;
-        }
-        let total_rows = batch.len() as u64;
-        let queue_wait_us =
-            batch.iter().map(|p| p.enqueued.elapsed().as_micros() as u64).max().unwrap_or(0);
-        // Distinct versions in ascending order (a Vec, not a HashMap: the
-        // iteration order is part of the observable reply order).
-        let mut versions: Vec<u64> = batch.iter().map(|p| p.version).collect();
-        versions.sort_unstable();
-        versions.dedup();
-        let mut q_sum = 0.0f64;
-        let mut q_rows = 0u64;
-        // Buffer every row's payload (None = refusal) and reply only after
-        // the stats counters are bumped, so a woken caller never observes a
-        // flush the counters do not yet reflect.
-        let mut payloads: Vec<Option<Vec<f32>>> = vec![None; batch.len()];
         if let Ok(mut policies) = self.policies.lock() {
-            for &version in &versions {
-                let rows: Vec<usize> = batch
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.version == version)
-                    .map(|(i, _)| i)
-                    .collect();
-                let policy = policies.iter_mut().find(|(v, _)| *v == version);
-                let Some((_, policy)) = policy else {
-                    continue;
-                };
-                let dim = policy.state_dim();
-                if batch.iter().any(|p| p.version == version && p.state.len() != dim) {
-                    // A malformed row poisons the pack; refuse the whole
-                    // version group so nobody trains on a skewed matrix.
-                    continue;
-                }
-                states.resize(rows.len(), dim);
-                for (r, &i) in rows.iter().enumerate() {
-                    // lint:allow(panic) reason=rows holds indices collected from enumerating batch
-                    states.row_mut(r).copy_from_slice(&batch[i].state);
-                }
-                policy.act_batch_into(states, actions);
-                policy.q_batch_into(states, actions, qs);
-                for (r, &i) in rows.iter().enumerate() {
-                    // lint:allow(panic) reason=q_batch_into sizes qs to one column per packed row
-                    q_sum += f64::from(qs.row(r)[0]);
-                    q_rows += 1;
-                    // lint:allow(panic) reason=rows holds indices collected from enumerating batch, and payloads is sized to batch
-                    payloads[i] = Some(actions.row(r).to_vec());
-                }
-            }
+            *policies = None;
         }
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.rows.fetch_add(total_rows, Ordering::Relaxed);
-        if deadline_hit {
-            self.deadline_flushes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.full_flushes.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.telemetry.enabled(TraceLevel::Step) {
-            self.telemetry.emit(&TraceEvent::InferenceBatch {
-                rows: total_rows,
-                capacity: self.max_batch as u64,
-                queue_wait_us,
-                deadline_hit,
-                q_mean: if q_rows > 0 { q_sum / q_rows as f64 } else { 0.0 },
-            });
-        }
-        for (p, payload) in batch.iter().zip(payloads) {
-            let _ = p.reply.send(payload);
-        }
-        batch.clear();
     }
 }
 
 impl SharedPolicy for PolicyServer {
     fn act(&self, version: u64, state: &[f32]) -> Option<Vec<f32>> {
-        self.enqueue(version, state)
+        self.with(|p| {
+            let (_, policy) = p.iter_mut().find(|(v, _)| *v == version)?;
+            if state.len() != policy.state_dim() {
+                return None;
+            }
+            // lint:allow(panic) reason=act_row only asserts the state width, checked just above
+            let action = policy.act_row(state);
+            self.rows.fetch_add(1, Ordering::Relaxed);
+            Some(action)
+        })
+        .flatten()
     }
 
     fn q(&self, version: u64, state: &[f32], action: &[f32]) -> Option<f32> {
-        // Q-queries are occasional (candidate screening, telemetry) and
-        // cheap; they run directly instead of riding the actor batch.
-        let mut policies = self.policies.lock().ok()?;
-        let (_, policy) = policies.iter_mut().find(|(v, _)| *v == version)?;
-        if state.len() != policy.state_dim() || action.len() != policy.action_dim() {
-            return None;
-        }
-        Some(policy.q_row(state, action))
+        self.with(|p| {
+            let (_, policy) = p.iter_mut().find(|(v, _)| *v == version)?;
+            if state.len() != policy.state_dim() || action.len() != policy.action_dim() {
+                return None;
+            }
+            Some(policy.q_row(state, action))
+        })
+        .flatten()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdbtune::RewardConfig;
+    use cdbtune::{EnvSpec, OnlineConfig, OnlineSession, RewardConfig};
 
     fn test_model(knobs: usize, seed: u64) -> TrainedModel {
         TrainedModel::cold((0..knobs).collect(), RewardConfig::default(), seed)
@@ -315,91 +158,46 @@ mod tests {
         (0..dim).map(|i| ((i as u64 * 31 + salt * 7 + 3) % 100) as f32 / 100.0).collect()
     }
 
-    #[test]
-    fn deadline_flush_releases_a_single_straggler() {
-        let model = test_model(4, 11);
-        let dim = model.snapshot.config.state_dim;
-        let server = PolicyServer::spawn(8, 3_000, Telemetry::null());
-        server.ensure(1, &model);
-        let state = test_state(dim, 1);
-        // One lone request can never fill an 8-row batch; only the
-        // deadline releases it.
-        let got = server.act(1, &state).expect("straggler must be served");
-        let mut reference = SnapshotPolicy::from_snapshot(&model.snapshot);
-        assert_eq!(got, reference.act_row(&state));
-        let stats = server.stats();
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.rows, 1);
-        assert_eq!(stats.deadline_flushes, 1);
-        assert_eq!(stats.full_flushes, 0);
-        server.shutdown();
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn full_batches_flush_before_the_deadline() {
-        let model = test_model(4, 12);
-        let dim = model.snapshot.config.state_dim;
-        // A 30-second deadline: if the batch did not flush on reaching
-        // max_batch the test would hang far past any reasonable runtime.
-        let server = PolicyServer::spawn(4, 30_000_000, Telemetry::null());
-        server.ensure(1, &model);
-        let workers: Vec<_> = (0..4)
-            .map(|salt| {
-                let server = Arc::clone(&server);
-                let state = test_state(dim, salt);
-                std::thread::spawn(move || (state.clone(), server.act(1, &state)))
-            })
-            .collect();
-        let mut reference = SnapshotPolicy::from_snapshot(&model.snapshot);
-        for w in workers {
-            let (state, got) = w.join().expect("worker thread");
-            assert_eq!(got.expect("served"), reference.act_row(&state));
+    fn every_version_answers_its_own_snapshots_row_bit_for_bit() {
+        let models = [test_model(4, 15), test_model(4, 16)];
+        let dim = models[0].snapshot.config.state_dim;
+        let server = PolicyServer::new();
+        server.ensure(1, &models[0]);
+        server.ensure(2, &models[1]);
+        server.ensure(1, &models[0]);
+        assert_eq!(server.versions(), vec![1, 2], "ensure is idempotent");
+        let mut references = models.each_ref().map(|m| SnapshotPolicy::from_snapshot(&m.snapshot));
+        for salt in 0..8u64 {
+            let state = test_state(dim, salt);
+            let which = (salt % 2) as usize;
+            let got = server.act(which as u64 + 1, &state).expect("registered version");
+            assert_eq!(bits(&got), bits(&references[which].act_row(&state)), "salt {salt}");
         }
-        let stats = server.stats();
-        assert_eq!(stats.rows, 4);
-        assert_eq!(stats.full_flushes, 1);
-        assert_eq!(stats.deadline_flushes, 0);
-        server.shutdown();
-    }
-
-    #[test]
-    fn shutdown_drains_queued_requests() {
-        let model = test_model(4, 13);
-        let dim = model.snapshot.config.state_dim;
-        // Large batch + long deadline: requests pile up in the worker's
-        // accumulating batch and only a flush can answer them.
-        let server = PolicyServer::spawn(64, 30_000_000, Telemetry::null());
-        server.ensure(1, &model);
-        let workers: Vec<_> = (0..6)
-            .map(|salt| {
-                let server = Arc::clone(&server);
-                let state = test_state(dim, salt);
-                std::thread::spawn(move || server.act(1, &state).is_some())
-            })
-            .collect();
-        // Let every request reach the queue, then pull the plug.
-        std::thread::sleep(Duration::from_millis(300));
-        server.shutdown();
-        for w in workers {
-            assert!(w.join().expect("worker thread"), "queued request must be drained, not dropped");
-        }
-        let stats = server.stats();
-        assert_eq!(stats.rows, 6);
-        // After shutdown new requests are refused instead of blocking.
-        assert!(server.act(1, &test_state(dim, 9)).is_none());
+        assert_eq!(server.stats(), BatchStats { batches: 8, rows: 8, deadline_flushes: 0 });
+        // Evicting one version leaves the other serving.
+        server.retain(&[2]);
+        assert_eq!(server.versions(), vec![2]);
+        assert!(server.act(1, &test_state(dim, 0)).is_none());
+        assert!(server.act(2, &test_state(dim, 0)).is_some());
     }
 
     #[test]
     fn unknown_versions_and_bad_rows_are_refused() {
         let model = test_model(4, 14);
         let dim = model.snapshot.config.state_dim;
-        let server = PolicyServer::spawn(4, 1_000, Telemetry::null());
+        let server = PolicyServer::new();
         server.ensure(3, &model);
         assert_eq!(server.versions(), vec![3]);
-        // Unregistered version: served rows say None, the session forks.
+        // Unregistered version: the reply is None, the session forks.
         assert!(server.act(99, &test_state(dim, 1)).is_none());
-        // Wrong state dimension never reaches the matrix pack.
+        // Wrong state dimension never reaches the forward pass.
         assert!(server.act(3, &test_state(dim - 1, 1)).is_none());
+        assert_eq!(server.stats().rows, 0, "refusals are not served rows");
         // Direct critic queries agree with the reference policy.
         let state = test_state(dim, 2);
         let action = vec![0.25; 4];
@@ -407,32 +205,69 @@ mod tests {
         let q = server.q(3, &state, &action).expect("registered version");
         assert_eq!(q, reference.q_row(&state, &action));
         assert!(server.q(99, &state, &action).is_none());
-        server.shutdown();
     }
 
     #[test]
-    fn mixed_version_batches_answer_every_row_from_its_own_snapshot() {
-        let model_a = test_model(4, 15);
-        let model_b = test_model(4, 16);
-        let dim = model_a.snapshot.config.state_dim;
-        let server = PolicyServer::spawn(8, 50_000, Telemetry::null());
-        server.ensure(1, &model_a);
-        server.ensure(2, &model_b);
-        let workers: Vec<_> = (0..6)
-            .map(|i| {
-                let server = Arc::clone(&server);
-                let version = 1 + (i % 2) as u64;
-                let state = test_state(dim, i);
-                std::thread::spawn(move || (version, state.clone(), server.act(version, &state)))
-            })
-            .collect();
-        let mut ref_a = SnapshotPolicy::from_snapshot(&model_a.snapshot);
-        let mut ref_b = SnapshotPolicy::from_snapshot(&model_b.snapshot);
-        for w in workers {
-            let (version, state, got) = w.join().expect("worker thread");
-            let want = if version == 1 { ref_a.act_row(&state) } else { ref_b.act_row(&state) };
-            assert_eq!(got.expect("served"), want, "row must use its own version's weights");
-        }
+    fn shutdown_refuses_and_a_live_session_forks_and_finishes() {
+        let spec = EnvSpec {
+            scale: 0.003,
+            knobs: 4,
+            seed: 17,
+            warmup_txns: 10,
+            measure_txns: 60,
+            horizon: 8,
+            ..EnvSpec::default()
+        };
+        let mut env = spec.build().expect("tiny instance builds");
+        let indices = env.space().indices().to_vec();
+        let model = Arc::new(TrainedModel::cold(indices, *env.reward_config(), spec.seed));
+        let server = PolicyServer::new();
+        server.ensure(1, &model);
+        let tier: Arc<dyn SharedPolicy> = Arc::clone(&server) as Arc<dyn SharedPolicy>;
+        let cfg = OnlineConfig::default();
+        let mut session =
+            OnlineSession::begin_shared(&mut env, Arc::clone(&model), &cfg, Some((1, tier)));
+        assert!(session.step(&mut env).is_some());
+        assert!(session.shares_model(), "the first step rides the tier");
+        assert!(server.stats().rows > 0);
+
         server.shutdown();
+        assert!(server.act(1, &test_state(model.snapshot.config.state_dim, 9)).is_none());
+        server.ensure(1, &model);
+        assert!(server.versions().is_empty(), "a shut-down tier admits nothing");
+
+        assert!(session.step(&mut env).is_some(), "a refusal must not wedge the session");
+        assert!(!session.shares_model(), "the refusal forks a private agent");
+        while session.step(&mut env).is_some() {}
+        assert_eq!(session.finish(&mut env).steps.len(), cfg.max_steps);
+    }
+
+    #[test]
+    fn concurrent_callers_all_get_the_reference_reply() {
+        const THREADS: u64 = 4;
+        const CALLS: u64 = 50;
+        let model = test_model(4, 12);
+        let dim = model.snapshot.config.state_dim;
+        let server = PolicyServer::new();
+        server.ensure(1, &model);
+        // All four callers leave the barrier together and contend for the
+        // tier on every call; a failed assertion fails the scope.
+        let barrier = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (server, barrier, model) = (&server, &barrier, &model);
+                scope.spawn(move || {
+                    let mut reference = SnapshotPolicy::from_snapshot(&model.snapshot);
+                    barrier.wait();
+                    for c in 0..CALLS {
+                        let state = test_state(dim, t * CALLS + c);
+                        let got = server.act(1, &state).expect("served");
+                        assert_eq!(bits(&got), bits(&reference.act_row(&state)));
+                    }
+                });
+            }
+        });
+        let n = THREADS * CALLS;
+        assert_eq!(server.stats(), BatchStats { batches: n, rows: n, deadline_flushes: 0 });
     }
 }

@@ -48,7 +48,6 @@ USAGE:
            [--queue N] [--max-conns N] [--idle-timeout-ms T]
            [--tenant-max-sessions N] [--tenant-max-inflight N]
            [--registry-dir DIR] [--checkpoint-dir DIR] [--max-distance D]
-           [--batch-max N] [--batch-deadline-us T]
            [--trace-out FILE --trace-level LEVEL]
 
 FLAGS:
@@ -74,10 +73,6 @@ FLAGS:
                     training checkpoints; omit to discard them
   --max-distance    max fingerprint distance for a warm start
                     (default 0.25)
-  --batch-max       most actor forwards one batched inference pass of
-                    the shared serving tier packs         (default 32)
-  --batch-deadline-us  how long (µs) the batcher holds a lone request
-                    while waiting for company            (default 500)
 
 {}
 
@@ -94,13 +89,21 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
     let args = Args::parse(&argv)?;
-    // Resolve the kernel/collection pool width before any session spawns:
-    // session training and the shared batched-inference tier both ride the
-    // sharded tinynn kernels.
+    // A flag is known iff the usage text documents it, plus `--runtime`
+    // (below). Anything else — a removed flag, a typo — exits 2 instead
+    // of booting without it.
+    let usage = usage();
+    let mut known: Vec<&str> = usage
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter_map(|word| word.strip_prefix("--"))
+        .collect();
+    known.push("runtime");
+    args.reject_unknown(&known)?;
+    // Resolve the kernel pool width before any session spawns: session
+    // training rides the sharded tinynn kernels.
     configure_threads(&args)?;
     // `benchmark/` boots the daemon with `--runtime events`, so that value
-    // is accepted and selects nothing. `Args` ignores flags nobody reads,
-    // so any other value is refused here rather than booting silently.
+    // is accepted and selects nothing; any other value is refused.
     if let Some(other) = args.raw("runtime").filter(|&v| v != "events") {
         return Err(format!(
             "--runtime {other}: the threads runtime was removed; cdbtuned has one runtime, drop the flag"
@@ -113,8 +116,6 @@ fn run() -> Result<(), String> {
         registry_dir: args.raw("registry-dir").map(str::to_string),
         checkpoint_dir: args.raw("checkpoint-dir").map(str::to_string),
         max_distance: args.get("max-distance", 0.25f64)?,
-        batch_max: args.get("batch-max", 32usize)?,
-        batch_deadline_us: args.get("batch-deadline-us", 500u64)?,
         telemetry: telemetry_from_args(&args)?,
     };
     let reactor_cfg = ReactorConfig {

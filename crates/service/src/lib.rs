@@ -18,10 +18,9 @@
 //!   online.
 //! * [`session`] — one tuning session: environment + online tuner +
 //!   registry integration, advanced one step per request.
-//! * [`batcher`] — the shared inference tier: a deadline-based
-//!   microbatcher that packs concurrent sessions' actor-forward requests
-//!   into one `[batch × 63]` matrix per versioned snapshot and answers
-//!   each row, so K warm sessions share one resident model.
+//! * [`batcher`] — the shared serving tier: one resident evaluation-mode
+//!   policy per registry version, answering each session's actor forward
+//!   on the caller's thread, so K warm sessions share one resident model.
 //! * [`reactor`] — the daemon: one reactor thread multiplexing thousands
 //!   of connections over a libc-free epoll shim, a sharded compute pool,
 //!   typed admission control, per-tenant quotas, and a graceful drain

@@ -244,7 +244,7 @@ impl EventsHandle {
             let _ = reactor.join();
         }
         // The reactor joins its workers before exiting, so no session
-        // can be mid-inference: drain the shared tier after, never before.
+        // can be mid-inference: close the shared tier after, never before.
         self.svc.serving.shutdown();
         let stats = ShutdownStats {
             total_sessions: self.svc.total_sessions.load(Ordering::SeqCst),
@@ -297,11 +297,7 @@ pub fn spawn(cfg: ServiceConfig, reactor_cfg: ReactorConfig) -> std::io::Result<
         registry,
         max_distance: cfg.max_distance,
         checkpoint_dir: cfg.checkpoint_dir.clone(),
-        serving: PolicyServer::spawn(
-            cfg.batch_max.max(1),
-            cfg.batch_deadline_us,
-            cfg.telemetry.clone(),
-        ),
+        serving: PolicyServer::new(),
         telemetry: cfg.telemetry.clone(),
     });
     let (waker, waker_rx) = waker_pair()?;

@@ -32,12 +32,6 @@ pub struct ServiceConfig {
     pub checkpoint_dir: Option<String>,
     /// Maximum fingerprint distance a warm start will accept.
     pub max_distance: f64,
-    /// Largest number of actor-forward requests one batched inference
-    /// pass serves (the shared tier's `[batch × 63]` pack width).
-    pub batch_max: usize,
-    /// How long (µs) the batcher holds the oldest queued request while
-    /// waiting for company before flushing a partial batch.
-    pub batch_deadline_us: u64,
     /// Service-level trace handle.
     pub telemetry: Telemetry,
 }
@@ -51,8 +45,6 @@ impl Default for ServiceConfig {
             registry_dir: None,
             checkpoint_dir: None,
             max_distance: 0.25,
-            batch_max: 32,
-            batch_deadline_us: 500,
             telemetry: Telemetry::null(),
         }
     }

@@ -52,7 +52,7 @@ pub fn in_process(
 ) -> Result<Vec<Vec<String>>, String> {
     let cfg = ServiceConfig::default();
     let registry = ModelRegistry::in_memory();
-    let serving = PolicyServer::spawn(cfg.batch_max, cfg.batch_deadline_us, Telemetry::null());
+    let serving = PolicyServer::new();
     let scripts = specs
         .iter()
         .zip(1u64..)

@@ -140,6 +140,12 @@ impl ModelRegistry {
         self.entries.lock().map(|e| e.len()).unwrap_or(0)
     }
 
+    /// Ids of the live entries (a superseded entry's id is gone for good).
+    pub fn ids(&self) -> Vec<u64> {
+        // lint:allow(reactor) reason=the registry lock bounds a short read-only scan
+        self.entries.lock().map(|e| e.iter().map(|e| e.id).collect()).unwrap_or_default()
+    }
+
     /// True when no entry has been published.
     pub fn is_empty(&self) -> bool {
         self.len() == 0

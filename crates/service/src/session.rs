@@ -61,8 +61,9 @@ impl TuningSession {
     ///
     /// A warm start no longer clones the matched weights: the session
     /// borrows the registry's resident snapshot (`Arc`) and serves its
-    /// actor forwards through `serving`, the shared batched-inference
-    /// tier, until its first online gradient update forks a private copy.
+    /// actor forwards through `serving`, the shared tier, until its first
+    /// online gradient update forks a private copy. Each warm start also
+    /// evicts the tier's policies for registry entries since superseded.
     pub fn create(
         id: u64,
         spec: EnvSpec,
@@ -94,6 +95,7 @@ impl TuningSession {
         let (mut inner, warm_start, registry_distance, warm_action) = match hit {
             Some(m) => {
                 serving.ensure(m.entry.id, &m.entry.model);
+                serving.retain(&registry.ids());
                 let tier: Arc<dyn SharedPolicy> = Arc::clone(serving) as Arc<dyn SharedPolicy>;
                 let inner = OnlineSession::begin_shared(
                     &mut env,
@@ -341,7 +343,7 @@ mod tests {
     }
 
     fn tiny_tier() -> Arc<PolicyServer> {
-        PolicyServer::spawn(8, 200, Telemetry::null())
+        PolicyServer::new()
     }
 
     #[test]
@@ -452,8 +454,40 @@ mod tests {
         while tuned.step().is_some() {}
         assert!(!tuned.shares_model(), "fine-tuning must fork a private copy");
         let stats = tier.stats();
-        assert!(stats.rows > 0, "pre-fork forwards must ride the batched tier");
+        assert!(stats.rows > 0, "pre-fork forwards must ride the shared tier");
         tier.shutdown();
+    }
+
+    #[test]
+    fn superseded_registry_entries_leave_the_serving_tier() {
+        let registry = ModelRegistry::in_memory();
+        let telemetry = Telemetry::null();
+        let tier = tiny_tier();
+        let open = |id: u64| {
+            TuningSession::create(id, tiny_spec(7), 3, true, false, &registry, 0.25, &tier, &telemetry)
+                .expect("session opens")
+        };
+        let mut seeder = open(1);
+        while seeder.step().is_some() {}
+        let fingerprint = seeder.fingerprint().clone();
+        let seeded = seeder.close(&registry, false).outcome;
+        // Each round warm-starts a session off the live entry (registering
+        // its id with the tier), then a publish that beats the entry
+        // replaces it under a fresh id.
+        for round in 1..=5u32 {
+            assert!(open(10 + u64::from(round)).warm_start());
+            assert!(
+                tier.versions().len() <= registry.len(),
+                "round {round}: tier holds {:?} for {} live entries",
+                tier.versions(),
+                registry.len()
+            );
+            let tps = seeded.best_perf.throughput_tps * f64::from(1 + round);
+            registry
+                .publish(fingerprint.clone(), seeded.updated_model.clone(), vec![0.5; 6], tps, 3)
+                .expect("in-memory publish");
+            assert_eq!(registry.len(), 1, "a better near-duplicate replaces, never appends");
+        }
     }
 
     #[test]

@@ -238,6 +238,7 @@ if [ -z "$addr" ]; then
     kill "$svc_pid" 2>/dev/null || true
     exit 1
 fi
+echo "cdbtuned threads after boot: $(ls /proc/$svc_pid/task | wc -l)"
 "$OUT/svc_load" --addr "$addr" --sessions 2 --steps 2 --knobs 4 --scale 0.003 --safe true
 "$OUT/svc_load" --addr "$addr" --mode open --sessions 20 --rate 200 --steps 1 \
     --knobs 4 --scale 0.003 --warm-start false --max-reject-rate 0.0
@@ -256,6 +257,11 @@ rc=0
 "$OUT/cdbtuned" --runtime threads 2>"$svc_tmp/runtime.err" || rc=$?
 [ "$rc" -eq 2 ]
 grep -q "threads runtime was removed" "$svc_tmp/runtime.err"
+# Removed and misspelt flags are refused by name, never silently dropped.
+rc=0
+"$OUT/cdbtuned" --batch-max 32 2>"$svc_tmp/flag.err" || rc=$?
+[ "$rc" -eq 2 ]
+grep -q -- "--batch-max" "$svc_tmp/flag.err"
 rm -rf "$svc_tmp"
 
 echo "== service e2e (tests/service_e2e.rs) =="

@@ -78,6 +78,7 @@ if [ -z "$addr" ]; then
     kill "$daemon_pid" 2>/dev/null || true
     exit 1
 fi
+echo "cdbtuned threads after boot: $(ls /proc/$daemon_pid/task | wc -l)"
 target/release/svc_load --addr "$addr" --sessions 2 --steps 2 \
     --knobs 4 --scale 0.003 --safe true
 target/release/svc_load --addr "$addr" --mode open --sessions 30 --rate 300 \
@@ -102,6 +103,11 @@ rc=0
 target/release/cdbtuned --runtime threads 2>"$tmp/runtime.err" || rc=$?
 [ "$rc" -eq 2 ]
 grep -q "threads runtime was removed" "$tmp/runtime.err"
+# Removed and misspelt flags are refused by name, never silently dropped.
+rc=0
+target/release/cdbtuned --batch-max 32 2>"$tmp/flag.err" || rc=$?
+[ "$rc" -eq 2 ]
+grep -q -- "--batch-max" "$tmp/flag.err"
 
 # The wire-vs-in-process differential, admission and framing-robustness e2e.
 cargo test -q --test service_e2e

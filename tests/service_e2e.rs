@@ -191,6 +191,16 @@ fn near_identical_session_warm_starts_and_converges_faster() {
         "warm start took {warm_steps_to_best} steps to reach {target:.0} txn/s, \
          cold took {cold_steps_to_best}"
     );
+    // The warm session's pre-fork forwards rode the shared tier, one
+    // forward pass per request and none of them held back on a timer.
+    let Response::ServiceStatus { infer_batches, infer_rows, infer_deadline_flushes, .. } =
+        warm.request(&Request::Status).expect("status")
+    else {
+        panic!("expected a status line");
+    };
+    assert!(infer_rows > 0, "a warm session must serve its first steps through the tier");
+    assert_eq!(infer_rows, infer_batches);
+    assert_eq!(infer_deadline_flushes, 0);
     let _ = warm.request(&Request::CloseSession).expect("warm close");
     handle.shutdown();
 }
