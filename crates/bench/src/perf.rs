@@ -16,7 +16,12 @@
 //!    fewer cores); `train_step_mt4_speedup` vs the fast leg is the
 //!    multicore `≥ 1.8x` gate.
 //! 3. **collect_parallel** — multi-worker seed collection throughput.
-//! 4. **simdb workload** — single-environment tuning-iteration throughput.
+//! 4. **simdb workload** — single-environment tuning-iteration throughput,
+//!    plus the two storage costs every tuning request pays before its first
+//!    step: `simdb_bulk_load` (rows/sec loading a 16-table Sysbench-shaped
+//!    instance) against the retained row-by-row `Table::insert` loop
+//!    (`simdb_bulk_load_speedup`, `≥ 2x`), and `simdb_deploy` (restarts/sec
+//!    of `apply_config` on that instance).
 //! 5. **batched inference** — recommendations/sec of
 //!    [`rl::SnapshotPolicy`]'s packed actor forward at batch 1, 32 and 256
 //!    against the per-session `Ddpg::act` cost model; the batch-32 ratio
@@ -38,7 +43,8 @@ use crate::{ExperimentScale, Lab};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{Ddpg, DdpgConfig, ReplayBuffer, SnapshotPolicy, Transition, TransitionBatch};
-use simdb::{EngineFlavor, HardwareConfig};
+use simdb::storage::Table;
+use simdb::{Engine, EngineFlavor, HardwareConfig};
 use std::time::Instant;
 use tinynn::{set_kernel_mode, KernelMode, Matrix};
 use workload::WorkloadKind;
@@ -68,8 +74,19 @@ pub const TRAIN_MT4_SPEEDUP_MIN: f64 = 1.8;
 /// per recommendation than batch 32.
 pub const INFER_MONOTONE_MIN: f64 = 1.0;
 
+/// Storage acceptance gate: `Table::bulk_load` must beat loading the same
+/// rows one `Table::insert` at a time (a B+tree descent to look the key up
+/// and another to place it) by at least this factor.
+pub const BULK_LOAD_SPEEDUP_MIN: f64 = 2.0;
+
 /// Knobs tuned in the environment-backed benchmarks (collect/workload).
 const ENV_KNOBS: usize = 8;
+
+/// The instance of the storage legs: `benchmark/`'s `tune_online` request
+/// shape (Sysbench scale 0.03 — 16 tables of 6 000 rows, ~2.7 KiB rows).
+const LOAD_TABLES: usize = 16;
+const LOAD_ROWS: u64 = 6_000;
+const LOAD_ROW_WIDTH: u64 = 2_700;
 
 /// Options for one suite run.
 #[derive(Debug, Clone, Copy)]
@@ -318,6 +335,44 @@ fn workload_throughput(opts: &PerfOptions) -> f64 {
         ops_per_sec(steps, || {
             let _ = env.step_action(&action);
         })
+    })
+}
+
+/// Rows/sec of loading the storage legs' instance, `(bulk, row by row)`.
+fn bulk_load_throughputs(opts: &PerfOptions) -> (f64, f64) {
+    let (reps, iters) = if opts.quick { (3, 2) } else { (5, 8) };
+    let rows = (LOAD_TABLES as u64 * LOAD_ROWS) as f64;
+    let load = |fill: fn(&mut Table)| {
+        rows * median_of(reps, || {
+            ops_per_sec(iters, || {
+                for id in 0..LOAD_TABLES {
+                    let mut t = Table::new(id, "sbtest", LOAD_ROW_WIDTH);
+                    fill(&mut t);
+                    std::hint::black_box(&t);
+                }
+            })
+        })
+    };
+    let bulk = load(|t| t.bulk_load(LOAD_ROWS));
+    let row_by_row = load(|t| {
+        for key in 0..LOAD_ROWS {
+            t.insert(key);
+        }
+    });
+    (bulk, row_by_row)
+}
+
+/// Restarts/sec of deploying the default configuration on the storage legs'
+/// instance (pool reset + pre-warm + fresh redo log).
+fn deploy_throughput(opts: &PerfOptions) -> f64 {
+    let (reps, iters) = if opts.quick { (3, 50) } else { (5, 400) };
+    let mut engine = Engine::new(EngineFlavor::MySqlCdb, HardwareConfig::cdb_a(), opts.seed);
+    for i in 0..LOAD_TABLES {
+        engine.create_table(format!("sbtest{i}"), LOAD_ROW_WIDTH, LOAD_ROWS);
+    }
+    let config = engine.registry().default_config();
+    median_of(reps, || {
+        ops_per_sec(iters, || engine.apply_config(config.clone()).expect("the default deploys"))
     })
 }
 
@@ -680,6 +735,22 @@ pub fn run_suite(opts: &PerfOptions) -> PerfReport {
         name: "simdb_workload".into(),
         unit: "steps_per_sec".into(),
         value: workload_throughput(opts),
+    });
+    let (bulk, row_by_row) = bulk_load_throughputs(opts);
+    benches.push(BenchResult {
+        name: "simdb_bulk_load".into(),
+        unit: "rows_per_sec".into(),
+        value: bulk,
+    });
+    ratios.push(RatioResult {
+        name: "simdb_bulk_load_speedup".into(),
+        value: bulk / row_by_row.max(1e-9),
+        min: BULK_LOAD_SPEEDUP_MIN,
+    });
+    benches.push(BenchResult {
+        name: "simdb_deploy".into(),
+        unit: "restarts_per_sec".into(),
+        value: deploy_throughput(opts),
     });
 
     let per_session = infer_per_session_throughput(opts);

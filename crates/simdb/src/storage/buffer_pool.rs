@@ -3,20 +3,49 @@
 //! The pool is the primary structural-knob surface: `innodb_buffer_pool_size`
 //! sets the frame capacity, and the hit rate that the cost model converts
 //! into I/O time *emerges* from the actual access stream and evictions — it
-//! is not a formula. The frames form an intrusive doubly-linked LRU list
-//! over a `Vec`, giving O(1) access/evict with zero per-access allocation.
+//! is not a formula.
+//!
+//! Frames live in a `Vec` and carry two intrusive doubly-linked lists: the
+//! LRU list over every resident frame, and the dirty list over the dirty
+//! ones *in the same relative order*, so the flusher takes its victims from
+//! the dirty tail in O(pages flushed) instead of searching the LRU list for
+//! them. Pages find their frame through a per-table array indexed by page
+//! number (tables number their pages densely from 0, see
+//! [`Table::page_count`](super::Table::page_count)), so an access costs two
+//! array reads and no hashing, and 4 bytes per page number ever touched.
+//! [`BufferPool::reset`] empties the pool in place; an instance restart
+//! reuses every allocation of the previous boot.
 
 use super::page::PageId;
-use std::collections::HashMap;
 
 const NIL: u32 = u32::MAX;
+
+/// Index of the list over all resident frames, most recently used first.
+const LRU: usize = 0;
+/// Index of the list over dirty frames, a subsequence of the LRU list.
+const DIRTY: usize = 1;
+
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+/// Head (front) and tail of one intrusive list.
+#[derive(Debug, Clone, Copy)]
+struct Ends {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Ends = Ends { head: NIL, tail: NIL };
 
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     page: PageId,
+    /// Membership in the `DIRTY` list; its link is meaningless when false.
     dirty: bool,
-    prev: u32,
-    next: u32,
+    links: [Link; 2],
 }
 
 /// What happened on a page access.
@@ -31,11 +60,13 @@ pub struct AccessOutcome {
 /// An LRU buffer pool over page identities.
 #[derive(Debug)]
 pub struct BufferPool {
+    /// Resident frames; a frame is only ever recycled by eviction, so
+    /// `frames.len()` is the number of resident pages.
     frames: Vec<Frame>,
-    table: HashMap<PageId, u32>,
-    head: u32, // most-recently used
-    tail: u32, // least-recently used
-    free: Vec<u32>,
+    /// `page_table[table][page_no]` is the page's frame, `NIL` or absent
+    /// when it is not resident.
+    page_table: Vec<Vec<u32>>,
+    lists: [Ends; 2],
     capacity: usize,
     dirty: usize,
     // Counters for the metrics collector.
@@ -48,20 +79,29 @@ pub struct BufferPool {
 impl BufferPool {
     /// Creates a pool holding at most `capacity` pages.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         Self {
             frames: Vec::new(),
-            table: HashMap::with_capacity(capacity.min(1 << 20)),
-            head: NIL,
-            tail: NIL,
-            free: Vec::new(),
-            capacity,
+            page_table: Vec::new(),
+            lists: [EMPTY; 2],
+            capacity: capacity.max(1),
             dirty: 0,
             read_requests: 0,
             misses: 0,
             write_requests: 0,
             pages_flushed: 0,
         }
+    }
+
+    /// Returns the pool to the state of [`BufferPool::new`]`(capacity)` —
+    /// nothing resident, counters at zero — keeping the frame array and the
+    /// page table allocated. Costs O(resident pages).
+    pub fn reset(&mut self, capacity: usize) {
+        let mut frames = std::mem::take(&mut self.frames);
+        for f in frames.drain(..) {
+            self.map(f.page, NIL);
+        }
+        let page_table = std::mem::take(&mut self.page_table);
+        *self = Self { frames, page_table, ..Self::new(capacity) };
     }
 
     /// Frame capacity in pages.
@@ -71,12 +111,12 @@ impl BufferPool {
 
     /// Number of resident pages.
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.frames.len()
     }
 
     /// True when no pages are resident.
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.frames.is_empty()
     }
 
     /// Number of dirty resident pages.
@@ -86,7 +126,7 @@ impl BufferPool {
 
     /// Free frames remaining.
     pub fn free_count(&self) -> usize {
-        self.capacity - self.table.len()
+        self.capacity - self.frames.len()
     }
 
     /// Total page read requests since creation.
@@ -111,7 +151,7 @@ impl BufferPool {
 
     /// Whether a page is resident (no LRU effect).
     pub fn contains(&self, page: PageId) -> bool {
-        self.table.contains_key(&page)
+        self.frame_of(page) != NIL
     }
 
     /// Accesses a page for read (`write = false`) or write (`write = true`),
@@ -122,55 +162,53 @@ impl BufferPool {
         } else {
             self.read_requests += 1;
         }
-        if let Some(&idx) = self.table.get(&page) {
-            self.touch(idx);
-            if write {
-                if let Some(f) = self.frames.get_mut(idx as usize) {
-                    if !f.dirty {
-                        f.dirty = true;
-                        self.dirty += 1;
-                    }
-                }
+        let idx = self.frame_of(page);
+        if idx == NIL {
+            if !write {
+                self.misses += 1;
             }
-            return AccessOutcome { hit: true, evicted_dirty: false };
+            let evicted_dirty = self.insert_new(page, write);
+            return AccessOutcome { hit: false, evicted_dirty };
         }
-        if !write {
-            self.misses += 1;
+        // lint:allow(panic) reason=frame ids are intrusive-list indices bounded by capacity
+        let was_dirty = self.frames[idx as usize].dirty;
+        // The LRU head, when dirty, already heads the dirty list.
+        if self.ends(LRU).head != idx {
+            self.unlink(LRU, idx);
+            self.push_front(LRU, idx);
+            if was_dirty {
+                self.unlink(DIRTY, idx);
+                self.push_front(DIRTY, idx);
+            }
         }
-        let evicted_dirty = self.insert_new(page, write);
-        AccessOutcome { hit: false, evicted_dirty }
+        if write && !was_dirty {
+            // lint:allow(panic) reason=frame ids are intrusive-list indices bounded by capacity
+            self.frames[idx as usize].dirty = true;
+            self.dirty += 1;
+            self.push_front(DIRTY, idx);
+        }
+        AccessOutcome { hit: true, evicted_dirty: false }
     }
 
     /// Flushes up to `max_pages` dirty pages starting from the LRU end
     /// (background flushing / checkpoint). Returns pages flushed.
     pub fn flush_some(&mut self, max_pages: usize) -> usize {
         let mut flushed = 0;
-        let mut cursor = self.tail;
-        while cursor != NIL && flushed < max_pages {
-            let Some(f) = self.frames.get_mut(cursor as usize) else { break };
-            if f.dirty {
-                f.dirty = false;
-                self.dirty -= 1;
-                self.pages_flushed += 1;
-                flushed += 1;
-            }
-            cursor = f.prev;
+        while flushed < max_pages && self.ends(DIRTY).tail != NIL {
+            let idx = self.ends(DIRTY).tail;
+            self.unlink(DIRTY, idx);
+            // lint:allow(panic) reason=frame ids are intrusive-list indices bounded by capacity
+            self.frames[idx as usize].dirty = false;
+            flushed += 1;
         }
+        self.dirty -= flushed;
+        self.pages_flushed += flushed as u64;
         flushed
     }
 
     /// Flushes every dirty page (full checkpoint). Returns pages flushed.
     pub fn flush_all(&mut self) -> usize {
-        let mut flushed = 0;
-        for f in &mut self.frames {
-            if f.dirty {
-                f.dirty = false;
-                flushed += 1;
-            }
-        }
-        self.pages_flushed += flushed as u64;
-        self.dirty = 0;
-        flushed as usize
+        self.flush_some(usize::MAX)
     }
 
     /// Pre-warms the pool with pages produced by `gen`, stopping when the
@@ -198,80 +236,93 @@ impl BufferPool {
 
     fn insert_new(&mut self, page: PageId, dirty: bool) -> bool {
         let mut evicted_dirty = false;
-        let idx = if self.table.len() >= self.capacity {
-            // Evict the LRU victim.
-            let victim = self.tail;
+        let frame = Frame { page, dirty, links: [Link { prev: NIL, next: NIL }; 2] };
+        let idx = if self.frames.len() >= self.capacity {
+            // Evict the LRU victim and take over its frame.
+            let victim = self.ends(LRU).tail;
             debug_assert_ne!(victim, NIL);
-            self.unlink(victim);
             // lint:allow(panic) reason=frame ids are intrusive-list indices bounded by capacity
-            let f = self.frames[victim as usize];
-            self.table.remove(&f.page);
-            if f.dirty {
+            let old = std::mem::replace(&mut self.frames[victim as usize], frame);
+            self.unlink_at(LRU, old.links[LRU]);
+            self.map(old.page, NIL);
+            if old.dirty {
+                self.unlink_at(DIRTY, old.links[DIRTY]);
                 self.dirty -= 1;
                 self.pages_flushed += 1;
                 evicted_dirty = true;
             }
             victim
-        } else if let Some(free) = self.free.pop() {
-            free
         } else {
-            self.frames.push(Frame { page, dirty: false, prev: NIL, next: NIL });
+            self.frames.push(frame);
             (self.frames.len() - 1) as u32
         };
-        // lint:allow(panic) reason=frame ids are intrusive-list indices bounded by capacity
-        self.frames[idx as usize] = Frame { page, dirty, prev: NIL, next: NIL };
+        self.map(page, idx);
+        self.push_front(LRU, idx);
         if dirty {
             self.dirty += 1;
+            self.push_front(DIRTY, idx);
         }
-        self.table.insert(page, idx);
-        self.push_front(idx);
         evicted_dirty
     }
 
-    fn touch(&mut self, idx: u32) {
-        if self.head == idx {
-            return;
-        }
-        self.unlink(idx);
-        self.push_front(idx);
+    /// The frame holding `page`, or `NIL`.
+    fn frame_of(&self, page: PageId) -> u32 {
+        let slots = self.page_table.get(page.table());
+        slots.and_then(|s| s.get(page.page_no() as usize)).copied().unwrap_or(NIL)
     }
 
-    fn unlink(&mut self, idx: u32) {
-        let (prev, next) = {
-            // lint:allow(panic) reason=frame ids are intrusive-list indices bounded by capacity
-            let f = &self.frames[idx as usize];
-            (f.prev, f.next)
-        };
-        if prev != NIL {
-            // lint:allow(panic) reason=frame ids are intrusive-list indices bounded by capacity
-            self.frames[prev as usize].next = next;
-        } else {
-            self.head = next;
+    /// Points `page` at `frame` (`NIL` = not resident), growing the page
+    /// table to cover it.
+    fn map(&mut self, page: PageId, frame: u32) {
+        let (table, page_no) = (page.table(), page.page_no() as usize);
+        if self.page_table.len() <= table {
+            self.page_table.resize_with(table + 1, Vec::new);
         }
-        if next != NIL {
-            // lint:allow(panic) reason=frame ids are intrusive-list indices bounded by capacity
-            self.frames[next as usize].prev = prev;
-        } else {
-            self.tail = prev;
+        // lint:allow(panic) reason=the table's slot array was created just above
+        let slots = &mut self.page_table[table];
+        if slots.len() <= page_no {
+            slots.resize(page_no + 1, NIL);
         }
-        // lint:allow(panic) reason=frame ids are intrusive-list indices bounded by capacity
-        let f = &mut self.frames[idx as usize];
-        f.prev = NIL;
-        f.next = NIL;
+        // lint:allow(panic) reason=slots was grown past page_no just above
+        slots[page_no] = frame;
     }
 
-    fn push_front(&mut self, idx: u32) {
+    fn ends(&mut self, list: usize) -> &mut Ends {
+        // lint:allow(panic) reason=list is LRU or DIRTY
+        &mut self.lists[list]
+    }
+
+    fn link(&mut self, list: usize, idx: u32) -> &mut Link {
         // lint:allow(panic) reason=frame ids are intrusive-list indices bounded by capacity
-        self.frames[idx as usize].prev = NIL;
-        // lint:allow(panic) reason=frame ids are intrusive-list indices bounded by capacity
-        self.frames[idx as usize].next = self.head;
-        if self.head != NIL {
-            // lint:allow(panic) reason=frame ids are intrusive-list indices bounded by capacity
-            self.frames[self.head as usize].prev = idx;
+        &mut self.frames[idx as usize].links[list]
+    }
+
+    fn unlink(&mut self, list: usize, idx: u32) {
+        let at = *self.link(list, idx);
+        self.unlink_at(list, at);
+    }
+
+    /// Closes `list` over the position `at` (the link of the frame leaving).
+    fn unlink_at(&mut self, list: usize, at: Link) {
+        if at.prev != NIL {
+            self.link(list, at.prev).next = at.next;
+        } else {
+            self.ends(list).head = at.next;
         }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
+        if at.next != NIL {
+            self.link(list, at.next).prev = at.prev;
+        } else {
+            self.ends(list).tail = at.prev;
+        }
+    }
+
+    fn push_front(&mut self, list: usize, idx: u32) {
+        let head = std::mem::replace(&mut self.ends(list).head, idx);
+        *self.link(list, idx) = Link { prev: NIL, next: head };
+        if head != NIL {
+            self.link(list, head).prev = idx;
+        } else {
+            self.ends(list).tail = idx;
         }
     }
 }
@@ -279,6 +330,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashSet, VecDeque};
 
     fn p(n: u64) -> PageId {
         PageId::new(0, n)
@@ -403,5 +455,153 @@ mod tests {
         }
         assert!(rates[0] < rates[1] && rates[1] < rates[2], "rates {rates:?}");
         assert!(rates[2] > 0.85, "pool ≈ working set should mostly hit: {rates:?}");
+    }
+
+    /// Reference pool: a deque in LRU order (front = most recent) plus a
+    /// dirty set, every operation a linear search.
+    #[derive(Default)]
+    struct Model {
+        lru: VecDeque<PageId>,
+        dirty: HashSet<PageId>,
+        capacity: usize,
+        counters: [u64; 4], // read requests, misses, write requests, pages flushed
+    }
+
+    impl Model {
+        fn new(capacity: usize) -> Self {
+            Self { capacity: capacity.max(1), ..Self::default() }
+        }
+
+        fn access(&mut self, page: PageId, write: bool) -> AccessOutcome {
+            self.counters[if write { 2 } else { 0 }] += 1;
+            let hit = self.lru.iter().position(|&p| p == page).map(|i| self.lru.remove(i));
+            let mut evicted_dirty = false;
+            if hit.is_none() {
+                self.counters[1] += u64::from(!write);
+                if self.lru.len() == self.capacity {
+                    let victim = self.lru.pop_back().unwrap();
+                    evicted_dirty = self.dirty.remove(&victim);
+                    self.counters[3] += u64::from(evicted_dirty);
+                }
+            }
+            self.lru.push_front(page);
+            if write {
+                self.dirty.insert(page);
+            }
+            AccessOutcome { hit: hit.is_some(), evicted_dirty }
+        }
+
+        /// The dirty pages in the order the flusher must take them.
+        fn dirty_from_tail(&self) -> Vec<PageId> {
+            self.lru.iter().rev().filter(|p| self.dirty.contains(p)).copied().collect()
+        }
+
+        fn flush_some(&mut self, n: usize) -> Vec<PageId> {
+            let cleaned: Vec<PageId> = self.dirty_from_tail().into_iter().take(n).collect();
+            for p in &cleaned {
+                self.dirty.remove(p);
+            }
+            self.counters[3] += cleaned.len() as u64;
+            cleaned
+        }
+    }
+
+    /// Walks one of the pool's lists from its tail.
+    fn from_tail(bp: &BufferPool, list: usize) -> Vec<PageId> {
+        let mut out = Vec::new();
+        let mut idx = bp.lists[list].tail;
+        while idx != NIL {
+            let f = &bp.frames[idx as usize];
+            out.push(f.page);
+            idx = f.links[list].prev;
+        }
+        out
+    }
+
+    fn assert_agrees(bp: &BufferPool, m: &Model, ctx: &str) {
+        assert_eq!(from_tail(bp, LRU), m.lru.iter().rev().copied().collect::<Vec<_>>(), "{ctx}");
+        assert_eq!(from_tail(bp, DIRTY), m.dirty_from_tail(), "{ctx}");
+        assert_eq!(bp.len(), m.lru.len(), "{ctx}");
+        assert_eq!(bp.dirty_count(), m.dirty.len(), "{ctx}");
+        assert_eq!(bp.free_count(), m.capacity - m.lru.len(), "{ctx}");
+        assert_eq!(bp.capacity(), m.capacity, "{ctx}");
+        let counters =
+            [bp.read_requests(), bp.miss_count(), bp.write_requests(), bp.pages_flushed()];
+        assert_eq!(counters, m.counters, "{ctx}");
+    }
+
+    /// Drives `bp` and a fresh model of `capacity` through `steps` seeded
+    /// random operations over `tables` × `pages` page ids, comparing every
+    /// answer and the full pool state after every step.
+    fn run_script(
+        bp: &mut BufferPool,
+        capacity: usize,
+        tables: usize,
+        pages: u64,
+        seed: u64,
+        steps: usize,
+    ) {
+        let mut m = Model::new(capacity);
+        let mut x = seed;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        for step in 0..steps {
+            let ctx =
+                format!("capacity {capacity}, {tables}x{pages} pages, seed {seed}, step {step}");
+            let page = PageId::new(next() as usize % tables, next() % pages);
+            match next() % 16 {
+                0 => {
+                    let n = next() as usize % (capacity + 2);
+                    let before = from_tail(bp, DIRTY);
+                    let cleaned = m.flush_some(n);
+                    assert_eq!(bp.flush_some(n), cleaned.len(), "{ctx}");
+                    // What left the pool's dirty list is the model's choice, in order.
+                    assert_eq!(before[..cleaned.len()], cleaned[..], "{ctx}");
+                }
+                1 if next() % 8 == 0 => {
+                    assert_eq!(bp.flush_all(), m.flush_some(usize::MAX).len(), "{ctx}");
+                }
+                2 => assert_eq!(bp.contains(page), m.lru.contains(&page), "{ctx}"),
+                op => {
+                    assert_eq!(bp.access(page, op % 3 == 0), m.access(page, op % 3 == 0), "{ctx}")
+                }
+            }
+            assert_agrees(bp, &m, &ctx);
+        }
+    }
+
+    #[test]
+    fn matches_reference_lru_under_random_operations() {
+        for (capacity, tables, pages) in
+            [(1, 1, 3), (2, 1, 5), (2, 3, 2), (7, 1, 10), (7, 2, 40), (64, 1, 50), (64, 4, 60)]
+        {
+            for seed in 1..=2 {
+                run_script(&mut BufferPool::new(capacity), capacity, tables, pages, seed, 2_500);
+            }
+        }
+    }
+
+    #[test]
+    fn reset_behaves_like_new() {
+        // One pool reused across scripts of different capacities, tables and
+        // page universes must be indistinguishable from a fresh pool each time.
+        let mut bp = BufferPool::new(5);
+        run_script(&mut bp, 5, 2, 20, 9, 1_500);
+        for (i, (capacity, tables, pages)) in
+            [(7, 3, 30), (2, 1, 9), (64, 4, 40), (1, 2, 4), (7, 1, 100), (0, 1, 3)]
+                .into_iter()
+                .enumerate()
+        {
+            bp.reset(capacity);
+            assert_agrees(&bp, &Model::new(capacity), "after reset");
+            for t in 0..4 {
+                for p in 0..100 {
+                    assert!(!bp.contains(PageId::new(t, p)), "page ({t}, {p}) survived reset");
+                }
+            }
+            run_script(&mut bp, capacity.max(1), tables, pages, 10 + i as u64, 1_500);
+        }
     }
 }

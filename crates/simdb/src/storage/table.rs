@@ -1,10 +1,20 @@
 //! Tables: row placement over pages plus a primary-key B+tree index.
+//!
+//! Page numbers are dense (`0..page_count()`), which is what lets the
+//! buffer pool map pages to frames by position. A table is loaded once, in
+//! O(rows), by [`Table::bulk_load`]; range scans report their pages, rows
+//! and index leaves from one walk of the leaf chain into a caller-owned
+//! buffer.
 
 use super::btree::BPlusTree;
 use super::page::{PageId, PAGE_SIZE_BYTES};
 
 /// Table identifier within an engine.
 pub type TableId = usize;
+
+/// Index fanout; with [`BPlusTree`]'s split rule it fixes the depth and the
+/// leaves per scan the cost model sees.
+const INDEX_FANOUT: usize = 64;
 
 /// A heap table with a primary-key index.
 ///
@@ -34,7 +44,7 @@ impl Table {
             id,
             name: name.into(),
             rows_per_page,
-            index: BPlusTree::new(64),
+            index: BPlusTree::new(INDEX_FANOUT),
             next_page: 0,
             rows_in_last_page: 0,
             free_slots: Vec::new(),
@@ -76,12 +86,16 @@ impl Table {
         self.index.depth()
     }
 
-    /// Bulk-loads `count` rows with keys `0..count` (benchmark-tool table
-    /// setup; sysbench/TPC-C/YCSB all load dense keys).
+    /// Bulk-loads `count` rows with keys `0..count` into an empty table
+    /// (benchmark-tool table setup; sysbench/TPC-C/YCSB all load dense
+    /// keys). Rows fill pages in key order, exactly as `count` calls of
+    /// [`Table::insert`] would place them.
     pub fn bulk_load(&mut self, count: u64) {
-        for key in 0..count {
-            self.insert(key);
-        }
+        assert_eq!(self.next_page, 0, "bulk_load needs an empty table");
+        let per_page = self.rows_per_page;
+        self.index = BPlusTree::bulk_load(INDEX_FANOUT, count, |key| key / per_page);
+        self.next_page = count.div_ceil(per_page);
+        self.rows_in_last_page = count - self.next_page.saturating_sub(1) * per_page;
     }
 
     /// Looks up the page holding `key`.
@@ -122,21 +136,18 @@ impl Table {
         })
     }
 
-    /// Collects the distinct pages a range scan of up to `limit` rows from
-    /// `start` touches, in scan order. Returns `(pages, rows_scanned,
-    /// leaves_touched)`.
-    pub fn range_pages(&self, start: u64, limit: usize) -> (Vec<PageId>, usize, usize) {
-        let entries = self.index.range_from(start, limit);
-        let leaves = self.index.leaves_touched(start, limit);
-        let mut pages = Vec::new();
+    /// Replaces the contents of `pages` with the distinct pages a range
+    /// scan of up to `limit` rows from `start` touches, in scan order.
+    /// Returns `(rows_scanned, leaves_touched)`.
+    pub fn range_pages(&self, start: u64, limit: usize, pages: &mut Vec<PageId>) -> (usize, usize) {
+        pages.clear();
         let mut last = u64::MAX;
-        for &(_, p) in &entries {
+        self.index.scan_from(start, limit, |_, p| {
             if p != last {
                 pages.push(PageId::new(self.id, p));
                 last = p;
             }
-        }
-        (pages, entries.len(), leaves)
+        })
     }
 
     /// A uniformly random existing page (for pre-warming), or `None` for an
@@ -203,13 +214,46 @@ mod tests {
     fn range_pages_dedupes_consecutive() {
         let mut t = Table::new(0, "t", 4096); // 4 rows/page
         t.bulk_load(40);
-        let (pages, rows, leaves) = t.range_pages(0, 16);
+        let mut pages = Vec::new();
+        let (rows, leaves) = t.range_pages(0, 16, &mut pages);
         assert_eq!(rows, 16);
         assert_eq!(pages.len(), 4); // 16 rows / 4 per page
         assert!(leaves >= 1);
-        let (pages, rows, _) = t.range_pages(38, 100);
+        let (rows, _) = t.range_pages(38, 100, &mut pages);
         assert_eq!(rows, 2);
-        assert_eq!(pages.len(), 1);
+        assert_eq!(pages, [PageId::new(0, 9)]); // the buffer is replaced, not appended to
+    }
+
+    #[test]
+    fn bulk_load_equals_row_by_row_insert() {
+        for width in [2700u64, 4096, 8192, 300] {
+            for n in [0u64, 1, 5, 6, 7, 64, 65, 1_000, 6_000] {
+                let mut bulk = Table::new(3, "t", width);
+                bulk.bulk_load(n);
+                let mut seq = Table::new(3, "t", width);
+                for k in 0..n {
+                    seq.insert(k);
+                }
+                let ctx = format!("width {width}, n {n}");
+                assert_eq!(bulk.page_count(), seq.page_count(), "{ctx}");
+                assert_eq!(bulk.row_count(), seq.row_count(), "{ctx}");
+                assert_eq!(bulk.rows_in_last_page, seq.rows_in_last_page, "{ctx}");
+                assert_eq!(bulk.index_depth(), seq.index_depth(), "{ctx}");
+                for k in 0..=n {
+                    assert_eq!(bulk.lookup(k), seq.lookup(k), "{ctx}, key {k}");
+                }
+                // The next insert lands where it would have without the bulk load.
+                assert_eq!(bulk.insert(n), seq.insert(n), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bulk_load needs an empty table")]
+    fn bulk_load_refuses_a_loaded_table() {
+        let mut t = Table::new(0, "t", 2700);
+        t.insert(0);
+        t.bulk_load(10);
     }
 
     #[test]

@@ -105,8 +105,7 @@ rustc $EDITION --crate-name svc_load crates/bench/src/bin/svc_load.rs \
 # (model/checkpoint persistence), per vendor-stubs/README.md — plus tests
 # whose numeric assertions are calibrated to the real rand streams.
 run_tests tinynn crates/tinynn/src/lib.rs "serde serialize json save load" "${EXT_BASE[@]}"
-run_tests simdb crates/simdb/src/lib.rs \
-    "serde json straggler_window_inflates" "${EXT_BASE[@]}"
+run_tests simdb crates/simdb/src/lib.rs "serde json" "${EXT_BASE[@]}"
 run_tests workload crates/workload/src/lib.rs "serde json spec trace_round" "${EXT_BASE[@]}" \
     --extern simdb="$OUT/libsimdb.rlib"
 run_tests rl crates/rl/src/lib.rs "serde json save export snapshot" "${EXT_BASE[@]}" \
@@ -273,5 +272,8 @@ rustc $EDITION --test --crate-name service_e2e tests/service_e2e.rs \
     --extern service="$OUT/libservice.rlib" --extern bench="$OUT/libbench.rlib" \
     -o "$OUT/service_e2e"
 "$OUT/service_e2e" --test-threads "$(nproc)"
+
+echo "== benchmark smoke (the API surface benchmark/ links, compiled and driven) =="
+bash benchmark/run.sh --smoke
 
 echo "== local verify OK =="

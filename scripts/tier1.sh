@@ -111,3 +111,8 @@ grep -q -- "--batch-max" "$tmp/flag.err"
 
 # The wire-vs-in-process differential, admission and framing-robustness e2e.
 cargo test -q --test service_e2e
+
+# The tuning-request benchmark links the workspace's public API from outside
+# it; its smoke compiles that surface and drives every workload at tiny
+# budgets, so a broken signature fails here and not at the judge.
+bash benchmark/run.sh --smoke
