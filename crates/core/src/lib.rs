@@ -76,6 +76,6 @@ pub use telemetry::{
 };
 pub use timing::{profile_step, StepTiming, TunerBudget, RESTART_SIMULATED_SEC};
 pub use trainer::{
-    resume_from_checkpoint, train_offline, train_offline_resumable, CheckpointError, NoiseKind,
-    TrainedModel, TrainerConfig, TrainingCheckpoint, TrainingReport,
+    resume_from_checkpoint, train_offline, train_offline_resumable, CheckpointError, TrainedModel,
+    TrainerConfig, TrainingCheckpoint, TrainingReport,
 };

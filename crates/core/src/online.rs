@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use simdb::{KnobConfig, PerfMetrics};
 use std::sync::Arc;
 
-/// A shared inference backend serving actor/critic forward passes for many
+/// A shared inference backend serving actor forward passes for many
 /// sessions at once (the daemon's shared serving tier). A session
 /// admitted against a published model version calls through this instead of
 /// owning a private [`Ddpg`] until its first fine-tune update forks a
@@ -41,8 +41,6 @@ pub trait SharedPolicy: Send + Sync {
     /// Deterministic evaluation-mode action for `state` under `version`'s
     /// weights, clamped to the `[0, 1]` knob box.
     fn act(&self, version: u64, state: &[f32]) -> Option<Vec<f32>>;
-    /// Critic score of `(state, action)` under `version`'s weights.
-    fn q(&self, version: u64, state: &[f32], action: &[f32]) -> Option<f32>;
 }
 
 /// Online-tuning parameters.
@@ -62,14 +60,6 @@ pub struct OnlineConfig {
     /// point in aggregate; perturbing a small random subset (the way a DBA
     /// double-checks a couple of knobs at a time) keeps exploration local.
     pub noise_fraction: f32,
-    /// Candidate screening: at each step, sample this many noisy variants
-    /// of the actor's action and deploy the one the critic scores highest.
-    /// Default 1 (disabled): measured on this substrate, critic screening
-    /// *hurts* — the critic over-estimates slightly out-of-distribution
-    /// candidates and systematically picks worse ones than unscreened
-    /// noise (a textbook DDPG over-estimation artifact, left configurable
-    /// as an ablation hook).
-    pub candidates: usize,
     /// Stop early once throughput improves over the initial configuration
     /// by this factor (`None` = always run `max_steps`; the paper stops
     /// when "the user obtains a satisfied performance").
@@ -112,7 +102,6 @@ impl Default for OnlineConfig {
             updates_per_step: 2,
             noise_sigma: 0.15,
             noise_fraction: 0.1,
-            candidates: 1,
             satisfaction: None,
             seed: 0,
             minibatch: default_minibatch(),
@@ -268,7 +257,7 @@ impl OnlineSession {
     /// [`OnlineSession::begin`] for the serving tier: the session borrows
     /// the shared `model` snapshot (an `Arc` bump, no weight copy) and,
     /// when `shared` names a shared inference backend publishing that
-    /// model as `version`, serves actor/critic forwards through it until
+    /// model as `version`, serves actor forwards through it until
     /// the first fine-tune update forks a private agent (copy-on-write).
     /// With `shared = None` the private agent is materialized eagerly,
     /// which is exactly [`OnlineSession::begin`].
@@ -433,26 +422,6 @@ impl OnlineSession {
         action
     }
 
-    /// Critic score for `(current state, action)`, routed like
-    /// [`OnlineSession::policy_act`].
-    fn policy_q(&mut self, action: &[f32]) -> f32 {
-        if self.agent.is_none() {
-            if let Some((version, shared)) = &self.shared {
-                if let Some(q) = shared.q(*version, &self.state, action) {
-                    return q;
-                }
-            }
-        }
-        self.fork_agent();
-        let state = std::mem::take(&mut self.state);
-        let q = match self.agent.as_mut() {
-            Some(agent) => agent.q_value(&state, action),
-            None => 0.0,
-        };
-        self.state = state;
-        q
-    }
-
     fn sparse_perturb(&mut self, raw: &[f32]) -> Vec<f32> {
         let dim = raw.len();
         let k = ((dim as f32 * self.cfg.noise_fraction).ceil() as usize).clamp(1, dim);
@@ -480,22 +449,11 @@ impl OnlineSession {
         let recommendation_wall_us = t_rec.elapsed().as_micros() as u64;
         // Step 1 deploys the model's recommendation verbatim (or the
         // registry's warm action); later steps explore around the
-        // (fine-tuned) policy, screening noisy candidates with the critic
-        // so only its best-scored variant is deployed on the instance.
+        // (fine-tuned) policy.
         let mut action = if step == 1 {
             self.warm_action.take().unwrap_or(raw)
         } else {
-            let mut best = self.sparse_perturb(&raw);
-            let mut best_q = self.policy_q(&best);
-            for _ in 1..self.cfg.candidates.max(1) {
-                let cand = self.sparse_perturb(&raw);
-                let q = self.policy_q(&cand);
-                if q > best_q {
-                    best_q = q;
-                    best = cand;
-                }
-            }
-            best
+            self.sparse_perturb(&raw)
         };
         // Trust region: pull the proposal back toward the best-known-safe
         // action before it touches the instance.
@@ -972,7 +930,6 @@ mod tests {
     struct CountingShared {
         policy: Mutex<rl::SnapshotPolicy>,
         acts: AtomicU64,
-        qs: AtomicU64,
         refuse: AtomicBool,
     }
 
@@ -981,7 +938,6 @@ mod tests {
             Arc::new(Self {
                 policy: Mutex::new(rl::SnapshotPolicy::from_snapshot(&model.snapshot)),
                 acts: AtomicU64::new(0),
-                qs: AtomicU64::new(0),
                 refuse: AtomicBool::new(false),
             })
         }
@@ -995,22 +951,14 @@ mod tests {
             self.acts.fetch_add(1, Ordering::SeqCst);
             Some(self.policy.lock().ok()?.act_row(state))
         }
-
-        fn q(&self, _version: u64, state: &[f32], action: &[f32]) -> Option<f32> {
-            if self.refuse.load(Ordering::SeqCst) {
-                return None;
-            }
-            self.qs.fetch_add(1, Ordering::SeqCst);
-            Some(self.policy.lock().ok()?.q_row(state, action))
-        }
     }
 
     #[test]
     fn shared_session_serves_through_the_tier_and_matches_private() {
-        // Without fine-tuning a shared session never forks: every actor
-        // and critic call goes through the shared tier, the resident
-        // weights stay the single Arc'd snapshot, and the observed steps
-        // are bit-identical to a session that owns a private agent.
+        // Without fine-tuning a shared session never forks: every step
+        // makes exactly one actor call through the shared tier, the
+        // resident weights stay the single Arc'd snapshot, and the observed
+        // steps are bit-identical to a session that owns a private agent.
         let cfg = OnlineConfig { fine_tune: false, ..OnlineConfig::default() };
         let (mut env_a, model_a) = trained();
         let private = tune_online(&mut env_a, &model_a, &cfg);
@@ -1028,8 +976,7 @@ mod tests {
         assert!(Arc::ptr_eq(session.model(), &arc_model), "no weight copy at admission");
         while session.step(&mut env_b).is_some() {}
         assert!(session.shares_model(), "no fine-tune => never forks");
-        assert!(tier.acts.load(Ordering::SeqCst) >= private.steps.len() as u64);
-        assert!(tier.qs.load(Ordering::SeqCst) >= 1, "candidate screening used the tier");
+        assert_eq!(tier.acts.load(Ordering::SeqCst), private.steps.len() as u64);
         let out = session.finish(&mut env_b);
         assert_eq!(out.updated_model.snapshot.actor, model_b.snapshot.actor);
         assert_eq!(out.steps.len(), private.steps.len());
@@ -1060,6 +1007,7 @@ mod tests {
         let _ = session.step(&mut env);
         assert!(!session.shares_model(), "the first update forks");
         while session.step(&mut env).is_some() {}
+        assert_eq!(tier.acts.load(Ordering::SeqCst), 3, "one call per step, none after the fork");
         let out = session.finish(&mut env);
         assert_ne!(
             out.updated_model.snapshot.actor, model.snapshot.actor,

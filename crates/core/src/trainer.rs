@@ -16,21 +16,9 @@ use crate::state::StateProcessor;
 use crate::telemetry::{ReplayTrace, TraceEvent, TraceLevel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rl::{
-    perturb, Ddpg, DdpgConfig, DdpgSnapshot, GaussianNoise, NoiseProcess, OrnsteinUhlenbeck,
-    Transition,
-};
+use rl::{perturb, Ddpg, DdpgConfig, DdpgSnapshot, GaussianNoise, NoiseProcess, Transition};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Which exploration noise the trainer perturbs the actor with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NoiseKind {
-    /// Independent Gaussian noise with exponential decay.
-    Gaussian,
-    /// Ornstein–Uhlenbeck process (temporally correlated).
-    OrnsteinUhlenbeck,
-}
 
 /// Offline-training hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,9 +44,6 @@ pub struct TrainerConfig {
     pub noise_sigma_min: f32,
     /// Noise decay per episode.
     pub noise_decay: f32,
-    /// Exploration noise process (Gaussian is the default; OU gives the
-    /// temporally correlated exploration of the original DDPG paper \[29\]).
-    pub noise_kind: NoiseKind,
     /// Pure-random steps before the actor drives exploration (cold start).
     pub random_warmup_steps: usize,
     /// Fraction of episodes that reset to the best configuration found so
@@ -116,7 +101,6 @@ impl Default for TrainerConfig {
             noise_sigma: 0.35,
             noise_sigma_min: 0.08,
             noise_decay: 0.96,
-            noise_kind: NoiseKind::Gaussian,
             random_warmup_steps: 40,
             warm_start_fraction: 0.5,
             convergence_threshold: 0.005,
@@ -546,17 +530,8 @@ pub fn train_offline_resumable(
             resume_ep_step = 0;
         }
     }
-    let mut noise: Box<dyn NoiseProcess> = match cfg.noise_kind {
-        NoiseKind::Gaussian => Box::new(GaussianNoise::new(
-            action_dim,
-            cfg.noise_sigma,
-            cfg.noise_sigma_min,
-            cfg.noise_decay,
-        )),
-        NoiseKind::OrnsteinUhlenbeck => {
-            Box::new(OrnsteinUhlenbeck::new(action_dim, 0.0, 0.15, cfg.noise_sigma))
-        }
-    };
+    let mut noise =
+        GaussianNoise::new(action_dim, cfg.noise_sigma, cfg.noise_sigma_min, cfg.noise_decay);
     // Replay the per-episode decay so resumed exploration continues at the
     // sigma the interrupted run had reached.
     for _ in 0..start_episode {

@@ -137,7 +137,7 @@ struct DdpgScratch {
     up: Matrix,
     /// Inverting-gradients actor seed (b x action_dim).
     g_action: Matrix,
-    /// One-row input staging for [`Ddpg::act`] / [`Ddpg::q_value`].
+    /// One-row input staging for [`Ddpg::act`].
     one_row: Matrix,
     /// Staging batch for the slice-of-refs [`Ddpg::train_step`] wrapper.
     compat: TransitionBatch,
@@ -180,7 +180,7 @@ pub(crate) fn build_actor(cfg: &DdpgConfig, rng: &mut StdRng, seed_salt: u64) ->
     Mlp::new(layers)
 }
 
-pub(crate) fn build_critic(cfg: &DdpgConfig, rng: &mut StdRng, seed_salt: u64) -> Mlp {
+fn build_critic(cfg: &DdpgConfig, rng: &mut StdRng, seed_salt: u64) -> Mlp {
     let mut layers: Vec<Box<dyn Layer>> = Vec::new();
     let mut prev = cfg.state_dim + cfg.action_dim;
     for (i, &h) in cfg.critic_hidden.iter().enumerate() {
@@ -255,20 +255,6 @@ impl Ddpg {
             .iter()
             .map(|x| x.clamp(0.0, 1.0))
             .collect()
-    }
-
-    /// Critic score of a `(state, action)` pair (diagnostic).
-    pub fn q_value(&mut self, state: &[f32], action: &[f32]) -> f32 {
-        let (ds, da) = (self.cfg.state_dim, self.cfg.action_dim);
-        assert_eq!(state.len(), ds, "state width mismatch");
-        assert_eq!(action.len(), da, "action width mismatch");
-        self.scratch.one_row.resize(1, ds + da);
-        let row = self.scratch.one_row.row_mut(0);
-        let (s_part, a_part) = row.split_at_mut(ds);
-        s_part.copy_from_slice(state);
-        a_part.copy_from_slice(action);
-        // lint:allow(panic) reason=the forward pass of a 1-row input yields a 1x1 matrix
-        self.critic.forward_ref(&self.scratch.one_row, false)[(0, 0)]
     }
 
     /// One Algorithm-1 training step on a slice of borrowed transitions.

@@ -1,103 +1,52 @@
 //! Evaluation-only policy built from a [`DdpgSnapshot`] — the serving
 //! tier's view of a trained model.
 //!
-//! A [`SnapshotPolicy`] materializes just the online actor and critic (no
+//! A [`SnapshotPolicy`] materializes just the online actor (no critic, no
 //! targets, no optimizers, no replay scratch), loads the snapshot weights,
-//! and serves *batched* forward passes: many sessions' states packed into
-//! one `[batch x state_dim]` matrix go through a single
-//! [`tinynn::Mlp::forward_into`] call, amortizing the register-tiled gaxpy
-//! kernels across rows. Inference runs strictly in evaluation mode
-//! (dropout off, batch-norm on running statistics), so a policy built from
-//! a snapshot produces bit-identical actions to [`crate::Ddpg::act`] on
-//! the same weights — the differential tests below pin that equivalence.
+//! and serves forward passes: one state row for the serving tier, or many
+//! states packed into one `[batch x state_dim]` matrix through a single
+//! [`tinynn::Mlp::forward_ref`] call. Inference runs strictly in evaluation
+//! mode (dropout off, batch-norm on running statistics), so a policy built
+//! from a snapshot produces bit-identical actions to [`crate::Ddpg::act`]
+//! on the same weights — the differential tests below pin that equivalence.
 //!
 //! Compared to [`crate::Ddpg::from_snapshot`], which rebuilds all four
-//! networks plus two Adam optimizers, this is roughly half the memory and
-//! none of the optimizer state: cheap enough to keep one per published
-//! registry version in a serving process.
+//! networks plus two Adam optimizers, this is one network and none of the
+//! optimizer state: cheap enough to keep one per published registry
+//! version in a serving process.
 
-use crate::ddpg::{build_actor, build_critic, DdpgConfig, DdpgSnapshot};
+use crate::ddpg::{build_actor, DdpgSnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tinynn::pool::{self, SyncPtr};
-use tinynn::{Matrix, Mlp, NetState};
+use tinynn::{Matrix, Mlp};
 
-/// Batched evaluation-mode actor/critic pair over one immutable snapshot's
-/// weights. All entry points reuse internal scratch, so steady-state calls
-/// with a warm arena and warm caller buffers allocate nothing.
+/// Evaluation-mode actor over one immutable snapshot's weights. All entry
+/// points reuse internal scratch, so steady-state calls with a warm arena
+/// and warm caller buffers allocate nothing.
 pub struct SnapshotPolicy {
     state_dim: usize,
     action_dim: usize,
-    /// Actor replicas over the same immutable snapshot weights. Index 0 is
-    /// the primary every serial entry point uses; indices `1..` are shard
-    /// replicas so a large batched forward can fan row tiles out across the
-    /// worker pool — each participant needs a private scratch arena, and
-    /// the weights never change after `load_state`, so a replica computes
-    /// bit-identical outputs to the primary.
-    actors: Vec<Mlp>,
-    critic: Mlp,
-    /// Snapshot config and actor weights, kept to build shard replicas.
-    cfg: DdpgConfig,
-    actor_state: NetState,
-    /// `[state | action]` staging for critic calls.
-    sa: Matrix,
-    /// Single-row staging for the scalar convenience entry points.
+    actor: Mlp,
+    /// Single-row staging for [`SnapshotPolicy::act_row`].
     one_row: Matrix,
-    /// Single-row output staging.
-    one_out: Matrix,
 }
 
-/// Row-tile height for large batched actor forwards. A 32-row tile keeps
-/// every intermediate activation of the paper-sized actor L1/L2-resident
-/// across all layers, where a single 256-row pass streams each activation
-/// matrix in and out of cache once per layer — that is what made
-/// `infer_batch256` *slower* than `infer_batch32`. Measured on the
-/// reference host, per-row throughput already drops ~18% between a 32-
-/// and a 64-row pass, so the tile matches the batch-32 sweet spot.
-/// Evaluation-mode layers are row-independent (dense products,
-/// running-stat batch norm, element-wise activations), so tiling is
-/// exact, not an approximation — and because tiles are independent, a
-/// multi-tile batch row-shards across the worker pool, one replica per
-/// participant.
-const INFER_TILE: usize = 32;
-
 impl SnapshotPolicy {
-    /// Builds the policy from a snapshot: actor and critic networks are
-    /// constructed at the snapshot's architecture and their weights (and
-    /// batch-norm running statistics) loaded from it.
+    /// Builds the policy from a snapshot: the actor network is constructed
+    /// at the snapshot's architecture and its weights (and batch-norm
+    /// running statistics) loaded from it.
     pub fn from_snapshot(snap: &DdpgSnapshot) -> Self {
         let cfg = &snap.config;
         // The RNG only seeds initial weights, which load_state overwrites,
         // and dropout masks, which evaluation mode never samples.
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut actor = build_actor(cfg, &mut rng, 0xA0);
-        let mut critic = build_critic(cfg, &mut rng, 0xB0);
         actor.load_state(&snap.actor);
-        critic.load_state(&snap.critic);
         Self {
             state_dim: cfg.state_dim,
             action_dim: cfg.action_dim,
-            actors: vec![actor],
-            critic,
-            cfg: cfg.clone(),
-            actor_state: snap.actor.clone(),
-            sa: Matrix::default(),
+            actor,
             one_row: Matrix::default(),
-            one_out: Matrix::default(),
-        }
-    }
-
-    /// Grows the replica set to `n` actors (index 0 is the primary): builds,
-    /// loads, and prewarms any missing shard replica. A no-op once sized,
-    /// so the steady serving state still allocates nothing.
-    fn ensure_shards(&mut self, n: usize) {
-        while self.actors.len() < n {
-            // Same throwaway-seed rationale as from_snapshot.
-            let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-            let mut a = build_actor(&self.cfg, &mut rng, 0xA0);
-            a.load_state(&self.actor_state);
-            a.prewarm(INFER_TILE, self.state_dim);
-            self.actors.push(a);
         }
     }
 
@@ -111,150 +60,34 @@ impl SnapshotPolicy {
         self.action_dim
     }
 
-    /// Pre-sizes both networks' scratch arenas for `rows`-high batches so
-    /// the first serving call already runs allocation-free.
+    /// Pre-sizes the actor's scratch arena for `rows`-high batches so the
+    /// first serving call already runs allocation-free.
     pub fn prewarm(&mut self, rows: usize) {
-        let rows = rows.max(1);
-        // The actor never sees more than one row tile at a time.
-        let tile = rows.min(INFER_TILE);
-        // lint:allow(panic) reason=actors always holds the primary at index 0, seeded by from_snapshot
-        self.actors[0].prewarm(tile, self.state_dim);
-        if rows > INFER_TILE {
-            // Pre-build the shard replicas the sharded path would use for
-            // this batch height at the current pool width.
-            self.ensure_shards(pool::threads().min(rows.div_ceil(INFER_TILE)));
-        }
-        self.critic.prewarm(rows, self.state_dim + self.action_dim);
-        self.sa.resize(rows, self.state_dim + self.action_dim);
+        self.actor.prewarm(rows.max(1), self.state_dim);
     }
 
     /// One batched actor forward: `states` is `[batch x state_dim]`, `out`
     /// becomes `[batch x action_dim]` with every element clamped into the
     /// `[0, 1]` knob box (the same clamp [`crate::Ddpg::act`] applies).
     ///
-    /// Batches above [`INFER_TILE`] rows run as a sequence of row tiles so
-    /// activations stay cache-resident, and when the worker pool is wider
-    /// than one the tiles row-shard across it — shard `s` owns tiles `s,
-    /// s + shards, ...` on its own actor replica. Eval-mode layers are
-    /// row-independent and replicas carry identical weights, so the tiled
-    /// and sharded results are bit-identical to the single-pass result at
-    /// any pool width.
-    ///
-    /// Tiles feed [`Mlp::forward_rows_ref`] straight from the input's row
-    /// range and clamp straight from the output activation borrow, so the
-    /// tiled path pays exactly the same two copies (arena in, destination
-    /// out) as the small-batch path — no extra staging.
-    ///
     /// # Panics
     /// Panics if `states` has the wrong width.
     pub fn act_batch_into(&mut self, states: &Matrix, out: &mut Matrix) {
         assert_eq!(states.cols(), self.state_dim, "state width mismatch");
-        let rows = states.rows();
-        let (sd, ad) = (self.state_dim, self.action_dim);
-        out.resize(rows, ad);
-        if rows > INFER_TILE {
-            let n_tiles = rows.div_ceil(INFER_TILE);
-            let shards = pool::threads().min(n_tiles);
-            if shards > 1 {
-                self.ensure_shards(shards);
-                let actors_base = SyncPtr::new(self.actors.as_mut_ptr());
-                let out_base = SyncPtr::new(out.as_mut_slice().as_mut_ptr());
-                let src = states.as_slice();
-                pool::run_chunks(shards, &|s| {
-                    // Each chunk index runs exactly once, so shard s is the
-                    // sole user of actors[s], however chunks land on pool
-                    // participants.
-                    // SAFETY: s < shards <= actors.len() after ensure_shards,
-                    // and exclusivity per the chunk contract above.
-                    let actor = unsafe { &mut *actors_base.as_ptr().add(s) };
-                    for t in (s..n_tiles).step_by(shards) {
-                        let r0 = t * INFER_TILE;
-                        let h = INFER_TILE.min(rows - r0);
-                        // lint:allow(panic) reason=t < n_tiles keeps r0 + h <= rows and the width is asserted at entry
-                        let tile = &src[r0 * sd..(r0 + h) * sd];
-                        // lint:allow(panic) reason=tile is h*sd long by the slice above and the arena indices are in bounds by construction
-                        let act = actor.forward_rows_ref(tile, h, sd, false);
-                        // SAFETY: output rows r0..r0+h belong to tile t
-                        // alone (tiles partition 0..rows), and out was
-                        // resized to rows x ad above.
-                        let dst = unsafe {
-                            std::slice::from_raw_parts_mut(out_base.as_ptr().add(r0 * ad), h * ad)
-                        };
-                        for (o, &v) in dst.iter_mut().zip(act.as_slice()) {
-                            *o = v.clamp(0.0, 1.0);
-                        }
-                    }
-                });
-                return;
-            }
-            // Serial fallback: same tile traversal on the primary actor.
-            // lint:allow(panic) reason=actors always holds the primary at index 0, seeded by from_snapshot
-            let actor = &mut self.actors[0];
-            let mut r0 = 0;
-            while r0 < rows {
-                let h = INFER_TILE.min(rows - r0);
-                // lint:allow(panic) reason=h = min(INFER_TILE, rows - r0) keeps r0 + h <= rows and the width is asserted at entry
-                let tile = &states.as_slice()[r0 * sd..(r0 + h) * sd];
-                // lint:allow(panic) reason=tile is h*sd long by the slice above and the arena indices are in bounds by construction
-                let act = actor.forward_rows_ref(tile, h, sd, false);
-                // lint:allow(panic) reason=out was resized to rows x ad above and r0 + h <= rows
-                let dst = &mut out.as_mut_slice()[r0 * ad..(r0 + h) * ad];
-                for (o, &v) in dst.iter_mut().zip(act.as_slice()) {
-                    *o = v.clamp(0.0, 1.0);
-                }
-                r0 += h;
-            }
-            return;
-        }
-        // lint:allow(panic) reason=actors always holds the primary at index 0 and the arena indices are in bounds by construction
-        let act = self.actors[0].forward_ref(states, false);
+        out.resize(states.rows(), self.action_dim);
+        let act = self.actor.forward_ref(states, false);
         for (o, &v) in out.as_mut_slice().iter_mut().zip(act.as_slice()) {
             *o = v.clamp(0.0, 1.0);
         }
     }
 
-    /// Single-state convenience wrapper over [`SnapshotPolicy::act_batch_into`].
+    /// Single-state forward: the serving tier's one-row request.
     pub fn act_row(&mut self, state: &[f32]) -> Vec<f32> {
         assert_eq!(state.len(), self.state_dim, "state width mismatch");
         self.one_row.resize(1, self.state_dim);
         self.one_row.as_mut_slice().copy_from_slice(state);
-        let mut out = std::mem::take(&mut self.one_out);
-        self.actors[0].forward_into(&self.one_row, false, &mut out);
-        let action = out.row(0).iter().map(|x| x.clamp(0.0, 1.0)).collect();
-        self.one_out = out;
-        action
-    }
-
-    /// One batched critic forward: row `i` of `out` is `Q(states[i],
-    /// actions[i])`. Used for per-batch Q telemetry in the serving tier.
-    ///
-    /// # Panics
-    /// Panics if widths or row counts disagree.
-    pub fn q_batch_into(&mut self, states: &Matrix, actions: &Matrix, out: &mut Matrix) {
-        assert_eq!(states.cols(), self.state_dim, "state width mismatch");
-        assert_eq!(actions.cols(), self.action_dim, "action width mismatch");
-        Matrix::hconcat_into(states, actions, &mut self.sa);
-        let sa = std::mem::take(&mut self.sa);
-        self.critic.forward_into(&sa, false, out);
-        self.sa = sa;
-    }
-
-    /// Single-pair convenience wrapper over [`SnapshotPolicy::q_batch_into`].
-    pub fn q_row(&mut self, state: &[f32], action: &[f32]) -> f32 {
-        let (ds, da) = (self.state_dim, self.action_dim);
-        assert_eq!(state.len(), ds, "state width mismatch");
-        assert_eq!(action.len(), da, "action width mismatch");
-        self.one_row.resize(1, ds + da);
-        let row = self.one_row.row_mut(0);
-        let (s_part, a_part) = row.split_at_mut(ds);
-        s_part.copy_from_slice(state);
-        a_part.copy_from_slice(action);
-        let mut out = std::mem::take(&mut self.one_out);
-        self.critic.forward_into(&self.one_row, false, &mut out);
-        // lint:allow(panic) reason=the forward pass of a 1-row input yields a 1x1 matrix
-        let q = out[(0, 0)];
-        self.one_out = out;
-        q
+        let act = self.actor.forward_ref(&self.one_row, false);
+        act.row(0).iter().map(|x| x.clamp(0.0, 1.0)).collect()
     }
 }
 
@@ -342,10 +175,9 @@ mod tests {
     }
 
     #[test]
-    fn tiled_large_batch_matches_row_at_a_time() {
-        // 200 rows forces the row-tiled path (tile height 32: six full
-        // tiles plus a ragged 8-row tail); it must agree with the per-row
-        // reference exactly like the small-batch path does.
+    fn large_batch_matches_row_at_a_time() {
+        // 200 rows go through the same single forward pass as 1 or 32; it
+        // must agree with the per-row reference exactly like they do.
         let mut agent = Ddpg::new(tiny_cfg());
         let src = agent.snapshot();
         let mut policy = SnapshotPolicy::from_snapshot(&src);
@@ -360,55 +192,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-6, "row {r}: {a} vs {b}");
                 assert!((0.0..=1.0).contains(a));
             }
-        }
-    }
-
-    #[test]
-    fn sharded_large_batch_is_bit_identical_across_widths() {
-        // The sharded path hands tiles to per-participant replicas; the
-        // replicas carry identical weights and each tile is computed
-        // serially by exactly one of them, so any pool width must produce
-        // the same bits as the serial tiling. Flipping the global width is
-        // safe against concurrently running tests for the same reason.
-        let agent = Ddpg::new(tiny_cfg());
-        let src = agent.snapshot();
-        let mut policy = SnapshotPolicy::from_snapshot(&src);
-        let states = random_states(200, 9, 0x99);
-        let prev = pool::threads();
-        pool::set_threads(1);
-        policy.prewarm(200);
-        let mut base = Matrix::default();
-        policy.act_batch_into(&states, &mut base);
-        for w in [2usize, 4] {
-            pool::set_threads(w);
-            let mut got = Matrix::default();
-            policy.act_batch_into(&states, &mut got);
-            assert_eq!(base.as_slice(), got.as_slice(), "width {w} diverged");
-        }
-        pool::set_threads(prev);
-    }
-
-    #[test]
-    fn batched_critic_matches_per_pair_q_value() {
-        let mut agent = Ddpg::new(tiny_cfg());
-        let src = agent.snapshot();
-        let mut policy = SnapshotPolicy::from_snapshot(&src);
-        let states = random_states(7, 9, 0xC0);
-        let mut actions = random_states(7, 4, 0xC1);
-        for v in actions.as_mut_slice() {
-            *v = v.clamp(0.0, 1.0);
-        }
-        let mut q = Matrix::default();
-        policy.q_batch_into(&states, &actions, &mut q);
-        assert_eq!((q.rows(), q.cols()), (7, 1));
-        for r in 0..7 {
-            let reference = agent.q_value(states.row(r), actions.row(r));
-            assert!(
-                (q[(r, 0)] - reference).abs() < 1e-6,
-                "row {r}: {} vs {reference}",
-                q[(r, 0)]
-            );
-            assert!((policy.q_row(states.row(r), actions.row(r)) - reference).abs() < 1e-6);
         }
     }
 

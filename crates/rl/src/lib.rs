@@ -9,9 +9,9 @@
 //!   §5.1 credits with a 2× convergence speedup,
 //! * [`replay::ReplayBuffer`] — the plain experience replay memory
 //!   (§2.2.4),
-//! * [`eval::SnapshotPolicy`] — evaluation-only batched actor/critic over
-//!   an immutable snapshot, the serving tier's inference engine,
-//! * [`noise`] — Ornstein–Uhlenbeck and decaying Gaussian exploration,
+//! * [`eval::SnapshotPolicy`] — evaluation-only actor over an immutable
+//!   snapshot, the serving tier's inference engine,
+//! * [`noise`] — decaying Gaussian exploration,
 //! * [`qlearning::QLearning`] and [`dqn::Dqn`] — the value-based methods
 //!   §3.3 explains cannot scale to continuous 266-dimensional actions,
 //!   kept as runnable baselines/demonstrations.
@@ -33,7 +33,7 @@ pub use ddpg::{Ddpg, DdpgConfig, DdpgSnapshot, TrainStats};
 pub use dqn::{Dqn, DqnConfig};
 pub use env::{Environment, StepResult, Transition};
 pub use eval::SnapshotPolicy;
-pub use noise::{perturb, GaussianNoise, NoiseProcess, OrnsteinUhlenbeck};
+pub use noise::{perturb, GaussianNoise, NoiseProcess};
 pub use per::{PerStats, PrioritizedBatch, PrioritizedReplay};
 pub use qlearning::{discretize_state, QLearning};
 pub use replay::ReplayBuffer;

@@ -1,10 +1,8 @@
 //! Exploration noise for deterministic policies.
 //!
-//! DDPG explores by perturbing the actor's output. The original paper \[29\]
-//! uses an Ornstein–Uhlenbeck process (temporally correlated, suited to
-//! control); decaying Gaussian noise is the simpler modern alternative.
-//! Both are provided; CDBTune's try-and-error exploration (§3.1) maps to
-//! either with a decay schedule.
+//! DDPG explores by perturbing the actor's output. CDBTune's
+//! try-and-error exploration (§3.1) maps to independent Gaussian noise
+//! with a decay schedule.
 
 use rand_distr::{Distribution, Normal};
 
@@ -21,59 +19,6 @@ pub trait NoiseProcess {
 
     /// Current scale (diagnostic).
     fn scale(&self) -> f32;
-}
-
-/// Ornstein–Uhlenbeck process: `dx = theta * (mu - x) dt + sigma dW`.
-pub struct OrnsteinUhlenbeck {
-    mu: f32,
-    theta: f32,
-    sigma: f32,
-    sigma_min: f32,
-    decay_factor: f32,
-    state: Vec<f32>,
-}
-
-impl OrnsteinUhlenbeck {
-    /// Creates an OU process over `dim` action components.
-    pub fn new(dim: usize, mu: f32, theta: f32, sigma: f32) -> Self {
-        Self {
-            mu,
-            theta,
-            sigma,
-            sigma_min: sigma * 0.05,
-            decay_factor: 0.995,
-            state: vec![mu; dim],
-        }
-    }
-
-    /// Standard DDPG defaults (mu 0, theta 0.15, sigma 0.2).
-    pub fn standard(dim: usize) -> Self {
-        Self::new(dim, 0.0, 0.15, 0.2)
-    }
-}
-
-impl NoiseProcess for OrnsteinUhlenbeck {
-    fn sample(&mut self, rng: &mut dyn rand::RngCore) -> Vec<f32> {
-        // lint:allow(panic) reason=constant arguments make the unit normal infallible
-        let normal = Normal::new(0.0f32, 1.0).expect("unit normal");
-        for x in &mut self.state {
-            let dw: f32 = normal.sample(rng);
-            *x += self.theta * (self.mu - *x) + self.sigma * dw;
-        }
-        self.state.clone()
-    }
-
-    fn reset(&mut self) {
-        self.state.iter_mut().for_each(|x| *x = self.mu);
-    }
-
-    fn decay(&mut self) {
-        self.sigma = (self.sigma * self.decay_factor).max(self.sigma_min);
-    }
-
-    fn scale(&self) -> f32 {
-        self.sigma
-    }
 }
 
 /// Independent Gaussian noise with exponential decay.
@@ -122,32 +67,6 @@ pub fn perturb(action: &[f32], noise: &[f32]) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn ou_is_mean_reverting() {
-        let mut ou = OrnsteinUhlenbeck::new(1, 0.0, 0.5, 0.0); // no diffusion
-        ou.state[0] = 10.0;
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..50 {
-            let _ = ou.sample(&mut rng);
-        }
-        assert!(ou.state[0].abs() < 0.1, "state {} should revert to mu", ou.state[0]);
-    }
-
-    #[test]
-    fn ou_is_temporally_correlated() {
-        let mut ou = OrnsteinUhlenbeck::standard(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let xs: Vec<f32> = (0..500).map(|_| ou.sample(&mut rng)[0]).collect();
-        // Lag-1 autocorrelation of OU with theta=0.15 is ~0.85.
-        let mean = xs.iter().sum::<f32>() / xs.len() as f32;
-        let var: f32 = xs.iter().map(|x| (x - mean).powi(2)).sum();
-        let cov: f32 = xs.windows(2).map(|w| (w[0] - mean) * (w[1] - mean)).sum();
-        let rho = cov / var;
-        assert!(rho > 0.5, "autocorrelation {rho} too low for OU");
-    }
 
     #[test]
     fn gaussian_decays_to_floor() {
@@ -166,16 +85,5 @@ mod tests {
         assert_eq!(p[0], 0.0);
         assert_eq!(p[1], 1.0);
         assert!((p[2] - 0.6).abs() < 1e-6);
-    }
-
-    #[test]
-    fn reset_clears_ou_state() {
-        let mut ou = OrnsteinUhlenbeck::standard(3);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..10 {
-            let _ = ou.sample(&mut rng);
-        }
-        ou.reset();
-        assert!(ou.state.iter().all(|&x| x == 0.0));
     }
 }

@@ -132,17 +132,6 @@ impl SharedPolicy for PolicyServer {
         })
         .flatten()
     }
-
-    fn q(&self, version: u64, state: &[f32], action: &[f32]) -> Option<f32> {
-        self.with(|p| {
-            let (_, policy) = p.iter_mut().find(|(v, _)| *v == version)?;
-            if state.len() != policy.state_dim() || action.len() != policy.action_dim() {
-                return None;
-            }
-            Some(policy.q_row(state, action))
-        })
-        .flatten()
-    }
 }
 
 #[cfg(test)]
@@ -198,13 +187,6 @@ mod tests {
         // Wrong state dimension never reaches the forward pass.
         assert!(server.act(3, &test_state(dim - 1, 1)).is_none());
         assert_eq!(server.stats().rows, 0, "refusals are not served rows");
-        // Direct critic queries agree with the reference policy.
-        let state = test_state(dim, 2);
-        let action = vec![0.25; 4];
-        let mut reference = SnapshotPolicy::from_snapshot(&model.snapshot);
-        let q = server.q(3, &state, &action).expect("registered version");
-        assert_eq!(q, reference.q_row(&state, &action));
-        assert!(server.q(99, &state, &action).is_none());
     }
 
     #[test]

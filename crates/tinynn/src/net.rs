@@ -74,39 +74,13 @@ impl Mlp {
     /// borrow of the output activation. Zero allocations once the arena is
     /// warm; the borrow is invalidated by the next forward/backward call.
     pub fn forward_ref(&mut self, input: &Matrix, train: bool) -> &Matrix {
-        self.forward_rows_ref(input.as_slice(), input.rows(), input.cols(), train)
-    }
-
-    /// Runs the network forward over a row-major `rows x cols` slice
-    /// without requiring the caller to stage it in a [`Matrix`] first: the
-    /// slice is copied straight into the arena's input activation — the
-    /// same copy [`Mlp::forward_ref`] performs on its input — so tiled
-    /// callers slicing a row range out of a larger batch pay no extra
-    /// staging pass. Same borrow contract as [`Mlp::forward_ref`].
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn forward_rows_ref(&mut self, data: &[f32], rows: usize, cols: usize, train: bool) -> &Matrix {
-        assert_eq!(data.len(), rows * cols, "forward_rows_ref: slice length");
         let Self { layers, scratch } = self;
-        scratch.acts[0].resize(rows, cols);
-        scratch.acts[0].as_mut_slice().copy_from_slice(data);
+        scratch.acts[0].copy_from(input);
         for (i, layer) in layers.iter_mut().enumerate() {
             let (lo, hi) = scratch.acts.split_at_mut(i + 1);
             layer.forward_into(&lo[i], &mut hi[0], train);
         }
         &scratch.acts[layers.len()]
-    }
-
-    /// Runs the network forward and copies the output activation into
-    /// `out` (resized in place). This is the batched-serving entry point:
-    /// the caller owns the destination, so a warm network plus a warm
-    /// caller buffer performs zero heap allocations per call, whatever the
-    /// batch height — unlike [`Mlp::forward_ref`], the result also
-    /// survives the next forward pass.
-    pub fn forward_into(&mut self, input: &Matrix, train: bool, out: &mut Matrix) {
-        let act = self.forward_ref(input, train);
-        out.copy_from(act);
     }
 
     /// Runs the network forward. `train` enables dropout and batch
@@ -280,24 +254,6 @@ mod tests {
             last = loss;
         }
         assert!(last < 1e-3, "final loss {last}");
-    }
-
-    #[test]
-    fn forward_rows_slice_matches_whole_matrix_forward() {
-        // A row range fed through forward_rows_ref must be bit-identical to
-        // slicing the output of a whole-batch forward: eval-mode layers are
-        // row-independent, and the slice entry point is just forward_ref
-        // minus the caller-side staging Matrix.
-        let mut rng = StdRng::seed_from_u64(102);
-        let mut net = tiny_net(&mut rng);
-        let xs = Init::Uniform(1.0).sample(24, 2, &mut rng);
-        let whole = net.forward(&xs, false);
-        for (r0, h) in [(0usize, 8usize), (8, 8), (16, 8), (5, 13)] {
-            let tile = net.forward_rows_ref(&xs.as_slice()[r0 * 2..(r0 + h) * 2], h, 2, false);
-            assert_eq!((tile.rows(), tile.cols()), (h, 1));
-            let want = &whole.as_slice()[r0..r0 + h];
-            assert_eq!(tile.as_slice(), want, "rows {r0}..{}", r0 + h);
-        }
     }
 
     #[test]

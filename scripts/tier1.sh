@@ -30,12 +30,11 @@ cargo run --release -p analyzer --bin tunelint -- --root . --graph-stats
 # Perf-regression gate (DESIGN.md §11, §16): re-runs the microbench suite
 # and compares against the committed BENCH_PERF.json. The machine-independent
 # ratio floors (blocked-vs-naive kernel speedups, the >=3x train_step gate,
-# the >=1.8x 4-thread train_step_mt4_speedup, the >=1.0 infer_batch_monotone
-# batch-256-vs-32 ratio at the serving width) are always enforced; absolute
+# the >=1.8x 4-thread train_step_mt4_speedup) are always enforced; absolute
 # throughputs are host-specific, so CI checks --ratios-only. The multicore
-# legs — mt train and the monotone ratio — self-skip on hosts with fewer
-# cores than they need (and --ratios-only only judges ratios present in the
-# current run), so a 1-core CI box still passes.
+# legs self-skip on hosts with fewer cores than they need (and --ratios-only
+# only judges ratios present in the current run), so a 1-core CI box still
+# passes.
 # Regenerate the baseline on the reference host with
 # `cargo run --release -p bench --bin perf -- --out BENCH_PERF.json`.
 cargo run --release -p bench --bin perf -- --quick --check --ratios-only --tolerance 0.6
