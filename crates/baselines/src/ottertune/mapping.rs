@@ -10,10 +10,9 @@
 //! bring a poor recommendation to OtterTune").
 
 use crate::tuner::Evaluation;
-use serde::{Deserialize, Serialize};
 
 /// A historical workload's observations.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkloadHistory {
     /// Identifier (e.g. "sysbench-rw@cdb-a").
     pub id: String,
@@ -41,7 +40,7 @@ impl WorkloadHistory {
 }
 
 /// The repository of historical workloads.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkloadRepository {
     /// Stored histories.
     pub workloads: Vec<WorkloadHistory>,

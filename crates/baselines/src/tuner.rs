@@ -8,11 +8,10 @@
 
 use cdbtune::DbEnv;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use simdb::PerfMetrics;
 
 /// One evaluated configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Evaluation {
     /// Normalized action.
     pub action: Vec<f32>,

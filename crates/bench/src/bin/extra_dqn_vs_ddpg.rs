@@ -9,21 +9,21 @@
 
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
+use cdbtune::persist_struct;
 use rl::{Dqn, DqnConfig, Environment};
-use serde::Serialize;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
 /// Discretization levels per knob for DQN.
 const LEVELS: usize = 4;
 
-#[derive(Serialize)]
 struct Row {
     knobs: usize,
     dqn_actions: u64,
     dqn_tps: Option<f64>,
     ddpg_tps: f64,
 }
+persist_struct!(Row { knobs, dqn_actions, dqn_tps, ddpg_tps });
 
 fn main() {
     let lab = Lab::with_episodes(59, 24);

@@ -7,17 +7,17 @@
 
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
-use serde::Serialize;
+use cdbtune::persist_struct;
 use simdb::{EngineFlavor, HardwareConfig, MediaType};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct Row {
     media: String,
     cross_tps: f64,
     normal_tps: f64,
     default_tps: f64,
 }
+persist_struct!(Row { media, cross_tps, normal_tps, default_tps });
 
 fn main() {
     let lab = Lab::with_episodes(61, 20);

@@ -9,18 +9,18 @@
 
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
+use cdbtune::persist_struct;
 use cdbtune::{MemoryKind, TrainerConfig};
-use serde::Serialize;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct Row {
     memory: String,
     seed: u64,
     iterations: usize,
     best_throughput: f64,
 }
+persist_struct!(Row { memory, seed, iterations, best_throughput });
 
 fn main() {
     let lab = Lab::with_episodes(53, 20);

@@ -10,13 +10,12 @@
 use baselines::{ConfigTuner, DbaTuner, OtterTune, Regressor};
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
+use cdbtune::persist_struct;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct Series {
     workload: String,
     samples: Vec<usize>,
@@ -25,6 +24,7 @@ struct Series {
     mysql_default: f64,
     dba: f64,
 }
+persist_struct!(Series { workload, samples, ottertune, ottertune_dl, mysql_default, dba });
 
 fn best_so_far(history: &[baselines::Evaluation], marks: &[usize]) -> Vec<f64> {
     let mut out = Vec::with_capacity(marks.len());

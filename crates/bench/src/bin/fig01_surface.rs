@@ -6,13 +6,12 @@
 
 use bench::report::{print_header, write_json};
 use bench::Lab;
+use cdbtune::persist_struct;
 use cdbtune::ActionSpace;
-use serde::Serialize;
 use simdb::knobs::mysql::names;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct Surface {
     knob_x: String,
     knob_y: String,
@@ -21,6 +20,7 @@ struct Surface {
     /// `throughput[y][x]`; 0 marks the crash region.
     throughput: Vec<Vec<f64>>,
 }
+persist_struct!(Surface { knob_x, knob_y, x, y, throughput });
 
 fn main() {
     let lab = Lab::new(3);

@@ -9,14 +9,13 @@
 use baselines::{ConfigTuner, OtterTune, Regressor};
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
+use cdbtune::persist_struct;
 use cdbtune::{tune_online, OnlineConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct Series {
     workload: String,
     steps: Vec<usize>,
@@ -24,6 +23,7 @@ struct Series {
     cdbtune_p99_ms: Vec<f64>,
     ottertune_tps: Vec<f64>,
 }
+persist_struct!(Series { workload, steps, cdbtune_tps, cdbtune_p99_ms, ottertune_tps });
 
 fn main() {
     let lab = Lab::new(7);

@@ -8,13 +8,12 @@
 use baselines::{ConfigTuner, DbaTuner, OtterTune, Regressor};
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
+use cdbtune::persist_struct;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct Row {
     knobs: usize,
     cdbtune_tps: f64,
@@ -24,6 +23,9 @@ struct Row {
     ottertune_tps: f64,
     ottertune_p99_ms: f64,
 }
+persist_struct!(Row {
+    knobs, cdbtune_tps, cdbtune_p99_ms, dba_tps, dba_p99_ms, ottertune_tps, ottertune_p99_ms,
+});
 
 fn main() {
     let lab = Lab::with_episodes(11, 36);

@@ -9,20 +9,20 @@ use baselines::ottertune::ranking::rank_knobs_by_correlation;
 use baselines::{ConfigTuner, DbaTuner, OtterTune, RandomSearch, Regressor};
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
+use cdbtune::persist_struct;
 use cdbtune::ActionSpace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct Row {
     knobs: usize,
     cdbtune_tps: f64,
     dba_tps: f64,
     ottertune_tps: f64,
 }
+persist_struct!(Row { knobs, cdbtune_tps, dba_tps, ottertune_tps });
 
 fn main() {
     let lab = Lab::with_episodes(13, 36);

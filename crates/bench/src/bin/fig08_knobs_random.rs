@@ -8,20 +8,20 @@
 
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
+use cdbtune::persist_struct;
 use cdbtune::ActionSpace;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::Serialize;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct Row {
     knobs: usize,
     throughput: f64,
     p99_ms: f64,
     iterations: usize,
 }
+persist_struct!(Row { knobs, throughput, p99_ms, iterations });
 
 fn main() {
     let lab = Lab::with_episodes(17, 36);

@@ -9,15 +9,15 @@
 use bench::harness::{six_way_comparison, ComparisonRow};
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
-use serde::Serialize;
+use cdbtune::persist_struct;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct WorkloadResult {
     workload: String,
     rows: Vec<(String, f64, f64)>,
 }
+persist_struct!(WorkloadResult { workload, rows });
 
 fn main() {
     // The headline comparison gets the full training budget and the full

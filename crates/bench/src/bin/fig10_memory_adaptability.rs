@@ -8,11 +8,10 @@
 
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
-use serde::Serialize;
+use cdbtune::persist_struct;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct Row {
     ram_gb: u32,
     cross_tps: f64,
@@ -20,6 +19,7 @@ struct Row {
     cross_p99_ms: f64,
     normal_p99_ms: f64,
 }
+persist_struct!(Row { ram_gb, cross_tps, normal_tps, cross_p99_ms, normal_p99_ms });
 
 fn main() {
     let lab = Lab::with_episodes(23, 20);

@@ -5,11 +5,10 @@
 
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
-use serde::Serialize;
+use cdbtune::persist_struct;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct Row {
     disk_gb: u32,
     cross_tps: f64,
@@ -17,6 +16,7 @@ struct Row {
     cross_p99_ms: f64,
     normal_p99_ms: f64,
 }
+persist_struct!(Row { disk_gb, cross_tps, normal_tps, cross_p99_ms, normal_p99_ms });
 
 fn main() {
     let lab = Lab::with_episodes(29, 20);

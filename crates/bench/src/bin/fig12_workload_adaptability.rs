@@ -9,16 +9,16 @@
 use baselines::{BestConfig, ConfigTuner, DbaTuner, OtterTune, Regressor};
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
+use cdbtune::persist_struct;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct Bars {
     rows: Vec<(String, f64, f64)>,
 }
+persist_struct!(Bars { rows });
 
 fn main() {
     let lab = Lab::with_episodes(31, 28);

@@ -10,12 +10,11 @@
 
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
+use cdbtune::persist_struct;
 use cdbtune::{EnvConfig, RewardConfig, RewardKind};
-use serde::Serialize;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct Row {
     workload: String,
     reward: String,
@@ -23,6 +22,7 @@ struct Row {
     throughput: f64,
     p99_ms: f64,
 }
+persist_struct!(Row { workload, reward, iterations, throughput, p99_ms });
 
 fn main() {
     let lab = Lab::with_episodes(37, 20);

@@ -7,12 +7,11 @@
 
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
+use cdbtune::persist_struct;
 use cdbtune::{EnvConfig, RewardConfig, RewardKind};
-use serde::Serialize;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct Row {
     c_t: f64,
     throughput: f64,
@@ -20,6 +19,7 @@ struct Row {
     throughput_rate: f64,
     latency_rate: f64,
 }
+persist_struct!(Row { c_t, throughput, p99_ms, throughput_rate, latency_rate });
 
 fn run_with(lab: &Lab, c_t: f64) -> (f64, f64) {
     let build_env = |seed: u64| {

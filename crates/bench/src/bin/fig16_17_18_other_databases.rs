@@ -11,17 +11,17 @@
 use bench::harness::six_way_comparison;
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
-use serde::Serialize;
+use cdbtune::persist_struct;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct FigureResult {
     figure: String,
     engine: String,
     workload: String,
     rows: Vec<(String, f64, f64)>,
 }
+persist_struct!(FigureResult { figure, engine, workload, rows });
 
 fn main() {
     let lab = Lab::with_episodes(47, 60);

@@ -9,19 +9,19 @@
 
 use bench::report::{print_header, print_row, write_json};
 use bench::Lab;
+use cdbtune::persist_struct;
 use cdbtune::{profile_step, ActionSpace, StateProcessor, TunerBudget, RESTART_SIMULATED_SEC};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl::{Ddpg, DdpgConfig, Transition};
-use serde::Serialize;
 use simdb::{Engine, EngineFlavor, HardwareConfig};
 use workload::{build_workload, WorkloadKind};
 
-#[derive(Serialize)]
 struct Results {
     steps: Vec<cdbtune::StepTiming>,
     budgets: Vec<(String, u32, f64, f64)>,
 }
+persist_struct!(Results { steps, budgets });
 
 fn main() {
     let lab = Lab::new(5);

@@ -8,12 +8,11 @@
 
 use bench::report::{fmt, print_header, print_row, write_json};
 use bench::Lab;
+use cdbtune::persist_struct;
 use cdbtune::TrainerConfig;
-use serde::Serialize;
 use simdb::{EngineFlavor, HardwareConfig};
 use workload::WorkloadKind;
 
-#[derive(Serialize)]
 struct Row {
     actor_layers: String,
     critic_layers: String,
@@ -21,6 +20,7 @@ struct Row {
     p99_ms: f64,
     iterations: usize,
 }
+persist_struct!(Row { actor_layers, critic_layers, throughput, p99_ms, iterations });
 
 fn main() {
     let lab = Lab::with_episodes(43, 20);

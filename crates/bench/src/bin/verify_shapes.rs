@@ -4,7 +4,7 @@
 //! Exits non-zero if any shape check fails — the acceptance gate for
 //! EXPERIMENTS.md.
 
-use serde_json::Value;
+use cdbtune::jsonio::Json;
 use std::process::ExitCode;
 
 struct Checker {
@@ -32,19 +32,56 @@ impl Checker {
     }
 }
 
-fn load(name: &str) -> Option<Value> {
+fn load(name: &str) -> Option<Json> {
     let path = format!("results/{name}.json");
     let text = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&text).ok()
+    Json::parse(&text).ok()
 }
 
-fn f(v: &Value) -> f64 {
-    v.as_f64().unwrap_or(f64::NAN)
+/// Reading a results document the way the checks are written: a missing
+/// key or index, or a value of another type, reads as `null` / NaN /
+/// empty, which fails the comparison it feeds instead of panicking.
+trait Shape {
+    fn at(&self, i: usize) -> &Json;
+    fn key(&self, k: &str) -> &Json;
+    fn items(&self) -> &[Json];
+    fn text(&self) -> Option<&str>;
+}
+
+impl Shape for Json {
+    fn at(&self, i: usize) -> &Json {
+        self.items().get(i).unwrap_or(&Json::Null)
+    }
+
+    fn key(&self, k: &str) -> &Json {
+        self.get(k).unwrap_or(&Json::Null)
+    }
+
+    fn items(&self) -> &[Json] {
+        match self {
+            Json::Arr(items) => items,
+            _ => &[],
+        }
+    }
+
+    fn text(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+fn f(v: &Json) -> f64 {
+    match v {
+        Json::Num(n) => *n,
+        _ => f64::NAN,
+    }
 }
 
 /// Figure 9 / Figs 16–18 rows: `[ [system, tps, p99], ... ]`.
-fn tuner_tps(rows: &Value, system: &str) -> Option<f64> {
-    rows.as_array()?.iter().find(|r| r[0].as_str() == Some(system)).map(|r| f(&r[1]))
+fn tuner_tps(rows: &Json, system: &str) -> Option<f64> {
+    rows.items().iter().find(|r| r.at(0).text() == Some(system)).map(|r| f(r.at(1)))
 }
 
 fn main() -> ExitCode {
@@ -55,10 +92,10 @@ fn main() -> ExitCode {
     c.check(
         "fig01 OtterTune plateau",
         load("fig01_ottertune_samples").map(|v| {
-            v.as_array().unwrap().iter().all(|series| {
-                let ot = series["ottertune"].as_array().unwrap();
-                let dba = f(&series["dba"]);
-                let default = f(&series["mysql_default"]);
+            v.items().iter().all(|series| {
+                let ot = series.key("ottertune").items();
+                let dba = f(series.key("dba"));
+                let default = f(series.key("mysql_default"));
                 let mid = f(&ot[ot.len() / 2]);
                 mid <= dba * 1.02 && mid > default
             })
@@ -70,8 +107,8 @@ fn main() -> ExitCode {
     c.check(
         "fig01 knob growth",
         load("fig01_knob_growth").map(|v| {
-            let pairs = v.as_array().unwrap();
-            pairs.windows(2).all(|w| f(&w[1][1]) > f(&w[0][1]))
+            let pairs = v.items();
+            pairs.windows(2).all(|w| f(w[1].at(1)) > f(w[0].at(1)))
         }),
         "tunable knob count strictly increases across CDB versions".into(),
     );
@@ -80,11 +117,11 @@ fn main() -> ExitCode {
     c.check(
         "fig01 surface",
         load("fig01_surface").map(|v| {
-            let m = v["throughput"].as_array().unwrap();
-            let mid = m[m.len() / 2].as_array().unwrap();
+            let m = v.key("throughput").items();
+            let mid = m[m.len() / 2].items();
             let inc = mid.windows(2).all(|w| f(&w[1]) >= f(&w[0]));
             let dec = mid.windows(2).all(|w| f(&w[1]) <= f(&w[0]));
-            let has_crash = m.iter().flat_map(|r| r.as_array().unwrap()).any(|x| f(x) == 0.0);
+            let has_crash = m.iter().flat_map(|r| r.items()).any(|x| f(x) == 0.0);
             !inc && !dec && has_crash
         }),
         "no monotone direction; crash region present (§5.2.3)".into(),
@@ -94,9 +131,9 @@ fn main() -> ExitCode {
     c.check(
         "fig05 steps",
         load("fig05_steps").map(|v| {
-            v.as_array().unwrap().iter().all(|s| {
-                let cdb = s["cdbtune_tps"].as_array().unwrap();
-                let ot = s["ottertune_tps"].as_array().unwrap();
+            v.items().iter().all(|s| {
+                let cdb = s.key("cdbtune_tps").items();
+                let ot = s.key("ottertune_tps").items();
                 f(cdb.last().unwrap()) >= f(&cdb[0])
                     && f(cdb.last().unwrap()) > f(ot.last().unwrap())
             })
@@ -118,17 +155,17 @@ fn main() -> ExitCode {
         c.check(
             name,
             load(file).map(|v| {
-                let rows = v.as_array().unwrap().clone();
+                let rows = v.items();
                 let first = &rows[0];
                 let last = rows.last().unwrap();
-                let cdb_first = f(&first["cdbtune_tps"]);
-                let cdb_last = f(&last["cdbtune_tps"]);
-                let dba_last = f(&last["dba_tps"]);
-                let ot_last = f(&last["ottertune_tps"]);
+                let cdb_first = f(first.key("cdbtune_tps"));
+                let cdb_last = f(last.key("cdbtune_tps"));
+                let dba_last = f(last.key("dba_tps"));
+                let ot_last = f(last.key("ottertune_tps"));
                 let dba_peak =
-                    rows.iter().map(|r| f(&r["dba_tps"])).fold(f64::MIN, f64::max);
+                    rows.iter().map(|r| f(r.key("dba_tps"))).fold(f64::MIN, f64::max);
                 let ot_peak =
-                    rows.iter().map(|r| f(&r["ottertune_tps"])).fold(f64::MIN, f64::max);
+                    rows.iter().map(|r| f(r.key("ottertune_tps"))).fold(f64::MIN, f64::max);
                 cdb_last >= cdb_first * 0.98
                     && cdb_last > ot_last
                     && cdb_last >= dba_last * 0.88
@@ -142,10 +179,10 @@ fn main() -> ExitCode {
     c.check(
         "fig07 OtterTune order",
         load("fig07_knobs_ottertune").map(|v| {
-            let rows = v.as_array().unwrap();
+            let rows = v.items();
             let last = rows.last().unwrap();
-            f(&last["cdbtune_tps"]) > f(&last["ottertune_tps"])
-                && f(&last["cdbtune_tps"]) >= f(&last["dba_tps"]) * 0.88
+            f(last.key("cdbtune_tps")) > f(last.key("ottertune_tps"))
+                && f(last.key("cdbtune_tps")) >= f(last.key("dba_tps")) * 0.88
         }),
         "CDBTune leads OtterTune at 266 knobs under OtterTune's ranking too".into(),
     );
@@ -154,11 +191,11 @@ fn main() -> ExitCode {
     c.check(
         "fig08 random subsets",
         load("fig08_knobs_random").map(|v| {
-            let rows = v.as_array().unwrap();
-            let first = f(&rows[0]["throughput"]);
-            let last = f(&rows.last().unwrap()["throughput"]);
-            let it_first = f(&rows[0]["iterations"]);
-            let it_last = f(&rows.last().unwrap()["iterations"]);
+            let rows = v.items();
+            let first = f(rows[0].key("throughput"));
+            let last = f(rows.last().unwrap().key("throughput"));
+            let it_first = f(rows[0].key("iterations"));
+            let it_last = f(rows.last().unwrap().key("iterations"));
             last >= first * 0.95 && it_last >= it_first
         }),
         "throughput grows/saturates with knobs; iterations grow (Fig 8 lower panel)".into(),
@@ -169,9 +206,9 @@ fn main() -> ExitCode {
     c.check(
         "fig09 six-way ordering",
         load("fig09_table03_comparison").map(|v| {
-            let (results, _table3) = (&v[0], &v[1]);
-            results.as_array().unwrap().iter().all(|wl| {
-                let rows = &wl["rows"];
+            let (results, _table3) = (v.at(0), v.at(1));
+            results.items().iter().all(|wl| {
+                let rows = wl.key("rows");
                 let cdb = tuner_tps(rows, "CDBTune").unwrap();
                 ["BestConfig", "DBA", "OtterTune", "MySQL default", "CDB default"]
                     .iter()
@@ -183,10 +220,10 @@ fn main() -> ExitCode {
     c.check(
         "table03 WO margin largest",
         load("fig09_table03_comparison").map(|v| {
-            let t3 = v[1].as_array().unwrap();
+            let t3 = v.at(1).items();
             // rows: (workload, vsBC_T, vsBC_L, vsDBA_T, vsDBA_L, vsOT_T, vsOT_L)
             let dba_margin = |wl: &str| {
-                t3.iter().find(|r| r[0].as_str() == Some(wl)).map(|r| f(&r[3])).unwrap()
+                t3.iter().find(|r| r.at(0).text() == Some(wl)).map(|r| f(r.at(3))).unwrap()
             };
             dba_margin("WO") > dba_margin("RW") && dba_margin("WO") > dba_margin("RO")
         }),
@@ -201,9 +238,9 @@ fn main() -> ExitCode {
         c.check(
             name,
             load(file).map(|v| {
-                v.as_array().unwrap().iter().all(|r| {
-                    let _ = &r[key];
-                    f(&r["cross_tps"]) >= f(&r["normal_tps"]) * 0.85
+                v.items().iter().all(|r| {
+                    let _ = r.key(key);
+                    f(r.key("cross_tps")) >= f(r.key("normal_tps")) * 0.85
                 })
             }),
             "cross-tested ≥ 85 % of natively trained at every size".into(),
@@ -215,9 +252,9 @@ fn main() -> ExitCode {
     c.check(
         "fig12 workload adaptability",
         load("fig12_workload_adaptability").map(|v| {
-            let rows = v["rows"].as_array().unwrap();
+            let rows = v.key("rows").items();
             let get = |name: &str| {
-                rows.iter().find(|r| r[0].as_str() == Some(name)).map(|r| f(&r[1])).unwrap()
+                rows.iter().find(|r| r.at(0).text() == Some(name)).map(|r| f(r.at(1))).unwrap()
             };
             let cross = get("M_RW→TPC-C");
             let normal = get("M_TPC-C→TPC-C");
@@ -234,16 +271,16 @@ fn main() -> ExitCode {
     c.check(
         "fig14 reward functions",
         load("fig14_reward_functions").map(|v| {
-            let rows = v.as_array().unwrap();
+            let rows = v.items();
             let workloads: std::collections::HashSet<_> =
-                rows.iter().map(|r| r["workload"].as_str().unwrap().to_string()).collect();
+                rows.iter().map(|r| r.key("workload").text().unwrap().to_string()).collect();
             workloads.iter().all(|wl| {
                 let get = |rf: &str, field: &str| {
                     rows.iter()
                         .find(|r| {
-                            r["workload"].as_str() == Some(wl) && r["reward"].as_str() == Some(rf)
+                            r.key("workload").text() == Some(wl) && r.key("reward").text() == Some(rf)
                         })
-                        .map(|r| f(&r[field]))
+                        .map(|r| f(r.key(field)))
                         .unwrap()
                 };
                 let best_tps = get("RF-CDBTune", "throughput");
@@ -258,8 +295,8 @@ fn main() -> ExitCode {
     c.check(
         "fig15 C_T sweep",
         load("fig15_ct_cl_sweep").map(|v| {
-            let rows = v.as_array().unwrap();
-            f(&rows.last().unwrap()["throughput_rate"]) > f(&rows[0]["throughput_rate"])
+            let rows = v.items();
+            f(rows.last().unwrap().key("throughput_rate")) > f(rows[0].key("throughput_rate"))
         }),
         "throughput rate at C_T=0.9 exceeds C_T=0.1 (§C.1.2)".into(),
     );
@@ -269,12 +306,12 @@ fn main() -> ExitCode {
     c.check(
         "table06 network ablation",
         load("table06_network_ablation").map(|v| {
-            let rows = v.as_array().unwrap();
-            let base_iters = f(&rows[0]["iterations"]);
-            let deepest_iters = f(&rows.last().unwrap()["iterations"]);
-            let base_tps = f(&rows[0]["throughput"]);
+            let rows = v.items();
+            let base_iters = f(rows[0].key("iterations"));
+            let deepest_iters = f(rows.last().unwrap().key("iterations"));
+            let base_tps = f(rows[0].key("throughput"));
             let best_tps =
-                rows.iter().map(|r| f(&r["throughput"])).fold(f64::MIN, f64::max);
+                rows.iter().map(|r| f(r.key("throughput"))).fold(f64::MIN, f64::max);
             deepest_iters > base_iters && base_tps >= best_tps * 0.9
         }),
         "iterations grow with depth; the compact net stays within 10 % of the best".into(),
@@ -286,8 +323,8 @@ fn main() -> ExitCode {
     c.check(
         "fig16-18 other databases",
         load("fig16_17_18_other_databases").map(|v| {
-            v.as_array().unwrap().iter().all(|fig| {
-                let rows = &fig["rows"];
+            v.items().iter().all(|fig| {
+                let rows = fig.key("rows");
                 let cdb = tuner_tps(rows, "CDBTune").unwrap();
                 ["BestConfig", "OtterTune", "MySQL default"]
                     .iter()
@@ -303,12 +340,12 @@ fn main() -> ExitCode {
     c.check(
         "extra PER speedup",
         load("extra_per_ablation").map(|v| {
-            let rows = v.as_array().unwrap();
+            let rows = v.items();
             let mean = |m: &str| {
                 let xs: Vec<f64> = rows
                     .iter()
-                    .filter(|r| r["memory"].as_str() == Some(m))
-                    .map(|r| f(&r["iterations"]))
+                    .filter(|r| r.key("memory").text() == Some(m))
+                    .map(|r| f(r.key("iterations")))
                     .collect();
                 xs.iter().sum::<f64>() / xs.len() as f64
             };
@@ -321,9 +358,9 @@ fn main() -> ExitCode {
     c.check(
         "extra DQN blow-up",
         load("extra_dqn_vs_ddpg").map(|v| {
-            let rows = v.as_array().unwrap();
+            let rows = v.items();
             let last = rows.last().unwrap();
-            last["dqn_tps"].is_null() && f(&last["ddpg_tps"]) > 0.0
+            *last.key("dqn_tps") == Json::Null && f(last.key("ddpg_tps")) > 0.0
         }),
         "DQN's action table becomes intractable while DDPG keeps tuning".into(),
     );
@@ -332,9 +369,9 @@ fn main() -> ExitCode {
     c.check(
         "extra media adaptability",
         load("extra_media_adaptability").map(|v| {
-            v.as_array().unwrap().iter().all(|r| {
-                f(&r["cross_tps"]) >= f(&r["normal_tps"]) * 0.8
-                    && f(&r["cross_tps"]) > f(&r["default_tps"])
+            v.items().iter().all(|r| {
+                f(r.key("cross_tps")) >= f(r.key("normal_tps")) * 0.8
+                    && f(r.key("cross_tps")) > f(r.key("default_tps"))
             })
         }),
         "SSD-trained model serves HDD and NVM instances".into(),

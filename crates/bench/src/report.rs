@@ -1,7 +1,6 @@
 //! Experiment output helpers: aligned console tables and JSON artifacts.
 
-use serde::Serialize;
-use std::io::Write;
+use cdbtune::persist::Persist;
 use std::path::Path;
 
 /// Prints an experiment banner plus a column header row.
@@ -29,19 +28,15 @@ pub fn fmt(v: f64) -> String {
     }
 }
 
-/// Writes an experiment's structured results under `results/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
+/// Writes an experiment's structured results under `results/<name>.json`
+/// (the rows `verify_shapes` reads back).
+pub fn write_json(name: &str, value: &impl Persist) {
     let dir = Path::new("results");
     if std::fs::create_dir_all(dir).is_err() {
         return; // read-only environment: console output still stands
     }
     let path = dir.join(format!("{name}.json"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = writeln!(
-            f,
-            "{}",
-            serde_json::to_string_pretty(value).expect("results serialize")
-        );
+    if std::fs::write(&path, value.encode().to_text() + "\n").is_ok() {
         println!("[results written to {}]", path.display());
     }
 }

@@ -32,7 +32,6 @@ use crate::telemetry::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl::{Environment, StepResult};
-use serde::{Deserialize, Serialize};
 use simdb::{Engine, KnobConfig, PerfMetrics, SimDbError, Txn};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -40,7 +39,7 @@ use std::time::Instant;
 use workload::Workload;
 
 /// Retry/backoff/quarantine policy for the environment's recovery paths.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Retries after the first attempt of a deploy or stress window.
     pub max_retries: u32,
@@ -77,7 +76,7 @@ fn backoff_ms(policy: &RecoveryPolicy, attempt: u32) -> u64 {
 
 /// Counters of every recovery action taken. Cumulative over the
 /// environment's lifetime; [`RecoveryStats::since`] diffs two snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Transient failures retried (deploys and stress windows).
     pub retries: u64,

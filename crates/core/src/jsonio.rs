@@ -1,12 +1,13 @@
 //! Hand-rolled JSON substrate shared by the trace schema
-//! ([`crate::telemetry`]) and the `cdbtuned` wire protocol.
+//! ([`crate::telemetry`]), the `cdbtuned` wire protocol and everything
+//! persisted ([`crate::persist`]).
 //!
-//! Deliberately **zero-dependency** (std only): both formats must stay
-//! stable across serde upgrades and must compile (and round-trip) in
-//! registry-less containers. The writer keeps field emission order stable
-//! so encode→decode→encode is a fixed point; the parser is a minimal
-//! recursive-descent reader covering exactly the JSON subset the schemas
-//! emit (objects, arrays, strings, numbers, booleans, null).
+//! Deliberately **zero-dependency** (std only): the workspace has no
+//! registry package, so every format is spelled out over this module. The
+//! writers keep field emission order stable so encode→decode→encode is a
+//! fixed point; the parser is a minimal recursive-descent reader covering
+//! exactly the JSON subset the schemas emit (objects, arrays, strings,
+//! numbers, booleans, null).
 
 use std::fmt::Write as _;
 
@@ -150,6 +151,55 @@ impl Json {
         Parser::new(s).value()
     }
 
+    /// An object from `(key, value)` pairs, in the order given.
+    pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Self {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Appends the value as compact JSON text; `parse` reads it back equal
+    /// (non-finite numbers excepted, which are written as `null`).
+    pub fn write(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // Whole numbers (dimensions, indices, counts) without the `.0`.
+            Json::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Num(n) => push_f64(out, *n),
+            Json::Str(s) => push_str(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_str(out, k);
+                    out.push(':');
+                    v.write(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// The value as compact JSON text.
+    pub fn to_text(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out);
+        out
+    }
+
     /// Field lookup on an object (`None` for other variants).
     pub fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
         match self {
@@ -196,14 +246,19 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting the parser follows. The schemas need six
+/// levels; the cap keeps hostile input (`[[[[…`) from exhausting the stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
-        Self { bytes: s.as_bytes(), pos: 0 }
+        Self { bytes: s.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn error(&self, msg: &str) -> String {
@@ -236,8 +291,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -245,6 +300,16 @@ impl<'a> Parser<'a> {
             Some(_) => self.number(),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
@@ -399,6 +464,28 @@ mod tests {
     }
 
     #[test]
+    fn value_writer_round_trips_through_the_parser() {
+        let nums = |v: &[f64]| Json::Arr(v.iter().map(|&n| Json::Num(n)).collect());
+        let v = Json::obj([
+            ("n", Json::Num(f64::from(0.1f32))),
+            ("dims", nums(&[63.0, 0.0])),
+            ("zeros", nums(&[-0.0, 1e15, 1e300])),
+            ("none", Json::Null),
+            ("rows", Json::Arr(vec![nums(&[1.0, 2.0]), nums(&[])])),
+            ("s", Json::Str("a\"b\n".into())),
+            ("ok", Json::Bool(true)),
+        ]);
+        let text = v.to_text();
+        assert_eq!(Json::parse(&text).unwrap(), v);
+        let head = "{\"n\":0.10000000149011612,\"dims\":[63,0],\"zeros\":[-0,1000000000000000.0,1e300],";
+        assert!(text.starts_with(head), "{text}");
+        let Some(Json::Arr(zeros)) = Json::parse(&text).unwrap().get("zeros").cloned() else {
+            panic!("an array")
+        };
+        assert!(matches!(zeros[0], Json::Num(z) if z == 0.0 && z.is_sign_negative()));
+    }
+
+    #[test]
     fn missing_fields_default_and_non_finite_writes_null() {
         let mut o = Obj::new();
         o.f64("bad", f64::NAN);
@@ -416,5 +503,6 @@ mod tests {
         for bad in ["{", "{\"a\":}", "[1,", "\"open", "{\"a\" 1}", "tru"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+        assert!(Json::parse(&"[".repeat(100_000)).is_err(), "unbounded nesting");
     }
 }

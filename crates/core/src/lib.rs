@@ -48,6 +48,7 @@ pub mod jsonio;
 pub mod memory_pool;
 pub mod online;
 pub mod parallel;
+pub mod persist;
 pub mod reward;
 pub mod safety;
 pub mod state;
@@ -66,6 +67,7 @@ pub use online::{
     TuningOutcome,
 };
 pub use parallel::collect_parallel;
+pub use persist::PersistError;
 pub use reward::{Perf, RewardConfig, RewardKind, CRASH_REWARD};
 pub use safety::{RegretWindowReport, SafetyConfig, SafetyController, SafetyReport};
 pub use state::StateProcessor;

@@ -6,10 +6,9 @@
 //! convergence time.
 
 use rl::{PerStats, PrioritizedReplay, ReplayBuffer, Transition, TransitionBatch};
-use serde::{Deserialize, Serialize};
 
 /// Which replay backend to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryKind {
     /// Uniform random replay (§2.2.4).
     Uniform,
@@ -19,7 +18,7 @@ pub enum MemoryKind {
 
 /// Prioritized-replay hyper-parameters (\[38\]'s α and initial β), plumbed
 /// from the trainer config instead of hardcoded in the pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerConfig {
     /// Prioritization exponent α (0 = uniform, 1 = fully proportional).
     pub alpha: f64,

@@ -17,7 +17,7 @@
 //! workload shifts for re-tuning. Safety is off by default so the plain
 //! paper behaviour (and its determinism guarantees) is unchanged.
 
-use crate::drift::DriftDetector;
+use crate::drift::{offered_load, DriftDetector};
 use crate::env::{DbEnv, RecoveryStats};
 use crate::safety::{SafetyConfig, SafetyController, SafetyReport};
 use crate::telemetry::{ReplayTrace, TraceEvent, TraceLevel};
@@ -25,7 +25,6 @@ use crate::trainer::TrainedModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{perturb, Ddpg, GaussianNoise, NoiseProcess, ReplayBuffer, Transition, TransitionBatch};
-use serde::{Deserialize, Serialize};
 use simdb::{KnobConfig, PerfMetrics};
 use std::sync::Arc;
 
@@ -44,7 +43,7 @@ pub trait SharedPolicy: Send + Sync {
 }
 
 /// Online-tuning parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OnlineConfig {
     /// Maximum tuning steps per request (paper: 5).
     pub max_steps: usize,
@@ -70,28 +69,15 @@ pub struct OnlineConfig {
     /// the trainer batch size the model was built with
     /// (`model.snapshot.config.batch_size`), so offline and online training
     /// agree without restating the number.
-    #[serde(default = "default_minibatch")]
     pub minibatch: usize,
     /// Consecutive failed steps (crashes or unmeasurable degraded steps)
     /// before the request aborts and recommends the best configuration
     /// known so far instead of risking further deploys.
-    #[serde(default = "default_max_consecutive_failures")]
     pub max_consecutive_failures: u32,
     /// Safety layer for live instances: trust-region clamping, regret
     /// budgeting, degradation rollback, and drift detection. `None`
     /// (default) reproduces the paper's unguarded loop.
-    #[serde(default)]
     pub safety: Option<SafetyConfig>,
-}
-
-fn default_max_consecutive_failures() -> u32 {
-    3
-}
-
-/// Historical default: online fine-tuning always sampled up to 16
-/// transitions per update before the size became configurable.
-fn default_minibatch() -> usize {
-    16
 }
 
 impl Default for OnlineConfig {
@@ -104,8 +90,10 @@ impl Default for OnlineConfig {
             noise_fraction: 0.1,
             satisfaction: None,
             seed: 0,
-            minibatch: default_minibatch(),
-            max_consecutive_failures: default_max_consecutive_failures(),
+            // Online fine-tuning always sampled up to 16 transitions per
+            // update before the size became configurable.
+            minibatch: 16,
+            max_consecutive_failures: 3,
             safety: None,
         }
     }
@@ -114,7 +102,7 @@ impl Default for OnlineConfig {
 /// Why a tuning request ended early in a degraded state. The request still
 /// returns a safe recommendation (the best configuration it measured, or
 /// the unchanged baseline) — degradation is graceful, never a panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradedReason {
     /// This many consecutive steps failed (crashed or could not be
     /// measured), so the request stopped risking further deploys.
@@ -129,7 +117,7 @@ pub enum DegradedReason {
 }
 
 /// One recorded online step.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OnlineStep {
     /// Step index (1-based).
     pub step: usize,
@@ -143,11 +131,9 @@ pub struct OnlineStep {
     pub crashed: bool,
     /// The step could not be measured (infrastructure failure, not the
     /// configuration's fault); its metrics repeat the previous step's.
-    #[serde(default)]
     pub degraded: bool,
     /// The safety layer reverted this step's configuration after measuring
     /// it (throughput dropped beyond the rollback threshold).
-    #[serde(default)]
     pub rolled_back: bool,
 }
 
@@ -468,6 +454,7 @@ impl OnlineSession {
                 });
             }
         }
+        let status_before = self.drift.as_ref().map(|_| env.engine().metrics());
         let out = env.step_action(&action);
         let mut rolled_back = false;
         if let Some(safety) = self.safety.as_mut() {
@@ -499,11 +486,11 @@ impl OnlineSession {
                 });
             }
         }
-        if let Some(drift) = self.drift.as_mut() {
-            let metrics: Vec<f64> = out.state.iter().map(|&x| f64::from(x)).collect();
-            if let Some(ev) =
-                drift.observe(&metrics, out.perf.throughput_tps, out.perf.p99_latency_us)
-            {
+        // A crashed or degraded step ran no stress window: nothing was
+        // offered, so there is nothing for the detector to see.
+        let measured = !out.crashed && !out.degraded;
+        if let (Some(drift), Some(before), true) = (self.drift.as_mut(), status_before, measured) {
+            if let Some(ev) = drift.observe(&offered_load(&env.engine().metrics(), &before)) {
                 self.telemetry.emit(&TraceEvent::DriftDetected {
                     step: step as u64,
                     distance: ev.distance,

@@ -9,13 +9,12 @@
 //! constant (§5.2.3) instead of having its knob ranges clamped.
 
 use crate::telemetry::RewardTrace;
-use serde::{Deserialize, Serialize};
 
 /// Reward punishment for crashing the instance (§5.2.3 uses −100).
 pub const CRASH_REWARD: f64 = -100.0;
 
 /// Which reward formulation to use (Appendix C.1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewardKind {
     /// The paper's RF-CDBTune (Eq. 6 plus the zero-clamp rule).
     CdbTune,
@@ -46,7 +45,7 @@ impl RewardKind {
 
 /// External performance summary used by the reward (throughput up = good,
 /// latency down = good).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Perf {
     /// Throughput (txn/sec).
     pub throughput: f64,
@@ -55,7 +54,7 @@ pub struct Perf {
 }
 
 /// Reward function configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardConfig {
     /// Formulation.
     pub kind: RewardKind,

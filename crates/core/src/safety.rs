@@ -19,14 +19,12 @@
 //!   the environment's rollback-with-restart escalation, and the
 //!   offending action is quarantined.
 
-use serde::{Deserialize, Serialize};
-
 use crate::drift::DriftConfig;
 
 /// Tuning for the safety layer. `SafetyConfig::default()` is the
 /// moderately conservative profile the service uses; construct with
 /// struct-update syntax to tighten or loosen individual bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SafetyConfig {
     /// Initial trust-region radius in normalized knob units (each knob
     /// lives in `[0, 1]`).
@@ -80,7 +78,7 @@ pub struct ClampReport {
 }
 
 /// One completed regret-accounting window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegretWindowReport {
     /// Zero-based window index.
     pub window: u64,
@@ -105,7 +103,7 @@ pub struct StepAssessment {
 
 /// Cumulative safety-layer activity over a run — carried in
 /// [`crate::online::TuningOutcome`] and surfaced by session status.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SafetyReport {
     /// Rollbacks the safety layer triggered (crash rollbacks are counted
     /// by `RecoveryStats`, not here).
@@ -388,13 +386,5 @@ mod tests {
         c.note_drift();
         assert!(c.radius() > r0);
         assert_eq!(c.report().drift_events, 1);
-    }
-
-    #[test]
-    fn config_json_round_trips() {
-        let cfg = SafetyConfig::default();
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: SafetyConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, cfg);
     }
 }

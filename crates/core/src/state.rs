@@ -7,16 +7,15 @@
 //! same processor — shipped inside the trained model — normalizes states
 //! identically during offline training and online tuning.
 
-use serde::{Deserialize, Serialize};
 use simdb::{MetricsDelta, TOTAL_METRIC_COUNT};
 
 /// Running per-dimension standardizer (Welford's algorithm) over metric
 /// deltas.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateProcessor {
-    count: u64,
-    mean: Vec<f64>,
-    m2: Vec<f64>,
+    pub(crate) count: u64,
+    pub(crate) mean: Vec<f64>,
+    pub(crate) m2: Vec<f64>,
 }
 
 impl Default for StateProcessor {
@@ -189,17 +188,5 @@ mod tests {
         p.observe(&d);
         let v = p.process(&delta_with(&[(4, 3.0)]));
         assert!(v.iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn serializes_with_the_model() {
-        let mut p = StateProcessor::new();
-        for i in 0..20 {
-            p.observe(&delta_with(&[(7, f64::from(i))]));
-        }
-        let json = serde_json::to_string(&p).unwrap();
-        let restored: StateProcessor = serde_json::from_str(&json).unwrap();
-        let probe = delta_with(&[(7, 12.0)]);
-        assert_eq!(p.vectorize(&probe), restored.vectorize(&probe));
     }
 }

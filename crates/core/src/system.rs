@@ -91,7 +91,7 @@ impl CdbTune {
     }
 
     /// Restores a model from JSON.
-    pub fn import_model(&mut self, json: &str) -> Result<(), serde_json::Error> {
+    pub fn import_model(&mut self, json: &str) -> Result<(), crate::PersistError> {
         self.model = Some(TrainedModel::from_json(json)?);
         Ok(())
     }

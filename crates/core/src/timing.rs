@@ -11,7 +11,6 @@ use crate::action::ActionSpace;
 use crate::state::StateProcessor;
 use rand::rngs::StdRng;
 use rl::{Ddpg, Transition};
-use serde::{Deserialize, Serialize};
 use simdb::Engine;
 use std::time::Instant;
 use workload::Workload;
@@ -20,7 +19,7 @@ use workload::Workload;
 pub const RESTART_SIMULATED_SEC: f64 = 120.0;
 
 /// Wall-clock + simulated timing of one tuning step's components.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StepTiming {
     /// Stress test: wall-clock µs spent executing the window here.
     pub stress_wall_us: u128,
@@ -120,7 +119,7 @@ pub fn profile_step(
 /// Tuner step/time comparison rows (Table 2). Step counts come from the
 /// paper's protocol; per-step minutes are the paper's reference numbers so
 /// the harness reproduces the table's *shape* (who needs how many steps).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TunerBudget {
     /// Tool name.
     pub tool: &'static str,

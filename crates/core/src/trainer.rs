@@ -11,17 +11,17 @@
 
 use crate::env::{DbEnv, RecoveryStats};
 use crate::memory_pool::{BatchScratch, MemoryKind, MemoryPool, PerConfig};
+use crate::persist::{self, PersistError};
 use crate::reward::RewardConfig;
 use crate::state::StateProcessor;
 use crate::telemetry::{ReplayTrace, TraceEvent, TraceLevel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{perturb, Ddpg, DdpgConfig, DdpgSnapshot, GaussianNoise, NoiseProcess, Transition};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Offline-training hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainerConfig {
     /// Training episodes (each starts from the default configuration).
     pub episodes: usize,
@@ -36,7 +36,6 @@ pub struct TrainerConfig {
     /// Replay capacity.
     pub memory_capacity: usize,
     /// Prioritized-replay α/β (ignored by the uniform backend).
-    #[serde(default)]
     pub per: PerConfig,
     /// Initial exploration noise scale.
     pub noise_sigma: f32,
@@ -77,15 +76,9 @@ pub struct TrainerConfig {
     /// replay pool, and every counter needed to resume mid-run; it is
     /// written atomically (temp file + rename) so a kill mid-write leaves
     /// the previous checkpoint intact.
-    #[serde(default)]
     pub checkpoint_dir: Option<String>,
     /// Environment steps between checkpoints (0 also disables).
-    #[serde(default = "default_checkpoint_every")]
     pub checkpoint_every_steps: usize,
-}
-
-fn default_checkpoint_every() -> usize {
-    20
 }
 
 impl Default for TrainerConfig {
@@ -109,10 +102,10 @@ impl Default for TrainerConfig {
             critic_hidden: None,
             learning_rate: 1e-3,
             gamma: 0.99,
-            reward_scale: 0.1,
+            reward_scale: DEFAULT_REWARD_SCALE,
             seed: 0,
             checkpoint_dir: None,
-            checkpoint_every_steps: default_checkpoint_every(),
+            checkpoint_every_steps: 20,
         }
     }
 }
@@ -151,7 +144,7 @@ impl TrainerConfig {
 /// The trained artifact: networks + the state normalizer + reward config +
 /// the tuned knob subset. This is what offline training produces once and
 /// every online tuning request reuses (§2.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainedModel {
     /// DDPG networks.
     pub snapshot: DdpgSnapshot,
@@ -162,24 +155,24 @@ pub struct TrainedModel {
     /// Registry indices of the tuned knobs, in action order.
     pub action_indices: Vec<usize>,
     /// Reward scale used during training (online fine-tuning must match).
-    #[serde(default = "default_reward_scale")]
     pub reward_scale: f32,
 }
 
-fn default_reward_scale() -> f32 {
-    0.1
-}
+/// [`TrainerConfig::reward_scale`]'s default, which a model file written
+/// before the field existed is read with.
+pub(crate) const DEFAULT_REWARD_SCALE: f32 = 0.1;
 
 impl TrainedModel {
-    /// Serializes to JSON (the persisted "standard model").
+    /// Serializes to JSON (the persisted "standard model"; the format is
+    /// [`crate::persist`]'s).
     pub fn to_json(&self) -> String {
-        // lint:allow(panic) reason=serializing a derived plain struct with no maps cannot fail
-        serde_json::to_string(self).expect("model serialization cannot fail")
+        persist::model_to_json(self)
     }
 
-    /// Restores from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+    /// Restores from JSON, checking everything [`rl::Ddpg::from_snapshot`]
+    /// and the tuning loop would otherwise assert.
+    pub fn from_json(json: &str) -> Result<Self, PersistError> {
+        persist::model_from_json(json)
     }
 
     /// A freshly initialized (untrained) model for the given knob subset:
@@ -195,13 +188,13 @@ impl TrainedModel {
             processor: StateProcessor::new(),
             reward,
             action_indices,
-            reward_scale: default_reward_scale(),
+            reward_scale: DEFAULT_REWARD_SCALE,
         }
     }
 }
 
 /// What happened during offline training.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingReport {
     /// Environment steps taken.
     pub total_steps: usize,
@@ -227,7 +220,6 @@ pub struct TrainingReport {
     pub wall_seconds: f64,
     /// Recovery actions taken while training (retries, rollbacks,
     /// quarantines, imputed metrics, checkpoints).
-    #[serde(default)]
     pub recovery: RecoveryStats,
 }
 
@@ -239,14 +231,14 @@ fn is_warm_episode(episode: usize, fraction: f64) -> bool {
 }
 
 /// Tracks the paper's convergence criterion over a smoothed series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceTracker {
-    threshold: f64,
-    window: usize,
-    ema: Option<f64>,
-    quiet_steps: usize,
-    converged_at: Option<usize>,
-    step: usize,
+    pub(crate) threshold: f64,
+    pub(crate) window: usize,
+    pub(crate) ema: Option<f64>,
+    pub(crate) quiet_steps: usize,
+    pub(crate) converged_at: Option<usize>,
+    pub(crate) step: usize,
 }
 
 impl ConvergenceTracker {
@@ -290,9 +282,10 @@ impl ConvergenceTracker {
 /// report so far, and the loop position. Written atomically
 /// (`checkpoint.json.tmp` + rename), so an interrupted write never
 /// clobbers the previous good checkpoint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingCheckpoint {
-    /// Checkpoint format version.
+    /// Checkpoint format version ([`crate::persist::FORMAT_VERSION`] when
+    /// written by this build).
     pub version: u32,
     /// Trainer seed the run started with (resume must reuse it).
     pub seed: u64,
@@ -318,7 +311,6 @@ pub struct TrainingCheckpoint {
     /// run restores these into the environment so it never re-explores a
     /// region the interrupted run already proved crash-prone. Defaults to
     /// empty so pre-existing checkpoints still load.
-    #[serde(default)]
     pub quarantined: Vec<u64>,
 }
 
@@ -399,21 +391,21 @@ impl TrainingCheckpoint {
     pub fn save_atomic(&self, dir: &str) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let tmp = std::path::Path::new(dir).join("checkpoint.json.tmp");
-        // lint:allow(panic) reason=serializing a derived plain struct with no maps cannot fail
-        let json = serde_json::to_string(self).expect("checkpoint cannot fail to serialize");
-        std::fs::write(&tmp, json)?;
+        std::fs::write(&tmp, persist::checkpoint_to_json(self))?;
         std::fs::rename(&tmp, Self::path_in(dir))?;
         Ok(())
     }
 
-    /// Loads the checkpoint from `dir`; `Ok(None)` when none exists.
+    /// Loads the checkpoint from `dir`; `Ok(None)` when none exists. A
+    /// file that does not decode is `InvalidData` wrapping the
+    /// [`PersistError`].
     pub fn load(dir: &str) -> std::io::Result<Option<Self>> {
         let path = Self::path_in(dir);
         if !path.exists() {
             return Ok(None);
         }
         let json = std::fs::read_to_string(&path)?;
-        serde_json::from_str(&json)
+        persist::checkpoint_from_json(&json)
             .map(Some)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
@@ -705,7 +697,7 @@ pub fn train_offline_resumable(
                     ck_report.iterations_to_converge = tracker.converged_at();
                     ck_report.wall_seconds += start.elapsed().as_secs_f64();
                     let ck = TrainingCheckpoint {
-                        version: 1,
+                        version: persist::FORMAT_VERSION,
                         seed: cfg.seed,
                         episode,
                         ep_step: ep_step + 1,

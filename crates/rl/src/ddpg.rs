@@ -21,7 +21,6 @@ use crate::batch::TransitionBatch;
 use crate::env::Transition;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use tinynn::{
     Adam, BatchNorm, Dense, Dropout, Init, Layer, Matrix, Mlp, NetState, Optimizer, Relu,
     Tanh, PAPER_WEIGHT_INIT,
@@ -30,7 +29,7 @@ use tinynn::{
 /// DDPG hyper-parameters. Defaults follow the paper: learning rate 0.001
 /// (Table 4), discount 0.99 (Table 4), the Table 5 layer sizes, and dropout
 /// 0.3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DdpgConfig {
     /// State dimensionality (63 for CDBTune).
     pub state_dim: usize,
@@ -89,7 +88,7 @@ pub struct TrainStats {
 
 /// Serializable snapshot of all four networks (the "model" the paper trains
 /// offline once and reuses for every online tuning request, §2.1).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DdpgSnapshot {
     /// Config used to build the networks.
     pub config: DdpgConfig,
@@ -113,6 +112,75 @@ impl DdpgSnapshot {
     pub fn action_dim(&self) -> usize {
         self.config.action_dim
     }
+
+    /// Checks that [`Ddpg::from_snapshot`] will accept this snapshot: a
+    /// dropout probability and batch size the builders take, and in all
+    /// four networks exactly the layer shapes `config` builds. A snapshot
+    /// decoded from a file goes through this first, so a damaged file is an
+    /// error at the reader, not an assert (or an allocation sized by a bad
+    /// field) in the network code: every width is compared against a
+    /// matrix already in memory.
+    pub fn validate(&self) -> Result<(), String> {
+        let cfg = &self.config;
+        if !(0.0..1.0).contains(&cfg.dropout) {
+            return Err(format!("dropout {} is outside [0, 1)", cfg.dropout));
+        }
+        if cfg.batch_size > MAX_BATCH_SIZE {
+            return Err(format!("batch size {} exceeds {MAX_BATCH_SIZE}", cfg.batch_size));
+        }
+        let critic_in = cfg
+            .state_dim
+            .checked_add(cfg.action_dim)
+            .ok_or_else(|| "state_dim + action_dim overflows".to_string())?;
+        let actor = state_shapes(cfg.state_dim, &cfg.actor_hidden, cfg.action_dim, true);
+        let critic = state_shapes(critic_in, &cfg.critic_hidden, 1, false);
+        for (name, net, want) in [
+            ("actor", &self.actor, &actor),
+            ("critic", &self.critic, &critic),
+            ("actor_target", &self.actor_target, &actor),
+            ("critic_target", &self.critic_target, &critic),
+        ] {
+            let found = net
+                .layers
+                .iter()
+                .map(|l| l.iter().map(|m| (m.rows(), m.cols())).collect::<Vec<_>>());
+            if !found.eq(want.iter().cloned()) {
+                return Err(format!("{name} layer shapes do not match the snapshot's config"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Largest minibatch [`DdpgSnapshot::validate`] accepts (the paper trains
+/// at 16–32): [`Ddpg::new`] pre-sizes its arenas for this many rows.
+const MAX_BATCH_SIZE: usize = 1 << 16;
+
+/// The state-matrix shapes, layer by layer, of the network
+/// [`build_actor`] (`actor`) or [`build_critic`] makes for these widths:
+/// the same walk without allocating a weight. `snapshot_of_a_fresh_agent_
+/// validates` pins the two together.
+fn state_shapes(
+    input: usize,
+    hidden: &[usize],
+    output: usize,
+    actor: bool,
+) -> Vec<Vec<(usize, usize)>> {
+    let dense = |i, o| vec![(i, o), (1, o)];
+    let mut layers = Vec::new();
+    let mut prev = input;
+    for (i, &h) in hidden.iter().enumerate() {
+        layers.push(dense(prev, h));
+        layers.push(Vec::new()); // activation
+        match (i, actor) {
+            (0, true) => layers.push(vec![(1, h); 4]), // batch norm
+            (1, true) | (0, false) => layers.push(Vec::new()), // dropout
+            _ => {}
+        }
+        prev = h;
+    }
+    layers.push(dense(prev, output));
+    layers
 }
 
 /// Reusable per-step tensors owned by the agent so a steady-state
@@ -470,12 +538,36 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_preserves_policy() {
         let mut agent = Ddpg::new(tiny_cfg());
-        let snap = agent.snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
-        let restored: DdpgSnapshot = serde_json::from_str(&json).unwrap();
-        let mut agent2 = Ddpg::from_snapshot(&restored);
+        let mut agent2 = Ddpg::from_snapshot(&agent.snapshot());
         let s = [0.3, 0.6, 0.2];
         assert_eq!(agent.act(&s), agent2.act(&s));
+    }
+
+    #[test]
+    fn snapshot_of_a_fresh_agent_validates() {
+        for cfg in [tiny_cfg(), DdpgConfig::paper(63, 64), DdpgConfig::paper(63, 1)] {
+            Ddpg::new(cfg).snapshot().validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn validate_refuses_what_from_snapshot_would_panic_on() {
+        let good = Ddpg::new(tiny_cfg()).snapshot();
+        let mut wide = good.clone();
+        wide.config.actor_hidden[0] += 1;
+        assert!(wide.validate().unwrap_err().contains("actor"));
+        let mut short = good.clone();
+        short.critic_target.layers.pop();
+        assert!(short.validate().unwrap_err().contains("critic_target"));
+        let mut dropout = good.clone();
+        dropout.config.dropout = 1.0;
+        assert!(dropout.validate().is_err());
+        let mut batch = good.clone();
+        batch.config.batch_size = usize::MAX;
+        assert!(batch.validate().is_err());
+        let mut dims = good;
+        dims.config.state_dim = usize::MAX;
+        assert!(dims.validate().is_err());
     }
 
     #[test]

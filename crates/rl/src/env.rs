@@ -30,7 +30,7 @@ pub trait Environment {
 
 /// One experience tuple `(s_t, a_t, r_t, s_{t+1})` (§2.2.4 calls this a
 /// *transition* in the experience replay memory).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transition {
     /// State before the action.
     pub state: Vec<f32>,

@@ -11,8 +11,7 @@
 //! paper's "experience accumulates across requests" claim (§2.1.1).
 
 use cdbtune::drift::rel_rms;
-use cdbtune::jsonio::{Json, Obj};
-use cdbtune::{DbEnv, EnvSpec};
+use cdbtune::{persist_struct, DbEnv, EnvSpec};
 use simdb::EngineFlavor;
 use workload::WorkloadKind;
 
@@ -176,55 +175,13 @@ impl WorkloadFingerprint {
         let label_penalty = if self.workload == other.workload { 0.0 } else { 1.0 };
         rel_rms(&pairs) + label_penalty
     }
-
-    /// Encodes the fingerprint as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut o = Obj::new();
-        o.str("flavor", &self.flavor.to_string())
-            .str("workload", &self.workload.label().to_ascii_lowercase())
-            .f64("scale", self.scale)
-            .u64("knobs", self.knobs as u64)
-            .u64("ram_gb", u64::from(self.ram_gb))
-            .u64("disk_gb", u64::from(self.disk_gb))
-            .f64("baseline_tps", self.baseline_tps)
-            .f64("baseline_p99_us", self.baseline_p99_us)
-            .obj("stats", |s| {
-                s.f64("mean", self.stats.mean)
-                    .f64("std", self.stats.std)
-                    .f64("min", self.stats.min)
-                    .f64("max", self.stats.max)
-                    .f64("l2", self.stats.l2);
-            });
-        o.finish()
-    }
-
-    /// Decodes a fingerprint from parsed JSON.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        let flavor: EngineFlavor = j.string("flavor").parse()?;
-        let workload: WorkloadKind = j.string("workload").parse()?;
-        let stats = match j.get("stats") {
-            Some(s) => StateStats {
-                mean: s.num("mean"),
-                std: s.num("std"),
-                min: s.num("min"),
-                max: s.num("max"),
-                l2: s.num("l2"),
-            },
-            None => return Err("fingerprint is missing 'stats'".into()),
-        };
-        Ok(Self {
-            flavor,
-            workload,
-            scale: j.num("scale"),
-            knobs: j.u64("knobs") as usize,
-            ram_gb: j.u64("ram_gb") as u32,
-            disk_gb: j.u64("disk_gb") as u32,
-            baseline_tps: j.num("baseline_tps"),
-            baseline_p99_us: j.num("baseline_p99_us"),
-            stats,
-        })
-    }
 }
+
+// The registry's `entry-<id>.json` stores the fingerprint under these names.
+persist_struct!(StateStats { mean, std, min, max, l2 });
+persist_struct!(WorkloadFingerprint {
+    flavor, workload, scale, knobs, ram_gb, disk_gb, baseline_tps, baseline_p99_us, stats,
+});
 
 #[cfg(test)]
 mod tests {
@@ -328,8 +285,9 @@ mod tests {
     #[test]
     fn fingerprint_encoding_round_trips() {
         let a = base_fp();
-        let j = Json::parse(&a.to_json()).unwrap();
-        let back = WorkloadFingerprint::from_json(&j).unwrap();
+        use cdbtune::persist::Persist;
+        let j = cdbtune::jsonio::Json::parse(&a.encode().to_text()).unwrap();
+        let back = WorkloadFingerprint::decode(&j).unwrap();
         assert_eq!(back, a);
         assert_eq!(a.distance(&back), 0.0);
     }

@@ -9,13 +9,14 @@
 //! reuse), with online fine-tuning adapting from there.
 //!
 //! Persistence is split per entry: `entry-<id>.json` (fingerprint +
-//! lookup metadata, hand-rolled JSON) and `model-<id>.json` (the
-//! serde-encoded [`TrainedModel`], the same format `cdbtune train --out`
+//! lookup metadata) and `model-<id>.json` (the [`TrainedModel`] in
+//! `cdbtune::persist`'s format, the same file `cdbtune train --out`
 //! writes). An in-memory mode backs tests and `--registry-dir`-less runs.
 
 use crate::fingerprint::WorkloadFingerprint;
-use cdbtune::jsonio::{Json, Obj};
-use cdbtune::TrainedModel;
+use cdbtune::jsonio::Json;
+use cdbtune::persist::Persist;
+use cdbtune::{persist_struct, TrainedModel};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,6 +44,16 @@ pub struct RegistryEntry {
     /// Tuning steps the publishing session took.
     pub steps: usize,
 }
+
+/// What `entry-<id>.json` holds: a [`RegistryEntry`] without its model.
+struct EntryMeta {
+    id: u64,
+    best_action: Vec<f32>,
+    best_tps: f64,
+    steps: usize,
+    fingerprint: WorkloadFingerprint,
+}
+persist_struct!(EntryMeta { id, best_action, best_tps, steps, fingerprint });
 
 /// A warm-start lookup hit.
 #[derive(Debug, Clone)]
@@ -115,23 +126,24 @@ impl ModelRegistry {
     fn load_entry(dir: &Path, id: u64) -> Result<RegistryEntry, String> {
         let meta_path = dir.join(format!("entry-{id}.json"));
         let text = std::fs::read_to_string(&meta_path).map_err(|e| e.to_string())?;
-        let j = Json::parse(&text)?;
-        let fingerprint = match j.get("fingerprint") {
-            Some(f) => WorkloadFingerprint::from_json(f)?,
-            None => return Err("entry is missing 'fingerprint'".into()),
-        };
-        let best_action: Vec<f32> =
-            j.f64_array("best_action").iter().map(|&x| x as f32).collect();
+        let meta = EntryMeta::decode(&Json::parse(&text)?).map_err(|e| e.to_string())?;
         let model_path = dir.join(format!("model-{id}.json"));
         let model_text = std::fs::read_to_string(&model_path).map_err(|e| e.to_string())?;
         let model = TrainedModel::from_json(&model_text).map_err(|e| e.to_string())?;
+        if meta.best_action.len() != model.action_indices.len() {
+            return Err(format!(
+                "best_action has {} values for a {}-knob model",
+                meta.best_action.len(),
+                model.action_indices.len()
+            ));
+        }
         Ok(RegistryEntry {
             id,
-            fingerprint,
+            fingerprint: meta.fingerprint,
             model: Arc::new(model),
-            best_action,
-            best_tps: j.num("best_tps"),
-            steps: j.u64("steps") as usize,
+            best_action: meta.best_action,
+            best_tps: meta.best_tps,
+            steps: meta.steps,
         })
     }
 
@@ -203,23 +215,14 @@ impl ModelRegistry {
             RegistryEntry { id, fingerprint, model: Arc::new(model), best_action, best_tps, steps };
         if let Some(dir) = &self.dir {
             std::fs::write(dir.join(format!("model-{id}.json")), entry.model.to_json())?;
-            let mut o = Obj::new();
-            o.u64("id", id);
-            let fp = entry.fingerprint.to_json();
-            o.f64_array(
-                "best_action",
-                &entry.best_action.iter().map(|&x| f64::from(x)).collect::<Vec<_>>(),
-            )
-            .f64("best_tps", entry.best_tps)
-            .u64("steps", entry.steps as u64);
-            // Splice the pre-encoded fingerprint in as a raw field: Obj has
-            // no raw-JSON emitter, so close the object manually.
-            let mut text = o.finish();
-            text.pop();
-            text.push_str(",\"fingerprint\":");
-            text.push_str(&fp);
-            text.push('}');
-            std::fs::write(dir.join(format!("entry-{id}.json")), text)?;
+            let meta = EntryMeta {
+                id,
+                best_action: entry.best_action.clone(),
+                best_tps: entry.best_tps,
+                steps: entry.steps,
+                fingerprint: entry.fingerprint.clone(),
+            };
+            std::fs::write(dir.join(format!("entry-{id}.json")), meta.encode().to_text())?;
         }
         // lint:allow(reactor) reason=the registry lock guards one in-memory push
         if let Ok(mut entries) = self.entries.lock() {
@@ -505,6 +508,16 @@ mod tests {
             .publish(fp(6000.0), model(&[0, 1, 2], 3), vec![0.5; 3], 6100.0, 2)
             .unwrap();
         assert_eq!(id, 2);
+        drop(reg);
+
+        // A model file cut short by a crash costs that entry, not the
+        // registry: reopening skips it (and says so on stderr).
+        let model_2 = std::path::Path::new(&dir).join("model-2.json");
+        let text = std::fs::read_to_string(&model_2).unwrap();
+        std::fs::write(&model_2, &text[..text.len() / 2]).unwrap();
+        let reg = ModelRegistry::open(&dir).unwrap();
+        assert_eq!(reg.ids(), vec![1]);
+        assert!(reg.lookup(&fp(5000.0), &[0, 1, 2], 0.5).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,10 +16,9 @@ use crate::flavor::StructuralSettings;
 use crate::hardware::{HardwareConfig, MediaType};
 use crate::knobs::effects::CostComponent;
 use crate::knobs::EffectMultipliers;
-use serde::{Deserialize, Serialize};
 
 /// Per-unit service costs (simulated µs) derived from hardware + settings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// CPU per B+tree level traversed.
     pub cpu_per_index_level_us: f64,

@@ -5,10 +5,9 @@
 //! costs through the queueing model in [`crate::cost`].
 
 use crate::storage::TableId;
-use serde::{Deserialize, Serialize};
 
 /// A single logical operation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
     /// Primary-key point lookup (`SELECT ... WHERE id = ?`).
     PointRead {
@@ -84,7 +83,7 @@ impl Op {
 }
 
 /// A transaction: an op sequence committed atomically.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Txn {
     /// Operations in execution order.
     pub ops: Vec<Op>,

@@ -13,12 +13,10 @@
 //! plan is exactly reproducible and replaying the same tick sequence yields
 //! the same faults regardless of what the caller does in between.
 
-use serde::{Deserialize, Serialize};
-
 /// Half-open engine-tick interval `[from, until)` during which a fault is
 /// armed. The engine advances its fault tick once per deploy attempt and
 /// once per stress window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepWindow {
     /// First tick (inclusive) at which the fault can fire.
     pub from: u64,
@@ -43,12 +41,11 @@ impl StepWindow {
 }
 
 /// One scheduled fault: a per-tick firing probability inside a step window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Probability in `[0, 1]` that the fault fires on an armed tick.
     pub probability: f64,
     /// Ticks during which the fault is armed.
-    #[serde(default)]
     pub window: StepWindow,
 }
 
@@ -83,36 +80,28 @@ pub enum RestartFault {
 /// All faults are optional and independent; each rolls its own hash per
 /// tick, so enabling one never shifts another's firing pattern. Build one
 /// with the `with_*` methods or parse the CLI form via [`FaultPlan::parse`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for every fault decision.
     pub seed: u64,
     /// Deploy attempts fail (instance never comes back up).
-    #[serde(default)]
     pub restart_failure: Option<FaultSpec>,
     /// Deploy attempts hang past the controller's deadline.
-    #[serde(default)]
     pub restart_hang: Option<FaultSpec>,
     /// The instance process dies mid stress window.
-    #[serde(default)]
     pub spurious_crash: Option<FaultSpec>,
     /// Straggler windows: every latency in the window is multiplied by
     /// `straggler_slowdown`.
-    #[serde(default)]
     pub straggler: Option<FaultSpec>,
     /// Latency multiplier applied during a straggler window.
-    #[serde(default = "default_straggler_slowdown")]
     pub straggler_slowdown: f64,
     /// Fsync error storms: every durable fsync during the window is retried
     /// `fsync_retries`×, inflating log-sync cost and `os_log_fsyncs`.
-    #[serde(default)]
     pub fsync_storm: Option<FaultSpec>,
     /// Fsync multiplier during a storm window.
-    #[serde(default = "default_fsync_retries")]
     pub fsync_retries: f64,
     /// Metric-collection dropouts: each of the 63 metrics independently
     /// comes back `NaN` with this spec's probability during the window.
-    #[serde(default)]
     pub metric_dropout: Option<FaultSpec>,
 }
 
@@ -362,7 +351,7 @@ impl std::str::FromStr for FaultPlan {
 }
 
 /// Counters of injected faults, kept by the engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Deploy attempts that failed by injection.
     pub restart_failures: u64,
@@ -482,13 +471,5 @@ mod tests {
         assert_eq!(plan.straggler_factor(0), 1.0);
         assert_eq!(plan.fsync_factor(0), 1.0);
         assert!(!plan.drops_metric(0, 0));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let plan = FaultPlan::new(21).with_restart_failure(0.3).with_metric_dropout(0.1);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

@@ -11,11 +11,10 @@
 use crate::hardware::HardwareConfig;
 use crate::knobs::{mongodb, mysql, postgres, KnobConfig, KnobRegistry};
 use crate::wal::FlushPolicy;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which database system the engine emulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineFlavor {
     /// Tencent-cloud MySQL (the paper's main subject), 266 knobs.
     MySqlCdb,
@@ -90,7 +89,7 @@ impl std::str::FromStr for EngineFlavor {
 
 /// Flavor-independent structural configuration consumed by the engine
 /// components and the cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)]
 pub struct StructuralSettings {
     pub buffer_pool_bytes: u64,

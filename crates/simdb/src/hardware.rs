@@ -3,10 +3,8 @@
 //! The paper's adaptability experiments (Figs 10–12) vary only memory size
 //! and disk capacity; Section 5.3.2 additionally mentions SSD and NVM media.
 
-use serde::{Deserialize, Serialize};
-
 /// Storage media type, scaling base I/O latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MediaType {
     /// Spinning disk — the paper's default cloud volumes.
     Hdd,
@@ -46,7 +44,7 @@ impl MediaType {
 }
 
 /// Hardware configuration of a database instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardwareConfig {
     /// Physical memory in GiB.
     pub ram_gb: u32,

@@ -10,10 +10,9 @@
 //! monotone direction, unseen dependencies between knobs.
 
 use super::{KnobConfig, KnobRegistry};
-use serde::{Deserialize, Serialize};
 
 /// Cost components a marginal knob can scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum CostComponent {
     /// CPU time per operation.
@@ -36,7 +35,7 @@ pub enum CostComponent {
 pub const COST_COMPONENT_COUNT: usize = 7;
 
 /// How a knob enters the cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EffectProfile {
     /// No performance effect (the realistic majority).
     None,
@@ -80,7 +79,7 @@ pub enum EffectProfile {
 
 /// Aggregated per-component multipliers of all marginal knobs for one
 /// configuration; the cost model multiplies each base cost by these.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EffectMultipliers {
     multipliers: [f64; COST_COMPONENT_COUNT],
 }

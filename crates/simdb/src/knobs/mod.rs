@@ -16,12 +16,11 @@ pub mod versions;
 pub use effects::{CostComponent, EffectMultipliers, EffectProfile};
 
 use crate::error::{Result, SimDbError};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The domain of a knob.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum KnobType {
     /// Integer in `[min, max]`. `log_scale` spreads the normalized axis
     /// logarithmically (buffer sizes span multiple orders of magnitude).
@@ -50,7 +49,7 @@ pub enum KnobType {
 }
 
 /// A concrete knob value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KnobValue {
     /// Integer value.
     Int(i64),
@@ -96,7 +95,7 @@ impl KnobValue {
 }
 
 /// Definition of a single knob.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KnobDef {
     /// Knob name (engine variable name).
     pub name: String,

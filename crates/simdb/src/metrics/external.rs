@@ -4,11 +4,9 @@
 //! stress-test window and averaged; the reward function (§4.2) consumes the
 //! resulting throughput `T` and latency `L`.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate performance over one observation window. The `Default` is
 /// the all-zero "nothing measured yet" window.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PerfMetrics {
     /// Transactions (or requests) per simulated second.
     pub throughput_tps: f64,

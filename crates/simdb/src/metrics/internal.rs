@@ -7,8 +7,6 @@
 //! mirror MySQL's `SHOW STATUS` output so the repo reads like the system it
 //! reproduces.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of gauge-style state metrics.
 pub const STATE_METRIC_COUNT: usize = 14;
 /// Number of monotone cumulative counters.
@@ -17,7 +15,7 @@ pub const CUMULATIVE_METRIC_COUNT: usize = 49;
 pub const TOTAL_METRIC_COUNT: usize = STATE_METRIC_COUNT + CUMULATIVE_METRIC_COUNT;
 
 /// Gauge-style state metrics (instantaneous values, averaged over a window).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 #[allow(missing_docs)]
 pub enum StateMetric {
@@ -78,7 +76,7 @@ impl StateMetric {
 }
 
 /// Monotone cumulative counters (reported as deltas over a window).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 #[allow(missing_docs)]
 pub enum CumulativeMetric {
@@ -243,37 +241,13 @@ impl CumulativeMetric {
     }
 }
 
-/// Serde support for `f64` arrays longer than serde's built-in 32-element
-/// limit (serialized as plain sequences).
-mod big_array {
-    use serde::de::Error;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer, const N: usize>(
-        arr: &[f64; N],
-        s: S,
-    ) -> Result<S::Ok, S::Error> {
-        arr.as_slice().serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>, const N: usize>(
-        d: D,
-    ) -> Result<[f64; N], D::Error> {
-        let v = Vec::<f64>::deserialize(d)?;
-        v.try_into().map_err(|v: Vec<f64>| {
-            D::Error::custom(format!("expected {N} elements, got {}", v.len()))
-        })
-    }
-}
-
 /// The full internal metric table of a running instance — the analogue of
 /// `SHOW STATUS` output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InternalMetrics {
     /// Gauge values, indexed by [`StateMetric`].
     pub state: [f64; STATE_METRIC_COUNT],
     /// Monotone counters, indexed by [`CumulativeMetric`].
-    #[serde(with = "big_array")]
     pub cumulative: [f64; CUMULATIVE_METRIC_COUNT],
 }
 
@@ -331,10 +305,9 @@ impl InternalMetrics {
 
 /// A 63-dimensional processed metric vector for one observation window —
 /// exactly what the metrics collector feeds the deep RL network (§2.2.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsDelta {
     /// `[state averages (14) | cumulative deltas (49)]`.
-    #[serde(with = "big_array")]
     pub values: [f64; TOTAL_METRIC_COUNT],
 }
 

@@ -7,10 +7,8 @@
 //! disk. The flush-at-commit policy knob trades durability cost against
 //! throughput exactly as `innodb_flush_log_at_trx_commit` does.
 
-use serde::{Deserialize, Serialize};
-
 /// Durability policy at commit (`innodb_flush_log_at_trx_commit`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
     /// 0 — write & sync roughly once per second; cheapest, least durable.
     Lazy,

@@ -9,11 +9,10 @@
 //! buffer so hot loops can run allocation-free (see DESIGN.md §11).
 
 use crate::kernels::{self, KernelMode};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major matrix of `f32`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -8,7 +8,6 @@
 
 use crate::layers::{Layer, Param};
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Reusable forward/backward tensors owned by an [`Mlp`].
 ///
@@ -29,7 +28,7 @@ pub struct Mlp {
 
 /// Serializable snapshot of an [`Mlp`]'s learnable state (parameters and
 /// persistent buffers such as batch-norm running statistics).
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetState {
     /// Per-layer state matrices, in layer order.
     pub layers: Vec<Vec<Matrix>>,
@@ -276,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn state_roundtrips_through_json() {
+    fn state_loads_into_a_fresh_network() {
         let mut rng = StdRng::seed_from_u64(102);
         let mut net = Mlp::new(vec![
             Box::new(Dense::new(3, 8, Init::XavierUniform, &mut rng)),
@@ -287,8 +286,7 @@ mod tests {
         ]);
         let x = Init::Uniform(1.0).sample(16, 3, &mut rng);
         let _ = net.forward(&x, true); // populate running stats
-        let json = serde_json::to_string(&net.state()).unwrap();
-        let restored: NetState = serde_json::from_str(&json).unwrap();
+        let restored = net.state();
 
         let mut net2 = Mlp::new(vec![
             Box::new(Dense::new(3, 8, Init::Zeros, &mut rng)),

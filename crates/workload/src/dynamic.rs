@@ -18,12 +18,11 @@
 use crate::spec::build_workload;
 use crate::{Workload, WorkloadKind};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use simdb::{Engine, Txn};
 
 /// A sinusoidal day/night load curve: the load multiplier oscillates
 /// around 1.0 with the given amplitude over `period` observation windows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Diurnal {
     /// Full cycle length in observation windows.
     pub period: u64,
@@ -33,7 +32,7 @@ pub struct Diurnal {
 
 /// A flash crowd: load multiplied by `magnitude` for `duration` windows
 /// starting at window `at`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlashCrowd {
     /// First window of the surge.
     pub at: u64,
@@ -45,7 +44,7 @@ pub struct FlashCrowd {
 
 /// A query-mix shift: from window `at` onward the trace issues `to`
 /// instead of whatever was active before.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MixShift {
     /// Window index at which the shift takes effect.
     pub at: u64,
@@ -58,20 +57,17 @@ pub struct MixShift {
 /// Parses from the CLI form
 /// `base=rw,scale=0.02,diurnal=16x0.4,flash=12+3x2.5,shift=10:wo,shift=20:rw`
 /// (every component after `base=` optional, `shift=` repeatable).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicSpec {
     /// Workload kind before any shift applies.
     pub base: WorkloadKind,
     /// Dataset scale shared by every phase (1.0 = paper-sized).
     pub scale: f64,
     /// Optional day/night curve.
-    #[serde(default)]
     pub diurnal: Option<Diurnal>,
     /// Optional flash crowd.
-    #[serde(default)]
     pub flash: Option<FlashCrowd>,
     /// Mix shifts in effect order (sorted by `at` on construction/parse).
-    #[serde(default)]
     pub shifts: Vec<MixShift>,
 }
 

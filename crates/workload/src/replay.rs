@@ -6,15 +6,14 @@
 //! [`WorkloadTrace`] captures transaction windows from any generator (or a
 //! live request stream) and replays them verbatim, optionally looping, so
 //! fine-tuning steps see the user's actual op mix rather than a synthetic
-//! one. Traces serialize to JSON for storage alongside the tuning request.
+//! one.
 
 use crate::Workload;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use simdb::{Engine, Txn};
 
 /// A recorded transaction trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkloadTrace {
     /// Captured transactions in arrival order.
     pub txns: Vec<Txn>,
@@ -42,16 +41,6 @@ impl WorkloadTrace {
     /// True when nothing was captured.
     pub fn is_empty(&self) -> bool {
         self.txns.is_empty()
-    }
-
-    /// Serializes the trace to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serialization cannot fail")
-    }
-
-    /// Restores a trace from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
     }
 
     /// A replaying [`Workload`] over this trace. Windows larger than the
@@ -127,13 +116,6 @@ mod tests {
         // A 60-txn window wraps: the last 20 repeat the first 20.
         let w2 = r.window(60, &mut rng);
         assert_eq!(&w2[40..60], &t.txns[..20]);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let t = recorded();
-        let restored = WorkloadTrace::from_json(&t.to_json()).unwrap();
-        assert_eq!(t, restored);
     }
 
     #[test]

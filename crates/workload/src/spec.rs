@@ -5,10 +5,9 @@ use crate::tpcc::TpccWorkload;
 use crate::tpch::TpchWorkload;
 use crate::ycsb::{YcsbMix, YcsbWorkload};
 use crate::Workload;
-use serde::{Deserialize, Serialize};
 
 /// The six workloads the paper evaluates (§5, "Workload").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
     /// Sysbench read-only.
     SysbenchRo,
@@ -142,12 +141,5 @@ mod tests {
         assert_eq!("TPC-C".parse::<WorkloadKind>().unwrap(), WorkloadKind::TpcC);
         assert_eq!("ycsb".parse::<WorkloadKind>().unwrap(), WorkloadKind::Ycsb);
         assert!("nope".parse::<WorkloadKind>().is_err());
-    }
-
-    #[test]
-    fn kind_serializes() {
-        let json = serde_json::to_string(&WorkloadKind::TpcC).unwrap();
-        let back: WorkloadKind = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, WorkloadKind::TpcC);
     }
 }
