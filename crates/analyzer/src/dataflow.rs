@@ -1,6 +1,6 @@
 //! Interprocedural dataflow over the call graph.
 //!
-//! Propagates four facts from the token-level seed detectors to a
+//! Propagates three facts from the token-level seed detectors to a
 //! fixpoint, caller-ward along call edges:
 //!
 //! * **may-block** — blocking reads, `thread::sleep`, blocking
@@ -8,8 +8,6 @@
 //! * **may-panic** — `.unwrap()`, `.expect(..)`, `panic!`-family
 //!   macros, slice indexing (same detectors as the `panic-safety`
 //!   token lint);
-//! * **sends-bounded** — `.send(..)` on a bounded `sync_channel`
-//!   sender (can park the thread when the queue is full);
 //! * **locks-acquired** — the set of lock bindings a fn (or anything it
 //!   calls) acquires.
 //!
@@ -20,7 +18,7 @@
 //! through, so lints can reconstruct the full call chain for messages.
 //!
 //! Suppression composes with the existing annotations: a seed under
-//! `lint:allow(reactor|panic|lock-order|channel)` never enters the
+//! `lint:allow(reactor|panic|lock-order)` never enters the
 //! lattice, and propagation through a *call site* annotated with the
 //! matching id is cut, which is how deliberate blocking workers stay
 //! out of their callers' facts.
@@ -76,13 +74,6 @@ pub enum Event {
         /// 1-based line.
         line: u32,
     },
-    /// A bounded-channel send.
-    Send {
-        /// Sender binding name.
-        name: String,
-        /// 1-based line.
-        line: u32,
-    },
 }
 
 impl Event {
@@ -92,8 +83,7 @@ impl Event {
             Event::Acquire { line, .. }
             | Event::Call { line, .. }
             | Event::Block { line, .. }
-            | Event::Panic { line, .. }
-            | Event::Send { line, .. } => *line,
+            | Event::Panic { line, .. } => *line,
         }
     }
 }
@@ -107,14 +97,10 @@ pub struct Dataflow {
     pub may_block: Vec<Option<Witness>>,
     /// may-panic witness per node.
     pub may_panic: Vec<Option<Witness>>,
-    /// bounded-send witness per node.
-    pub sends_bounded: Vec<Option<Witness>>,
     /// Lock bindings acquired by the node or anything it calls.
     pub locks: Vec<BTreeSet<String>>,
     /// Every binding declared with a Mutex/RwLock type, workspace-wide.
     pub lock_names: BTreeSet<String>,
-    /// Every binding holding a bounded `SyncSender`.
-    pub bounded_senders: BTreeSet<String>,
 }
 
 /// Reconstructs the call chain behind a propagated fact as
@@ -159,11 +145,7 @@ pub fn run(
     kernel_allowlist: &[String],
     pool_allowlist: &[String],
 ) -> Dataflow {
-    let mut d = Dataflow {
-        lock_names: collect_lock_names(sources),
-        bounded_senders: collect_bounded_senders(sources),
-        ..Dataflow::default()
-    };
+    let mut d = Dataflow { lock_names: collect_lock_names(sources), ..Dataflow::default() };
     let n = graph.nodes.len();
     d.events = (0..n)
         .map(|i| {
@@ -175,7 +157,6 @@ pub fn run(
         .collect();
     d.may_block = vec![None; n];
     d.may_panic = vec![None; n];
-    d.sends_bounded = vec![None; n];
     d.locks = vec![BTreeSet::new(); n];
 
     // Seed the boolean facts and the direct lock sets.
@@ -190,10 +171,6 @@ pub fn run(
                     d.may_panic[i] =
                         Some(Witness { line: *line, desc: tag.clone(), via: None });
                 }
-                Event::Send { name, line } if d.sends_bounded[i].is_none() => {
-                    d.sends_bounded[i] =
-                        Some(Witness { line: *line, desc: format!("{name}.send"), via: None });
-                }
                 Event::Acquire { name, .. } => {
                     d.locks[i].insert(name.clone());
                 }
@@ -204,7 +181,6 @@ pub fn run(
 
     propagate_bool(&mut d.may_block, &d.events, graph, sources, "reactor");
     propagate_bool(&mut d.may_panic, &d.events, graph, sources, "panic");
-    propagate_bool(&mut d.sends_bounded, &d.events, graph, sources, "channel");
     propagate_locks(&mut d.locks, &d.events, graph, sources);
     d
 }
@@ -291,102 +267,6 @@ fn collect_lock_names(sources: &[SourceFile]) -> BTreeSet<String> {
     names
 }
 
-/// Bindings that hold a bounded `SyncSender`: the first element of a
-/// `let (tx, rx) = ..sync_channel..(..)` destructure, any binding
-/// declared with a `SyncSender` type, and (one hop of) `.clone()`
-/// aliases of either.
-fn collect_bounded_senders(sources: &[SourceFile]) -> BTreeSet<String> {
-    let mut senders = BTreeSet::new();
-    for s in sources {
-        let toks = &s.lexed.tokens;
-        for i in 0..toks.len() {
-            match ident_at(toks, i) {
-                Some("sync_channel") => {
-                    // Walk back over the path (`std::sync::mpsc::`) to `=`,
-                    // then over the `(tx, rx)` tuple to its first ident.
-                    let mut j = i as isize - 1;
-                    while j >= 0
-                        && matches!(&toks[j as usize].tok, Tok::Punct(':') | Tok::Ident(_))
-                        && ident_at(toks, j as usize) != Some("use")
-                    {
-                        j -= 1;
-                    }
-                    if j < 1 || !is_punct(toks, j as usize, '=') {
-                        continue;
-                    }
-                    let close = j as usize - 1;
-                    if !is_punct(toks, close, ')') {
-                        continue;
-                    }
-                    let mut depth = 0i32;
-                    let mut k = close as isize;
-                    while k >= 0 {
-                        match toks[k as usize].tok {
-                            Tok::Punct(')') => depth += 1,
-                            Tok::Punct('(') => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        k -= 1;
-                    }
-                    if k >= 0 {
-                        if let Some(tx) = ident_at(toks, k as usize + 1) {
-                            if !is_keyword(tx) {
-                                senders.insert(tx.to_string());
-                            }
-                        }
-                    }
-                }
-                Some("SyncSender") => {
-                    if let Some(n) = decl_name_before(toks, i) {
-                        senders.insert(n);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    // `.clone()` aliases: `let tx2 = tx.clone()` (two passes cover
-    // alias-of-alias chains in practice).
-    for _ in 0..2 {
-        let mut added = Vec::new();
-        for s in sources {
-            let toks = &s.lexed.tokens;
-            for i in 0..toks.len() {
-                if ident_at(toks, i) == Some("clone")
-                    && i >= 2
-                    && is_punct(toks, i - 1, '.')
-                    && is_punct(toks, i + 1, '(')
-                {
-                    let src = match ident_at(toks, i - 2) {
-                        Some(x) if senders.contains(x) => x,
-                        _ => continue,
-                    };
-                    let _ = src;
-                    if i >= 4
-                        && is_punct(toks, i - 3, '=')
-                        && matches!(ident_at(toks, i.wrapping_sub(5)), Some("let") | Some("mut"))
-                    {
-                        if let Some(dst) = ident_at(toks, i - 4) {
-                            added.push(dst.to_string());
-                        }
-                    }
-                }
-            }
-        }
-        let before = senders.len();
-        senders.extend(added);
-        if senders.len() == before {
-            break;
-        }
-    }
-    senders
-}
-
 /// Token ranges of fns nested inside `node`'s body (their events belong
 /// to the nested node).
 fn nested_ranges(node: usize, graph: &CallGraph) -> Vec<(usize, usize)> {
@@ -402,7 +282,7 @@ fn nested_ranges(node: usize, graph: &CallGraph) -> Vec<(usize, usize)> {
 }
 
 /// Extracts the ordered event list for one node: lock acquisitions,
-/// blocking/panic/send seeds (suppressed by their allow ids and test
+/// blocking/panic seeds (suppressed by their allow ids and test
 /// regions), and resolved calls — all in token order.
 fn extract_events(
     node: usize,
@@ -481,23 +361,19 @@ fn extract_events(
                     }
                 } else if (id == "panic" || id == "todo" || id == "unimplemented")
                     && is_punct(toks, i + 1, '!')
+                    && !kernel
+                    && !s.allowed("panic", line)
                 {
-                    if !kernel && !s.allowed("panic", line) {
-                        evs.push((i, Event::Panic { tag: format!("{id}!"), line }));
-                    }
-                } else if id == "send" && dot_before && paren_after {
-                    if let Some(recv) = ident_at(toks, i.wrapping_sub(2)) {
-                        if d.bounded_senders.contains(recv) && !s.allowed("channel", line) {
-                            evs.push((i, Event::Send { name: recv.to_string(), line }));
-                        }
-                    }
+                    evs.push((i, Event::Panic { tag: format!("{id}!"), line }));
                 }
             }
-            Tok::Punct('[') => {
-                if !kernel && i >= 1 && is_index_receiver(toks, i - 1) && !s.allowed("panic", line)
-                {
-                    evs.push((i, Event::Panic { tag: "index".into(), line }));
-                }
+            Tok::Punct('[')
+                if !kernel
+                    && i >= 1
+                    && is_index_receiver(toks, i - 1)
+                    && !s.allowed("panic", line) =>
+            {
+                evs.push((i, Event::Panic { tag: "index".into(), line }));
             }
             _ => {}
         }

@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 
 /// Lint ids accepted inside `// lint:allow(<id>) reason=...` annotations.
 pub const ALLOW_IDS: &[&str] =
-    &["panic", "determinism", "lock-order", "unsafe", "telemetry", "reactor", "channel"];
+    &["panic", "determinism", "lock-order", "unsafe", "telemetry", "reactor"];
 
 /// `(lint id, one-line description)` pairs for `tunelint --list`.
 pub const LINT_DOCS: &[(&str, &str)] = &[
@@ -38,7 +38,6 @@ pub const LINT_DOCS: &[(&str, &str)] = &[
     ("unsafe-audit", "unsafe blocks/fns without a `// SAFETY:` comment"),
     ("telemetry-schema", "field-name drift between telemetry encoders and decoders"),
     ("reactor-blocking", "blocking reads/sleeps/recv/locks inside the event-driven reactor modules"),
-    ("channel-deadlock", "bounded sync_channel send reachable while a lock is held (deadlock risk)"),
     ("annotation", "malformed lint:allow annotations (unknown id or missing reason)"),
 ];
 
@@ -408,7 +407,6 @@ pub fn analyze_workspace(ws: &Workspace<'_>, cfg: &AnalysisConfig) -> Vec<Findin
     findings.extend(lints::panic_safety::run_transitive(ws, cfg));
     findings.extend(lints::reactor_blocking::run_transitive(ws, cfg));
     findings.extend(lints::lock_order::run(ws, cfg));
-    findings.extend(lints::channel_deadlock::run(ws, cfg));
     findings.extend(lints::telemetry_schema::run(ws.sources, cfg));
     findings.sort();
     findings

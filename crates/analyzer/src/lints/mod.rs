@@ -3,10 +3,9 @@
 //! [`crate::AnalysisConfig`] so fixture tests can target fixture files.
 //! `panic_safety` and `reactor_blocking` additionally expose
 //! `run_transitive`, consuming the interprocedural facts from
-//! [`crate::dataflow`]; `lock_order` and `channel_deadlock` are
-//! interprocedural throughout and take the whole [`crate::Workspace`].
+//! [`crate::dataflow`]; `lock_order` is interprocedural throughout and
+//! takes the whole [`crate::Workspace`].
 
-pub mod channel_deadlock;
 pub mod determinism;
 pub mod lock_order;
 pub mod panic_safety;

@@ -112,7 +112,7 @@ pub fn parse_items(toks: &[Token]) -> FileItems {
     out
 }
 
-fn ident_at<'a>(toks: &'a [Token], i: usize) -> Option<&'a str> {
+fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
     match toks.get(i).map(|t| &t.tok) {
         Some(Tok::Ident(s)) => Some(s.as_str()),
         _ => None,
@@ -308,12 +308,8 @@ fn parse_impl_header(toks: &[Token], at: usize, end: usize) -> Option<(ImplDecl,
     while j < end {
         match &toks[j].tok {
             Tok::Punct('<') => angle += 1,
-            Tok::Punct('>') => {
-                // `->` in a fn-pointer type does not close an angle bracket.
-                if !punct_at(toks, j - 1, '-') {
-                    angle -= 1;
-                }
-            }
+            // `->` in a fn-pointer type does not close an angle bracket.
+            Tok::Punct('>') if !punct_at(toks, j - 1, '-') => angle -= 1,
             Tok::Punct('{') if angle <= 0 => {
                 let seg = if saw_for { &second } else { &first };
                 let self_ty = seg.last()?.clone();
@@ -448,8 +444,7 @@ fn matching_paren(toks: &[Token], open: usize) -> Option<usize> {
 fn parse_use(toks: &[Token], at: usize, end: usize, out: &mut FileItems) -> usize {
     let mut i = at + 1;
     let mut prefix: Vec<String> = Vec::new();
-    let stop = parse_use_tree(toks, &mut i, end, &mut prefix, out);
-    stop
+    parse_use_tree(toks, &mut i, end, &mut prefix, out)
 }
 
 /// Recursive use-tree walk; `i` sits on the first token of a tree.

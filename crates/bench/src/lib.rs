@@ -1,9 +1,10 @@
 //! `bench` — the experiment harness regenerating every table and figure of
 //! the paper's evaluation (Section 5 and Appendix C).
 //!
-//! Each binary under `src/bin/` reproduces one table or figure and prints
-//! the same rows/series the paper reports (see DESIGN.md for the full
-//! index). Experiments run at a reduced scale — datasets, memory and disk
+//! [`experiments`] is the evaluation as one table — id, paper result, typed
+//! rows, run, shape checks — driven by the `experiments` binary (`run`,
+//! `check`, `report`, `list`) over the one tuner driver in [`harness`].
+//! Experiments run at a reduced scale — datasets, memory and disk
 //! are shrunk by the same factor, preserving the data:RAM ratios that drive
 //! buffer-pool and redo-log dynamics — so a full figure regenerates in
 //! seconds to minutes instead of the paper's days of stress testing.
@@ -12,6 +13,7 @@
 
 #![warn(missing_docs)]
 
+pub mod experiments;
 pub mod harness;
 pub mod perf;
 pub mod report;
@@ -20,7 +22,7 @@ pub mod trace;
 
 pub use harness::{ExperimentScale, Lab};
 pub use perf::{PerfOptions, PerfReport};
-pub use report::{print_header, print_row, write_json};
+pub use report::{print_header, print_row};
 pub use svc::{
     run_load, run_open_load, LatencyStats, LoadReport, LoadSpec, OpenLoadReport, OpenLoadSpec,
     SessionResult,

@@ -34,7 +34,7 @@
 //! throughputs may not regress past a tolerance, and ratio gates (which are
 //! machine-independent) must always hold.
 
-use crate::{ExperimentScale, Lab};
+use crate::harness::{ExperimentScale, Lab, Setting};
 use cdbtune::jsonio::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -305,8 +305,15 @@ fn train_step_throughputs(opts: &PerfOptions) -> (f64, f64, f64) {
 
 // ---- benchmarks 3 & 4: environment throughput ----
 
-fn quick_lab(seed: u64) -> Lab {
-    Lab { scale: ExperimentScale::quick(), seed }
+/// The environment legs' instance: Sysbench RW on CDB-A at the quick scale.
+fn quick_env(seed: u64) -> cdbtune::DbEnv {
+    let setting = Setting::new(
+        EngineFlavor::MySqlCdb,
+        HardwareConfig::cdb_a(),
+        WorkloadKind::SysbenchRw,
+        Some(ENV_KNOBS),
+    );
+    Lab { scale: ExperimentScale::quick(), seed }.env(&setting)
 }
 
 /// Transitions/sec of multi-worker seed collection (§5.1's parallel
@@ -318,14 +325,7 @@ fn collect_throughput(opts: &PerfOptions) -> f64 {
     // worker count so the leg keeps the old thread-per-worker concurrency.
     tinynn::pool::set_threads(workers);
     let measured = median_of(reps, || {
-        let make_env = |w: usize| {
-            quick_lab(seed + 1 + w as u64).env(
-                EngineFlavor::MySqlCdb,
-                HardwareConfig::cdb_a(),
-                WorkloadKind::SysbenchRw,
-                Some(ENV_KNOBS),
-            )
-        };
+        let make_env = |w: usize| quick_env(seed + 1 + w as u64);
         let start = Instant::now();
         let out = cdbtune::collect_parallel(make_env, workers, steps, seed);
         let secs = start.elapsed().as_secs_f64().max(1e-9);
@@ -339,13 +339,7 @@ fn collect_throughput(opts: &PerfOptions) -> f64 {
 /// stress window + metric collection per step).
 fn workload_throughput(opts: &PerfOptions) -> f64 {
     let (reps, steps) = if opts.quick { (1, 4) } else { (3, 12) };
-    let lab = quick_lab(opts.seed);
-    let mut env = lab.env(
-        EngineFlavor::MySqlCdb,
-        HardwareConfig::cdb_a(),
-        WorkloadKind::SysbenchRw,
-        Some(ENV_KNOBS),
-    );
+    let mut env = quick_env(opts.seed);
     let baseline = env.engine().registry().default_config();
     let action = vec![0.5f32; ENV_KNOBS];
     median_of(reps, || {

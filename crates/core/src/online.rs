@@ -1091,20 +1091,18 @@ mod tests {
                     clamp_events += 1;
                     assert!((radius - 0.05).abs() < 1e-9);
                 }
-                TraceEvent::Step { step, action, crashed, degraded, .. } => {
-                    // Every deployed action sits inside the region around
-                    // the center in force at deploy time; with a frozen
-                    // radius the center only moves onto measured-safe
-                    // actions, so distance from the *baseline* center can
-                    // only grow radius-by-radius. Step 1 deploys the raw
-                    // recommendation clamped to the baseline center.
-                    if *step == 1 && !crashed && !degraded {
-                        for (a, c) in action.iter().zip(&baseline_action) {
-                            assert!(
-                                (a - f64::from(*c)).abs() <= 0.05 + 1e-6,
-                                "step 1 escaped the trust region: |{a} - {c}|"
-                            );
-                        }
+                // Every deployed action sits inside the region around
+                // the center in force at deploy time; with a frozen
+                // radius the center only moves onto measured-safe
+                // actions, so distance from the *baseline* center can
+                // only grow radius-by-radius. Step 1 deploys the raw
+                // recommendation clamped to the baseline center.
+                TraceEvent::Step { step: 1, action, crashed: false, degraded: false, .. } => {
+                    for (a, c) in action.iter().zip(&baseline_action) {
+                        assert!(
+                            (a - f64::from(*c)).abs() <= 0.05 + 1e-6,
+                            "step 1 escaped the trust region: |{a} - {c}|"
+                        );
                     }
                 }
                 _ => {}

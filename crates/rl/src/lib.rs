@@ -12,9 +12,9 @@
 //! * [`eval::SnapshotPolicy`] — evaluation-only actor over an immutable
 //!   snapshot, the serving tier's inference engine,
 //! * [`noise`] — decaying Gaussian exploration,
-//! * [`qlearning::QLearning`] and [`dqn::Dqn`] — the value-based methods
-//!   §3.3 explains cannot scale to continuous 266-dimensional actions,
-//!   kept as runnable baselines/demonstrations.
+//! * [`dqn::Dqn`] — the value-based method §3.3 explains cannot scale to
+//!   continuous 266-dimensional actions, kept as the runnable baseline of
+//!   the `extra_dqn_vs_ddpg` experiment.
 
 #![warn(missing_docs)]
 
@@ -25,7 +25,6 @@ pub mod env;
 pub mod eval;
 pub mod noise;
 pub mod per;
-pub mod qlearning;
 pub mod replay;
 
 pub use batch::TransitionBatch;
@@ -35,5 +34,4 @@ pub use env::{Environment, StepResult, Transition};
 pub use eval::SnapshotPolicy;
 pub use noise::{perturb, GaussianNoise, NoiseProcess};
 pub use per::{PerStats, PrioritizedBatch, PrioritizedReplay};
-pub use qlearning::{discretize_state, QLearning};
 pub use replay::ReplayBuffer;

@@ -43,8 +43,6 @@ pub(crate) struct Conn {
     /// `None` once the socket is gone (EOF/error/idle-reap) but jobs
     /// for this token are still in flight on a shard queue.
     pub stream: Option<TcpStream>,
-    /// Poller token, also the session-affinity key (`token % shards`).
-    pub token: u64,
     pub decoder: FrameDecoder,
     pub out: WriteBuf,
     /// Parsed request frames awaiting dispatch (one job at a time).
@@ -74,10 +72,9 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub fn new(stream: TcpStream, token: u64, now: Instant) -> Self {
+    pub fn new(stream: TcpStream, now: Instant) -> Self {
         Self {
             stream: Some(stream),
-            token,
             decoder: FrameDecoder::new(),
             out: WriteBuf::new(),
             inbox: VecDeque::new(),
@@ -179,7 +176,7 @@ mod tests {
     #[test]
     fn read_ready_frames_dribbled_bytes_and_sees_eof() {
         let (mut client, server) = pair();
-        let mut conn = Conn::new(server, 5, Instant::now());
+        let mut conn = Conn::new(server, Instant::now());
         client.write_all(b"{\"v\":1,\"ty").unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(conn.read_ready(Instant::now()), ReadOutcome::Progress);
@@ -196,7 +193,7 @@ mod tests {
     #[test]
     fn oversized_frame_is_reported_with_sizes() {
         let (mut client, server) = pair();
-        let mut conn = Conn::new(server, 5, Instant::now());
+        let mut conn = Conn::new(server, Instant::now());
         conn.decoder = FrameDecoder::with_limit(8);
         client.write_all(b"0123456789abcdef").unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -212,7 +209,7 @@ mod tests {
     #[test]
     fn dead_conn_swallows_io() {
         let (_client, server) = pair();
-        let mut conn = Conn::new(server, 5, Instant::now());
+        let mut conn = Conn::new(server, Instant::now());
         conn.stream = None;
         assert!(conn.is_dead());
         assert_eq!(conn.read_ready(Instant::now()), ReadOutcome::Progress);

@@ -572,6 +572,8 @@ impl Reactor {
                 self.start_drain(now);
             }
             // Take the token list first: handlers mutate the conn map.
+            // Drained, not taken, so `events` keeps its capacity.
+            #[allow(clippy::drain_collect)]
             let tokens: Vec<PollEvent> = events.drain(..).collect();
             for ev in tokens {
                 match ev.token {
@@ -612,7 +614,7 @@ impl Reactor {
                     }
                     let token = self.next_token;
                     self.next_token += 1;
-                    let mut conn = Conn::new(stream, token, now);
+                    let mut conn = Conn::new(stream, now);
                     let reason = if self.svc.shutdown.load(Ordering::SeqCst) {
                         Some("draining")
                     } else if self.conns.len() >= self.cfg.max_conns {

@@ -64,6 +64,7 @@ impl TuningSession {
     /// actor forwards through `serving`, the shared tier, until its first
     /// online gradient update forks a private copy. Each warm start also
     /// evicts the tier's policies for registry entries since superseded.
+    #[allow(clippy::too_many_arguments)] // the benchmark links this signature
     pub fn create(
         id: u64,
         spec: EnvSpec,

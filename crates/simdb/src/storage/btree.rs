@@ -75,7 +75,7 @@ impl BPlusTree {
             return tree;
         }
         // An overflowing node (fanout + 1 keys) keeps `mid` keys on the left.
-        let mid = (fanout + 1) / 2;
+        let mid = fanout.div_ceil(2);
         tree.nodes.clear();
         tree.len = count as usize;
         // (node, smallest key beneath it) for each node of the level just built.
@@ -526,7 +526,7 @@ mod tests {
         let mut x = 7u64;
         for i in 0..5_000u64 {
             let k = lcg(&mut x) % 1_000;
-            if lcg(&mut x) % 3 == 0 {
+            if lcg(&mut x).is_multiple_of(3) {
                 assert_eq!(t.remove(k), m.remove(&k));
             } else {
                 assert_eq!(t.insert(k, i), m.insert(k, i));
