@@ -135,24 +135,14 @@ pub fn chain_of(
 /// Runs seed extraction and the propagation fixpoint. Panic events in
 /// files matching `kernel_allowlist` (dim-asserted compute kernels) are
 /// skipped at extraction, so they never enter the may-panic lattice.
-/// Block events in files matching `pool_allowlist` (worker-pool
-/// infrastructure) are likewise skipped: a pool dispatch spins the
-/// caller as participant 0 rather than parking the reactor thread, so
-/// its internal job-slot lock and park condvar are not reactor hazards.
-pub fn run(
-    sources: &[SourceFile],
-    graph: &CallGraph,
-    kernel_allowlist: &[String],
-    pool_allowlist: &[String],
-) -> Dataflow {
+pub fn run(sources: &[SourceFile], graph: &CallGraph, kernel_allowlist: &[String]) -> Dataflow {
     let mut d = Dataflow { lock_names: collect_lock_names(sources), ..Dataflow::default() };
     let n = graph.nodes.len();
     d.events = (0..n)
         .map(|i| {
             let path = &sources[graph.nodes[i].file].path;
             let kernel = kernel_allowlist.iter().any(|p| path.contains(p.as_str()));
-            let pool = pool_allowlist.iter().any(|p| path.contains(p.as_str()));
-            extract_events(i, graph, sources, &d, kernel, pool)
+            extract_events(i, graph, sources, &d, kernel)
         })
         .collect();
     d.may_block = vec![None; n];
@@ -290,7 +280,6 @@ fn extract_events(
     sources: &[SourceFile],
     d: &Dataflow,
     kernel: bool,
-    pool: bool,
 ) -> Vec<Event> {
     let me = &graph.nodes[node];
     let s = &sources[me.file];
@@ -325,22 +314,22 @@ fn extract_events(
                 let paren_after = is_punct(toks, i + 1, '(');
                 let zero_arg = paren_after && is_punct(toks, i + 2, ')');
                 if BLOCKING_READS.contains(&id) && dot_before && paren_after {
-                    if !pool && !s.allowed("reactor", line) {
+                    if !s.allowed("reactor", line) {
                         evs.push((i, Event::Block { tag: id.to_string(), line }));
                     }
                 } else if id == "sleep" && paren_after && !dot_before {
-                    if !pool && !s.allowed("reactor", line) {
+                    if !s.allowed("reactor", line) {
                         evs.push((i, Event::Block { tag: "thread::sleep".into(), line }));
                     }
                 } else if id == "recv" && dot_before && zero_arg {
-                    if !pool && !s.allowed("reactor", line) {
+                    if !s.allowed("reactor", line) {
                         evs.push((i, Event::Block { tag: "recv".into(), line }));
                     }
                 } else if (id == "lock" || id == "read" || id == "write") && dot_before && zero_arg
                 {
                     if let Some(recv) = ident_at(toks, i.wrapping_sub(2)) {
                         if d.lock_names.contains(recv) {
-                            if id == "lock" && !pool && !s.allowed("reactor", line) {
+                            if id == "lock" && !s.allowed("reactor", line) {
                                 evs.push((i, Event::Block { tag: format!("{recv}.lock"), line }));
                             }
                             if !s.allowed("lock-order", line) {

@@ -233,12 +233,6 @@ pub struct AnalysisConfig {
     /// lattice. Token-level panic-safety still applies if such a file is
     /// also a hot path.
     pub panic_kernel_allowlist: Vec<String>,
-    /// Worker-pool infrastructure files whose blocking sites (the job-slot
-    /// mutex, the worker-park condvar) never seed the interprocedural
-    /// may-block lattice: a pool dispatch from a reactor handler spins the
-    /// caller as participant 0, it does not park the reactor thread, so
-    /// pool entry points are not reactor handlers.
-    pub pool_entry_allowlist: Vec<String>,
 }
 
 impl AnalysisConfig {
@@ -280,7 +274,6 @@ impl AnalysisConfig {
             reactor_scope: v(&["crates/service/src/reactor/"]),
             telemetry_files: v(&["crates/core/src/telemetry.rs"]),
             panic_kernel_allowlist: v(&["crates/tinynn/src/kernels.rs"]),
-            pool_entry_allowlist: v(&["crates/tinynn/src/pool.rs"]),
         }
     }
 
@@ -316,21 +309,16 @@ pub struct Workspace<'a> {
 
 impl<'a> Workspace<'a> {
     /// Builds the call graph and runs the dataflow fixpoint with no
-    /// kernel or pool allowlists (fixture tests exercise every seed).
+    /// kernel allowlist (fixture tests exercise every seed).
     pub fn build(sources: &'a [SourceFile]) -> Workspace<'a> {
-        Workspace::build_with(sources, &[], &[])
+        Workspace::build_with(sources, &[])
     }
 
     /// Builds the call graph and runs the dataflow fixpoint. Panic events
-    /// in files matching `kernel_allowlist` and blocking events in files
-    /// matching `pool_allowlist` are not extracted as seeds.
-    pub fn build_with(
-        sources: &'a [SourceFile],
-        kernel_allowlist: &[String],
-        pool_allowlist: &[String],
-    ) -> Workspace<'a> {
+    /// in files matching `kernel_allowlist` are not extracted as seeds.
+    pub fn build_with(sources: &'a [SourceFile], kernel_allowlist: &[String]) -> Workspace<'a> {
         let graph = callgraph::build(sources);
-        let flow = dataflow::run(sources, &graph, kernel_allowlist, pool_allowlist);
+        let flow = dataflow::run(sources, &graph, kernel_allowlist);
         Workspace { sources, graph, flow }
     }
 }
@@ -378,7 +366,7 @@ pub fn analyze_tree(root: &Path, cfg: &AnalysisConfig) -> io::Result<Analysis> {
             .replace('\\', "/");
         sources.push(SourceFile::parse(&rel, &text));
     }
-    let ws = Workspace::build_with(&sources, &cfg.panic_kernel_allowlist, &cfg.pool_entry_allowlist);
+    let ws = Workspace::build_with(&sources, &cfg.panic_kernel_allowlist);
     Ok(Analysis {
         files: sources.len(),
         graph_stats: ws.graph.stats(),
@@ -389,7 +377,7 @@ pub fn analyze_tree(root: &Path, cfg: &AnalysisConfig) -> io::Result<Analysis> {
 /// Runs every lint over already-parsed sources. This is the entry point
 /// fixture tests use (no filesystem walking involved).
 pub fn analyze_sources(sources: &[SourceFile], cfg: &AnalysisConfig) -> Vec<Finding> {
-    let ws = Workspace::build_with(sources, &cfg.panic_kernel_allowlist, &cfg.pool_entry_allowlist);
+    let ws = Workspace::build_with(sources, &cfg.panic_kernel_allowlist);
     analyze_workspace(&ws, cfg)
 }
 

@@ -216,27 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_allowlisted_files_never_seed_may_block() {
-        // A reactor handler that dispatches into the worker pool: the
-        // pool's internal park/queue blocking must not propagate out as
-        // a reactor hazard (the dispatching caller computes as
-        // participant 0; it does not park the reactor thread).
-        let reactor = SourceFile::parse("evloop.rs", "fn on_ready() { dispatch(1); }\n");
-        let pool = SourceFile::parse(
-            "tinynn/src/pool.rs",
-            "pub fn dispatch(x: u32) { rx.recv(); }\n",
-        );
-        let sources = vec![reactor, pool];
-        // Without the allowlist the chain is flagged...
-        let ws = Workspace::build(&sources);
-        assert_eq!(run_transitive(&ws, &cfg()).len(), 1);
-        // ...with it, the pool file's blocking seeds never enter the
-        // may-block lattice, so there is nothing to propagate.
-        let ws = Workspace::build_with(&sources, &[], &["tinynn/src/pool.rs".into()]);
-        assert!(run_transitive(&ws, &cfg()).is_empty());
-    }
-
-    #[test]
     fn nonblocking_helpers_produce_no_transitive_findings() {
         let reactor = SourceFile::parse("evloop.rs", "fn on_ready() { dispatch(1); }\n");
         let helpers =

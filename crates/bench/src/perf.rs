@@ -13,10 +13,6 @@
 //!    pre-overhaul cost model. Their ratio is the headline `≥ 3x` gate,
 //!    measured as a pair (alternating repetitions, median of per-rep
 //!    ratios).
-//!    The `train_step_mt2`/`train_step_mt4` legs rerun the fast leg with
-//!    the [`tinynn::pool`] worker pool 2 and 4 wide (skipped on hosts with
-//!    fewer cores); `train_step_mt4_speedup` vs the fast leg is the
-//!    multicore `≥ 1.8x` gate.
 //! 3. **collect_parallel** — multi-worker seed collection throughput.
 //! 4. **simdb workload** — single-environment tuning-iteration throughput,
 //!    plus the two storage costs every tuning request pays before its first
@@ -52,12 +48,6 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// blocked kernels + packed batches must beat the retained naive path by
 /// at least this factor.
 pub const TRAIN_SPEEDUP_MIN: f64 = 3.0;
-
-/// Multicore acceptance gate: the 4-wide pooled train step must beat the
-/// single-thread fast leg by at least this factor (measured only on hosts
-/// with at least 4 cores; the pooled kernels are bit-identical to the
-/// serial path, so this is pure throughput, not a numerics trade).
-pub const TRAIN_MT4_SPEEDUP_MIN: f64 = 1.8;
 
 /// Storage acceptance gate: `Table::bulk_load` must beat loading the same
 /// rows one `Table::insert` at a time (a B+tree descent to look the key up
@@ -226,32 +216,6 @@ fn train_fast_leg(steps: usize, opts: &PerfOptions) -> impl FnMut() -> f64 {
     move || rep(steps)
 }
 
-/// Steady-state steps/sec of the fast leg on its own (the pooled legs).
-fn train_fast_throughput(opts: &PerfOptions) -> f64 {
-    let (reps, steps) = if opts.quick { (3, 8) } else { (5, 40) };
-    median_of(reps, train_fast_leg(steps, opts))
-}
-
-/// Steady-state steps/sec of the fast path with the worker pool `width`
-/// threads wide. `None` when the host has fewer cores than `width`: the
-/// pool would timeshare one core and the "speedup" would measure the
-/// scheduler, not the kernels. Restores width 1 before returning so the
-/// surrounding single-thread legs stay clean.
-fn train_mt_throughput(width: usize, opts: &PerfOptions) -> Option<f64> {
-    let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    if cores < width {
-        eprintln!(
-            "perf: skipping the train_step_mt{width} leg ({cores} core(s) available; \
-             the pooled speedup is only meaningful with {width}+ cores)"
-        );
-        return None;
-    }
-    tinynn::pool::set_threads(width);
-    let v = train_fast_throughput(opts);
-    tinynn::pool::set_threads(1);
-    Some(v)
-}
-
 /// One warmed-up leg of the retained pre-overhaul cost model: naive
 /// kernels plus the allocating slice path (per-step transition clones, as
 /// the trainer used to do before packed batches). Each call of the returned
@@ -321,18 +285,13 @@ fn quick_env(seed: u64) -> cdbtune::DbEnv {
 fn collect_throughput(opts: &PerfOptions) -> f64 {
     let (reps, workers, steps) = if opts.quick { (1, 2, 4) } else { (3, 4, 8) };
     let seed = opts.seed;
-    // Collection rides the persistent pool now; open it as wide as the
-    // worker count so the leg keeps the old thread-per-worker concurrency.
-    tinynn::pool::set_threads(workers);
-    let measured = median_of(reps, || {
+    median_of(reps, || {
         let make_env = |w: usize| quick_env(seed + 1 + w as u64);
         let start = Instant::now();
         let out = cdbtune::collect_parallel(make_env, workers, steps, seed);
         let secs = start.elapsed().as_secs_f64().max(1e-9);
         out.len() as f64 / secs
-    });
-    tinynn::pool::set_threads(1);
-    measured
+    })
 }
 
 /// Tuning-iterations/sec of a single simdb-backed environment (deploy +
@@ -537,12 +496,8 @@ fn svc_open_loop(opts: &PerfOptions) -> Option<(f64, f64, f64)> {
 // ---- the suite ----
 
 /// Runs every benchmark and assembles the report. Leaves the process-wide
-/// kernel mode at [`KernelMode::Blocked`] (the default) and the worker
-/// pool at width 1 on return.
+/// kernel mode at [`KernelMode::Blocked`] (the default) on return.
 pub fn run_suite(opts: &PerfOptions) -> PerfReport {
-    // Pin the pool to one thread so every single-thread leg measures the
-    // serial path; the mt and collect legs widen it explicitly.
-    tinynn::pool::set_threads(1);
     let shapes: &[(usize, usize, usize)] = &[(64, 63, 64), (64, 127, 256)];
     let mut benches = Vec::new();
     let mut ratios = Vec::new();
@@ -586,32 +541,6 @@ pub fn run_suite(opts: &PerfOptions) -> PerfReport {
         value: speedup,
         min: TRAIN_SPEEDUP_MIN,
     });
-
-    // Pooled train-step legs: same workload as the fast leg with the
-    // worker pool 2 and 4 wide. Skipped (bench and ratio both absent) on
-    // hosts with fewer cores than the width — `--check --ratios-only`
-    // only judges ratios the current run produced, so the committed
-    // baseline's mt values still gate every capable host.
-    let mut mt4 = None;
-    for &width in &[2usize, 4] {
-        if let Some(v) = train_mt_throughput(width, opts) {
-            if width == 4 {
-                mt4 = Some(v);
-            }
-            benches.push(BenchResult {
-                name: format!("train_step_mt{width}"),
-                unit: "steps_per_sec".into(),
-                value: v,
-            });
-        }
-    }
-    if let Some(v) = mt4 {
-        ratios.push(RatioResult {
-            name: "train_step_mt4_speedup".into(),
-            value: v / fast.max(1e-9),
-            min: TRAIN_MT4_SPEEDUP_MIN,
-        });
-    }
 
     benches.push(BenchResult {
         name: "collect_parallel".into(),
@@ -945,18 +874,5 @@ mod tests {
         let opts = PerfOptions { quick: true, seed: 7 };
         let v = matmul_throughput(KernelMode::Blocked, 8, 8, 8, &opts);
         assert!(v > 0.0);
-    }
-
-    #[test]
-    fn mt_train_leg_measures_or_skips_by_core_count() {
-        let opts = PerfOptions { quick: true, seed: 7 };
-        let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-        match train_mt_throughput(2, &opts) {
-            Some(v) => {
-                assert!(cores >= 2);
-                assert!(v > 0.0);
-            }
-            None => assert!(cores < 2, "a {cores}-core host must measure the mt2 leg"),
-        }
     }
 }

@@ -11,7 +11,7 @@
 //! All commands operate on a simulated instance (`--flavor`, `--ram-gb`,
 //! `--disk-gb`) loaded with the chosen workload at `--scale`.
 
-use cdbtune::cli::{configure_threads, make_env, shared_flags_help, Args};
+use cdbtune::cli::{make_env, shared_flags_help, Args};
 use cdbtune::{
     resume_from_checkpoint, tune_online, train_offline, OnlineConfig, PerConfig, SafetyConfig,
     TrainedModel, TrainerConfig, TrainingCheckpoint,
@@ -227,17 +227,16 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let args = match Args::parse(&argv[1..]) {
+    // A removed or misspelt flag is a usage error named on stderr, like a
+    // malformed one — never a run that silently ignores it.
+    let parsed = Args::parse(&argv[1..]).and_then(|a| a.reject_unknown(&usage(), &[]).map(|()| a));
+    let args = match parsed {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n\n{}", usage());
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
-    if let Err(e) = configure_threads(&args) {
-        eprintln!("error: {e}\n\n{}", usage());
-        return ExitCode::FAILURE;
-    }
     let result = match command {
         "train" => cmd_train(&args),
         "tune" => cmd_tune(&args),

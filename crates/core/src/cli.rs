@@ -63,11 +63,18 @@ impl Args {
         self.flags.contains_key(key)
     }
 
-    /// Errors on the first (alphabetically) flag that is not in `known`
-    /// (names without the `--`). The lookups above ignore flags nobody
-    /// reads, so without this a removed or misspelt flag boots silently.
-    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
-        match self.flags.keys().filter(|k| !known.contains(&k.as_str())).min() {
+    /// Errors on the first (alphabetically) flag that `usage` does not
+    /// document as a `--flag` token and `undocumented` (names without the
+    /// `--`) does not list, so help and accepted flags cannot drift. The
+    /// lookups above ignore flags nobody reads, so without this a removed or
+    /// misspelt flag boots silently.
+    pub fn reject_unknown(&self, usage: &str, undocumented: &[&str]) -> Result<(), String> {
+        let documented: Vec<&str> = usage
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect();
+        let known = |k: &str| documented.contains(&k) || undocumented.contains(&k);
+        match self.flags.keys().filter(|k| !known(k)).min() {
             Some(flag) => Err(format!("unknown flag --{flag}")),
             None => Ok(()),
         }
@@ -174,25 +181,6 @@ impl EnvSpec {
     }
 }
 
-/// Applies `--threads` to the process-wide [`tinynn::pool`] width and
-/// returns the effective count.
-///
-/// Resolution order: `--threads N` > the `CDBTUNE_THREADS` environment
-/// variable > `std::thread::available_parallelism()`. The width is a
-/// performance knob only — the pool's sharded kernels are bit-identical
-/// at any thread count — so both binaries can accept it without touching
-/// reproducibility.
-pub fn configure_threads(args: &Args) -> Result<usize, String> {
-    if let Some(raw) = args.raw("threads") {
-        let n: usize = raw.parse().map_err(|e| format!("--threads: {e}"))?;
-        if n == 0 {
-            return Err("--threads must be at least 1".into());
-        }
-        tinynn::pool::set_threads(n);
-    }
-    Ok(tinynn::pool::threads())
-}
-
 /// Builds a [`Telemetry`] handle from `--trace-out`/`--trace-level`.
 /// Returns the null handle when tracing is off; `--trace-level` without
 /// `--trace-out` is an error.
@@ -243,9 +231,6 @@ pub fn shared_flags_help() -> &'static str {
   --faults    inject infrastructure faults, e.g.
               'restart=0.2,hang=0.05,crash=0.02,straggler=0.1x4,
                fsync=0.1x8,dropout=0.05,seed=7[,from=N,until=N]'
-  --threads   worker-pool width for kernels/collection (default
-              CDBTUNE_THREADS, else available_parallelism; results are
-              bit-identical at any width)
   --trace-out    write structured JSONL trace events to this file
   --trace-level  off | summary | step | debug       (default step, with --trace-out)"
 }
@@ -283,13 +268,14 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_named_not_ignored() {
-        let known = ["knobs", "seed"];
-        assert!(args(&[("knobs", "8"), ("seed", "1")]).reject_unknown(&known).is_ok());
-        assert!(args(&[]).reject_unknown(&known).is_ok());
-        let err = args(&[("knobs", "8"), ("wrokers", "8"), ("removed-flag", "32")])
-            .reject_unknown(&known)
-            .unwrap_err();
+        let usage = "tool [--knobs N]\n  --seed   (default 42)";
+        assert!(args(&[("knobs", "8"), ("seed", "1")]).reject_unknown(usage, &[]).is_ok());
+        assert!(args(&[]).reject_unknown(usage, &[]).is_ok());
+        let typo = args(&[("knobs", "8"), ("wrokers", "8"), ("removed-flag", "32")]);
+        let err = typo.reject_unknown(usage, &[]).unwrap_err();
         assert!(err.contains("--removed-flag"), "{err}");
+        let err = typo.reject_unknown(usage, &["removed-flag"]).unwrap_err();
+        assert!(err.contains("--wrokers"), "{err}");
     }
 
     #[test]
@@ -350,24 +336,8 @@ mod tests {
     #[test]
     fn help_text_documents_the_pr2_flags() {
         let help = shared_flags_help();
-        for flag in ["--trace-out", "--trace-level", "--faults", "--threads"] {
+        for flag in ["--trace-out", "--trace-level", "--faults"] {
             assert!(help.contains(flag), "shared help missing {flag}");
         }
-    }
-
-    #[test]
-    fn threads_flag_validates_and_sets_the_pool_width() {
-        let bad = args(&[("threads", "0")]);
-        assert!(configure_threads(&bad).unwrap_err().contains("--threads"));
-        let worse = args(&[("threads", "many")]);
-        assert!(configure_threads(&worse).unwrap_err().contains("--threads"));
-        // Setting the width is safe to exercise concurrently with the other
-        // tests: the sharded kernels are bit-identical at any width, so a
-        // global width flip cannot perturb their numeric assertions.
-        let three = args(&[("threads", "3")]);
-        assert_eq!(configure_threads(&three).unwrap(), 3);
-        let absent = args(&[]);
-        assert!(configure_threads(&absent).unwrap() >= 1);
-        tinynn::pool::set_threads(1);
     }
 }

@@ -6,10 +6,10 @@
 //! pool before DDPG training starts (the cold-start data generation of
 //! §2.1.1, spread across cores instead of servers).
 //!
-//! Collection rounds run on the persistent [`tinynn::pool`] workers (one
-//! chunk per collection worker) instead of spawning a thread per worker per
-//! round; seed derivation, output ordering, and telemetry are unchanged by
-//! the port, and the effective concurrency is `min(workers, --threads)`.
+//! A collection round fans out over [`std::thread::scope`]: at most one
+//! thread per core, worker `w` on thread `w % threads`, every thread joined
+//! before the round returns. Seeds, output order and telemetry depend only on
+//! the worker index, never on how many threads ran.
 
 use crate::env::DbEnv;
 use crate::telemetry::{Telemetry, TraceEvent};
@@ -64,40 +64,32 @@ where
     F: Fn(usize) -> DbEnv + Sync,
 {
     assert!(workers > 0, "need at least one worker");
-    // One result slot per collection worker, filled on the persistent pool
-    // (one chunk per worker). Results land by index, and telemetry is
-    // emitted sequentially afterwards, so ordering is identical to the old
-    // spawn-per-round join loop regardless of pool width.
-    let mut slots: Vec<Option<(Vec<Transition>, u64)>> = (0..workers).map(|_| None).collect();
-    tinynn::pool::for_each_mut(&mut slots, |w, slot| {
-        let mut env = make_env(w);
-        let mut rng = StdRng::seed_from_u64(worker_seed(seed, w));
-        let dim = env.space().dim();
-        let mut out = Vec::with_capacity(steps_per_worker);
-        let mut crashes = 0u64;
-        let mut state = env.reset_episode(env.engine().registry().default_config());
-        for _ in 0..steps_per_worker {
-            let action: Vec<f32> = (0..dim).map(|_| rng.gen()).collect();
-            let step = env.step_action(&action);
-            crashes += u64::from(step.crashed);
-            out.push(Transition {
-                state: state.clone(),
-                action,
-                reward: step.reward as f32,
-                next_state: step.state.clone(),
-                done: step.done,
-            });
-            state = if step.done {
-                env.reset_episode(env.engine().registry().default_config())
-            } else {
-                step.state
-            };
-        }
-        *slot = Some((out, crashes));
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(workers);
+    let make_env = &make_env;
+    // Thread `t` returns the results of workers `t, t + threads, …` in that
+    // order; a worker's panic is re-raised here with its own payload.
+    let per_thread: Vec<Vec<(Vec<Transition>, u64)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move || {
+                    (t..workers)
+                        .step_by(threads)
+                        .map(|w| explore(make_env(w), steps_per_worker, worker_seed(seed, w)))
+                        .collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
     });
+    let mut per_thread: Vec<_> = per_thread.into_iter().map(Vec::into_iter).collect();
     let mut all = Vec::with_capacity(workers * steps_per_worker);
-    for (w, slot) in slots.into_iter().enumerate() {
-        let (out, crashes) = slot.expect("collector worker must fill its slot");
+    for w in 0..workers {
+        let (out, crashes) = per_thread[w % threads]
+            .next()
+            .expect("thread w % threads ran worker w and every one before it");
         telemetry.emit(&TraceEvent::CollectWorker {
             worker: w as u64,
             derived_seed: worker_seed(seed, w),
@@ -107,6 +99,35 @@ where
         all.extend(out);
     }
     all
+}
+
+/// One worker's round: `steps` uniformly random actions on its own
+/// environment, drawn from `seed`. Returns the transitions and the number of
+/// steps that crashed the instance.
+fn explore(mut env: DbEnv, steps: usize, seed: u64) -> (Vec<Transition>, u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dim = env.space().dim();
+    let mut out = Vec::with_capacity(steps);
+    let mut crashes = 0u64;
+    let mut state = env.reset_episode(env.engine().registry().default_config());
+    for _ in 0..steps {
+        let action: Vec<f32> = (0..dim).map(|_| rng.gen()).collect();
+        let step = env.step_action(&action);
+        crashes += u64::from(step.crashed);
+        out.push(Transition {
+            state: state.clone(),
+            action,
+            reward: step.reward as f32,
+            next_state: step.state.clone(),
+            done: step.done,
+        });
+        state = if step.done {
+            env.reset_episode(env.engine().registry().default_config())
+        } else {
+            step.state
+        };
+    }
+    (out, crashes)
 }
 
 #[cfg(test)]
@@ -212,6 +233,38 @@ mod tests {
             assert_eq!(t.action.len(), 2);
             assert!(t.reward.is_finite());
         }
+    }
+
+    #[test]
+    fn parallel_collection_equals_workers_run_one_after_another() {
+        // The oracle never leaves the calling thread, so any drift in which
+        // thread runs a worker, where its result lands, or how its seed is
+        // derived shows up as a differing bit.
+        let bits = |t: &Transition| -> Vec<u32> {
+            let floats = t.state.iter().chain(&t.action).chain(&t.next_state);
+            floats.map(|x| x.to_bits()).chain([t.reward.to_bits(), u32::from(t.done)]).collect()
+        };
+        let oracle: Vec<Transition> =
+            (0..3).flat_map(|w| explore(make_env(w), 5, worker_seed(42, w)).0).collect();
+        let parallel = collect_parallel(make_env, 3, 5, 42);
+        assert_eq!(parallel.len(), oracle.len());
+        for (i, (p, o)) in parallel.iter().zip(&oracle).enumerate() {
+            assert_eq!(bits(p), bits(o), "transition {i} (worker {}) differs", i / 5);
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_panics_the_collection_with_its_own_payload() {
+        let result = std::panic::catch_unwind(|| {
+            collect_parallel(
+                |w| if w == 1 { panic!("worker 1 has no instance") } else { make_env(w) },
+                3,
+                2,
+                5,
+            )
+        });
+        let payload = result.expect_err("the round must not outlive a dead worker");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker 1 has no instance"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! pool owns the sessions (`service::reactor`), with per-tenant quotas —
 //! built for 10k concurrent sessions.
 
-use cdbtune::cli::{configure_threads, shared_flags_help, telemetry_from_args, Args};
+use cdbtune::cli::{shared_flags_help, telemetry_from_args, Args};
 use service::reactor::poll::raise_nofile_limit;
 use service::{spawn, ReactorConfig, ServiceConfig};
 use std::io::Write;
@@ -89,21 +89,12 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
     let args = Args::parse(&argv)?;
-    // A flag is known iff the usage text documents it, plus `--runtime`
-    // (below). Anything else — a removed flag, a typo — exits 2 instead
-    // of booting without it.
-    let usage = usage();
-    let mut known: Vec<&str> = usage
-        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-        .filter_map(|word| word.strip_prefix("--"))
-        .collect();
-    known.push("runtime");
-    args.reject_unknown(&known)?;
-    // Resolve the kernel pool width before any session spawns: session
-    // training rides the sharded tinynn kernels.
-    configure_threads(&args)?;
-    // `benchmark/` boots the daemon with `--runtime events`, so that value
-    // is accepted and selects nothing; any other value is refused.
+    // A flag is known iff the usage text documents it. Anything else — a
+    // removed flag, a typo — exits 2 instead of booting without it, except
+    // the two `benchmark/` boots the daemon with: `--runtime events` and
+    // `--threads N` are accepted and select nothing. Any other `--runtime`
+    // value is refused.
+    args.reject_unknown(&usage(), &["runtime", "threads"])?;
     if let Some(other) = args.raw("runtime").filter(|&v| v != "events") {
         return Err(format!(
             "--runtime {other}: the threads runtime was removed; cdbtuned has one runtime, drop the flag"

@@ -25,21 +25,7 @@
 //! differential tests below and the baseline leg of the `bench::perf`
 //! harness; [`set_kernel_mode`] flips the whole crate between the two
 //! families at runtime.
-//!
-//! # Deterministic intra-op parallelism
-//!
-//! When the [`crate::pool`] width is above 1 and a call is large enough to
-//! amortize dispatch, the blocked kernels shard across the worker pool along
-//! an axis whose per-output-element reduction order is *range-invariant*:
-//! `matmul`/`matmul_t` split output rows, `t_matmul` splits output rows of
-//! the transposed product (columns of `a`), `tanh` splits elements. Every
-//! output element's float-accumulation chain is computed by exactly one
-//! participant using exactly the serial instruction sequence for that
-//! element, so results are **bit-identical** to the single-thread run at any
-//! width (proven by the sharding tests below and DESIGN.md §16). The naive
-//! reference loops are never parallelized.
 
-use crate::pool::{self, SyncPtr};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which kernel family [`crate::Matrix`] dispatches to.
@@ -92,28 +78,6 @@ fn simd_ok() -> bool {
     }
 }
 
-/// Minimum multiply-add count before a matmul shards across the pool:
-/// dispatch costs a couple of microseconds, so below this the serial kernel
-/// wins outright.
-const PAR_MIN_FLOPS: usize = 150_000;
-/// Minimum output rows (or `t_matmul` columns) per shard, so each
-/// participant keeps full panels to stream.
-const PAR_MIN_ROWS: usize = 8;
-/// Minimum elements before element-wise kernels shard.
-const PAR_MIN_ELEMS: usize = 16_384;
-/// Minimum elements per shard for element-wise kernels.
-const PAR_MIN_CHUNK: usize = 4_096;
-
-/// How many shards (at most) a sharded dispatch may use; `<= 1` means stay
-/// serial. Depends only on the call shape and configured width — never on
-/// runtime load — so the parallel/serial decision is deterministic too.
-fn par_chunks(rows: usize, flops: usize) -> usize {
-    if flops < PAR_MIN_FLOPS || pool::threads() <= 1 {
-        return 1;
-    }
-    rows / PAR_MIN_ROWS
-}
-
 /// Rows of the shared operand processed per panel: a `KC x NC` panel of `b`
 /// is at most 128 KiB, comfortably inside L2 next to the `out` rows it feeds.
 const KC: usize = 128;
@@ -130,28 +94,9 @@ pub fn matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32
     assert_eq!(a.len(), m * k, "matmul: a length");
     assert_eq!(b.len(), k * n, "matmul: b length");
     assert_eq!(out.len(), m * n, "matmul: out length");
-    let chunks = par_chunks(m, m * k * n);
-    if chunks >= 2 {
-        let o = SyncPtr::new(out.as_mut_ptr());
-        pool::run_ranges(m, chunks, |r0, r1| {
-            // SAFETY: `run_ranges` partitions `0..m` into disjoint row ranges
-            // run exactly once, so the reconstructed `out` rows never alias
-            // across participants; lengths are in bounds by the asserts above.
-            let out_rows = unsafe {
-                std::slice::from_raw_parts_mut(o.as_ptr().add(r0 * n), (r1 - r0) * n)
-            };
-            matmul_rows(r1 - r0, k, n, &a[r0 * k..r1 * k], b, out_rows);
-        });
-        return;
-    }
-    matmul_rows(m, k, n, a, b, out)
-}
-
-/// Serial `matmul` over a row block (the whole matrix when not sharding).
-fn matmul_rows(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if simd_ok() {
-        // SAFETY: `simd_ok` confirmed AVX2+FMA; the caller's asserts
+        // SAFETY: `simd_ok` confirmed AVX2+FMA; the asserts above
         // establish the slice-length contract the microkernel's pointer
         // walks rely on.
         unsafe { avx2::matmul(m, k, n, a, b, out) };
@@ -216,65 +161,22 @@ pub fn t_matmul(r: usize, c: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
     assert_eq!(a.len(), r * c, "t_matmul: a length");
     assert_eq!(b.len(), r * n, "t_matmul: b length");
     assert_eq!(out.len(), c * n, "t_matmul: out length");
-    let chunks = par_chunks(c, r * c * n);
-    if chunks >= 2 {
-        let o = SyncPtr::new(out.as_mut_ptr());
-        pool::run_ranges(c, chunks, |c0, c1| {
-            // SAFETY: `run_ranges` partitions `0..c` into disjoint output-row
-            // ranges run exactly once, so the reconstructed `out` block never
-            // aliases across participants; in bounds by the asserts above.
-            let out_block = unsafe {
-                std::slice::from_raw_parts_mut(o.as_ptr().add(c0 * n), (c1 - c0) * n)
-            };
-            t_matmul_cols(r, c, n, a, b, out_block, c0, c1);
-        });
-        return;
-    }
-    t_matmul_cols(r, c, n, a, b, out, 0, c)
-}
-
-/// Serial `t_matmul` restricted to output rows `c0..c1` (columns of `a`);
-/// `out_block` holds exactly those rows. Per-element accumulation order is
-/// the row sweep over `r`, identical for every `[c0, c1)` — that is what
-/// makes column sharding bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn t_matmul_cols(
-    r: usize,
-    c: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out_block: &mut [f32],
-    c0: usize,
-    c1: usize,
-) {
-    debug_assert_eq!(out_block.len(), (c1 - c0) * n);
     #[cfg(target_arch = "x86_64")]
     if simd_ok() {
-        // SAFETY: `simd_ok` confirmed AVX2+FMA; the public asserts bound `a`
-        // (r·c) and `b` (r·n), and `out_block` holds rows `c0..c1` as
-        // debug-asserted above, matching the microkernel's pointer walks.
-        unsafe { avx2::t_matmul_cols(r, c, n, a, b, out_block, c0, c1 - c0) };
+        // SAFETY: `simd_ok` confirmed AVX2+FMA; the asserts above
+        // establish the slice-length contract the microkernel's pointer
+        // walks rely on.
+        unsafe { avx2::t_matmul(r, c, n, a, b, out) };
         return;
     }
-    t_matmul_body(r, c, n, a, b, out_block, c0, c1)
+    t_matmul_body(r, c, n, a, b, out)
 }
 
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn t_matmul_body(
-    r: usize,
-    c: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    c0: usize,
-    c1: usize,
-) {
+fn t_matmul_body(r: usize, c: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), r * c);
     debug_assert_eq!(b.len(), r * n);
-    debug_assert_eq!(out.len(), (c1 - c0) * n);
+    debug_assert_eq!(out.len(), c * n);
     let mut rr = 0;
     while rr + 4 <= r {
         let a0 = &a[rr * c..(rr + 1) * c];
@@ -285,9 +187,9 @@ fn t_matmul_body(
         let b1 = &b[(rr + 1) * n..(rr + 2) * n];
         let b2 = &b[(rr + 2) * n..(rr + 3) * n];
         let b3 = &b[(rr + 3) * n..(rr + 4) * n];
-        for i in c0..c1 {
+        for i in 0..c {
             let (x0, x1, x2, x3) = (a0[i], a1[i], a2[i], a3[i]);
-            let out_row = &mut out[(i - c0) * n..(i - c0 + 1) * n];
+            let out_row = &mut out[i * n..(i + 1) * n];
             for ((((o, &v0), &v1), &v2), &v3) in
                 out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
             {
@@ -299,9 +201,8 @@ fn t_matmul_body(
     while rr < r {
         let a_row = &a[rr * c..(rr + 1) * c];
         let b_row = &b[rr * n..(rr + 1) * n];
-        for i in c0..c1 {
-            let av = a_row[i];
-            let out_row = &mut out[(i - c0) * n..(i - c0 + 1) * n];
+        for (i, &av) in a_row.iter().enumerate() {
+            let out_row = &mut out[i * n..(i + 1) * n];
             for (o, &v) in out_row.iter_mut().zip(b_row) {
                 *o += av * v;
             }
@@ -321,29 +222,9 @@ pub fn matmul_t(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
     assert_eq!(a.len(), m * k, "matmul_t: a length");
     assert_eq!(b.len(), n * k, "matmul_t: b length");
     assert_eq!(out.len(), m * n, "matmul_t: out length");
-    let chunks = par_chunks(m, m * k * n);
-    if chunks >= 2 {
-        let o = SyncPtr::new(out.as_mut_ptr());
-        pool::run_ranges(m, chunks, |r0, r1| {
-            // SAFETY: `run_ranges` partitions `0..m` into disjoint row ranges
-            // run exactly once, so the reconstructed `out` rows never alias
-            // across participants; lengths are in bounds by the asserts above.
-            let out_rows = unsafe {
-                std::slice::from_raw_parts_mut(o.as_ptr().add(r0 * n), (r1 - r0) * n)
-            };
-            matmul_t_rows(r1 - r0, k, n, &a[r0 * k..r1 * k], b, out_rows);
-        });
-        return;
-    }
-    matmul_t_rows(m, k, n, a, b, out)
-}
-
-/// Serial `matmul_t` over a row block (the whole matrix when not sharding);
-/// the kernel is already row-independent, so sharding is a subslice.
-fn matmul_t_rows(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if simd_ok() {
-        // SAFETY: `simd_ok` confirmed AVX2+FMA; the caller's asserts
+        // SAFETY: `simd_ok` confirmed AVX2+FMA; the asserts above
         // establish the slice-length contract the microkernel's pointer
         // walks rely on.
         unsafe { avx2::matmul_t(m, k, n, a, b, out) };
@@ -438,23 +319,6 @@ fn matmul_t_body(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
 /// stochastic DDPG minibatch already injects.
 pub fn tanh(xs: &[f32], out: &mut [f32]) {
     assert_eq!(xs.len(), out.len(), "tanh: length mismatch");
-    let len = xs.len();
-    if len >= PAR_MIN_ELEMS && pool::threads() > 1 {
-        let o = SyncPtr::new(out.as_mut_ptr());
-        pool::run_ranges(len, len / PAR_MIN_CHUNK, |i0, i1| {
-            // SAFETY: `run_ranges` partitions `0..len` into disjoint element
-            // ranges, each executed exactly once; `tanh` is element-wise, so
-            // the split cannot change any value.
-            let out_part = unsafe { std::slice::from_raw_parts_mut(o.as_ptr().add(i0), i1 - i0) };
-            tanh_serial(&xs[i0..i1], out_part);
-        });
-        return;
-    }
-    tanh_serial(xs, out)
-}
-
-/// Serial `tanh` over a contiguous element block.
-fn tanh_serial(xs: &[f32], out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if simd_ok() {
         // SAFETY: `simd_ok` confirmed AVX2+FMA, the only precondition of the
@@ -664,25 +528,13 @@ mod avx2 {
         gaxpy(m, k, n, a.as_ptr(), k, 1, b.as_ptr(), out.as_mut_ptr())
     }
 
-    /// AVX2 `out += aᵀ · b` restricted to output rows `c0 .. c0 + rows`
-    /// (see [`super::t_matmul`] for the shape contract); `out` holds exactly
-    /// those rows. The whole product is `c0 = 0, rows = c`.
+    /// AVX2 `out += aᵀ · b` (see [`super::t_matmul`] for the shape contract).
     #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    // SAFETY: caller guarantees AVX2+FMA, `a` of length r·c, `b` of length
-    // r·n, `out` of length rows·n with `c0 + rows <= c`; `gaxpy` then reads
-    // `a[t·c + c0 + i]` (i < rows, t < r), all in bounds.
-    pub(super) unsafe fn t_matmul_cols(
-        r: usize,
-        c: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        c0: usize,
-        rows: usize,
-    ) {
-        gaxpy(rows, r, n, a.as_ptr().add(c0), 1, c, b.as_ptr(), out.as_mut_ptr())
+    // SAFETY: caller guarantees AVX2+FMA and asserts the slice lengths
+    // (a: r·c, b: r·n, out: c·n); `gaxpy` then reads `a[t·c + i]` (i < c,
+    // t < r), all in bounds.
+    pub(super) unsafe fn t_matmul(r: usize, c: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        gaxpy(c, r, n, a.as_ptr(), 1, c, b.as_ptr(), out.as_mut_ptr())
     }
 
     /// Horizontal sum of one 8-lane vector.
@@ -1029,78 +881,6 @@ mod tests {
         for (&x, &t) in xs.iter().zip(&out) {
             assert_eq!(t, x.tanh());
         }
-    }
-
-    /// Runs `f` once at width 1 and once at width `w`, returning both
-    /// outputs for bitwise comparison.
-    fn at_widths(w: usize, f: impl Fn() -> Vec<f32>) -> (Vec<f32>, Vec<f32>) {
-        crate::pool::set_threads(1);
-        let serial = f();
-        crate::pool::set_threads(w);
-        let sharded = f();
-        (serial, sharded)
-    }
-
-    fn assert_bits_equal(serial: &[f32], sharded: &[f32], what: &str) {
-        assert_eq!(serial.len(), sharded.len());
-        for (idx, (s, p)) in serial.iter().zip(sharded).enumerate() {
-            assert!(
-                s.to_bits() == p.to_bits(),
-                "{what}: element {idx} not bit-identical: serial {s} vs sharded {p}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_matmuls_are_bit_identical_to_serial() {
-        let _g = crate::pool::tests::width_guard(4);
-        let mut rng = StdRng::seed_from_u64(0x5A4D);
-        // All above the parallel flop/row thresholds; odd sizes land shard
-        // boundaries mid-tile and exercise the column tails.
-        for (m, k, n) in [(64, 63, 64), (64, 127, 256), (256, 63, 128), (33, 65, 96), (128, 128, 17)]
-        {
-            for w in [2usize, 3, 4] {
-                let a = random_vec(&mut rng, m * k, 0.0);
-                let b = random_vec(&mut rng, k * n, 0.0);
-                let (s, p) = at_widths(w, || {
-                    let mut out = vec![0.0f32; m * n];
-                    matmul(m, k, n, &a, &b, &mut out);
-                    out
-                });
-                assert_bits_equal(&s, &p, &format!("matmul {m}x{k}x{n} w{w}"));
-
-                // aᵀ·b with a reinterpreted as m x k ⇒ r = m, c = k.
-                let bt = random_vec(&mut rng, m * n, 0.0);
-                let (s, p) = at_widths(w, || {
-                    let mut out = vec![0.0f32; k * n];
-                    t_matmul(m, k, n, &a, &bt, &mut out);
-                    out
-                });
-                assert_bits_equal(&s, &p, &format!("t_matmul {m}x{k}x{n} w{w}"));
-
-                let c = random_vec(&mut rng, n * k, 0.0);
-                let (s, p) = at_widths(w, || {
-                    let mut out = vec![0.0f32; m * n];
-                    matmul_t(m, k, n, &a, &c, &mut out);
-                    out
-                });
-                assert_bits_equal(&s, &p, &format!("matmul_t {m}x{k}x{n} w{w}"));
-            }
-        }
-        crate::pool::set_threads(1);
-    }
-
-    #[test]
-    fn sharded_tanh_is_bit_identical_to_serial() {
-        let _g = crate::pool::tests::width_guard(4);
-        let xs: Vec<f32> = (0..40_000).map(|i| (i as f32 * 0.001) - 20.0).collect();
-        let (s, p) = at_widths(4, || {
-            let mut out = vec![0.0f32; xs.len()];
-            tanh(&xs, &mut out);
-            out
-        });
-        assert_bits_equal(&s, &p, "tanh 40k");
-        crate::pool::set_threads(1);
     }
 
     #[test]

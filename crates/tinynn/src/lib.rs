@@ -16,9 +16,7 @@
 //!   and Polyak soft updates for DDPG target networks,
 //! * [`optim`] — SGD (± momentum) and Adam,
 //! * [`loss`] — MSE and Huber,
-//! * [`linalg`] — Cholesky, triangular solves, SPD solve with jitter,
-//! * [`pool`] — a persistent worker pool giving the kernels deterministic
-//!   (bit-identical at any thread count) intra-op parallelism.
+//! * [`linalg`] — Cholesky, triangular solves, SPD solve with jitter.
 //!
 //! # Example
 //!

@@ -312,25 +312,6 @@ impl Matrix {
             (source.rows, source.cols),
             "polyak_from shape mismatch"
         );
-        let len = self.data.len();
-        // Element-wise blend: sharding across the pool is bit-identical at
-        // any width, and worthwhile only for the largest target-net tensors.
-        if len >= 16_384 && crate::pool::threads() > 1 {
-            let dst = crate::pool::SyncPtr::new(self.data.as_mut_ptr());
-            let src = &source.data;
-            crate::pool::run_ranges(len, len / 4_096, |i0, i1| {
-                // SAFETY: `run_ranges` partitions `0..len` into disjoint
-                // element ranges, each executed exactly once, so the mutable
-                // sub-slices never alias across participants.
-                let d = unsafe {
-                    std::slice::from_raw_parts_mut(dst.as_ptr().add(i0), i1 - i0)
-                };
-                for (d, &s) in d.iter_mut().zip(&src[i0..i1]) {
-                    *d = tau * s + (1.0 - tau) * *d;
-                }
-            });
-            return;
-        }
         for (d, &s) in self.data.iter_mut().zip(&source.data) {
             *d = tau * s + (1.0 - tau) * *d;
         }

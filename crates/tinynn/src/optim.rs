@@ -6,40 +6,6 @@
 
 use crate::matrix::Matrix;
 use crate::net::Mlp;
-use crate::pool::{self, SyncPtr};
-
-/// Element-count floor before a per-tensor Adam update shards across the
-/// worker pool; below this the serial loop beats the dispatch cost. The
-/// update is element-wise, so sharding is bit-identical at any width.
-const ADAM_PAR_MIN_ELEMS: usize = 16_384;
-/// Minimum elements per shard of a sharded Adam update.
-const ADAM_PAR_MIN_CHUNK: usize = 4_096;
-
-/// One Adam update over a contiguous element block.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn adam_block(
-    w: &mut [f32],
-    g: &[f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    lr: f32,
-    b1: f32,
-    b2: f32,
-    eps: f32,
-    bc1: f32,
-    bc2: f32,
-) {
-    for ((w, &g), (mi, vi)) in
-        w.iter_mut().zip(g).zip(m.iter_mut().zip(v.iter_mut()))
-    {
-        *mi = b1 * *mi + (1.0 - b1) * g;
-        *vi = b2 * *vi + (1.0 - b2) * g * g;
-        let m_hat = *mi / bc1;
-        let v_hat = *vi / bc2;
-        *w -= lr * m_hat / (v_hat.sqrt() + eps);
-    }
-}
 
 /// A first-order optimizer over an [`Mlp`]'s parameters.
 pub trait Optimizer {
@@ -144,28 +110,14 @@ impl Optimizer for Adam {
             let v = &mut vs[idx];
             let w = p.value.as_mut_slice();
             let g = p.grad.as_slice();
-            let (m, v) = (m.as_mut_slice(), v.as_mut_slice());
-            let len = w.len();
-            if len >= ADAM_PAR_MIN_ELEMS && pool::threads() > 1 {
-                let wp = SyncPtr::new(w.as_mut_ptr());
-                let mp = SyncPtr::new(m.as_mut_ptr());
-                let vp = SyncPtr::new(v.as_mut_ptr());
-                pool::run_ranges(len, len / ADAM_PAR_MIN_CHUNK, |i0, i1| {
-                    // SAFETY: `run_ranges` partitions `0..len` into disjoint
-                    // element ranges run exactly once, so the three mutable
-                    // sub-slices never alias; bounds follow from `i1 <= len`.
-                    let (w, m, v) = unsafe {
-                        (
-                            std::slice::from_raw_parts_mut(wp.as_ptr().add(i0), i1 - i0),
-                            std::slice::from_raw_parts_mut(mp.as_ptr().add(i0), i1 - i0),
-                            std::slice::from_raw_parts_mut(vp.as_ptr().add(i0), i1 - i0),
-                        )
-                    };
-                    // lint:allow(panic) reason=run_ranges yields ranges within 0..len and g.len() == len
-                    adam_block(w, &g[i0..i1], m, v, lr, b1, b2, eps, bc1, bc2);
-                });
-            } else {
-                adam_block(w, g, m, v, lr, b1, b2, eps, bc1, bc2);
+            for ((w, &g), (mi, vi)) in
+                w.iter_mut().zip(g).zip(m.as_mut_slice().iter_mut().zip(v.as_mut_slice()))
+            {
+                *mi = b1 * *mi + (1.0 - b1) * g;
+                *vi = b2 * *vi + (1.0 - b2) * g * g;
+                let m_hat = *mi / bc1;
+                let v_hat = *vi / bc2;
+                *w -= lr * m_hat / (v_hat.sqrt() + eps);
             }
             idx += 1;
         });

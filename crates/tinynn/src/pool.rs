@@ -1,412 +1,18 @@
-//! Persistent worker pool for deterministic intra-op parallelism.
-//!
-//! The pool owns a fixed set of long-lived worker threads (spawned lazily on
-//! first parallel dispatch, never joined) and hands them *chunked* jobs: a job
-//! is a `Fn(usize)` invoked once per chunk index. Chunk `c` always runs on
-//! participant `c % width` (the caller is participant 0), so the assignment of
-//! work to threads is a pure function of `(n_chunks, width)` — there is no
-//! work stealing and no scheduler nondeterminism. Combined with kernels that
-//! shard along axes whose per-element reduction order is range-invariant
-//! (see `kernels` and DESIGN.md §16), every parallel result is bit-identical
-//! to the single-thread run at any width.
-//!
-//! Width resolution: `set_threads` wins, else the `CDBTUNE_THREADS`
-//! environment variable, else `available_parallelism`. Width 1 never touches
-//! the pool — callers inline the chunks, compiling down to the serial path.
-//!
-//! The dispatch protocol is allocation-free in steady state: the job closure
-//! is published as a raw fat pointer inside a mutex-guarded slot, workers are
-//! woken by a condvar, and completion is a single atomic counter the caller
-//! spins (then yields) on. Only one dispatcher can own the pool at a time;
-//! concurrent or nested dispatch attempts simply run their chunks inline,
-//! which keeps the protocol deadlock-free and — because chunk→result mapping
-//! does not depend on who executes a chunk — still deterministic.
+//! There is no worker pool (DESIGN.md §16 records why). `benchmark/src/{main,
+//! probes}.rs` were written against one and may not be edited, so these
+//! stateless shims keep them linking until the next `benchmark` PR.
+#![doc(hidden)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+pub fn set_threads(_n: usize) {}
 
-/// Configured pool width; 0 means "not yet resolved".
-static WIDTH: AtomicUsize = AtomicUsize::new(0);
-
-/// Forces the pool width. Values are clamped to at least 1. Intended to be
-/// called once at startup (from `--threads` / daemon config) or from tests.
-pub fn set_threads(n: usize) {
-    WIDTH.store(n.max(1), Ordering::Relaxed);
-}
-
-/// Current pool width, resolving and caching the default on first use.
 pub fn threads() -> usize {
-    let w = WIDTH.load(Ordering::Relaxed);
-    if w != 0 {
-        return w;
-    }
-    let n = default_threads();
-    WIDTH.store(n, Ordering::Relaxed);
-    n
+    1
 }
 
-/// Default width: `CDBTUNE_THREADS` if set to a positive integer, else the
-/// machine's available parallelism, else 1.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("CDBTUNE_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    1
 }
 
-/// Raw-pointer wrapper that lets disjoint-range writers share a base pointer
-/// across pool participants. The *user* of the pointer is responsible for
-/// ensuring each participant touches a disjoint region. The field is private
-/// (use [`SyncPtr::new`] / [`SyncPtr::as_ptr`]) so closures capture the whole
-/// wrapper rather than the bare pointer, keeping the `Sync` impl in play
-/// under edition-2021 disjoint-field capture.
-#[derive(Clone, Copy)]
-pub struct SyncPtr<T>(*mut T);
-
-impl<T> SyncPtr<T> {
-    /// Wraps a base pointer for sharing across participants.
-    pub fn new(p: *mut T) -> Self {
-        Self(p)
-    }
-
-    /// The wrapped pointer.
-    pub fn as_ptr(&self) -> *mut T {
-        self.0
-    }
-}
-
-// SAFETY: only a capability to *name* the pointer from several threads;
-// every dereference is confined to a chunk-private disjoint range
-// (documented at each use site), so no aliasing mutable references.
-unsafe impl<T: Send> Sync for SyncPtr<T> {}
-// SAFETY: moving the bare pointer between threads carries no data; see above.
-unsafe impl<T: Send> Send for SyncPtr<T> {}
-
-/// Fat pointer to the caller's job closure, made sendable so it can sit in
-/// the shared slot while workers pick it up.
-#[derive(Clone, Copy)]
-struct TaskRef(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: the dispatching caller keeps the closure alive on its stack and
-// does not return until every participant checks in, so workers never see
-// a dangling task pointer; the pointee is `Sync`, so shared calls are fine.
-unsafe impl Send for TaskRef {}
-
-/// Mutex-guarded job slot. A new job is published by bumping `epoch` while
-/// holding the lock; workers wait on the condvar for an epoch change.
-struct Slot {
-    epoch: u64,
-    width: usize,
-    n_chunks: usize,
-    task: Option<TaskRef>,
-}
-
-struct Shared {
-    slot: Mutex<Slot>,
-    work: Condvar,
-    /// Number of workers that finished the current epoch's chunks.
-    done: AtomicUsize,
-    /// Panic payload carried out of a worker, re-raised by the dispatcher.
-    poisoned: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-struct Pool {
-    shared: &'static Shared,
-    /// Held for the duration of a dispatch; doubles as the spawned-worker
-    /// count. `try_lock` failure means someone else is dispatching and the
-    /// current caller must run inline.
-    dispatch: Mutex<usize>,
-}
-
-/// Locks a mutex, recovering from poisoning instead of panicking. Pool state
-/// is safe to reuse after a worker panic because the dispatcher re-raises the
-/// payload and the slot protocol is epoch-guarded.
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        shared: Box::leak(Box::new(Shared {
-            slot: Mutex::new(Slot { epoch: 0, width: 0, n_chunks: 0, task: None }),
-            work: Condvar::new(),
-            done: AtomicUsize::new(0),
-            poisoned: Mutex::new(None),
-        })),
-        dispatch: Mutex::new(0),
-    })
-}
-
-fn worker_loop(id: usize, shared: &'static Shared) {
-    let mut seen = 0u64;
-    loop {
-        let (task, n_chunks, width) = {
-            let mut slot = lock_ok(&shared.slot);
-            while slot.epoch == seen {
-                // lint:allow(reactor) reason=pool worker park point, not a reactor handler
-                slot = match shared.work.wait(slot) {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-            }
-            seen = slot.epoch;
-            (slot.task, slot.n_chunks, slot.width)
-        };
-        if id >= width {
-            // Not a participant this epoch; do not check in.
-            continue;
-        }
-        if let Some(TaskRef(t)) = task {
-            // SAFETY: the dispatcher keeps the closure alive until `done`
-            // reaches width-1, which cannot happen before this worker's
-            // check-in below.
-            let f = unsafe { &*t };
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut c = id;
-                while c < n_chunks {
-                    f(c);
-                    c += width;
-                }
-            }));
-            if let Err(payload) = run {
-                *lock_ok(&shared.poisoned) = Some(payload);
-            }
-        }
-        shared.done.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Runs `f(c)` exactly once for every chunk index `c` in `0..n_chunks`,
-/// spread across up to `threads()` participants. Chunk `c` runs on
-/// participant `c % width`; the caller is participant 0. Falls back to a
-/// plain inline loop when the width is 1, the pool is busy (nested or
-/// concurrent dispatch), or worker threads cannot be spawned.
 pub fn run_chunks(n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
-    let width = threads().min(n_chunks);
-    if width <= 1 {
-        for c in 0..n_chunks {
-            f(c);
-        }
-        return;
-    }
-    let p = pool();
-    let Ok(mut spawned) = p.dispatch.try_lock() else {
-        // Someone else owns the pool (concurrent dispatcher or a nested
-        // parallel region). Chunk results do not depend on which thread runs
-        // them, so inlining preserves both progress and determinism.
-        for c in 0..n_chunks {
-            f(c);
-        }
-        return;
-    };
-    while *spawned < width - 1 {
-        let id = *spawned + 1;
-        let shared = p.shared;
-        let res = std::thread::Builder::new()
-            .name(format!("tinynn-pool-{id}"))
-            .spawn(move || worker_loop(id, shared));
-        if res.is_err() {
-            break;
-        }
-        *spawned += 1;
-    }
-    let width = width.min(*spawned + 1);
-    if width <= 1 {
-        for c in 0..n_chunks {
-            f(c);
-        }
-        return;
-    }
-    p.shared.done.store(0, Ordering::Relaxed);
-    {
-        let mut slot = lock_ok(&p.shared.slot);
-        slot.epoch = slot.epoch.wrapping_add(1);
-        slot.width = width;
-        slot.n_chunks = n_chunks;
-        let raw: *const (dyn Fn(usize) + Sync) = f;
-        // SAFETY: lifetime erasure only (identical pointer layout); the
-        // closure outlives its time in the slot — no return until every
-        // participant checks in, and the slot is cleared before returning.
-        slot.task = Some(TaskRef(unsafe {
-            std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync + 'static)>(raw)
-        }));
-        p.shared.work.notify_all();
-    }
-    // Participant 0 (the caller) takes chunks 0, width, 2*width, ...
-    let caller = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut c = 0;
-        while c < n_chunks {
-            f(c);
-            c += width;
-        }
-    }));
-    // Wait for the other participants; spin briefly, then yield so the wait
-    // also completes on machines with fewer cores than the configured width.
-    let need = width - 1;
-    let mut spins = 0u32;
-    while p.shared.done.load(Ordering::Acquire) < need {
-        spins = spins.wrapping_add(1);
-        if spins < 256 {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-    // Hygiene: never leave a dangling task pointer in the slot.
-    lock_ok(&p.shared.slot).task = None;
-    let worker_panic = lock_ok(&p.shared.poisoned).take();
-    drop(spawned);
-    if let Err(payload) = caller {
-        std::panic::resume_unwind(payload);
-    }
-    if let Some(payload) = worker_panic {
-        std::panic::resume_unwind(payload);
-    }
-}
-
-/// Splits `0..total` into at most `max_chunks` contiguous ranges of
-/// near-equal length (capped by the pool width) and runs `f(start, end)` for
-/// each. Range boundaries depend only on `(total, chunks)`, never on thread
-/// scheduling.
-pub fn run_ranges(total: usize, max_chunks: usize, f: impl Fn(usize, usize) + Sync) {
-    let chunks = threads().min(max_chunks).min(total).max(1);
-    if chunks <= 1 {
-        f(0, total);
-        return;
-    }
-    let base = total / chunks;
-    let extra = total % chunks;
-    let g = |i: usize| {
-        let start = i * base + i.min(extra);
-        let len = base + usize::from(i < extra);
-        f(start, start + len);
-    };
-    run_chunks(chunks, &g);
-}
-
-/// Runs `f(i, &mut items[i])` for every element, one chunk per element.
-/// Each element receives exactly one mutable borrow because `run_chunks`
-/// invokes every chunk index exactly once across all participants.
-pub fn for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    let base = SyncPtr::new(items.as_mut_ptr());
-    let g = move |i: usize| {
-        // SAFETY: `run_chunks` runs chunk c on participant c % width exactly
-        // once, so element `i` is mutably borrowed by exactly one thread;
-        // `i < n` because chunk indices come from `0..n`.
-        let item = unsafe { &mut *base.as_ptr().add(i) };
-        f(i, item);
-    };
-    run_chunks(n, &g);
-}
-
-#[cfg(test)]
-pub(crate) mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicU32;
-
-    /// Serializes tests that mutate the global width so they do not trample
-    /// each other; shared with kernel bit-identity tests.
-    pub(crate) fn width_guard(n: usize) -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let g = lock_ok(&LOCK);
-        set_threads(n);
-        g
-    }
-
-    #[test]
-    fn every_chunk_runs_exactly_once() {
-        let _g = width_guard(4);
-        for n_chunks in [1usize, 2, 3, 7, 16, 53] {
-            let hits: Vec<AtomicU32> = (0..n_chunks).map(|_| AtomicU32::new(0)).collect();
-            run_chunks(n_chunks, &|c| {
-                hits[c].fetch_add(1, Ordering::Relaxed);
-            });
-            for (c, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "chunk {c} of {n_chunks}");
-            }
-        }
-        set_threads(1);
-    }
-
-    #[test]
-    fn ranges_partition_the_interval() {
-        let _g = width_guard(4);
-        for total in [0usize, 1, 5, 16, 63, 257] {
-            let hits: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
-            run_ranges(total, 8, |s, e| {
-                assert!(s <= e && e <= total);
-                for h in &hits[s..e] {
-                    h.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "index {i} of {total}");
-            }
-        }
-        set_threads(1);
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_slot() {
-        let _g = width_guard(3);
-        let mut items = vec![0u64; 37];
-        for_each_mut(&mut items, |i, it| *it = (i as u64) * 3 + 1);
-        for (i, it) in items.iter().enumerate() {
-            assert_eq!(*it, (i as u64) * 3 + 1);
-        }
-        set_threads(1);
-    }
-
-    #[test]
-    fn concurrent_dispatchers_fall_back_inline_without_deadlock() {
-        let _g = width_guard(2);
-        let total = AtomicU32::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    run_chunks(64, &|_| {
-                        total.fetch_add(1, Ordering::Relaxed);
-                    });
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 4 * 64);
-        set_threads(1);
-    }
-
-    #[test]
-    fn nested_dispatch_runs_inline() {
-        let _g = width_guard(4);
-        let total = AtomicU32::new(0);
-        run_chunks(4, &|_| {
-            // Nested region: the dispatch lock is held, so this inlines.
-            run_chunks(8, &|_| {
-                total.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 32);
-        set_threads(1);
-    }
-
-    #[test]
-    fn width_config_round_trips() {
-        let _g = width_guard(5);
-        assert_eq!(threads(), 5);
-        set_threads(0); // clamped
-        assert_eq!(threads(), 1);
-        assert!(default_threads() >= 1);
-        set_threads(1);
-    }
+    (0..n_chunks).for_each(f);
 }
