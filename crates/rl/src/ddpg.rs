@@ -224,15 +224,59 @@ pub struct Ddpg {
     scratch: DdpgScratch,
 }
 
-pub(crate) fn build_actor(cfg: &DdpgConfig, rng: &mut StdRng, seed_salt: u64) -> Mlp {
+/// Where [`build_actor`] and [`build_critic`] take a network's parameters
+/// from.
+pub(crate) enum Weights<'a> {
+    /// Sample Table 4's initializers from this RNG ([`Ddpg::new`]).
+    Sample(&'a mut StdRng),
+    /// Copy them out of a snapshot, layer by layer ([`Ddpg::from_snapshot`]):
+    /// nothing is sampled only to be overwritten.
+    Load(&'a NetState),
+}
+
+impl Weights<'_> {
+    /// Layer `layer` of the network: a dense `in_dim x out_dim` layer.
+    fn dense(&mut self, layer: usize, in_dim: usize, out_dim: usize, init: Init) -> Box<dyn Layer> {
+        match self {
+            Weights::Sample(rng) => Box::new(Dense::new(in_dim, out_dim, init, *rng)),
+            Weights::Load(net) => {
+                let Some([w, b]) = net.layers.get(layer).map(Vec::as_slice) else {
+                    // lint:allow(panic) reason=from_snapshot documents a panic on a mismatched snapshot
+                    panic!("snapshot layer {layer} is not a dense layer")
+                };
+                assert_eq!((w.rows(), w.cols()), (in_dim, out_dim), "snapshot layer {layer} shape");
+                Box::new(Dense::from_params(w.clone(), b.clone()))
+            }
+        }
+    }
+
+    /// Layer `layer` of the network: batch norm over `dim` features.
+    fn batch_norm(&self, layer: usize, dim: usize) -> Box<dyn Layer> {
+        let mut bn = BatchNorm::new(dim);
+        if let Weights::Load(net) = self {
+            bn.load_state(net.layers.get(layer).map_or(&[], Vec::as_slice));
+        }
+        Box::new(bn)
+    }
+
+    /// The finished network; a snapshot must have had exactly its layers.
+    fn finish(&self, layers: Vec<Box<dyn Layer>>) -> Mlp {
+        if let Weights::Load(net) = self {
+            assert_eq!(net.layers.len(), layers.len(), "snapshot layer count");
+        }
+        Mlp::new(layers)
+    }
+}
+
+pub(crate) fn build_actor(cfg: &DdpgConfig, weights: &mut Weights<'_>, seed_salt: u64) -> Mlp {
     let mut layers: Vec<Box<dyn Layer>> = Vec::new();
     let mut prev = cfg.state_dim;
     for (i, &h) in cfg.actor_hidden.iter().enumerate() {
-        layers.push(Box::new(Dense::new(prev, h, PAPER_WEIGHT_INIT, rng)));
+        layers.push(weights.dense(layers.len(), prev, h, PAPER_WEIGHT_INIT));
         match i {
             0 => {
                 layers.push(Box::new(Relu()));
-                layers.push(Box::new(BatchNorm::new(h)));
+                layers.push(weights.batch_norm(layers.len(), h));
             }
             1 => {
                 layers.push(Box::new(Tanh()));
@@ -244,15 +288,15 @@ pub(crate) fn build_actor(cfg: &DdpgConfig, rng: &mut StdRng, seed_salt: u64) ->
     }
     // Linear output, clamped to the [0, 1] knob box at act time and kept
     // in-box during training by inverting gradients.
-    layers.push(Box::new(Dense::new(prev, cfg.action_dim, PAPER_WEIGHT_INIT, rng)));
-    Mlp::new(layers)
+    layers.push(weights.dense(layers.len(), prev, cfg.action_dim, PAPER_WEIGHT_INIT));
+    weights.finish(layers)
 }
 
-fn build_critic(cfg: &DdpgConfig, rng: &mut StdRng, seed_salt: u64) -> Mlp {
+fn build_critic(cfg: &DdpgConfig, weights: &mut Weights<'_>, seed_salt: u64) -> Mlp {
     let mut layers: Vec<Box<dyn Layer>> = Vec::new();
     let mut prev = cfg.state_dim + cfg.action_dim;
     for (i, &h) in cfg.critic_hidden.iter().enumerate() {
-        layers.push(Box::new(Dense::new(prev, h, PAPER_WEIGHT_INIT, rng)));
+        layers.push(weights.dense(layers.len(), prev, h, PAPER_WEIGHT_INIT));
         match i {
             0 => {
                 layers.push(Box::new(Relu()));
@@ -262,8 +306,8 @@ fn build_critic(cfg: &DdpgConfig, rng: &mut StdRng, seed_salt: u64) -> Mlp {
         }
         prev = h;
     }
-    layers.push(Box::new(Dense::new(prev, 1, Init::XavierUniform, rng)));
-    Mlp::new(layers)
+    layers.push(weights.dense(layers.len(), prev, 1, Init::XavierUniform));
+    weights.finish(layers)
 }
 
 impl Ddpg {
@@ -272,12 +316,23 @@ impl Ddpg {
     /// `cfg.batch_size` minibatches so the first step already runs warm.
     pub fn new(cfg: DdpgConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut actor = build_actor(&cfg, &mut rng, 0xA0);
-        let mut critic = build_critic(&cfg, &mut rng, 0xB0);
-        let mut actor_target = build_actor(&cfg, &mut rng, 0xA1);
-        let mut critic_target = build_critic(&cfg, &mut rng, 0xB1);
-        actor_target.copy_from(&actor);
-        critic_target.copy_from(&critic);
+        let actor = build_actor(&cfg, &mut Weights::Sample(&mut rng), 0xA0);
+        let critic = build_critic(&cfg, &mut Weights::Sample(&mut rng), 0xB0);
+        // The targets start as copies of the online networks.
+        let actor_target = build_actor(&cfg, &mut Weights::Load(&actor.state()), 0xA1);
+        let critic_target = build_critic(&cfg, &mut Weights::Load(&critic.state()), 0xB1);
+        Self::assemble(cfg, actor, critic, actor_target, critic_target)
+    }
+
+    /// The agent around four built networks: fresh optimizers and RNG
+    /// streams, every arena pre-sized for `cfg.batch_size` rows.
+    fn assemble(
+        cfg: DdpgConfig,
+        mut actor: Mlp,
+        mut critic: Mlp,
+        mut actor_target: Mlp,
+        mut critic_target: Mlp,
+    ) -> Self {
         let b = cfg.batch_size.max(1);
         actor.prewarm(b, cfg.state_dim);
         actor_target.prewarm(b, cfg.state_dim);
@@ -412,8 +467,10 @@ impl Ddpg {
             }
         }
         loss /= b as f32;
+        // The critic fit consumes the critic's weight gradients only, so its
+        // first layer skips dL/d[s | a].
         self.critic.zero_grad();
-        let _ = self.critic.backward_ref(&self.scratch.grad);
+        self.critic.backward_params(&self.scratch.grad);
         self.critic.clip_grad_norm(5.0);
         self.critic_opt.step(&mut self.critic);
 
@@ -434,8 +491,10 @@ impl Ddpg {
         }
         self.scratch.up.resize(b, 1);
         self.scratch.up.fill(-1.0 / b as f32); // maximize mean Q
-        self.critic.zero_grad();
-        let g_input = self.critic.backward_ref(&self.scratch.up);
+        // The actor pass consumes dQ/d[s | a] only: the critic's weight
+        // gradients are neither computed nor touched (the critic was
+        // already stepped above), so there is nothing to zero or discard.
+        let g_input = self.critic.backward_input(&self.scratch.up);
         // Split off the action columns of the critic's input gradient and
         // apply inverting gradients: scale by the remaining headroom toward
         // the boundary the gradient pushes at, reversing once the
@@ -450,9 +509,10 @@ impl Ddpg {
                 *dst = if g < 0.0 { g * (1.0 - a) } else { g * a };
             }
         }
-        self.critic.zero_grad(); // discard actor-pass critic gradients
+        // The actor step consumes the actor's weight gradients only, so its
+        // first layer skips dL/ds.
         self.actor.zero_grad();
-        let _ = self.actor.backward_ref(&self.scratch.g_action);
+        self.actor.backward_params(&self.scratch.g_action);
         self.actor.clip_grad_norm(5.0);
         self.actor_opt.step(&mut self.actor);
 
@@ -484,11 +544,22 @@ impl Ddpg {
         self.critic_target.load_state(&snap.critic_target);
     }
 
-    /// Rebuilds an agent from a snapshot alone.
+    /// Rebuilds an agent from a snapshot alone — the same agent, bit for
+    /// bit, as `Ddpg::new(snap.config)` followed by
+    /// [`Ddpg::load_snapshot`], but the four networks are built straight
+    /// from the snapshot's matrices: no weight is sampled only to be
+    /// overwritten. Every online request and daemon session pays this.
+    ///
+    /// # Panics
+    /// Panics if a network's layers do not match the config (what
+    /// [`DdpgSnapshot::validate`] reports as an error).
     pub fn from_snapshot(snap: &DdpgSnapshot) -> Self {
-        let mut agent = Self::new(snap.config.clone());
-        agent.load_snapshot(snap);
-        agent
+        let cfg = snap.config.clone();
+        let actor = build_actor(&cfg, &mut Weights::Load(&snap.actor), 0xA0);
+        let critic = build_critic(&cfg, &mut Weights::Load(&snap.critic), 0xB0);
+        let actor_target = build_actor(&cfg, &mut Weights::Load(&snap.actor_target), 0xA1);
+        let critic_target = build_critic(&cfg, &mut Weights::Load(&snap.critic_target), 0xB1);
+        Self::assemble(cfg, actor, critic, actor_target, critic_target)
     }
 }
 
@@ -541,6 +612,53 @@ mod tests {
         let mut agent2 = Ddpg::from_snapshot(&agent.snapshot());
         let s = [0.3, 0.6, 0.2];
         assert_eq!(agent.act(&s), agent2.act(&s));
+    }
+
+    #[test]
+    fn from_snapshot_is_new_plus_load_snapshot_bit_for_bit() {
+        // A trained snapshot (moved weights, batch-norm running stats, and
+        // targets that differ from the online nets) into both routes, then
+        // five training steps each: same RNG streams, same optimizer start.
+        let cfg = DdpgConfig { dropout: 0.3, ..tiny_cfg() };
+        let mut trained = Ddpg::new(cfg.clone());
+        let batch: Vec<Transition> = (0..8)
+            .map(|i| {
+                let x = (i as f32) / 8.0;
+                Transition {
+                    state: vec![x, 1.0 - x, 0.5],
+                    action: vec![x, 0.5, 1.0 - x],
+                    reward: x - 0.5,
+                    next_state: vec![1.0 - x, x, 0.5],
+                    done: i % 3 == 0,
+                }
+            })
+            .collect();
+        let refs: Vec<&Transition> = batch.iter().collect();
+        for _ in 0..3 {
+            let _ = trained.train_step(&refs, None, None);
+        }
+        let snap = trained.snapshot();
+        let mut forked = Ddpg::from_snapshot(&snap);
+        let mut loaded = Ddpg::new(cfg);
+        loaded.load_snapshot(&snap);
+        assert!(forked.snapshot() == snap);
+        for _ in 0..5 {
+            let s1 = forked.train_step(&refs, Some(&[0.5f32; 8][..]), None);
+            let s2 = loaded.train_step(&refs, Some(&[0.5f32; 8][..]), None);
+            assert_eq!(s1, s2);
+        }
+        assert!(forked.snapshot() == loaded.snapshot(), "weights diverged after five steps");
+        let probe = [0.3, 0.7, 0.1];
+        let bits = |a: Vec<f32>| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(forked.act(&probe)), bits(loaded.act(&probe)));
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot layer count")]
+    fn from_snapshot_refuses_a_mismatched_layer_count() {
+        let mut snap = Ddpg::new(tiny_cfg()).snapshot();
+        snap.critic.layers.push(Vec::new());
+        let _ = Ddpg::from_snapshot(&snap);
     }
 
     #[test]

@@ -15,9 +15,7 @@
 //! optimizer state: cheap enough to keep one per published registry
 //! version in a serving process.
 
-use crate::ddpg::{build_actor, DdpgSnapshot};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::ddpg::{build_actor, DdpgSnapshot, Weights};
 use tinynn::{Matrix, Mlp};
 
 /// Evaluation-mode actor over one immutable snapshot's weights. All entry
@@ -37,11 +35,7 @@ impl SnapshotPolicy {
     /// running statistics) loaded from it.
     pub fn from_snapshot(snap: &DdpgSnapshot) -> Self {
         let cfg = &snap.config;
-        // The RNG only seeds initial weights, which load_state overwrites,
-        // and dropout masks, which evaluation mode never samples.
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut actor = build_actor(cfg, &mut rng, 0xA0);
-        actor.load_state(&snap.actor);
+        let actor = build_actor(cfg, &mut Weights::Load(&snap.actor), 0xA0);
         Self {
             state_dim: cfg.state_dim,
             action_dim: cfg.action_dim,
@@ -95,7 +89,8 @@ impl SnapshotPolicy {
 mod tests {
     use super::*;
     use crate::ddpg::{Ddpg, DdpgConfig};
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn tiny_cfg() -> DdpgConfig {
         DdpgConfig {

@@ -345,15 +345,25 @@ fn tanh_body(xs: &[f32], out: &mut [f32]) {
     // tanh(12) is within a quarter-ulp of 1.0f32 even after the ~2e-6
     // polynomial error; saturating keeps the exponent bits in range.
     const SAT: f32 = 12.0;
+    const SIGN: u32 = 0x8000_0000;
     let two_log2_e = 2.0 * std::f32::consts::LOG2_E;
+    // Every step is a lane-wise bit operation, compare-and-select or
+    // arithmetic op, so the loop vectorizes; `min`, `as i32` and `copysign`
+    // did not. Bit for bit the same function as `|x|.min(12)`, `nf as i32`
+    // and `copysign` (a NaN takes the saturated branch either way), pinned by
+    // `fast_tanh_bits_match_the_scalar_formulation`.
     for (o, &x) in out.iter_mut().zip(xs) {
-        let y = two_log2_e * x.abs().min(SAT); // e^{2|x|} = 2^y, y ∈ [0, 35]
-        let nf = (y + ROUND) - ROUND;
+        let ax = f32::from_bits(x.to_bits() & !SIGN);
+        let y = two_log2_e * if ax < SAT { ax } else { SAT }; // e^{2|x|} = 2^y, y ∈ [0, 35]
+        let r = y + ROUND;
+        let nf = r - ROUND;
         let f = y - nf; // ∈ [-0.5, 0.5]
         let p = 1.0 + f * (C1 + f * (C2 + f * (C3 + f * (C4 + f * (C5 + f * C6)))));
-        let e = p * f32::from_bits((((nf as i32) + 127) << 23) as u32);
-        let t = 1.0 - 2.0 / (e + 1.0); // tanh(|x|)
-        *o = t.copysign(x);
+        // r = 1.5·2²³ + n with a unit ulp, so n sits in r's low mantissa bits
+        // and ROUND's own bits vanish from `(bits + 127) << 23`.
+        let e = p * f32::from_bits((r.to_bits() + 127) << 23);
+        let t = 1.0 - 2.0 / (e + 1.0); // tanh(|x|) ≥ +0, sign bit clear
+        *o = f32::from_bits(t.to_bits() | (x.to_bits() & SIGN));
     }
 }
 
@@ -547,46 +557,56 @@ mod avx2 {
         _mm_cvtss_f32(_mm_add_ss(d, _mm_shuffle_ps(d, d, 1)))
     }
 
-    /// Four simultaneous k-length dot products of one `a` row against four
-    /// `b` rows, accumulated into `o[0..4]`.
+    /// `R × 4` simultaneous k-length dot products: `R` `a` rows (at stride
+    /// k) against four consecutive `b` rows (at stride k), accumulated into
+    /// `o[r][0..4]` (row r at `o + r·ldo`). One 8-lane FMA chain per output,
+    /// each `b` load serving all `R` rows; every output's arithmetic — its
+    /// chain, `hsum`, scalar tail in k order, final `+=` — is the same for
+    /// any `R`, so the 2-row tile and the 1-row form agree bit for bit.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    // SAFETY: caller guarantees AVX2+FMA; a and b0..b3 valid for k reads,
-    // o for 4 read-writes.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn dot4(
-        k: usize,
-        a: *const f32,
-        b0: *const f32,
-        b1: *const f32,
-        b2: *const f32,
-        b3: *const f32,
-        o: *mut f32,
-    ) {
-        let mut c0 = _mm256_setzero_ps();
-        let mut c1 = _mm256_setzero_ps();
-        let mut c2 = _mm256_setzero_ps();
-        let mut c3 = _mm256_setzero_ps();
+    // SAFETY: caller guarantees AVX2+FMA; a valid for R rows of k reads at
+    // stride k, b for 4 rows of k reads at stride k, o for 4 read-writes in
+    // each of R rows at stride ldo.
+    unsafe fn dot_rx4<const R: usize>(k: usize, a: *const f32, b: *const f32, o: *mut f32, ldo: usize) {
+        // c[r][j] accumulates output (r, j), one chain each.
+        let mut c = [[_mm256_setzero_ps(); 4]; R];
         let mut kk = 0;
         while kk + 8 <= k {
-            let av = _mm256_loadu_ps(a.add(kk));
-            c0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0.add(kk)), c0);
-            c1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1.add(kk)), c1);
-            c2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2.add(kk)), c2);
-            c3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3.add(kk)), c3);
+            let mut av = [_mm256_setzero_ps(); R];
+            for (r, v) in av.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(a.add(r * k + kk));
+            }
+            let mut bv = [_mm256_setzero_ps(); 4];
+            for (j, v) in bv.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(b.add(j * k + kk));
+            }
+            for (cr, &ar) in c.iter_mut().zip(&av) {
+                for (cv, &bj) in cr.iter_mut().zip(&bv) {
+                    *cv = _mm256_fmadd_ps(ar, bj, *cv);
+                }
+            }
             kk += 8;
         }
-        let mut s = [hsum(c0), hsum(c1), hsum(c2), hsum(c3)];
+        let mut s = [[0.0f32; 4]; R];
+        for (sr, cr) in s.iter_mut().zip(&c) {
+            for (sv, cv) in sr.iter_mut().zip(cr) {
+                *sv = hsum(*cv);
+            }
+        }
         while kk < k {
-            let av = *a.add(kk);
-            s[0] += av * *b0.add(kk);
-            s[1] += av * *b1.add(kk);
-            s[2] += av * *b2.add(kk);
-            s[3] += av * *b3.add(kk);
+            for (r, sr) in s.iter_mut().enumerate() {
+                let av = *a.add(r * k + kk);
+                for (j, sv) in sr.iter_mut().enumerate() {
+                    *sv += av * *b.add(j * k + kk);
+                }
+            }
             kk += 1;
         }
-        for (idx, sv) in s.iter().enumerate() {
-            *o.add(idx) += sv;
+        for (r, sr) in s.iter().enumerate() {
+            for (j, sv) in sr.iter().enumerate() {
+                *o.add(r * ldo + j) += sv;
+            }
         }
     }
 
@@ -622,33 +642,34 @@ mod avx2 {
     }
 
     /// AVX2 `out += a · bᵀ` (see [`super::matmul_t`] for the shape
-    /// contract): per output row, four columns resolve as simultaneous dot
-    /// products so the reduction runs in four register chains.
+    /// contract): a 2-row × 4-column register tile — eight simultaneous dot
+    /// products, each `b` load feeding both rows — then a 1-row pass for an
+    /// odd last row, and [`dot1`] for the last `n mod 4` columns.
     #[target_feature(enable = "avx2,fma")]
     // SAFETY: caller guarantees AVX2+FMA and asserts the slice lengths
     // (a: m·k, b: n·k, out: m·n), which bound every dot-product pointer.
     pub(super) unsafe fn matmul_t(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        for i in 0..m {
-            let ar = a.as_ptr().add(i * k);
-            let or = out.as_mut_ptr().add(i * n);
-            let bp = b.as_ptr();
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        let mut i = 0;
+        while i < m {
+            let (ar, or) = (ap.add(i * k), op.add(i * n));
+            let rows = if i + 2 <= m { 2 } else { 1 };
             let mut j = 0;
             while j + 4 <= n {
-                dot4(
-                    k,
-                    ar,
-                    bp.add(j * k),
-                    bp.add((j + 1) * k),
-                    bp.add((j + 2) * k),
-                    bp.add((j + 3) * k),
-                    or.add(j),
-                );
+                if rows == 2 {
+                    dot_rx4::<2>(k, ar, bp.add(j * k), or.add(j), n);
+                } else {
+                    dot_rx4::<1>(k, ar, bp.add(j * k), or.add(j), n);
+                }
                 j += 4;
             }
             while j < n {
-                dot1(k, ar, bp.add(j * k), or.add(j));
+                for r in 0..rows {
+                    dot1(k, ar.add(r * k), bp.add(j * k), or.add(r * n + j));
+                }
                 j += 1;
             }
+            i += rows;
         }
     }
 
@@ -820,6 +841,70 @@ mod tests {
                 naive::matmul_t(m, k, n, &a, &bt, &mut slow);
                 assert_close(&fast, &slow, &format!("matmul_t {m}x{k}x{n} sp{sparsity}"));
             }
+        }
+    }
+
+    #[test]
+    fn row_tiled_matmul_t_equals_row_at_a_time_bit_for_bit() {
+        // The 2-row tile must give every output the arithmetic a 1-row call
+        // gives it: same 8-lane chains, same `hsum`, same `dot1` columns.
+        let mut rng = StdRng::seed_from_u64(0x7113);
+        for m in [1, 2, 3, 5, 32] {
+            for n in [1, 3, 4, 5, 63, 127] {
+                for k in [1, 7, 8, 9, 256] {
+                    let a = random_vec(&mut rng, m * k, 0.0);
+                    let b = random_vec(&mut rng, n * k, 0.0);
+                    let seed = random_vec(&mut rng, m * n, 0.0);
+                    let mut tiled = seed.clone();
+                    matmul_t(m, k, n, &a, &b, &mut tiled);
+                    let mut rows = seed;
+                    for (a_row, out_row) in a.chunks(k).zip(rows.chunks_mut(n)) {
+                        matmul_t(1, k, n, a_row, &b, out_row);
+                    }
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&tiled), bits(&rows), "matmul_t {m}x{k}x{n}");
+                }
+            }
+        }
+    }
+
+    /// The tanh body as written before it vectorized: `min`, `as i32` and
+    /// `copysign`, the reference the bit-level rewrite must reproduce.
+    fn scalar_tanh(x: f32) -> f32 {
+        const C: [f32; 6] =
+            [std::f32::consts::LN_2, 0.240_226_5, 0.055_504_11, 0.009_618_129, 0.001_333_355_8, 0.000_154_035_3];
+        const ROUND: f32 = 12_582_912.0;
+        let y = 2.0 * std::f32::consts::LOG2_E * x.abs().min(12.0);
+        let nf = (y + ROUND) - ROUND;
+        let f = y - nf;
+        let p = 1.0 + f * (C[0] + f * (C[1] + f * (C[2] + f * (C[3] + f * (C[4] + f * C[5])))));
+        let e = p * f32::from_bits((((nf as i32) + 127) << 23) as u32);
+        (1.0 - 2.0 / (e + 1.0)).copysign(x)
+    }
+
+    #[test]
+    fn fast_tanh_bits_match_the_scalar_formulation() {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE * 0.5,
+            12.0,
+            -12.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MAX,
+        ];
+        // Every 4099th bit pattern: all exponents, both signs, NaN payloads.
+        xs.extend((0..=u32::MAX).step_by(4099).map(f32::from_bits));
+        let mut fast = vec![0.0f32; xs.len()];
+        tanh(&xs, &mut fast);
+        for (&x, &t) in xs.iter().zip(&fast) {
+            assert_eq!(t.to_bits(), scalar_tanh(x).to_bits(), "tanh({x:e}) bits {:#x}", x.to_bits());
         }
     }
 

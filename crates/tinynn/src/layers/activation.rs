@@ -1,6 +1,6 @@
 //! Element-wise activation layers: ReLU, Tanh, Sigmoid.
 
-use super::Layer;
+use super::{Grads, Layer};
 use crate::matrix::Matrix;
 
 /// Which activation function an [`Activation`] layer applies.
@@ -74,7 +74,11 @@ impl Layer for Activation {
         output: &Matrix,
         grad_out: &Matrix,
         grad_in: &mut Matrix,
+        grads: Grads,
     ) {
+        if !grads.input() {
+            return; // no parameters
+        }
         match self.kind {
             // ReLU variants derive from the input sign…
             ActivationKind::Relu => {

@@ -6,7 +6,7 @@
 //! which matters because online tuning (Section 2.1.2) runs the actor on
 //! single states (batch size 1) where batch statistics are degenerate.
 
-use super::{Layer, Param};
+use super::{Grads, Layer, Param};
 use crate::matrix::Matrix;
 
 /// Batch normalization over the feature (column) dimension.
@@ -121,11 +121,17 @@ impl Layer for BatchNorm {
         _output: &Matrix,
         grad_out: &Matrix,
         grad_in: &mut Matrix,
+        grads: Grads,
     ) {
         // d gamma += colsum(g * x_hat); d beta += colsum(g)
         grad_out.zip_map_into(&self.x_hat, &mut self.gxh, |g, xh| g * xh);
-        self.gxh.col_sum_acc(&mut self.gamma.grad);
-        grad_out.col_sum_acc(&mut self.beta.grad);
+        if grads.params() {
+            self.gxh.col_sum_acc(&mut self.gamma.grad);
+            grad_out.col_sum_acc(&mut self.beta.grad);
+        }
+        if !grads.input() {
+            return;
+        }
 
         // Standard batch-norm input gradient:
         // dX = gamma/std * (dY - mean(dY) - x_hat * mean(dY * x_hat))
@@ -196,18 +202,18 @@ impl Layer for BatchNorm {
     }
 
     fn load_state(&mut self, state: &[Matrix]) {
-        assert_eq!(state.len(), 4, "batchnorm expects [gamma, beta, mean, var]");
+        let [gamma, beta, mean, var] = state else {
+            // lint:allow(panic) reason=Layer::load_state documents a panic on a mismatched snapshot
+            panic!("batchnorm expects [gamma, beta, mean, var], got {} matrices", state.len())
+        };
         for m in state {
-            assert_eq!(m.cols(), self.dim(), "batchnorm state width mismatch");
+            assert_eq!((m.rows(), m.cols()), (1, self.dim()), "batchnorm state shape mismatch");
         }
-        // lint:allow(panic) reason=state length asserted to 4 above
-        self.gamma.value = state[0].clone();
-        // lint:allow(panic) reason=state length asserted to 4 above
-        self.beta.value = state[1].clone();
-        // lint:allow(panic) reason=state length asserted to 4 above
-        self.running_mean = state[2].clone();
-        // lint:allow(panic) reason=state length asserted to 4 above
-        self.running_var = state[3].clone();
+        // Same shapes, so these copy into the existing buffers.
+        self.gamma.value.copy_from(gamma);
+        self.beta.value.copy_from(beta);
+        self.running_mean.copy_from(mean);
+        self.running_var.copy_from(var);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Fully-connected (affine) layer: `Y = X·W + b`.
 
-use super::{Layer, Param};
+use super::{Grads, Layer, Param};
 use crate::init::Init;
 use crate::matrix::Matrix;
 use rand::Rng;
@@ -21,6 +21,17 @@ impl Dense {
             weight: Param::new(weight_init.sample(in_dim, out_dim, rng)),
             bias: Param::new(Matrix::zeros(1, out_dim)),
         }
+    }
+
+    /// Creates a dense layer from existing parameters — `weight` is
+    /// `in x out`, `bias` `1 x out` — with no initializer to run: how a
+    /// network is rebuilt straight from a snapshot.
+    ///
+    /// # Panics
+    /// Panics if `bias` is not `1 x weight.cols()`.
+    pub fn from_params(weight: Matrix, bias: Matrix) -> Self {
+        assert_eq!((bias.rows(), bias.cols()), (1, weight.cols()), "dense bias shape mismatch");
+        Self { weight: Param::new(weight), bias: Param::new(bias) }
     }
 
     /// Input dimensionality.
@@ -47,11 +58,16 @@ impl Layer for Dense {
         _output: &Matrix,
         grad_out: &Matrix,
         grad_in: &mut Matrix,
+        grads: Grads,
     ) {
         // dW += Xᵀ·dY, db += colsum(dY), dX = dY·Wᵀ
-        input.t_matmul_acc(grad_out, &mut self.weight.grad);
-        grad_out.col_sum_acc(&mut self.bias.grad);
-        grad_out.matmul_t_into(&self.weight.value, grad_in);
+        if grads.params() {
+            input.t_matmul_acc(grad_out, &mut self.weight.grad);
+            grad_out.col_sum_acc(&mut self.bias.grad);
+        }
+        if grads.input() {
+            grad_out.matmul_t_into(&self.weight.value, grad_in);
+        }
     }
 
     fn out_width(&self, _in_width: usize) -> usize {
@@ -85,19 +101,19 @@ impl Layer for Dense {
     }
 
     fn load_state(&mut self, state: &[Matrix]) {
-        assert_eq!(state.len(), 2, "dense expects [weight, bias]");
+        let [weight, bias] = state else {
+            // lint:allow(panic) reason=Layer::load_state documents a panic on a mismatched snapshot
+            panic!("dense expects [weight, bias], got {} matrices", state.len())
+        };
         assert_eq!(
-            // lint:allow(panic) reason=state length asserted to 2 on the line above
-            (state[0].rows(), state[0].cols()),
-            (self.weight.value.rows(), self.weight.value.cols()),
+            (weight.rows(), weight.cols()),
+            (self.in_dim(), self.out_dim()),
             "dense weight shape mismatch"
         );
-        // lint:allow(panic) reason=state length asserted to 2 above
-        assert_eq!(state[1].cols(), self.bias.value.cols(), "dense bias shape mismatch");
-        // lint:allow(panic) reason=state length asserted to 2 above
-        self.weight.value = state[0].clone();
-        // lint:allow(panic) reason=state length asserted to 2 above
-        self.bias.value = state[1].clone();
+        assert_eq!((bias.rows(), bias.cols()), (1, self.out_dim()), "dense bias shape mismatch");
+        // Same shapes, so these copy into the existing buffers.
+        self.weight.value.copy_from(weight);
+        self.bias.value.copy_from(bias);
     }
 }
 
@@ -187,6 +203,27 @@ mod tests {
         assert!(second.as_slice()[0] > first.as_slice()[0] - 1e-9);
         d.zero_grad();
         d.visit_params(&mut |p| assert!(p.grad.as_slice().iter().all(|&x| x == 0.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "dense bias shape mismatch")]
+    fn load_state_refuses_a_two_row_bias() {
+        // Used to load, then panic in the next forward's broadcast.
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut d = Dense::new(3, 2, Init::Zeros, &mut rng);
+        d.load_state(&[Matrix::zeros(3, 2), Matrix::zeros(2, 2)]);
+    }
+
+    #[test]
+    fn load_state_copies_into_the_existing_buffers() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut d = Dense::new(3, 2, Init::Zeros, &mut rng);
+        let src = Dense::new(3, 2, Init::Uniform(0.5), &mut rng);
+        let ptrs = |d: &Dense| [d.weight.value.as_slice().as_ptr(), d.bias.value.as_slice().as_ptr()];
+        let held = ptrs(&d);
+        d.load_state(&src.state());
+        assert_eq!(ptrs(&d), held);
+        assert_eq!(d.state(), src.state());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Table 5 uses dropout rates of 0.2 and 0.3 in the actor/critic stacks.
 //! Inverted scaling (`1 / (1 - p)` at train time) keeps evaluation a no-op.
 
-use super::Layer;
+use super::{Grads, Layer};
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,7 +56,11 @@ impl Layer for Dropout {
         _output: &Matrix,
         grad_out: &Matrix,
         grad_in: &mut Matrix,
+        grads: Grads,
     ) {
+        if !grads.input() {
+            return; // no parameters
+        }
         if self.active {
             grad_out.zip_map_into(&self.mask, grad_in, |g, m| g * m);
         } else {

@@ -38,6 +38,31 @@ impl Param {
     }
 }
 
+/// Which gradients a backward pass computes — what its caller consumes.
+/// Skipping one never changes the bits of the other: each is computed by
+/// its own products from the same `grad_out`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Grads {
+    /// Accumulate parameter gradients and write dL/d input.
+    All,
+    /// Accumulate parameter gradients only; `grad_in` is left untouched.
+    Params,
+    /// Write dL/d input only; parameter gradients are left untouched.
+    Input,
+}
+
+impl Grads {
+    /// Whether parameter gradients are accumulated.
+    pub fn params(self) -> bool {
+        self != Grads::Input
+    }
+
+    /// Whether dL/d input is written.
+    pub fn input(self) -> bool {
+        self != Grads::Params
+    }
+}
+
 /// A differentiable network layer.
 pub trait Layer: Send {
     /// Computes the layer output for a batch (`rows` = batch size) into a
@@ -46,17 +71,18 @@ pub trait Layer: Send {
     /// dropout.
     fn forward_into(&mut self, input: &Matrix, out: &mut Matrix, train: bool);
 
-    /// Backpropagates `grad_out` (dL/d output), accumulating parameter
-    /// gradients and writing dL/d input into `grad_in` (resized and
-    /// overwritten). `input` and `output` are the tensors of the matching
-    /// `forward_into` call, lent back by the network's scratch arena so the
-    /// layer never has to clone them.
+    /// Backpropagates `grad_out` (dL/d output): accumulates parameter
+    /// gradients if `grads.params()` and writes dL/d input into `grad_in`
+    /// (resized and overwritten) if `grads.input()`. `input` and `output`
+    /// are the tensors of the matching `forward_into` call, lent back by the
+    /// network's scratch arena so the layer never has to clone them.
     fn backward_into(
         &mut self,
         input: &Matrix,
         output: &Matrix,
         grad_out: &Matrix,
         grad_in: &mut Matrix,
+        grads: Grads,
     );
 
     /// Output width this layer produces for a given input width — used to
@@ -124,7 +150,7 @@ pub(crate) mod gradcheck {
     /// Allocating wrapper over [`Layer::backward_into`].
     pub fn bwd(layer: &mut dyn Layer, input: &Matrix, output: &Matrix, grad_out: &Matrix) -> Matrix {
         let mut grad_in = Matrix::default();
-        layer.backward_into(input, output, grad_out, &mut grad_in);
+        layer.backward_into(input, output, grad_out, &mut grad_in, Grads::All);
         grad_in
     }
 

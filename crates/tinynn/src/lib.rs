@@ -59,8 +59,8 @@ pub mod pool;
 pub use init::{Init, PAPER_PARAM_INIT, PAPER_WEIGHT_INIT};
 pub use kernels::{kernel_mode, set_kernel_mode, KernelMode};
 pub use layers::{
-    Activation, ActivationKind, BatchNorm, Dense, Dropout, Layer, LeakyRelu, Param, Relu,
-    Sigmoid, Tanh,
+    Activation, ActivationKind, BatchNorm, Dense, Dropout, Grads, Layer, LeakyRelu, Param,
+    Relu, Sigmoid, Tanh,
 };
 pub use linalg::{cholesky, solve_lower, solve_lower_transpose, solve_spd, LinalgError};
 pub use loss::{huber_loss, mse_loss};

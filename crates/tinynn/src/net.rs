@@ -6,7 +6,7 @@
 //! steady-state `forward_ref` → `backward_ref` cycle therefore performs zero
 //! heap allocations — see DESIGN.md §11 for the ownership rules.
 
-use crate::layers::{Layer, Param};
+use crate::layers::{Grads, Layer, Param};
 use crate::matrix::Matrix;
 
 /// Reusable forward/backward tensors owned by an [`Mlp`].
@@ -46,14 +46,17 @@ impl Mlp {
     /// allocation-free. Optional: buffers also grow lazily on first use.
     pub fn prewarm(&mut self, rows: usize, in_width: usize) {
         let Self { layers, scratch } = self;
-        scratch.acts[0].resize(rows, in_width);
+        let mut acts = scratch.acts.iter_mut();
+        if let Some(input) = acts.next() {
+            input.resize(rows, in_width);
+        }
         let mut width = in_width;
         let mut max_width = in_width;
-        for (i, layer) in layers.iter_mut().enumerate() {
+        for (layer, out) in layers.iter_mut().zip(acts) {
             layer.prewarm(rows, width);
             width = layer.out_width(width);
             max_width = max_width.max(width);
-            scratch.acts[i + 1].resize(rows, width);
+            out.resize(rows, width);
         }
         scratch.g_a.resize(rows, max_width);
         scratch.g_b.resize(rows, max_width);
@@ -98,6 +101,29 @@ impl Mlp {
     /// pass), accumulating parameter gradients. Returns a borrow of
     /// dL/d input inside the scratch arena; zero allocations once warm.
     pub fn backward_ref(&mut self, grad_out: &Matrix) -> &Matrix {
+        self.backward_walk(grad_out, Grads::All)
+    }
+
+    /// [`Mlp::backward_ref`] for a caller that only steps the optimizer:
+    /// accumulates the same parameter gradients, bit for bit, but the first
+    /// layer skips dL/d input (for a `Dense` first layer, one `dY·Wᵀ`
+    /// product).
+    pub fn backward_params(&mut self, grad_out: &Matrix) {
+        self.backward_walk(grad_out, Grads::Params);
+    }
+
+    /// [`Mlp::backward_ref`] for a caller that only wants dL/d input (the
+    /// actor's pass through the critic): returns the same matrix, bit for
+    /// bit, but no layer touches its parameter gradients (for a `Dense`
+    /// layer, no `Xᵀ·dY` product and no bias sum).
+    pub fn backward_input(&mut self, grad_out: &Matrix) -> &Matrix {
+        self.backward_walk(grad_out, Grads::Input)
+    }
+
+    /// The one layer walk behind the three backward passes. Every layer
+    /// above the first must pass dL/d its input down, so `Grads::Params`
+    /// narrows to parameters at layer 0 only.
+    fn backward_walk(&mut self, grad_out: &Matrix, grads: Grads) -> &Matrix {
         let Self { layers, scratch } = self;
         let n = layers.len();
         if n == 0 {
@@ -109,14 +135,15 @@ impl Mlp {
         for (i, layer) in layers.iter_mut().enumerate().rev() {
             let input = &acts[i];
             let output = &acts[i + 1];
+            let grads = if grads == Grads::Params && i > 0 { Grads::All } else { grads };
             if i == n - 1 {
-                layer.backward_into(input, output, grad_out, g_a);
+                layer.backward_into(input, output, grad_out, g_a, grads);
                 from_a = true;
             } else if from_a {
-                layer.backward_into(input, output, g_a, g_b);
+                layer.backward_into(input, output, g_a, g_b, grads);
                 from_a = false;
             } else {
-                layer.backward_into(input, output, g_b, g_a);
+                layer.backward_into(input, output, g_b, g_a, grads);
                 from_a = true;
             }
         }
@@ -298,6 +325,65 @@ mod tests {
         net2.load_state(&restored);
         let probe = Init::Uniform(1.0).sample(4, 3, &mut rng);
         assert_eq!(net.predict(&probe), net2.predict(&probe));
+    }
+
+    /// The DDPG actor's layer pattern (dense, ReLU, batch norm, tanh,
+    /// dropout, linear head) at small widths.
+    fn actor_shaped(rng: &mut StdRng) -> Mlp {
+        Mlp::new(vec![
+            Box::new(Dense::new(7, 16, Init::Uniform(0.1), rng)),
+            Box::new(Relu()),
+            Box::new(BatchNorm::new(16)),
+            Box::new(Dense::new(16, 12, Init::Uniform(0.1), rng)),
+            Box::new(Tanh()),
+            Box::new(Dropout::new(0.3, 5)),
+            Box::new(Dense::new(12, 5, Init::Uniform(0.1), rng)),
+        ])
+    }
+
+    /// The DDPG critic's layer pattern (dense, ReLU, dropout, tanh, scalar
+    /// head) over a `[state | action]` input.
+    fn critic_shaped(rng: &mut StdRng) -> Mlp {
+        Mlp::new(vec![
+            Box::new(Dense::new(12, 24, Init::Uniform(0.1), rng)),
+            Box::new(Relu()),
+            Box::new(Dropout::new(0.3, 6)),
+            Box::new(Dense::new(24, 9, Init::Uniform(0.1), rng)),
+            Box::new(Tanh()),
+            Box::new(Dense::new(9, 1, Init::XavierUniform, rng)),
+        ])
+    }
+
+    fn grad_bits(net: &mut Mlp) -> Vec<u32> {
+        let mut bits = Vec::new();
+        net.visit_params(&mut |p| bits.extend(p.grad.as_slice().iter().map(|g| g.to_bits())));
+        bits
+    }
+
+    #[test]
+    fn narrowed_backward_passes_match_the_full_one_bit_for_bit() {
+        type Build = fn(&mut StdRng) -> Mlp;
+        for (build, in_w) in [(actor_shaped as Build, 7), (critic_shaped, 12)] {
+            let fresh = || build(&mut StdRng::seed_from_u64(31));
+            let (mut full, mut params, mut input) = (fresh(), fresh(), fresh());
+            let mut rng = StdRng::seed_from_u64(32);
+            // Two train-mode steps, so gradients accumulate and each step
+            // draws its own dropout masks (the same in all three nets).
+            for _ in 0..2 {
+                let x = Init::Uniform(1.0).sample(9, in_w, &mut rng);
+                let out_w = full.forward_ref(&x, true).cols();
+                let g = Init::Uniform(1.0).sample(9, out_w, &mut rng);
+                let _ = params.forward_ref(&x, true);
+                let _ = input.forward_ref(&x, true);
+                let dx: Vec<u32> = full.backward_ref(&g).as_slice().iter().map(|v| v.to_bits()).collect();
+                params.backward_params(&g);
+                let dx_in: Vec<u32> =
+                    input.backward_input(&g).as_slice().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(dx, dx_in, "input-only dL/dx differs");
+                assert_eq!(grad_bits(&mut full), grad_bits(&mut params), "params-only grads differ");
+            }
+            assert!(grad_bits(&mut input).iter().all(|&b| b == 0), "input-only touched a gradient");
+        }
     }
 
     #[test]
