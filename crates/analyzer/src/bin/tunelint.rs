@@ -77,8 +77,7 @@ fn print_help() {
          \n\
          Suppress a single finding with an annotation on the same line or the\n\
          line above:  // lint:allow(<id>) reason=<why this is sound>\n\
-         where <id> is one of: panic, determinism, lock-order, unsafe, telemetry,\n\
-         reactor.\n\
+         where <id> is one of: panic, determinism, lock-order, unsafe, reactor.\n\
          \n\
          Exit codes: 0 clean, 1 new deny-level findings or stale baseline\n\
          entries (rerun with --fix-baseline to lock ratchet gains in), 2\n\

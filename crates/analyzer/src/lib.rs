@@ -2,10 +2,10 @@
 //!
 //! The workspace's correctness rests on invariants the compiler cannot
 //! check: seeded determinism (checkpoint resume, same-seed tests),
-//! panic-free resilient paths, lock acquisition order, audited `unsafe`,
-//! and a telemetry schema whose encoder and decoder must agree. This
-//! crate enforces them with a std-only lexer + lint framework so the gate
-//! runs even in registry-less containers where clippy cannot.
+//! panic-free resilient paths, lock acquisition order, audited `unsafe`
+//! and a reactor that never blocks. This crate enforces them with a
+//! std-only lexer + lint framework so the gate runs even in registry-less
+//! containers where clippy cannot.
 //!
 //! Design: lints pattern-match the *token stream* (never raw text, so
 //! strings/comments cannot confuse them) produced by [`lexer::lex`].
@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 
 /// Lint ids accepted inside `// lint:allow(<id>) reason=...` annotations.
 pub const ALLOW_IDS: &[&str] =
-    &["panic", "determinism", "lock-order", "unsafe", "telemetry", "reactor"];
+    &["panic", "determinism", "lock-order", "unsafe", "reactor"];
 
 /// `(lint id, one-line description)` pairs for `tunelint --list`.
 pub const LINT_DOCS: &[(&str, &str)] = &[
@@ -36,7 +36,6 @@ pub const LINT_DOCS: &[(&str, &str)] = &[
     ("determinism", "wall-clock, thread_rng, or HashMap/HashSet iteration in seeded RL/replay/fingerprint code"),
     ("lock-order", "inconsistent Mutex/RwLock acquisition order across functions (deadlock risk)"),
     ("unsafe-audit", "unsafe blocks/fns without a `// SAFETY:` comment"),
-    ("telemetry-schema", "field-name drift between telemetry encoders and decoders"),
     ("reactor-blocking", "blocking reads/sleeps/recv/locks inside the event-driven reactor modules"),
     ("annotation", "malformed lint:allow annotations (unknown id or missing reason)"),
 ];
@@ -226,8 +225,6 @@ pub struct AnalysisConfig {
     pub lock_scope: Vec<String>,
     /// reactor-blocking forbids blocking calls in these paths.
     pub reactor_scope: Vec<String>,
-    /// telemetry-schema cross-checks encode/decode inside these files.
-    pub telemetry_files: Vec<String>,
     /// Compute-kernel files whose panic sites (dim-derived slice indexing,
     /// debug_asserted at entry) never seed the interprocedural may-panic
     /// lattice. Token-level panic-safety still applies if such a file is
@@ -272,7 +269,6 @@ impl AnalysisConfig {
             ]),
             lock_scope: v(&["crates/simdb/", "crates/service/"]),
             reactor_scope: v(&["crates/service/src/reactor/"]),
-            telemetry_files: v(&["crates/core/src/telemetry.rs"]),
             panic_kernel_allowlist: v(&["crates/tinynn/src/kernels.rs"]),
         }
     }
@@ -395,7 +391,6 @@ pub fn analyze_workspace(ws: &Workspace<'_>, cfg: &AnalysisConfig) -> Vec<Findin
     findings.extend(lints::panic_safety::run_transitive(ws, cfg));
     findings.extend(lints::reactor_blocking::run_transitive(ws, cfg));
     findings.extend(lints::lock_order::run(ws, cfg));
-    findings.extend(lints::telemetry_schema::run(ws.sources, cfg));
     findings.sort();
     findings
 }
@@ -881,18 +876,6 @@ mod fixture_tests {
     fn unsafe_audit_fixture_matches_golden() {
         let cfg = AnalysisConfig::default();
         assert_eq!(run_fixture(&["unsafe_audit.rs"], &cfg), golden("unsafe_audit.expected"));
-    }
-
-    #[test]
-    fn telemetry_schema_fixture_matches_golden() {
-        let cfg = AnalysisConfig {
-            telemetry_files: vec!["telemetry_drift.rs".into()],
-            ..AnalysisConfig::default()
-        };
-        assert_eq!(
-            run_fixture(&["telemetry_drift.rs"], &cfg),
-            golden("telemetry_drift.expected")
-        );
     }
 
     #[test]

@@ -10,5 +10,4 @@ pub mod determinism;
 pub mod lock_order;
 pub mod panic_safety;
 pub mod reactor_blocking;
-pub mod telemetry_schema;
 pub mod unsafe_audit;

@@ -23,15 +23,16 @@
 //!
 //! Every benchmark is seeded, warmed up, and reported as the median of
 //! several repetitions. [`run_suite`] returns a [`PerfReport`] that
-//! serializes to the committed `BENCH_PERF.json` baseline (hand-rolled
-//! writer, [`cdbtune::jsonio`] reader, so the suite works in registry-less
-//! containers);
+//! serializes to the committed `BENCH_PERF.json` baseline (a
+//! [`cdbtune::persist`] document);
 //! [`check`] compares a fresh run against that baseline: absolute
 //! throughputs may not regress past a tolerance, and ratio gates (which are
 //! machine-independent) must always hold.
 
 use crate::harness::{ExperimentScale, Lab, Setting};
 use cdbtune::jsonio::Json;
+use cdbtune::persist::Persist;
+use cdbtune::persist_struct;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{Ddpg, DdpgConfig, ReplayBuffer, Transition, TransitionBatch};
@@ -675,77 +676,25 @@ pub fn check(
     failures
 }
 
-// ---- JSON writer / parser ----
-//
-// No serde derive, so the suite runs in registry-less containers. The
-// writer emits exactly one object per line inside the `benches` / `ratios`
-// arrays so a baseline diff is one line per changed entry.
+// ---- BENCH_PERF.json ----
 
-/// Serializes a report in the committed `BENCH_PERF.json` layout.
+persist_struct!(BenchResult { name, unit, value });
+persist_struct!(RatioResult { name, value, min });
+persist_struct!(PerfReport {
+    version, quick ?= false, benches ?= Vec::new(), ratios ?= Vec::new(),
+});
+
+/// Serializes a report as a `BENCH_PERF.json` document.
 pub fn to_json(report: &PerfReport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"version\": {},\n", report.version));
-    s.push_str(&format!("  \"quick\": {},\n", report.quick));
-    s.push_str("  \"benches\": [\n");
-    for (i, b) in report.benches.iter().enumerate() {
-        let comma = if i + 1 < report.benches.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"unit\": \"{}\", \"value\": {:.3} }}{comma}\n",
-            b.name, b.unit, b.value
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"ratios\": [\n");
-    for (i, r) in report.ratios.iter().enumerate() {
-        let comma = if i + 1 < report.ratios.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"value\": {:.3}, \"min\": {:.3} }}{comma}\n",
-            r.name, r.value, r.min
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    report.encode().to_text() + "\n"
 }
 
 /// Parses a `BENCH_PERF.json` document. Returns a message naming the first
-/// entry that lacks a field of its section.
+/// field that is missing or mistyped, or the zero version.
 pub fn parse_json(text: &str) -> Result<PerfReport, String> {
-    let doc = Json::parse(text)?;
-    let entries = |key: &str| match doc.get(key) {
-        Some(Json::Arr(items)) => items.as_slice(),
-        _ => &[],
-    };
-    let text_of = |e: &Json, key: &str| match e.get(key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        _ => Err(format!("entry without a {key}: {e:?}")),
-    };
-    let num_of = |e: &Json, key: &str| match e.get(key) {
-        Some(Json::Num(n)) => Ok(*n),
-        _ => Err(format!("entry without a {key}: {e:?}")),
-    };
-    let mut report = PerfReport {
-        version: doc.u64("version") as u32,
-        quick: doc.boolean("quick"),
-        benches: Vec::new(),
-        ratios: Vec::new(),
-    };
+    let report = PerfReport::decode(&Json::parse(text)?).map_err(|e| e.to_string())?;
     if report.version == 0 {
-        return Err("missing or zero schema version".into());
-    }
-    for e in entries("benches") {
-        report.benches.push(BenchResult {
-            name: text_of(e, "name")?,
-            unit: text_of(e, "unit")?,
-            value: num_of(e, "value")?,
-        });
-    }
-    for e in entries("ratios") {
-        report.ratios.push(RatioResult {
-            name: text_of(e, "name")?,
-            value: num_of(e, "value")?,
-            min: num_of(e, "min")?,
-        });
+        return Err("zero schema version".into());
     }
     Ok(report)
 }

@@ -8,6 +8,12 @@
 //! fixed point; the parser is a minimal recursive-descent reader covering
 //! exactly the JSON subset the schemas emit (objects, arrays, strings,
 //! numbers, booleans, null).
+//!
+//! The two line formats (trace events, wire messages) are declared as field
+//! tables: [`line_struct!`](crate::line_struct) for a nested object and
+//! [`line_enum!`](crate::line_enum) for the tagged variants of a line. A
+//! table generates both the encoder, which streams through [`Obj`], and the
+//! lenient decoder, through [`LineField`].
 
 use std::fmt::Write as _;
 
@@ -244,6 +250,166 @@ impl Json {
             _ => Vec::new(),
         }
     }
+}
+
+/// One field of a line format: how a value is written under a key and read
+/// back. Reading is lenient, the line schemas' rule: an absent or mistyped
+/// field takes the type's default, so adding a field stays compatible.
+pub trait LineField: Sized {
+    /// Writes the value as field `key` of `o`.
+    fn put(&self, o: &mut Obj, key: &str);
+    /// Reads field `key` of the object `j`.
+    fn take(j: &Json, key: &str) -> Self;
+}
+
+/// Below 2^53 a bare number, exact in the `f64` every reader parses into;
+/// from 2^53 on a decimal string ([`crate::persist`]'s rule), which a reader
+/// from before the rule takes for an absent field, 0, not a rounded one.
+impl LineField for u64 {
+    fn put(&self, o: &mut Obj, key: &str) {
+        if *self < 1 << 53 {
+            o.u64(key, *self);
+        } else {
+            o.str(key, &self.to_string());
+        }
+    }
+
+    fn take(j: &Json, key: &str) -> Self {
+        match j.get(key) {
+            Some(Json::Str(s)) => s.parse().unwrap_or(0),
+            _ => j.u64(key),
+        }
+    }
+}
+
+impl LineField for f64 {
+    fn put(&self, o: &mut Obj, key: &str) {
+        o.f64(key, *self);
+    }
+
+    fn take(j: &Json, key: &str) -> Self {
+        j.num(key)
+    }
+}
+
+impl LineField for bool {
+    fn put(&self, o: &mut Obj, key: &str) {
+        o.bool(key, *self);
+    }
+
+    fn take(j: &Json, key: &str) -> Self {
+        j.boolean(key)
+    }
+}
+
+impl LineField for String {
+    fn put(&self, o: &mut Obj, key: &str) {
+        o.str(key, self);
+    }
+
+    fn take(j: &Json, key: &str) -> Self {
+        j.string(key)
+    }
+}
+
+impl LineField for Vec<f64> {
+    fn put(&self, o: &mut Obj, key: &str) {
+        o.f64_array(key, self);
+    }
+
+    fn take(j: &Json, key: &str) -> Self {
+        j.f64_array(key)
+    }
+}
+
+/// Implements [`LineField`](crate::jsonio::LineField) for a struct as a
+/// nested object: one key per member, in the order listed; `member: "key"`
+/// writes a member under another key. The encoder destructures and the
+/// decoder constructs without `..`, so the list must name every member.
+#[macro_export]
+macro_rules! line_struct {
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    ($ty:ty { $($field:ident $(: $key:literal)?),+ $(,)? }) => {
+        impl $crate::jsonio::LineField for $ty {
+            fn put(&self, o: &mut $crate::jsonio::Obj, key: &str) {
+                let Self { $($field),+ } = self;
+                o.obj(key, |o| {
+                    $($crate::jsonio::LineField::put(
+                        $field,
+                        o,
+                        $crate::line_struct!(@key $field $($key)?),
+                    );)+
+                });
+            }
+
+            fn take(j: &$crate::jsonio::Json, key: &str) -> Self {
+                let j = j.get(key).unwrap_or(&$crate::jsonio::Json::Null);
+                Self {
+                    $($field: $crate::jsonio::LineField::take(
+                        j,
+                        $crate::line_struct!(@key $field $($key)?),
+                    )),+
+                }
+            }
+        }
+    };
+}
+
+/// The tagged variants of a line: `Variant "tag" { member, … }` for every
+/// variant of an enum of struct variants, members as in
+/// [`line_struct!`](crate::line_struct), plus `member ?= value` for one the
+/// encoder leaves out while it equals `value` (so absent must read back as
+/// `value`). Generates `type_tag`, `put_fields` (the members, written after
+/// the caller's envelope) and `take_fields` (the variant of a tag, `None`
+/// for an unknown one). Patterns and constructors name every member without
+/// `..`, so a variant or member left out of the table does not compile.
+#[macro_export]
+macro_rules! line_enum {
+    (@put $o:ident, $field:ident, $key:expr) => {
+        $crate::jsonio::LineField::put($field, $o, $key)
+    };
+    (@put $o:ident, $field:ident, $key:expr, $omit:expr) => {
+        if *$field != $omit {
+            $crate::jsonio::LineField::put($field, $o, $key)
+        }
+    };
+    ($ty:ident {
+        $($variant:ident $tag:literal {
+            $($field:ident $(: $key:literal)? $(?= $omit:expr)?),* $(,)?
+        }),+ $(,)?
+    }) => {
+        impl $ty {
+            /// The `"type"` tag written on the variant's line.
+            pub fn type_tag(&self) -> &'static str {
+                match self {
+                    $($ty::$variant { .. } => $tag),+
+                }
+            }
+
+            fn put_fields(&self, o: &mut $crate::jsonio::Obj) {
+                match self {
+                    $($ty::$variant { $($field),* } => {
+                        $($crate::line_enum!(
+                            @put o, $field, $crate::line_struct!(@key $field $($key)?) $(, $omit)?
+                        );)*
+                    })+
+                }
+            }
+
+            fn take_fields(tag: &str, j: &$crate::jsonio::Json) -> Option<Self> {
+                match tag {
+                    $($tag => Some($ty::$variant {
+                        $($field: $crate::jsonio::LineField::take(
+                            j,
+                            $crate::line_struct!(@key $field $($key)?),
+                        )),*
+                    }),)+
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
 /// Deepest array/object nesting the parser follows. The schemas need six
@@ -496,6 +662,22 @@ mod tests {
         assert_eq!(j.num("absent"), 0.0);
         assert_eq!(j.string("absent"), "");
         assert!(!j.boolean("absent"));
+    }
+
+    #[test]
+    fn line_u64_is_a_number_below_2_pow_53_and_a_string_from_there() {
+        let vals = [(1u64 << 53) - 1, 1 << 53, u64::MAX];
+        let mut o = Obj::new();
+        for (k, v) in ["a", "b", "c"].iter().zip(vals) {
+            v.put(&mut o, k);
+        }
+        let text = o.finish();
+        let want = r#"{"a":9007199254740991,"b":"9007199254740992","c":"18446744073709551615"}"#;
+        assert_eq!(text, want);
+        let j = Json::parse(&text).unwrap();
+        assert_eq!(["a", "b", "c"].map(|k| u64::take(&j, k)), vals);
+        // A reader from before the rule sees the string as an absent field.
+        assert_eq!((j.u64("b"), u64::take(&j, "absent")), (0, 0));
     }
 
     #[test]

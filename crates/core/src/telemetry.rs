@@ -12,10 +12,11 @@
 //! before/after diff of trace events instead of a silently regressed
 //! benchmark weeks later.
 //!
-//! The module is deliberately **zero-dependency** (std only): events are
-//! serialized by a hand-rolled JSON writer and re-read by a minimal JSON
-//! parser, so the trace format cannot drift with a serde upgrade and the
-//! module compiles (and its tests run) in isolation.
+//! The module is deliberately **zero-dependency** (std only). Each event
+//! and payload is declared once, in a field table over [`crate::jsonio`]
+//! (`line_struct!` / `line_enum!`, in the "line format" section below); the
+//! table generates the `type` tag, the writer and the reader, so an event
+//! member the table misses, or a tag without a decoder, does not compile.
 //!
 //! # Schema versioning
 //!
@@ -23,8 +24,10 @@
 //! The rule: adding a field is backward-compatible (readers default
 //! missing fields to zero/false/empty) and does **not** bump the version;
 //! renaming, removing, or changing the meaning of a field bumps
-//! [`SCHEMA_VERSION`]. The round-trip test in `scripts/tier1.sh` pins the
-//! encode→decode→encode fixed point so the format cannot break silently.
+//! [`SCHEMA_VERSION`]. A `u64` is a bare number below 2^53 and a decimal
+//! string from there on ([`LineField`](crate::jsonio::LineField)). The
+//! golden-line test pins the bytes of every event, and the round-trip test
+//! in `scripts/tier1.sh` the encode→decode→encode fixed point.
 //!
 //! # Backends
 //!
@@ -37,6 +40,7 @@
 //! lock, no allocation.
 
 use crate::jsonio::{Json, Obj};
+use crate::{line_enum, line_struct};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
@@ -467,29 +471,6 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The `"type"` tag written on the event's JSONL line.
-    pub fn type_tag(&self) -> &'static str {
-        match self {
-            TraceEvent::RunStart { .. } => "run_start",
-            TraceEvent::EpisodeStart { .. } => "episode_start",
-            TraceEvent::Step { .. } => "step",
-            TraceEvent::Recovery { .. } => "recovery",
-            TraceEvent::EpisodeEnd { .. } => "episode_end",
-            TraceEvent::CollectWorker { .. } => "collect_worker",
-            TraceEvent::RunEnd { .. } => "run_end",
-            TraceEvent::SessionOpen { .. } => "session_open",
-            TraceEvent::SessionClose { .. } => "session_close",
-            TraceEvent::Admission { .. } => "admission",
-            TraceEvent::ServiceQueue { .. } => "service_queue",
-            TraceEvent::DriftDetected { .. } => "drift_detected",
-            TraceEvent::Rollback { .. } => "rollback",
-            TraceEvent::SafetyClamp { .. } => "safety_clamp",
-            TraceEvent::RegretWindow { .. } => "regret_window",
-            TraceEvent::ReactorSample { .. } => "reactor_sample",
-            TraceEvent::IdleClose { .. } => "idle_close",
-        }
-    }
-
     /// The minimum [`TraceLevel`] at which the event is recorded.
     pub fn level(&self) -> TraceLevel {
         match self {
@@ -506,254 +487,60 @@ impl TraceEvent {
 }
 
 // ---------------------------------------------------------------------------
-// JSON encoding (via crate::jsonio — hand-rolled, std only)
+// The line format: one field table per type (crate::jsonio)
 // ---------------------------------------------------------------------------
 
-fn reward_obj(o: &mut Obj, r: &RewardTrace) {
-    o.f64("reward", r.reward)
-        .f64("throughput_term", r.throughput_term)
-        .f64("latency_term", r.latency_term)
-        .f64("delta0_tps", r.delta0_throughput)
-        .f64("delta_prev_tps", r.delta_prev_throughput)
-        .f64("delta0_lat", r.delta0_latency)
-        .f64("delta_prev_lat", r.delta_prev_latency)
-        .bool("clamp_fired", r.clamp_fired)
-        .bool("epsilon_floored", r.epsilon_floored)
-        .bool("zero_rule_fired", r.zero_rule_fired)
-        .bool("final_clamp_fired", r.final_clamp_fired);
-}
+line_struct!(RewardTrace {
+    reward, throughput_term, latency_term,
+    delta0_throughput: "delta0_tps", delta_prev_throughput: "delta_prev_tps",
+    delta0_latency: "delta0_lat", delta_prev_latency: "delta_prev_lat",
+    clamp_fired, epsilon_floored, zero_rule_fired, final_clamp_fired,
+});
+line_struct!(ReplayTrace {
+    len, beta, max_priority, is_weight_min, is_weight_max, fallback_hits, tree_rebuilds,
+});
+line_struct!(RecoveryDelta {
+    retries, backoff_ms, rollbacks, forced_restarts, quarantined_configs, quarantine_hits,
+    degraded_steps, imputed_metrics,
+});
+line_struct!(EngineSample { restarts, crashes, running });
+line_struct!(PhaseTiming {
+    recommendation_wall_us, deployment_wall_us, stress_wall_us, stress_simulated_sec,
+    metrics_wall_us, model_update_wall_us,
+});
 
-fn replay_obj(o: &mut Obj, r: &ReplayTrace) {
-    o.u64("len", r.len)
-        .f64("beta", r.beta)
-        .f64("max_priority", r.max_priority)
-        .f64("is_weight_min", r.is_weight_min)
-        .f64("is_weight_max", r.is_weight_max)
-        .u64("fallback_hits", r.fallback_hits)
-        .u64("tree_rebuilds", r.tree_rebuilds);
-}
-
-fn recovery_obj(o: &mut Obj, r: &RecoveryDelta) {
-    o.u64("retries", r.retries)
-        .u64("backoff_ms", r.backoff_ms)
-        .u64("rollbacks", r.rollbacks)
-        .u64("forced_restarts", r.forced_restarts)
-        .u64("quarantined_configs", r.quarantined_configs)
-        .u64("quarantine_hits", r.quarantine_hits)
-        .u64("degraded_steps", r.degraded_steps)
-        .u64("imputed_metrics", r.imputed_metrics);
-}
-
-fn engine_obj(o: &mut Obj, e: &EngineSample) {
-    o.u64("restarts", e.restarts).u64("crashes", e.crashes).bool("running", e.running);
-}
-
-fn timing_obj(o: &mut Obj, t: &PhaseTiming) {
-    o.u64("recommendation_wall_us", t.recommendation_wall_us)
-        .u64("deployment_wall_us", t.deployment_wall_us)
-        .u64("stress_wall_us", t.stress_wall_us)
-        .f64("stress_simulated_sec", t.stress_simulated_sec)
-        .u64("metrics_wall_us", t.metrics_wall_us)
-        .u64("model_update_wall_us", t.model_update_wall_us);
-}
+line_enum!(TraceEvent {
+    RunStart "run_start" { mode, seed, knobs, state_dim },
+    EpisodeStart "episode_start" { episode, warm_start, baseline_tps, baseline_p99_us },
+    Step "step" {
+        step, episode, action, reward, throughput_tps, p99_latency_us, crashed, degraded, replay,
+        recovery, engine, timing,
+    },
+    Recovery "recovery" { action, during, attempt, backoff_ms },
+    EpisodeEnd "episode_end" { episode, steps, mean_reward, best_tps },
+    CollectWorker "collect_worker" { worker, derived_seed, steps, crashes },
+    RunEnd "run_end" { mode, total_steps, best_tps, crashes, wall_seconds },
+    SessionOpen "session_open" { session, workload, knobs, warm_start, registry_distance },
+    SessionClose "session_close" { session, steps, best_tps, drained, published },
+    Admission "admission" { accepted, reason, queue_depth },
+    ServiceQueue "service_queue" { depth, busy_workers },
+    DriftDetected "drift_detected" { step, distance, threshold, reference_age },
+    Rollback "rollback" { step, from_tps, to_tps, drop_frac, quarantined },
+    SafetyClamp "safety_clamp" { step, clamped_knobs, max_delta, radius },
+    RegretWindow "regret_window" { window, regret, budget, over_budget, radius },
+    ReactorSample "reactor_sample" { conns, sessions, queued_jobs, busy_workers },
+    IdleClose "idle_close" { conn, idle_ms, had_session },
+});
 
 impl TraceEvent {
     /// Encodes the event as one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let mut o = Obj::new();
         o.u64("v", u64::from(SCHEMA_VERSION)).str("type", self.type_tag());
-        match self {
-            TraceEvent::RunStart { mode, seed, knobs, state_dim } => {
-                o.str("mode", mode).u64("seed", *seed).u64("knobs", *knobs).u64(
-                    "state_dim",
-                    *state_dim,
-                );
-            }
-            TraceEvent::EpisodeStart { episode, warm_start, baseline_tps, baseline_p99_us } => {
-                o.u64("episode", *episode)
-                    .bool("warm_start", *warm_start)
-                    .f64("baseline_tps", *baseline_tps)
-                    .f64("baseline_p99_us", *baseline_p99_us);
-            }
-            TraceEvent::Step {
-                step,
-                episode,
-                action,
-                reward,
-                throughput_tps,
-                p99_latency_us,
-                crashed,
-                degraded,
-                replay,
-                recovery,
-                engine,
-                timing,
-            } => {
-                o.u64("step", *step)
-                    .u64("episode", *episode)
-                    .f64_array("action", action)
-                    .obj("reward", |s| reward_obj(s, reward))
-                    .f64("throughput_tps", *throughput_tps)
-                    .f64("p99_latency_us", *p99_latency_us)
-                    .bool("crashed", *crashed)
-                    .bool("degraded", *degraded)
-                    .obj("replay", |s| replay_obj(s, replay))
-                    .obj("recovery", |s| recovery_obj(s, recovery))
-                    .obj("engine", |s| engine_obj(s, engine))
-                    .obj("timing", |s| timing_obj(s, timing));
-            }
-            TraceEvent::Recovery { action, during, attempt, backoff_ms } => {
-                o.str("action", action)
-                    .str("during", during)
-                    .u64("attempt", *attempt)
-                    .u64("backoff_ms", *backoff_ms);
-            }
-            TraceEvent::EpisodeEnd { episode, steps, mean_reward, best_tps } => {
-                o.u64("episode", *episode)
-                    .u64("steps", *steps)
-                    .f64("mean_reward", *mean_reward)
-                    .f64("best_tps", *best_tps);
-            }
-            TraceEvent::CollectWorker { worker, derived_seed, steps, crashes } => {
-                o.u64("worker", *worker)
-                    .u64("derived_seed", *derived_seed)
-                    .u64("steps", *steps)
-                    .u64("crashes", *crashes);
-            }
-            TraceEvent::RunEnd { mode, total_steps, best_tps, crashes, wall_seconds } => {
-                o.str("mode", mode)
-                    .u64("total_steps", *total_steps)
-                    .f64("best_tps", *best_tps)
-                    .u64("crashes", *crashes)
-                    .f64("wall_seconds", *wall_seconds);
-            }
-            TraceEvent::SessionOpen { session, workload, knobs, warm_start, registry_distance } => {
-                o.u64("session", *session)
-                    .str("workload", workload)
-                    .u64("knobs", *knobs)
-                    .bool("warm_start", *warm_start)
-                    .f64("registry_distance", *registry_distance);
-            }
-            TraceEvent::SessionClose { session, steps, best_tps, drained, published } => {
-                o.u64("session", *session)
-                    .u64("steps", *steps)
-                    .f64("best_tps", *best_tps)
-                    .bool("drained", *drained)
-                    .bool("published", *published);
-            }
-            TraceEvent::Admission { accepted, reason, queue_depth } => {
-                o.bool("accepted", *accepted)
-                    .str("reason", reason)
-                    .u64("queue_depth", *queue_depth);
-            }
-            TraceEvent::ServiceQueue { depth, busy_workers } => {
-                o.u64("depth", *depth).u64("busy_workers", *busy_workers);
-            }
-            TraceEvent::DriftDetected { step, distance, threshold, reference_age } => {
-                o.u64("step", *step)
-                    .f64("distance", *distance)
-                    .f64("threshold", *threshold)
-                    .u64("reference_age", *reference_age);
-            }
-            TraceEvent::Rollback { step, from_tps, to_tps, drop_frac, quarantined } => {
-                o.u64("step", *step)
-                    .f64("from_tps", *from_tps)
-                    .f64("to_tps", *to_tps)
-                    .f64("drop_frac", *drop_frac)
-                    .bool("quarantined", *quarantined);
-            }
-            TraceEvent::SafetyClamp { step, clamped_knobs, max_delta, radius } => {
-                o.u64("step", *step)
-                    .u64("clamped_knobs", *clamped_knobs)
-                    .f64("max_delta", *max_delta)
-                    .f64("radius", *radius);
-            }
-            TraceEvent::RegretWindow { window, regret, budget, over_budget, radius } => {
-                o.u64("window", *window)
-                    .f64("regret", *regret)
-                    .f64("budget", *budget)
-                    .bool("over_budget", *over_budget)
-                    .f64("radius", *radius);
-            }
-            TraceEvent::ReactorSample { conns, sessions, queued_jobs, busy_workers } => {
-                o.u64("conns", *conns)
-                    .u64("sessions", *sessions)
-                    .u64("queued_jobs", *queued_jobs)
-                    .u64("busy_workers", *busy_workers);
-            }
-            TraceEvent::IdleClose { conn, idle_ms, had_session } => {
-                o.u64("conn", *conn).u64("idle_ms", *idle_ms).bool("had_session", *had_session);
-            }
-        }
+        self.put_fields(&mut o);
         o.finish()
     }
-}
 
-// ---------------------------------------------------------------------------
-// JSON decoding (via the crate::jsonio parser)
-// ---------------------------------------------------------------------------
-
-fn reward_from(j: &Json) -> RewardTrace {
-    RewardTrace {
-        reward: j.num("reward"),
-        throughput_term: j.num("throughput_term"),
-        latency_term: j.num("latency_term"),
-        delta0_throughput: j.num("delta0_tps"),
-        delta_prev_throughput: j.num("delta_prev_tps"),
-        delta0_latency: j.num("delta0_lat"),
-        delta_prev_latency: j.num("delta_prev_lat"),
-        clamp_fired: j.boolean("clamp_fired"),
-        epsilon_floored: j.boolean("epsilon_floored"),
-        zero_rule_fired: j.boolean("zero_rule_fired"),
-        final_clamp_fired: j.boolean("final_clamp_fired"),
-    }
-}
-
-fn replay_from(j: &Json) -> ReplayTrace {
-    ReplayTrace {
-        len: j.u64("len"),
-        beta: j.num("beta"),
-        max_priority: j.num("max_priority"),
-        is_weight_min: j.num("is_weight_min"),
-        is_weight_max: j.num("is_weight_max"),
-        fallback_hits: j.u64("fallback_hits"),
-        tree_rebuilds: j.u64("tree_rebuilds"),
-    }
-}
-
-fn recovery_from(j: &Json) -> RecoveryDelta {
-    RecoveryDelta {
-        retries: j.u64("retries"),
-        backoff_ms: j.u64("backoff_ms"),
-        rollbacks: j.u64("rollbacks"),
-        forced_restarts: j.u64("forced_restarts"),
-        quarantined_configs: j.u64("quarantined_configs"),
-        quarantine_hits: j.u64("quarantine_hits"),
-        degraded_steps: j.u64("degraded_steps"),
-        imputed_metrics: j.u64("imputed_metrics"),
-    }
-}
-
-fn engine_from(j: &Json) -> EngineSample {
-    EngineSample {
-        restarts: j.u64("restarts"),
-        crashes: j.u64("crashes"),
-        running: j.boolean("running"),
-    }
-}
-
-fn timing_from(j: &Json) -> PhaseTiming {
-    PhaseTiming {
-        recommendation_wall_us: j.u64("recommendation_wall_us"),
-        deployment_wall_us: j.u64("deployment_wall_us"),
-        stress_wall_us: j.u64("stress_wall_us"),
-        stress_simulated_sec: j.num("stress_simulated_sec"),
-        metrics_wall_us: j.u64("metrics_wall_us"),
-        model_update_wall_us: j.u64("model_update_wall_us"),
-    }
-}
-
-impl TraceEvent {
     /// Decodes one JSONL line. Unknown fields are ignored and missing
     /// fields default (the schema's compatibility rule); an unknown
     /// `"type"` or a newer schema version is an error.
@@ -763,121 +550,8 @@ impl TraceEvent {
         if v > SCHEMA_VERSION {
             return Err(format!("trace schema v{v} is newer than supported v{SCHEMA_VERSION}"));
         }
-        let sub = |key: &str| j.get(key).cloned().unwrap_or(Json::Obj(Vec::new()));
-        match j.string("type").as_str() {
-            "run_start" => Ok(TraceEvent::RunStart {
-                mode: j.string("mode"),
-                seed: j.u64("seed"),
-                knobs: j.u64("knobs"),
-                state_dim: j.u64("state_dim"),
-            }),
-            "episode_start" => Ok(TraceEvent::EpisodeStart {
-                episode: j.u64("episode"),
-                warm_start: j.boolean("warm_start"),
-                baseline_tps: j.num("baseline_tps"),
-                baseline_p99_us: j.num("baseline_p99_us"),
-            }),
-            "step" => Ok(TraceEvent::Step {
-                step: j.u64("step"),
-                episode: j.u64("episode"),
-                action: j.f64_array("action"),
-                reward: reward_from(&sub("reward")),
-                throughput_tps: j.num("throughput_tps"),
-                p99_latency_us: j.num("p99_latency_us"),
-                crashed: j.boolean("crashed"),
-                degraded: j.boolean("degraded"),
-                replay: replay_from(&sub("replay")),
-                recovery: recovery_from(&sub("recovery")),
-                engine: engine_from(&sub("engine")),
-                timing: timing_from(&sub("timing")),
-            }),
-            "recovery" => Ok(TraceEvent::Recovery {
-                action: j.string("action"),
-                during: j.string("during"),
-                attempt: j.u64("attempt"),
-                backoff_ms: j.u64("backoff_ms"),
-            }),
-            "episode_end" => Ok(TraceEvent::EpisodeEnd {
-                episode: j.u64("episode"),
-                steps: j.u64("steps"),
-                mean_reward: j.num("mean_reward"),
-                best_tps: j.num("best_tps"),
-            }),
-            "collect_worker" => Ok(TraceEvent::CollectWorker {
-                worker: j.u64("worker"),
-                derived_seed: j.u64("derived_seed"),
-                steps: j.u64("steps"),
-                crashes: j.u64("crashes"),
-            }),
-            "run_end" => Ok(TraceEvent::RunEnd {
-                mode: j.string("mode"),
-                total_steps: j.u64("total_steps"),
-                best_tps: j.num("best_tps"),
-                crashes: j.u64("crashes"),
-                wall_seconds: j.num("wall_seconds"),
-            }),
-            "session_open" => Ok(TraceEvent::SessionOpen {
-                session: j.u64("session"),
-                workload: j.string("workload"),
-                knobs: j.u64("knobs"),
-                warm_start: j.boolean("warm_start"),
-                registry_distance: j.num("registry_distance"),
-            }),
-            "session_close" => Ok(TraceEvent::SessionClose {
-                session: j.u64("session"),
-                steps: j.u64("steps"),
-                best_tps: j.num("best_tps"),
-                drained: j.boolean("drained"),
-                published: j.boolean("published"),
-            }),
-            "admission" => Ok(TraceEvent::Admission {
-                accepted: j.boolean("accepted"),
-                reason: j.string("reason"),
-                queue_depth: j.u64("queue_depth"),
-            }),
-            "service_queue" => Ok(TraceEvent::ServiceQueue {
-                depth: j.u64("depth"),
-                busy_workers: j.u64("busy_workers"),
-            }),
-            "drift_detected" => Ok(TraceEvent::DriftDetected {
-                step: j.u64("step"),
-                distance: j.num("distance"),
-                threshold: j.num("threshold"),
-                reference_age: j.u64("reference_age"),
-            }),
-            "rollback" => Ok(TraceEvent::Rollback {
-                step: j.u64("step"),
-                from_tps: j.num("from_tps"),
-                to_tps: j.num("to_tps"),
-                drop_frac: j.num("drop_frac"),
-                quarantined: j.boolean("quarantined"),
-            }),
-            "safety_clamp" => Ok(TraceEvent::SafetyClamp {
-                step: j.u64("step"),
-                clamped_knobs: j.u64("clamped_knobs"),
-                max_delta: j.num("max_delta"),
-                radius: j.num("radius"),
-            }),
-            "regret_window" => Ok(TraceEvent::RegretWindow {
-                window: j.u64("window"),
-                regret: j.num("regret"),
-                budget: j.num("budget"),
-                over_budget: j.boolean("over_budget"),
-                radius: j.num("radius"),
-            }),
-            "reactor_sample" => Ok(TraceEvent::ReactorSample {
-                conns: j.u64("conns"),
-                sessions: j.u64("sessions"),
-                queued_jobs: j.u64("queued_jobs"),
-                busy_workers: j.u64("busy_workers"),
-            }),
-            "idle_close" => Ok(TraceEvent::IdleClose {
-                conn: j.u64("conn"),
-                idle_ms: j.u64("idle_ms"),
-                had_session: j.boolean("had_session"),
-            }),
-            other => Err(format!("unknown trace event type '{other}'")),
-        }
+        let tag = j.string("type");
+        Self::take_fields(&tag, &j).ok_or_else(|| format!("unknown trace event type '{tag}'"))
     }
 
     /// Parses a whole JSONL document, skipping blank lines; fails on the
@@ -1251,6 +925,51 @@ mod tests {
             assert!(line.starts_with("{\"v\":1,\"type\":\""), "{line}");
             assert!(line.contains(&format!("\"type\":\"{}\"", ev.type_tag())));
         }
+    }
+
+    /// The bytes of every sample line, as the hand-written encoder wrote
+    /// them: how the schema is declared may change, the lines may not.
+    #[test]
+    fn sample_lines_are_byte_identical() {
+        let golden = [
+            r#"{"v":1,"type":"run_start","mode":"train","seed":42,"knobs":40,"state_dim":63}"#,
+            r#"{"v":1,"type":"episode_start","episode":0,"warm_start":false,"baseline_tps":3920.0,"baseline_p99_us":391600.0}"#,
+            r#"{"v":1,"type":"step","step":7,"episode":2,"action":[0.25,0.5,1.0],"reward":{"reward":1.5,"throughput_term":2.0,"latency_term":1.0,"delta0_tps":0.2,"delta_prev_tps":0.1,"delta0_lat":0.05,"delta_prev_lat":-0.01,"clamp_fired":false,"epsilon_floored":false,"zero_rule_fired":true,"final_clamp_fired":false},"throughput_tps":5087.5,"p99_latency_us":30612.0,"crashed":false,"degraded":false,"replay":{"len":640,"beta":0.41,"max_priority":12.5,"is_weight_min":0.3,"is_weight_max":1.0,"fallback_hits":0,"tree_rebuilds":2},"recovery":{"retries":1,"backoff_ms":250,"rollbacks":0,"forced_restarts":0,"quarantined_configs":0,"quarantine_hits":0,"degraded_steps":0,"imputed_metrics":0},"engine":{"restarts":9,"crashes":1,"running":true},"timing":{"recommendation_wall_us":120,"deployment_wall_us":800,"stress_wall_us":15000,"stress_simulated_sec":152.88,"metrics_wall_us":90,"model_update_wall_us":2400}}"#,
+            r#"{"v":1,"type":"recovery","action":"retry","during":"deploy","attempt":2,"backoff_ms":500}"#,
+            r#"{"v":1,"type":"episode_end","episode":0,"steps":20,"mean_reward":0.8,"best_tps":5100.0}"#,
+            r#"{"v":1,"type":"collect_worker","worker":3,"derived_seed":57005,"steps":50,"crashes":1}"#,
+            r#"{"v":1,"type":"session_open","session":11,"workload":"sysbench-rw","knobs":6,"warm_start":true,"registry_distance":0.042}"#,
+            r#"{"v":1,"type":"admission","accepted":false,"reason":"queue_full","queue_depth":4}"#,
+            r#"{"v":1,"type":"service_queue","depth":3,"busy_workers":2}"#,
+            r#"{"v":1,"type":"drift_detected","step":12,"distance":0.61,"threshold":0.35,"reference_age":7}"#,
+            r#"{"v":1,"type":"rollback","step":13,"from_tps":2400.0,"to_tps":5100.0,"drop_frac":0.53,"quarantined":true}"#,
+            r#"{"v":1,"type":"safety_clamp","step":14,"clamped_knobs":3,"max_delta":0.22,"radius":0.15}"#,
+            r#"{"v":1,"type":"regret_window","window":2,"regret":0.4,"budget":0.75,"over_budget":false,"radius":0.18}"#,
+            r#"{"v":1,"type":"reactor_sample","conns":120,"sessions":96,"queued_jobs":5,"busy_workers":2}"#,
+            r#"{"v":1,"type":"idle_close","conn":44,"idle_ms":31000,"had_session":true}"#,
+            r#"{"v":1,"type":"session_close","session":11,"steps":5,"best_tps":5200.0,"drained":false,"published":true}"#,
+            r#"{"v":1,"type":"run_end","mode":"train","total_steps":320,"best_tps":5087.0,"crashes":20,"wall_seconds":13.8}"#,
+        ];
+        let lines: Vec<String> = all_sample_events().iter().map(TraceEvent::to_json_line).collect();
+        assert_eq!(lines, golden);
+    }
+
+    #[test]
+    fn worker_seeds_from_2_pow_53_round_trip() {
+        for worker in 0..4 {
+            let ev = TraceEvent::CollectWorker {
+                worker: worker as u64,
+                derived_seed: crate::parallel::worker_seed(42, worker),
+                steps: 50,
+                crashes: 1,
+            };
+            let line = ev.to_json_line();
+            assert_eq!(TraceEvent::from_json_line(&line).unwrap(), ev, "{line}");
+        }
+        let line =
+            TraceEvent::CollectWorker { worker: 0, derived_seed: 1 << 53, steps: 0, crashes: 0 }
+                .to_json_line();
+        assert!(line.contains(r#""derived_seed":"9007199254740992""#), "{line}");
     }
 
     #[test]

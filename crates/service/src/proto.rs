@@ -7,13 +7,22 @@
 //! [`PROTO_VERSION`] are rejected so an old daemon never mis-parses a
 //! newer client.
 //!
+//! A [`Response`] is declared once, in its `line_enum!` table
+//! ([`cdbtune::jsonio`]), which generates the tag, the writer and the
+//! reader. A [`Request`] is written out by hand, because decoding one is
+//! policy as much as schema: spec defaults come from [`EnvSpec::default`],
+//! a zero `max_steps` means the paper's 5, an empty tenant means none, and
+//! a spec integer that does not fit its field is an error, not a wrapped
+//! value. A `u64` from 2^53 on (a seed) travels as a decimal string.
+//!
 //! A connection serves at most one session: `create_session` opens it,
 //! `step` advances it, `recommend` reads the best configuration found,
 //! `close_session` ends it (publishing the fine-tuned model to the
 //! registry). `status` and `shutdown` need no session.
 
-use cdbtune::jsonio::{Json, Obj};
-use cdbtune::EnvSpec;
+use cdbtune::jsonio::{Json, LineField, Obj};
+use cdbtune::persist::{field, PersistError};
+use cdbtune::{line_enum, EnvSpec};
 use simdb::EngineFlavor;
 use workload::WorkloadKind;
 
@@ -177,15 +186,36 @@ pub enum Response {
     },
 }
 
+line_enum!(Response {
+    SessionCreated "session_created" {
+        session, warm_start, registry_distance, baseline_tps, baseline_p99_us,
+    },
+    StepDone "step_done" {
+        session, step, throughput_tps, p99_latency_us, reward, crashed, degraded, finished,
+    },
+    ServiceStatus "service_status" {
+        active_sessions, total_sessions, queue_depth, busy_workers, warm_hits, warm_misses,
+        rejected, registry_len, draining, drift_events, recovery_rollbacks, retune_epochs,
+        infer_batches, infer_rows, infer_deadline_flushes,
+    },
+    Recommendation "recommendation" {
+        session, best_tps, best_p99_us, throughput_gain, changed_knobs, steps, drift_events,
+        rollbacks, retune_epochs, epoch_rollbacks,
+    },
+    Closed "closed" { session, steps, published, drained },
+    Rejected "rejected" { reason, queue_depth },
+    Error "error" { message, code ?= "" },
+});
+
 fn spec_to_obj(o: &mut Obj, spec: &EnvSpec) {
     o.str("flavor", &spec.flavor.to_string())
         .str("workload", &spec.workload.label().to_ascii_lowercase())
         .u64("ram_gb", u64::from(spec.ram_gb))
         .u64("disk_gb", u64::from(spec.disk_gb))
         .f64("scale", spec.scale)
-        .u64("knobs", spec.knobs as u64)
-        .u64("seed", spec.seed)
-        .u64("warmup_txns", spec.warmup_txns as u64)
+        .u64("knobs", spec.knobs as u64);
+    spec.seed.put(o, "seed");
+    o.u64("warmup_txns", spec.warmup_txns as u64)
         .u64("measure_txns", spec.measure_txns as u64)
         .u64("horizon", spec.horizon as u64);
     if let Some(faults) = &spec.faults {
@@ -203,25 +233,20 @@ fn spec_from_json(j: &Json) -> Result<EnvSpec, String> {
         Some(Json::Str(s)) => s.parse()?,
         _ => d.workload,
     };
+    // An integer is range-checked, never narrowed: a negative, fractional or
+    // too-large value is refused by name, and an absent one is the default.
+    let named = |e: PersistError| format!("spec {e}");
     Ok(EnvSpec {
         flavor,
         workload,
-        ram_gb: if j.get("ram_gb").is_some() { j.u64("ram_gb") as u32 } else { d.ram_gb },
-        disk_gb: if j.get("disk_gb").is_some() { j.u64("disk_gb") as u32 } else { d.disk_gb },
+        ram_gb: field(j, "ram_gb", Some(d.ram_gb)).map_err(named)?,
+        disk_gb: field(j, "disk_gb", Some(d.disk_gb)).map_err(named)?,
         scale: if j.get("scale").is_some() { j.num("scale") } else { d.scale },
-        knobs: if j.get("knobs").is_some() { j.u64("knobs") as usize } else { d.knobs },
-        seed: if j.get("seed").is_some() { j.u64("seed") } else { d.seed },
-        warmup_txns: if j.get("warmup_txns").is_some() {
-            j.u64("warmup_txns") as usize
-        } else {
-            d.warmup_txns
-        },
-        measure_txns: if j.get("measure_txns").is_some() {
-            j.u64("measure_txns") as usize
-        } else {
-            d.measure_txns
-        },
-        horizon: if j.get("horizon").is_some() { j.u64("horizon") as usize } else { d.horizon },
+        knobs: field(j, "knobs", Some(d.knobs)).map_err(named)?,
+        seed: field(j, "seed", Some(d.seed)).map_err(named)?,
+        warmup_txns: field(j, "warmup_txns", Some(d.warmup_txns)).map_err(named)?,
+        measure_txns: field(j, "measure_txns", Some(d.measure_txns)).map_err(named)?,
+        horizon: field(j, "horizon", Some(d.horizon)).map_err(named)?,
         faults: match j.get("faults") {
             Some(Json::Str(s)) => Some(s.clone()),
             _ => d.faults,
@@ -321,193 +346,17 @@ impl Response {
 
     /// Encodes the response as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        match self {
-            Response::SessionCreated {
-                session,
-                warm_start,
-                registry_distance,
-                baseline_tps,
-                baseline_p99_us,
-            } => {
-                let mut o = versioned("session_created");
-                o.u64("session", *session)
-                    .bool("warm_start", *warm_start)
-                    .f64("registry_distance", *registry_distance)
-                    .f64("baseline_tps", *baseline_tps)
-                    .f64("baseline_p99_us", *baseline_p99_us);
-                o.finish()
-            }
-            Response::StepDone {
-                session,
-                step,
-                throughput_tps,
-                p99_latency_us,
-                reward,
-                crashed,
-                degraded,
-                finished,
-            } => {
-                let mut o = versioned("step_done");
-                o.u64("session", *session)
-                    .u64("step", *step)
-                    .f64("throughput_tps", *throughput_tps)
-                    .f64("p99_latency_us", *p99_latency_us)
-                    .f64("reward", *reward)
-                    .bool("crashed", *crashed)
-                    .bool("degraded", *degraded)
-                    .bool("finished", *finished);
-                o.finish()
-            }
-            Response::ServiceStatus {
-                active_sessions,
-                total_sessions,
-                queue_depth,
-                busy_workers,
-                warm_hits,
-                warm_misses,
-                rejected,
-                registry_len,
-                draining,
-                drift_events,
-                recovery_rollbacks,
-                retune_epochs,
-                infer_batches,
-                infer_rows,
-                infer_deadline_flushes,
-            } => {
-                let mut o = versioned("service_status");
-                o.u64("active_sessions", *active_sessions)
-                    .u64("total_sessions", *total_sessions)
-                    .u64("queue_depth", *queue_depth)
-                    .u64("busy_workers", *busy_workers)
-                    .u64("warm_hits", *warm_hits)
-                    .u64("warm_misses", *warm_misses)
-                    .u64("rejected", *rejected)
-                    .u64("registry_len", *registry_len)
-                    .bool("draining", *draining)
-                    .u64("drift_events", *drift_events)
-                    .u64("recovery_rollbacks", *recovery_rollbacks)
-                    .u64("retune_epochs", *retune_epochs)
-                    .u64("infer_batches", *infer_batches)
-                    .u64("infer_rows", *infer_rows)
-                    .u64("infer_deadline_flushes", *infer_deadline_flushes);
-                o.finish()
-            }
-            Response::Recommendation {
-                session,
-                best_tps,
-                best_p99_us,
-                throughput_gain,
-                changed_knobs,
-                steps,
-                drift_events,
-                rollbacks,
-                retune_epochs,
-                epoch_rollbacks,
-            } => {
-                let mut o = versioned("recommendation");
-                o.u64("session", *session)
-                    .f64("best_tps", *best_tps)
-                    .f64("best_p99_us", *best_p99_us)
-                    .f64("throughput_gain", *throughput_gain)
-                    .u64("changed_knobs", *changed_knobs)
-                    .u64("steps", *steps)
-                    .u64("drift_events", *drift_events)
-                    .u64("rollbacks", *rollbacks)
-                    .u64("retune_epochs", *retune_epochs)
-                    .u64("epoch_rollbacks", *epoch_rollbacks);
-                o.finish()
-            }
-            Response::Closed { session, steps, published, drained } => {
-                let mut o = versioned("closed");
-                o.u64("session", *session)
-                    .u64("steps", *steps)
-                    .bool("published", *published)
-                    .bool("drained", *drained);
-                o.finish()
-            }
-            Response::Rejected { reason, queue_depth } => {
-                let mut o = versioned("rejected");
-                o.str("reason", reason).u64("queue_depth", *queue_depth);
-                o.finish()
-            }
-            Response::Error { message, code } => {
-                let mut o = versioned("error");
-                o.str("message", message);
-                if !code.is_empty() {
-                    o.str("code", code);
-                }
-                o.finish()
-            }
-        }
+        let mut o = versioned(self.type_tag());
+        self.put_fields(&mut o);
+        o.finish()
     }
 
     /// Decodes one JSON line.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
         let j = Json::parse(line)?;
         check_version(&j)?;
-        match j.string("type").as_str() {
-            "session_created" => Ok(Response::SessionCreated {
-                session: j.u64("session"),
-                warm_start: j.boolean("warm_start"),
-                registry_distance: j.num("registry_distance"),
-                baseline_tps: j.num("baseline_tps"),
-                baseline_p99_us: j.num("baseline_p99_us"),
-            }),
-            "step_done" => Ok(Response::StepDone {
-                session: j.u64("session"),
-                step: j.u64("step"),
-                throughput_tps: j.num("throughput_tps"),
-                p99_latency_us: j.num("p99_latency_us"),
-                reward: j.num("reward"),
-                crashed: j.boolean("crashed"),
-                degraded: j.boolean("degraded"),
-                finished: j.boolean("finished"),
-            }),
-            "service_status" => Ok(Response::ServiceStatus {
-                active_sessions: j.u64("active_sessions"),
-                total_sessions: j.u64("total_sessions"),
-                queue_depth: j.u64("queue_depth"),
-                busy_workers: j.u64("busy_workers"),
-                warm_hits: j.u64("warm_hits"),
-                warm_misses: j.u64("warm_misses"),
-                rejected: j.u64("rejected"),
-                registry_len: j.u64("registry_len"),
-                draining: j.boolean("draining"),
-                drift_events: j.u64("drift_events"),
-                recovery_rollbacks: j.u64("recovery_rollbacks"),
-                retune_epochs: j.u64("retune_epochs"),
-                infer_batches: j.u64("infer_batches"),
-                infer_rows: j.u64("infer_rows"),
-                infer_deadline_flushes: j.u64("infer_deadline_flushes"),
-            }),
-            "recommendation" => Ok(Response::Recommendation {
-                session: j.u64("session"),
-                best_tps: j.num("best_tps"),
-                best_p99_us: j.num("best_p99_us"),
-                throughput_gain: j.num("throughput_gain"),
-                changed_knobs: j.u64("changed_knobs"),
-                steps: j.u64("steps"),
-                drift_events: j.u64("drift_events"),
-                rollbacks: j.u64("rollbacks"),
-                retune_epochs: j.u64("retune_epochs"),
-                epoch_rollbacks: j.u64("epoch_rollbacks"),
-            }),
-            "closed" => Ok(Response::Closed {
-                session: j.u64("session"),
-                steps: j.u64("steps"),
-                published: j.boolean("published"),
-                drained: j.boolean("drained"),
-            }),
-            "rejected" => Ok(Response::Rejected {
-                reason: j.string("reason"),
-                queue_depth: j.u64("queue_depth"),
-            }),
-            "error" => {
-                Ok(Response::Error { message: j.string("message"), code: j.string("code") })
-            }
-            other => Err(format!("unknown response type '{other}'")),
-        }
+        let tag = j.string("type");
+        Self::take_fields(&tag, &j).ok_or_else(|| format!("unknown response type '{tag}'"))
     }
 }
 
@@ -620,6 +469,165 @@ mod tests {
             let line = resp.to_json_line();
             assert_eq!(Response::from_json_line(&line).unwrap(), resp, "{line}");
         }
+    }
+
+    /// The bytes of the round-trip tests' lines, as the hand-written
+    /// encoders wrote them: how the protocol is declared may change, the
+    /// lines may not.
+    #[test]
+    fn wire_lines_are_byte_identical() {
+        let spec = r#""spec":{"flavor":"postgres","workload":"tpc-c","ram_gb":2,"disk_gb":25,"scale":0.05,"knobs":8,"seed":9,"warmup_txns":30,"measure_txns":120,"horizon":10,"faults":"straggler=0.5x3,seed=1"}"#;
+        let create = |warm_start, safe, tenant: Option<&str>| Request::CreateSession {
+            spec: sample_spec(),
+            max_steps: 4,
+            warm_start,
+            safe,
+            tenant: tenant.map(String::from),
+        };
+        let requests = [
+            (
+                create(true, true, Some("acme-prod")),
+                format!(
+                    r#"{{"v":1,"type":"create_session",{spec},"max_steps":4,"warm_start":true,"safe":true,"tenant":"acme-prod"}}"#
+                ),
+            ),
+            (
+                create(false, false, None),
+                format!(
+                    r#"{{"v":1,"type":"create_session",{spec},"max_steps":4,"warm_start":false,"safe":false}}"#
+                ),
+            ),
+            (Request::Step, r#"{"v":1,"type":"step"}"#.into()),
+            (Request::Status, r#"{"v":1,"type":"status"}"#.into()),
+            (Request::Recommend, r#"{"v":1,"type":"recommend"}"#.into()),
+            (Request::CloseSession, r#"{"v":1,"type":"close_session"}"#.into()),
+            (Request::Shutdown, r#"{"v":1,"type":"shutdown"}"#.into()),
+        ];
+        for (req, line) in requests {
+            assert_eq!(req.to_json_line(), line);
+        }
+        let responses = [
+            (
+                Response::SessionCreated {
+                    session: 3,
+                    warm_start: true,
+                    registry_distance: 0.04,
+                    baseline_tps: 5100.0,
+                    baseline_p99_us: 9000.5,
+                },
+                r#"{"v":1,"type":"session_created","session":3,"warm_start":true,"registry_distance":0.04,"baseline_tps":5100.0,"baseline_p99_us":9000.5}"#,
+            ),
+            (
+                Response::StepDone {
+                    session: 3,
+                    step: 2,
+                    throughput_tps: 6200.0,
+                    p99_latency_us: 7800.25,
+                    reward: 0.31,
+                    crashed: false,
+                    degraded: true,
+                    finished: false,
+                },
+                r#"{"v":1,"type":"step_done","session":3,"step":2,"throughput_tps":6200.0,"p99_latency_us":7800.25,"reward":0.31,"crashed":false,"degraded":true,"finished":false}"#,
+            ),
+            (
+                Response::ServiceStatus {
+                    active_sessions: 2,
+                    total_sessions: 11,
+                    queue_depth: 1,
+                    busy_workers: 2,
+                    warm_hits: 4,
+                    warm_misses: 7,
+                    rejected: 3,
+                    registry_len: 5,
+                    draining: false,
+                    drift_events: 2,
+                    recovery_rollbacks: 1,
+                    retune_epochs: 2,
+                    infer_batches: 9,
+                    infer_rows: 40,
+                    infer_deadline_flushes: 3,
+                },
+                r#"{"v":1,"type":"service_status","active_sessions":2,"total_sessions":11,"queue_depth":1,"busy_workers":2,"warm_hits":4,"warm_misses":7,"rejected":3,"registry_len":5,"draining":false,"drift_events":2,"recovery_rollbacks":1,"retune_epochs":2,"infer_batches":9,"infer_rows":40,"infer_deadline_flushes":3}"#,
+            ),
+            (
+                Response::Recommendation {
+                    session: 3,
+                    best_tps: 6200.0,
+                    best_p99_us: 7800.25,
+                    throughput_gain: 0.21,
+                    changed_knobs: 6,
+                    steps: 4,
+                    drift_events: 1,
+                    rollbacks: 2,
+                    retune_epochs: 1,
+                    epoch_rollbacks: 0,
+                },
+                r#"{"v":1,"type":"recommendation","session":3,"best_tps":6200.0,"best_p99_us":7800.25,"throughput_gain":0.21,"changed_knobs":6,"steps":4,"drift_events":1,"rollbacks":2,"retune_epochs":1,"epoch_rollbacks":0}"#,
+            ),
+            (
+                Response::Closed { session: 3, steps: 4, published: true, drained: false },
+                r#"{"v":1,"type":"closed","session":3,"steps":4,"published":true,"drained":false}"#,
+            ),
+            (
+                Response::Rejected { reason: "queue_full".into(), queue_depth: 4 },
+                r#"{"v":1,"type":"rejected","reason":"queue_full","queue_depth":4}"#,
+            ),
+            (
+                Response::Rejected { reason: "tenant_quota".into(), queue_depth: 0 },
+                r#"{"v":1,"type":"rejected","reason":"tenant_quota","queue_depth":0}"#,
+            ),
+            (
+                Response::err("no open session"),
+                r#"{"v":1,"type":"error","message":"no open session"}"#,
+            ),
+            (
+                Response::frame_too_large(70000, 65536),
+                r#"{"v":1,"type":"error","message":"input line of 70000+ bytes exceeds the 65536-byte frame cap","code":"frame_too_large"}"#,
+            ),
+        ];
+        for (resp, line) in responses {
+            assert_eq!(resp.to_json_line(), line);
+        }
+    }
+
+    #[test]
+    fn seeds_from_2_pow_53_round_trip() {
+        let spec = EnvSpec { seed: (1 << 53) + 1, ..sample_spec() };
+        let req = Request::CreateSession {
+            spec,
+            max_steps: 4,
+            warm_start: false,
+            safe: false,
+            tenant: None,
+        };
+        let line = req.to_json_line();
+        assert!(line.contains(r#""seed":"9007199254740993""#), "{line}");
+        assert_eq!(Request::from_json_line(&line).unwrap(), req);
+    }
+
+    /// The error a `create_session` with `spec` (JSON object text) decodes to.
+    fn spec_error(spec: &str) -> String {
+        let line = format!(r#"{{"v":1,"type":"create_session","spec":{spec}}}"#);
+        Request::from_json_line(&line).expect_err(spec)
+    }
+
+    #[test]
+    fn spec_integers_past_their_range_are_refused_by_name() {
+        let err = spec_error(r#"{"ram_gb":4294967298}"#);
+        assert!(err.contains("`ram_gb`") && err.contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn negative_spec_integers_are_refused_by_name() {
+        let err = spec_error(r#"{"knobs":-1}"#);
+        assert!(err.contains("`knobs`") && err.contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn fractional_spec_integers_are_refused_by_name() {
+        let err = spec_error(r#"{"measure_txns":120.5}"#);
+        assert!(err.contains("`measure_txns`") && err.contains("out of range"), "{err}");
     }
 
     #[test]

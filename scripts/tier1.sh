@@ -14,9 +14,9 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
-# Static-analysis gate: tunelint walks every crates/**/*.rs with the six
+# Static-analysis gate: tunelint walks every crates/**/*.rs with the five
 # project lints (panic-safety, determinism, lock-order, unsafe-audit,
-# telemetry-schema, reactor-blocking) — interprocedural
+# reactor-blocking) — interprocedural
 # since PR 9 (call graph + fixpoint dataflow, DESIGN.md §15) — and fails on
 # any deny finding not covered by the committed ratchet baseline (stale
 # entries also fail). --graph-stats prints call-graph coverage
@@ -59,10 +59,12 @@ target/release/trace_summary "$tmp/run.jsonl"
 
 # Safe-tuning CLI smoke: the freshly trained model tunes under the safety
 # layer against a drifting trace (flash crowd + mix shift); the guarded
-# run must exit cleanly and print its safety summary line.
+# run must exit cleanly and print its safety summary line. (grep reads to
+# the end: `-q` would exit at the match and could break the pipe under the
+# lines the CLI prints after it.)
 target/release/cdbtune tune --model "$tmp/model.json" --knobs 3 --scale 0.003 \
     --steps 4 --safe true --dynamic "base=rw,scale=0.003,flash=3+3x2.0,shift=4:wo" \
-    | grep -q "^safety:"
+    | grep "^safety:" >/dev/null
 
 # Daemon smoke: boot cdbtuned on an ephemeral port with a disk registry,
 # run a guarded closed-loop pair (--safe threads through the wire) and a
