@@ -51,8 +51,8 @@ pub const SCHEMA_VERSION: u32 = 1;
 pub const TRAIN_SPEEDUP_MIN: f64 = 3.0;
 
 /// Storage acceptance gate: `Table::bulk_load` must beat loading the same
-/// rows one `Table::insert` at a time (a B+tree descent to look the key up
-/// and another to place it) by at least this factor.
+/// rows one `Table::insert` at a time (a B+tree descent and a write into
+/// its leaf per row) by at least this factor.
 pub const BULK_LOAD_SPEEDUP_MIN: f64 = 2.0;
 
 /// Knobs tuned in the environment-backed benchmarks (collect/workload).

@@ -10,6 +10,35 @@
 
 use rand::Rng;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The heat map's hash: a rotate, an xor and a multiply per word (the Fx
+/// hash rustc keys its own tables with), folded so the well-mixed high bits
+/// pick the bucket. Row keys come from the workload generator, never from
+/// an adversary, and the map is probed but never iterated, so SipHash's
+/// flooding resistance would buy nothing on the write path.
+#[derive(Debug, Default, Clone, Copy)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Result of a lock acquisition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,7 +55,7 @@ pub struct LockOutcome {
 #[derive(Debug)]
 pub struct LockManager {
     /// Write-access counts per `(table, key)` within the window.
-    heat: HashMap<(usize, u64), u32>,
+    heat: HashMap<(usize, u64), u32, BuildHasherDefault<FxHasher>>,
     /// Total write acquisitions this window.
     total_acquisitions: u64,
     /// Simulated window span the heat map covers, microseconds.
@@ -44,7 +73,7 @@ impl LockManager {
     /// the heat statistics are normalized to this span).
     pub fn new(window_span_us: f64) -> Self {
         Self {
-            heat: HashMap::new(),
+            heat: HashMap::default(),
             total_acquisitions: 0,
             window_span_us: window_span_us.max(1.0),
             lock_waits: 0,

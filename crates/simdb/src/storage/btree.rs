@@ -11,33 +11,70 @@
 //! [`BPlusTree::insert`] loop leaves behind, [`BPlusTree::depth`] is a
 //! counter bumped when the root splits, and [`BPlusTree::scan_from`] reports
 //! rows and leaves touched from a single walk of the leaf chain.
+//!
+//! The layout is flat, the way a storage engine lays out index pages: every
+//! node is a fixed-size slot of one `Vec` addressed by `u32`, and a node's
+//! keys and values (child ids, in an internal node) are one extent of a
+//! single word pool. A bulk-loaded leaf has no extent at all: its keys are a
+//! run `first..first + len` (leaf `i` starts at `i * ⌈fanout / 2⌉`, the fill
+//! a sequential load leaves) and its values follow from the key, so loading
+//! an index writes only its internal nodes — a few allocations whatever its
+//! size, a few percent of the words — and a lookup reads no leaf memory.
+//! Extents are sized to what the node holds when it is written: a bulk-loaded
+//! internal node, or a dense leaf at its first remove or overwrite, gets room
+//! for exactly its keys; a node that must take one more key moves once to an
+//! extent with room for the `fanout + 1` keys a split resolves, leaving its
+//! old extent unused until the index is rebuilt. Nodes carry no leaf flag:
+//! the leaves are the nodes `depth - 1` levels below the root, and the only
+//! ones with a `next`. [`BPlusTree::insert`] and
+//! [`BPlusTree::get_or_insert_with`] descend once, remember the path, and
+//! split back up along it.
 
 const MIN_FANOUT: usize = 4;
 
-#[derive(Debug)]
-enum Node {
-    Internal {
-        /// Separator keys; child `i` holds keys `< keys[i]`, the last child
-        /// holds the rest.
-        keys: Vec<u64>,
-        children: Vec<usize>,
-    },
-    Leaf {
-        keys: Vec<u64>,
-        values: Vec<u64>,
-        next: Option<usize>,
-    },
+/// No node (the end of the leaf chain), or no extent (a dense leaf).
+const NIL: u32 = u32::MAX;
+
+/// Most levels a tree can have. Every internal node has at least two
+/// children and lazy deletion never merges, so level `k` below the root
+/// holds at least `2^k` nodes, and node ids are `u32`.
+const MAX_DEPTH: usize = 33;
+
+/// A node's fixed-size slot.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Offset of the node's extent in the word pool: `cap` keys, then
+    /// `cap + 1` values (a leaf's values; an internal node's child ids).
+    /// `NIL` for a dense leaf.
+    start: u32,
+    /// Keys held; an internal node holds `len + 1` children.
+    len: u32,
+    /// Keys the extent has room for.
+    cap: u32,
+    /// The next leaf in key order; `NIL` for the last leaf and internal nodes.
+    next: u32,
+}
+
+impl Node {
+    /// Offset of a written node's first value.
+    fn value_start(self) -> usize {
+        self.start as usize + self.cap as usize
+    }
 }
 
 /// A B+tree with `u64` keys and values.
 #[derive(Debug)]
 pub struct BPlusTree {
     nodes: Vec<Node>,
-    root: usize,
+    /// Every written node's keys and values, one extent per node.
+    words: Vec<u64>,
+    root: u32,
     fanout: usize,
     len: usize,
     /// Levels from root to leaf (1 = a single leaf); grows on root splits.
     depth: usize,
+    /// A dense leaf maps key `k` to `k / keys_per_value`.
+    keys_per_value: u64,
 }
 
 /// Splits `items` into the node sizes a level reaches when its items arrive
@@ -51,64 +88,87 @@ fn ascending_fill(items: usize, cap: usize, left: usize) -> impl Iterator<Item =
         .chain(std::iter::once((full * left, items - full * left)))
 }
 
+/// A node id or pool offset as the arena's `u32` address.
+fn address(at: usize) -> u32 {
+    // lint:allow(panic) reason=2^32 pool words is 32 GiB of index, past any simulated instance
+    u32::try_from(at).ok().filter(|&a| a != NIL).expect("B+tree arena outgrew u32 addressing")
+}
+
 impl BPlusTree {
     /// Creates an empty tree with the given maximum fanout (≥ 4).
     pub fn new(fanout: usize) -> Self {
         assert!(fanout >= MIN_FANOUT, "fanout must be at least {MIN_FANOUT}");
-        Self {
-            nodes: vec![Node::Leaf { keys: Vec::new(), values: Vec::new(), next: None }],
+        let mut tree = Self {
+            nodes: Vec::new(),
+            words: Vec::new(),
             root: 0,
             fanout,
             len: 0,
             depth: 1,
-        }
+            keys_per_value: 1,
+        };
+        tree.root = tree.alloc(NIL);
+        tree
     }
 
-    /// Builds the tree over dense keys `0..count` with `value(key)` as each
-    /// entry's value, level by level and without a search per key. The
-    /// result is node for node the tree that inserting `0..count` in order
-    /// into an empty tree produces (same occupancy of every leaf and
-    /// internal node, hence same depth, node count and leaves per scan).
-    pub fn bulk_load(fanout: usize, count: u64, value: impl Fn(u64) -> u64) -> Self {
-        let mut tree = Self::new(fanout);
+    /// Builds the tree over dense keys `0..count`, entry `k` holding
+    /// `k / keys_per_value` (a table's page number when that many rows fit
+    /// a page), level by level and without a search per key. The result is
+    /// node for node the tree that inserting `0..count` in order into an
+    /// empty tree produces (same occupancy of every leaf and internal node,
+    /// hence same depth, node count and leaves per scan).
+    pub fn bulk_load(fanout: usize, count: u64, keys_per_value: u64) -> Self {
+        assert!(keys_per_value > 0, "keys_per_value must be positive");
+        let mut tree = Self { keys_per_value, ..Self::new(fanout) };
         if count == 0 {
             return tree;
         }
-        // An overflowing node (fanout + 1 keys) keeps `mid` keys on the left.
-        let mid = fanout.div_ceil(2);
-        tree.nodes.clear();
-        tree.len = count as usize;
-        // (node, smallest key beneath it) for each node of the level just built.
-        let mut level: Vec<(usize, u64)> = Vec::new();
-        for (start, len) in ascending_fill(tree.len, fanout, mid) {
-            let keys = start as u64..(start + len) as u64;
-            let index = tree.nodes.len();
-            tree.nodes.push(Node::Leaf {
-                values: keys.clone().map(&value).collect(),
-                keys: keys.collect(),
-                next: (start + len < tree.len).then_some(index + 1),
-            });
-            level.push((index, start as u64));
+        let (mid, len) = (tree.dense_leaf_keys(), count as usize);
+        // Size both arrays first: a slot per node, and an extent per
+        // internal node. A node of `k` keys takes `2k + 1` words, so a level
+        // of `p` internal nodes over `c` children takes `2c - p`.
+        let leaves = ascending_fill(len, fanout, mid).count();
+        let (mut nodes, mut words, mut below) = (leaves, 0, leaves);
+        while below > 1 {
+            let above = ascending_fill(below, fanout + 1, mid + 1).count();
+            (nodes, words, below) = (nodes + above, words + 2 * below - above, above);
+        }
+        tree.nodes = Vec::with_capacity(nodes);
+        // Leave room for every leaf to be written out at its size as well:
+        // the pool then never moves while a write-heavy run touches every
+        // leaf, and the room becomes resident only as leaves are written.
+        tree.words = Vec::with_capacity(words + 2 * len + leaves);
+        tree.len = len;
+        for (start, n) in ascending_fill(len, fanout, mid) {
+            let next = if start + n < len { address(tree.nodes.len() + 1) } else { NIL };
+            tree.nodes.push(Node { start: NIL, len: n as u32, cap: 0, next });
         }
         // An internal node with k keys has k + 1 children, so in children
         // the capacity and the left share of a split are each one larger.
-        while level.len() > 1 {
-            let mut parents = Vec::new();
-            for (start, len) in ascending_fill(level.len(), fanout + 1, mid + 1) {
-                // lint:allow(panic) reason=ascending_fill yields non-empty ranges within 0..level.len()
-                let group = &level[start..start + len];
-                // lint:allow(panic) reason=group is non-empty, see above
-                let (min, right) = (group[0].1, &group[1..]);
-                parents.push((tree.nodes.len(), min));
-                tree.nodes.push(Node::Internal {
-                    keys: right.iter().map(|&(_, min)| min).collect(),
-                    children: group.iter().map(|&(node, _)| node).collect(),
-                });
+        // `mins[i]` is the smallest key beneath node `first + i` of the level
+        // just built; a level's nodes have consecutive ids.
+        let mut mins: Vec<u64> = ascending_fill(len, fanout, mid).map(|(s, _)| s as u64).collect();
+        let mut first = 0;
+        while mins.len() > 1 {
+            let level = tree.nodes.len();
+            let mut parents = 0;
+            for (start, n) in ascending_fill(mins.len(), fanout + 1, mid + 1) {
+                // lint:allow(panic) reason=ascending_fill yields non-empty ranges within 0..mins.len()
+                let (min, keys) = (mins[start], &mins[start + 1..start + n]);
+                let children = (first + start..first + start + n).map(|c| u64::from(address(c)));
+                let at = address(tree.words.len());
+                tree.words.extend(keys.iter().copied().chain(children));
+                let len = (n - 1) as u32;
+                tree.nodes.push(Node { start: at, len, cap: len, next: NIL });
+                // lint:allow(panic) reason=parents <= start, as every group is non-empty
+                mins[parents] = min;
+                parents += 1;
             }
-            level = parents;
+            mins.truncate(parents);
+            first = level;
             tree.depth += 1;
         }
-        tree.root = tree.nodes.len() - 1; // each level ends in one node; the last is the root
+        tree.root = address(first); // the last level built is the root alone
         tree
     }
 
@@ -135,27 +195,36 @@ impl BPlusTree {
     /// Point lookup.
     pub fn get(&self, key: u64) -> Option<u64> {
         let leaf = self.find_leaf(key);
-        match &self.nodes[leaf] {
-            Node::Leaf { keys, values, .. } => {
-                keys.binary_search(&key).ok().map(|i| values[i])
-            }
-            Node::Internal { .. } => unreachable!("find_leaf returns a leaf"),
-        }
+        let (slot, found) = self.leaf_slot(leaf, key);
+        found.then(|| self.leaf_value(leaf, slot))
     }
 
     /// Inserts or overwrites; returns the previous value if any.
     pub fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
-        let (split, prev) = self.insert_rec(self.root, key, value);
-        if let Some((sep, right)) = split {
-            let new_root = Node::Internal { keys: vec![sep], children: vec![self.root, right] };
-            self.nodes.push(new_root);
-            self.root = self.nodes.len() - 1;
-            self.depth += 1;
+        let mut path = [(0, 0); MAX_DEPTH];
+        let (leaf, slot, found) = self.descend(key, &mut path);
+        if found {
+            let n = self.written(leaf);
+            let at = n.value_start() + slot;
+            // lint:allow(panic) reason=slot < len values
+            return Some(std::mem::replace(&mut self.words[at], value));
         }
-        if prev.is_none() {
-            self.len += 1;
+        self.insert_at(&path, leaf, slot, key, value);
+        None
+    }
+
+    /// The value under `key`, inserting `value()` first when the key is
+    /// absent. One descent either way, where `get` then `insert` would take
+    /// two.
+    pub fn get_or_insert_with(&mut self, key: u64, value: impl FnOnce() -> u64) -> u64 {
+        let mut path = [(0, 0); MAX_DEPTH];
+        let (leaf, slot, found) = self.descend(key, &mut path);
+        if found {
+            return self.leaf_value(leaf, slot);
         }
-        prev
+        let value = value();
+        self.insert_at(&path, leaf, slot, key, value);
+        value
     }
 
     /// Removes a key; returns its value if present.
@@ -164,18 +233,19 @@ impl BPlusTree {
     /// the simulator's workloads, where deletes are a small fraction of ops.
     pub fn remove(&mut self, key: u64) -> Option<u64> {
         let leaf = self.find_leaf(key);
-        match &mut self.nodes[leaf] {
-            Node::Leaf { keys, values, .. } => match keys.binary_search(&key) {
-                Ok(i) => {
-                    keys.remove(i);
-                    let v = values.remove(i);
-                    self.len -= 1;
-                    Some(v)
-                }
-                Err(_) => None,
-            },
-            Node::Internal { .. } => unreachable!("find_leaf returns a leaf"),
+        let (slot, found) = self.leaf_slot(leaf, key);
+        if !found {
+            return None;
         }
+        let n = self.written(leaf);
+        let (start, values, len) = (n.start as usize, n.value_start(), n.len as usize);
+        // lint:allow(panic) reason=slot < len values
+        let value = self.words[values + slot];
+        self.words.copy_within(start + slot + 1..start + len, start + slot);
+        self.words.copy_within(values + slot + 1..values + len, values + slot);
+        self.node_mut(leaf).len -= 1;
+        self.len -= 1;
+        Some(value)
     }
 
     /// Returns up to `limit` `(key, value)` pairs with `key >= start`, in
@@ -199,119 +269,245 @@ impl BPlusTree {
     ) -> (usize, usize) {
         let mut remaining = limit;
         let mut leaves = 0;
-        let mut node = self.find_leaf(start);
+        let mut id = self.find_leaf(start);
         loop {
             leaves += 1;
-            // lint:allow(panic) reason=node ids are arena indices maintained by insert/split
-            let Node::Leaf { keys, values, next } = &self.nodes[node] else {
-                unreachable!("leaf chain only links leaves")
-            };
-            let begin = keys.partition_point(|&k| k < start);
-            let take = (keys.len() - begin).min(remaining);
-            // lint:allow(panic) reason=begin + take <= keys.len() and values parallels keys
-            for (&k, &v) in keys[begin..begin + take].iter().zip(&values[begin..begin + take]) {
-                visit(k, v);
+            let n = self.node(id);
+            let begin = self.leaf_slot(id, start).0;
+            let take = (n.len as usize - begin).min(remaining);
+            if n.start == NIL {
+                // `k / per` for a run of keys, one division per leaf.
+                let (first, per) = (self.dense_first(id) + begin as u64, self.keys_per_value);
+                let (mut value, mut left) = (first / per, per - first % per);
+                for k in first..first + take as u64 {
+                    visit(k, value);
+                    left -= 1;
+                    if left == 0 {
+                        (value, left) = (value + 1, per);
+                    }
+                }
+            } else {
+                let (keys, values) = (n.start as usize + begin, n.value_start() + begin);
+                // lint:allow(panic) reason=begin + take <= len keys and values
+                let run = self.words[keys..keys + take].iter().zip(&self.words[values..values + take]);
+                for (&k, &v) in run {
+                    visit(k, v);
+                }
             }
             remaining -= take;
-            match next {
-                Some(n) if remaining > 0 => node = *n,
-                _ => return (limit - remaining, leaves),
+            if remaining == 0 || n.next == NIL {
+                return (limit - remaining, leaves);
             }
+            id = n.next;
         }
     }
 
-    fn find_leaf(&self, key: u64) -> usize {
-        let mut n = self.root;
-        loop {
-            // lint:allow(panic) reason=node ids are arena indices maintained by insert/split
-            match &self.nodes[n] {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|&k| k <= key);
-                    // lint:allow(panic) reason=partition_point <= keys.len() and children.len() == keys.len() + 1
-                    n = children[idx];
-                }
-                Node::Leaf { .. } => return n,
-            }
-        }
+    fn node(&self, id: u32) -> Node {
+        // lint:allow(panic) reason=node ids are arena indices maintained by insert/split
+        self.nodes[id as usize]
     }
 
-    /// Recursive insert; returns `(split, previous value)` where `split` is
-    /// `Some((separator, right node index))` when this node split.
-    fn insert_rec(
+    fn node_mut(&mut self, id: u32) -> &mut Node {
+        // lint:allow(panic) reason=node ids are arena indices maintained by insert/split
+        &mut self.nodes[id as usize]
+    }
+
+    /// Keys a dense leaf holds when it is not the last: the left share of a
+    /// leaf split.
+    fn dense_leaf_keys(&self) -> usize {
+        self.fanout.div_ceil(2)
+    }
+
+    /// The first key of dense leaf `id`.
+    fn dense_first(&self, id: u32) -> u64 {
+        u64::from(id) * self.dense_leaf_keys() as u64
+    }
+
+    /// `key`'s slot in leaf `id` (the keys below it) and whether it is there.
+    fn leaf_slot(&self, id: u32, key: u64) -> (usize, bool) {
+        let n = self.node(id);
+        if n.start == NIL {
+            let first = self.dense_first(id);
+            let slot = key.saturating_sub(first).min(u64::from(n.len)) as usize;
+            return (slot, key >= first && slot < n.len as usize);
+        }
+        let at = n.start as usize;
+        // lint:allow(panic) reason=a node's extent lies within the word pool
+        let keys = &self.words[at..at + n.len as usize];
+        let slot = keys.partition_point(|&k| k < key);
+        (slot, keys.get(slot) == Some(&key))
+    }
+
+    /// The value at `slot` (< len) of leaf `id`.
+    fn leaf_value(&self, id: u32, slot: usize) -> u64 {
+        let n = self.node(id);
+        if n.start == NIL {
+            return (self.dense_first(id) + slot as u64) / self.keys_per_value;
+        }
+        // lint:allow(panic) reason=slot < len values
+        self.words[n.value_start() + slot]
+    }
+
+    /// Node `id` with an extent, a dense leaf written out into one sized to
+    /// its keys.
+    fn written(&mut self, id: u32) -> Node {
+        let n = self.node(id);
+        if n.start == NIL {
+            return self.move_to_extent(id, n.len as usize);
+        }
+        n
+    }
+
+    /// Moves node `id` to a new extent with room for `cap` keys, writing a
+    /// dense leaf's keys and values out; an old extent stays behind unused.
+    fn move_to_extent(&mut self, id: u32, cap: usize) -> Node {
+        let old = self.node(id);
+        let new = Node { start: self.extent(cap), cap: cap as u32, ..old };
+        let (at, values, len) = (new.start as usize, new.value_start(), old.len as usize);
+        if old.start == NIL {
+            let (first, per) = (self.dense_first(id), self.keys_per_value);
+            // lint:allow(panic) reason=len <= cap keys and values fit the extent made above
+            for (slot, k) in self.words[at..at + len].iter_mut().zip(first..) {
+                *slot = k;
+            }
+            // lint:allow(panic) reason=as above
+            for (slot, k) in self.words[values..values + len].iter_mut().zip(first..) {
+                *slot = k / per;
+            }
+        } else {
+            // An internal node's values are its len + 1 children.
+            self.words.copy_within(old.start as usize..old.start as usize + len, at);
+            let from = old.value_start();
+            self.words.copy_within(from..from + len + 1, values);
+        }
+        *self.node_mut(id) = new;
+        new
+    }
+
+    /// The slot and id of the child of internal node `id` that `key` takes.
+    fn child(&self, id: u32, key: u64) -> (usize, u32) {
+        let n = self.node(id);
+        let at = n.start as usize;
+        // lint:allow(panic) reason=a node's extent lies within the word pool
+        let slot = self.words[at..at + n.len as usize].partition_point(|&k| k <= key);
+        // lint:allow(panic) reason=slot <= len and an internal node has len + 1 children
+        (slot, self.words[n.value_start() + slot] as u32)
+    }
+
+    fn find_leaf(&self, key: u64) -> u32 {
+        let mut id = self.root;
+        for _ in 1..self.depth {
+            id = self.child(id, key).1;
+        }
+        id
+    }
+
+    /// One root-to-leaf descent: fills `path[..depth - 1]` with every
+    /// internal node passed and the child slot taken, and returns the leaf,
+    /// `key`'s slot in it, and whether `key` is there.
+    fn descend(&self, key: u64, path: &mut [(u32, usize); MAX_DEPTH]) -> (u32, usize, bool) {
+        let mut id = self.root;
+        for step in path.iter_mut().take(self.depth - 1) {
+            let (slot, child) = self.child(id, key);
+            *step = (id, slot);
+            id = child;
+        }
+        let (slot, found) = self.leaf_slot(id, key);
+        (id, slot, found)
+    }
+
+    /// Puts `key → value` at `slot` of `leaf`, where [`Self::descend`] found
+    /// the key missing, then splits overflowing nodes back up `path`.
+    fn insert_at(
         &mut self,
-        node: usize,
+        path: &[(u32, usize); MAX_DEPTH],
+        leaf: u32,
+        slot: usize,
         key: u64,
         value: u64,
-    ) -> (Option<(u64, usize)>, Option<u64>) {
-        match &mut self.nodes[node] {
-            Node::Leaf { keys, values, .. } => {
-                let prev = match keys.binary_search(&key) {
-                    Ok(i) => {
-                        let old = values[i];
-                        values[i] = value;
-                        return (None, Some(old));
-                    }
-                    Err(i) => {
-                        keys.insert(i, key);
-                        values.insert(i, value);
-                        None
-                    }
-                };
-                if keys.len() > self.fanout {
-                    (Some(self.split_leaf(node)), prev)
-                } else {
-                    (None, prev)
-                }
+    ) {
+        self.len += 1;
+        let (mut id, mut slot, mut key, mut value) = (leaf, slot, key, value);
+        let mut internal = false;
+        let mut level = self.depth - 1;
+        loop {
+            self.put(id, slot, key, value, internal);
+            if self.node(id).len as usize <= self.fanout {
+                return;
             }
-            Node::Internal { keys, children } => {
-                let idx = keys.partition_point(|&k| k <= key);
-                let child = children[idx];
-                let (split, prev) = self.insert_rec(child, key, value);
-                if let Some((sep, right)) = split {
-                    if let Node::Internal { keys, children } = &mut self.nodes[node] {
-                        let idx = keys.partition_point(|&k| k <= sep);
-                        keys.insert(idx, sep);
-                        children.insert(idx + 1, right);
-                        if keys.len() > self.fanout {
-                            return (Some(self.split_internal(node)), prev);
-                        }
-                    }
-                }
-                (None, prev)
+            (key, value) = self.split(id, internal);
+            if level == 0 {
+                let root = self.alloc(NIL);
+                self.put(root, 0, key, value, true);
+                let left = self.node(root).value_start();
+                // lint:allow(panic) reason=alloc made the extent for fanout + 2 children
+                self.words[left] = u64::from(id);
+                self.root = root;
+                self.depth += 1;
+                return;
             }
+            // A child's separator lands in the slot the descent took there,
+            // and the new right child just after it.
+            level -= 1;
+            // lint:allow(panic) reason=level < depth - 1, the entries descend filled
+            (id, slot) = path[level];
+            internal = true;
         }
     }
 
-    fn split_leaf(&mut self, node: usize) -> (u64, usize) {
-        let new_index = self.nodes.len();
-        if let Node::Leaf { keys, values, next } = &mut self.nodes[node] {
-            let mid = keys.len() / 2;
-            let right_keys = keys.split_off(mid);
-            let right_values = values.split_off(mid);
-            let sep = right_keys[0];
-            let right = Node::Leaf { keys: right_keys, values: right_values, next: *next };
-            *next = Some(new_index);
-            self.nodes.push(right);
-            (sep, new_index)
-        } else {
-            unreachable!("split_leaf on non-leaf")
+    /// Shifts `key` into key slot `slot` of node `id` and `value` into value
+    /// slot `slot` (a leaf) or `slot + 1` (an internal node, whose new child
+    /// goes right of its separator), moving a dense or full node to an
+    /// extent with room for a split's overflow first.
+    fn put(&mut self, id: u32, slot: usize, key: u64, value: u64, internal: bool) {
+        let mut n = self.node(id);
+        if n.start == NIL || n.len == n.cap {
+            n = self.move_to_extent(id, self.fanout + 1);
         }
+        let (start, values, len) = (n.start as usize, n.value_start(), n.len as usize);
+        let (k, v) = (start + slot, values + slot + usize::from(internal));
+        self.words.copy_within(k..start + len, k + 1);
+        self.words.copy_within(v..values + len + usize::from(internal), v + 1);
+        // lint:allow(panic) reason=len < cap, so both slots lie within the extent
+        (self.words[k], self.words[v]) = (key, value);
+        self.node_mut(id).len += 1;
     }
 
-    fn split_internal(&mut self, node: usize) -> (u64, usize) {
-        let new_index = self.nodes.len();
-        if let Node::Internal { keys, children } = &mut self.nodes[node] {
-            let mid = keys.len() / 2;
-            let sep = keys[mid];
-            let right_keys = keys.split_off(mid + 1);
-            keys.pop(); // drop the separator that moves up
-            let right_children = children.split_off(mid + 1);
-            let right = Node::Internal { keys: right_keys, children: right_children };
-            self.nodes.push(right);
-            (sep, new_index)
-        } else {
-            unreachable!("split_internal on non-internal")
-        }
+    /// Moves the upper half of overflowing node `id` to a new right sibling
+    /// and returns the separator and the sibling's id. A leaf keeps its
+    /// lower half and copies its first right key up; an internal node moves
+    /// its middle key up and keeps the keys and children left of it.
+    fn split(&mut self, id: u32, internal: bool) -> (u64, u64) {
+        let left = self.node(id);
+        let right = self.alloc(if internal { NIL } else { left.next });
+        let r = self.node(right);
+        let (start, len) = (left.start as usize, left.len as usize);
+        let (mid, up) = (len / 2, usize::from(internal));
+        // lint:allow(panic) reason=mid < len
+        let separator = self.words[start + mid];
+        let (values, right_values) = (left.value_start(), r.value_start());
+        let moved = len - mid - up;
+        self.words.copy_within(start + mid + up..start + len, r.start as usize);
+        self.words.copy_within(values + mid + up..values + len + up, right_values);
+        self.node_mut(right).len = moved as u32;
+        let next = if internal { NIL } else { right };
+        *self.node_mut(id) = Node { len: mid as u32, next, ..left };
+        (separator, u64::from(right))
+    }
+
+    /// Appends an extent with room for `cap` keys; returns its offset.
+    fn extent(&mut self, cap: usize) -> u32 {
+        let start = self.words.len();
+        self.words.resize(start + 2 * cap + 1, 0);
+        address(start)
+    }
+
+    /// Appends an empty node with room for a split's overflow.
+    fn alloc(&mut self, next: u32) -> u32 {
+        let cap = self.fanout + 1;
+        let start = self.extent(cap);
+        self.nodes.push(Node { start, len: 0, cap: cap as u32, next });
+        address(self.nodes.len() - 1)
     }
 }
 
@@ -325,6 +521,29 @@ mod tests {
         *x >> 33
     }
 
+    /// The keys of leaf `id`, dense or written.
+    fn leaf_keys(t: &BPlusTree, id: u32) -> Vec<u64> {
+        let n = t.node(id);
+        match n.start {
+            NIL => (t.dense_first(id)..).take(n.len as usize).collect(),
+            start => t.words[start as usize..][..n.len as usize].to_vec(),
+        }
+    }
+
+    /// The leaves in chain order, from the leftmost.
+    fn leaf_chain(t: &BPlusTree) -> Vec<u32> {
+        let mut id = t.root;
+        for _ in 1..t.depth {
+            id = t.words[t.node(id).value_start()] as u32;
+        }
+        let mut chain = vec![id];
+        while t.node(id).next != NIL {
+            id = t.node(id).next;
+            chain.push(id);
+        }
+        chain
+    }
+
     /// The two-descent definition `scan_from`'s leaf count must keep: count
     /// leaves until the one that satisfies the limit.
     fn reference_leaves_touched(t: &BPlusTree, start: u64, limit: usize) -> usize {
@@ -333,40 +552,47 @@ mod tests {
         let mut node = t.find_leaf(start);
         loop {
             touched += 1;
-            let Node::Leaf { keys, next, .. } = &t.nodes[node] else { unreachable!() };
+            let keys = leaf_keys(t, node);
             let here = keys.len() - keys.partition_point(|&k| k < start);
             if here >= remaining {
                 return touched;
             }
             remaining -= here;
-            match next {
-                Some(n) => node = *n,
-                None => return touched,
+            match t.node(node).next {
+                NIL => return touched,
+                n => node = n,
             }
         }
     }
 
     /// Key count of every node, level by level from the root, left to right.
+    /// The walk also checks what the layout leaves implicit: every node is
+    /// reached exactly once, internal nodes have extents and no next, and
+    /// the bottom level is the leaf chain in order.
     fn shape(t: &BPlusTree) -> Vec<Vec<usize>> {
         let mut levels = Vec::new();
         let mut level = vec![t.root];
-        while !level.is_empty() {
+        for depth in 1..=t.depth {
             let mut below = Vec::new();
-            levels.push(
-                level
-                    .iter()
-                    .map(|&n| match &t.nodes[n] {
-                        Node::Internal { keys, children } => {
-                            assert_eq!(children.len(), keys.len() + 1);
-                            below.extend_from_slice(children);
-                            keys.len()
-                        }
-                        Node::Leaf { keys, .. } => keys.len(),
-                    })
-                    .collect(),
-            );
-            level = below;
+            for &id in &level {
+                let n = t.node(id);
+                assert!(n.len as usize <= t.fanout, "node {id} overflows");
+                assert!(n.start == NIL || n.len <= n.cap, "node {id} overflows its extent");
+                if depth < t.depth {
+                    assert_ne!(n.start, NIL, "internal node {id} has no extent");
+                    assert_eq!(n.next, NIL, "internal node {id} links a next");
+                    let children = &t.words[n.value_start()..=n.value_start() + n.len as usize];
+                    below.extend(children.iter().map(|&c| c as u32));
+                }
+            }
+            levels.push(level.iter().map(|&id| t.node(id).len as usize).collect());
+            if depth == t.depth {
+                assert_eq!(level, leaf_chain(t), "the bottom level is the leaf chain");
+            } else {
+                level = below;
+            }
         }
+        assert_eq!(levels.iter().map(Vec::len).sum::<usize>(), t.node_count());
         levels
     }
 
@@ -420,6 +646,33 @@ mod tests {
         }
         for k in 0..1000u64 {
             assert_eq!(t.get(k), m.get(&k).copied(), "key {k}");
+        }
+    }
+
+    #[test]
+    fn get_or_insert_with_inserts_only_the_absent() {
+        for fanout in [4usize, 7, 64] {
+            let mut t = BPlusTree::bulk_load(fanout, 300, 3);
+            let mut m: BTreeMap<u64, u64> = (0..300).map(|k| (k, k / 3)).collect();
+            let mut x = 5 + fanout as u64;
+            for i in 0..6_000u64 {
+                let k = lcg(&mut x) % 900;
+                let mut called = false;
+                let got = t.get_or_insert_with(k, || {
+                    called = true;
+                    i
+                });
+                let absent = !m.contains_key(&k);
+                assert_eq!(got, *m.entry(k).or_insert(i), "fanout {fanout}, key {k}");
+                assert_eq!(called, absent, "the value is made only for an insert");
+                if lcg(&mut x).is_multiple_of(4) {
+                    let k = lcg(&mut x) % 900;
+                    assert_eq!(t.remove(k), m.remove(&k));
+                }
+            }
+            assert_eq!(t.len(), m.len());
+            assert_eq!(t.range_from(0, usize::MAX), m.into_iter().collect::<Vec<_>>());
+            assert_eq!(t.depth(), shape(&t).len());
         }
     }
 
@@ -489,11 +742,10 @@ mod tests {
     fn bulk_load_equals_sequential_insert() {
         for fanout in [4usize, 5, 8, 64] {
             for n in [0, 1, fanout, fanout + 1, 2 * fanout + 1, 1_000, 6_000, 100_000] {
-                let value = |k: u64| k / 6;
-                let bulk = BPlusTree::bulk_load(fanout, n as u64, value);
+                let bulk = BPlusTree::bulk_load(fanout, n as u64, 6);
                 let mut seq = BPlusTree::new(fanout);
                 for k in 0..n as u64 {
-                    seq.insert(k, value(k));
+                    seq.insert(k, k / 6);
                 }
                 let ctx = format!("fanout {fanout}, n {n}");
                 assert_eq!(bulk.len(), seq.len(), "{ctx}");
@@ -520,8 +772,33 @@ mod tests {
     }
 
     #[test]
+    fn bulk_load_writes_internal_nodes_only_into_exact_arrays() {
+        for fanout in [4usize, 5, 64] {
+            for n in [1u64, 2, 65, 6_000, 100_000] {
+                let mut t = BPlusTree::bulk_load(fanout, n, 1);
+                let ctx = format!("fanout {fanout}, n {n}");
+                assert_eq!(t.nodes.capacity(), t.nodes.len(), "{ctx}: nodes grew");
+                let leaves = leaf_chain(&t);
+                assert!(leaves.iter().all(|&id| t.node(id).start == NIL), "{ctx}");
+                // Every internal node's extent is exactly its keys and children.
+                let internal = t.nodes.iter().filter(|n| n.start != NIL);
+                assert!(internal.clone().all(|n| n.len == n.cap), "{ctx}");
+                let words: usize = internal.map(|n| 2 * n.len as usize + 1).sum();
+                assert_eq!(t.words.len(), words, "{ctx}");
+                // Writing every leaf out at its size fills the pool's room exactly.
+                let room = t.words.capacity();
+                for k in (0..n).step_by(t.dense_leaf_keys()) {
+                    assert_eq!(t.remove(k), Some(k), "{ctx}");
+                }
+                assert!(leaves.iter().all(|&id| t.node(id).start != NIL), "{ctx}");
+                assert_eq!((t.words.len(), t.words.capacity()), (room, room), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
     fn bulk_loaded_tree_keeps_working_under_mutation() {
-        let mut t = BPlusTree::bulk_load(4, 500, |k| k);
+        let mut t = BPlusTree::bulk_load(4, 500, 1);
         let mut m: BTreeMap<u64, u64> = (0..500).map(|k| (k, k)).collect();
         let mut x = 7u64;
         for i in 0..5_000u64 {
@@ -534,6 +811,35 @@ mod tests {
         }
         assert_eq!(t.range_from(0, usize::MAX), m.into_iter().collect::<Vec<_>>());
         assert_eq!(t.depth(), shape(&t).len());
+    }
+
+    #[test]
+    fn written_dense_leaves_keep_the_shape_of_a_tree_built_by_inserts() {
+        // A bulk-loaded leaf gets an extent at its first write; neither that
+        // nor which leaves are still dense may show in the tree.
+        for fanout in [4usize, 5, 64] {
+            let n = 40 * fanout as u64;
+            let mut bulk = BPlusTree::bulk_load(fanout, n, 7);
+            let mut seq = BPlusTree::new(fanout);
+            for k in 0..n {
+                seq.insert(k, k / 7);
+            }
+            let mut x = 11u64;
+            for i in 0..4_000u64 {
+                let k = lcg(&mut x) % (2 * n);
+                match lcg(&mut x) % 8 {
+                    0 | 1 => assert_eq!(bulk.remove(k), seq.remove(k)),
+                    2 => assert_eq!(bulk.get(k), seq.get(k)),
+                    _ => assert_eq!(bulk.insert(k, i), seq.insert(k, i)),
+                }
+                if i % 500 == 0 {
+                    assert_eq!(shape(&bulk), shape(&seq), "fanout {fanout}, op {i}");
+                    assert_eq!(bulk.range_from(0, usize::MAX), seq.range_from(0, usize::MAX));
+                }
+            }
+            assert_eq!(shape(&bulk), shape(&seq), "fanout {fanout}");
+            assert_eq!(bulk.range_from(0, usize::MAX), seq.range_from(0, usize::MAX));
+        }
     }
 
     #[test]
@@ -571,19 +877,14 @@ mod tests {
                 check(&t, &m, 0, 0);
                 check(&t, &m, 1_500, 0);
                 check(&t, &m, 5_000, 10);
-                let mut leaf = t.find_leaf(0);
                 let mut before = 0usize;
-                loop {
-                    let Node::Leaf { keys, next, .. } = &t.nodes[leaf] else { unreachable!() };
+                for leaf in leaf_chain(&t) {
+                    let keys = leaf_keys(&t, leaf);
                     before += keys.len();
                     check(&t, &m, 0, before);
                     if let Some(&first) = keys.first() {
                         check(&t, &m, first, keys.len());
                         check(&t, &m, first, keys.len() + 1);
-                    }
-                    match next {
-                        Some(n) => leaf = *n,
-                        None => break,
                     }
                 }
                 if round == 0 {

@@ -93,7 +93,7 @@ impl Table {
     pub fn bulk_load(&mut self, count: u64) {
         assert_eq!(self.next_page, 0, "bulk_load needs an empty table");
         let per_page = self.rows_per_page;
-        self.index = BPlusTree::bulk_load(INDEX_FANOUT, count, |key| key / per_page);
+        self.index = BPlusTree::bulk_load(INDEX_FANOUT, count, per_page);
         self.next_page = count.div_ceil(per_page);
         self.rows_in_last_page = count - self.next_page.saturating_sub(1) * per_page;
     }
@@ -105,25 +105,23 @@ impl Table {
 
     /// Inserts a row, allocating a new page when the current one fills.
     /// Returns `(page, page_was_created)`. Re-inserting an existing key is
-    /// an in-place overwrite of that row's page.
+    /// an in-place overwrite of that row's page. One index descent either
+    /// way: the page is chosen only once the key is known to be new.
     pub fn insert(&mut self, key: u64) -> (PageId, bool) {
-        if let Some(existing) = self.index.get(key) {
-            return (PageId::new(self.id, existing), false);
-        }
-        if let Some(page_no) = self.free_slots.pop() {
-            self.index.insert(key, page_no);
-            return (PageId::new(self.id, page_no), false);
-        }
-        let (page_no, created) =
+        let mut created = false;
+        let page_no = self.index.get_or_insert_with(key, || {
+            if let Some(page_no) = self.free_slots.pop() {
+                return page_no;
+            }
             if self.next_page == 0 || self.rows_in_last_page >= self.rows_per_page {
                 self.next_page += 1;
                 self.rows_in_last_page = 1;
-                (self.next_page - 1, true)
+                created = true;
             } else {
                 self.rows_in_last_page += 1;
-                (self.next_page - 1, false)
-            };
-        self.index.insert(key, page_no);
+            }
+            self.next_page - 1
+        });
         (PageId::new(self.id, page_no), created)
     }
 
