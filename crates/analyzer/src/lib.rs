@@ -259,14 +259,10 @@ impl AnalysisConfig {
                 "crates/service/src/fingerprint.rs",
                 "crates/simdb/src/",
             ]),
-            // timing.rs and the bench crate (including the perf-regression
-            // suite in crates/bench/src/perf.rs) measure wall-clock time by
-            // design; their RNG use is still seeded.
-            determinism_allowlist: v(&[
-                "crates/core/src/timing.rs",
-                "crates/bench/",
-                "crates/bench/src/perf.rs",
-            ]),
+            // timing.rs and the bench crate (including the perf gate in
+            // crates/bench/src/perf.rs) measure wall-clock time by design;
+            // their RNG use is still seeded.
+            determinism_allowlist: v(&["crates/core/src/timing.rs", "crates/bench/"]),
             lock_scope: v(&["crates/simdb/", "crates/service/"]),
             reactor_scope: v(&["crates/service/src/reactor/"]),
             panic_kernel_allowlist: v(&["crates/tinynn/src/kernels.rs"]),
@@ -697,7 +693,7 @@ mod framework_tests {
 
     #[test]
     fn repo_config_allowlists_perf_harness_timing() {
-        // The perf-regression suite times hot loops with `Instant`; the
+        // The perf gate times hot loops with `Instant`; the
         // repo config must keep it (and timing.rs) off the determinism
         // lint while leaving the RL core in scope.
         let cfg = AnalysisConfig::default_for_repo();

@@ -1,140 +1,50 @@
-//! Perf-regression harness CLI (see DESIGN.md §11).
-//!
-//! Default mode runs the deterministic microbench suite and writes the
-//! results to `BENCH_PERF.json` at the repo root (the committed baseline):
-//!
-//! ```text
-//! cargo run --release -p bench --bin perf
-//! ```
-//!
-//! Gate mode re-runs the suite and compares it against the committed
-//! baseline, exiting nonzero on any regression:
+//! `perf` — the perf gate (DESIGN.md §11): runs the checks of
+//! [`bench::perf`], prints each against its floor, and exits 1 when any
+//! misses it or the service leg cannot run. Build first, so the daemon
+//! the service leg boots sits next to this binary:
 //!
 //! ```text
-//! cargo run --release -p bench --bin perf -- --check --tolerance 0.5
+//! cargo build --release && target/release/perf --quick
 //! ```
 //!
-//! Flags:
-//! - `--out PATH` — where to write the report (default `BENCH_PERF.json`).
-//! - `--check` — compare against the baseline instead of overwriting it.
-//! - `--baseline PATH` — baseline to check against (default `BENCH_PERF.json`).
-//! - `--tolerance F` — allowed fractional regression (default `0.25`).
-//! - `--ratios-only` — check only machine-independent ratio gates (for
-//!   containers whose absolute throughput differs from the baseline host).
-//! - `--quick` — reduced iteration counts (noisier absolutes, valid ratios).
-//! - `--seed N` — base seed for every benchmark (default `42`).
+//! The only flag, `--quick`, shrinks iteration counts and runs the service
+//! leg at 300 sessions instead of 10 000.
 
-use bench::perf::{check, parse_json, run_suite, to_json, PerfOptions};
+use bench::perf::{ratio_checks, service_checks};
 use bench::{print_header, print_row};
 use std::process::ExitCode;
 
-struct Cli {
-    opts: PerfOptions,
-    out: Option<String>,
-    check: bool,
-    baseline: String,
-    tolerance: f64,
-    ratios_only: bool,
-}
-
-fn parse_cli() -> Result<Cli, String> {
-    let mut cli = Cli {
-        opts: PerfOptions::default(),
-        out: None,
-        check: false,
-        baseline: "BENCH_PERF.json".to_string(),
-        tolerance: 0.25,
-        ratios_only: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut take = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--out" => cli.out = Some(take("--out")?),
-            "--check" => cli.check = true,
-            "--baseline" => cli.baseline = take("--baseline")?,
-            "--tolerance" => {
-                cli.tolerance = take("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?
-            }
-            "--ratios-only" => cli.ratios_only = true,
-            "--quick" => cli.opts.quick = true,
-            "--seed" => {
-                cli.opts.seed =
-                    take("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(cli)
-}
-
 fn main() -> ExitCode {
-    let cli = match parse_cli() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("perf: {e}");
+    let mut quick = false;
+    for arg in std::env::args().skip(1) {
+        if arg != "--quick" {
+            eprintln!("perf: unknown flag {arg} (the only flag is --quick)");
             return ExitCode::FAILURE;
         }
-    };
-
-    let report = run_suite(&cli.opts);
-
-    print_header("perf suite", &["bench", "unit", "value"]);
-    for b in &report.benches {
-        print_row(&[b.name.clone(), b.unit.clone(), format!("{:.1}", b.value)]);
+        quick = true;
     }
-    print_header("ratio gates", &["ratio", "value", "min"]);
-    for r in &report.ratios {
-        print_row(&[r.name.clone(), format!("{:.3}", r.value), format!("{:.3}", r.min)]);
+    let mut checks = ratio_checks(quick);
+    let mut failures = Vec::new();
+    match service_checks(quick) {
+        Ok(service) => checks.extend(service),
+        Err(e) => failures.push(format!("the service leg cannot run: {e}")),
     }
-
-    if cli.check {
-        let text = match std::fs::read_to_string(&cli.baseline) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("perf: cannot read baseline {}: {e}", cli.baseline);
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match parse_json(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("perf: malformed baseline {}: {e}", cli.baseline);
-                return ExitCode::FAILURE;
-            }
-        };
-        let failures = check(&report, &baseline, cli.tolerance, cli.ratios_only);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("perf regression: {f}");
-            }
-            return ExitCode::FAILURE;
-        }
-        let scope = if cli.ratios_only { "ratio gates" } else { "all gates" };
-        println!(
-            "\nperf check passed ({scope}, tolerance {:.2}) against {}",
-            cli.tolerance, cli.baseline
-        );
-        // --check with an explicit --out refreshes that file too.
-        if let Some(out) = &cli.out {
-            if let Err(e) = std::fs::write(out, to_json(&report)) {
-                eprintln!("perf: cannot write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("[report written to {out}]");
-        }
+    print_header("perf gate", &["check", "value", "bound"]);
+    for c in &checks {
+        print_row(&[c.name.to_string(), format!("{:.3}", c.value), c.bound.to_string()]);
+    }
+    failures.extend(
+        checks
+            .iter()
+            .filter(|c| !c.passes())
+            .map(|c| format!("{} = {:.3} misses its bound {}", c.name, c.value, c.bound)),
+    );
+    if failures.is_empty() {
+        println!("\nperf gate passed ({} checks)", checks.len());
         return ExitCode::SUCCESS;
     }
-
-    let out = cli.out.unwrap_or_else(|| "BENCH_PERF.json".to_string());
-    if let Err(e) = std::fs::write(&out, to_json(&report)) {
-        eprintln!("perf: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
+    for f in &failures {
+        eprintln!("perf: {f}");
     }
-    println!("[report written to {out}]");
-    ExitCode::SUCCESS
+    ExitCode::FAILURE
 }

@@ -3,53 +3,42 @@
 //! ```text
 //! cdbtuned --addr 127.0.0.1:4455 &
 //! svc_load --addr 127.0.0.1:4455 --sessions 3 --steps 3
-//! svc_load --addr 127.0.0.1:4455 --mode open --sessions 10000 \
-//!          --rate 500 --steps 2 --p99-budget-ms 250 --max-reject-rate 0.02
+//! svc_load --addr 127.0.0.1:4455 --sessions 10000 --rate 500 --steps 2 \
+//!          --p99-budget-ms 250 --max-reject-rate 0.02
 //! ```
 //!
-//! Two modes:
-//!
-//! * `closed` (default): N concurrent sessions started together, each
-//!   stepped to its budget — the drain/backpressure smoke.
-//! * `open`: sessions arrive on a fixed schedule (`--rate` per second)
-//!   regardless of daemon progress — the honest tail-latency probe.
-//!   `--p99-budget-ms` and `--max-reject-rate` turn the report into a
-//!   gate: exceeding either fails the run.
-//!
-//! Exits nonzero on transport errors, budget violations, or (closed
-//! mode) queue rejections unless `--allow-reject true`.
+//! Sessions start all at once by default — the drain/backpressure smoke.
+//! `--rate` makes them arrive on a fixed schedule regardless of daemon
+//! progress — the honest tail-latency probe. Exits nonzero when the
+//! rejected+errored fraction exceeds `--max-reject-rate` (default 0) or
+//! request p99 exceeds `--p99-budget-ms`.
 
-use bench::svc::{run_load, run_open_load, LoadSpec, OpenLoadSpec};
+use bench::svc::{run_load, LoadSpec};
 use cdbtune::cli::{shared_flags_help, Args, EnvSpec};
 use std::process::ExitCode;
 
 fn usage() -> String {
     format!(
-        "svc_load — load generator for cdbtuned (closed or open loop)
+        "svc_load — load generator for cdbtuned
 
 USAGE:
-  svc_load --addr HOST:PORT [--mode closed|open] [--sessions N] [--steps N]
-           [--rate R] [--hold-ms MS] [--warm-start BOOL] [--safe BOOL]
-           [--tenant TOKEN] [--allow-reject BOOL] [--shutdown BOOL]
+  svc_load --addr HOST:PORT [--sessions N] [--steps N] [--rate R]
+           [--hold-ms MS] [--warm-start BOOL] [--safe BOOL] [--tenant TOKEN]
            [--p99-budget-ms MS] [--max-reject-rate F]
 
 FLAGS:
   --addr          daemon address (required)
-  --mode          closed = N concurrent sessions at once;
-                  open = fixed arrival rate               (default closed)
   --sessions      total sessions                          (default 3)
   --steps         tuning steps per session                (default 3)
-  --rate          open mode: session arrivals per second  (default 100)
+  --rate          session arrivals per second; 0 starts
+                  every session at once                   (default 0)
   --hold-ms       sleep mid-session before closing        (default 0)
   --warm-start    ask for registry warm starts            (default true)
   --safe          ask for the safe-tuning layer           (default false)
   --tenant        tenant token stamped on create_session  (default none)
-  --allow-reject  closed mode: rejections are expected, not a failure
-                                                          (default false)
-  --shutdown      closed mode: send shutdown when done    (default false)
-  --p99-budget-ms open mode: fail if request p99 exceeds this
-  --max-reject-rate  open mode: fail if rejected+errored fraction
-                  exceeds this                            (default 1.0)
+  --p99-budget-ms fail if request p99 exceeds this        (default none)
+  --max-reject-rate  fail if the rejected+errored fraction
+                  exceeds this                            (default 0)
 
 {}",
         shared_flags_help()
@@ -63,64 +52,38 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     let args = Args::parse(&argv)?;
-    let mode = args.get("mode", "closed".to_string())?;
-    match mode.as_str() {
-        "closed" => {
-            let spec = LoadSpec {
-                addr: args.required("addr")?.to_string(),
-                sessions: args.get("sessions", 3usize)?,
-                steps: args.get("steps", 3usize)?,
-                spec: EnvSpec::from_args(&args)?,
-                hold_ms: args.get("hold-ms", 0u64)?,
-                warm_start: args.get("warm-start", true)?,
-                safe: args.get("safe", false)?,
-                shutdown: args.get("shutdown", false)?,
-                tenant: args.raw("tenant").map(str::to_string),
-            };
-            let allow_reject = args.get("allow-reject", false)?;
-            let report = run_load(&spec);
-            print!("{}", report.render());
-            let ok = report.errors() == 0 && (allow_reject || report.rejected() == 0);
-            Ok(if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE })
-        }
-        "open" => {
-            let spec = OpenLoadSpec {
-                addr: args.required("addr")?.to_string(),
-                sessions: args.get("sessions", 3usize)?,
-                rate: args.get("rate", 100.0f64)?,
-                steps: args.get("steps", 3usize)?,
-                spec: EnvSpec::from_args(&args)?,
-                warm_start: args.get("warm-start", true)?,
-                safe: args.get("safe", false)?,
-                tenant: args.raw("tenant").map(str::to_string),
-                hold_ms: args.get("hold-ms", 0u64)?,
-            };
-            let report = run_open_load(&spec);
-            print!("{}", report.render());
-            let mut ok = true;
-            if let Some(budget) = args.raw("p99-budget-ms") {
-                let budget: f64 =
-                    budget.parse().map_err(|e| format!("--p99-budget-ms: {e}"))?;
-                if report.request_latency.p99_ms > budget {
-                    eprintln!(
-                        "svc_load: request p99 {:.1} ms exceeds the {budget:.1} ms budget",
-                        report.request_latency.p99_ms
-                    );
-                    ok = false;
-                }
-            }
-            let max_reject = args.get("max-reject-rate", 1.0f64)?;
-            if report.rejection_rate() > max_reject {
-                eprintln!(
-                    "svc_load: rejection rate {:.4} exceeds the {max_reject:.4} cap",
-                    report.rejection_rate()
-                );
-                ok = false;
-            }
-            Ok(if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE })
-        }
-        other => Err(format!("unknown mode {other:?} (expected closed|open)")),
+    args.reject_unknown(&usage(), &[])?;
+    let spec = LoadSpec {
+        addr: args.required("addr")?.to_string(),
+        sessions: args.get("sessions", 3usize)?,
+        rate: args.get("rate", 0.0f64)?,
+        steps: args.get("steps", 3usize)?,
+        spec: EnvSpec::from_args(&args)?,
+        hold_ms: args.get("hold-ms", 0u64)?,
+        warm_start: args.get("warm-start", true)?,
+        safe: args.get("safe", false)?,
+        tenant: args.raw("tenant").map(str::to_string),
+    };
+    let budget = args.get("p99-budget-ms", f64::INFINITY)?;
+    let max_reject = args.get("max-reject-rate", 0.0f64)?;
+    let report = run_load(&spec);
+    print!("{}", report.render());
+    let mut ok = true;
+    if report.request_latency.p99_ms > budget {
+        eprintln!(
+            "svc_load: request p99 {:.1} ms exceeds the {budget:.1} ms budget",
+            report.request_latency.p99_ms
+        );
+        ok = false;
     }
+    if report.rejection_rate() > max_reject {
+        eprintln!(
+            "svc_load: rejection rate {:.4} exceeds the {max_reject:.4} cap",
+            report.rejection_rate()
+        );
+        ok = false;
+    }
+    Ok(if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
 fn main() -> ExitCode {

@@ -21,10 +21,6 @@ pub mod svc;
 pub mod trace;
 
 pub use harness::{ExperimentScale, Lab};
-pub use perf::{PerfOptions, PerfReport};
 pub use report::{print_header, print_row};
-pub use svc::{
-    run_load, run_open_load, LatencyStats, LoadReport, LoadSpec, OpenLoadReport, OpenLoadSpec,
-    SessionResult,
-};
+pub use svc::{run_load, LatencyStats, LoadReport, LoadSpec, SessionResult};
 pub use trace::{schema_round_trip, SessionRow, StepRow, TraceSummary};

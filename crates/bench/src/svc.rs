@@ -1,10 +1,11 @@
 //! Load generator for the `cdbtuned` daemon.
 //!
-//! Drives N concurrent client sessions against a running daemon and
-//! reports service-level health: sessions completed/rejected/failed,
-//! warm-start hits, per-request latency percentiles and session
-//! wall-time percentiles. Used by the `svc_load` binary, the tier-1
-//! daemon smoke test, and the service e2e test.
+//! Drives N client sessions against a running daemon, all at once or
+//! arriving at a fixed rate, and reports service-level health: sessions
+//! completed/rejected/failed, warm-start hits, per-request latency
+//! percentiles and session wall-time percentiles. Used by the `svc_load`
+//! binary, the tier-1 daemon smoke test, the service e2e test and the
+//! service leg of the perf gate.
 
 use cdbtune::EnvSpec;
 use service::{Client, Request, Response};
@@ -55,8 +56,13 @@ impl LatencyStats {
 pub struct LoadSpec {
     /// Daemon address.
     pub addr: String,
-    /// Concurrent sessions to open.
+    /// Sessions to open.
     pub sessions: usize,
+    /// Session arrivals per second, on a fixed schedule regardless of how
+    /// fast the daemon drains them — the honest way to measure tail
+    /// latency, since a closed loop slows its own arrivals down when the
+    /// daemon struggles. 0 starts every session at once (a closed loop).
+    pub rate: f64,
     /// Tuning steps per session.
     pub steps: usize,
     /// Environment each session asks the daemon to tune. Session `i` runs
@@ -70,8 +76,6 @@ pub struct LoadSpec {
     /// Ask the daemon for the safe-tuning layer (trust region + drift
     /// detection + rollback) on every session.
     pub safe: bool,
-    /// Send a `shutdown` request after the sessions finish.
-    pub shutdown: bool,
     /// Tenant token stamped on every `create_session` (None = anonymous).
     pub tenant: Option<String>,
 }
@@ -81,12 +85,12 @@ impl Default for LoadSpec {
         Self {
             addr: String::new(),
             sessions: 3,
+            rate: 0.0,
             steps: 3,
             spec: EnvSpec::default(),
             hold_ms: 0,
             warm_start: true,
             safe: false,
-            shutdown: false,
             tenant: None,
         }
     }
@@ -119,6 +123,10 @@ pub struct SessionResult {
     pub request_ms: Vec<f64>,
 }
 
+/// Sessions [`LoadReport::render`] lists one per line: every session of a
+/// small run, else only those that did not complete, up to this many.
+const LISTED: usize = 16;
+
 /// Aggregated outcome of one load run.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
@@ -128,6 +136,12 @@ pub struct LoadReport {
     pub request_latency: LatencyStats,
     /// Session wall-time percentiles (completed sessions only).
     pub session_wall: LatencyStats,
+    /// The arrival rate the run asked for (sessions/s; 0 = all at once).
+    pub offered_rate: f64,
+    /// The arrival rate the generator actually achieved (sessions/s).
+    pub achieved_rate: f64,
+    /// Whole-run wall time, seconds.
+    pub wall_s: f64,
 }
 
 impl LoadReport {
@@ -151,21 +165,42 @@ impl LoadReport {
         self.results.iter().filter(|r| r.warm_start).count()
     }
 
+    /// Fraction of sessions rejected or errored, in [0, 1].
+    pub fn rejection_rate(&self) -> f64 {
+        if self.results.is_empty() {
+            return 0.0;
+        }
+        (self.rejected() + self.errors()) as f64 / self.results.len() as f64
+    }
+
     /// Renders the service-level summary.
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
+        let pace = if self.offered_rate > 0.0 {
+            format!(" at {:.0}/s (achieved {:.0}/s)", self.offered_rate, self.achieved_rate)
+        } else {
+            String::new()
+        };
         let _ = writeln!(
             out,
-            "=== svc load: {} sessions -> {} completed, {} rejected, {} errors, {} warm \
-             starts ===",
+            "=== svc load: {} sessions{pace} over {:.1}s ===",
             self.results.len(),
+            self.wall_s
+        );
+        let _ = writeln!(
+            out,
+            "  {} completed, {} rejected, {} errors (rejection rate {:.2}%), {} warm starts",
             self.completed(),
             self.rejected(),
             self.errors(),
+            self.rejection_rate() * 100.0,
             self.warm_hits()
         );
-        for r in &self.results {
+        let small = self.results.len() <= LISTED;
+        let listed =
+            self.results.iter().filter(|r| small || r.rejected.is_some() || r.error.is_some());
+        for r in listed.take(LISTED) {
             let status = if let Some(reason) = &r.rejected {
                 format!("REJECTED ({reason})")
             } else if let Some(err) = &r.error {
@@ -196,8 +231,8 @@ impl LoadReport {
         let sw = &self.session_wall;
         let _ = writeln!(
             out,
-            "session wall ({} sessions): p50 {:.0} ms  p95 {:.0} ms  max {:.0} ms",
-            sw.count, sw.p50_ms, sw.p95_ms, sw.max_ms
+            "session wall ({} sessions): p50 {:.0} ms  p95 {:.0} ms  p99 {:.0} ms  max {:.0} ms",
+            sw.count, sw.p50_ms, sw.p95_ms, sw.p99_ms, sw.max_ms
         );
         out
     }
@@ -298,177 +333,12 @@ fn run_session(spec: &LoadSpec, slot: usize) -> SessionResult {
     finish(result, started)
 }
 
-/// Runs the load: one thread per session, all started together.
+/// Runs the load: session `i` launches at `t0 + i/rate` no matter how the
+/// earlier ones are doing (all at once when `rate` is 0). Each session
+/// runs on its own small-stack thread (10k sessions ≈ 10k blocked
+/// clients — cheap); a thread that cannot spawn or panics is that slot's
+/// error.
 pub fn run_load(spec: &LoadSpec) -> LoadReport {
-    let handles: Vec<_> = (0..spec.sessions)
-        .map(|slot| {
-            let spec = spec.clone();
-            std::thread::spawn(move || run_session(&spec, slot))
-        })
-        .collect();
-    let mut results: Vec<SessionResult> =
-        handles.into_iter().map(|h| h.join().expect("session thread")).collect();
-    results.sort_by_key(|r| r.slot);
-    if spec.shutdown {
-        if let Ok(mut c) = Client::connect(&spec.addr) {
-            let _ = c.set_timeout(Some(Duration::from_secs(10)));
-            let _ = c.request(&Request::Shutdown);
-        }
-    }
-    let request_ms: Vec<f64> =
-        results.iter().flat_map(|r| r.request_ms.iter().copied()).collect();
-    let walls: Vec<f64> = results
-        .iter()
-        .filter(|r| r.rejected.is_none() && r.error.is_none())
-        .map(|r| r.wall_ms)
-        .collect();
-    LoadReport {
-        request_latency: LatencyStats::of(&request_ms),
-        session_wall: LatencyStats::of(&walls),
-        results,
-    }
-}
-
-/// What one open-loop load run should do: sessions arrive on a fixed
-/// schedule (`rate` per second) regardless of how fast the daemon
-/// drains them — the honest way to measure tail latency, since a
-/// closed loop slows its own arrivals down when the daemon struggles.
-#[derive(Debug, Clone)]
-pub struct OpenLoadSpec {
-    /// Daemon address.
-    pub addr: String,
-    /// Total sessions to launch.
-    pub sessions: usize,
-    /// Arrival rate, sessions per second (0 = all at once).
-    pub rate: f64,
-    /// Tuning steps per session.
-    pub steps: usize,
-    /// Environment each session asks the daemon to tune (seed + slot).
-    pub spec: EnvSpec,
-    /// Ask the daemon to warm-start from its registry.
-    pub warm_start: bool,
-    /// Ask for the safe-tuning layer on every session.
-    pub safe: bool,
-    /// Tenant token stamped on every `create_session`.
-    pub tenant: Option<String>,
-    /// Sleep this long mid-session (between stepping and closing).
-    pub hold_ms: u64,
-}
-
-impl Default for OpenLoadSpec {
-    fn default() -> Self {
-        Self {
-            addr: String::new(),
-            sessions: 100,
-            rate: 50.0,
-            steps: 2,
-            spec: EnvSpec::default(),
-            warm_start: true,
-            safe: false,
-            tenant: None,
-            hold_ms: 0,
-        }
-    }
-}
-
-/// Aggregated outcome of one open-loop run. Unlike [`LoadReport`] it
-/// never renders per-session lines — at 10k sessions only the
-/// distribution matters.
-#[derive(Debug, Clone)]
-pub struct OpenLoadReport {
-    /// Per-session outcomes, slot order.
-    pub results: Vec<SessionResult>,
-    /// Per-request round-trip latency percentiles across all sessions.
-    pub request_latency: LatencyStats,
-    /// Session wall-time percentiles (completed sessions only).
-    pub session_wall: LatencyStats,
-    /// The arrival rate the run asked for (sessions/s).
-    pub offered_rate: f64,
-    /// The arrival rate the generator actually achieved (sessions/s).
-    pub achieved_rate: f64,
-    /// Whole-run wall time, seconds.
-    pub wall_s: f64,
-}
-
-impl OpenLoadReport {
-    /// Sessions that ran to completion.
-    pub fn completed(&self) -> usize {
-        self.results.iter().filter(|r| r.rejected.is_none() && r.error.is_none()).count()
-    }
-
-    /// Sessions the daemon turned away with a typed rejection.
-    pub fn rejected(&self) -> usize {
-        self.results.iter().filter(|r| r.rejected.is_some()).count()
-    }
-
-    /// Sessions that failed with a transport/protocol error.
-    pub fn errors(&self) -> usize {
-        self.results.iter().filter(|r| r.error.is_some()).count()
-    }
-
-    /// Fraction of sessions rejected or errored, in [0, 1].
-    pub fn rejection_rate(&self) -> f64 {
-        if self.results.is_empty() {
-            return 0.0;
-        }
-        (self.rejected() + self.errors()) as f64 / self.results.len() as f64
-    }
-
-    /// Renders the distribution-level summary.
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "=== svc open load: {} sessions at {:.0}/s (achieved {:.0}/s) over {:.1}s ===",
-            self.results.len(),
-            self.offered_rate,
-            self.achieved_rate,
-            self.wall_s
-        );
-        let _ = writeln!(
-            out,
-            "  {} completed, {} rejected, {} errors  (rejection rate {:.2}%)",
-            self.completed(),
-            self.rejected(),
-            self.errors(),
-            self.rejection_rate() * 100.0
-        );
-        let rl = &self.request_latency;
-        let _ = writeln!(
-            out,
-            "  request latency ({} reqs): p50 {:.1} ms  p99 {:.1} ms  p999 {:.1} ms  max \
-             {:.1} ms",
-            rl.count, rl.p50_ms, rl.p99_ms, rl.p999_ms, rl.max_ms
-        );
-        let sw = &self.session_wall;
-        let _ = writeln!(
-            out,
-            "  session wall ({} sessions): p50 {:.0} ms  p99 {:.0} ms  max {:.0} ms",
-            sw.count, sw.p50_ms, sw.p99_ms, sw.max_ms
-        );
-        for r in self.results.iter().filter(|r| r.error.is_some()).take(5) {
-            let _ = writeln!(out, "  error slot {}: {}", r.slot, r.error.as_deref().unwrap_or(""));
-        }
-        out
-    }
-}
-
-/// Runs an open-loop load: session `i` launches at `t0 + i/rate` no
-/// matter how the previous ones are doing. Each session runs on its own
-/// small-stack thread (10k sessions ≈ 10k blocked clients — cheap).
-pub fn run_open_load(spec: &OpenLoadSpec) -> OpenLoadReport {
-    let per_session = LoadSpec {
-        addr: spec.addr.clone(),
-        sessions: 1,
-        steps: spec.steps,
-        spec: spec.spec.clone(),
-        hold_ms: spec.hold_ms,
-        warm_start: spec.warm_start,
-        safe: spec.safe,
-        shutdown: false,
-        tenant: spec.tenant.clone(),
-    };
     let t0 = Instant::now();
     let mut handles = Vec::with_capacity(spec.sessions);
     for slot in 0..spec.sessions {
@@ -479,22 +349,21 @@ pub fn run_open_load(spec: &OpenLoadSpec) -> OpenLoadReport {
                 std::thread::sleep(target - elapsed);
             }
         }
-        let per_session = per_session.clone();
+        let spec = spec.clone();
         let spawned = std::thread::Builder::new()
-            .name(format!("svc-open-{slot}"))
+            .name(format!("svc-load-{slot}"))
             .stack_size(256 * 1024)
-            .spawn(move || run_session(&per_session, slot));
+            .spawn(move || run_session(&spec, slot));
         handles.push((slot, spawned));
     }
     let spawn_wall = t0.elapsed().as_secs_f64();
-    let mut results: Vec<SessionResult> = handles
+    let results: Vec<SessionResult> = handles
         .into_iter()
         .map(|(slot, h)| match h {
             Ok(h) => h.join().unwrap_or_else(|_| failed_slot(slot, "session thread panicked")),
             Err(e) => failed_slot(slot, &format!("spawn: {e}")),
         })
         .collect();
-    results.sort_by_key(|r| r.slot);
     let wall_s = t0.elapsed().as_secs_f64();
     let request_ms: Vec<f64> =
         results.iter().flat_map(|r| r.request_ms.iter().copied()).collect();
@@ -503,7 +372,7 @@ pub fn run_open_load(spec: &OpenLoadSpec) -> OpenLoadReport {
         .filter(|r| r.rejected.is_none() && r.error.is_none())
         .map(|r| r.wall_ms)
         .collect();
-    OpenLoadReport {
+    LoadReport {
         request_latency: LatencyStats::of(&request_ms),
         session_wall: LatencyStats::of(&walls),
         offered_rate: spec.rate,
@@ -576,16 +445,26 @@ mod tests {
         let report = LoadReport {
             request_latency: LatencyStats::of(&[1.0, 2.0]),
             session_wall: LatencyStats::of(&[120.0]),
-            results: vec![base, rejected, failed, warm],
+            offered_rate: 100.0,
+            achieved_rate: 97.0,
+            wall_s: 1.5,
+            results: vec![base.clone(), rejected, failed.clone(), warm],
         };
         assert_eq!(report.completed(), 2);
         assert_eq!(report.rejected(), 1);
         assert_eq!(report.errors(), 1);
         assert_eq!(report.warm_hits(), 1);
         let rendered = report.render();
+        assert!(rendered.contains("svc load: 4 sessions at 100/s (achieved 97/s)"), "{rendered}");
         assert!(rendered.contains("REJECTED (queue_full)"));
         assert!(rendered.contains("ERROR: boom"));
         assert!(rendered.contains("warm"));
+        // A large run lists only the sessions that did not complete.
+        let mut results = vec![base; 40];
+        results[7] = failed;
+        let large = LoadReport { results, ..report }.render();
+        assert_eq!(large.matches("  slot ").count(), 1, "{large}");
+        assert!(large.contains("ERROR: boom"));
     }
 
     #[test]
@@ -600,7 +479,7 @@ mod tests {
         let results = vec![ok, rejected, errored];
         let request_ms: Vec<f64> =
             results.iter().flat_map(|r| r.request_ms.iter().copied()).collect();
-        let report = OpenLoadReport {
+        let report = LoadReport {
             request_latency: LatencyStats::of(&request_ms),
             session_wall: LatencyStats::of(&[50.0]),
             offered_rate: 100.0,
@@ -613,9 +492,9 @@ mod tests {
         assert_eq!(report.errors(), 1);
         assert!((report.rejection_rate() - 2.0 / 3.0).abs() < 1e-12);
         let rendered = report.render();
-        assert!(rendered.contains("open load: 3 sessions at 100/s"));
-        assert!(rendered.contains("rejection rate 66.67%"));
+        assert!(rendered.contains("svc load: 3 sessions at 100/s"), "{rendered}");
+        assert!(rendered.contains("rejection rate 66.67%"), "{rendered}");
         assert!(rendered.contains("p999"));
-        assert_eq!(OpenLoadReport { results: Vec::new(), ..report }.rejection_rate(), 0.0);
+        assert_eq!(LoadReport { results: Vec::new(), ..report }.rejection_rate(), 0.0);
     }
 }

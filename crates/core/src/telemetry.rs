@@ -766,6 +766,8 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn null_telemetry_disables_every_level_and_emit_is_free() {
@@ -928,30 +930,79 @@ mod tests {
     }
 
     /// The bytes of every sample line, as the hand-written encoder wrote
-    /// them: how the schema is declared may change, the lines may not.
+    /// them.
+    const SAMPLE_LINES: [&str; 17] = [
+        r#"{"v":1,"type":"run_start","mode":"train","seed":42,"knobs":40,"state_dim":63}"#,
+        r#"{"v":1,"type":"episode_start","episode":0,"warm_start":false,"baseline_tps":3920.0,"baseline_p99_us":391600.0}"#,
+        r#"{"v":1,"type":"step","step":7,"episode":2,"action":[0.25,0.5,1.0],"reward":{"reward":1.5,"throughput_term":2.0,"latency_term":1.0,"delta0_tps":0.2,"delta_prev_tps":0.1,"delta0_lat":0.05,"delta_prev_lat":-0.01,"clamp_fired":false,"epsilon_floored":false,"zero_rule_fired":true,"final_clamp_fired":false},"throughput_tps":5087.5,"p99_latency_us":30612.0,"crashed":false,"degraded":false,"replay":{"len":640,"beta":0.41,"max_priority":12.5,"is_weight_min":0.3,"is_weight_max":1.0,"fallback_hits":0,"tree_rebuilds":2},"recovery":{"retries":1,"backoff_ms":250,"rollbacks":0,"forced_restarts":0,"quarantined_configs":0,"quarantine_hits":0,"degraded_steps":0,"imputed_metrics":0},"engine":{"restarts":9,"crashes":1,"running":true},"timing":{"recommendation_wall_us":120,"deployment_wall_us":800,"stress_wall_us":15000,"stress_simulated_sec":152.88,"metrics_wall_us":90,"model_update_wall_us":2400}}"#,
+        r#"{"v":1,"type":"recovery","action":"retry","during":"deploy","attempt":2,"backoff_ms":500}"#,
+        r#"{"v":1,"type":"episode_end","episode":0,"steps":20,"mean_reward":0.8,"best_tps":5100.0}"#,
+        r#"{"v":1,"type":"collect_worker","worker":3,"derived_seed":57005,"steps":50,"crashes":1}"#,
+        r#"{"v":1,"type":"session_open","session":11,"workload":"sysbench-rw","knobs":6,"warm_start":true,"registry_distance":0.042}"#,
+        r#"{"v":1,"type":"admission","accepted":false,"reason":"queue_full","queue_depth":4}"#,
+        r#"{"v":1,"type":"service_queue","depth":3,"busy_workers":2}"#,
+        r#"{"v":1,"type":"drift_detected","step":12,"distance":0.61,"threshold":0.35,"reference_age":7}"#,
+        r#"{"v":1,"type":"rollback","step":13,"from_tps":2400.0,"to_tps":5100.0,"drop_frac":0.53,"quarantined":true}"#,
+        r#"{"v":1,"type":"safety_clamp","step":14,"clamped_knobs":3,"max_delta":0.22,"radius":0.15}"#,
+        r#"{"v":1,"type":"regret_window","window":2,"regret":0.4,"budget":0.75,"over_budget":false,"radius":0.18}"#,
+        r#"{"v":1,"type":"reactor_sample","conns":120,"sessions":96,"queued_jobs":5,"busy_workers":2}"#,
+        r#"{"v":1,"type":"idle_close","conn":44,"idle_ms":31000,"had_session":true}"#,
+        r#"{"v":1,"type":"session_close","session":11,"steps":5,"best_tps":5200.0,"drained":false,"published":true}"#,
+        r#"{"v":1,"type":"run_end","mode":"train","total_steps":320,"best_tps":5087.0,"crashes":20,"wall_seconds":13.8}"#,
+    ];
+
+    /// How the schema is declared may change, the lines may not.
     #[test]
     fn sample_lines_are_byte_identical() {
-        let golden = [
-            r#"{"v":1,"type":"run_start","mode":"train","seed":42,"knobs":40,"state_dim":63}"#,
-            r#"{"v":1,"type":"episode_start","episode":0,"warm_start":false,"baseline_tps":3920.0,"baseline_p99_us":391600.0}"#,
-            r#"{"v":1,"type":"step","step":7,"episode":2,"action":[0.25,0.5,1.0],"reward":{"reward":1.5,"throughput_term":2.0,"latency_term":1.0,"delta0_tps":0.2,"delta_prev_tps":0.1,"delta0_lat":0.05,"delta_prev_lat":-0.01,"clamp_fired":false,"epsilon_floored":false,"zero_rule_fired":true,"final_clamp_fired":false},"throughput_tps":5087.5,"p99_latency_us":30612.0,"crashed":false,"degraded":false,"replay":{"len":640,"beta":0.41,"max_priority":12.5,"is_weight_min":0.3,"is_weight_max":1.0,"fallback_hits":0,"tree_rebuilds":2},"recovery":{"retries":1,"backoff_ms":250,"rollbacks":0,"forced_restarts":0,"quarantined_configs":0,"quarantine_hits":0,"degraded_steps":0,"imputed_metrics":0},"engine":{"restarts":9,"crashes":1,"running":true},"timing":{"recommendation_wall_us":120,"deployment_wall_us":800,"stress_wall_us":15000,"stress_simulated_sec":152.88,"metrics_wall_us":90,"model_update_wall_us":2400}}"#,
-            r#"{"v":1,"type":"recovery","action":"retry","during":"deploy","attempt":2,"backoff_ms":500}"#,
-            r#"{"v":1,"type":"episode_end","episode":0,"steps":20,"mean_reward":0.8,"best_tps":5100.0}"#,
-            r#"{"v":1,"type":"collect_worker","worker":3,"derived_seed":57005,"steps":50,"crashes":1}"#,
-            r#"{"v":1,"type":"session_open","session":11,"workload":"sysbench-rw","knobs":6,"warm_start":true,"registry_distance":0.042}"#,
-            r#"{"v":1,"type":"admission","accepted":false,"reason":"queue_full","queue_depth":4}"#,
-            r#"{"v":1,"type":"service_queue","depth":3,"busy_workers":2}"#,
-            r#"{"v":1,"type":"drift_detected","step":12,"distance":0.61,"threshold":0.35,"reference_age":7}"#,
-            r#"{"v":1,"type":"rollback","step":13,"from_tps":2400.0,"to_tps":5100.0,"drop_frac":0.53,"quarantined":true}"#,
-            r#"{"v":1,"type":"safety_clamp","step":14,"clamped_knobs":3,"max_delta":0.22,"radius":0.15}"#,
-            r#"{"v":1,"type":"regret_window","window":2,"regret":0.4,"budget":0.75,"over_budget":false,"radius":0.18}"#,
-            r#"{"v":1,"type":"reactor_sample","conns":120,"sessions":96,"queued_jobs":5,"busy_workers":2}"#,
-            r#"{"v":1,"type":"idle_close","conn":44,"idle_ms":31000,"had_session":true}"#,
-            r#"{"v":1,"type":"session_close","session":11,"steps":5,"best_tps":5200.0,"drained":false,"published":true}"#,
-            r#"{"v":1,"type":"run_end","mode":"train","total_steps":320,"best_tps":5087.0,"crashes":20,"wall_seconds":13.8}"#,
-        ];
         let lines: Vec<String> = all_sample_events().iter().map(TraceEvent::to_json_line).collect();
-        assert_eq!(lines, golden);
+        assert_eq!(lines, SAMPLE_LINES);
+    }
+
+    /// `line` after one to three seeded byte mutations: a bit flip, an
+    /// inserted byte (JSON punctuation half the time), a deleted byte, a
+    /// truncation or a duplicated span.
+    fn mutate(line: &str, rng: &mut StdRng) -> String {
+        let mut b = line.as_bytes().to_vec();
+        for _ in 0..rng.gen_range(1..=3u32) {
+            let at = rng.gen_range(0..=b.len());
+            match rng.gen_range(0..5u32) {
+                0 if at < b.len() => b[at] ^= 1 << rng.gen_range(0..8u32),
+                1 => {
+                    let punct = br#"{}[]",:-.0e\"#;
+                    let byte =
+                        if rng.gen() { punct[rng.gen_range(0..punct.len())] } else { rng.gen() };
+                    b.insert(at, byte);
+                }
+                2 if at < b.len() => {
+                    b.remove(at);
+                }
+                3 => b.truncate(at),
+                _ => {
+                    let end = rng.gen_range(at..=b.len());
+                    let span = b[at..end].to_vec();
+                    b.splice(at..at, span);
+                }
+            }
+        }
+        String::from_utf8_lossy(&b).into_owned()
+    }
+
+    /// Seeded decode fuzz over the sample lines: no mutation may panic the
+    /// trace decoder or the JSON parser under it. A failure prints the case
+    /// number, the generator's seed.
+    #[test]
+    fn mutated_sample_lines_never_panic_the_decoder() {
+        for case in 0..2048u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let line = mutate(SAMPLE_LINES[rng.gen_range(0..SAMPLE_LINES.len())], &mut rng);
+            let run = || {
+                let _ = TraceEvent::from_json_line(&line);
+                let _ = Json::parse(&line);
+            };
+            if std::panic::catch_unwind(run).is_err() {
+                panic!("decode fuzz failed on case {case} (the generator's seed): {line:?}");
+            }
+        }
     }
 
     #[test]

@@ -363,6 +363,8 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_spec() -> EnvSpec {
         EnvSpec {
@@ -471,11 +473,9 @@ mod tests {
         }
     }
 
-    /// The bytes of the round-trip tests' lines, as the hand-written
-    /// encoders wrote them: how the protocol is declared may change, the
-    /// lines may not.
-    #[test]
-    fn wire_lines_are_byte_identical() {
+    /// The round-trip tests' requests beside the bytes the hand-written
+    /// encoder wrote for them.
+    fn request_lines() -> Vec<(Request, String)> {
         let spec = r#""spec":{"flavor":"postgres","workload":"tpc-c","ram_gb":2,"disk_gb":25,"scale":0.05,"knobs":8,"seed":9,"warmup_txns":30,"measure_txns":120,"horizon":10,"faults":"straggler=0.5x3,seed=1"}"#;
         let create = |warm_start, safe, tenant: Option<&str>| Request::CreateSession {
             spec: sample_spec(),
@@ -484,7 +484,7 @@ mod tests {
             safe,
             tenant: tenant.map(String::from),
         };
-        let requests = [
+        vec![
             (
                 create(true, true, Some("acme-prod")),
                 format!(
@@ -502,11 +502,13 @@ mod tests {
             (Request::Recommend, r#"{"v":1,"type":"recommend"}"#.into()),
             (Request::CloseSession, r#"{"v":1,"type":"close_session"}"#.into()),
             (Request::Shutdown, r#"{"v":1,"type":"shutdown"}"#.into()),
-        ];
-        for (req, line) in requests {
-            assert_eq!(req.to_json_line(), line);
-        }
-        let responses = [
+        ]
+    }
+
+    /// The round-trip tests' responses beside the bytes the hand-written
+    /// encoder wrote for them.
+    fn response_lines() -> Vec<(Response, &'static str)> {
+        vec![
             (
                 Response::SessionCreated {
                     session: 3,
@@ -585,10 +587,82 @@ mod tests {
                 Response::frame_too_large(70000, 65536),
                 r#"{"v":1,"type":"error","message":"input line of 70000+ bytes exceeds the 65536-byte frame cap","code":"frame_too_large"}"#,
             ),
-        ];
-        for (resp, line) in responses {
+        ]
+    }
+
+    /// How the protocol is declared may change, the lines may not.
+    #[test]
+    fn wire_lines_are_byte_identical() {
+        for (req, line) in request_lines() {
+            assert_eq!(req.to_json_line(), line);
+        }
+        for (resp, line) in response_lines() {
             assert_eq!(resp.to_json_line(), line);
         }
+    }
+
+    /// `line` after one to three seeded byte mutations: a bit flip, an
+    /// inserted byte (JSON punctuation half the time), a deleted byte, a
+    /// truncation or a duplicated span.
+    fn mutate(line: &str, rng: &mut StdRng) -> String {
+        let mut b = line.as_bytes().to_vec();
+        for _ in 0..rng.gen_range(1..=3u32) {
+            let at = rng.gen_range(0..=b.len());
+            match rng.gen_range(0..5u32) {
+                0 if at < b.len() => b[at] ^= 1 << rng.gen_range(0..8u32),
+                1 => {
+                    let punct = br#"{}[]",:-.0e\"#;
+                    let byte =
+                        if rng.gen() { punct[rng.gen_range(0..punct.len())] } else { rng.gen() };
+                    b.insert(at, byte);
+                }
+                2 if at < b.len() => {
+                    b.remove(at);
+                }
+                3 => b.truncate(at),
+                _ => {
+                    let end = rng.gen_range(at..=b.len());
+                    let span = b[at..end].to_vec();
+                    b.splice(at..at, span);
+                }
+            }
+        }
+        String::from_utf8_lossy(&b).into_owned()
+    }
+
+    /// Seeded decode fuzz over the wire lines above: no mutation may panic
+    /// either decoder or the JSON parser under them. A failure prints the
+    /// case number, the generator's seed.
+    #[test]
+    fn mutated_wire_lines_never_panic_the_decoders() {
+        let lines: Vec<String> = request_lines()
+            .into_iter()
+            .map(|(_, line)| line)
+            .chain(response_lines().into_iter().map(|(_, line)| line.to_string()))
+            .collect();
+        for case in 0..2048u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let line = mutate(&lines[rng.gen_range(0..lines.len())], &mut rng);
+            let run = || {
+                let _ = Request::from_json_line(&line);
+                let _ = Response::from_json_line(&line);
+                let _ = Json::parse(&line);
+            };
+            if std::panic::catch_unwind(run).is_err() {
+                panic!("decode fuzz failed on case {case} (the generator's seed): {line:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_past_64_levels_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(64)).is_ok());
+        assert!(Json::parse(&nested(65)).unwrap_err().contains("nesting too deep"));
+        // Under a wire line's own object, 64 more levels reach 65.
+        let line = format!(r#"{{"v":1,"type":"step","x":{}}}"#, nested(64));
+        assert!(Request::from_json_line(&line).unwrap_err().contains("nesting too deep"));
+        assert!(Response::from_json_line(&line).unwrap_err().contains("nesting too deep"));
     }
 
     #[test]

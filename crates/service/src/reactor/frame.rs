@@ -23,7 +23,7 @@ pub const MAX_FRAME: usize = 64 * 1024;
 /// Why the decoder gave up on a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
-    /// A line exceeded the frame cap before its newline arrived.
+    /// A line exceeded the frame cap, terminated or not.
     TooLarge {
         /// Bytes buffered when the cap was hit.
         buffered: usize,
@@ -74,14 +74,19 @@ impl FrameDecoder {
     }
 
     /// Pops the next complete line (without its terminator, `\r\n`
-    /// tolerated), or reports that the peer overflowed the cap. Once
+    /// tolerated; the cap counts a `\r`), or reports that the peer
+    /// overflowed the cap — with a line still unterminated, or with a whole
+    /// line longer than the cap delivered in one push. Once
     /// `TooLarge` is returned the decoder is poisoned and yields
     /// nothing further.
     pub fn next_frame(&mut self) -> Result<Option<String>, FrameError> {
         if self.poisoned {
-            return Err(FrameError::TooLarge { buffered: self.buf.len(), limit: self.max });
+            return self.poison();
         }
         match self.buf.iter().position(|&b| b == b'\n') {
+            // A whole line can arrive in one read; past the cap it is as
+            // much a violation as an unterminated one.
+            Some(pos) if pos > self.max => self.poison(),
             Some(pos) => {
                 let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
                 line.pop(); // the \n itself
@@ -90,17 +95,14 @@ impl FrameDecoder {
                 }
                 Ok(Some(String::from_utf8_lossy(&line).into_owned()))
             }
-            None => {
-                if self.buf.len() > self.max {
-                    self.poisoned = true;
-                    return Err(FrameError::TooLarge {
-                        buffered: self.buf.len(),
-                        limit: self.max,
-                    });
-                }
-                Ok(None)
-            }
+            None if self.buf.len() > self.max => self.poison(),
+            None => Ok(None),
         }
+    }
+
+    fn poison(&mut self) -> Result<Option<String>, FrameError> {
+        self.poisoned = true;
+        Err(FrameError::TooLarge { buffered: self.buf.len(), limit: self.max })
     }
 }
 
@@ -249,6 +251,94 @@ mod tests {
         assert_eq!(dec.next_frame().unwrap(), None);
         dec.push(b"\n");
         assert_eq!(dec.next_frame().unwrap().map(|s| s.len()), Some(16));
+    }
+
+    /// Seeded decode fuzz: random chunks (printable bytes, newlines, `\r`
+    /// and arbitrary bytes) against a reference split of the same stream.
+    /// Every frame must be the reference's next line and no longer than the
+    /// cap; the decoder may wait only while the unterminated tail fits the
+    /// cap, and once it refuses it stays poisoned. A failure prints the case.
+    #[test]
+    fn random_chunks_never_yield_a_frame_past_the_cap() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for case in 0..512u64 {
+            let run = || {
+                let mut rng = StdRng::seed_from_u64(case);
+                let limit = rng.gen_range(1..=48usize);
+                let mut dec = FrameDecoder::with_limit(limit);
+                let mut stream: Vec<u8> = Vec::new(); // pushed, not yet framed
+                for _ in 0..rng.gen_range(1..40usize) {
+                    let len = rng.gen_range(0..=2 * limit + 2);
+                    let chunk: Vec<u8> = (0..len)
+                        .map(|_| match rng.gen_range(0..10u32) {
+                            0 => b'\n',
+                            1 => b'\r',
+                            2 => rng.gen(),
+                            _ => rng.gen_range(b' '..=b'~'),
+                        })
+                        .collect();
+                    dec.push(&chunk);
+                    stream.extend_from_slice(&chunk);
+                    loop {
+                        let newline = stream.iter().position(|&b| b == b'\n');
+                        match dec.next_frame() {
+                            Ok(Some(frame)) => {
+                                let pos = newline.expect("a frame needs a newline");
+                                let mut line: Vec<u8> = stream.drain(..=pos).collect();
+                                line.pop();
+                                if line.last() == Some(&b'\r') {
+                                    line.pop();
+                                }
+                                assert!(line.len() <= limit, "{} > {limit}", line.len());
+                                assert_eq!(frame, String::from_utf8_lossy(&line));
+                            }
+                            Ok(None) => {
+                                assert!(newline.is_none() && stream.len() <= limit);
+                                break;
+                            }
+                            Err(FrameError::TooLarge { limit: l, .. }) => {
+                                assert_eq!(l, limit);
+                                assert!(newline.unwrap_or(stream.len()) > limit);
+                                dec.push(b"\nok\n");
+                                assert!(dec.next_frame().is_err(), "poisoned for good");
+                                return;
+                            }
+                        }
+                    }
+                }
+            };
+            if let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+                eprintln!("frame fuzz failed on case {case} (the generator's seed)");
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_without_newline_poisons_just_past_max_frame() {
+        let mut dec = FrameDecoder::new();
+        let chunk = [b'a'; 4096];
+        let mut pushed = 0;
+        let err = loop {
+            dec.push(&chunk);
+            pushed += chunk.len();
+            match dec.next_frame() {
+                Ok(None) => assert!(pushed <= MAX_FRAME, "waited at {pushed} bytes"),
+                Ok(Some(frame)) => panic!("a frame of {} bytes with no newline", frame.len()),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err, FrameError::TooLarge { buffered: MAX_FRAME + 4096, limit: MAX_FRAME });
+        dec.push(b"\n{\"v\":1,\"type\":\"status\"}\n");
+        assert!(dec.next_frame().is_err());
+        assert_eq!(dec.buffered(), MAX_FRAME + 4096, "a poisoned decoder buffers nothing more");
+        // A whole oversized line in one push is refused the same way.
+        let mut dec = FrameDecoder::with_limit(16);
+        dec.push(b"ok\n0123456789abcdefg\nok\n");
+        assert_eq!(dec.next_frame(), Ok(Some("ok".to_string())));
+        assert!(dec.next_frame().is_err());
+        assert!(dec.next_frame().is_err());
     }
 
     /// A writer that accepts at most `cap` bytes per call, then

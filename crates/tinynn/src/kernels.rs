@@ -22,9 +22,9 @@
 //! the `a == 0.0` sparsity shortcut the blocked kernels deliberately drop —
 //! it made ReLU-sparse backward passes take a data-dependent branch per
 //! element, and the scalar-libm `tanh`). They are the reference for the
-//! differential tests below and the baseline leg of the `bench::perf`
-//! harness; [`set_kernel_mode`] flips the whole crate between the two
-//! families at runtime.
+//! differential tests below and the denominator of the perf gate's speedup
+//! checks (`bench::perf`); [`set_kernel_mode`] flips the whole crate between
+//! the two families at runtime.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -7,7 +7,7 @@
 //! adversarial byte-dribbled framing, and hold up under an open-loop
 //! arrival schedule.
 
-use bench::svc::{run_load, run_open_load, LoadSpec, OpenLoadSpec};
+use bench::svc::{run_load, LoadSpec};
 use bench::TraceSummary;
 use cdbtune::{EnvSpec, Telemetry, TraceLevel};
 use service::reference::{in_process, over_the_wire};
@@ -291,16 +291,14 @@ fn byte_dribbled_frames_parse_and_oversized_frames_get_a_typed_error() {
 #[test]
 fn open_loop_arrivals_complete_under_the_reactor() {
     let handle = daemon(ReactorConfig::default());
-    let report = run_open_load(&OpenLoadSpec {
+    let report = run_load(&LoadSpec {
         addr: handle.addr().to_string(),
         sessions: 24,
         rate: 120.0,
         steps: 1,
         spec: tiny_spec(17),
         warm_start: false,
-        safe: false,
-        tenant: None,
-        hold_ms: 0,
+        ..LoadSpec::default()
     });
     assert_eq!(report.errors(), 0, "{}", report.render());
     assert_eq!(report.completed(), 24, "{}", report.render());
