@@ -20,8 +20,8 @@
 //!   **unresolved**.
 //!
 //! Unresolved calls (std/external or ambiguous) are kept explicitly so
-//! `--graph-stats` can show coverage and the golden dump can assert
-//! them. Known approximations are documented in DESIGN.md §15.
+//! every `tunelint` run can print coverage and the golden dump can
+//! assert them. Known approximations are documented in DESIGN.md §15.
 
 use crate::lexer::Tok;
 use crate::{ident_at, is_keyword, is_punct, SourceFile};
@@ -71,7 +71,7 @@ pub struct CallSite {
     pub written: String,
 }
 
-/// Nodes/edges/unresolved counters for `tunelint --graph-stats`.
+/// Nodes/edges/unresolved counters, printed on every `tunelint` run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphStats {
     /// Number of fn nodes.

@@ -1,13 +1,13 @@
 //! Interprocedural dataflow over the call graph.
 //!
-//! Propagates three facts from the token-level seed detectors to a
-//! fixpoint, caller-ward along call edges:
+//! Propagates three facts from the seed detector [`seed_at`] — the same
+//! one the per-file `panic-safety` and `reactor-blocking` lints use — to
+//! a fixpoint, caller-ward along call edges:
 //!
-//! * **may-block** — blocking reads, `thread::sleep`, blocking
-//!   `.recv()`, and `.lock()` on a known lock binding;
+//! * **may-block** — blocking reads, `BufReader`, `thread::sleep`,
+//!   blocking `.recv()`, `set_nonblocking(false)` and `.lock(..)`;
 //! * **may-panic** — `.unwrap()`, `.expect(..)`, `panic!`-family
-//!   macros, slice indexing (same detectors as the `panic-safety`
-//!   token lint);
+//!   macros, slice indexing;
 //! * **locks-acquired** — the set of lock bindings a fn (or anything it
 //!   calls) acquires.
 //!
@@ -24,11 +24,12 @@
 //! out of their callers' facts.
 
 use crate::callgraph::CallGraph;
-use crate::lexer::Tok;
+use crate::lexer::{Tok, Token};
 use crate::{decl_name_before, ident_at, is_keyword, is_punct, SourceFile};
 use std::collections::BTreeSet;
 
-/// Blocking `Read`-trait helpers (shared with the reactor lint).
+/// Blocking `Read`-trait helpers: each parks the thread until the peer
+/// sends enough bytes.
 pub const BLOCKING_READS: &[&str] =
     &["read_to_string", "read_to_end", "read_line", "read_exact"];
 
@@ -74,18 +75,6 @@ pub enum Event {
         /// 1-based line.
         line: u32,
     },
-}
-
-impl Event {
-    /// The event's source line.
-    pub fn line(&self) -> u32 {
-        match self {
-            Event::Acquire { line, .. }
-            | Event::Call { line, .. }
-            | Event::Block { line, .. }
-            | Event::Panic { line, .. } => *line,
-        }
-    }
 }
 
 /// Fixpoint results, indexed by call-graph node.
@@ -307,64 +296,27 @@ fn extract_events(
             i += 1;
             continue;
         }
-        match &toks[i].tok {
-            Tok::Ident(id) => {
-                let id = id.as_str();
-                let dot_before = i >= 1 && is_punct(toks, i - 1, '.');
-                let paren_after = is_punct(toks, i + 1, '(');
-                let zero_arg = paren_after && is_punct(toks, i + 2, ')');
-                if BLOCKING_READS.contains(&id) && dot_before && paren_after {
-                    if !s.allowed("reactor", line) {
-                        evs.push((i, Event::Block { tag: id.to_string(), line }));
-                    }
-                } else if id == "sleep" && paren_after && !dot_before {
-                    if !s.allowed("reactor", line) {
-                        evs.push((i, Event::Block { tag: "thread::sleep".into(), line }));
-                    }
-                } else if id == "recv" && dot_before && zero_arg {
-                    if !s.allowed("reactor", line) {
-                        evs.push((i, Event::Block { tag: "recv".into(), line }));
-                    }
-                } else if (id == "lock" || id == "read" || id == "write") && dot_before && zero_arg
-                {
-                    if let Some(recv) = ident_at(toks, i.wrapping_sub(2)) {
-                        if d.lock_names.contains(recv) {
-                            if id == "lock" && !s.allowed("reactor", line) {
-                                evs.push((i, Event::Block { tag: format!("{recv}.lock"), line }));
-                            }
-                            if !s.allowed("lock-order", line) {
-                                evs.push((
-                                    i + 1, // after the Block at the same site
-                                    Event::Acquire { name: recv.to_string(), line },
-                                ));
-                            }
-                        }
-                    }
-                } else if id == "unwrap" && dot_before && zero_arg {
-                    if !kernel && !s.allowed("panic", line) {
-                        evs.push((i, Event::Panic { tag: "unwrap".into(), line }));
-                    }
-                } else if id == "expect" && dot_before && paren_after {
-                    if !kernel && !s.allowed("panic", line) {
-                        evs.push((i, Event::Panic { tag: "expect".into(), line }));
-                    }
-                } else if (id == "panic" || id == "todo" || id == "unimplemented")
-                    && is_punct(toks, i + 1, '!')
-                    && !kernel
-                    && !s.allowed("panic", line)
-                {
-                    evs.push((i, Event::Panic { tag: format!("{id}!"), line }));
+        match seed_at(toks, i) {
+            Some(ev @ Event::Panic { .. }) if !kernel && !s.allowed("panic", line) => {
+                evs.push((i, ev))
+            }
+            Some(ev @ Event::Block { .. }) if !s.allowed("reactor", line) => evs.push((i, ev)),
+            _ => {}
+        }
+        // Acquisitions stay limited to bindings declared as a lock.
+        if matches!(ident_at(toks, i), Some("lock" | "read" | "write"))
+            && i > 0
+            && is_punct(toks, i - 1, '.')
+            && is_punct(toks, i + 1, '(')
+            && is_punct(toks, i + 2, ')')
+            && !s.allowed("lock-order", line)
+        {
+            if let Some(recv) = ident_at(toks, i.wrapping_sub(2)) {
+                if d.lock_names.contains(recv) {
+                    // After the Block at the same site.
+                    evs.push((i + 1, Event::Acquire { name: recv.to_string(), line }));
                 }
             }
-            Tok::Punct('[')
-                if !kernel
-                    && i >= 1
-                    && is_index_receiver(toks, i - 1)
-                    && !s.allowed("panic", line) =>
-            {
-                evs.push((i, Event::Panic { tag: "index".into(), line }));
-            }
-            _ => {}
         }
         i += 1;
     }
@@ -372,8 +324,49 @@ fn extract_events(
     evs.into_iter().map(|(_, e)| e).collect()
 }
 
-/// Same indexing-receiver rule as the panic-safety token lint.
-fn is_index_receiver(toks: &[crate::lexer::Token], prev: usize) -> bool {
+/// The one place the seed rules live: whether token `i` is a panic site
+/// or a blocking site, and with what tag, as an `Event` on its line. The
+/// per-file `panic-safety` and `reactor-blocking` lints and
+/// [`extract_events`] all classify through here; callers apply scope,
+/// test regions and `lint:allow` annotations.
+pub fn seed_at(toks: &[Token], i: usize) -> Option<Event> {
+    let line = toks[i].line;
+    let dot_before = i > 0 && is_punct(toks, i - 1, '.');
+    let paren_after = is_punct(toks, i + 1, '(');
+    let zero_arg = paren_after && is_punct(toks, i + 2, ')');
+    let panic = |tag: &str| Some(Event::Panic { tag: tag.to_string(), line });
+    let block = |tag: &str| Some(Event::Block { tag: tag.to_string(), line });
+    let id = match &toks[i].tok {
+        Tok::Punct('[') if i > 0 && is_index_receiver(toks, i - 1) => return panic("index"),
+        Tok::Ident(id) => id.as_str(),
+        _ => return None,
+    };
+    match id {
+        _ if BLOCKING_READS.contains(&id) && dot_before && paren_after => block(id),
+        "BufReader" => block(id),
+        "sleep" if paren_after => block("thread::sleep"),
+        "recv" if dot_before && zero_arg => block(id),
+        "set_nonblocking"
+            if paren_after && ident_at(toks, i + 2) == Some("false") && is_punct(toks, i + 3, ')') =>
+        {
+            block("set_nonblocking(false)")
+        }
+        "lock" if dot_before && paren_after => block(id),
+        "unwrap" if dot_before && zero_arg => panic(id),
+        "expect" if dot_before && paren_after => panic(id),
+        "panic" | "todo" | "unimplemented" if is_punct(toks, i + 1, '!') => {
+            panic(&format!("{id}!"))
+        }
+        _ => None,
+    }
+}
+
+/// True when the token before `[` makes it an *indexing* expression:
+/// an identifier (`buf[i]`), a call result (`f()[i]`), or a prior index
+/// (`m[i][j]`). Attributes (`#[..]`), macro brackets (`vec![..]`), array
+/// types/literals (`[u8; 4]`, `= [a, b]`) all have different predecessors
+/// and are excluded; keywords (`return [x]`) are array literals.
+fn is_index_receiver(toks: &[Token], prev: usize) -> bool {
     match &toks[prev].tok {
         Tok::Punct(')') | Tok::Punct(']') => true,
         Tok::Ident(s) => !is_keyword(s) || s == "self",

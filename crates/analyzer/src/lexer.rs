@@ -59,13 +59,6 @@ pub struct Lexed {
     pub comments: Vec<Comment>,
 }
 
-impl Lexed {
-    /// All comments that start on `line`.
-    pub fn comments_on(&self, line: u32) -> impl Iterator<Item = &Comment> {
-        self.comments.iter().filter(move |c| c.line == line)
-    }
-}
-
 fn is_ident_start(c: char) -> bool {
     c == '_' || c.is_alphabetic()
 }

@@ -9,11 +9,10 @@
 //!
 //! Design: lints pattern-match the *token stream* (never raw text, so
 //! strings/comments cannot confuse them) produced by [`lexer::lex`].
-//! Findings diff against a committed `analyzer/baseline.json` ratchet:
-//! new violations fail the build, pre-existing ones are enumerated and
-//! burned down over time.
+//! Every finding fails the build; a reasoned
+//! `// lint:allow(<id>) reason=...` annotation on the site is the only
+//! exception.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod dataflow;
 pub mod lexer;
@@ -40,24 +39,6 @@ pub const LINT_DOCS: &[(&str, &str)] = &[
     ("annotation", "malformed lint:allow annotations (unknown id or missing reason)"),
 ];
 
-/// Finding severity. Only `Deny` findings fail the build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Reported but never affects the exit code.
-    Warn,
-    /// Fails the build unless baselined or annotated.
-    Deny,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Severity::Warn => "warn",
-            Severity::Deny => "deny",
-        })
-    }
-}
-
 /// One lint violation. Field order matters: the derived `Ord` sorts
 /// findings by file, then line, then lint id.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -68,39 +49,17 @@ pub struct Finding {
     pub line: u32,
     /// Lint id, e.g. `panic-safety`.
     pub lint: &'static str,
-    /// Deny or warn.
-    pub severity: Severity,
-    /// Innermost enclosing function, or `<top>` at module scope.
-    pub fn_name: String,
-    /// Short machine-stable tag (used for the baseline fingerprint and
-    /// fixture golden files), e.g. `unwrap`, `index`, `Instant::now`.
+    /// Short machine-stable tag (fixture golden files pin it), e.g.
+    /// `unwrap`, `index`, `Instant::now`.
     pub tag: String,
-    /// Human-readable explanation with the suggested fix.
+    /// Human-readable explanation with the suggested fix; interprocedural
+    /// findings carry every frame of the call chain here.
     pub message: String,
-    /// For interprocedural findings: the call chain from the reported
-    /// site to the offending operation, as `qual (file:line)` frames.
-    /// Empty for direct (single-function) findings.
-    pub chain: Vec<String>,
-}
-
-impl Finding {
-    /// Stable identity for the baseline ratchet. Deliberately excludes
-    /// the line number so unrelated edits shifting lines do not churn
-    /// the baseline; the enclosing fn (impl-qualified, so same-named
-    /// methods in different impl blocks stay distinct) + tag pin the
-    /// site well enough.
-    pub fn fingerprint(&self) -> String {
-        format!("{}|{}|{}:{}", self.lint, self.file, self.fn_name, self.tag)
-    }
 }
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: {} [{}] {}",
-            self.file, self.line, self.severity, self.lint, self.message
-        )
+        write!(f, "{}:{}: [{}] {}", self.file, self.line, self.lint, self.message)
     }
 }
 
@@ -116,26 +75,8 @@ pub struct Allow {
     pub reason_ok: bool,
 }
 
-/// Line/token span of one `fn` item (signature through closing brace).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FnSpan {
-    /// Function name.
-    pub name: String,
-    /// Scope-qualified name from the item parser (`Type::name` for impl
-    /// methods, `mod::name` for module fns) — see [`parse::FnItem`].
-    pub qual: String,
-    /// 1-based line of the `fn` keyword.
-    pub start: u32,
-    /// 1-based line of the closing brace.
-    pub end: u32,
-    /// Index of the `fn` token.
-    pub tok_start: usize,
-    /// Index of the closing-brace token.
-    pub tok_end: usize,
-}
-
 /// A lexed source file plus the derived structure lints need: test-code
-/// line ranges, allow annotations, and function spans.
+/// line ranges and allow annotations.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Repo-relative path with `/` separators.
@@ -146,33 +87,19 @@ pub struct SourceFile {
     pub test_regions: Vec<(u32, u32)>,
     /// All `lint:allow` annotations found in comments.
     pub allows: Vec<Allow>,
-    /// All function items (nested fns included, so spans may overlap).
-    pub fns: Vec<FnSpan>,
     /// The parsed item skeleton (fns, impls, traits, use aliases) the
     /// interprocedural passes build on.
     pub items: parse::FileItems,
 }
 
 impl SourceFile {
-    /// Lexes `text` and derives test regions, annotations, and fn spans.
+    /// Lexes `text` and derives test regions, annotations, and items.
     pub fn parse(path: &str, text: &str) -> SourceFile {
         let lexed = lexer::lex(text);
         let test_regions = test_regions(&lexed.tokens);
         let allows = parse_allows(&lexed);
         let items = parse::parse_items(&lexed.tokens);
-        let fns = items
-            .fns
-            .iter()
-            .map(|it| FnSpan {
-                name: it.name.clone(),
-                qual: it.qual.clone(),
-                start: it.line,
-                end: lexed.tokens[it.body.1].line,
-                tok_start: it.tok_fn,
-                tok_end: it.body.1,
-            })
-            .collect();
-        SourceFile { path: path.to_string(), lexed, test_regions, allows, fns, items }
+        SourceFile { path: path.to_string(), lexed, test_regions, allows, items }
     }
 
     /// True when `line` falls inside a `#[test]`/`#[cfg(test)]` item.
@@ -186,28 +113,6 @@ impl SourceFile {
         self.allows.iter().any(|a| {
             a.reason_ok && a.lint == id && (a.line == line || a.line + 1 == line)
         })
-    }
-
-    /// Name of the innermost function containing `line`, or `<top>`.
-    pub fn enclosing_fn(&self, line: u32) -> &str {
-        self.fns
-            .iter()
-            .filter(|f| f.start <= line && line <= f.end)
-            .min_by_key(|f| f.tok_end - f.tok_start)
-            .map(|f| f.name.as_str())
-            .unwrap_or("<top>")
-    }
-
-    /// Qualified name (`Type::method`, `mod::fn`) of the innermost
-    /// function containing `line`, or `<top>`. Findings fingerprint on
-    /// this, so same-named fns in different impl blocks stay distinct.
-    pub fn enclosing_qual(&self, line: u32) -> &str {
-        self.fns
-            .iter()
-            .filter(|f| f.start <= line && line <= f.end)
-            .min_by_key(|f| f.tok_end - f.tok_start)
-            .map(|f| f.qual.as_str())
-            .unwrap_or("<top>")
     }
 }
 
@@ -283,7 +188,7 @@ pub struct Analysis {
     pub files: usize,
     /// All findings, sorted by (file, line, lint).
     pub findings: Vec<Finding>,
-    /// Call-graph size/coverage (for `tunelint --graph-stats`).
+    /// Call-graph size/coverage (`tunelint` prints it on every run).
     pub graph_stats: callgraph::GraphStats,
 }
 
@@ -384,8 +289,13 @@ pub fn analyze_workspace(ws: &Workspace<'_>, cfg: &AnalysisConfig) -> Vec<Findin
         findings.extend(lints::unsafe_audit::run(s));
         findings.extend(annotation_findings(s));
     }
-    findings.extend(lints::panic_safety::run_transitive(ws, cfg));
-    findings.extend(lints::reactor_blocking::run_transitive(ws, cfg));
+    let flow = &ws.flow;
+    for (lint, scope, facts, allow, tag) in [
+        ("panic-safety", &cfg.panic_hot_paths, &flow.may_panic, "panic", "calls-panic"),
+        ("reactor-blocking", &cfg.reactor_scope, &flow.may_block, "reactor", "calls-block"),
+    ] {
+        findings.extend(lints::run_transitive(ws, lint, scope, facts, allow, tag));
+    }
     findings.extend(lints::lock_order::run(ws, cfg));
     findings.sort();
     findings
@@ -431,16 +341,7 @@ pub(crate) fn mk_finding(
     tag: &str,
     message: String,
 ) -> Finding {
-    Finding {
-        file: s.path.clone(),
-        line,
-        lint,
-        severity: Severity::Deny,
-        fn_name: s.enclosing_qual(line).to_string(),
-        tag: tag.to_string(),
-        message,
-        chain: Vec::new(),
-    }
+    Finding { file: s.path.clone(), line, lint, tag: tag.to_string(), message }
 }
 
 // ---- token helpers shared by the lints ----
@@ -514,7 +415,7 @@ pub(crate) fn decl_name_before(toks: &[Token], type_idx: usize) -> Option<String
     }
 }
 
-// ---- derived structure: test regions, annotations, fn spans ----
+// ---- derived structure: test regions, annotations ----
 
 /// Index of the matching `}` for the `{` at `open` (token indices).
 fn match_brace(toks: &[Token], open: usize) -> usize {
@@ -679,16 +580,6 @@ mod framework_tests {
     fn cfg_not_test_is_not_a_test_region() {
         let s = SourceFile::parse("x.rs", "#[cfg(not(test))]\nfn real() { body(); }\n");
         assert!(!s.in_test(2));
-    }
-
-    #[test]
-    fn fn_spans_and_enclosing_fn() {
-        let src = "fn outer() {\n  fn inner() {\n    x();\n  }\n  y();\n}\nfn other() { z(); }\n";
-        let s = SourceFile::parse("x.rs", src);
-        assert_eq!(s.enclosing_fn(3), "inner");
-        assert_eq!(s.enclosing_fn(5), "outer");
-        assert_eq!(s.enclosing_fn(7), "other");
-        assert_eq!(s.enclosing_fn(100), "<top>");
     }
 
     #[test]
@@ -875,36 +766,49 @@ mod fixture_tests {
     }
 
     #[test]
-    fn baseline_ratchet_suppresses_known_and_fails_new() {
+    fn per_file_and_dataflow_seeds_agree() {
+        // The per-file lints and the dataflow classify through one
+        // function: every per-file finding inside a fn body must be a
+        // seed event of that fn, on the same line with the same tag.
         let cfg = AnalysisConfig {
             panic_hot_paths: vec!["panic_hot.rs".into()],
+            reactor_scope: vec!["reactor_blocking.rs".into()],
             ..AnalysisConfig::default()
         };
-        let dir = fixture_dir();
-        let text = fs::read_to_string(dir.join("panic_hot.rs")).expect("fixture");
-        let s = SourceFile::parse("fixtures/panic_hot.rs", &text);
-        let findings = analyze_sources(&[s], &cfg);
-        assert!(!findings.is_empty());
-
-        // Baseline built from the full set: everything is suppressed.
-        let b = baseline::Baseline::from_findings(&findings);
-        let r = baseline::apply(&b, findings.clone());
-        assert!(r.new.is_empty());
-        assert_eq!(r.baselined.len(), findings.len());
-        assert!(r.stale.is_empty());
-
-        // Drop one entry from the baseline: exactly that finding is new.
-        let victim = findings[0].fingerprint();
-        let mut shrunk = b.clone();
-        shrunk.entries.remove(&victim);
-        let r2 = baseline::apply(&shrunk, findings.clone());
-        let new_keys: Vec<String> = r2.new.iter().map(|f| f.fingerprint()).collect();
-        assert!(new_keys.contains(&victim));
-        assert_eq!(r2.baselined.len() + r2.new.len(), findings.len());
-
-        // An empty baseline leaves every finding new (fresh-repo mode).
-        let r3 = baseline::apply(&baseline::Baseline::default(), findings.clone());
-        assert_eq!(r3.new.len(), findings.len());
+        let sources = parse_as(&[
+            ("fixtures/panic_hot.rs", "panic_hot.rs"),
+            ("fixtures/reactor_blocking.rs", "reactor_blocking.rs"),
+        ]);
+        let ws = Workspace::build(&sources);
+        let mut checked = 0;
+        for (file, s) in sources.iter().enumerate() {
+            let toks = &s.lexed.tokens;
+            let findings = [
+                lints::panic_safety::run(s, &cfg),
+                lints::reactor_blocking::run(s, &cfg),
+            ]
+            .concat();
+            for f in findings {
+                let innermost = (0..ws.graph.nodes.len())
+                    .filter(|&n| {
+                        let (open, close) = ws.graph.nodes[n].body;
+                        ws.graph.nodes[n].file == file
+                            && toks[open].line <= f.line
+                            && f.line <= toks[close].line
+                    })
+                    .min_by_key(|&n| ws.graph.nodes[n].body.1 - ws.graph.nodes[n].body.0);
+                let Some(n) = innermost else { continue };
+                let seeded = ws.flow.events[n].iter().any(|ev| match ev {
+                    dataflow::Event::Panic { tag, line } | dataflow::Event::Block { tag, line } => {
+                        *tag == f.tag && *line == f.line
+                    }
+                    _ => false,
+                });
+                assert!(seeded, "{f} has no matching seed in `{}`", ws.graph.nodes[n].qual);
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 6 + 8, "every fixture finding sits in a fn body");
     }
 
     /// Parses fixtures under caller-chosen repo-relative paths (the graph
@@ -999,41 +903,5 @@ pub fn b(n: u64) {
                 .unwrap_or_else(|| panic!("node {name}"));
             assert!(ws.flow.may_block[i].is_some(), "may_block not reached for {name}");
         }
-    }
-
-    #[test]
-    fn fingerprint_separates_same_named_methods() {
-        // Regression: fingerprints qualify the fn name with its impl, so
-        // two `check` methods on different types never share a baseline key.
-        let src = "\
-pub struct Alpha;
-pub struct Beta;
-
-impl Alpha {
-    pub fn check(v: Option<u32>) -> u32 {
-        v.unwrap()
-    }
-}
-
-impl Beta {
-    pub fn check(v: Option<u32>) -> u32 {
-        v.unwrap()
-    }
-}
-";
-        let sources = vec![SourceFile::parse("fixtures/fp_collide.rs", src)];
-        let cfg = AnalysisConfig {
-            panic_hot_paths: vec!["fp_collide.rs".into()],
-            ..AnalysisConfig::default()
-        };
-        let findings = analyze_sources(&sources, &cfg);
-        let fps: std::collections::BTreeSet<String> = findings
-            .iter()
-            .filter(|f| f.lint == "panic-safety")
-            .map(|f| f.fingerprint())
-            .collect();
-        assert_eq!(fps.len(), 2, "fingerprints collided: {fps:?}");
-        assert!(fps.iter().any(|k| k.contains("Alpha::check")), "{fps:?}");
-        assert!(fps.iter().any(|k| k.contains("Beta::check")), "{fps:?}");
     }
 }

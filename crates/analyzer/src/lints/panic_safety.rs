@@ -6,12 +6,12 @@
 //! indexing (which can panic on out-of-bounds) outside test code, unless
 //! annotated `// lint:allow(panic) reason=...`.
 
-use crate::dataflow::{chain_of, Event};
-use crate::lexer::Tok;
-use crate::{is_keyword, is_punct, mk_finding, AnalysisConfig, Finding, SourceFile, Workspace};
-use std::collections::BTreeSet;
+use crate::dataflow::{seed_at, Event};
+use crate::{mk_finding, AnalysisConfig, Finding, SourceFile};
 
 /// Runs the lint over one file (no-op outside the configured hot paths).
+/// The whole file is scanned, not only fn bodies, so closures in `const`
+/// items are covered too.
 pub fn run(s: &SourceFile, cfg: &AnalysisConfig) -> Vec<Finding> {
     if !cfg.matches_any(&s.path, &cfg.panic_hot_paths) {
         return Vec::new();
@@ -20,135 +20,21 @@ pub fn run(s: &SourceFile, cfg: &AnalysisConfig) -> Vec<Finding> {
     let mut out = Vec::new();
     for i in 0..toks.len() {
         let line = toks[i].line;
-        if s.in_test(line) {
+        if s.in_test(line) || s.allowed("panic", line) {
             continue;
         }
-        match &toks[i].tok {
-            Tok::Ident(id)
-                if id == "unwrap"
-                    && i > 0
-                    && is_punct(toks, i - 1, '.')
-                    && is_punct(toks, i + 1, '(')
-                    && is_punct(toks, i + 2, ')')
-                    && !s.allowed("panic", line) =>
-            {
-                out.push(mk_finding(
-                    s,
-                    "panic-safety",
-                    line,
-                    "unwrap",
-                    "`.unwrap()` in a resilient hot path; return a typed error or annotate \
-                     `// lint:allow(panic) reason=...`"
-                        .to_string(),
-                ));
-            }
-            Tok::Ident(id)
-                if id == "expect"
-                    && i > 0
-                    && is_punct(toks, i - 1, '.')
-                    && is_punct(toks, i + 1, '(')
-                    && !s.allowed("panic", line) =>
-            {
-                out.push(mk_finding(
-                    s,
-                    "panic-safety",
-                    line,
-                    "expect",
-                    "`.expect(..)` in a resilient hot path; return a typed error or annotate \
-                     `// lint:allow(panic) reason=...`"
-                        .to_string(),
-                ));
-            }
-            Tok::Ident(id)
-                if (id == "panic" || id == "todo" || id == "unimplemented")
-                    && is_punct(toks, i + 1, '!')
-                    && !s.allowed("panic", line) =>
-            {
-                out.push(mk_finding(
-                    s,
-                    "panic-safety",
-                    line,
-                    &format!("{id}!"),
-                    format!("`{id}!` in a resilient hot path; return a typed error instead"),
-                ));
-            }
-            Tok::Punct('[')
-                if i > 0 && is_index_receiver(toks, i - 1) && !s.allowed("panic", line) =>
-            {
-                out.push(mk_finding(
-                    s,
-                    "panic-safety",
-                    line,
-                    "index",
-                    "slice/array indexing can panic on out-of-bounds in a hot path; \
-                     use `.get()` / iterators or annotate `// lint:allow(panic) reason=...`"
-                        .to_string(),
-                ));
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// True when the token before `[` makes it an *indexing* expression:
-/// an identifier (`buf[i]`), a call result (`f()[i]`), or a prior index
-/// (`m[i][j]`). Attributes (`#[..]`), macro brackets (`vec![..]`), array
-/// types/literals (`[u8; 4]`, `= [a, b]`) all have different predecessors
-/// and are excluded; keywords (`return [x]`) are array literals.
-fn is_index_receiver(toks: &[crate::lexer::Token], prev: usize) -> bool {
-    match &toks[prev].tok {
-        Tok::Punct(')') | Tok::Punct(']') => true,
-        Tok::Ident(s) => !is_keyword(s) || s == "self",
-        _ => false,
-    }
-}
-
-/// Transitive pass: a hot-path fn calling an out-of-hot-path callee
-/// that *may panic* (directly or deeper down) is flagged at the call
-/// site with the chain to the panic site. Hot-path callees are skipped:
-/// their own direct sites are already flagged by `run`, and their
-/// outward calls by this pass at the deeper frame.
-pub fn run_transitive(ws: &Workspace<'_>, cfg: &AnalysisConfig) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for n in 0..ws.graph.nodes.len() {
-        let node = &ws.graph.nodes[n];
-        let s = &ws.sources[node.file];
-        if !cfg.matches_any(&s.path, &cfg.panic_hot_paths) || s.in_test(node.line) {
-            continue;
-        }
-        for ev in &ws.flow.events[n] {
-            let (callee, line) = match ev {
-                Event::Call { callee, line } => (*callee, *line),
-                _ => continue,
-            };
-            let target = &ws.graph.nodes[callee];
-            if cfg.matches_any(&ws.sources[target.file].path, &cfg.panic_hot_paths)
-                || ws.flow.may_panic[callee].is_none()
-                || s.allowed("panic", line)
-                || !seen.insert((n, callee))
-            {
-                continue;
-            }
-            let mut chain = vec![format!("{} ({}:{})", node.qual, s.path, line)];
-            chain.extend(chain_of(&ws.flow.may_panic, &ws.graph, ws.sources, callee));
-            let mut f = mk_finding(
-                s,
-                "panic-safety",
-                line,
-                &format!("calls-panic:{}", target.qual),
+        if let Some(Event::Panic { tag, .. }) = seed_at(toks, i) {
+            let message = if tag == "index" {
+                "slice/array indexing can panic on out-of-bounds in a hot path; use `.get()` / \
+                 iterators or annotate `// lint:allow(panic) reason=...`"
+                    .to_string()
+            } else {
                 format!(
-                    "hot-path fn `{}` reaches a panic site through `{}`: {}; make the \
-                     callee return a typed error or annotate the call \
-                     `// lint:allow(panic) reason=...`",
-                    node.qual,
-                    target.qual,
-                    chain.join(" -> ")
-                ),
-            );
-            f.chain = chain;
-            out.push(f);
+                    "`{tag}` in a resilient hot path; return a typed error or annotate \
+                     `// lint:allow(panic) reason=...`"
+                )
+            };
+            out.push(mk_finding(s, "panic-safety", line, &tag, message));
         }
     }
     out
@@ -157,6 +43,7 @@ pub fn run_transitive(ws: &Workspace<'_>, cfg: &AnalysisConfig) -> Vec<Finding> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Workspace;
 
     fn cfg() -> AnalysisConfig {
         AnalysisConfig { panic_hot_paths: vec!["hot.rs".into()], ..AnalysisConfig::default() }
@@ -219,6 +106,18 @@ mod tests {
         assert!(tags(src).is_empty());
     }
 
+    fn transitive(ws: &Workspace<'_>) -> Vec<Finding> {
+        let c = cfg();
+        crate::lints::run_transitive(
+            ws,
+            "panic-safety",
+            &c.panic_hot_paths,
+            &ws.flow.may_panic,
+            "panic",
+            "calls-panic",
+        )
+    }
+
     #[test]
     fn transitive_panic_through_a_helper_is_flagged_with_chain() {
         let hot = SourceFile::parse("hot.rs", "fn step() { decode(b); }\n");
@@ -226,10 +125,15 @@ mod tests {
             SourceFile::parse("cold.rs", "pub fn decode(b: &[u8]) -> u8 { b.first().unwrap() }\n");
         let sources = vec![hot, cold];
         let ws = Workspace::build(&sources);
-        let fs = run_transitive(&ws, &cfg());
+        let fs = transitive(&ws);
         assert_eq!(fs.len(), 1);
         assert_eq!(fs[0].tag, "calls-panic:decode");
-        assert_eq!(fs[0].chain.last().unwrap(), "`unwrap`");
+        // Every frame of the chain, ending at the seed.
+        assert!(
+            fs[0].message.contains("step (hot.rs:1) -> decode (cold.rs:1) -> `unwrap`;"),
+            "{}",
+            fs[0].message
+        );
     }
 
     #[test]
@@ -241,6 +145,6 @@ mod tests {
         );
         let sources = vec![hot, cold];
         let ws = Workspace::build(&sources);
-        assert!(run_transitive(&ws, &cfg()).is_empty());
+        assert!(transitive(&ws).is_empty());
     }
 }

@@ -6,7 +6,6 @@
 //! subsets chosen by DBA ranking, OtterTune ranking, or random nesting.
 
 use simdb::{KnobConfig, KnobRegistry, SimDbError};
-use std::sync::Arc;
 
 /// An ordered subset of tunable knobs forming the RL action space.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,11 +99,6 @@ impl ActionSpace {
     pub fn from_config(&self, config: &KnobConfig) -> Vec<f32> {
         config.normalize_subset(&self.indices).into_iter().map(|x| x as f32).collect()
     }
-
-    /// Default (mid/defaults) action: the base config's own coordinates.
-    pub fn default_action(&self, registry: &Arc<KnobRegistry>) -> Vec<f32> {
-        self.from_config(&registry.default_config())
-    }
 }
 
 #[cfg(test)]
@@ -112,6 +106,7 @@ mod tests {
     use super::*;
     use simdb::knobs::mysql::{mysql_registry, names};
     use simdb::HardwareConfig;
+    use std::sync::Arc;
 
     fn registry() -> Arc<KnobRegistry> {
         mysql_registry(&HardwareConfig::cdb_a())

@@ -29,16 +29,6 @@ impl CdbTune {
         Self { trainer_cfg, online_cfg, model: None, requests_served: 0 }
     }
 
-    /// Creates a system around an existing model (e.g. loaded from disk).
-    pub fn with_model(model: TrainedModel, online_cfg: OnlineConfig) -> Self {
-        Self {
-            trainer_cfg: TrainerConfig::default(),
-            online_cfg,
-            model: Some(model),
-            requests_served: 0,
-        }
-    }
-
     /// The current model, if trained.
     pub fn model(&self) -> Option<&TrainedModel> {
         self.model.as_ref()

@@ -227,13 +227,6 @@ pub struct RecoveryDelta {
     pub imputed_metrics: u64,
 }
 
-impl RecoveryDelta {
-    /// True when no recovery action was taken.
-    pub fn is_zero(&self) -> bool {
-        *self == Self::default()
-    }
-}
-
 /// Engine counters sampled after the step.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineSample {

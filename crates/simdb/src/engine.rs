@@ -137,11 +137,6 @@ impl Engine {
         self.fault_tick = 0;
     }
 
-    /// The active fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Counters of faults injected so far.
     pub fn fault_stats(&self) -> &FaultStats {
         &self.fault_stats

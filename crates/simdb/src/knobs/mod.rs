@@ -287,14 +287,6 @@ impl KnobConfig {
         Ok(())
     }
 
-    /// Sets a knob by catalogue index, clamping into its domain.
-    pub fn set_index(&mut self, index: usize, v: KnobValue) {
-        let def = &self.registry.defs()[index];
-        if !def.blacklisted {
-            self.values[index] = def.clamp(v);
-        }
-    }
-
     /// Normalizes the knobs at `indices` into a `[0, 1]` action vector.
     /// Out-of-catalogue indices (impossible for `ActionSpace`-derived
     /// index sets) normalize to the midpoint rather than panicking, so

@@ -400,11 +400,6 @@ impl Matrix {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Mean of all elements.
     pub fn mean(&self) -> f32 {
         if self.data.is_empty() {

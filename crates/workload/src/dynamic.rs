@@ -265,11 +265,6 @@ impl DynamicWorkload {
         self.spec.kind_at(self.window_idx)
     }
 
-    /// The load multiplier the *next* `window()` call will apply.
-    pub fn current_load_factor(&self) -> f64 {
-        self.spec.load_factor_at(self.window_idx)
-    }
-
     /// Rewinds the trace clock (e.g. when an episode resets).
     pub fn rewind(&mut self) {
         self.window_idx = 0;

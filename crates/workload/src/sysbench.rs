@@ -34,17 +34,6 @@ pub enum SysbenchMode {
     ReadWrite,
 }
 
-impl SysbenchMode {
-    /// Short name used in experiment output ("RO"/"WO"/"RW").
-    pub fn abbrev(self) -> &'static str {
-        match self {
-            SysbenchMode::ReadOnly => "RO",
-            SysbenchMode::WriteOnly => "WO",
-            SysbenchMode::ReadWrite => "RW",
-        }
-    }
-}
-
 /// Key selection distribution (sysbench's `--rand-type`).
 #[derive(Debug, Clone)]
 pub enum KeyDistribution {
