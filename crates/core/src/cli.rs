@@ -166,10 +166,9 @@ impl EnvSpec {
             let plan: FaultPlan = spec.parse().map_err(|e| format!("--faults: {e}"))?;
             engine.set_fault_plan(Some(plan));
         }
-        let registry = self.flavor.registry(&hw);
         // The catalogue lists structural knobs first, so a prefix of the
         // tunable set is a sensible default subspace at any size.
-        let space = ActionSpace::all_tunable(&registry).truncated(self.knobs);
+        let space = ActionSpace::all_tunable(engine.registry()).truncated(self.knobs);
         let cfg = EnvConfig {
             warmup_txns: self.warmup_txns,
             measure_txns: self.measure_txns,

@@ -13,8 +13,10 @@
 //! tables: [`line_struct!`](crate::line_struct) for a nested object and
 //! [`line_enum!`](crate::line_enum) for the tagged variants of a line. A
 //! table generates both the encoder, which streams through [`Obj`], and the
-//! lenient decoder, through [`LineField`].
+//! lenient decoder, through [`LineField`]. Under `cfg(test)` a table also
+//! draws seeded random values through [`Arbitrary`], for encode-side fuzzing.
 
+use rand::Rng;
 use std::fmt::Write as _;
 
 /// Serializes an f64 so the line stays valid JSON: non-finite values
@@ -322,10 +324,75 @@ impl LineField for Vec<f64> {
     }
 }
 
+/// The generator [`Arbitrary`] draws from.
+pub type FuzzRng = rand::rngs::StdRng;
+
+/// Seeded random values of a line field, for encode-side fuzzing: what a
+/// field table draws member by member to check that every value it writes
+/// reads back as written. Floats are finite (JSON has no other numbers);
+/// integers reach past 2^53, where [`LineField`] switches to a string.
+pub trait Arbitrary {
+    /// A value drawn from `rng`.
+    fn arbitrary(rng: &mut FuzzRng) -> Self;
+}
+
+impl Arbitrary for u64 {
+    fn arbitrary(rng: &mut FuzzRng) -> Self {
+        match rng.gen_range(0..4u32) {
+            0 => rng.gen_range(0..1_000),
+            1 => (1 << 53) + rng.gen_range(0..5) - 2,
+            2 => u64::MAX - rng.gen_range(0..3),
+            _ => rng.gen(),
+        }
+    }
+}
+
+impl Arbitrary for f64 {
+    fn arbitrary(rng: &mut FuzzRng) -> Self {
+        match rng.gen_range(0..3u32) {
+            0 => rng.gen_range(-1e4..1e4),
+            1 => f64::from(rng.gen_range(0..10_000u32)),
+            // Any finite bit pattern: subnormals, extremes, negative zero.
+            _ => loop {
+                let x = f64::from_bits(rng.gen());
+                if x.is_finite() {
+                    break x;
+                }
+            },
+        }
+    }
+}
+
+impl Arbitrary for bool {
+    fn arbitrary(rng: &mut FuzzRng) -> Self {
+        rng.gen()
+    }
+}
+
+impl Arbitrary for String {
+    fn arbitrary(rng: &mut FuzzRng) -> Self {
+        // Plain characters, every escape the writer knows, and multi-byte
+        // UTF-8.
+        const CHARS: [char; 16] = [
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}',
+            '\u{e9}', '\u{4e2d}', '\u{1f980}',
+        ];
+        (0..rng.gen_range(0..12)).map(|_| CHARS[rng.gen_range(0..CHARS.len())]).collect()
+    }
+}
+
+impl Arbitrary for Vec<f64> {
+    fn arbitrary(rng: &mut FuzzRng) -> Self {
+        (0..rng.gen_range(0..6)).map(|_| f64::arbitrary(rng)).collect()
+    }
+}
+
 /// Implements [`LineField`](crate::jsonio::LineField) for a struct as a
 /// nested object: one key per member, in the order listed; `member: "key"`
 /// writes a member under another key. The encoder destructures and the
 /// decoder constructs without `..`, so the list must name every member.
+/// Under `cfg(test)` it also implements
+/// [`Arbitrary`](crate::jsonio::Arbitrary), member by member.
 #[macro_export]
 macro_rules! line_struct {
     (@key $field:ident) => { stringify!($field) };
@@ -353,6 +420,13 @@ macro_rules! line_struct {
                 }
             }
         }
+
+        #[cfg(test)]
+        impl $crate::jsonio::Arbitrary for $ty {
+            fn arbitrary(rng: &mut $crate::jsonio::FuzzRng) -> Self {
+                Self { $($field: $crate::jsonio::Arbitrary::arbitrary(rng)),+ }
+            }
+        }
     };
 }
 
@@ -362,7 +436,9 @@ macro_rules! line_struct {
 /// encoder leaves out while it equals `value` (so absent must read back as
 /// `value`). Generates `type_tag`, `put_fields` (the members, written after
 /// the caller's envelope) and `take_fields` (the variant of a tag, `None`
-/// for an unknown one). Patterns and constructors name every member without
+/// for an unknown one); under `cfg(test)` also `VARIANTS` and
+/// `arbitrary(variant, rng)`, a variant in table order with its members
+/// drawn by [`Arbitrary`](crate::jsonio::Arbitrary). Patterns and constructors name every member without
 /// `..`, so a variant or member left out of the table does not compile.
 #[macro_export]
 macro_rules! line_enum {
@@ -407,6 +483,21 @@ macro_rules! line_enum {
                     }),)+
                     _ => None,
                 }
+            }
+        }
+
+        #[cfg(test)]
+        impl $ty {
+            /// How many variants the table declares.
+            pub(crate) const VARIANTS: usize = [$($tag),+].len();
+
+            /// A random value of the `variant`-th variant (modulo
+            /// `VARIANTS`), every member drawn from `rng`.
+            pub(crate) fn arbitrary(variant: usize, rng: &mut $crate::jsonio::FuzzRng) -> Self {
+                let draws: &[fn(&mut $crate::jsonio::FuzzRng) -> Self] = &[$(|rng| $ty::$variant {
+                    $($field: $crate::jsonio::Arbitrary::arbitrary(rng)),*
+                }),+];
+                draws[variant % draws.len()](rng)
             }
         }
     };

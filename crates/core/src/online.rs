@@ -24,7 +24,10 @@ use crate::telemetry::{ReplayTrace, TraceEvent, TraceLevel};
 use crate::trainer::TrainedModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rl::{perturb, Ddpg, GaussianNoise, NoiseProcess, ReplayBuffer, Transition, TransitionBatch};
+use rl::{
+    perturb, Ddpg, DdpgSnapshot, GaussianNoise, NoiseProcess, ReplayBuffer, Transition,
+    TransitionBatch,
+};
 use simdb::{KnobConfig, PerfMetrics};
 use std::sync::Arc;
 
@@ -187,17 +190,8 @@ impl TuningOutcome {
 /// any of them out with the same [`TuningOutcome`] the one-shot call
 /// produces.
 pub struct OnlineSession {
-    /// The immutable model the session started from. Sessions admitted
-    /// through [`OnlineSession::begin_shared`] hold a reference-counted
-    /// bump of the registry's published snapshot — no weights are copied
-    /// at admission.
-    model: Arc<TrainedModel>,
-    /// Privately owned agent: `None` while the session still serves
-    /// inference through the shared tier; materialized (copy-on-write
-    /// fork) by the first fine-tune update or the first shared-tier miss.
-    agent: Option<Ddpg>,
-    /// Shared inference backend + published model version.
-    shared: Option<(u64, Arc<dyn SharedPolicy>)>,
+    /// The weights the session acts with.
+    weights: Weights,
     /// Effective fine-tune minibatch size (resolved from
     /// [`OnlineConfig::minibatch`], `0` = the model's trainer batch size).
     minibatch: usize,
@@ -226,6 +220,26 @@ pub struct OnlineSession {
     best_action: Vec<f32>,
 }
 
+/// The weights an [`OnlineSession`] acts with: exactly one copy.
+enum Weights {
+    /// The registry's published snapshot, held by a reference-counted bump
+    /// (no weights copied at admission) and served through the shared tier
+    /// as `version`, until the first fine-tune update or the first
+    /// shared-tier refusal forks a private agent (copy-on-write).
+    Shared { model: Arc<TrainedModel>, version: u64, tier: Arc<dyn SharedPolicy> },
+    /// A privately owned agent, fine-tuned in place.
+    Owned(Box<Ddpg>),
+}
+
+/// A private agent for online fine-tuning, built from `snapshot`.
+fn online_agent(snapshot: &DdpgSnapshot) -> Box<Ddpg> {
+    let mut agent = Ddpg::from_snapshot(snapshot);
+    // A handful of online samples must refine, not replace, hours of
+    // offline training.
+    agent.scale_learning_rates(0.05);
+    Box::new(agent)
+}
+
 impl OnlineSession {
     /// Opens a session: loads the model, measures the baseline, and emits
     /// the run/episode-start telemetry. A baseline that cannot be measured
@@ -237,7 +251,7 @@ impl OnlineSession {
     /// When the model was trained for a different knob subset than the
     /// environment exposes.
     pub fn begin(env: &mut DbEnv, model: &TrainedModel, cfg: &OnlineConfig) -> Self {
-        Self::begin_shared(env, Arc::new(model.clone()), cfg, None)
+        Self::open(env, model, Weights::Owned(online_agent(&model.snapshot)), cfg)
     }
 
     /// [`OnlineSession::begin`] for the serving tier: the session borrows
@@ -257,20 +271,21 @@ impl OnlineSession {
         cfg: &OnlineConfig,
         shared: Option<(u64, Arc<dyn SharedPolicy>)>,
     ) -> Self {
+        let weights = match shared {
+            Some((version, tier)) => Weights::Shared { model: Arc::clone(&model), version, tier },
+            None => Weights::Owned(online_agent(&model.snapshot)),
+        };
+        Self::open(env, &model, weights, cfg)
+    }
+
+    /// The body of [`OnlineSession::begin`] and
+    /// [`OnlineSession::begin_shared`] once the weights are chosen.
+    fn open(env: &mut DbEnv, model: &TrainedModel, weights: Weights, cfg: &OnlineConfig) -> Self {
         assert_eq!(
             model.action_indices,
             env.space().indices(),
             "model was trained for a different knob subset"
         );
-        let agent = if shared.is_some() {
-            None
-        } else {
-            let mut agent = Ddpg::from_snapshot(&model.snapshot);
-            // A handful of online samples must refine, not replace, hours
-            // of offline training.
-            agent.scale_learning_rates(0.05);
-            Some(agent)
-        };
         let minibatch = if cfg.minibatch == 0 {
             model.snapshot.config.batch_size.max(1)
         } else {
@@ -299,9 +314,7 @@ impl OnlineSession {
             reward: model.reward,
             action_indices: model.action_indices.clone(),
             reward_scale: model.reward_scale,
-            model,
-            agent,
-            shared,
+            weights,
             minibatch,
             cfg: cfg.clone(),
             rng,
@@ -316,7 +329,9 @@ impl OnlineSession {
             best_perf: PerfMetrics::default(),
             best_config: baseline.clone(),
             state: Vec::new(),
-            steps: Vec::with_capacity(cfg.max_steps),
+            // Not sized by `max_steps`: that is the caller's budget, and a
+            // daemon client sets it.
+            steps: Vec::new(),
             degraded: None,
             consecutive_failures: 0,
             finished: false,
@@ -359,53 +374,48 @@ impl OnlineSession {
         self.warm_action = Some(action);
     }
 
-    /// The immutable model the session started from. While
-    /// [`OnlineSession::shares_model`] holds, this is the *only* resident
-    /// copy of the weights the session references — K warm-started
-    /// sessions off one registry snapshot keep O(1) weight memory total.
-    pub fn model(&self) -> &Arc<TrainedModel> {
-        &self.model
+    /// The shared snapshot while [`OnlineSession::shares_model`] holds
+    /// (`None` once the session owns its agent). It is then the *only*
+    /// resident copy of the weights the session references — K
+    /// warm-started sessions off one registry snapshot keep O(1) weight
+    /// memory total.
+    pub fn model(&self) -> Option<&Arc<TrainedModel>> {
+        match &self.weights {
+            Weights::Shared { model, .. } => Some(model),
+            Weights::Owned(_) => None,
+        }
     }
 
     /// True while the session still borrows the shared snapshot (no
     /// private agent has been forked yet).
     pub fn shares_model(&self) -> bool {
-        self.agent.is_none()
+        matches!(self.weights, Weights::Shared { .. })
     }
 
-    /// Materializes the private copy-on-write fork: builds an agent from
-    /// the shared snapshot, scales its learning rates for online use, and
-    /// drops the shared-tier handle. Idempotent; a no-op once forked.
+    /// Materializes the private copy-on-write fork off the shared snapshot,
+    /// dropping the shared-tier handle. A no-op once forked.
     fn fork_agent(&mut self) {
-        if self.agent.is_none() {
-            let mut agent = Ddpg::from_snapshot(&self.model.snapshot);
-            agent.scale_learning_rates(0.05);
-            self.agent = Some(agent);
+        if let Weights::Shared { model, .. } = &self.weights {
+            self.weights = Weights::Owned(online_agent(&model.snapshot));
         }
-        self.shared = None;
     }
 
     /// Actor recommendation for the current state: the owned agent once
     /// forked, the shared tier otherwise. A shared-tier refusal
     /// (version retired, backend draining) forks on the spot.
     fn policy_act(&mut self) -> Vec<f32> {
-        if self.agent.is_none() {
-            if let Some((version, shared)) = &self.shared {
-                if let Some(action) = shared.act(*version, &self.state) {
-                    return action;
+        match &mut self.weights {
+            Weights::Owned(agent) => agent.act(&self.state),
+            Weights::Shared { model, version, tier } => match tier.act(*version, &self.state) {
+                Some(action) => action,
+                None => {
+                    let mut agent = online_agent(&model.snapshot);
+                    let action = agent.act(&self.state);
+                    self.weights = Weights::Owned(agent);
+                    action
                 }
-            }
+            },
         }
-        self.fork_agent();
-        let state = std::mem::take(&mut self.state);
-        let action = match self.agent.as_mut() {
-            Some(agent) => agent.act(&state),
-            // fork_agent just guaranteed Some; keep the non-panicking arm
-            // anyway (this module is panic-free by policy).
-            None => vec![0.5; self.action_indices.len()],
-        };
-        self.state = state;
-        action
     }
 
     fn sparse_perturb(&mut self, raw: &[f32]) -> Vec<f32> {
@@ -580,7 +590,7 @@ impl OnlineSession {
             // snapshot other sessions serve from stays immutable.
             self.fork_agent();
             let n = self.replay.len().min(self.minibatch.max(1));
-            if let Some(agent) = self.agent.as_mut() {
+            if let Weights::Owned(agent) = &mut self.weights {
                 for _ in 0..self.cfg.updates_per_step {
                     // Reusable packed minibatch: no per-update allocations.
                     self.replay.sample_into(n, &mut self.rng, &mut self.batch);
@@ -669,11 +679,11 @@ impl OnlineSession {
             seed: self.cfg.seed,
             episode: 0,
             ep_step: self.steps.len(),
-            snapshot: match &self.agent {
-                Some(agent) => agent.snapshot(),
+            snapshot: match &self.weights {
+                Weights::Owned(agent) => agent.snapshot(),
                 // Never forked: the session's weights are still exactly
                 // the shared snapshot it was admitted against.
-                None => self.model.snapshot.clone(),
+                Weights::Shared { model, .. } => model.snapshot.clone(),
             },
             processor: env.processor().clone(),
             transitions: self.replay.iter().cloned().collect(),
@@ -689,9 +699,11 @@ impl OnlineSession {
     /// [`TuningOutcome`] the one-shot [`tune_online`] produces.
     pub fn finish(self, env: &mut DbEnv) -> TuningOutcome {
         let updated_model = TrainedModel {
-            snapshot: match &self.agent {
-                Some(agent) => agent.snapshot(),
-                None => self.model.snapshot.clone(),
+            // The fine-tuned weights move out; only a never-forked session
+            // copies, off the snapshot it shares.
+            snapshot: match self.weights {
+                Weights::Owned(agent) => agent.into_snapshot(),
+                Weights::Shared { model, .. } => model.snapshot.clone(),
             },
             processor: env.processor().clone(),
             reward: self.reward,
@@ -781,6 +793,17 @@ mod tests {
         let cfg = OnlineConfig { fine_tune: false, ..OnlineConfig::default() };
         let outcome = tune_online(&mut env, &model, &cfg);
         assert_eq!(outcome.updated_model.snapshot.actor, model.snapshot.actor);
+    }
+
+    #[test]
+    fn a_huge_step_budget_still_steps() {
+        // The budget is a caller's number (the daemon takes it off the
+        // wire); sizing the step history by it aborted the process.
+        let (mut env, model) = trained();
+        let cfg = OnlineConfig { max_steps: 1 << 40, ..OnlineConfig::default() };
+        let mut session = OnlineSession::begin(&mut env, &model, &cfg);
+        assert_eq!(session.step(&mut env).map(|s| s.step), Some(1));
+        assert!(!session.is_finished());
     }
 
     #[test]
@@ -960,7 +983,8 @@ mod tests {
             Some((1, tier.clone())),
         );
         assert!(session.shares_model(), "admission must not fork");
-        assert!(Arc::ptr_eq(session.model(), &arc_model), "no weight copy at admission");
+        let held = session.model().expect("a shared session holds the snapshot");
+        assert!(Arc::ptr_eq(held, &arc_model), "no weight copy at admission");
         while session.step(&mut env_b).is_some() {}
         assert!(session.shares_model(), "no fine-tune => never forks");
         assert_eq!(tier.acts.load(Ordering::SeqCst), private.steps.len() as u64);

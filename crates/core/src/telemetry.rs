@@ -998,6 +998,26 @@ mod tests {
         }
     }
 
+    /// Seeded encode fuzz: random events of every variant, members drawn
+    /// through the field tables, read back as written. A failure prints the
+    /// case number, the generator's seed.
+    #[test]
+    fn random_events_round_trip() {
+        let mut tags = std::collections::BTreeSet::new();
+        for case in 0..2048u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let event = TraceEvent::arbitrary(rng.gen_range(0..TraceEvent::VARIANTS), &mut rng);
+            tags.insert(event.type_tag());
+            let line = event.to_json_line();
+            assert_eq!(
+                TraceEvent::from_json_line(&line).as_ref(),
+                Ok(&event),
+                "encode fuzz failed on case {case} (the generator's seed): {line}"
+            );
+        }
+        assert_eq!(tags.len(), TraceEvent::VARIANTS, "drawn: {tags:?}");
+    }
+
     #[test]
     fn worker_seeds_from_2_pow_53_round_trip() {
         for worker in 0..4 {

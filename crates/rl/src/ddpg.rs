@@ -535,6 +535,19 @@ impl Ddpg {
         }
     }
 
+    /// [`Ddpg::snapshot`] by move: the agent is consumed and its weights
+    /// leave without a copy. What an online request returns as its
+    /// fine-tuned model.
+    pub fn into_snapshot(self) -> DdpgSnapshot {
+        DdpgSnapshot {
+            config: self.cfg,
+            actor: self.actor.into_state(),
+            critic: self.critic.into_state(),
+            actor_target: self.actor_target.into_state(),
+            critic_target: self.critic_target.into_state(),
+        }
+    }
+
     /// Restores a snapshot (must have been produced by an identically
     /// configured agent).
     pub fn load_snapshot(&mut self, snap: &DdpgSnapshot) {
@@ -651,6 +664,50 @@ mod tests {
         let probe = [0.3, 0.7, 0.1];
         let bits = |a: Vec<f32>| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(forked.act(&probe)), bits(loaded.act(&probe)));
+    }
+
+    #[test]
+    fn into_snapshot_equals_snapshot_bit_for_bit() {
+        // A trained agent (batch norm and dropout in the nets, targets that
+        // trail the online nets): moving the weights out yields exactly the
+        // matrices copying them does.
+        let cfg = DdpgConfig { dropout: 0.3, ..DdpgConfig::paper(3, 3) };
+        let mut agent = Ddpg::new(cfg);
+        let batch: Vec<Transition> = (0..8)
+            .map(|i| {
+                let x = (i as f32) / 8.0;
+                Transition {
+                    state: vec![x, 1.0 - x, 0.5],
+                    action: vec![x, 0.5, 1.0 - x],
+                    reward: x - 0.5,
+                    next_state: vec![1.0 - x, x, 0.5],
+                    done: i % 3 == 0,
+                }
+            })
+            .collect();
+        let refs: Vec<&Transition> = batch.iter().collect();
+        for _ in 0..4 {
+            let _ = agent.train_step(&refs, None, None);
+        }
+        let copied = agent.snapshot();
+        let moved = agent.into_snapshot();
+        assert_eq!(moved.config, copied.config);
+        let bits = |s: &DdpgSnapshot| -> Vec<Vec<u32>> {
+            [&s.actor, &s.critic, &s.actor_target, &s.critic_target]
+                .into_iter()
+                .flat_map(|net| net.layers.iter().flatten())
+                .map(|m| m.as_slice().iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let shapes = |s: &DdpgSnapshot| -> Vec<Vec<(usize, usize)>> {
+            [&s.actor, &s.critic, &s.actor_target, &s.critic_target]
+                .into_iter()
+                .flat_map(|net| &net.layers)
+                .map(|layer| layer.iter().map(|m| (m.rows(), m.cols())).collect())
+                .collect()
+        };
+        assert_eq!(shapes(&moved), shapes(&copied));
+        assert_eq!(bits(&moved), bits(&copied));
     }
 
     #[test]

@@ -441,7 +441,7 @@ mod tests {
         }
         let models: Vec<&Arc<TrainedModel>> = sessions
             .iter()
-            .map(|s| s.inner.as_ref().expect("live session").model())
+            .map(|s| s.inner.as_ref().expect("live session").model().expect("shared"))
             .collect();
         for pair in models.windows(2) {
             assert!(Arc::ptr_eq(pair[0], pair[1]), "warm sessions must share one snapshot");

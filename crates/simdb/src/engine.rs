@@ -74,7 +74,16 @@ pub struct Engine {
     fault_stats: FaultStats,
     /// Pages of the range scan being executed (reused across scans).
     scan_pages: Vec<PageId>,
+    /// Pre-warm's page → table map over the data pages numbered table
+    /// after table; the [`DRAWN`] bit marks a page already drawn. Rebuilt
+    /// at every boot, its allocation reused.
+    prewarm_owner: Vec<u32>,
+    /// The pages pre-warm drew, in first-draw order (reused across boots).
+    prewarm_pages: Vec<PageId>,
 }
+
+/// Marks a [`Engine::prewarm`] draw's page as already drawn.
+const DRAWN: u32 = 1 << 31;
 
 impl Engine {
     /// Creates a stopped-state engine with the flavor's default
@@ -119,6 +128,8 @@ impl Engine {
             fault_tick: 0,
             fault_stats: FaultStats::default(),
             scan_pages: Vec::new(),
+            prewarm_owner: Vec::new(),
+            prewarm_pages: Vec::new(),
         }
     }
 
@@ -307,6 +318,60 @@ impl Engine {
         if total_pages == 0 {
             return;
         }
+        let capacity = self.bp.capacity();
+        if capacity as u64 >= total_pages {
+            // Everything fits: read every page in, table after table.
+            let pages = self
+                .tables
+                .iter()
+                .flat_map(|t| (0..t.page_count()).map(move |p| PageId::new(t.id(), p)));
+            self.bp.fill(pages, true);
+            return;
+        }
+        // Uniform draws over the data pages numbered table after table, the
+        // first draw of each page in order, until the pool is full or after
+        // 8 × capacity draws (past that, duplicates dominate).
+        let owner = &mut self.prewarm_owner;
+        owner.clear();
+        let mut starts = Vec::with_capacity(self.tables.len());
+        for (i, t) in self.tables.iter().enumerate() {
+            starts.push(owner.len() as u64);
+            owner.resize(owner.len() + t.page_count() as usize, i as u32);
+        }
+        // Every draw writes its page at `drawn`, which only a new page
+        // advances: no branch on whether the page was drawn before.
+        let pages = &mut self.prewarm_pages;
+        pages.resize(capacity, PageId::new(0, 0));
+        let mut drawn = 0;
+        let budget = capacity as u64 * 8;
+        let mut draws = 0u64;
+        while drawn < capacity {
+            let global = self.rng.gen_range(0..total_pages);
+            if let (Some(slot), Some(out)) = (owner.get_mut(global as usize), pages.get_mut(drawn)) {
+                let table = (*slot & !DRAWN) as usize;
+                let start = starts.get(table).copied().unwrap_or(0);
+                // A table's id is its index (`create_table`).
+                *out = PageId::new(table, global - start);
+                drawn += usize::from(*slot & DRAWN == 0);
+                *slot |= DRAWN;
+            }
+            draws += 1;
+            if draws > budget {
+                break;
+            }
+        }
+        self.bp.fill(pages.iter().take(drawn).copied(), false);
+    }
+
+    /// The pre-warm [`Engine::prewarm`] replaced, kept as its reference: a
+    /// binary search over the tables' page offsets for every draw, and
+    /// [`BufferPool::prewarm`] faulting the pages in one draw at a time.
+    #[cfg(test)]
+    fn prewarm_reference(&mut self) {
+        let total_pages = self.data_pages();
+        if total_pages == 0 {
+            return;
+        }
         // Cumulative page offsets per table for uniform sampling.
         let mut offsets = Vec::with_capacity(self.tables.len());
         let mut acc = 0u64;
@@ -336,8 +401,6 @@ impl Engine {
             let &(offset, tid) = offsets.get(idx)?;
             tables.get(tid)?.page_at(global - offset)
         });
-        // Prewarm faults should not count as workload misses.
-        // (They are folded out by taking a metrics snapshot before a run.)
     }
 
     /// Runs a stress-test window: executes `txns` against the storage
@@ -963,6 +1026,58 @@ mod tests {
                 Txn::new(vec![Op::PointRead { table: i % tables, key: (x >> 33) % rows }])
             })
             .collect()
+    }
+
+    /// Two engines with the same seeded layout of 1–16 tables, one of them
+    /// (usually) empty, and the layout's page count.
+    fn layout_pair(seed: u64) -> (Engine, Engine, u64) {
+        let mut x = seed;
+        let mut next = move |n: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        let tables = 1 + next(16) as usize;
+        let empty = next(tables as u64 + 1) as usize; // == tables: none empty
+        let mut engines = [0, 1].map(|_| Engine::new(EngineFlavor::MySqlCdb, HardwareConfig::cdb_a(), seed));
+        for t in 0..tables {
+            let rows = if t == empty { 0 } else { 1 + next(2_000) };
+            let width = 100 + next(8_000);
+            for e in &mut engines {
+                e.create_table(format!("t{t}"), width, rows);
+            }
+        }
+        let total = engines[0].data_pages();
+        let [a, b] = engines;
+        (a, b, total)
+    }
+
+    #[test]
+    fn prewarm_equals_the_draw_by_draw_reference() {
+        for seed in 1..=24u64 {
+            let (mut fast, mut reference, total) = layout_pair(seed);
+            let k = 1 + seed % 4;
+            for capacity in [1, 5, total / 2, total.saturating_sub(k), total, total + 7] {
+                let capacity = capacity.max(1) as usize;
+                fast.bp.reset(capacity);
+                fast.prewarm();
+                reference.bp.reset(capacity);
+                reference.prewarm_reference();
+                let ctx = format!("seed {seed}, {total} pages, capacity {capacity}");
+                assert_eq!(fast.bp.lru_pages(), reference.bp.lru_pages(), "{ctx}");
+                assert_eq!(fast.bp.len(), reference.bp.len(), "{ctx}");
+                let counters = |bp: &BufferPool| {
+                    [bp.read_requests(), bp.miss_count(), bp.write_requests(), bp.pages_flushed()]
+                };
+                assert_eq!(counters(&fast.bp), counters(&reference.bp), "{ctx}");
+                for (t, table) in fast.tables.iter().enumerate() {
+                    for p in 0..table.page_count() {
+                        let page = PageId::new(t, p);
+                        assert_eq!(fast.bp.contains(page), reference.bp.contains(page), "{ctx}");
+                    }
+                }
+                assert_eq!(fast.rng.gen::<u64>(), reference.rng.gen::<u64>(), "{ctx}");
+            }
+        }
     }
 
     fn point_read_txns(n: usize, tables: usize, rows: u64) -> Vec<Txn> {

@@ -94,13 +94,14 @@ impl BufferPool {
 
     /// Returns the pool to the state of [`BufferPool::new`]`(capacity)` —
     /// nothing resident, counters at zero — keeping the frame array and the
-    /// page table allocated. Costs O(resident pages).
+    /// page table allocated. Costs one sequential pass over the page table.
     pub fn reset(&mut self, capacity: usize) {
         let mut frames = std::mem::take(&mut self.frames);
-        for f in frames.drain(..) {
-            self.map(f.page, NIL);
+        frames.clear();
+        let mut page_table = std::mem::take(&mut self.page_table);
+        for slots in &mut page_table {
+            slots.fill(NIL);
         }
-        let page_table = std::mem::take(&mut self.page_table);
         *self = Self { frames, page_table, ..Self::new(capacity) };
     }
 
@@ -211,11 +212,44 @@ impl BufferPool {
         self.flush_some(usize::MAX)
     }
 
-    /// Pre-warms the pool with pages produced by `gen`, stopping when the
-    /// pool is full or `gen` returns `None`. Used after a restart to start
-    /// from the steady-state residency a long-running instance would have
-    /// rather than an unrealistically cold cache.
-    pub fn prewarm(&mut self, mut gen: impl FnMut() -> Option<PageId>) {
+    /// Makes `pages` resident in an empty pool, clean, in one pass: the
+    /// pool ends exactly as faulting them in one after another would leave
+    /// it, the last page most recently used, but with no list surgery. With
+    /// `as_reads` each page counts as a read request that missed, as
+    /// [`BufferPool::access`] counts it; without, no counter moves (a
+    /// pre-warm is not workload I/O). The pages must be distinct; those past
+    /// the capacity are ignored. Used after a restart to start from the
+    /// steady-state residency a long-running instance would have rather than
+    /// an unrealistically cold cache.
+    pub fn fill(&mut self, pages: impl IntoIterator<Item = PageId>, as_reads: bool) {
+        debug_assert!(self.is_empty(), "fill needs an empty pool");
+        for page in pages.into_iter().take(self.capacity) {
+            let idx = self.frames.len() as u32;
+            // The LRU list runs from the last page back to the first: a
+            // frame's `next` is the page filled before it, its `prev` the
+            // one after (the last frame's is mended below).
+            let next = if idx == 0 { NIL } else { idx - 1 };
+            let lru = Link { prev: idx + 1, next };
+            self.frames.push(Frame { page, dirty: false, links: [lru, Link { prev: NIL, next: NIL }] });
+            self.map(page, idx);
+        }
+        let filled = self.frames.len();
+        if let Some(head) = self.frames.last_mut() {
+            head.links[LRU].prev = NIL;
+            self.lists[LRU] = Ends { head: filled as u32 - 1, tail: 0 };
+        }
+        if as_reads {
+            self.read_requests += filled as u64;
+            self.misses += filled as u64;
+        }
+    }
+
+    /// The draw-by-draw pre-warm [`BufferPool::fill`] replaced, kept as the
+    /// reference it is tested against: pages produced by `gen` are faulted
+    /// in one at a time, skipping resident ones, until the pool is full,
+    /// `gen` returns `None`, or `gen` has been called 8 × capacity + 1 times.
+    #[cfg(test)]
+    pub(crate) fn prewarm(&mut self, mut gen: impl FnMut() -> Option<PageId>) {
         let mut guard = 0u64;
         let budget = (self.capacity as u64) * 8;
         while self.len() < self.capacity {
@@ -232,6 +266,19 @@ impl BufferPool {
                 break; // generator keeps producing duplicates; give up
             }
         }
+    }
+
+    /// Resident pages, most recently used first.
+    #[cfg(test)]
+    pub(crate) fn lru_pages(&self) -> Vec<PageId> {
+        let mut out = Vec::with_capacity(self.frames.len());
+        let mut idx = self.lists[LRU].head;
+        while idx != NIL {
+            let f = &self.frames[idx as usize];
+            out.push(f.page);
+            idx = f.links[LRU].next;
+        }
+        out
     }
 
     fn insert_new(&mut self, page: PageId, dirty: bool) -> bool {
@@ -400,6 +447,11 @@ mod tests {
         });
         assert_eq!(bp.len(), 100);
         assert_eq!(bp.dirty_count(), 0);
+        // `fill` stops at the same page, in the same order.
+        let mut filled = BufferPool::new(100);
+        filled.fill((1..=150).map(p), false);
+        assert_eq!(filled.lru_pages(), bp.lru_pages());
+        assert_eq!(filled.dirty_count(), 0);
     }
 
     #[test]
@@ -415,6 +467,9 @@ mod tests {
             }
         });
         assert_eq!(bp.len(), 10);
+        let mut filled = BufferPool::new(100);
+        filled.fill((1..=10).map(p), false);
+        assert_eq!(filled.lru_pages(), bp.lru_pages());
     }
 
     #[test]
@@ -541,7 +596,19 @@ mod tests {
         seed: u64,
         steps: usize,
     ) {
-        let mut m = Model::new(capacity);
+        run_script_from(bp, Model::new(capacity), tables, pages, seed, steps);
+    }
+
+    /// [`run_script`] from a pool that `m` already describes.
+    fn run_script_from(
+        bp: &mut BufferPool,
+        mut m: Model,
+        tables: usize,
+        pages: u64,
+        seed: u64,
+        steps: usize,
+    ) {
+        let capacity = m.capacity;
         let mut x = seed;
         let mut next = move || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -602,6 +669,46 @@ mod tests {
                 }
             }
             run_script(&mut bp, capacity.max(1), tables, pages, 10 + i as u64, 1_500);
+        }
+    }
+
+    #[test]
+    fn fill_equals_faulting_the_pages_in() {
+        // A reused pool filled with distinct pages is the pool a run of
+        // read misses on them leaves (counters aside without `as_reads`),
+        // and it keeps behaving like the reference afterwards.
+        for (i, (capacity, tables, pages, n)) in
+            [(1, 1, 3, 1), (1, 2, 4, 3), (5, 2, 20, 3), (7, 3, 30, 7), (64, 4, 60, 200)]
+                .into_iter()
+                .enumerate()
+        {
+            for as_reads in [false, true] {
+                let seed = 40 + i as u64;
+                let mut bp = BufferPool::new(3);
+                run_script(&mut bp, 3, tables, pages, seed, 300);
+                bp.reset(capacity);
+                // A seeded shuffle of every page id.
+                let mut all: Vec<PageId> = (0..tables)
+                    .flat_map(|t| (0..pages).map(move |n| PageId::new(t, n)))
+                    .collect();
+                let mut x = seed;
+                for k in (1..all.len()).rev() {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    all.swap(k, (x >> 33) as usize % (k + 1));
+                }
+                all.truncate(n);
+                let mut m = Model::new(capacity);
+                for &page in all.iter().take(capacity) {
+                    m.access(page, false);
+                }
+                if !as_reads {
+                    m.counters = [0; 4];
+                }
+                bp.fill(all.iter().copied(), as_reads);
+                let ctx = format!("capacity {capacity}, {n} pages, as_reads {as_reads}");
+                assert_agrees(&bp, &m, &ctx);
+                run_script_from(&mut bp, m, tables, pages, seed, 1_000);
+            }
         }
     }
 }

@@ -201,6 +201,10 @@ impl Layer for BatchNorm {
         ]
     }
 
+    fn into_state(self: Box<Self>) -> Vec<Matrix> {
+        vec![self.gamma.value, self.beta.value, self.running_mean, self.running_var]
+    }
+
     fn load_state(&mut self, state: &[Matrix]) {
         let [gamma, beta, mean, var] = state else {
             // lint:allow(panic) reason=Layer::load_state documents a panic on a mismatched snapshot

@@ -100,6 +100,10 @@ impl Layer for Dense {
         vec![self.weight.value.clone(), self.bias.value.clone()]
     }
 
+    fn into_state(self: Box<Self>) -> Vec<Matrix> {
+        vec![self.weight.value, self.bias.value]
+    }
+
     fn load_state(&mut self, state: &[Matrix]) {
         let [weight, bias] = state else {
             // lint:allow(panic) reason=Layer::load_state documents a panic on a mismatched snapshot

@@ -121,6 +121,12 @@ pub trait Layer: Send {
         Vec::new()
     }
 
+    /// [`Layer::state`] by move: the layer is consumed and its matrices
+    /// leave without a copy. Layers holding state override the default.
+    fn into_state(self: Box<Self>) -> Vec<Matrix> {
+        self.state()
+    }
+
     /// Restores state previously produced by [`Layer::state`].
     ///
     /// # Panics

@@ -199,6 +199,12 @@ impl Mlp {
         NetState { layers: self.layers.iter().map(|l| l.state()).collect() }
     }
 
+    /// [`Mlp::state`] by move: the network is consumed and every matrix
+    /// leaves without a copy.
+    pub fn into_state(self) -> NetState {
+        NetState { layers: self.layers.into_iter().map(|l| l.into_state()).collect() }
+    }
+
     /// Restores a snapshot created by [`Mlp::state`].
     ///
     /// # Panics

@@ -227,6 +227,35 @@ fn wire_lines_match_the_in_process_reference_on_a_seeded_script() {
 }
 
 #[test]
+fn a_huge_step_budget_is_answered_and_the_daemon_keeps_serving() {
+    // The budget is the client's number. A session used to allocate its
+    // step history up front by it, and 10^12 steps aborted the daemon.
+    let handle = daemon(ReactorConfig::default());
+    let create = |client: &mut Client, max_steps: usize| {
+        client
+            .request(&Request::CreateSession {
+                spec: tiny_spec(9),
+                max_steps,
+                warm_start: false,
+                safe: false,
+                tenant: None,
+            })
+            .expect("create request")
+    };
+    let mut huge = Client::connect(handle.addr()).expect("connect");
+    assert!(matches!(create(&mut huge, 1_000_000_000_000), Response::SessionCreated { .. }));
+    let stepped = huge.request(&Request::Step).expect("step request");
+    assert!(matches!(stepped, Response::StepDone { step: 1, finished: false, .. }), "{stepped:?}");
+    let mut next = Client::connect(handle.addr()).expect("connect");
+    assert!(matches!(create(&mut next, 2), Response::SessionCreated { .. }));
+    let stepped = next.request(&Request::Step).expect("step request");
+    assert!(matches!(stepped, Response::StepDone { step: 1, .. }), "{stepped:?}");
+    let _ = huge.request(&Request::CloseSession).expect("close");
+    let _ = next.request(&Request::CloseSession).expect("close");
+    handle.shutdown();
+}
+
+#[test]
 fn tenant_quota_is_enforced_over_the_wire() {
     let handle = daemon(ReactorConfig {
         tenant_max_sessions: 1,
