@@ -29,7 +29,10 @@ fn main() -> ExitCode {
         Ok(service) => checks.extend(service),
         Err(e) => failures.push(format!("the service leg cannot run: {e}")),
     }
-    print_header("perf gate", &["check", "value", "bound"]);
+    // The matmul and train_step checks measure whichever kernel family this
+    // host dispatches to; name it, so a log says which path they covered.
+    let title = format!("perf gate (kernels: {})", tinynn::kernels::kernel_width());
+    print_header(&title, &["check", "value", "bound"]);
     for c in &checks {
         print_row(&[c.name.to_string(), format!("{:.3}", c.value), c.bound.to_string()]);
     }

@@ -12,11 +12,13 @@
 //! On x86-64 every kernel additionally carries an AVX2+FMA specialization:
 //! the same loop nest compiled under `#[target_feature(enable = "avx2,fma")]`
 //! so the unrolled zip chains lower to 256-bit `vfmadd` instead of the
-//! baseline-SSE2 codegen rustc emits by default. Dispatch is a one-time
-//! runtime probe ([`simd_ok`]) cached in an atomic; non-x86 targets compile
-//! only the portable bodies. The [`tanh`] kernel replaces the per-element
-//! libm call (~16 ns/element, the single hottest non-matmul instruction in a
-//! DDPG step) with a branchless exp2-based polynomial that vectorizes.
+//! baseline-SSE2 codegen rustc emits by default; the three products also
+//! carry a 16-lane AVX-512 one that gives every output element the AVX2
+//! arithmetic, bit for bit. Dispatch is a one-time runtime probe
+//! ([`kernel_width`]) cached in an atomic; non-x86 targets compile only the
+//! portable bodies. The [`tanh`] kernel replaces the per-element libm call
+//! (~16 ns/element, the single hottest non-matmul instruction in a DDPG
+//! step) with a branchless exp2-based polynomial that vectorizes.
 //!
 //! The original unblocked loops are retained verbatim in [`naive`] (including
 //! the `a == 0.0` sparsity shortcut the blocked kernels deliberately drop —
@@ -58,25 +60,66 @@ pub fn kernel_mode() -> KernelMode {
     }
 }
 
-/// Cached result of the AVX2+FMA probe: 0 = not probed, 1 = available,
-/// 2 = unavailable. Probing once keeps the per-call cost at one relaxed load.
-#[cfg(target_arch = "x86_64")]
-static SIMD: AtomicU8 = AtomicU8::new(0);
+/// The x86 kernel families, narrowest first. A host that has a width has
+/// every width below it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Width {
+    Portable,
+    Avx2,
+    Avx512,
+}
 
-/// Whether the AVX2+FMA specializations may be dispatched on this host.
-#[cfg(target_arch = "x86_64")]
-fn simd_ok() -> bool {
-    match SIMD.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
+/// Cached result of the feature probe: 0 = not probed, else `Width as u8 + 1`.
+/// Probing once keeps the per-call cost at one relaxed load.
+static WIDTH: AtomicU8 = AtomicU8::new(0);
+
+/// The widest kernel family this host runs.
+fn width() -> Width {
+    match WIDTH.load(Ordering::Relaxed) {
+        1 => Width::Portable,
+        2 => Width::Avx2,
+        3 => Width::Avx512,
         _ => {
-            let ok = std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma");
-            SIMD.store(if ok { 1 } else { 2 }, Ordering::Relaxed);
-            ok
+            let w = probe();
+            WIDTH.store(w as u8 + 1, Ordering::Relaxed);
+            w
         }
     }
 }
+
+#[cfg(target_arch = "x86_64")]
+fn probe() -> Width {
+    use std::arch::is_x86_feature_detected as has;
+    if !(has!("avx2") && has!("fma")) {
+        Width::Portable
+    } else if has!("avx512f") && has!("avx512dq") {
+        Width::Avx512
+    } else {
+        Width::Avx2
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn probe() -> Width {
+    Width::Portable
+}
+
+/// The widest kernel family products dispatch to on this host: `"portable"`,
+/// `"avx2"` or `"avx512"`. Read-only; the 16-lane family runs only products
+/// whose minibatch dimension is at least 8, and `tanh` stays at AVX2.
+pub fn kernel_width() -> &'static str {
+    match width() {
+        Width::Portable => "portable",
+        Width::Avx2 => "avx2",
+        Width::Avx512 => "avx512",
+    }
+}
+
+/// Smallest minibatch dimension the 16-lane tiles take (`min(rows, depth)` of
+/// `matmul`/`t_matmul`, `m` of `matmul_t`). Below it — online fine-tuning's
+/// b = 3–5 batches, `act`'s single row — the AVX2 tiles are faster.
+const WIDE_MIN: usize = 8;
 
 /// Rows of the shared operand processed per panel: a `KC x NC` panel of `b`
 /// is at most 128 KiB, comfortably inside L2 next to the `out` rows it feeds.
@@ -95,12 +138,15 @@ pub fn matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32
     assert_eq!(b.len(), k * n, "matmul: b length");
     assert_eq!(out.len(), m * n, "matmul: out length");
     #[cfg(target_arch = "x86_64")]
-    if simd_ok() {
-        // SAFETY: `simd_ok` confirmed AVX2+FMA; the asserts above
-        // establish the slice-length contract the microkernel's pointer
-        // walks rely on.
-        unsafe { avx2::matmul(m, k, n, a, b, out) };
-        return;
+    match width() {
+        // SAFETY: `width` confirmed AVX-512F/DQ and AVX2+FMA; the asserts
+        // above establish the slice-length contract of the pointer walks.
+        Width::Avx512 if m.min(k) >= WIDE_MIN => {
+            return unsafe { avx512::matmul(m, k, n, a, b, out) }
+        }
+        // SAFETY: as above, for AVX2+FMA.
+        Width::Avx2 | Width::Avx512 => return unsafe { avx2::matmul(m, k, n, a, b, out) },
+        Width::Portable => {}
     }
     matmul_body(m, k, n, a, b, out)
 }
@@ -162,12 +208,15 @@ pub fn t_matmul(r: usize, c: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
     assert_eq!(b.len(), r * n, "t_matmul: b length");
     assert_eq!(out.len(), c * n, "t_matmul: out length");
     #[cfg(target_arch = "x86_64")]
-    if simd_ok() {
-        // SAFETY: `simd_ok` confirmed AVX2+FMA; the asserts above
-        // establish the slice-length contract the microkernel's pointer
-        // walks rely on.
-        unsafe { avx2::t_matmul(r, c, n, a, b, out) };
-        return;
+    match width() {
+        // SAFETY: `width` confirmed AVX-512F/DQ and AVX2+FMA; the asserts
+        // above establish the slice-length contract of the pointer walks.
+        Width::Avx512 if r.min(c) >= WIDE_MIN => {
+            return unsafe { avx512::t_matmul(r, c, n, a, b, out) }
+        }
+        // SAFETY: as above, for AVX2+FMA.
+        Width::Avx2 | Width::Avx512 => return unsafe { avx2::t_matmul(r, c, n, a, b, out) },
+        Width::Portable => {}
     }
     t_matmul_body(r, c, n, a, b, out)
 }
@@ -223,12 +272,13 @@ pub fn matmul_t(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
     assert_eq!(b.len(), n * k, "matmul_t: b length");
     assert_eq!(out.len(), m * n, "matmul_t: out length");
     #[cfg(target_arch = "x86_64")]
-    if simd_ok() {
-        // SAFETY: `simd_ok` confirmed AVX2+FMA; the asserts above
-        // establish the slice-length contract the microkernel's pointer
-        // walks rely on.
-        unsafe { avx2::matmul_t(m, k, n, a, b, out) };
-        return;
+    match width() {
+        // SAFETY: `width` confirmed AVX-512F/DQ and AVX2+FMA; the asserts
+        // above establish the slice-length contract of the pointer walks.
+        Width::Avx512 if m >= WIDE_MIN => return unsafe { avx512::matmul_t(m, k, n, a, b, out) },
+        // SAFETY: as above, for AVX2+FMA.
+        Width::Avx2 | Width::Avx512 => return unsafe { avx2::matmul_t(m, k, n, a, b, out) },
+        Width::Portable => {}
     }
     matmul_t_body(m, k, n, a, b, out)
 }
@@ -320,8 +370,8 @@ fn matmul_t_body(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
 pub fn tanh(xs: &[f32], out: &mut [f32]) {
     assert_eq!(xs.len(), out.len(), "tanh: length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if simd_ok() {
-        // SAFETY: `simd_ok` confirmed AVX2+FMA, the only precondition of the
+    if width() != Width::Portable {
+        // SAFETY: `width` confirmed AVX2+FMA, the only precondition of the
         // wrapper (its body is safe code recompiled with wider codegen).
         unsafe { avx2::tanh(xs, out) };
         return;
@@ -367,8 +417,92 @@ fn tanh_body(xs: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Explicit AVX2+FMA microkernels (x86-64 only), dispatched after
-/// [`simd_ok`] confirms the features at runtime.
+/// Defines `tile` and `sweep`, the register tiles of the x86 `gaxpy`
+/// drivers, for one vector width (`$lanes` f32 lanes per register), so the
+/// AVX2 and AVX-512 families run one loop body.
+#[cfg(target_arch = "x86_64")]
+macro_rules! gaxpy_tiles {
+    ($feat:literal, $lanes:literal, $zero:ident, $load:ident, $store:ident, $set1:ident, $fma:ident) => {
+        /// `o[r·n + 0..L·W] += Σ_t a[r·ra + t·sa] · b[t·n + 0..L·W]` for
+        /// r < R, L lanes per register: an R-row × W-register tile walked
+        /// down d depth steps. Each output element is one fused-multiply-add
+        /// chain in depth order, starting from its value in `o`.
+        #[target_feature(enable = $feat)]
+        #[inline]
+        // SAFETY: caller guarantees the features and in-bounds pointers — a
+        // for R rows at stride ra of d reads at stride sa, b for d rows of
+        // ≥ L·W floats at stride n, o for R rows of L·W floats at stride n.
+        unsafe fn tile<const R: usize, const W: usize>(
+            d: usize,
+            n: usize,
+            a: *const f32,
+            ra: usize,
+            sa: usize,
+            b: *const f32,
+            o: *mut f32,
+        ) {
+            let mut c = [[$zero(); W]; R];
+            for (r, cr) in c.iter_mut().enumerate() {
+                for (w, cv) in cr.iter_mut().enumerate() {
+                    *cv = $load(o.add(r * n + $lanes * w));
+                }
+            }
+            let (mut pa, mut pb) = (a, b);
+            for _ in 0..d {
+                let mut av = [$zero(); R];
+                for (r, v) in av.iter_mut().enumerate() {
+                    *v = $set1(*pa.add(r * ra));
+                }
+                for w in 0..W {
+                    let bw = $load(pb.add($lanes * w));
+                    for (cr, &ar) in c.iter_mut().zip(&av) {
+                        cr[w] = $fma(ar, bw, cr[w]);
+                    }
+                }
+                pa = pa.add(sa);
+                pb = pb.add(n);
+            }
+            for (r, cr) in c.iter().enumerate() {
+                for (w, cv) in cr.iter().enumerate() {
+                    $store(o.add(r * n + $lanes * w), *cv);
+                }
+            }
+        }
+
+        /// [`tile`] down all `rows`: R rows at a time, then two, then one.
+        #[target_feature(enable = $feat)]
+        #[inline]
+        #[allow(clippy::too_many_arguments)]
+        // SAFETY: as [`tile`], for `rows` rows.
+        unsafe fn sweep<const R: usize, const W: usize>(
+            rows: usize,
+            d: usize,
+            n: usize,
+            a: *const f32,
+            ra: usize,
+            sa: usize,
+            b: *const f32,
+            o: *mut f32,
+        ) {
+            let mut i = 0;
+            while i + R <= rows {
+                tile::<R, W>(d, n, a.add(i * ra), ra, sa, b, o.add(i * n));
+                i += R;
+            }
+            while i + 2 <= rows {
+                tile::<2, W>(d, n, a.add(i * ra), ra, sa, b, o.add(i * n));
+                i += 2;
+            }
+            while i < rows {
+                tile::<1, W>(d, n, a.add(i * ra), ra, sa, b, o.add(i * n));
+                i += 1;
+            }
+        }
+    };
+}
+
+/// Explicit AVX2+FMA microkernels (x86-64 only), dispatched once [`width`]
+/// confirms the features at runtime.
 ///
 /// Rustc's autovectorizer handles the streaming `out += α·b_row` update but
 /// will not reassociate dot-product reductions under strict FP semantics and
@@ -382,151 +516,87 @@ fn tanh_body(xs: &[f32], out: &mut [f32]) {
 mod avx2 {
     use std::arch::x86_64::*;
 
-    /// `o0/o1[0..32] += Σ_t a0/a1[t·sa] · b[t·n + 0..32]` — a 2-row ×
-    /// 32-column register tile walked down a shared depth axis. `W` is the
-    /// tile width in 8-lane vectors (4 ⇒ 32 columns, 1 ⇒ 8 columns).
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    // SAFETY: caller guarantees AVX2+FMA and in-bounds pointers — a0/a1 for
-    // d reads at stride sa, b for d rows of ≥ 8·W floats at stride n, and
-    // o0/o1 for 8·W floats each.
-    unsafe fn tile2<const W: usize>(
-        d: usize,
-        n: usize,
-        a0: *const f32,
-        a1: *const f32,
-        sa: usize,
-        b: *const f32,
-        o0: *mut f32,
-        o1: *mut f32,
-    ) {
-        let mut c0 = [_mm256_setzero_ps(); W];
-        let mut c1 = [_mm256_setzero_ps(); W];
-        for w in 0..W {
-            c0[w] = _mm256_loadu_ps(o0.add(8 * w));
-            c1[w] = _mm256_loadu_ps(o1.add(8 * w));
-        }
-        let (mut pa0, mut pa1, mut pb) = (a0, a1, b);
-        for _ in 0..d {
-            let v0 = _mm256_set1_ps(*pa0);
-            let v1 = _mm256_set1_ps(*pa1);
-            for w in 0..W {
-                let bw = _mm256_loadu_ps(pb.add(8 * w));
-                c0[w] = _mm256_fmadd_ps(v0, bw, c0[w]);
-                c1[w] = _mm256_fmadd_ps(v1, bw, c1[w]);
-            }
-            pa0 = pa0.add(sa);
-            pa1 = pa1.add(sa);
-            pb = pb.add(n);
-        }
-        for w in 0..W {
-            _mm256_storeu_ps(o0.add(8 * w), c0[w]);
-            _mm256_storeu_ps(o1.add(8 * w), c1[w]);
-        }
-    }
+    gaxpy_tiles!(
+        "avx2,fma",
+        8,
+        _mm256_setzero_ps,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps,
+        _mm256_set1_ps,
+        _mm256_fmadd_ps
+    );
 
-    /// Single-row variant of [`tile2`] for odd trailing rows.
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    // SAFETY: caller guarantees AVX2+FMA and in-bounds pointers — a0 for d
-    // reads at stride sa, b for d rows of ≥ 8·W floats at stride n, o0 for
-    // 8·W floats.
-    unsafe fn tile1<const W: usize>(
-        d: usize,
-        n: usize,
-        a0: *const f32,
-        sa: usize,
-        b: *const f32,
-        o0: *mut f32,
-    ) {
-        let mut c0 = [_mm256_setzero_ps(); W];
-        for (w, c) in c0.iter_mut().enumerate() {
-            *c = _mm256_loadu_ps(o0.add(8 * w));
-        }
-        let (mut pa0, mut pb) = (a0, b);
-        for _ in 0..d {
-            let v0 = _mm256_set1_ps(*pa0);
-            for (w, c) in c0.iter_mut().enumerate() {
-                *c = _mm256_fmadd_ps(v0, _mm256_loadu_ps(pb.add(8 * w)), *c);
-            }
-            pa0 = pa0.add(sa);
-            pb = pb.add(n);
-        }
-        for (w, c) in c0.iter().enumerate() {
-            _mm256_storeu_ps(o0.add(8 * w), *c);
-        }
-    }
-
-    /// Shared driver for `matmul` / `t_matmul`: both are
-    /// `out[i][j] += Σ_t a(i, t) · b[t][j]` with `a(i, t) = a[i·ra + t·sa]`
+    /// Shared driver for `matmul` / `t_matmul` over columns `j0..n`: both
+    /// are `out[i][j] += Σ_t a(i, t) · b[t][j]` with `a(i, t) = a[i·ra + t·sa]`
     /// (row-major reads for `matmul`: ra = k, sa = 1; column reads for
-    /// `t_matmul`: ra = 1, sa = c). Tiles 2 rows × 32 columns, then narrows
-    /// to 8-column strips and a scalar column tail.
+    /// `t_matmul`: ra = 1, sa = c). Tiles 2 rows × 32 columns, then 8-column
+    /// strips, then a scalar tail for the last `n mod 8` columns.
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
     // SAFETY: caller guarantees AVX2+FMA; `a` must hold every index
     // `i·ra + t·sa` (i < rows, t < d), `b` d rows of n floats, `out` rows·n.
-    unsafe fn gaxpy(
+    pub(super) unsafe fn gaxpy(
         rows: usize,
         d: usize,
         n: usize,
+        j0: usize,
         a: *const f32,
         ra: usize,
         sa: usize,
         b: *const f32,
         out: *mut f32,
     ) {
-        let mut j = 0;
+        let mut j = j0;
         while j + 32 <= n {
-            let mut i = 0;
-            while i + 2 <= rows {
-                tile2::<4>(
-                    d,
-                    n,
-                    a.add(i * ra),
-                    a.add((i + 1) * ra),
-                    sa,
-                    b.add(j),
-                    out.add(i * n + j),
-                    out.add((i + 1) * n + j),
-                );
-                i += 2;
-            }
-            if i < rows {
-                tile1::<4>(d, n, a.add(i * ra), sa, b.add(j), out.add(i * n + j));
-            }
+            sweep::<2, 4>(rows, d, n, a, ra, sa, b.add(j), out.add(j));
             j += 32;
         }
         while j + 8 <= n {
-            let mut i = 0;
-            while i + 2 <= rows {
-                tile2::<1>(
-                    d,
-                    n,
-                    a.add(i * ra),
-                    a.add((i + 1) * ra),
-                    sa,
-                    b.add(j),
-                    out.add(i * n + j),
-                    out.add((i + 1) * n + j),
-                );
-                i += 2;
-            }
-            if i < rows {
-                tile1::<1>(d, n, a.add(i * ra), sa, b.add(j), out.add(i * n + j));
-            }
+            sweep::<2, 1>(rows, d, n, a, ra, sa, b.add(j), out.add(j));
             j += 8;
         }
-        if j < n {
-            for i in 0..rows {
-                for t in 0..d {
-                    let av = *a.add(i * ra + t * sa);
-                    for jj in j..n {
-                        *out.add(i * n + jj) += av * *b.add(t * n + jj);
-                    }
-                }
+        for jj in j..n {
+            let mut i = 0;
+            while i + 4 <= rows {
+                column::<4>(d, n, a.add(i * ra), ra, sa, b.add(jj), out.add(i * n + jj));
+                i += 4;
             }
+            while i < rows {
+                column::<1>(d, n, a.add(i * ra), ra, sa, b.add(jj), out.add(i * n + jj));
+                i += 1;
+            }
+        }
+    }
+
+    /// The scalar tail: `o[r·n] += Σ_t a[r·ra + t·sa] · b[t·n]` for r < R,
+    /// one column. Each element is the unfused `+=` chain in depth order,
+    /// its running sum held in a register across the walk.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    // SAFETY: caller guarantees AVX2+FMA and in-bounds pointers — a for R
+    // rows at stride ra of d reads at stride sa, b for d reads at stride n,
+    // o for R read-writes at stride n.
+    unsafe fn column<const R: usize>(
+        d: usize,
+        n: usize,
+        a: *const f32,
+        ra: usize,
+        sa: usize,
+        b: *const f32,
+        o: *mut f32,
+    ) {
+        let mut s = [0.0f32; R];
+        for (r, v) in s.iter_mut().enumerate() {
+            *v = *o.add(r * n);
+        }
+        for t in 0..d {
+            let bv = *b.add(t * n);
+            for (r, v) in s.iter_mut().enumerate() {
+                *v += *a.add(r * ra + t * sa) * bv;
+            }
+        }
+        for (r, v) in s.iter().enumerate() {
+            *o.add(r * n) = *v;
         }
     }
 
@@ -535,7 +605,7 @@ mod avx2 {
     // SAFETY: caller guarantees AVX2+FMA and asserts the slice lengths
     // (a: m·k, b: k·n, out: m·n), which bound every pointer in `gaxpy`.
     pub(super) unsafe fn matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        gaxpy(m, k, n, a.as_ptr(), k, 1, b.as_ptr(), out.as_mut_ptr())
+        gaxpy(m, k, n, 0, a.as_ptr(), k, 1, b.as_ptr(), out.as_mut_ptr())
     }
 
     /// AVX2 `out += aᵀ · b` (see [`super::t_matmul`] for the shape contract).
@@ -544,14 +614,14 @@ mod avx2 {
     // (a: r·c, b: r·n, out: c·n); `gaxpy` then reads `a[t·c + i]` (i < c,
     // t < r), all in bounds.
     pub(super) unsafe fn t_matmul(r: usize, c: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        gaxpy(c, r, n, a.as_ptr(), 1, c, b.as_ptr(), out.as_mut_ptr())
+        gaxpy(c, r, n, 0, a.as_ptr(), 1, c, b.as_ptr(), out.as_mut_ptr())
     }
 
     /// Horizontal sum of one 8-lane vector.
     #[target_feature(enable = "avx2")]
     #[inline]
     // SAFETY: register-only ops; caller guarantees AVX2.
-    unsafe fn hsum(v: __m256) -> f32 {
+    pub(super) unsafe fn hsum(v: __m256) -> f32 {
         let q = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
         let d = _mm_add_ps(q, _mm_movehl_ps(q, q));
         _mm_cvtss_f32(_mm_add_ss(d, _mm_shuffle_ps(d, d, 1)))
@@ -594,6 +664,24 @@ mod avx2 {
                 *sv = hsum(*cv);
             }
         }
+        dot_finish(k, kk, a, b, s, o, ldo);
+    }
+
+    /// The end every `R × 4` dot tile shares: the scalar tail from `kk` in k
+    /// order on top of the chains' sums `s`, then `o[r][j] += s[r][j]`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    // SAFETY: caller guarantees AVX2+FMA and the pointer contract of
+    // [`dot_rx4`].
+    pub(super) unsafe fn dot_finish<const R: usize>(
+        k: usize,
+        mut kk: usize,
+        a: *const f32,
+        b: *const f32,
+        mut s: [[f32; 4]; R],
+        o: *mut f32,
+        ldo: usize,
+    ) {
         while kk < k {
             for (r, sr) in s.iter_mut().enumerate() {
                 let av = *a.add(r * k + kk);
@@ -611,12 +699,12 @@ mod avx2 {
     }
 
     /// One k-length dot product (two interleaved chains), accumulated into
-    /// `*o`; the tail form of [`dot4`].
+    /// `*o`; the tail form of [`dot_rx4`].
     #[target_feature(enable = "avx2,fma")]
     #[inline]
     // SAFETY: caller guarantees AVX2+FMA; a and b valid for k reads, o for
     // one read-write.
-    unsafe fn dot1(k: usize, a: *const f32, b: *const f32, o: *mut f32) {
+    pub(super) unsafe fn dot1(k: usize, a: *const f32, b: *const f32, o: *mut f32) {
         let mut c0 = _mm256_setzero_ps();
         let mut c1 = _mm256_setzero_ps();
         let mut kk = 0;
@@ -678,9 +766,157 @@ mod avx2 {
     /// autovectorizer handles it once wide FMA is available).
     #[target_feature(enable = "avx2,fma")]
     // SAFETY: no unsafe operations inside — the attribute only changes
-    // codegen; callers must (and do, via `simd_ok`) verify AVX2+FMA.
+    // codegen; callers must (and do, via `width`) verify AVX2+FMA.
     pub(super) unsafe fn tanh(xs: &[f32], out: &mut [f32]) {
         super::tanh_body(xs, out)
+    }
+}
+
+/// AVX-512 (16-lane) microkernels for the three products, dispatched when
+/// [`width`] confirms AVX-512F/DQ and the minibatch dimension reaches
+/// [`WIDE_MIN`]. Every output element keeps the arithmetic [`avx2`] gives
+/// it, so the two families agree bit for bit (`kernels::tests`): only the
+/// columns a 16-lane register covers move, the rest run the AVX2 code.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::avx2;
+    use std::arch::x86_64::*;
+
+    gaxpy_tiles!(
+        "avx512f,avx512dq,avx2,fma",
+        16,
+        _mm512_setzero_ps,
+        _mm512_loadu_ps,
+        _mm512_storeu_ps,
+        _mm512_set1_ps,
+        _mm512_fmadd_ps
+    );
+
+    /// [`avx2::gaxpy`]'s contract. Columns `0..16⌊n/16⌋` run 8-row ×
+    /// 32-column tiles (sixteen chains, enough to cover the FMA latency on
+    /// two ports) and a 16-column strip; the rest go to [`avx2::gaxpy`] (its
+    /// 8-column strip and scalar tail).
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    // SAFETY: caller guarantees AVX-512F/DQ and AVX2+FMA, and the pointer
+    // contract of `avx2::gaxpy`.
+    unsafe fn gaxpy(
+        rows: usize,
+        d: usize,
+        n: usize,
+        a: *const f32,
+        ra: usize,
+        sa: usize,
+        b: *const f32,
+        out: *mut f32,
+    ) {
+        let n16 = n / 16 * 16;
+        let mut j = 0;
+        while j + 32 <= n {
+            sweep::<8, 2>(rows, d, n, a, ra, sa, b.add(j), out.add(j));
+            j += 32;
+        }
+        if j < n16 {
+            sweep::<8, 1>(rows, d, n, a, ra, sa, b.add(j), out.add(j));
+        }
+        avx2::gaxpy(rows, d, n, n16, a, ra, sa, b, out)
+    }
+
+    /// AVX-512 `out += a · b` (see [`super::matmul`]).
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    // SAFETY: as `avx2::matmul`, plus AVX-512F/DQ.
+    pub(super) unsafe fn matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        gaxpy(m, k, n, a.as_ptr(), k, 1, b.as_ptr(), out.as_mut_ptr())
+    }
+
+    /// AVX-512 `out += aᵀ · b` (see [`super::t_matmul`]).
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    // SAFETY: as `avx2::t_matmul`, plus AVX-512F/DQ.
+    pub(super) unsafe fn t_matmul(r: usize, c: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        gaxpy(c, r, n, a.as_ptr(), 1, c, b.as_ptr(), out.as_mut_ptr())
+    }
+
+    /// `avx2::dot_rx4::<4>` with two rows per register, one per 8-lane
+    /// half: each 8-float slice of a `b` row is broadcast to both halves, so
+    /// every half runs the 8-lane chain AVX2 runs for its output. The sixteen
+    /// chains then go through `avx2::hsum`'s tree side by side — the same
+    /// additions in the same operand order — and the same scalar tail and
+    /// final `+=`.
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    #[inline]
+    // SAFETY: caller guarantees the features and `avx2::dot_rx4`'s pointer
+    // contract for R = 4.
+    unsafe fn dot4x4(k: usize, a: *const f32, b: *const f32, o: *mut f32, ldo: usize) {
+        // c[h][j] accumulates output (2h, j) in its low half, (2h + 1, j) in
+        // its high half.
+        let mut c = [[_mm512_setzero_ps(); 4]; 2];
+        let mut kk = 0;
+        while kk + 8 <= k {
+            let mut bv = [_mm512_setzero_ps(); 4];
+            for (j, v) in bv.iter_mut().enumerate() {
+                *v = _mm512_broadcast_f32x8(_mm256_loadu_ps(b.add(j * k + kk)));
+            }
+            for (h, ch) in c.iter_mut().enumerate() {
+                let lo = _mm512_castps256_ps512(_mm256_loadu_ps(a.add(2 * h * k + kk)));
+                let ah = _mm512_insertf32x8::<1>(lo, _mm256_loadu_ps(a.add((2 * h + 1) * k + kk)));
+                for (cv, &bj) in ch.iter_mut().zip(&bv) {
+                    *cv = _mm512_fmadd_ps(ah, bj, *cv);
+                }
+            }
+            kk += 8;
+        }
+        // `hsum` of chain v is ((v0 + v4) + (v2 + v6)) + ((v1 + v5) + (v3 + v7)).
+        // First v[0..4] + v[4..8]: q[j] holds column j's, one row per
+        // 128-bit quarter.
+        let mut q = [_mm512_setzero_ps(); 4];
+        for (j, qj) in q.iter_mut().enumerate() {
+            let (x, y) = (c[0][j], c[1][j]);
+            *qj = _mm512_add_ps(
+                _mm512_shuffle_f32x4::<0b10_00_10_00>(x, y),
+                _mm512_shuffle_f32x4::<0b11_01_11_01>(x, y),
+            );
+        }
+        // Then q[0..2] + q[2..4], two columns per register: [d0, d1] of
+        // column 2p, then of column 2p + 1, in each row's quarter.
+        let mut d = [_mm512_setzero_ps(); 2];
+        for (p, dp) in d.iter_mut().enumerate() {
+            let (x, y) = (q[2 * p], q[2 * p + 1]);
+            *dp = _mm512_add_ps(
+                _mm512_shuffle_ps::<0b01_00_01_00>(x, y),
+                _mm512_shuffle_ps::<0b11_10_11_10>(x, y),
+            );
+        }
+        // Last d0 + d1: row r's four sums in quarter r.
+        let sums = _mm512_add_ps(
+            _mm512_shuffle_ps::<0b10_00_10_00>(d[0], d[1]),
+            _mm512_shuffle_ps::<0b11_01_11_01>(d[0], d[1]),
+        );
+        let mut s = [[0.0f32; 4]; 4];
+        _mm512_storeu_ps(s.as_mut_ptr().cast(), sums);
+        avx2::dot_finish(k, kk, a, b, s, o, ldo);
+    }
+
+    /// AVX-512 `out += a · bᵀ` (see [`super::matmul_t`]): 4-row × 4-column
+    /// tiles over blocks of 32 columns, `avx2::dot1` for the last `n mod 4`
+    /// columns, and `avx2::matmul_t` for the last `m mod 4` rows.
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    // SAFETY: as `avx2::matmul_t`, plus AVX-512F/DQ.
+    pub(super) unsafe fn matmul_t(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        let (m4, n4) = (m / 4 * 4, n / 4 * 4);
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        for j0 in (0..n4).step_by(32) {
+            for i in (0..m4).step_by(4) {
+                for j in (j0..n4.min(j0 + 32)).step_by(4) {
+                    dot4x4(k, ap.add(i * k), bp.add(j * k), op.add(i * n + j), n);
+                }
+            }
+        }
+        for i in 0..m4 {
+            for j in n4..n {
+                avx2::dot1(k, ap.add(i * k), bp.add(j * k), op.add(i * n + j));
+            }
+        }
+        avx2::matmul_t(m - m4, k, n, &a[m4 * k..], b, &mut out[m4 * n..]);
     }
 }
 
@@ -863,6 +1099,78 @@ mod tests {
                     }
                     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&tiled), bits(&rows), "matmul_t {m}x{k}x{n}");
+                }
+            }
+        }
+    }
+
+    /// The 16-lane family against the AVX2 one, called module to module
+    /// and through the gated dispatch, over every column remainder class
+    /// (n mod 16 ∈ {0, 1, 7, 8, 9, 15}, n < 8), rows on both sides of
+    /// [`WIDE_MIN`] and of every row-tile remainder, depth on both sides of
+    /// a multiple of 8 and of 64, into a non-zero `out`.
+    /// Where every column is in `gaxpy`'s scalar tail (n < 8), the two
+    /// streaming products also equal the naive loops: per element the same
+    /// unfused `+=` chain in depth order (no zero in `a` to skip).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_products_equal_avx2_bit_for_bit() {
+        if width() != Width::Avx512 {
+            eprintln!(
+                "skipped: this host lacks AVX-512F/DQ or AVX2+FMA (kernel width {})",
+                kernel_width()
+            );
+            return;
+        }
+        type Product = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+        // SAFETY: (every wrapper below) `width` confirmed each feature the
+        // modules enable; the kernels' own asserts ran in the callers'
+        // shapes below, which match each slice length.
+        let wide: [Product; 3] = [
+            |m, k, n, a, b, o| unsafe { avx512::matmul(m, k, n, a, b, o) },
+            |r, c, n, a, b, o| unsafe { avx512::t_matmul(r, c, n, a, b, o) },
+            |m, k, n, a, b, o| unsafe { avx512::matmul_t(m, k, n, a, b, o) },
+        ];
+        let narrow: [Product; 3] = [
+            |m, k, n, a, b, o| unsafe { avx2::matmul(m, k, n, a, b, o) },
+            |r, c, n, a, b, o| unsafe { avx2::t_matmul(r, c, n, a, b, o) },
+            |m, k, n, a, b, o| unsafe { avx2::matmul_t(m, k, n, a, b, o) },
+        ];
+        let gated: [Product; 3] = [matmul, t_matmul, matmul_t];
+        let names = ["matmul", "t_matmul", "matmul_t"];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(0x512);
+        for rows in [1, 4, 7, 8, 9, 32, 33] {
+            for depth in [1, 7, 8, 63, 64, 65, 127, 256] {
+                for n in [1, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 64, 65] {
+                    let seed = random_vec(&mut rng, rows * n, 0.0);
+                    // (first, second) extents of `a` and the length of `b`:
+                    // matmul is rows×depth · depth×n, t_matmul (depth×rows)ᵀ
+                    // · depth×n, matmul_t rows×depth · (n×depth)ᵀ.
+                    for (p, (a_dims, b_len)) in [
+                        ((rows, depth), depth * n),
+                        ((depth, rows), depth * n),
+                        ((rows, depth), n * depth),
+                    ]
+                    .into_iter()
+                    .enumerate()
+                    {
+                        let a = random_vec(&mut rng, a_dims.0 * a_dims.1, 0.0);
+                        let b = random_vec(&mut rng, b_len, 0.0);
+                        let run = |f: Product| {
+                            let mut out = seed.clone();
+                            f(a_dims.0, a_dims.1, n, &a, &b, &mut out);
+                            bits(&out)
+                        };
+                        let want = run(narrow[p]);
+                        let what = format!("{} rows {rows} depth {depth} n {n}", names[p]);
+                        assert_eq!(run(wide[p]), want, "{what}: avx512");
+                        assert_eq!(run(gated[p]), want, "{what}: dispatch");
+                        if n < 8 && p < 2 {
+                            let reference = [naive::matmul, naive::t_matmul][p];
+                            assert_eq!(run(reference), want, "{what}: naive");
+                        }
+                    }
                 }
             }
         }
