@@ -327,7 +327,7 @@ fn extract_events(
 /// The one place the seed rules live: whether token `i` is a panic site
 /// or a blocking site, and with what tag, as an `Event` on its line. The
 /// per-file `panic-safety` and `reactor-blocking` lints and
-/// [`extract_events`] all classify through here; callers apply scope,
+/// `extract_events` all classify through here; callers apply scope,
 /// test regions and `lint:allow` annotations.
 pub fn seed_at(toks: &[Token], i: usize) -> Option<Event> {
     let line = toks[i].line;

@@ -19,7 +19,7 @@ use gp::GaussianProcess;
 use mapping::WorkloadRepository;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tinynn::{mse_loss, Adam, Dense, Init, Layer, Matrix, Mlp, Optimizer, Relu};
+use tinynn::{mse_loss, Adam, Dense, Init, Layer, Matrix, Mlp, Relu};
 
 /// Which regressor drives recommendations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -139,7 +139,6 @@ impl Lab {
             horizon: self.scale.train_steps.max(64),
             seed: self.seed,
             reward: s.reward,
-            ..EnvConfig::default()
         };
         let engine = Engine::new(s.flavor, hw, self.seed);
         DbEnv::new(engine, build_workload(s.kind, self.scale.data), space, cfg)

@@ -60,21 +60,6 @@ impl ActionSpace {
         Self { indices: self.indices[..n.min(self.indices.len())].to_vec() }
     }
 
-    /// This space minus the named knobs — the paper's user/DBA-driven
-    /// black-listing ("such knobs are added to the black-list according to
-    /// the DBA or user's demand", §5.2). Unknown names are ignored.
-    pub fn excluding<S: AsRef<str>>(
-        &self,
-        registry: &KnobRegistry,
-        names: impl IntoIterator<Item = S>,
-    ) -> Self {
-        let banned: std::collections::HashSet<usize> =
-            names.into_iter().filter_map(|n| registry.index_of(n.as_ref())).collect();
-        Self {
-            indices: self.indices.iter().copied().filter(|i| !banned.contains(i)).collect(),
-        }
-    }
-
     /// Action dimensionality.
     pub fn dim(&self) -> usize {
         self.indices.len()
@@ -152,16 +137,6 @@ mod tests {
         let big = space.truncated(40);
         assert_eq!(small.dim(), 20);
         assert_eq!(&big.indices()[..20], small.indices());
-    }
-
-    #[test]
-    fn excluding_removes_user_blacklisted_knobs() {
-        let reg = registry();
-        let space = ActionSpace::all_tunable(&reg);
-        let before = space.dim();
-        let smaller = space.excluding(&reg, [names::BUFFER_POOL_SIZE, "no_such_knob"]);
-        assert_eq!(smaller.dim(), before - 1);
-        assert!(!smaller.indices().contains(&reg.index_of(names::BUFFER_POOL_SIZE).unwrap()));
     }
 
     #[test]

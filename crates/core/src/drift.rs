@@ -67,23 +67,16 @@ pub fn rel_rms(pairs: &[(f64, f64)]) -> f64 {
     (sq_sum / pairs.len() as f64).sqrt()
 }
 
-/// Drift-detector tuning. Defaults are deliberately conservative: the
-/// static-trace control run must stay silent (zero false positives)
-/// while a read/write mix shift or flash crowd clears the threshold.
+/// Drift-detector tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Sliding-window length in observed steps.
     pub window: usize,
-    /// Fingerprint distance at which drift fires.
-    pub threshold: f64,
-    /// Re-arm ratio in `(0, 1]`: after a firing, the detector stays
-    /// disarmed until distance falls below `threshold * rearm_ratio`.
-    pub rearm_ratio: f64,
 }
 
 impl Default for DriftConfig {
     fn default() -> Self {
-        DriftConfig { window: 5, threshold: 0.35, rearm_ratio: 0.6 }
+        DriftConfig { window: 5 }
     }
 }
 
@@ -94,7 +87,7 @@ pub struct DriftEvent {
     pub step: u64,
     /// Fingerprint distance between reference and current windows.
     pub distance: f64,
-    /// The configured threshold it exceeded.
+    /// The threshold it exceeded.
     pub threshold: f64,
     /// Observations since the reference window was (re)baselined.
     pub reference_age: u64,
@@ -147,7 +140,7 @@ pub struct DriftDetector {
 impl DriftDetector {
     /// Creates a detector; the first full window becomes the reference.
     pub fn new(cfg: DriftConfig) -> Self {
-        let cfg = DriftConfig { window: cfg.window.max(2), ..cfg };
+        let cfg = DriftConfig { window: cfg.window.max(2) };
         DriftDetector {
             cfg,
             reference: None,
@@ -174,6 +167,14 @@ impl DriftDetector {
     pub fn detections(&self) -> u64 {
         self.detections
     }
+
+    /// Fingerprint distance at which drift fires. Deliberately conservative:
+    /// the static-trace control run must stay silent (zero false positives)
+    /// while a read/write mix shift or flash crowd clears it.
+    const THRESHOLD: f64 = 0.35;
+    /// Hysteresis: after a firing, the detector stays disarmed until the
+    /// distance falls below `THRESHOLD * REARM_RATIO`.
+    const REARM_RATIO: f64 = 0.6;
 
     /// Feeds one measured step's load vector ([`offered_load`]; any vector
     /// of non-negative magnitudes the tuner's own actions do not move).
@@ -205,12 +206,12 @@ impl DriftDetector {
 
         self.last_distance = summary.distance(&reference);
         if !self.armed {
-            if self.last_distance < self.cfg.threshold * self.cfg.rearm_ratio {
+            if self.last_distance < Self::THRESHOLD * Self::REARM_RATIO {
                 self.armed = true;
             }
             return None;
         }
-        if self.last_distance <= self.cfg.threshold {
+        if self.last_distance <= Self::THRESHOLD {
             return None;
         }
 
@@ -221,7 +222,7 @@ impl DriftDetector {
         let event = DriftEvent {
             step: self.steps_seen,
             distance: self.last_distance,
-            threshold: self.cfg.threshold,
+            threshold: Self::THRESHOLD,
             reference_age: self.steps_seen - self.reference_at,
         };
         self.detections += 1;
@@ -315,7 +316,7 @@ mod tests {
 
     #[test]
     fn reset_forgets_the_reference() {
-        let mut det = DriftDetector::new(DriftConfig { window: 3, ..DriftConfig::default() });
+        let mut det = DriftDetector::new(DriftConfig { window: 3 });
         for i in 0..6 {
             det.observe(&stable_metrics(i));
         }

@@ -13,13 +13,13 @@
 //!
 //! The environment assumes hostile infrastructure (see
 //! [`simdb::FaultPlan`]): transient deploy failures are retried with
-//! exponential backoff under a deadline ([`RecoveryPolicy`]); a config that
-//! crashes the instance `quarantine_threshold` consecutive times is
-//! quarantined and never deployed again; every failure path rolls back to
-//! the last healthy configuration (escalating to a forced restart, which
-//! cannot fail, so the environment never wedges). Backoff is *simulated* —
-//! accounted in [`RecoveryStats::backoff_ms`], never slept — matching the
-//! repo-wide simulated-time discipline. Collected metric deltas are
+//! exponential backoff under a deadline (4 retries, waiting 250 ms doubling
+//! to at most 4 s each and 15 s in all); a config that crashes the instance
+//! 3 consecutive times is quarantined and never deployed again; every
+//! failure path rolls back to the last healthy configuration (escalating to
+//! a forced restart, which cannot fail, so the environment never wedges).
+//! Backoff is *simulated* — accounted in [`RecoveryStats::backoff_ms`],
+//! never slept — matching the repo-wide simulated-time discipline. Collected metric deltas are
 //! sanitized ([`crate::state::StateProcessor::sanitize`]) so dropped
 //! metrics never poison the actor input.
 
@@ -27,7 +27,7 @@ use crate::action::ActionSpace;
 use crate::reward::{Perf, RewardConfig, CRASH_REWARD};
 use crate::state::StateProcessor;
 use crate::telemetry::{
-    EngineSample, PhaseTiming, RecoveryDelta, RewardTrace, Telemetry, TraceEvent,
+    EngineSample, PhaseTiming, RecoveryDelta, ReplayTrace, RewardTrace, Telemetry, TraceEvent,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,42 +37,6 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::Instant;
 use workload::Workload;
-
-/// Retry/backoff/quarantine policy for the environment's recovery paths.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Retries after the first attempt of a deploy or stress window.
-    pub max_retries: u32,
-    /// First backoff, milliseconds (doubles per retry).
-    pub base_backoff_ms: u64,
-    /// Backoff ceiling, milliseconds.
-    pub max_backoff_ms: u64,
-    /// Total simulated backoff budget per operation, milliseconds; retries
-    /// stop once the next wait would cross it.
-    pub deadline_ms: u64,
-    /// Consecutive crashes of one configuration cell before it is
-    /// quarantined (never deployed again).
-    pub quarantine_threshold: u32,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 4,
-            base_backoff_ms: 250,
-            max_backoff_ms: 4_000,
-            deadline_ms: 15_000,
-            quarantine_threshold: 3,
-        }
-    }
-}
-
-fn backoff_ms(policy: &RecoveryPolicy, attempt: u32) -> u64 {
-    policy
-        .base_backoff_ms
-        .saturating_mul(1u64 << attempt.min(20))
-        .min(policy.max_backoff_ms)
-}
 
 /// Counters of every recovery action taken. Cumulative over the
 /// environment's lifetime; [`RecoveryStats::since`] diffs two snapshots.
@@ -216,17 +180,8 @@ pub struct EnvConfig {
     pub measure_txns: usize,
     /// Steps per training episode.
     pub horizon: usize,
-    /// Client concurrency (`None` = the workload's paper default).
-    pub clients: Option<u32>,
-    /// Stress windows averaged for the baseline measurement at episode
-    /// reset. The recommendation the actor makes from the baseline state is
-    /// only as stable as that state; averaging a couple of windows mirrors
-    /// the paper's 150 s observation sampled every 5 s (§2.2.2).
-    pub baseline_windows: usize,
     /// Reward function.
     pub reward: RewardConfig,
-    /// Retry/backoff/quarantine policy.
-    pub recovery: RecoveryPolicy,
     /// Workload generator seed.
     pub seed: u64,
 }
@@ -237,10 +192,7 @@ impl Default for EnvConfig {
             warmup_txns: 100,
             measure_txns: 600,
             horizon: 20,
-            clients: None,
-            baseline_windows: 2,
             reward: RewardConfig::default(),
-            recovery: RecoveryPolicy::default(),
             seed: 0,
         }
     }
@@ -268,11 +220,40 @@ pub struct StepOutcome {
     /// Reward decomposition (Eq. 4–7 terms and which rules fired).
     pub reward_trace: RewardTrace,
     /// Wall/simulated timings of the environment-side phases (deployment,
-    /// stress, metrics collection). The trainer adds recommendation and
-    /// model-update time before tracing the full step.
+    /// stress, metrics collection). The trainer and the online session add
+    /// recommendation and model-update time before tracing the full step.
     pub timing: PhaseTiming,
     /// Recovery actions accrued during this step alone.
     pub recovery: RecoveryDelta,
+}
+
+impl StepOutcome {
+    /// The step's [`TraceEvent::Step`]: this outcome plus what its caller
+    /// knows around it — where the step falls, the action deployed, the
+    /// replay pool and the engine counters.
+    pub(crate) fn trace_event(
+        &self,
+        step: u64,
+        episode: u64,
+        action: &[f32],
+        replay: ReplayTrace,
+        engine: EngineSample,
+    ) -> TraceEvent {
+        TraceEvent::Step {
+            step,
+            episode,
+            action: action.iter().map(|&x| f64::from(x)).collect(),
+            reward: self.reward_trace,
+            throughput_tps: self.perf.throughput_tps,
+            p99_latency_us: self.perf.p99_latency_us,
+            crashed: self.crashed,
+            degraded: self.degraded,
+            replay,
+            recovery: self.recovery,
+            engine,
+            timing: self.timing,
+        }
+    }
 }
 
 /// Coarse action-cell key for crash-loop bookkeeping: each knob dimension
@@ -321,7 +302,7 @@ impl DbEnv {
         cfg: EnvConfig,
     ) -> Self {
         workload.setup(&mut engine);
-        let clients = cfg.clients.unwrap_or_else(|| workload.default_clients());
+        let clients = workload.default_clients();
         let last_good = engine.current_config().clone();
         let seed = cfg.seed;
         Self {
@@ -526,33 +507,58 @@ impl DbEnv {
         self.set_workload(workload, clients);
     }
 
-    /// Deploys with retry + exponential (simulated) backoff for transient
-    /// failures, under the policy's deadline. Terminal errors — crashes,
-    /// knob-domain errors — return immediately: they are the
-    /// configuration's fault and retrying would redeploy the same poison.
-    fn deploy_with_retry(&mut self, config: &KnobConfig) -> Result<(), EnvError> {
-        let policy = self.cfg.recovery;
+    /// Retries after the first attempt of a deploy or stress window.
+    const MAX_RETRIES: u32 = 4;
+    /// First retry's simulated backoff, milliseconds; it doubles per retry.
+    const BASE_BACKOFF_MS: u64 = 250;
+    /// Backoff ceiling, milliseconds.
+    const MAX_BACKOFF_MS: u64 = 4_000;
+    /// Total simulated backoff per operation, milliseconds: retries stop
+    /// once the next wait would cross it.
+    const DEADLINE_MS: u64 = 15_000;
+
+    /// Runs `attempt` (passed the retries made so far) until it succeeds,
+    /// fails with an error `retryable` rejects, or runs out of retries or
+    /// deadline. Every retry is counted, accrues its simulated backoff and
+    /// emits a `retry` event `during` the named operation. The error carries
+    /// the attempts made.
+    fn with_retry<T>(
+        &mut self,
+        during: &str,
+        retryable: fn(&SimDbError) -> bool,
+        mut attempt: impl FnMut(&mut Self, u32) -> simdb::Result<T>,
+    ) -> Result<T, (u32, SimDbError)> {
         let mut waited = 0u64;
-        let mut attempt = 0u32;
+        let mut retries = 0u32;
         loop {
-            match self.engine.apply_config(config.clone()) {
-                Ok(()) => return Ok(()),
-                Err(e) if !e.is_transient() => {
-                    return Err(EnvError::DeployFailed { attempts: attempt + 1, source: e })
-                }
+            match attempt(self, retries) {
+                Ok(out) => return Ok(out),
                 Err(e) => {
-                    let wait = backoff_ms(&policy, attempt);
-                    if attempt >= policy.max_retries || waited + wait > policy.deadline_ms {
-                        return Err(EnvError::DeployFailed { attempts: attempt + 1, source: e });
+                    let wait = (Self::BASE_BACKOFF_MS << retries).min(Self::MAX_BACKOFF_MS);
+                    if !retryable(&e)
+                        || retries >= Self::MAX_RETRIES
+                        || waited + wait > Self::DEADLINE_MS
+                    {
+                        return Err((retries + 1, e));
                     }
                     waited += wait;
-                    attempt += 1;
+                    retries += 1;
                     self.stats.retries += 1;
                     self.stats.backoff_ms += wait;
-                    self.emit_recovery("retry", "deploy", u64::from(attempt), wait);
+                    self.emit_recovery("retry", during, u64::from(retries), wait);
                 }
             }
         }
+    }
+
+    /// Deploys with retry for transient failures. Terminal errors —
+    /// crashes, knob-domain errors — return immediately: they are the
+    /// configuration's fault and retrying would redeploy the same poison.
+    fn deploy_with_retry(&mut self, config: &KnobConfig) -> Result<(), EnvError> {
+        self.with_retry("deploy", SimDbError::is_transient, |env, _| {
+            env.engine.apply_config(config.clone())
+        })
+        .map_err(|(attempts, source)| EnvError::DeployFailed { attempts, source })
     }
 
     fn emit_recovery(&self, action: &str, during: &str, attempt: u64, backoff_ms: u64) {
@@ -612,36 +618,27 @@ impl DbEnv {
         Ok((perf, state, timing))
     }
 
-    /// Stress window with retry: a crashed/stopped instance is restarted
-    /// between attempts, and failures back off (simulated) under the
-    /// deadline. The returned timing covers the successful window; failed
-    /// attempts surface as retry counters and simulated backoff instead.
+    /// Stress window with retry on any failure: a crashed/stopped instance
+    /// is restarted between attempts. The returned timing covers the
+    /// successful window; failed attempts surface as retry counters and
+    /// simulated backoff instead.
     fn stress_window_with_retry(&mut self) -> Result<(PerfMetrics, Vec<f32>, PhaseTiming), EnvError> {
-        let policy = self.cfg.recovery;
-        let mut waited = 0u64;
-        let mut attempt = 0u32;
-        loop {
-            match self.run_stress_window() {
-                Ok(out) => return Ok(out),
-                Err(e) => {
-                    let wait = backoff_ms(&policy, attempt);
-                    if attempt >= policy.max_retries || waited + wait > policy.deadline_ms {
-                        return Err(EnvError::WindowFailed { attempts: attempt + 1, source: e });
-                    }
-                    waited += wait;
-                    attempt += 1;
-                    self.stats.retries += 1;
-                    self.stats.backoff_ms += wait;
-                    self.emit_recovery("retry", "stress", u64::from(attempt), wait);
-                    if !self.engine.is_running() {
-                        self.engine.restart();
-                        self.stats.forced_restarts += 1;
-                        self.emit_recovery("forced_restart", "stress", u64::from(attempt), 0);
-                    }
-                }
+        self.with_retry("stress", |_| true, |env, retries| {
+            if retries > 0 && !env.engine.is_running() {
+                env.engine.restart();
+                env.stats.forced_restarts += 1;
+                env.emit_recovery("forced_restart", "stress", u64::from(retries), 0);
             }
-        }
+            env.run_stress_window()
+        })
+        .map_err(|(attempts, source)| EnvError::WindowFailed { attempts, source })
     }
+
+    /// Stress windows averaged for the baseline measurement at episode
+    /// reset. The recommendation the actor makes from the baseline state is
+    /// only as stable as that state; averaging a couple of windows mirrors
+    /// the paper's 150 s observation sampled every 5 s (§2.2.2).
+    const BASELINE_WINDOWS: usize = 2;
 
     /// Starts an episode: redeploys the baseline configuration, measures
     /// the initial performance `D_0` (§4.2) and returns the initial state.
@@ -658,7 +655,7 @@ impl DbEnv {
             self.stats.forced_restarts += 1;
         }
         self.last_good = baseline;
-        let windows = self.cfg.baseline_windows.max(1);
+        let windows = Self::BASELINE_WINDOWS;
         let mut state = vec![0.0f32; simdb::TOTAL_METRIC_COUNT];
         let mut perf = self.last_perf;
         let mut tps = 0.0;
@@ -736,12 +733,16 @@ impl DbEnv {
         }
     }
 
+    /// Consecutive crashes of one configuration cell before it is
+    /// quarantined (never deployed again).
+    const QUARANTINE_THRESHOLD: u32 = 3;
+
     /// Records a crash for the action's quarantine cell; quarantines it
-    /// after `quarantine_threshold` consecutive crashes.
+    /// after `QUARANTINE_THRESHOLD` consecutive crashes.
     fn note_crash(&mut self, key: u64) {
         let streak = self.crash_streaks.entry(key).or_insert(0);
         *streak += 1;
-        if *streak >= self.cfg.recovery.quarantine_threshold && self.quarantined.insert(key) {
+        if *streak >= Self::QUARANTINE_THRESHOLD && self.quarantined.insert(key) {
             self.stats.quarantined_configs += 1;
             self.emit_recovery("quarantine", "deploy", 0, 0);
         }
@@ -1033,6 +1034,80 @@ pub(crate) mod tests {
         assert_eq!(env.crash_count(), 3, "no real crash on a quarantine hit");
         assert_eq!(env.recovery_stats().quarantine_hits, 1);
         assert_eq!(env.engine().restart_count(), restarts_before, "no deploy happened");
+    }
+
+    /// The recovery numbers, exactly: an exhausted operation makes 5
+    /// attempts, i.e. 4 retries backing off 250 + 500 + 1 000 + 2 000 ms,
+    /// and a cell is quarantined on its 3rd consecutive crash.
+    #[test]
+    fn recovery_counts_and_events_are_exact() {
+        use crate::telemetry::TraceLevel;
+        fn recovery_events(env: &DbEnv) -> Vec<(String, String, u64, u64)> {
+            env.telemetry()
+                .drain_ring()
+                .into_iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Recovery { action, during, attempt, backoff_ms } => {
+                        Some((action, during, attempt, backoff_ms))
+                    }
+                    _ => None,
+                })
+                .collect()
+        }
+        let ev = |action: &str, during: &str, attempt: u64, backoff_ms: u64| {
+            (action.to_string(), during.to_string(), attempt, backoff_ms)
+        };
+
+        // Deploy: every restart fails transiently.
+        let mut env = tiny_env();
+        let _ = env.reset();
+        let target = env.current_config().clone();
+        env.set_telemetry(Telemetry::ring(64, TraceLevel::Debug));
+        env.engine_mut()
+            .set_fault_plan(Some(FaultPlan::new(1).with_restart_failure(1.0)));
+        let before = *env.recovery_stats();
+        let err = env.deploy_with_retry(&target).unwrap_err();
+        assert!(matches!(err, EnvError::DeployFailed { attempts: 5, .. }), "{err:?}");
+        let spent = env.recovery_stats().since(&before);
+        assert_eq!(spent.retries, 4);
+        assert_eq!(spent.backoff_ms, 250 + 500 + 1_000 + 2_000);
+        assert_eq!(spent.forced_restarts, 0);
+        let expected: Vec<_> = [(1, 250), (2, 500), (3, 1_000), (4, 2_000)]
+            .map(|(attempt, wait)| ev("retry", "deploy", attempt, wait))
+            .into();
+        assert_eq!(recovery_events(&env), expected);
+
+        // Stress: every window crashes; each retry restarts the instance.
+        let mut env = tiny_env();
+        let _ = env.reset();
+        env.set_telemetry(Telemetry::ring(64, TraceLevel::Debug));
+        env.engine_mut()
+            .set_fault_plan(Some(FaultPlan::new(9).with_spurious_crash(1.0)));
+        let before = *env.recovery_stats();
+        let err = env.stress_window_with_retry().unwrap_err();
+        assert!(matches!(err, EnvError::WindowFailed { attempts: 5, .. }), "{err:?}");
+        let spent = env.recovery_stats().since(&before);
+        assert_eq!(spent.retries, 4);
+        assert_eq!(spent.backoff_ms, 3_750);
+        assert_eq!(spent.forced_restarts, 4);
+        let expected: Vec<_> = [(1, 250), (2, 500), (3, 1_000), (4, 2_000)]
+            .into_iter()
+            .flat_map(|(attempt, wait)| {
+                [ev("retry", "stress", attempt, wait), ev("forced_restart", "stress", attempt, 0)]
+            })
+            .collect();
+        assert_eq!(recovery_events(&env), expected);
+
+        // Quarantine: not after the 2nd consecutive crash, on the 3rd.
+        let mut env = tiny_env();
+        let _ = env.reset();
+        let crash_action = [0.5, 0.5, 1.0, 1.0, 0.5, 0.5];
+        for _ in 0..2 {
+            assert!(env.step_action(&crash_action).crashed);
+        }
+        assert_eq!(env.quarantined_count(), 0);
+        assert!(env.step_action(&crash_action).crashed);
+        assert_eq!(env.quarantined_count(), 1);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod trainer;
 pub use action::ActionSpace;
 pub use cli::{Args, EnvSpec};
 pub use drift::{DriftConfig, DriftDetector, DriftEvent};
-pub use env::{DbEnv, EnvConfig, EnvError, RecoveryPolicy, RecoveryStats, StepOutcome};
+pub use env::{DbEnv, EnvConfig, EnvError, RecoveryStats, StepOutcome};
 pub use memory_pool::{Batch, MemoryKind, MemoryPool, PerConfig};
 pub use online::{
     tune_online, DegradedReason, OnlineConfig, OnlineSession, OnlineStep, SharedPolicy,

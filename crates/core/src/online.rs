@@ -18,7 +18,7 @@
 //! paper behaviour (and its determinism guarantees) is unchanged.
 
 use crate::drift::{offered_load, DriftDetector};
-use crate::env::{DbEnv, RecoveryStats};
+use crate::env::{DbEnv, RecoveryStats, StepOutcome};
 use crate::safety::{SafetyConfig, SafetyController, SafetyReport};
 use crate::telemetry::{ReplayTrace, TraceEvent, TraceLevel};
 use crate::trainer::TrainedModel;
@@ -52,8 +52,6 @@ pub struct OnlineConfig {
     pub max_steps: usize,
     /// Fine-tune the model on observed transitions (§2.1.2).
     pub fine_tune: bool,
-    /// Gradient updates per online step when fine-tuning.
-    pub updates_per_step: usize,
     /// Small exploration noise during online steps (the paper's
     /// accumulated-trying-steps exploration, §5.1.3).
     pub noise_sigma: f32,
@@ -73,10 +71,6 @@ pub struct OnlineConfig {
     /// (`model.snapshot.config.batch_size`), so offline and online training
     /// agree without restating the number.
     pub minibatch: usize,
-    /// Consecutive failed steps (crashes or unmeasurable degraded steps)
-    /// before the request aborts and recommends the best configuration
-    /// known so far instead of risking further deploys.
-    pub max_consecutive_failures: u32,
     /// Safety layer for live instances: trust-region clamping, regret
     /// budgeting, degradation rollback, and drift detection. `None`
     /// (default) reproduces the paper's unguarded loop.
@@ -88,7 +82,6 @@ impl Default for OnlineConfig {
         Self {
             max_steps: 5,
             fine_tune: true,
-            updates_per_step: 2,
             noise_sigma: 0.15,
             noise_fraction: 0.1,
             satisfaction: None,
@@ -96,7 +89,6 @@ impl Default for OnlineConfig {
             // Online fine-tuning always sampled up to 16 transitions per
             // update before the size became configurable.
             minibatch: 16,
-            max_consecutive_failures: 3,
             safety: None,
         }
     }
@@ -431,6 +423,13 @@ impl OnlineSession {
         perturb(raw, &sparse)
     }
 
+    /// Gradient updates per online step when fine-tuning.
+    const UPDATES_PER_STEP: usize = 2;
+    /// Consecutive failed steps (crashes or unmeasurable degraded steps)
+    /// before the request aborts and recommends the best configuration
+    /// known so far instead of risking further deploys.
+    const MAX_CONSECUTIVE_FAILURES: u32 = 3;
+
     /// Advances the session by one tuning step; `None` once the session is
     /// finished (budget exhausted, satisfied, or aborted).
     pub fn step(&mut self, env: &mut DbEnv) -> Option<OnlineStep> {
@@ -465,7 +464,8 @@ impl OnlineSession {
             }
         }
         let status_before = self.drift.as_ref().map(|_| env.engine().metrics());
-        let out = env.step_action(&action);
+        let mut out = env.step_action(&action);
+        out.timing.recommendation_wall_us = recommendation_wall_us;
         let mut rolled_back = false;
         if let Some(safety) = self.safety.as_mut() {
             let best_safe_tps = self.best_perf.throughput_tps;
@@ -524,38 +524,24 @@ impl OnlineSession {
             rolled_back,
         };
         self.steps.push(recorded.clone());
-        if self.telemetry.enabled(TraceLevel::Step) {
-            let mut timing = out.timing;
-            timing.recommendation_wall_us = recommendation_wall_us;
-            self.telemetry.emit(&TraceEvent::Step {
-                step: step as u64,
-                episode: 0,
-                action: action.iter().map(|&x| f64::from(x)).collect(),
-                reward: out.reward_trace,
-                throughput_tps: out.perf.throughput_tps,
-                p99_latency_us: out.perf.p99_latency_us,
-                crashed: out.crashed,
-                degraded: out.degraded,
-                replay: ReplayTrace {
-                    len: self.replay.len() as u64,
-                    is_weight_min: 1.0,
-                    is_weight_max: 1.0,
-                    ..ReplayTrace::default()
-                },
-                recovery: out.recovery,
-                engine: env.engine_sample(),
-                timing,
-            });
-        }
+        // The step event goes out once the step's fine-tune has run, but
+        // reports the replay pool as the step found it.
+        let replay = ReplayTrace {
+            len: self.replay.len() as u64,
+            is_weight_min: 1.0,
+            is_weight_max: 1.0,
+            ..ReplayTrace::default()
+        };
         if out.crashed || out.degraded {
             self.consecutive_failures += 1;
-            if self.consecutive_failures >= self.cfg.max_consecutive_failures.max(1) {
+            if self.consecutive_failures >= Self::MAX_CONSECUTIVE_FAILURES {
                 // The instance (or its infrastructure) is in no state to
                 // keep experimenting on; settle for the best so far.
                 self.degraded = Some(DegradedReason::RepeatedStepFailures {
                     consecutive: self.consecutive_failures,
                 });
                 self.finished = true;
+                self.emit_step(env, step, &action, &out, replay);
                 return Some(recorded);
             }
         } else {
@@ -576,29 +562,33 @@ impl OnlineSession {
         if !out.degraded {
             self.replay.push(Transition {
                 state: self.state.clone(),
-                action,
+                action: action.clone(),
                 reward: out.reward as f32 * self.reward_scale,
                 next_state: out.state.clone(),
                 done: out.done,
             });
         }
-        self.state = out.state;
 
         if self.cfg.fine_tune && self.replay.len() >= 3 {
+            // lint:allow(determinism) reason=wall-clock feeds telemetry timings only, never seeded state
+            let t_upd = std::time::Instant::now();
             // First gradient update: a shared session forks its private
             // copy of the weights here (copy-on-write) — the published
             // snapshot other sessions serve from stays immutable.
             self.fork_agent();
             let n = self.replay.len().min(self.minibatch.max(1));
             if let Weights::Owned(agent) = &mut self.weights {
-                for _ in 0..self.cfg.updates_per_step {
+                for _ in 0..Self::UPDATES_PER_STEP {
                     // Reusable packed minibatch: no per-update allocations.
                     self.replay.sample_into(n, &mut self.rng, &mut self.batch);
                     // lint:allow(panic) reason=the training kernel indexes scratch matrices it resizes to the asserted batch geometry
                     let _ = agent.train_step_batch(&self.batch, None, None);
                 }
             }
+            out.timing.model_update_wall_us = t_upd.elapsed().as_micros() as u64;
         }
+        self.emit_step(env, step, &action, &out, replay);
+        self.state = out.state;
         self.noise.decay();
 
         if let Some(target) = self.cfg.satisfaction {
@@ -610,6 +600,21 @@ impl OnlineSession {
             self.finished = true;
         }
         Some(recorded)
+    }
+
+    /// Emits the step's trace event (at [`TraceLevel::Step`]).
+    fn emit_step(
+        &self,
+        env: &DbEnv,
+        step: usize,
+        action: &[f32],
+        out: &StepOutcome,
+        replay: ReplayTrace,
+    ) {
+        if self.telemetry.enabled(TraceLevel::Step) {
+            let event = out.trace_event(step as u64, 0, action, replay, env.engine_sample());
+            self.telemetry.emit(&event);
+        }
     }
 
     /// True once [`OnlineSession::step`] has nothing left to do.
@@ -653,10 +658,10 @@ impl OnlineSession {
         self.drift.as_ref().map_or(0, |d| d.detections())
     }
 
-    /// Snapshots the live session as a [`TrainingCheckpoint`] so the
-    /// `cdbtuned` shutdown drain persists in-flight fine-tuning work with
-    /// the same machinery (and the same atomic-write guarantees) offline
-    /// training uses. The report carries the per-step histories observed so
+    /// Snapshots the live session as a
+    /// [`crate::trainer::TrainingCheckpoint`] so the `cdbtuned` shutdown
+    /// drain persists in-flight fine-tuning work with the same machinery
+    /// (and the same atomic-write guarantees) offline training uses. The report carries the per-step histories observed so
     /// far; the transitions are the session's replay contents.
     pub fn drain_checkpoint(&self, env: &DbEnv) -> crate::trainer::TrainingCheckpoint {
         use crate::trainer::{ConvergenceTracker, TrainingCheckpoint, TrainingReport};
@@ -675,7 +680,7 @@ impl OnlineSession {
             recovery: env.recovery_stats().since(&self.recovery0),
         };
         TrainingCheckpoint {
-            version: 1,
+            version: crate::persist::FORMAT_VERSION,
             seed: self.cfg.seed,
             episode: 0,
             ep_step: self.steps.len(),
@@ -688,7 +693,7 @@ impl OnlineSession {
             processor: env.processor().clone(),
             transitions: self.replay.iter().cloned().collect(),
             report,
-            tracker: ConvergenceTracker::new(0.005, 5),
+            tracker: ConvergenceTracker::paper(),
             best_eval: f64::MIN,
             best_snapshot: None,
             quarantined: env.quarantined_keys(),
@@ -904,6 +909,56 @@ mod tests {
         ck.validate_against(simdb::TOTAL_METRIC_COUNT, env.space().dim())
             .expect("drained checkpoint fits its own session");
         let _ = session.finish(&mut env);
+    }
+
+    #[test]
+    fn drained_checkpoint_reads_back_in_the_format_it_was_written() {
+        use crate::trainer::TrainingCheckpoint;
+        let (mut env, model) = trained();
+        let mut session = OnlineSession::begin(&mut env, &model, &OnlineConfig::default());
+        let _ = session.step(&mut env);
+        let dir = std::env::temp_dir()
+            .join(format!("cdbtune-drain-{}", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        let _ = std::fs::remove_dir_all(&dir);
+        session.drain_checkpoint(&env).save_atomic(&dir).expect("checkpoint written");
+        let ck = TrainingCheckpoint::load(&dir).expect("decodes").expect("exists");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(ck.version, crate::persist::FORMAT_VERSION);
+        assert_eq!(ck.report.total_steps, 1);
+        let _ = session.finish(&mut env);
+    }
+
+    #[test]
+    fn fine_tuned_steps_report_their_update_time() {
+        use crate::telemetry::{Telemetry, TraceEvent, TraceLevel};
+        let (mut env, model) = trained();
+        env.set_telemetry(Telemetry::ring(64, TraceLevel::Step));
+        let outcome = tune_online(&mut env, &model, &OnlineConfig::default());
+        assert_eq!(outcome.steps.len(), 5);
+        let updates: Vec<(u64, u64, u64)> = env
+            .telemetry()
+            .drain_ring()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Step { step, replay, timing, .. } => {
+                    Some((*step, replay.len, timing.model_update_wall_us))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(updates.len(), 5);
+        for (step, replay_len, update_us) in updates {
+            // The pool as the step found it: one transition per earlier step.
+            assert_eq!(replay_len, step - 1);
+            // Fine-tuning starts once the pool holds 3 transitions.
+            if step >= 3 {
+                assert!(update_us > 0, "step {step} fine-tuned in {update_us} µs");
+            } else {
+                assert_eq!(update_us, 0, "step {step} did not fine-tune");
+            }
+        }
     }
 
     #[test]
@@ -1187,7 +1242,7 @@ mod tests {
         let cfg = OnlineConfig {
             max_steps: 12,
             safety: Some(crate::safety::SafetyConfig {
-                drift: crate::drift::DriftConfig { window: 3, ..Default::default() },
+                drift: crate::drift::DriftConfig { window: 3 },
                 ..crate::safety::SafetyConfig::default()
             }),
             ..OnlineConfig::default()

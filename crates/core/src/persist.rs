@@ -370,7 +370,7 @@ mod tests {
             next_state: vec![-0.0; TOTAL_METRIC_COUNT],
             done: true,
         };
-        let mut tracker = ConvergenceTracker::new(0.005, 5);
+        let mut tracker = ConvergenceTracker::paper();
         tracker.observe(1234.5);
         TrainingCheckpoint {
             version: FORMAT_VERSION,

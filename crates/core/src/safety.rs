@@ -33,11 +33,6 @@ pub struct SafetyConfig {
     pub min_radius: f64,
     /// Radius ceiling — even a long safe streak stays bounded.
     pub max_radius: f64,
-    /// Multiplier applied when a window overruns budget or a rollback
-    /// fires (`< 1`).
-    pub shrink: f64,
-    /// Multiplier applied after a sustained safe window (`> 1`).
-    pub grow: f64,
     /// Steps per regret-accounting window.
     pub regret_window: usize,
     /// Cumulative relative regret allowed per window (e.g. `0.75` =
@@ -56,8 +51,6 @@ impl Default for SafetyConfig {
             trust_radius: 0.15,
             min_radius: 0.03,
             max_radius: 0.5,
-            shrink: 0.5,
-            grow: 1.2,
             regret_window: 5,
             regret_budget: 0.75,
             rollback_threshold: 0.25,
@@ -138,6 +131,9 @@ pub struct SafetyController {
 }
 
 impl SafetyController {
+    /// Radius multiplier after a sustained safe window (twice on a drift).
+    const GROW: f64 = 1.2;
+
     /// Creates a controller centred on the initial safe action (normally
     /// the baseline/default configuration's action vector).
     pub fn new(cfg: SafetyConfig, center: Vec<f32>) -> Self {
@@ -245,7 +241,7 @@ impl SafetyController {
                 self.shrink();
             } else if self.window_rollbacks == 0 && self.window_regret < 0.25 * self.cfg.regret_budget {
                 // Sustained safe improvement: widen exploration.
-                self.radius = (self.radius * self.cfg.grow).min(self.cfg.max_radius);
+                self.radius = (self.radius * Self::GROW).min(self.cfg.max_radius);
             }
             self.windows_done += 1;
             self.window_regret = 0.0;
@@ -261,11 +257,14 @@ impl SafetyController {
     /// tuner re-adapt quickly.
     pub fn note_drift(&mut self) {
         self.report.drift_events += 1;
-        self.radius = (self.radius * self.cfg.grow * self.cfg.grow).min(self.cfg.max_radius);
+        self.radius = (self.radius * Self::GROW * Self::GROW).min(self.cfg.max_radius);
     }
 
+    /// Radius multiplier when a window overruns budget or a rollback fires.
+    const SHRINK: f64 = 0.5;
+
     fn shrink(&mut self) {
-        self.radius = (self.radius * self.cfg.shrink).max(self.cfg.min_radius);
+        self.radius = (self.radius * Self::SHRINK).max(self.cfg.min_radius);
     }
 }
 

@@ -51,10 +51,6 @@ pub struct TrainerConfig {
     /// of the paper's online tuning continuing from the instance's current
     /// configuration rather than from scratch.
     pub warm_start_fraction: f64,
-    /// Convergence threshold (0.005 = the paper's 0.5 %).
-    pub convergence_threshold: f64,
-    /// Consecutive sub-threshold steps required (paper: 5).
-    pub convergence_window: usize,
     /// Actor hidden widths (Table 5 default when `None`).
     pub actor_hidden: Option<Vec<usize>>,
     /// Critic hidden widths (Table 5 default when `None`).
@@ -96,8 +92,6 @@ impl Default for TrainerConfig {
             noise_decay: 0.96,
             random_warmup_steps: 40,
             warm_start_fraction: 0.5,
-            convergence_threshold: 0.005,
-            convergence_window: 5,
             actor_hidden: None,
             critic_hidden: None,
             learning_rate: 1e-3,
@@ -242,10 +236,22 @@ pub struct ConvergenceTracker {
 }
 
 impl ConvergenceTracker {
-    /// Creates a tracker with the paper's defaults available via
-    /// `TrainerConfig`.
-    pub fn new(threshold: f64, window: usize) -> Self {
-        Self { threshold, window, ema: None, quiet_steps: 0, converged_at: None, step: 0 }
+    /// The paper's convergence threshold: a 0.5 % change.
+    const THRESHOLD: f64 = 0.005;
+    /// Consecutive sub-threshold steps required (paper: 5).
+    const WINDOW: usize = 5;
+
+    /// A tracker for Appendix C.1.1's criterion: less than 0.5 % change
+    /// over five consecutive steps.
+    pub fn paper() -> Self {
+        Self {
+            threshold: Self::THRESHOLD,
+            window: Self::WINDOW,
+            ema: None,
+            quiet_steps: 0,
+            converged_at: None,
+            step: 0,
+        }
     }
 
     /// Feeds one performance observation; returns true once converged.
@@ -452,7 +458,6 @@ pub fn train_offline_resumable(
     let state_dim = simdb::TOTAL_METRIC_COUNT;
     let action_dim = env.space().dim();
     let registry = std::sync::Arc::clone(env.engine().registry());
-    let space_indices: Vec<usize> = env.space().indices().to_vec();
     let crashes0 = env.crash_count();
     let recovery0 = *env.recovery_stats();
     let telemetry = env.telemetry().clone();
@@ -486,12 +491,8 @@ pub fn train_offline_resumable(
             best_eval = ck.best_eval;
             best_snapshot = ck.best_snapshot;
             if report.best_throughput > 0.0 {
-                let mut cfg_best = registry.default_config();
-                cfg_best.apply_normalized(
-                    &space_indices,
-                    &report.best_action.iter().map(|&x| f64::from(x)).collect::<Vec<_>>(),
-                );
-                best_config = Some(cfg_best);
+                best_config =
+                    Some(env.space().to_config(&registry.default_config(), &report.best_action));
             }
             start_episode = ck.episode;
             resume_ep_step = ck.ep_step;
@@ -515,7 +516,7 @@ pub fn train_offline_resumable(
                 wall_seconds: 0.0,
                 recovery: RecoveryStats::default(),
             };
-            tracker = ConvergenceTracker::new(cfg.convergence_threshold, cfg.convergence_window);
+            tracker = ConvergenceTracker::paper();
             best_snapshot = None;
             best_eval = f64::MIN;
             start_episode = 0;
@@ -576,7 +577,8 @@ pub fn train_offline_resumable(
                 perturb(&agent.act(&state), &noise.sample(&mut rng))
             };
             let recommendation_wall_us = t_rec.elapsed().as_micros() as u64;
-            let out = env.step_action(&action);
+            let mut out = env.step_action(&action);
+            out.timing.recommendation_wall_us = recommendation_wall_us;
             if evaluate {
                 report.actor_eval_history.push(out.perf.throughput_tps);
                 if !out.crashed && !out.degraded && out.perf.throughput_tps > best_eval {
@@ -595,12 +597,7 @@ pub fn train_offline_resumable(
                 report.best_throughput = out.perf.throughput_tps;
                 report.best_latency_us = out.perf.p99_latency_us;
                 report.best_action = action.clone();
-                let mut cfg_best = registry.default_config();
-                cfg_best.apply_normalized(
-                    &space_indices,
-                    &action.iter().map(|&x| f64::from(x)).collect::<Vec<_>>(),
-                );
-                best_config = Some(cfg_best);
+                best_config = Some(env.space().to_config(&registry.default_config(), &action));
             }
             let _ = tracker.observe(out.perf.throughput_tps);
 
@@ -615,7 +612,6 @@ pub fn train_offline_resumable(
                     done: out.done,
                 });
             }
-            state = out.state;
 
             // lint:allow(determinism) reason=wall-clock feeds telemetry timings only, never seeded state
             let t_upd = std::time::Instant::now();
@@ -642,7 +638,7 @@ pub fn train_offline_resumable(
                     pool.update_priorities(batch_scratch.sampled_indices(), &td_scratch);
                 }
             }
-            let model_update_wall_us = t_upd.elapsed().as_micros() as u64;
+            out.timing.model_update_wall_us = t_upd.elapsed().as_micros() as u64;
 
             ep_steps += 1;
             ep_reward_sum += out.reward;
@@ -650,9 +646,6 @@ pub fn train_offline_resumable(
                 ep_best_tps = ep_best_tps.max(out.perf.throughput_tps);
             }
             if telemetry.enabled(TraceLevel::Step) {
-                let mut timing = out.timing;
-                timing.recommendation_wall_us = recommendation_wall_us;
-                timing.model_update_wall_us = model_update_wall_us;
                 let replay = match pool.replay_stats() {
                     Some(s) => ReplayTrace {
                         len: s.len as u64,
@@ -670,21 +663,15 @@ pub fn train_offline_resumable(
                         ..ReplayTrace::default()
                     },
                 };
-                telemetry.emit(&TraceEvent::Step {
-                    step: report.total_steps as u64,
-                    episode: episode as u64,
-                    action: action.iter().map(|&x| f64::from(x)).collect(),
-                    reward: out.reward_trace,
-                    throughput_tps: out.perf.throughput_tps,
-                    p99_latency_us: out.perf.p99_latency_us,
-                    crashed: out.crashed,
-                    degraded: out.degraded,
+                telemetry.emit(&out.trace_event(
+                    report.total_steps as u64,
+                    episode as u64,
+                    &action,
                     replay,
-                    recovery: out.recovery,
-                    engine: env.engine_sample(),
-                    timing,
-                });
+                    env.engine_sample(),
+                ));
             }
+            state = out.state;
 
             if let Some(dir) = &cfg.checkpoint_dir {
                 if cfg.checkpoint_every_steps > 0
@@ -941,7 +928,7 @@ mod tests {
             processor: StateProcessor::new(),
             transitions: Vec::new(),
             report: blank_report(action_dim),
-            tracker: ConvergenceTracker::new(0.005, 5),
+            tracker: ConvergenceTracker::paper(),
             best_eval: f64::MIN,
             best_snapshot: None,
             quarantined: Vec::new(),
@@ -1089,7 +1076,7 @@ mod tests {
 
     #[test]
     fn convergence_tracker_fires_on_flat_series() {
-        let mut t = ConvergenceTracker::new(0.005, 5);
+        let mut t = ConvergenceTracker::paper();
         for _ in 0..3 {
             assert!(!t.observe(1000.0) || t.converged_at().is_some());
         }
@@ -1102,7 +1089,7 @@ mod tests {
 
     #[test]
     fn convergence_tracker_resets_on_jumps() {
-        let mut t = ConvergenceTracker::new(0.005, 5);
+        let mut t = ConvergenceTracker::paper();
         for i in 0..40 {
             // Alternating large jumps never converge.
             let _ = t.observe(if i % 2 == 0 { 1000.0 } else { 2000.0 });

@@ -22,8 +22,8 @@ use crate::env::Transition;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tinynn::{
-    Adam, BatchNorm, Dense, Dropout, Init, Layer, Matrix, Mlp, NetState, Optimizer, Relu,
-    Tanh, PAPER_WEIGHT_INIT,
+    Adam, BatchNorm, Dense, Dropout, Init, Layer, Matrix, Mlp, NetState, Relu, Tanh,
+    PAPER_WEIGHT_INIT,
 };
 
 /// DDPG hyper-parameters. Defaults follow the paper: learning rate 0.001

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 #[allow(unused_imports)]
 use rand::RngCore;
-use tinynn::{Adam, Dense, Init, Layer, Matrix, Mlp, Optimizer, Relu};
+use tinynn::{Adam, Dense, Init, Layer, Matrix, Mlp, Relu};
 
 /// DQN hyper-parameters.
 #[derive(Debug, Clone)]

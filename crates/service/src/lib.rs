@@ -28,7 +28,7 @@
 //!   concurrent sessions on one box.
 //! * [`client`] — a minimal blocking client for tests and the `bench`
 //!   load generator.
-//! * [`reference`] — the seeded session script the differential tests run
+//! * [`reference`](mod@reference) — the seeded session script the differential tests run
 //!   over the wire and in process, and require to agree.
 //!
 //! Everything here is **std-only** (no new external dependencies): the

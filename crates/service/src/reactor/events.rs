@@ -5,12 +5,12 @@
 //! Ownership rules (the whole design in four lines):
 //!
 //! * The **reactor thread** exclusively owns the poller, the listener,
-//!   and all [`Conn`] state. Nothing else touches a socket.
+//!   and all `Conn` state. Nothing else touches a socket.
 //! * Each **compute worker** exclusively owns the sessions of its shard
 //!   (`token % shards`) in a plain `HashMap` — session affinity makes
 //!   locks unnecessary.
 //! * Work flows reactor→worker over a per-shard mpsc run queue
-//!   ([`Job`]); results flow back over one completion queue ([`Done`])
+//!   (`Job`); results flow back over one completion queue (`Done`)
 //!   plus a [`Waker`] nudge. Connections never block on compute.
 //! * Shard queues are FIFO, so a terminal job (`Settle`/`Drain`)
 //!   enqueued behind a running job is processed after it — no races on

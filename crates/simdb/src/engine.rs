@@ -226,7 +226,7 @@ impl Engine {
     /// Deploys a knob configuration. This restarts the instance (clearing
     /// and pre-warming the buffer pool) and enforces the redo-log crash
     /// rule: if `log_file_size * log_files_in_group` exceeds
-    /// [`LOG_DISK_FRACTION`] of the disk, the instance crashes and the
+    /// `LOG_DISK_FRACTION` (60 %) of the disk, the instance crashes and the
     /// caller sees [`SimDbError::Crash`] — the tuner is expected to learn
     /// from the punishment rather than have the range clamped (§5.2.3).
     pub fn apply_config(&mut self, config: KnobConfig) -> Result<()> {

@@ -14,14 +14,14 @@
 //! * [`layers`] — `Dense`, `Relu`/`Tanh`/`Sigmoid`, `BatchNorm`, `Dropout`,
 //! * [`net::Mlp`] — a sequential network with manual backprop, snapshots,
 //!   and Polyak soft updates for DDPG target networks,
-//! * [`optim`] — SGD (± momentum) and Adam,
+//! * [`optim`] — Adam,
 //! * [`loss`] — MSE and Huber,
 //! * [`linalg`] — Cholesky, triangular solves, SPD solve with jitter.
 //!
 //! # Example
 //!
 //! ```
-//! use tinynn::{Dense, Init, Mlp, Relu, mse_loss, Adam, Optimizer, Matrix};
+//! use tinynn::{Dense, Init, Mlp, Relu, mse_loss, Adam, Matrix};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
@@ -66,4 +66,4 @@ pub use linalg::{cholesky, solve_lower, solve_lower_transpose, solve_spd, Linalg
 pub use loss::{huber_loss, mse_loss};
 pub use matrix::Matrix;
 pub use net::{Mlp, NetState};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;

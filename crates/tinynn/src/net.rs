@@ -1,7 +1,7 @@
 //! A sequential multi-layer perceptron with manual backpropagation, plus the
 //! soft-update and parameter-blending utilities DDPG target networks need.
 //!
-//! The network owns a [`Scratch`] arena: one activation matrix per layer
+//! The network owns a `Scratch` arena: one activation matrix per layer
 //! boundary plus two ping-pong gradient buffers, all resized in place. A
 //! steady-state `forward_ref` → `backward_ref` cycle therefore performs zero
 //! heap allocations — see DESIGN.md §11 for the ownership rules.
@@ -253,7 +253,7 @@ mod tests {
     use crate::init::Init;
     use crate::layers::{BatchNorm, Dense, Dropout, Relu, Tanh};
     use crate::loss::mse_loss;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

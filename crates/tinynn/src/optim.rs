@@ -1,76 +1,11 @@
-//! Gradient-descent optimizers.
+//! The Adam optimizer.
 //!
-//! Optimizer state (momentum / Adam moments) is keyed by parameter visitation
+//! Optimizer state (the Adam moments) is keyed by parameter visitation
 //! order, which is stable because network architectures are fixed after
 //! construction.
 
 use crate::matrix::Matrix;
 use crate::net::Mlp;
-
-/// A first-order optimizer over an [`Mlp`]'s parameters.
-pub trait Optimizer {
-    /// Applies one update using the gradients currently accumulated in the
-    /// network (does not zero them).
-    fn step(&mut self, net: &mut Mlp);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (used by decay schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Plain stochastic gradient descent, optionally with classical momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// SGD without momentum.
-    pub fn new(lr: f32) -> Self {
-        Self { lr, momentum: 0.0, velocity: Vec::new() }
-    }
-
-    /// SGD with classical momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self { lr, momentum, velocity: Vec::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut Mlp) {
-        let mut idx = 0;
-        let lr = self.lr;
-        let mom = self.momentum;
-        let velocity = &mut self.velocity;
-        net.visit_params(&mut |p| {
-            if velocity.len() <= idx {
-                velocity.push(Matrix::zeros(p.value.rows(), p.value.cols()));
-            }
-            // lint:allow(panic) reason=the branch above grows velocity past idx
-            let v = &mut velocity[idx];
-            if mom > 0.0 {
-                for (vi, &g) in v.as_mut_slice().iter_mut().zip(p.grad.as_slice()) {
-                    *vi = mom * *vi + g;
-                }
-                p.value.add_scaled(v, -lr);
-            } else {
-                p.value.add_scaled(&p.grad, -lr);
-            }
-            idx += 1;
-        });
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
 
 /// Adam optimizer (Kingma & Ba) with bias correction.
 pub struct Adam {
@@ -88,10 +23,10 @@ impl Adam {
     pub fn new(lr: f32) -> Self {
         Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, net: &mut Mlp) {
+    /// Applies one update using the gradients currently accumulated in the
+    /// network (does not zero them).
+    pub fn step(&mut self, net: &mut Mlp) {
         self.t += 1;
         let t = self.t as f32;
         let bc1 = 1.0 - self.beta1.powf(t);
@@ -123,11 +58,13 @@ impl Optimizer for Adam {
         });
     }
 
-    fn learning_rate(&self) -> f32 {
+    /// Current learning rate.
+    pub fn learning_rate(&self) -> f32 {
         self.lr
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Overrides the learning rate (used by decay schedules).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -145,7 +82,7 @@ mod tests {
         Mlp::new(vec![Box::new(Dense::new(1, 1, Init::Uniform(0.1), rng))])
     }
 
-    fn train(net: &mut Mlp, opt: &mut dyn Optimizer, iters: usize) -> f32 {
+    fn train(net: &mut Mlp, opt: &mut Adam, iters: usize) -> f32 {
         // Fit y = 3x + 1.
         let xs = Matrix::from_vec(4, 1, vec![-1.0, 0.0, 1.0, 2.0]);
         let ys = Matrix::from_vec(4, 1, vec![-2.0, 1.0, 4.0, 7.0]);
@@ -159,27 +96,6 @@ mod tests {
             loss = l;
         }
         loss
-    }
-
-    #[test]
-    fn sgd_converges_on_linear_fit() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut net = one_dense(&mut rng);
-        let mut opt = Sgd::new(0.05);
-        assert!(train(&mut net, &mut opt, 500) < 1e-4);
-    }
-
-    #[test]
-    fn momentum_converges_faster_than_plain_sgd() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut plain_net = one_dense(&mut rng);
-        let mut rng2 = StdRng::seed_from_u64(2);
-        let mut mom_net = one_dense(&mut rng2);
-        let mut plain = Sgd::new(0.01);
-        let mut mom = Sgd::with_momentum(0.01, 0.9);
-        let l_plain = train(&mut plain_net, &mut plain, 60);
-        let l_mom = train(&mut mom_net, &mut mom, 60);
-        assert!(l_mom < l_plain, "momentum {l_mom} should beat plain {l_plain}");
     }
 
     #[test]

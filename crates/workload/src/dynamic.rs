@@ -144,7 +144,7 @@ impl DynamicSpec {
         kinds
     }
 
-    /// Renders back to the CLI spec form accepted by [`FromStr`].
+    /// Renders back to the CLI spec form accepted by [`std::str::FromStr`].
     pub fn to_spec_string(&self) -> String {
         let mut out = format!("base={},scale={}", kind_token(self.base), self.scale);
         if let Some(d) = self.diurnal {

@@ -14,6 +14,10 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# Docs gate: every crate's rustdoc builds without a warning, so a doc link
+# to a deleted, renamed or private item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 # Static-analysis gate: tunelint walks every crates/**/*.rs with the five
 # project lints (panic-safety, determinism, lock-order, unsafe-audit,
 # reactor-blocking), interprocedurally over a call graph and a fixpoint

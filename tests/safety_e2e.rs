@@ -103,7 +103,7 @@ fn flash_crowd_with_degradation_stays_within_regret_budget() {
 
 #[test]
 fn drift_detector_flags_mix_shifts_and_stays_silent_on_static_control() {
-    let drift = DriftConfig { window: 3, ..DriftConfig::default() };
+    let drift = DriftConfig { window: 3 };
 
     // Recall: a read-write -> write-only mix shift with a sustained flash
     // crowd must register at least one detection.
@@ -158,7 +158,7 @@ fn safety_telemetry_flows_through_the_trace_summarizer() {
         safety: Some(SafetyConfig {
             trust_radius: 0.05,
             rollback_threshold: 0.3,
-            drift: DriftConfig { window: 3, ..DriftConfig::default() },
+            drift: DriftConfig { window: 3 },
             ..SafetyConfig::default()
         }),
         ..OnlineConfig::default()
