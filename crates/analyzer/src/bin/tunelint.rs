@@ -4,7 +4,7 @@
 //!
 //! Exit codes: 0 clean, 1 any finding, 2 usage or I/O error.
 
-use analyzer::{analyze_tree, AnalysisConfig, LINT_DOCS};
+use analyzer::{analyze_tree, AnalysisConfig, ALLOW_IDS, LINT_DOCS};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -19,7 +19,7 @@ USAGE: tunelint [--root DIR] [--list]
 
 Every finding fails. Suppress a single one with an annotation on the same
 line or the line above:  // lint:allow(<id>) reason=<why this is sound>
-where <id> is one of: panic, determinism, lock-order, unsafe, reactor.
+where <id> is one of: {ids}.
 
 Every run also prints the call graph's nodes/edges/unresolved counts.
 
@@ -41,7 +41,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--help" => {
-                println!("{HELP}");
+                println!("{}", HELP.replace("{ids}", &ALLOW_IDS.join(", ")));
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}` (see --help)")),

@@ -20,7 +20,7 @@
 //!   **unresolved**.
 //!
 //! Unresolved calls (std/external or ambiguous) are kept explicitly so
-//! every `tunelint` run can print coverage and the golden dump can
+//! every `tunelint` run can print coverage and the fixture golden can
 //! assert them. Known approximations are documented in DESIGN.md §15.
 
 use crate::lexer::Tok;
@@ -109,32 +109,6 @@ impl CallGraph {
             edges: self.edges.iter().map(|e| e.len()).sum(),
             unresolved: self.unresolved.iter().map(|u| u.len()).sum(),
         }
-    }
-
-    /// Deterministic text dump for golden tests: `node`, `edge`, `ext`
-    /// lines, deduped and sorted within each section.
-    pub fn dump(&self, sources: &[SourceFile]) -> String {
-        let loc = |i: usize| {
-            let n = &self.nodes[i];
-            format!("{}|{}", sources[n.file].path, n.qual)
-        };
-        let mut nodes: Vec<String> =
-            (0..self.nodes.len()).map(|i| format!("node {}", loc(i))).collect();
-        nodes.sort();
-        let mut edges: BTreeSet<String> = BTreeSet::new();
-        let mut exts: BTreeSet<String> = BTreeSet::new();
-        for i in 0..self.nodes.len() {
-            for e in &self.edges[i] {
-                edges.insert(format!("edge {} -> {}", loc(i), loc(e.callee)));
-            }
-            for u in &self.unresolved[i] {
-                exts.insert(format!("ext {} -> {}", loc(i), u.written));
-            }
-        }
-        let mut out = nodes;
-        out.extend(edges);
-        out.extend(exts);
-        out.join("\n") + "\n"
     }
 }
 

@@ -1,32 +1,29 @@
 //! Interprocedural dataflow over the call graph.
 //!
-//! Propagates three facts from the seed detector [`seed_at`] — the same
+//! Propagates two facts from the seed detector [`seed_at`] — the same
 //! one the per-file `panic-safety` and `reactor-blocking` lints use — to
 //! a fixpoint, caller-ward along call edges:
 //!
 //! * **may-block** — blocking reads, `BufReader`, `thread::sleep`,
 //!   blocking `.recv()`, `set_nonblocking(false)` and `.lock(..)`;
 //! * **may-panic** — `.unwrap()`, `.expect(..)`, `panic!`-family
-//!   macros, slice indexing;
-//! * **locks-acquired** — the set of lock bindings a fn (or anything it
-//!   calls) acquires.
+//!   macros, slice indexing.
 //!
-//! The lattices are tiny and monotone — booleans with a witness, and
-//! finite name sets — so a plain worklist terminates even on cyclic
-//! (recursive) graphs. Each boolean fact keeps a [`Witness`]: the line
+//! The lattices are tiny and monotone — booleans with a witness — so a
+//! plain worklist terminates even on cyclic (recursive) graphs. Each
+//! fact keeps a [`Witness`]: the line
 //! it was observed at and, for propagated facts, the callee it came
 //! through, so lints can reconstruct the full call chain for messages.
 //!
 //! Suppression composes with the existing annotations: a seed under
-//! `lint:allow(reactor|panic|lock-order)` never enters the
+//! `lint:allow(reactor|panic)` never enters the
 //! lattice, and propagation through a *call site* annotated with the
 //! matching id is cut, which is how deliberate blocking workers stay
 //! out of their callers' facts.
 
 use crate::callgraph::CallGraph;
 use crate::lexer::{Tok, Token};
-use crate::{decl_name_before, ident_at, is_keyword, is_punct, SourceFile};
-use std::collections::BTreeSet;
+use crate::{ident_at, is_keyword, is_punct, SourceFile};
 
 /// Blocking `Read`-trait helpers: each parks the thread until the peer
 /// sends enough bytes.
@@ -47,13 +44,6 @@ pub struct Witness {
 /// One ordered observation inside a fn body (token order).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
-    /// A lock acquisition `name.lock()/.read()/.write()`.
-    Acquire {
-        /// Lock binding name.
-        name: String,
-        /// 1-based line.
-        line: u32,
-    },
     /// A resolved call to another node.
     Call {
         /// Callee node index.
@@ -86,10 +76,6 @@ pub struct Dataflow {
     pub may_block: Vec<Option<Witness>>,
     /// may-panic witness per node.
     pub may_panic: Vec<Option<Witness>>,
-    /// Lock bindings acquired by the node or anything it calls.
-    pub locks: Vec<BTreeSet<String>>,
-    /// Every binding declared with a Mutex/RwLock type, workspace-wide.
-    pub lock_names: BTreeSet<String>,
 }
 
 /// Reconstructs the call chain behind a propagated fact as
@@ -125,20 +111,20 @@ pub fn chain_of(
 /// files matching `kernel_allowlist` (dim-asserted compute kernels) are
 /// skipped at extraction, so they never enter the may-panic lattice.
 pub fn run(sources: &[SourceFile], graph: &CallGraph, kernel_allowlist: &[String]) -> Dataflow {
-    let mut d = Dataflow { lock_names: collect_lock_names(sources), ..Dataflow::default() };
     let n = graph.nodes.len();
-    d.events = (0..n)
-        .map(|i| {
-            let path = &sources[graph.nodes[i].file].path;
-            let kernel = kernel_allowlist.iter().any(|p| path.contains(p.as_str()));
-            extract_events(i, graph, sources, &d, kernel)
-        })
-        .collect();
-    d.may_block = vec![None; n];
-    d.may_panic = vec![None; n];
-    d.locks = vec![BTreeSet::new(); n];
+    let mut d = Dataflow {
+        events: (0..n)
+            .map(|i| {
+                let path = &sources[graph.nodes[i].file].path;
+                let kernel = kernel_allowlist.iter().any(|p| path.contains(p.as_str()));
+                extract_events(i, graph, sources, kernel)
+            })
+            .collect(),
+        may_block: vec![None; n],
+        may_panic: vec![None; n],
+    };
 
-    // Seed the boolean facts and the direct lock sets.
+    // Seed the boolean facts.
     for i in 0..n {
         for ev in &d.events[i] {
             match ev {
@@ -150,9 +136,6 @@ pub fn run(sources: &[SourceFile], graph: &CallGraph, kernel_allowlist: &[String
                     d.may_panic[i] =
                         Some(Witness { line: *line, desc: tag.clone(), via: None });
                 }
-                Event::Acquire { name, .. } => {
-                    d.locks[i].insert(name.clone());
-                }
                 _ => {}
             }
         }
@@ -160,7 +143,6 @@ pub fn run(sources: &[SourceFile], graph: &CallGraph, kernel_allowlist: &[String
 
     propagate_bool(&mut d.may_block, &d.events, graph, sources, "reactor");
     propagate_bool(&mut d.may_panic, &d.events, graph, sources, "panic");
-    propagate_locks(&mut d.locks, &d.events, graph, sources);
     d
 }
 
@@ -202,50 +184,6 @@ fn propagate_bool(
     }
 }
 
-/// Caller-ward worklist for the lock sets (finite union lattice).
-fn propagate_locks(
-    locks: &mut [BTreeSet<String>],
-    events: &[Vec<Event>],
-    graph: &CallGraph,
-    sources: &[SourceFile],
-) {
-    let mut work: Vec<usize> =
-        (0..locks.len()).filter(|&i| !locks[i].is_empty()).collect();
-    while let Some(m) = work.pop() {
-        let from = locks[m].clone();
-        for &c in &graph.callers[m] {
-            let calls_through = events[c].iter().any(|ev| matches!(ev,
-                Event::Call { callee, line }
-                    if *callee == m
-                        && !sources[graph.nodes[c].file].allowed("lock-order", *line)));
-            if !calls_through {
-                continue;
-            }
-            let before = locks[c].len();
-            locks[c].extend(from.iter().cloned());
-            if locks[c].len() != before {
-                work.push(c);
-            }
-        }
-    }
-}
-
-/// Every binding declared with a `Mutex`/`RwLock` type, in any file.
-fn collect_lock_names(sources: &[SourceFile]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for s in sources {
-        let toks = &s.lexed.tokens;
-        for i in 0..toks.len() {
-            if matches!(ident_at(toks, i), Some("Mutex") | Some("RwLock")) {
-                if let Some(n) = decl_name_before(toks, i) {
-                    names.insert(n);
-                }
-            }
-        }
-    }
-    names
-}
-
 /// Token ranges of fns nested inside `node`'s body (their events belong
 /// to the nested node).
 fn nested_ranges(node: usize, graph: &CallGraph) -> Vec<(usize, usize)> {
@@ -260,14 +198,12 @@ fn nested_ranges(node: usize, graph: &CallGraph) -> Vec<(usize, usize)> {
     skip
 }
 
-/// Extracts the ordered event list for one node: lock acquisitions,
-/// blocking/panic seeds (suppressed by their allow ids and test
+/// Extracts the ordered event list for one node: blocking/panic seeds (suppressed by their allow ids and test
 /// regions), and resolved calls — all in token order.
 fn extract_events(
     node: usize,
     graph: &CallGraph,
     sources: &[SourceFile],
-    d: &Dataflow,
     kernel: bool,
 ) -> Vec<Event> {
     let me = &graph.nodes[node];
@@ -302,21 +238,6 @@ fn extract_events(
             }
             Some(ev @ Event::Block { .. }) if !s.allowed("reactor", line) => evs.push((i, ev)),
             _ => {}
-        }
-        // Acquisitions stay limited to bindings declared as a lock.
-        if matches!(ident_at(toks, i), Some("lock" | "read" | "write"))
-            && i > 0
-            && is_punct(toks, i - 1, '.')
-            && is_punct(toks, i + 1, '(')
-            && is_punct(toks, i + 2, ')')
-            && !s.allowed("lock-order", line)
-        {
-            if let Some(recv) = ident_at(toks, i.wrapping_sub(2)) {
-                if d.lock_names.contains(recv) {
-                    // After the Block at the same site.
-                    evs.push((i + 1, Event::Acquire { name: recv.to_string(), line }));
-                }
-            }
         }
         i += 1;
     }

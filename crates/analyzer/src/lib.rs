@@ -2,10 +2,10 @@
 //!
 //! The workspace's correctness rests on invariants the compiler cannot
 //! check: seeded determinism (checkpoint resume, same-seed tests),
-//! panic-free resilient paths, lock acquisition order, audited `unsafe`
-//! and a reactor that never blocks. This crate enforces them with a
-//! std-only lexer + lint framework so the gate runs even in registry-less
-//! containers where clippy cannot.
+//! panic-free resilient paths, audited `unsafe`, a reactor that never
+//! blocks and no `pub` surface that nothing calls. This crate enforces
+//! them with a std-only lexer + lint framework so the gate runs even in
+//! registry-less containers where clippy cannot.
 //!
 //! Design: lints pattern-match the *token stream* (never raw text, so
 //! strings/comments cannot confuse them) produced by [`lexer::lex`].
@@ -27,13 +27,13 @@ use std::path::{Path, PathBuf};
 
 /// Lint ids accepted inside `// lint:allow(<id>) reason=...` annotations.
 pub const ALLOW_IDS: &[&str] =
-    &["panic", "determinism", "lock-order", "unsafe", "reactor"];
+    &["panic", "determinism", "dead-surface", "unsafe", "reactor"];
 
 /// `(lint id, one-line description)` pairs for `tunelint --list`.
 pub const LINT_DOCS: &[(&str, &str)] = &[
     ("panic-safety", "unwrap()/expect()/panic!/todo!/slice-indexing in resilient hot paths"),
     ("determinism", "wall-clock, thread_rng, or HashMap/HashSet iteration in seeded RL/replay/fingerprint code"),
-    ("lock-order", "inconsistent Mutex/RwLock acquisition order across functions (deadlock risk)"),
+    ("dead-surface", "pub items no non-test code, integration test, example or benchmark names"),
     ("unsafe-audit", "unsafe blocks/fns without a `// SAFETY:` comment"),
     ("reactor-blocking", "blocking reads/sleeps/recv/locks inside the event-driven reactor modules"),
     ("annotation", "malformed lint:allow annotations (unknown id or missing reason)"),
@@ -126,8 +126,6 @@ pub struct AnalysisConfig {
     pub determinism_scope: Vec<String>,
     /// ...except these (telemetry/bench wall-clock timing is fine).
     pub determinism_allowlist: Vec<String>,
-    /// lock-order considers these paths.
-    pub lock_scope: Vec<String>,
     /// reactor-blocking forbids blocking calls in these paths.
     pub reactor_scope: Vec<String>,
     /// Compute-kernel files whose panic sites (dim-derived slice indexing,
@@ -168,7 +166,6 @@ impl AnalysisConfig {
             // crates/bench/src/perf.rs) measure wall-clock time by design;
             // their RNG use is still seeded.
             determinism_allowlist: v(&["crates/core/src/timing.rs", "crates/bench/"]),
-            lock_scope: v(&["crates/simdb/", "crates/service/"]),
             reactor_scope: v(&["crates/service/src/reactor/"]),
             panic_kernel_allowlist: v(&["crates/tinynn/src/kernels.rs"]),
         }
@@ -200,7 +197,7 @@ pub struct Workspace<'a> {
     pub sources: &'a [SourceFile],
     /// Symbol-resolved call graph over `sources`.
     pub graph: callgraph::CallGraph,
-    /// Fixpoint facts (may-block / may-panic / locks / bounded sends).
+    /// Fixpoint facts (may-block / may-panic).
     pub flow: dataflow::Dataflow,
 }
 
@@ -250,32 +247,45 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Loads and analyzes every source file under `root/crates`.
-pub fn analyze_tree(root: &Path, cfg: &AnalysisConfig) -> io::Result<Analysis> {
-    let files = collect_rs_files(root)?;
-    let mut sources = Vec::with_capacity(files.len());
-    for f in &files {
-        let text = fs::read_to_string(f)?;
-        let rel = f
-            .strip_prefix(root)
-            .unwrap_or(f)
-            .to_string_lossy()
-            .replace('\\', "/");
-        sources.push(SourceFile::parse(&rel, &text));
+/// The files `dead-surface` reads for uses only: integration tests,
+/// examples, the root package and the benchmark. No lint runs on them.
+fn collect_ref_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut dirs: Vec<PathBuf> =
+        ["tests", "examples", "src", "benchmark/src"].iter().map(|d| root.join(d)).collect();
+    if root.join("crates").is_dir() {
+        for entry in fs::read_dir(root.join("crates"))? {
+            dirs.push(entry?.path().join("tests"));
+        }
     }
-    let ws = Workspace::build_with(&sources, &cfg.panic_kernel_allowlist);
-    Ok(Analysis {
-        files: sources.len(),
-        graph_stats: ws.graph.stats(),
-        findings: analyze_workspace(&ws, cfg),
-    })
+    let mut out = Vec::new();
+    for d in dirs.iter().filter(|d| d.is_dir()) {
+        walk(d, &mut out)?;
+    }
+    out.sort();
+    Ok(out)
 }
 
-/// Runs every lint over already-parsed sources. This is the entry point
-/// fixture tests use (no filesystem walking involved).
-pub fn analyze_sources(sources: &[SourceFile], cfg: &AnalysisConfig) -> Vec<Finding> {
-    let ws = Workspace::build_with(sources, &cfg.panic_kernel_allowlist);
-    analyze_workspace(&ws, cfg)
+fn load(root: &Path, files: &[PathBuf]) -> io::Result<Vec<SourceFile>> {
+    files
+        .iter()
+        .map(|f| {
+            let text = fs::read_to_string(f)?;
+            let rel = f.strip_prefix(root).unwrap_or(f).to_string_lossy().replace('\\', "/");
+            Ok(SourceFile::parse(&rel, &text))
+        })
+        .collect()
+}
+
+/// Loads and analyzes every source file under `root/crates`, then runs
+/// `dead-surface` with the reference-only files as extra callers.
+pub fn analyze_tree(root: &Path, cfg: &AnalysisConfig) -> io::Result<Analysis> {
+    let sources = load(root, &collect_rs_files(root)?)?;
+    let refs = load(root, &collect_ref_files(root)?)?;
+    let ws = Workspace::build_with(&sources, &cfg.panic_kernel_allowlist);
+    let mut findings = analyze_workspace(&ws, cfg);
+    findings.extend(lints::dead_surface::run(&sources, &refs));
+    findings.sort();
+    Ok(Analysis { files: sources.len(), graph_stats: ws.graph.stats(), findings })
 }
 
 /// Runs every lint — token-level per file, then the interprocedural
@@ -296,7 +306,6 @@ pub fn analyze_workspace(ws: &Workspace<'_>, cfg: &AnalysisConfig) -> Vec<Findin
     ] {
         findings.extend(lints::run_transitive(ws, lint, scope, facts, allow, tag));
     }
-    findings.extend(lints::lock_order::run(ws, cfg));
     findings.sort();
     findings
 }
@@ -656,6 +665,38 @@ mod framework_tests {
 #[cfg(test)]
 mod fixture_tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// Runs every lint over already-parsed sources (no filesystem walking).
+    fn analyze_sources(sources: &[SourceFile], cfg: &AnalysisConfig) -> Vec<Finding> {
+        let ws = Workspace::build_with(sources, &cfg.panic_kernel_allowlist);
+        analyze_workspace(&ws, cfg)
+    }
+
+    /// Deterministic text dump of a call graph for the golden: `node`,
+    /// `edge`, `ext` lines, deduped and sorted within each section.
+    fn dump(g: &callgraph::CallGraph, sources: &[SourceFile]) -> String {
+        let loc = |i: usize| {
+            let n = &g.nodes[i];
+            format!("{}|{}", sources[n.file].path, n.qual)
+        };
+        let mut nodes: Vec<String> = (0..g.nodes.len()).map(|i| format!("node {}", loc(i))).collect();
+        nodes.sort();
+        let mut edges: BTreeSet<String> = BTreeSet::new();
+        let mut exts: BTreeSet<String> = BTreeSet::new();
+        for i in 0..g.nodes.len() {
+            for e in &g.edges[i] {
+                edges.insert(format!("edge {} -> {}", loc(i), loc(e.callee)));
+            }
+            for u in &g.unresolved[i] {
+                exts.insert(format!("ext {} -> {}", loc(i), u.written));
+            }
+        }
+        let mut out = nodes;
+        out.extend(edges);
+        out.extend(exts);
+        out.join("\n") + "\n"
+    }
 
     /// Locates `tests/fixtures` whether the test binary runs with CWD at
     /// the package dir (cargo) or the repo root (offline rustc harness).
@@ -727,24 +768,6 @@ mod fixture_tests {
             ..AnalysisConfig::default()
         };
         assert_eq!(run_fixture(&["determinism.rs"], &cfg), Vec::<String>::new());
-    }
-
-    #[test]
-    fn lock_order_fixture_matches_golden() {
-        let cfg = AnalysisConfig {
-            lock_scope: vec!["lock_cycle.rs".into()],
-            ..AnalysisConfig::default()
-        };
-        assert_eq!(run_fixture(&["lock_cycle.rs"], &cfg), golden("lock_cycle.expected"));
-    }
-
-    #[test]
-    fn lock_order_clean_fixture_is_silent() {
-        let cfg = AnalysisConfig {
-            lock_scope: vec!["lock_clean.rs".into()],
-            ..AnalysisConfig::default()
-        };
-        assert_eq!(run_fixture(&["lock_clean.rs"], &cfg), Vec::<String>::new());
     }
 
     #[test]
@@ -834,7 +857,7 @@ mod fixture_tests {
         ]);
         let ws = Workspace::build(&sources);
         let got: Vec<String> =
-            ws.graph.dump(&sources).lines().map(|l| l.to_string()).collect();
+            dump(&ws.graph, &sources).lines().map(|l| l.to_string()).collect();
         assert_eq!(got, golden("callgraph.expected"));
         // Spot-check the edge classes the golden encodes, so a regenerated
         // golden can't silently drop one: trait-object dispatch reaches
@@ -850,6 +873,18 @@ mod fixture_tests {
         ] {
             assert!(got.iter().any(|l| l == must), "missing {must}");
         }
+    }
+
+    #[test]
+    fn dead_surface_fixture_matches_golden() {
+        let sources = parse_as(&[("crates/dead/src/lib.rs", "dead_surface.rs")]);
+        let refs = parse_as(&[("tests/dead_surface_ref.rs", "dead_surface_ref.rs")]);
+        let got: Vec<String> = lints::dead_surface::run(&sources, &refs)
+            .iter()
+            .map(|f| format!("{}:{}:{}:{}", f.lint, f.file, f.line, f.tag))
+            .collect();
+        assert_eq!(got, golden("dead_surface.expected"));
+        assert!(annotation_findings(&sources[0]).is_empty(), "dead-surface is a known allow id");
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! [`crate::AnalysisConfig`] so fixture tests can target fixture files.
 //! [`run_transitive`] carries `panic-safety` and `reactor-blocking`
 //! across calls, consuming the interprocedural facts from
-//! [`crate::dataflow`]; `lock_order` is interprocedural throughout and
-//! takes the whole [`crate::Workspace`].
+//! [`crate::dataflow`]; `dead_surface` reads every parsed file at once,
+//! with the reference-only files beside them.
 
+pub mod dead_surface;
 pub mod determinism;
-pub mod lock_order;
 pub mod panic_safety;
 pub mod reactor_blocking;
 pub mod unsafe_audit;

@@ -58,6 +58,7 @@ impl WorkloadRepository {
     }
 
     /// Total stored samples.
+    #[cfg(test)]
     pub fn sample_count(&self) -> usize {
         self.workloads.iter().map(|w| w.samples.len()).sum()
     }

@@ -36,29 +36,6 @@ pub fn rank_knobs_by_correlation(samples: &[Evaluation]) -> Vec<usize> {
     scores.into_iter().map(|(k, _)| k).collect()
 }
 
-/// Prunes the 63-metric state to the `keep` highest-variance dimensions
-/// (OtterTune's factor-analysis + k-means stage, simplified to its effect:
-/// dropping redundant, low-signal metrics). Returns kept indices.
-pub fn prune_metrics(samples: &[Evaluation], keep: usize) -> Vec<usize> {
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    let dim = samples[0].state.len();
-    let n = samples.len() as f64;
-    let mut variances: Vec<(usize, f64)> = (0..dim)
-        .map(|m| {
-            let mean = samples.iter().map(|s| f64::from(s.state[m])).sum::<f64>() / n;
-            let var =
-                samples.iter().map(|s| (f64::from(s.state[m]) - mean).powi(2)).sum::<f64>() / n;
-            (m, var)
-        })
-        .collect();
-    variances.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    let mut kept: Vec<usize> = variances.into_iter().take(keep).map(|(m, _)| m).collect();
-    kept.sort_unstable();
-    kept
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,22 +62,6 @@ mod tests {
     #[test]
     fn empty_samples_rank_nothing() {
         assert!(rank_knobs_by_correlation(&[]).is_empty());
-        assert!(prune_metrics(&[], 5).is_empty());
-    }
-
-    #[test]
-    fn prune_keeps_high_variance_metrics() {
-        let samples: Vec<Evaluation> = (0..10)
-            .map(|i| {
-                let x = i as f32;
-                // metric 0: constant; metric 1: high variance; metric 2: low.
-                sample(vec![0.5], 100.0, vec![1.0, x * 10.0, x * 0.01])
-            })
-            .collect();
-        let kept = prune_metrics(&samples, 2);
-        assert_eq!(kept, vec![1, 2]);
-        let kept = prune_metrics(&samples, 1);
-        assert_eq!(kept, vec![1]);
     }
 
     #[test]

@@ -23,4 +23,4 @@ pub mod trace;
 pub use harness::{ExperimentScale, Lab};
 pub use report::{print_header, print_row};
 pub use svc::{run_load, LatencyStats, LoadReport, LoadSpec, SessionResult};
-pub use trace::{schema_round_trip, SessionRow, StepRow, TraceSummary};
+pub use trace::{SessionRow, StepRow, TraceSummary};

@@ -354,15 +354,6 @@ impl TraceSummary {
         self.steps.last().map_or(0, |r| r.fallback_hits)
     }
 
-    /// Worst regret ratio (regret / budget) across closed windows; 0 when
-    /// the trace carries no regret accounting.
-    pub fn worst_regret_ratio(&self) -> f64 {
-        self.regret_windows
-            .iter()
-            .map(|&(_, regret, budget, _, _)| if budget > 0.0 { regret / budget } else { 0.0 })
-            .fold(0.0, f64::max)
-    }
-
     /// Regret windows that overran their budget.
     pub fn over_budget_windows(&self) -> u64 {
         self.regret_windows.iter().filter(|&&(_, _, _, over, _)| over).count() as u64
@@ -559,143 +550,142 @@ impl TraceSummary {
     }
 }
 
-/// Round-trips every event through its JSONL encoding and back,
-/// asserting the decoded events match. Used by the tier-1 schema check
-/// (`scripts/tier1.sh`) so an encoder/decoder skew fails CI rather than
-/// corrupting the first real trace someone tries to read.
-pub fn schema_round_trip(events: &[TraceEvent]) -> Result<(), String> {
-    let text: String =
-        events.iter().map(|e| e.to_json_line() + "\n").collect();
-    let back = TraceEvent::parse_jsonl(&text)?;
-    if back.len() != events.len() {
-        return Err(format!("round-trip lost events: {} -> {}", events.len(), back.len()));
-    }
-    for (i, (a, b)) in events.iter().zip(&back).enumerate() {
-        if a != b {
-            return Err(format!("event {i} changed across round-trip:\n  {a:?}\n  {b:?}"));
-        }
-    }
-    Ok(())
-}
-
-/// A representative event of every variant (all levels, all flag states)
-/// for the schema round-trip check.
-pub fn exemplar_events() -> Vec<TraceEvent> {
-    use cdbtune::{EngineSample, PhaseTiming, RecoveryDelta, ReplayTrace, RewardTrace};
-    vec![
-        TraceEvent::RunStart { mode: "train".into(), seed: 42, knobs: 3, state_dim: 63 },
-        TraceEvent::EpisodeStart {
-            episode: 0,
-            warm_start: false,
-            baseline_tps: 1234.5,
-            baseline_p99_us: 8000.25,
-        },
-        TraceEvent::Step {
-            step: 1,
-            episode: 0,
-            action: vec![0.25, 0.5, 1.0],
-            reward: RewardTrace {
-                reward: 0.375,
-                throughput_term: 0.5,
-                latency_term: 0.25,
-                delta0_throughput: 0.1,
-                delta_prev_throughput: 0.05,
-                delta0_latency: 0.2,
-                delta_prev_latency: -0.01,
-                clamp_fired: true,
-                epsilon_floored: false,
-                zero_rule_fired: true,
-                final_clamp_fired: false,
-            },
-            throughput_tps: 1300.0,
-            p99_latency_us: 7500.5,
-            crashed: false,
-            degraded: false,
-            replay: ReplayTrace {
-                len: 128,
-                beta: 0.41,
-                max_priority: 2.5,
-                is_weight_min: 0.62,
-                is_weight_max: 1.0,
-                fallback_hits: 0,
-                tree_rebuilds: 1,
-            },
-            recovery: RecoveryDelta { retries: 1, backoff_ms: 250, ..Default::default() },
-            engine: EngineSample { restarts: 2, crashes: 1, running: true },
-            timing: PhaseTiming {
-                recommendation_wall_us: 120,
-                deployment_wall_us: 900,
-                stress_wall_us: 45_000,
-                stress_simulated_sec: 180.0,
-                metrics_wall_us: 30,
-                model_update_wall_us: 2_100,
-            },
-        },
-        TraceEvent::Recovery {
-            action: "rollback".into(),
-            during: "deploy".into(),
-            attempt: 0,
-            backoff_ms: 500,
-        },
-        TraceEvent::EpisodeEnd { episode: 0, steps: 1, mean_reward: 0.375, best_tps: 1300.0 },
-        TraceEvent::CollectWorker { worker: 3, derived_seed: u64::MAX, steps: 50, crashes: 2 },
-        TraceEvent::Admission { accepted: true, reason: "ok".into(), queue_depth: 1 },
-        TraceEvent::Admission {
-            accepted: false,
-            reason: "queue_full".into(),
-            queue_depth: 4,
-        },
-        TraceEvent::ServiceQueue { depth: 3, busy_workers: 2 },
-        TraceEvent::SessionOpen {
-            session: 11,
-            workload: "sysbench-rw".into(),
-            knobs: 3,
-            warm_start: true,
-            registry_distance: 0.042,
-        },
-        TraceEvent::SessionClose {
-            session: 11,
-            steps: 5,
-            best_tps: 5200.0,
-            drained: false,
-            published: true,
-        },
-        TraceEvent::DriftDetected {
-            step: 12,
-            distance: 0.61,
-            threshold: 0.35,
-            reference_age: 7,
-        },
-        TraceEvent::Rollback {
-            step: 13,
-            from_tps: 2400.0,
-            to_tps: 5100.0,
-            drop_frac: 0.53,
-            quarantined: true,
-        },
-        TraceEvent::SafetyClamp { step: 14, clamped_knobs: 3, max_delta: 0.22, radius: 0.15 },
-        TraceEvent::RegretWindow {
-            window: 2,
-            regret: 0.4,
-            budget: 0.75,
-            over_budget: false,
-            radius: 0.18,
-        },
-        TraceEvent::ReactorSample { conns: 120, sessions: 96, queued_jobs: 5, busy_workers: 2 },
-        TraceEvent::IdleClose { conn: 44, idle_ms: 31000, had_session: true },
-        TraceEvent::RunEnd {
-            mode: "train".into(),
-            total_steps: 1,
-            best_tps: 1300.0,
-            crashes: 0,
-            wall_seconds: 12.5,
-        },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Round-trips every event through its JSONL encoding and back,
+    /// asserting the decoded events match, so an encoder/decoder skew fails
+    /// a test rather than corrupting the first real trace someone reads.
+    fn schema_round_trip(events: &[TraceEvent]) -> Result<(), String> {
+        let text: String =
+            events.iter().map(|e| e.to_json_line() + "\n").collect();
+        let back = TraceEvent::parse_jsonl(&text)?;
+        if back.len() != events.len() {
+            return Err(format!("round-trip lost events: {} -> {}", events.len(), back.len()));
+        }
+        for (i, (a, b)) in events.iter().zip(&back).enumerate() {
+            if a != b {
+                return Err(format!("event {i} changed across round-trip:\n  {a:?}\n  {b:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// A representative event of every variant (all levels, all flag states)
+    /// for the schema round-trip check.
+    fn exemplar_events() -> Vec<TraceEvent> {
+        use cdbtune::{EngineSample, PhaseTiming, RecoveryDelta, ReplayTrace, RewardTrace};
+        vec![
+            TraceEvent::RunStart { mode: "train".into(), seed: 42, knobs: 3, state_dim: 63 },
+            TraceEvent::EpisodeStart {
+                episode: 0,
+                warm_start: false,
+                baseline_tps: 1234.5,
+                baseline_p99_us: 8000.25,
+            },
+            TraceEvent::Step {
+                step: 1,
+                episode: 0,
+                action: vec![0.25, 0.5, 1.0],
+                reward: RewardTrace {
+                    reward: 0.375,
+                    throughput_term: 0.5,
+                    latency_term: 0.25,
+                    delta0_throughput: 0.1,
+                    delta_prev_throughput: 0.05,
+                    delta0_latency: 0.2,
+                    delta_prev_latency: -0.01,
+                    clamp_fired: true,
+                    epsilon_floored: false,
+                    zero_rule_fired: true,
+                    final_clamp_fired: false,
+                },
+                throughput_tps: 1300.0,
+                p99_latency_us: 7500.5,
+                crashed: false,
+                degraded: false,
+                replay: ReplayTrace {
+                    len: 128,
+                    beta: 0.41,
+                    max_priority: 2.5,
+                    is_weight_min: 0.62,
+                    is_weight_max: 1.0,
+                    fallback_hits: 0,
+                    tree_rebuilds: 1,
+                },
+                recovery: RecoveryDelta { retries: 1, backoff_ms: 250, ..Default::default() },
+                engine: EngineSample { restarts: 2, crashes: 1, running: true },
+                timing: PhaseTiming {
+                    recommendation_wall_us: 120,
+                    deployment_wall_us: 900,
+                    stress_wall_us: 45_000,
+                    stress_simulated_sec: 180.0,
+                    metrics_wall_us: 30,
+                    model_update_wall_us: 2_100,
+                },
+            },
+            TraceEvent::Recovery {
+                action: "rollback".into(),
+                during: "deploy".into(),
+                attempt: 0,
+                backoff_ms: 500,
+            },
+            TraceEvent::EpisodeEnd { episode: 0, steps: 1, mean_reward: 0.375, best_tps: 1300.0 },
+            TraceEvent::CollectWorker { worker: 3, derived_seed: u64::MAX, steps: 50, crashes: 2 },
+            TraceEvent::Admission { accepted: true, reason: "ok".into(), queue_depth: 1 },
+            TraceEvent::Admission {
+                accepted: false,
+                reason: "queue_full".into(),
+                queue_depth: 4,
+            },
+            TraceEvent::ServiceQueue { depth: 3, busy_workers: 2 },
+            TraceEvent::SessionOpen {
+                session: 11,
+                workload: "sysbench-rw".into(),
+                knobs: 3,
+                warm_start: true,
+                registry_distance: 0.042,
+            },
+            TraceEvent::SessionClose {
+                session: 11,
+                steps: 5,
+                best_tps: 5200.0,
+                drained: false,
+                published: true,
+            },
+            TraceEvent::DriftDetected {
+                step: 12,
+                distance: 0.61,
+                threshold: 0.35,
+                reference_age: 7,
+            },
+            TraceEvent::Rollback {
+                step: 13,
+                from_tps: 2400.0,
+                to_tps: 5100.0,
+                drop_frac: 0.53,
+                quarantined: true,
+            },
+            TraceEvent::SafetyClamp { step: 14, clamped_knobs: 3, max_delta: 0.22, radius: 0.15 },
+            TraceEvent::RegretWindow {
+                window: 2,
+                regret: 0.4,
+                budget: 0.75,
+                over_budget: false,
+                radius: 0.18,
+            },
+            TraceEvent::ReactorSample { conns: 120, sessions: 96, queued_jobs: 5, busy_workers: 2 },
+            TraceEvent::IdleClose { conn: 44, idle_ms: 31000, had_session: true },
+            TraceEvent::RunEnd {
+                mode: "train".into(),
+                total_steps: 1,
+                best_tps: 1300.0,
+                crashes: 0,
+                wall_seconds: 12.5,
+            },
+        ]
+    }
 
     #[test]
     fn exemplar_schema_round_trips() {
@@ -729,7 +719,6 @@ mod tests {
         assert_eq!(s.reactor_samples, vec![(120, 96, 5, 2)]);
         assert_eq!(s.idle_closes, 1);
         assert_eq!(s.over_budget_windows(), 0);
-        assert!((s.worst_regret_ratio() - 0.4 / 0.75).abs() < 1e-12);
         assert!(s.issues.is_empty(), "healthy trace flagged: {:?}", s.issues);
         let rendered = s.render();
         assert!(rendered.contains("trace OK"));

@@ -153,11 +153,6 @@ impl DriftDetector {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &DriftConfig {
-        &self.cfg
-    }
-
     /// Distance computed at the most recent observation.
     pub fn last_distance(&self) -> f64 {
         self.last_distance

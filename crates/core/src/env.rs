@@ -449,6 +449,7 @@ impl DbEnv {
     }
 
     /// True when `action` falls in a quarantined cell.
+    #[cfg(test)]
     pub fn is_quarantined(&self, action: &[f32]) -> bool {
         self.quarantined.contains(&quantize_action_key(action))
     }

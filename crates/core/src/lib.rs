@@ -61,7 +61,7 @@ pub use action::ActionSpace;
 pub use cli::{Args, EnvSpec};
 pub use drift::{DriftConfig, DriftDetector, DriftEvent};
 pub use env::{DbEnv, EnvConfig, EnvError, RecoveryStats, StepOutcome};
-pub use memory_pool::{Batch, MemoryKind, MemoryPool, PerConfig};
+pub use memory_pool::{MemoryKind, MemoryPool, PerConfig};
 pub use online::{
     tune_online, DegradedReason, OnlineConfig, OnlineSession, OnlineStep, SharedPolicy,
     TuningOutcome,
@@ -76,7 +76,7 @@ pub use telemetry::{
     EngineSample, JsonlSink, NullSink, PhaseTiming, RecoveryDelta, ReplayTrace, RewardTrace,
     RingSink, Telemetry, TelemetrySink, TraceEvent, TraceLevel,
 };
-pub use timing::{profile_step, StepTiming, TunerBudget, RESTART_SIMULATED_SEC};
+pub use timing::{profile_step, StepTiming, TunerBudget};
 pub use trainer::{
     resume_from_checkpoint, train_offline, train_offline_resumable, CheckpointError, TrainedModel,
     TrainerConfig, TrainingCheckpoint, TrainingReport,

@@ -33,16 +33,6 @@ impl Default for PerConfig {
     }
 }
 
-/// A sampled minibatch with optional prioritization metadata.
-pub struct Batch<'a> {
-    /// Sampled transitions.
-    pub transitions: Vec<&'a Transition>,
-    /// Buffer slots (prioritized only; feed TD errors back).
-    pub indices: Option<Vec<usize>>,
-    /// Importance weights (prioritized only).
-    pub weights: Option<Vec<f32>>,
-}
-
 /// Reusable minibatch buffers for [`MemoryPool::sample_into`]. Owned by the
 /// training loop and refilled in place each update, so steady-state sampling
 /// performs zero heap allocations regardless of backend.
@@ -136,25 +126,6 @@ impl MemoryPool {
         }
     }
 
-    /// Samples a minibatch.
-    pub fn sample(&mut self, n: usize, rng: &mut impl rand::Rng) -> Batch<'_> {
-        match self {
-            MemoryPool::Uniform(b) => Batch {
-                transitions: b.sample(n, rng),
-                indices: None,
-                weights: None,
-            },
-            MemoryPool::Prioritized(p) => {
-                let batch = p.sample(n, rng);
-                Batch {
-                    transitions: batch.transitions,
-                    indices: Some(batch.indices),
-                    weights: Some(batch.weights),
-                }
-            }
-        }
-    }
-
     /// Samples a minibatch into caller-owned scratch buffers (the zero-
     /// allocation path the training loop uses; see DESIGN.md §11).
     pub fn sample_into(&mut self, n: usize, rng: &mut impl rand::Rng, out: &mut BatchScratch) {
@@ -211,10 +182,11 @@ mod tests {
         let mut pool = MemoryPool::new(MemoryKind::Uniform, 16);
         pool.push(t(1.0));
         let mut rng = StdRng::seed_from_u64(1);
-        let batch = pool.sample(4, &mut rng);
-        assert!(batch.weights.is_none());
-        assert!(batch.indices.is_none());
-        assert_eq!(batch.transitions.len(), 4);
+        let mut scratch = BatchScratch::new();
+        pool.sample_into(4, &mut rng, &mut scratch);
+        assert!(scratch.is_weights().is_none());
+        assert!(scratch.sampled_indices().is_none());
+        assert_eq!(scratch.batch.len(), 4);
     }
 
     #[test]
@@ -224,9 +196,10 @@ mod tests {
             pool.push(t(i as f32));
         }
         let mut rng = StdRng::seed_from_u64(2);
-        let batch = pool.sample(4, &mut rng);
-        assert_eq!(batch.indices.as_ref().unwrap().len(), 4);
-        assert_eq!(batch.weights.as_ref().unwrap().len(), 4);
+        let mut scratch = BatchScratch::new();
+        pool.sample_into(4, &mut rng, &mut scratch);
+        assert_eq!(scratch.sampled_indices().unwrap().len(), 4);
+        assert_eq!(scratch.is_weights().unwrap().len(), 4);
     }
 
     #[test]
@@ -236,11 +209,9 @@ mod tests {
             pool.push(t(i as f32));
         }
         let mut rng = StdRng::seed_from_u64(3);
-        let (indices, n) = {
-            let batch = pool.sample(4, &mut rng);
-            (batch.indices.clone(), batch.transitions.len())
-        };
-        pool.update_priorities(indices.as_deref(), &vec![9.0; n]);
+        let mut scratch = BatchScratch::new();
+        pool.sample_into(4, &mut rng, &mut scratch);
+        pool.update_priorities(scratch.sampled_indices(), &vec![9.0; scratch.batch.len()]);
         assert_eq!(pool.len(), 8);
     }
 

@@ -648,11 +648,6 @@ impl OnlineSession {
         self.degraded
     }
 
-    /// Safety-layer activity so far (`None` when running unguarded).
-    pub fn safety_report(&self) -> Option<SafetyReport> {
-        self.safety.as_ref().map(|s| s.report())
-    }
-
     /// Drift detections fired so far (0 when no detector is configured).
     pub fn drift_detections(&self) -> u64 {
         self.drift.as_ref().map_or(0, |d| d.detections())
@@ -1160,8 +1155,7 @@ mod tests {
         let mut session = OnlineSession::begin(&mut env, &model, &cfg);
         let baseline_action = env.space().from_config(env.current_config());
         while session.step(&mut env).is_some() {}
-        let report = session.safety_report().unwrap();
-        let _ = session.finish(&mut env);
+        let report = session.finish(&mut env).safety.unwrap();
         let events = env.telemetry().drain_ring();
         let mut clamp_events = 0u64;
         for e in &events {

@@ -154,11 +154,6 @@ impl SafetyController {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &SafetyConfig {
-        &self.cfg
-    }
-
     /// Current trust-region radius.
     pub fn radius(&self) -> f64 {
         self.radius

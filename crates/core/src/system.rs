@@ -79,12 +79,6 @@ impl CdbTune {
     pub fn export_model(&self) -> Option<String> {
         self.model.as_ref().map(TrainedModel::to_json)
     }
-
-    /// Restores a model from JSON.
-    pub fn import_model(&mut self, json: &str) -> Result<(), crate::PersistError> {
-        self.model = Some(TrainedModel::from_json(json)?);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +133,7 @@ mod tests {
         let json = system.export_model().unwrap();
 
         let mut system2 = smoke_system();
-        system2.import_model(&json).unwrap();
+        system2.model = Some(TrainedModel::from_json(&json).unwrap());
         let outcome = system2.handle_tuning_request(&mut env, None);
         assert!(outcome.best_perf.throughput_tps > 0.0);
     }

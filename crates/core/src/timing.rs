@@ -15,9 +15,6 @@ use simdb::Engine;
 use std::time::Instant;
 use workload::Workload;
 
-/// Simulated restart cost the paper excludes from step time (~2 min).
-pub const RESTART_SIMULATED_SEC: f64 = 120.0;
-
 /// Wall-clock + simulated timing of one tuning step's components.
 #[derive(Debug, Clone, Copy)]
 pub struct StepTiming {

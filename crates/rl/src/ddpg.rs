@@ -548,18 +548,9 @@ impl Ddpg {
         }
     }
 
-    /// Restores a snapshot (must have been produced by an identically
-    /// configured agent).
-    pub fn load_snapshot(&mut self, snap: &DdpgSnapshot) {
-        self.actor.load_state(&snap.actor);
-        self.critic.load_state(&snap.critic);
-        self.actor_target.load_state(&snap.actor_target);
-        self.critic_target.load_state(&snap.critic_target);
-    }
-
     /// Rebuilds an agent from a snapshot alone — the same agent, bit for
-    /// bit, as `Ddpg::new(snap.config)` followed by
-    /// [`Ddpg::load_snapshot`], but the four networks are built straight
+    /// bit, as `Ddpg::new(snap.config)` with the snapshot's weights loaded
+    /// over its four networks, but the networks are built straight
     /// from the snapshot's matrices: no weight is sampled only to be
     /// overwritten. Every online request and daemon session pays this.
     ///
@@ -584,6 +575,15 @@ mod tests {
     use crate::noise::{perturb, GaussianNoise, NoiseProcess};
     use crate::replay::ReplayBuffer;
     use rand::Rng;
+
+    /// The restore [`Ddpg::from_snapshot`] must equal: the snapshot's
+    /// weights loaded over an identically configured agent.
+    fn load_snapshot(agent: &mut Ddpg, snap: &DdpgSnapshot) {
+        agent.actor.load_state(&snap.actor);
+        agent.critic.load_state(&snap.critic);
+        agent.actor_target.load_state(&snap.actor_target);
+        agent.critic_target.load_state(&snap.critic_target);
+    }
 
     fn tiny_cfg() -> DdpgConfig {
         DdpgConfig {
@@ -653,7 +653,7 @@ mod tests {
         let snap = trained.snapshot();
         let mut forked = Ddpg::from_snapshot(&snap);
         let mut loaded = Ddpg::new(cfg);
-        loaded.load_snapshot(&snap);
+        load_snapshot(&mut loaded, &snap);
         assert!(forked.snapshot() == snap);
         for _ in 0..5 {
             let s1 = forked.train_step(&refs, Some(&[0.5f32; 8][..]), None);

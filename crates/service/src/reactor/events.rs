@@ -815,7 +815,7 @@ impl Reactor {
             reason: "ok".into(),
             queue_depth,
         });
-        self.enqueue(Job::Create { token, id, spec, max_steps, warm_start, safe }, tenant.as_deref());
+        self.enqueue(Job::Create { token, id, spec, max_steps, warm_start, safe });
     }
 
     /// Dispatches a Step/Recommend/Close, enforcing the tenant in-flight
@@ -830,10 +830,9 @@ impl Reactor {
             self.pump(token);
             return;
         }
-        let tenant = conn.tenant.clone();
-        if let Some(t) = &tenant {
+        if let Some(t) = conn.tenant.clone() {
             if self.cfg.tenant_max_inflight > 0 {
-                let entry = self.tenants.entry(t.clone()).or_default();
+                let entry = self.tenants.entry(t).or_default();
                 if entry.inflight >= self.cfg.tenant_max_inflight {
                     entry.waiting.push_back(token);
                     if let Some(conn) = self.conns.get_mut(&token) {
@@ -844,7 +843,7 @@ impl Reactor {
                 }
             }
         }
-        self.enqueue(job, tenant.as_deref());
+        self.enqueue(job);
     }
 
     /// Sends a typed rejection and schedules a clean close.
@@ -863,8 +862,12 @@ impl Reactor {
         self.flush(token);
     }
 
-    /// Puts a job on its shard's run queue and does the bookkeeping.
-    fn enqueue(&mut self, job: Job, tenant: Option<&str>) {
+    /// Puts a job on its shard's run queue and does the bookkeeping: every
+    /// job, a terminal `Settle`/`Drain` included, takes one in-flight slot
+    /// of its connection and of the connection's tenant, and `handle_done`
+    /// gives one of each back. Shard FIFO ordering serializes a terminal
+    /// job behind the connection's running work.
+    fn enqueue(&mut self, job: Job) {
         let token = job.token();
         let shard = self.shard_of(token);
         let Some(tx) = self.job_txs.get(shard) else { return };
@@ -878,30 +881,9 @@ impl Reactor {
         }
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.inflight += 1;
-        }
-        if let Some(t) = tenant {
-            if let Some(entry) = self.tenants.get_mut(t) {
+            if let Some(entry) = conn.tenant.as_ref().and_then(|t| self.tenants.get_mut(t)) {
                 entry.inflight += 1;
             }
-        }
-    }
-
-    /// Enqueues a terminal job (Settle/Drain) regardless of in-flight
-    /// state; shard FIFO ordering serializes it behind running work.
-    fn enqueue_terminal(&mut self, job: Job) {
-        let token = job.token();
-        let shard = self.shard_of(token);
-        let Some(tx) = self.job_txs.get(shard) else { return };
-        self.svc.queued_jobs.fetch_add(1, Ordering::SeqCst);
-        if tx.send(job).is_err() {
-            self.svc.queued_jobs.fetch_sub(1, Ordering::SeqCst);
-            return;
-        }
-        if let Some(d) = self.shard_depth.get_mut(shard) {
-            *d += 1;
-        }
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.inflight += 1;
         }
     }
 
@@ -1046,7 +1028,7 @@ impl Reactor {
             }
         }
         if needs_settle {
-            self.enqueue_terminal(Job::Settle { token });
+            self.enqueue(Job::Settle { token });
         }
         if removable {
             self.remove_conn(token);
@@ -1135,7 +1117,7 @@ impl Reactor {
                 }
             }
             if drain_job {
-                self.enqueue_terminal(Job::Drain { token });
+                self.enqueue(Job::Drain { token });
             } else {
                 self.flush(token);
             }
@@ -1238,6 +1220,84 @@ mod tests {
             Response::SessionCreated { .. }
         ));
         handle.shutdown();
+    }
+
+    #[test]
+    fn a_settled_session_gives_back_only_the_tenant_slot_it_took() {
+        // Two connections of one tenant, driven without worker threads: a
+        // step is in flight on `b` when `a`'s client vanishes with its
+        // session open. The settle's completion must not free the slot
+        // `b`'s step still holds.
+        let (a, b) = (FIRST_CONN, FIRST_CONN + 1);
+        let (job_tx, _job_rx) = std::sync::mpsc::channel::<Job>();
+        let (_done_tx, done_rx) = std::sync::mpsc::channel::<Done>();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut streams = Vec::new();
+        let mut conns = HashMap::new();
+        for token in [a, b] {
+            let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+            streams.push(listener.accept().expect("accept").0);
+            let mut conn = Conn::new(stream, Instant::now());
+            conn.session_live = true;
+            conn.tenant = Some("acme".into());
+            conns.insert(token, conn);
+        }
+        let mut tenants = HashMap::new();
+        tenants.insert("acme".to_string(), Tenant { sessions: 2, ..Tenant::default() });
+        let svc = Svc {
+            shutdown: AtomicBool::new(false),
+            queued_jobs: AtomicU64::new(0),
+            busy_workers: AtomicU64::new(0),
+            active_sessions: AtomicU64::new(0),
+            total_sessions: AtomicU64::new(0),
+            warm_hits: AtomicU64::new(0),
+            warm_misses: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            drained_sessions: AtomicU64::new(0),
+            drift_events: AtomicU64::new(0),
+            recovery_rollbacks: AtomicU64::new(0),
+            retune_epochs: AtomicU64::new(0),
+            idle_closed: AtomicU64::new(0),
+            next_session_id: AtomicU64::new(1),
+            registry: ModelRegistry::in_memory(),
+            max_distance: 0.25,
+            checkpoint_dir: None,
+            serving: PolicyServer::new(),
+            telemetry: Telemetry::null(),
+        };
+        let mut r = Reactor {
+            svc: Arc::new(svc),
+            cfg: ReactorConfig::default(),
+            queue_capacity: 8,
+            poller: Poller::new(),
+            listener: None,
+            waker_rx: waker_pair().expect("waker").1,
+            conns,
+            tenants,
+            job_txs: vec![job_tx],
+            shard_depth: vec![0],
+            done_rx,
+            next_token: FIRST_CONN + 2,
+            drain_started: false,
+            drain_deadline: None,
+        };
+        let inflight = |r: &Reactor| r.tenants["acme"].inflight;
+        let done = |token, session_closed| Done {
+            token,
+            line: None,
+            close_conn: false,
+            session_opened: false,
+            session_closed,
+        };
+
+        r.dispatch_session_op(b, String::new(), Job::Step { token: b });
+        assert_eq!(inflight(&r), 1);
+        r.close_conn(a);
+        assert_eq!(inflight(&r), 2, "the settle job takes a tenant slot");
+        r.handle_done(done(a, true));
+        assert_eq!(inflight(&r), 1, "b's step is still in flight");
+        r.handle_done(done(b, false));
+        assert_eq!(inflight(&r), 0);
     }
 
     #[test]

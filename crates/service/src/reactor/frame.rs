@@ -136,11 +136,6 @@ impl WriteBuf {
         self.buf.is_empty()
     }
 
-    /// Bytes still awaiting flush.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Writes as much as the socket will take right now. Returns
     /// `Ok(true)` when the buffer fully drained, `Ok(false)` when a
     /// short write or `WouldBlock` left bytes pending (caller should
@@ -368,14 +363,14 @@ mod tests {
         let mut wb = WriteBuf::new();
         wb.push_line("{\"a\":1}");
         wb.push_line("{\"b\":2}");
-        let total = wb.pending();
+        let total = wb.buf.len();
         assert_eq!(total, 16);
 
         let mut w = ShortWriter { cap: 3, stalls: 2, out: Vec::new() };
         // First two calls stall entirely.
         assert!(!wb.flush_into(&mut w).unwrap());
         assert!(!wb.flush_into(&mut w).unwrap());
-        assert_eq!(wb.pending(), total);
+        assert_eq!(wb.buf.len(), total);
         // Then 3 bytes at a time until drained.
         assert!(wb.flush_into(&mut w).unwrap());
         assert!(wb.is_empty());

@@ -389,21 +389,6 @@ impl Poller {
         Poller::Fallback(FallbackPoller::new())
     }
 
-    /// Forces the portable fallback (tests and benchmarking).
-    pub fn fallback() -> Self {
-        Poller::Fallback(FallbackPoller::new())
-    }
-
-    /// True when backed by kernel epoll.
-    pub fn is_epoll(&self) -> bool {
-        #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-        {
-            return matches!(self, Poller::Epoll(_));
-        }
-        #[allow(unreachable_code)]
-        false
-    }
-
     /// Starts watching `fd` with `token` and `interest`.
     pub fn register(&mut self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
         match self {
@@ -552,6 +537,17 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
 
+    /// True when backed by kernel epoll: only then are the exact edges
+    /// checkable (the fallback may over-report).
+    fn is_epoll(poller: &Poller) -> bool {
+        #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+        {
+            return matches!(poller, Poller::Epoll(_));
+        }
+        #[allow(unreachable_code)]
+        false
+    }
+
     fn tcp_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -574,7 +570,7 @@ mod tests {
     #[test]
     fn readiness_edges_no_data_then_data_then_eof() {
         let mut poller = Poller::new();
-        assert!(poller.is_epoll() || cfg!(not(target_os = "linux")));
+        assert!(is_epoll(&poller) || cfg!(not(target_os = "linux")));
         let (mut a, b) = tcp_pair();
         b.set_nonblocking(true).unwrap();
         poller.register(b.as_raw_fd(), 7, INTEREST_READ).unwrap();
@@ -583,7 +579,7 @@ mod tests {
         // (epoll path; the fallback may over-report, which is allowed).
         let mut events = Vec::new();
         poller.wait(&mut events, Duration::from_millis(0)).unwrap();
-        if poller.is_epoll() {
+        if is_epoll(&poller) {
             assert!(events.iter().all(|e| e.token != 7 || !e.readable));
         }
 
@@ -639,7 +635,7 @@ mod tests {
         assert!(writable, "idle socket never reported writable");
 
         poller.deregister(a.as_raw_fd()).unwrap();
-        if poller.is_epoll() {
+        if is_epoll(&poller) {
             let mut events = Vec::new();
             poller.wait(&mut events, Duration::from_millis(0)).unwrap();
             assert!(events.iter().all(|e| e.token != 3), "deregistered fd still firing");
@@ -665,7 +661,7 @@ mod tests {
         }
         assert!(woke, "waker byte never surfaced");
         drain_wakes(&mut rx);
-        if poller.is_epoll() {
+        if is_epoll(&poller) {
             // Drained: a zero-timeout wait goes quiet again.
             let mut events = Vec::new();
             poller.wait(&mut events, Duration::from_millis(0)).unwrap();

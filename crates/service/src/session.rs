@@ -250,12 +250,6 @@ impl TuningSession {
         self.epoch
     }
 
-    /// Recovery counters accumulated over the whole session, including
-    /// the baseline measurement before the online loop began.
-    pub fn recovery_session(&self) -> RecoveryStats {
-        *self.env.recovery_stats()
-    }
-
     /// Recovery counters accumulated in the current re-tune epoch.
     pub fn recovery_epoch(&self) -> RecoveryStats {
         self.env.recovery_stats().since(&self.epoch_base)
@@ -512,7 +506,7 @@ mod tests {
         assert_eq!(first, totals, "first drain reports everything");
         assert_eq!(s.take_status_deltas(), (0, 0, 0), "second drain is empty");
         // Per-epoch recovery never exceeds the session-cumulative view.
-        assert!(s.recovery_epoch().rollbacks <= s.recovery_session().rollbacks);
+        assert!(s.recovery_epoch().rollbacks <= s.env.recovery_stats().rollbacks);
         let out = s.close(&registry, false);
         assert_eq!(out.steps, 3);
     }
@@ -539,7 +533,7 @@ mod tests {
             &Telemetry::null(),
         )
         .expect("faulty session opens");
-        let baseline_retries = s.recovery_session().retries;
+        let baseline_retries = s.env.recovery_stats().retries;
         while s.step().is_some() {}
         let out = s.close(&registry, false);
         assert!(

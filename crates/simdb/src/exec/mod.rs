@@ -125,18 +125,6 @@ pub struct TxnDemand {
     pub aborted: bool,
 }
 
-impl TxnDemand {
-    /// Adds another demand bundle into this one.
-    pub fn absorb(&mut self, other: &TxnDemand) {
-        self.cpu_us += other.cpu_us;
-        self.read_io_us += other.read_io_us;
-        self.write_io_us += other.write_io_us;
-        self.log_io_us += other.log_io_us;
-        self.lock_wait_us += other.lock_wait_us;
-        self.aborted |= other.aborted;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,15 +150,5 @@ mod tests {
             Op::Update { table: 0, key: 1 },
         ]);
         assert!(rw.is_write());
-    }
-
-    #[test]
-    fn demand_absorb_accumulates() {
-        let mut a = TxnDemand { cpu_us: 1.0, read_io_us: 2.0, ..Default::default() };
-        let b = TxnDemand { cpu_us: 3.0, aborted: true, ..Default::default() };
-        a.absorb(&b);
-        assert_eq!(a.cpu_us, 4.0);
-        assert_eq!(a.read_io_us, 2.0);
-        assert!(a.aborted);
     }
 }

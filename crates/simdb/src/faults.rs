@@ -196,16 +196,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether any fault is configured.
-    pub fn is_active(&self) -> bool {
-        self.restart_failure.is_some()
-            || self.restart_hang.is_some()
-            || self.spurious_crash.is_some()
-            || self.straggler.is_some()
-            || self.fsync_storm.is_some()
-            || self.metric_dropout.is_some()
-    }
-
     /// Injected outcome of the deploy attempt at `tick` (hang wins over
     /// plain failure when both fire).
     pub fn restart_outcome(&self, tick: u64) -> Option<RestartFault> {
@@ -451,7 +441,6 @@ mod tests {
         assert_eq!(plan.straggler_slowdown, 6.0);
         assert_eq!(plan.fsync_retries, 24.0);
         assert_eq!(plan.metric_dropout.unwrap().window, StepWindow { from: 4, until: 40 });
-        assert!(plan.is_active());
     }
 
     #[test]
@@ -465,7 +454,6 @@ mod tests {
     #[test]
     fn empty_plan_is_inert() {
         let plan = FaultPlan::parse("seed=3").unwrap();
-        assert!(!plan.is_active());
         assert_eq!(plan.restart_outcome(0), None);
         assert!(!plan.crashes_window(0));
         assert_eq!(plan.straggler_factor(0), 1.0);

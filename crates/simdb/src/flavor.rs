@@ -37,15 +37,6 @@ impl EngineFlavor {
         }
     }
 
-    /// Number of knobs the flavor exposes.
-    pub fn knob_count(self) -> usize {
-        match self {
-            EngineFlavor::MySqlCdb | EngineFlavor::LocalMySql => mysql::MYSQL_KNOB_COUNT,
-            EngineFlavor::Postgres => postgres::POSTGRES_KNOB_COUNT,
-            EngineFlavor::MongoDb => mongodb::MONGODB_KNOB_COUNT,
-        }
-    }
-
     /// Base CPU-path multiplier relative to cloud MySQL.
     pub fn base_cpu_factor(self) -> f64 {
         match self {
@@ -362,10 +353,11 @@ mod tests {
 
     #[test]
     fn knob_counts_per_flavor() {
-        assert_eq!(EngineFlavor::MySqlCdb.knob_count(), 266);
-        assert_eq!(EngineFlavor::Postgres.knob_count(), 169);
-        assert_eq!(EngineFlavor::MongoDb.knob_count(), 232);
-        assert_eq!(EngineFlavor::LocalMySql.knob_count(), 266);
+        let hw = HardwareConfig::cdb_a();
+        assert_eq!(EngineFlavor::MySqlCdb.registry(&hw).len(), 266);
+        assert_eq!(EngineFlavor::Postgres.registry(&hw).len(), 169);
+        assert_eq!(EngineFlavor::MongoDb.registry(&hw).len(), 232);
+        assert_eq!(EngineFlavor::LocalMySql.registry(&hw).len(), 266);
     }
 
     #[test]

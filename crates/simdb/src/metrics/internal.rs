@@ -322,21 +322,6 @@ impl MetricsDelta {
     pub fn as_slice(&self) -> &[f64] {
         &self.values
     }
-
-    /// Number of `NaN`/infinite entries — nonzero when metric collection
-    /// suffered dropouts; consumers must impute before feeding the network.
-    pub fn non_finite_count(&self) -> usize {
-        self.values.iter().filter(|v| !v.is_finite()).count()
-    }
-
-    /// Name of the metric at a given vector index.
-    pub fn name_of(index: usize) -> &'static str {
-        if index < STATE_METRIC_COUNT {
-            StateMetric::ALL[index].name()
-        } else {
-            CumulativeMetric::ALL[index - STATE_METRIC_COUNT].name()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -403,8 +388,10 @@ mod tests {
 
     #[test]
     fn name_of_spans_both_sections() {
-        assert_eq!(MetricsDelta::name_of(0), "innodb_buffer_pool_pages_total");
-        assert_eq!(MetricsDelta::name_of(STATE_METRIC_COUNT), "innodb_buffer_pool_read_requests");
-        assert_eq!(MetricsDelta::name_of(TOTAL_METRIC_COUNT - 1), "innodb_checkpoints");
+        // The delta vector is the state section, then the cumulative one.
+        assert_eq!(StateMetric::ALL[0].name(), "innodb_buffer_pool_pages_total");
+        assert_eq!(CumulativeMetric::ALL[0].name(), "innodb_buffer_pool_read_requests");
+        assert_eq!(CumulativeMetric::ALL[CUMULATIVE_METRIC_COUNT - 1].name(), "innodb_checkpoints");
+        assert_eq!(STATE_METRIC_COUNT + CUMULATIVE_METRIC_COUNT, TOTAL_METRIC_COUNT);
     }
 }

@@ -182,11 +182,6 @@ impl BPlusTree {
         self.len == 0
     }
 
-    /// Total node count (internal + leaf).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Tree depth (1 = a single leaf).
     pub fn depth(&self) -> usize {
         self.depth
@@ -592,7 +587,7 @@ mod tests {
                 level = below;
             }
         }
-        assert_eq!(levels.iter().map(Vec::len).sum::<usize>(), t.node_count());
+        assert_eq!(levels.iter().map(Vec::len).sum::<usize>(), t.nodes.len());
         levels
     }
 
@@ -750,7 +745,7 @@ mod tests {
                 let ctx = format!("fanout {fanout}, n {n}");
                 assert_eq!(bulk.len(), seq.len(), "{ctx}");
                 assert_eq!(bulk.depth(), seq.depth(), "{ctx}");
-                assert_eq!(bulk.node_count(), seq.node_count(), "{ctx}");
+                assert_eq!(bulk.nodes.len(), seq.nodes.len(), "{ctx}");
                 assert_eq!(shape(&bulk), shape(&seq), "{ctx}");
                 for k in 0..=n as u64 {
                     assert_eq!(bulk.get(k), seq.get(k), "{ctx}, key {k}");

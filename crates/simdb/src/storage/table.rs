@@ -149,7 +149,8 @@ impl Table {
     }
 
     /// A uniformly random existing page (for pre-warming), or `None` for an
-    /// empty table.
+    /// empty table. Only the reference pre-warm draws pages this way.
+    #[cfg(test)]
     pub fn page_at(&self, page_no: u64) -> Option<PageId> {
         if page_no < self.next_page {
             Some(PageId::new(self.id, page_no))

@@ -167,12 +167,6 @@ impl RedoLog {
         out
     }
 
-    /// Whether the checkpoint age crossed the async trigger (75 % of
-    /// capacity): the engine should start flushing dirty pages.
-    pub fn needs_async_checkpoint(&self) -> bool {
-        self.checkpoint_age() >= self.capacity() * 3 / 4
-    }
-
     /// Whether the checkpoint age crossed the sync trigger (90 %): the
     /// engine must stall writers and flush.
     pub fn needs_sync_checkpoint(&self) -> bool {
@@ -269,7 +263,6 @@ mod tests {
             log.append(100);
         }
         assert_eq!(log.checkpoint_age(), 1500);
-        assert!(log.needs_async_checkpoint());
         assert!(!log.needs_sync_checkpoint());
         for _ in 0..4 {
             log.append(100);
@@ -277,7 +270,6 @@ mod tests {
         assert!(log.needs_sync_checkpoint());
         log.complete_checkpoint();
         assert_eq!(log.checkpoint_age(), 0);
-        assert!(!log.needs_async_checkpoint());
     }
 
     #[test]

@@ -56,9 +56,6 @@ impl Init {
 /// The paper's default weight initializer: `Uniform(-0.1, 0.1)` (Table 4).
 pub const PAPER_WEIGHT_INIT: Init = Init::Uniform(0.1);
 
-/// The paper's default parameter initializer: `Normal(0, 0.01)` (Table 4).
-pub const PAPER_PARAM_INIT: Init = Init::Normal(0.01);
-
 #[cfg(test)]
 mod tests {
     use super::*;

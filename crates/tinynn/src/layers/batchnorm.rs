@@ -235,7 +235,8 @@ mod tests {
         let mut bn = BatchNorm::new(4);
         let x = Init::Normal(3.0).sample(64, 4, &mut rng);
         let y = fwd(&mut bn, &x, true);
-        let mean = y.col_mean();
+        let mut mean = Matrix::default();
+        y.col_mean_into(&mut mean);
         assert!(mean.as_slice().iter().all(|m| m.abs() < 1e-4), "mean {mean:?}");
         for c in 0..4 {
             let var: f32 = (0..64).map(|r| y[(r, c)].powi(2)).sum::<f32>() / 64.0;

@@ -134,7 +134,7 @@ mod tests {
         let mut d = Dense::new(3, 2, Init::Zeros, &mut rng);
         d.load_state(&[
             Matrix::zeros(3, 2),
-            Matrix::row_vector(vec![1.5, -0.5]),
+            Matrix::from_vec(1, 2, vec![1.5, -0.5]),
         ]);
         let x = Matrix::from_vec(2, 3, vec![1.0; 6]);
         let y = fwd(&mut d, &x, false);

@@ -14,7 +14,7 @@ mod batchnorm;
 mod dense;
 mod dropout;
 
-pub use activation::{Activation, ActivationKind, LeakyRelu, Relu, Sigmoid, Tanh};
+pub use activation::{Activation, ActivationKind, Relu, Tanh};
 pub use batchnorm::BatchNorm;
 pub use dense::Dense;
 pub use dropout::Dropout;

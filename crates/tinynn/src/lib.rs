@@ -11,11 +11,11 @@
 //!   variants that write into caller-owned buffers,
 //! * [`kernels`] — cache-blocked matmul microkernels (plus the naive
 //!   reference loops, switchable at runtime for differential benchmarks),
-//! * [`layers`] — `Dense`, `Relu`/`Tanh`/`Sigmoid`, `BatchNorm`, `Dropout`,
+//! * [`layers`] — `Dense`, `Relu`/`Tanh`, `BatchNorm`, `Dropout`,
 //! * [`net::Mlp`] — a sequential network with manual backprop, snapshots,
 //!   and Polyak soft updates for DDPG target networks,
 //! * [`optim`] — Adam,
-//! * [`loss`] — MSE and Huber,
+//! * [`loss`] — MSE,
 //! * [`linalg`] — Cholesky, triangular solves, SPD solve with jitter.
 //!
 //! # Example
@@ -56,14 +56,13 @@ pub mod net;
 pub mod optim;
 pub mod pool;
 
-pub use init::{Init, PAPER_PARAM_INIT, PAPER_WEIGHT_INIT};
+pub use init::{Init, PAPER_WEIGHT_INIT};
 pub use kernels::{kernel_mode, set_kernel_mode, KernelMode};
 pub use layers::{
-    Activation, ActivationKind, BatchNorm, Dense, Dropout, Grads, Layer, LeakyRelu, Param,
-    Relu, Sigmoid, Tanh,
+    Activation, ActivationKind, BatchNorm, Dense, Dropout, Grads, Layer, Param, Relu, Tanh,
 };
 pub use linalg::{cholesky, solve_lower, solve_lower_transpose, solve_spd, LinalgError};
-pub use loss::{huber_loss, mse_loss};
+pub use loss::mse_loss;
 pub use matrix::Matrix;
 pub use net::{Mlp, NetState};
 pub use optim::Adam;

@@ -128,12 +128,6 @@ pub fn solve_spd(a: &Matrix, b: &Matrix) -> Result<(Matrix, Matrix), LinalgError
     unreachable!("loop always returns")
 }
 
-/// Log-determinant of an SPD matrix from its Cholesky factor `L`:
-/// `log|A| = 2 * sum(log(L_ii))`.
-pub fn logdet_from_cholesky(l: &Matrix) -> f32 {
-    (0..l.rows()).map(|i| l[(i, i)].ln()).sum::<f32>() * 2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,12 +197,5 @@ mod tests {
         for (u, v) in back.as_slice().iter().zip(b.as_slice()) {
             assert!((u - v).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    fn logdet_matches_direct_2x2() {
-        let a = Matrix::from_vec(2, 2, vec![4.0, 0.0, 0.0, 9.0]);
-        let l = cholesky(&a).unwrap();
-        assert!((logdet_from_cholesky(&l) - (36.0f32).ln()).abs() < 1e-5);
     }
 }

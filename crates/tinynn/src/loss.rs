@@ -28,43 +28,13 @@ pub fn mse_loss(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
     (loss / n, grad)
 }
 
-/// Huber (smooth-L1) loss with threshold `delta`, more robust to the reward
-/// outliers the paper notes DDPG's exploration occasionally produces (§5.1.3).
-pub fn huber_loss(pred: &Matrix, target: &Matrix, delta: f32) -> (f32, Matrix) {
-    assert_eq!(
-        (pred.rows(), pred.cols()),
-        (target.rows(), target.cols()),
-        "huber shape mismatch"
-    );
-    assert!(delta > 0.0, "huber delta must be positive");
-    let n = pred.as_slice().len().max(1) as f32;
-    let mut loss = 0.0;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
-    for ((&p, &t), g) in pred
-        .as_slice()
-        .iter()
-        .zip(target.as_slice())
-        .zip(grad.as_mut_slice().iter_mut())
-    {
-        let d = p - t;
-        if d.abs() <= delta {
-            loss += 0.5 * d * d;
-            *g = d / n;
-        } else {
-            loss += delta * (d.abs() - 0.5 * delta);
-            *g = delta * d.signum() / n;
-        }
-    }
-    (loss / n, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn mse_zero_at_target() {
-        let p = Matrix::row_vector(vec![1.0, 2.0]);
+        let p = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
         let (l, g) = mse_loss(&p, &p);
         assert_eq!(l, 0.0);
         assert!(g.as_slice().iter().all(|&x| x == 0.0));
@@ -72,27 +42,11 @@ mod tests {
 
     #[test]
     fn mse_value_and_gradient() {
-        let p = Matrix::row_vector(vec![3.0, 0.0]);
-        let t = Matrix::row_vector(vec![1.0, 0.0]);
+        let p = Matrix::from_vec(1, 2, vec![3.0, 0.0]);
+        let t = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
         let (l, g) = mse_loss(&p, &t);
         assert!((l - 2.0).abs() < 1e-6); // (4 + 0) / 2
         assert!((g.as_slice()[0] - 2.0).abs() < 1e-6); // 2*2/2
         assert_eq!(g.as_slice()[1], 0.0);
-    }
-
-    #[test]
-    fn huber_matches_mse_inside_delta() {
-        let p = Matrix::row_vector(vec![0.5]);
-        let t = Matrix::row_vector(vec![0.0]);
-        let (l, _) = huber_loss(&p, &t, 1.0);
-        assert!((l - 0.125).abs() < 1e-6); // 0.5 * 0.25
-    }
-
-    #[test]
-    fn huber_gradient_saturates_outside_delta() {
-        let p = Matrix::row_vector(vec![100.0]);
-        let t = Matrix::row_vector(vec![0.0]);
-        let (_, g) = huber_loss(&p, &t, 1.0);
-        assert!((g.as_slice()[0] - 1.0).abs() < 1e-6);
     }
 }

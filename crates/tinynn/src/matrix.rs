@@ -46,12 +46,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a 1 x n row vector.
-    pub fn row_vector(data: Vec<f32>) -> Self {
-        let cols = data.len();
-        Self::from_vec(1, cols, data)
-    }
-
     /// Creates an n x n identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
@@ -158,13 +152,6 @@ impl Matrix {
         out
     }
 
-    /// `selfᵀ * other` written into `out` (resized and overwritten).
-    pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        out.resize(self.cols, other.cols);
-        out.fill(0.0);
-        self.t_matmul_acc(other, out);
-    }
-
     /// `out += selfᵀ * other` — the accumulating form gradient updates use
     /// (`dW += Xᵀ·dY`). `out` must already have shape `cols x other.cols`.
     pub fn t_matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
@@ -261,16 +248,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise binary op with a same-shape matrix.
-    pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols), "zip_map shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect(),
-        }
-    }
-
     /// Element-wise `tanh` written into `out` (resized and overwritten).
     ///
     /// Dispatches with the rest of the kernel family: the blocked mode uses
@@ -325,14 +302,6 @@ impl Matrix {
         }
     }
 
-    /// `self += scale * other`.
-    pub fn add_scaled(&mut self, other: &Matrix, scale: f32) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols), "add_scaled shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
-        }
-    }
-
     /// Adds `row` (a 1 x cols matrix) to every row of `self`.
     pub fn add_row_broadcast(&mut self, row: &Matrix) {
         assert_eq!(row.rows, 1, "broadcast source must be a row vector");
@@ -342,17 +311,6 @@ impl Matrix {
                 *a += b;
             }
         }
-    }
-
-    /// Sums each column into a 1 x cols row vector.
-    pub fn col_sum(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for (o, &x) in out.row_mut(0).iter_mut().zip(self.row(r)) {
-                *o += x;
-            }
-        }
-        out
     }
 
     /// Column sums written into `out` (resized to `1 x cols`, overwritten).
@@ -380,14 +338,6 @@ impl Matrix {
         out.map_inplace(|x| x / n);
     }
 
-    /// Mean of each column as a 1 x cols row vector.
-    pub fn col_mean(&self) -> Matrix {
-        let mut s = self.col_sum();
-        let n = self.rows.max(1) as f32;
-        s.map_inplace(|x| x / n);
-        s
-    }
-
     /// Multiplies every element by `s` in place.
     pub fn scale(&mut self, s: f32) {
         for x in &mut self.data {
@@ -409,15 +359,6 @@ impl Matrix {
         }
     }
 
-    /// Stacks rows selected by `indices` into a new matrix.
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.cols);
-        for (dst, &src) in indices.iter().enumerate() {
-            out.row_mut(dst).copy_from_slice(self.row(src));
-        }
-        out
-    }
-
     /// Horizontal concatenation `[a | b]` written into `out` (resized and
     /// overwritten) — the critic's `[state | action]` assembly.
     ///
@@ -433,23 +374,6 @@ impl Matrix {
             // lint:allow(panic) reason=out was resized to a.cols + b.cols columns above
             dst[a.cols..].copy_from_slice(b.row(r));
         }
-    }
-
-    /// Vertically stacks a list of row-compatible matrices.
-    ///
-    /// # Panics
-    /// Panics if the list is empty or column counts disagree.
-    pub fn vstack(mats: &[&Matrix]) -> Matrix {
-        assert!(!mats.is_empty(), "vstack of empty list");
-        // lint:allow(panic) reason=emptiness rejected by the assert above
-        let cols = mats[0].cols;
-        let rows: usize = mats.iter().map(|m| m.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for m in mats {
-            assert_eq!(m.cols, cols, "vstack column mismatch");
-            data.extend_from_slice(&m.data);
-        }
-        Matrix { rows, cols, data }
     }
 }
 
@@ -529,10 +453,13 @@ mod tests {
     #[test]
     fn broadcast_and_colsum() {
         let mut a = Matrix::zeros(3, 2);
-        let bias = Matrix::row_vector(vec![1.0, -2.0]);
+        let bias = Matrix::from_vec(1, 2, vec![1.0, -2.0]);
         a.add_row_broadcast(&bias);
-        assert_eq!(a.col_sum().as_slice(), &[3.0, -6.0]);
-        assert_eq!(a.col_mean().as_slice(), &[1.0, -2.0]);
+        let mut out = Matrix::default();
+        a.col_sum_into(&mut out);
+        assert_eq!(out.as_slice(), &[3.0, -6.0]);
+        a.col_mean_into(&mut out);
+        assert_eq!(out.as_slice(), &[1.0, -2.0]);
     }
 
     #[test]
@@ -541,16 +468,6 @@ mod tests {
         let i = Matrix::identity(2);
         assert_eq!(a.matmul(&i), a);
         assert_eq!(i.matmul(&a), a);
-    }
-
-    #[test]
-    fn select_rows_and_vstack() {
-        let a = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let sel = a.select_rows(&[2, 0]);
-        assert_eq!(sel.as_slice(), &[5.0, 6.0, 1.0, 2.0]);
-        let stacked = Matrix::vstack(&[&a, &sel]);
-        assert_eq!(stacked.rows(), 5);
-        assert_eq!(stacked.row(3), &[5.0, 6.0]);
     }
 
     #[test]
@@ -569,10 +486,6 @@ mod tests {
         a.matmul_into(&b, &mut out);
         assert_eq!(out, a.matmul(&b));
 
-        let c = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        a.t_matmul_into(&c, &mut out);
-        assert_eq!(out, a.t_matmul(&c));
-
         let d = Matrix::from_vec(4, 3, vec![0.5; 12]);
         a.matmul_t_into(&d, &mut out);
         assert_eq!(out, a.matmul_t(&d));
@@ -585,12 +498,12 @@ mod tests {
 
         let e = Matrix::from_vec(2, 3, vec![1.0; 6]);
         a.zip_map_into(&e, &mut out, |x, y| x + y);
-        assert_eq!(out, a.zip_map(&e, |x, y| x + y));
+        assert_eq!(out, a.map(|x| x + 1.0));
 
         a.col_sum_into(&mut out);
-        assert_eq!(out, a.col_sum());
+        assert_eq!(out.as_slice(), &[1.5, -2.0, 1.5]);
         a.col_mean_into(&mut out);
-        assert_eq!(out, a.col_mean());
+        assert_eq!(out.as_slice(), &[0.75, -1.0, 0.75]);
     }
 
     #[test]

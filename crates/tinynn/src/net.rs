@@ -174,13 +174,6 @@ impl Mlp {
         }
     }
 
-    /// Total number of scalar parameters.
-    pub fn param_count(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p| n += p.value.as_slice().len());
-        n
-    }
-
     /// Clips the global gradient norm to `max_norm` (no-op when below).
     pub fn clip_grad_norm(&mut self, max_norm: f32) {
         let mut sq = 0.0f32;
@@ -409,9 +402,12 @@ mod tests {
 
     #[test]
     fn param_count_matches_architecture() {
+        // `visit_params` reaches every weight the optimizer must update:
+        // (2*16 + 16) + (16*1 + 1) = 48 + 17 = 65.
         let mut rng = StdRng::seed_from_u64(104);
         let mut net = tiny_net(&mut rng);
-        // (2*16 + 16) + (16*1 + 1) = 48 + 17 = 65
-        assert_eq!(net.param_count(), 65);
+        let mut n = 0;
+        net.visit_params(&mut |p| n += p.value.as_slice().len());
+        assert_eq!(n, 65);
     }
 }

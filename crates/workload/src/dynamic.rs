@@ -255,21 +255,6 @@ impl DynamicWorkload {
         &self.spec
     }
 
-    /// How many windows have been generated so far.
-    pub fn windows_generated(&self) -> u64 {
-        self.window_idx
-    }
-
-    /// The kind the *next* `window()` call will issue.
-    pub fn current_kind(&self) -> WorkloadKind {
-        self.spec.kind_at(self.window_idx)
-    }
-
-    /// Rewinds the trace clock (e.g. when an episode resets).
-    pub fn rewind(&mut self) {
-        self.window_idx = 0;
-    }
-
     fn generator_mut(&mut self, kind: WorkloadKind) -> &mut Box<dyn Workload> {
         let pos = self
             .generators
@@ -387,20 +372,16 @@ mod tests {
         for _ in 1..4 {
             wl.window(100, &mut rng);
         }
-        assert_eq!(wl.windows_generated(), 4);
+        assert_eq!(wl.window_idx, 4);
         let flash = wl.window(100, &mut rng);
         assert!(flash.len() > 200, "flash window only {} txns", flash.len());
 
         wl.window(100, &mut rng); // window 5
-        assert_eq!(wl.current_kind(), WorkloadKind::SysbenchWo); // shift at 6
+        assert_eq!(wl.spec.kind_at(wl.window_idx), WorkloadKind::SysbenchWo); // shift at 6
         let wo = wl.window(100, &mut rng);
         // Write-only windows contain no reads.
         assert!(wo
             .iter()
             .all(|t| t.ops.iter().all(|op| !matches!(op, simdb::Op::PointRead { .. }))));
-
-        wl.rewind();
-        assert_eq!(wl.windows_generated(), 0);
-        assert_eq!(wl.current_kind(), WorkloadKind::SysbenchRw);
     }
 }

@@ -39,7 +39,7 @@ pub mod zipf;
 pub use dynamic::{Diurnal, DynamicSpec, DynamicWorkload, FlashCrowd, MixShift};
 pub use replay::WorkloadTrace;
 pub use spec::{build_workload, scaled_hardware, WorkloadKind};
-pub use sysbench::{KeyDistribution, SysbenchMode, SysbenchWorkload};
+pub use sysbench::{SysbenchMode, SysbenchWorkload};
 pub use tpcc::TpccWorkload;
 pub use tpch::TpchWorkload;
 pub use ycsb::{YcsbMix, YcsbWorkload};

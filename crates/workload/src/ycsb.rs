@@ -35,20 +35,6 @@ pub enum YcsbMix {
     F,
 }
 
-impl YcsbMix {
-    /// Workload letter.
-    pub fn letter(self) -> char {
-        match self {
-            YcsbMix::A => 'A',
-            YcsbMix::B => 'B',
-            YcsbMix::C => 'C',
-            YcsbMix::D => 'D',
-            YcsbMix::E => 'E',
-            YcsbMix::F => 'F',
-        }
-    }
-}
-
 /// The YCSB workload generator.
 pub struct YcsbWorkload {
     mix: YcsbMix,

@@ -86,11 +86,6 @@ impl Zipfian {
         self.theta
     }
 
-    /// Probability mass of the hottest key (diagnostic).
-    pub fn hottest_mass(&self) -> f64 {
-        1.0 / self.zetan
-    }
-
     /// zeta(2, theta) (exposed for tests).
     pub fn zeta2(&self) -> f64 {
         self.zeta2
@@ -128,7 +123,7 @@ mod tests {
             "head {head} should dwarf a mid-range decile {tail}"
         );
         // YCSB theta=0.99 over 10k keys: hottest key gets ~10 % of mass.
-        let expected = z.hottest_mass();
+        let expected = 1.0 / z.zetan;
         let observed = f64::from(counts[0]) / 100_000.0;
         assert!(
             (observed - expected).abs() < 0.02,

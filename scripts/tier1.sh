@@ -19,10 +19,11 @@ cargo test -q
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Static-analysis gate: tunelint walks every crates/**/*.rs with the five
-# project lints (panic-safety, determinism, lock-order, unsafe-audit,
-# reactor-blocking), interprocedurally over a call graph and a fixpoint
+# project lints (panic-safety, determinism, unsafe-audit, reactor-blocking,
+# dead-surface), interprocedurally over a call graph and a fixpoint
 # dataflow (DESIGN.md §15), and fails on any finding that a reasoned
-# `lint:allow` annotation does not cover. Every run prints call-graph
+# `lint:allow` annotation does not cover. dead-surface also reads tests/,
+# examples/, src/ and benchmark/src for callers. Every run prints call-graph
 # coverage (nodes/edges/unresolved) so resolution regressions show up in
 # CI logs.
 cargo run --release -p analyzer --bin tunelint -- --root .
