@@ -21,7 +21,8 @@ Every finding fails. Suppress a single one with an annotation on the same
 line or the line above:  // lint:allow(<id>) reason=<why this is sound>
 where <id> is one of: {ids}.
 
-Every run also prints the call graph's nodes/edges/unresolved counts.
+Every run also prints the call graph's nodes/edges/unresolved counts and
+each lint's subject count.
 
 Exit codes: 0 clean, 1 any finding, 2 usage/I-O error.";
 
@@ -62,6 +63,7 @@ fn main() -> ExitCode {
         println!("{f}");
     }
     eprintln!("tunelint: call graph: {}", analysis.graph_stats);
+    eprintln!("tunelint: subjects: {}", analysis.subjects);
     let n = analysis.findings.len();
     println!(
         "tunelint: {} files, {n} finding{}",

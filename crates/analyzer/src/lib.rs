@@ -187,6 +187,9 @@ pub struct Analysis {
     pub findings: Vec<Finding>,
     /// Call-graph size/coverage (`tunelint` prints it on every run).
     pub graph_stats: callgraph::GraphStats,
+    /// Each lint's subject count, one line (`tunelint` prints it on every
+    /// run): a lint whose subjects fall to zero has nothing left to check.
+    pub subjects: String,
 }
 
 /// Everything the interprocedural lints consume: the parsed sources,
@@ -285,7 +288,40 @@ pub fn analyze_tree(root: &Path, cfg: &AnalysisConfig) -> io::Result<Analysis> {
     let mut findings = analyze_workspace(&ws, cfg);
     findings.extend(lints::dead_surface::run(&sources, &refs));
     findings.sort();
-    Ok(Analysis { files: sources.len(), graph_stats: ws.graph.stats(), findings })
+    let subjects = subject_counts(&ws, cfg);
+    Ok(Analysis { files: sources.len(), graph_stats: ws.graph.stats(), subjects, findings })
+}
+
+/// What each lint looks at: the files in its scope, the call-graph nodes a
+/// transitive fact starts at (seeds) and holds at, the `unsafe` tokens and
+/// the bare-`pub` declarations outside test code.
+fn subject_counts(ws: &Workspace<'_>, cfg: &AnalysisConfig) -> String {
+    let files = |scope: &[String], except: &[String]| {
+        let hit = |s: &&SourceFile| cfg.matches_any(&s.path, scope) && !cfg.matches_any(&s.path, except);
+        ws.sources.iter().filter(hit).count()
+    };
+    let facts = |f: &[Option<dataflow::Witness>]| {
+        let seeds = f.iter().flatten().filter(|w| w.via.is_none()).count();
+        format!("{seeds} seeds, {} nodes", f.iter().flatten().count())
+    };
+    let unsafe_tokens: usize = ws
+        .sources
+        .iter()
+        .map(|s| {
+            let live = |t: &&Token| !s.in_test(t.line) && matches!(&t.tok, Tok::Ident(id) if id == "unsafe");
+            s.lexed.tokens.iter().filter(live).count()
+        })
+        .sum();
+    format!(
+        "panic-safety {} files, {}; determinism {} files; reactor-blocking {} files, {}; \
+         unsafe-audit {unsafe_tokens} `unsafe`; dead-surface {} bare-`pub` declarations",
+        files(&cfg.panic_hot_paths, &[]),
+        facts(&ws.flow.may_panic),
+        files(&cfg.determinism_scope, &cfg.determinism_allowlist),
+        files(&cfg.reactor_scope, &[]),
+        facts(&ws.flow.may_block),
+        lints::dead_surface::declarations(ws.sources),
+    )
 }
 
 /// Runs every lint — token-level per file, then the interprocedural
@@ -885,6 +921,35 @@ mod fixture_tests {
             .collect();
         assert_eq!(got, golden("dead_surface.expected"));
         assert!(annotation_findings(&sources[0]).is_empty(), "dead-surface is a known allow id");
+    }
+
+    #[test]
+    fn subject_counts_fixture() {
+        let sources = parse_as(&[
+            ("fixtures/panic_hot.rs", "panic_hot.rs"),
+            ("fixtures/determinism.rs", "determinism.rs"),
+            ("fixtures/reactor_blocking.rs", "reactor_blocking.rs"),
+            ("fixtures/unsafe_audit.rs", "unsafe_audit.rs"),
+            ("crates/dead/src/lib.rs", "dead_surface.rs"),
+        ]);
+        let cfg = AnalysisConfig {
+            panic_hot_paths: vec!["panic_hot.rs".into()],
+            determinism_scope: vec!["fixtures/".into()],
+            determinism_allowlist: vec!["unsafe_audit.rs".into()],
+            reactor_scope: vec!["reactor_blocking.rs".into()],
+            ..AnalysisConfig::default()
+        };
+        let ws = Workspace::build_with(&sources, &cfg.panic_kernel_allowlist);
+        // Seeds: `hot_step` and `malformed_allow` (a reasonless allow does
+        // not suppress); `pump`, `tick`, `share` (`worker`'s is allowed).
+        // `unsafe`: two blocks, two impls. `pub`: every bare-`pub` item of
+        // the dead-surface fixture outside its test module, live or not.
+        assert_eq!(
+            subject_counts(&ws, &cfg),
+            "panic-safety 1 files, 2 seeds, 2 nodes; determinism 3 files; reactor-blocking 1 \
+             files, 3 seeds, 3 nodes; unsafe-audit 4 `unsafe`; dead-surface 8 bare-`pub` \
+             declarations"
+        );
     }
 
     #[test]

@@ -67,6 +67,16 @@ pub fn run(sources: &[SourceFile], refs: &[SourceFile]) -> Vec<Finding> {
     out
 }
 
+/// The lint's subjects: bare-`pub` declarations outside test code in
+/// `crates/*/src`, named elsewhere or not.
+pub(crate) fn declarations(sources: &[SourceFile]) -> usize {
+    let decls = |s: &SourceFile| {
+        let toks = &s.lexed.tokens;
+        (0..toks.len()).filter(|&i| pub_decl(toks, i).is_some() && !s.in_test(toks[i].line)).count()
+    };
+    sources.iter().filter(|s| is_crate_src(&s.path)).map(decls).sum()
+}
+
 /// True for a library or binary source file of a workspace crate.
 fn is_crate_src(path: &str) -> bool {
     let mut parts = path.split('/');

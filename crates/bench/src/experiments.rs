@@ -19,17 +19,17 @@ use baselines::{ConfigTuner, DbaTuner, Evaluation, OtterTune, RandomSearch, Regr
 use cdbtune::jsonio::Json;
 use cdbtune::persist::{Persist, PersistError};
 use cdbtune::{
-    persist_struct, profile_step, ActionSpace, MemoryKind, RewardConfig, RewardKind,
-    StateProcessor, StepTiming, TrainerConfig, TunerBudget,
+    persist_struct, ActionSpace, MemoryKind, PhaseTiming, RewardConfig, RewardKind, Telemetry,
+    TraceEvent, TraceLevel, TrainerConfig, TunerBudget,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rl::{Ddpg, DdpgConfig, Transition};
+use rl::Transition;
 use simdb::knobs::mysql::names;
 use simdb::knobs::versions::{registry_for_version, CDB_VERSION_KNOB_COUNTS};
-use simdb::{Engine, EngineFlavor::*, HardwareConfig as Hw, MediaType};
-use workload::{build_workload, WorkloadKind::*};
+use simdb::{EngineFlavor::*, HardwareConfig as Hw, MediaType};
+use workload::WorkloadKind::*;
 
 /// `Ok` when the shape holds, otherwise why it does not.
 pub type Shape = Result<(), String>;
@@ -315,7 +315,7 @@ impl Experiment for Surface {
 
 // ---- Table 2 and Figure 5: efficiency ----
 
-row!(Efficiency { steps: Vec<StepTiming>, budgets: Vec<(String, u32, f64, f64)> });
+row!(Efficiency { steps: Vec<PhaseTiming>, budgets: Vec<(String, u32, f64, f64)> });
 
 impl Experiment for Efficiency {
     const ID: &'static str = "table02_efficiency";
@@ -326,16 +326,21 @@ impl Experiment for Efficiency {
     const LAB: (u64, Option<usize>) = (5, None);
     const CHECKS: &'static [Check<Self>] = &[];
 
+    /// The step records of one 5-step training episode, every step acting
+    /// from the policy and updating from a pool pre-filled to a minibatch.
+    /// A step that crashed or could not be measured ran no stress window and
+    /// is left out.
     fn run(lab: &Lab) -> Self {
-        let hw = workload::scaled_hardware(&Hw::cdb_a(), lab.scale.data);
-        let mut engine = Engine::new(MySqlCdb, hw, lab.seed);
-        let mut wl = build_workload(SysbenchRw, lab.scale.data);
-        wl.setup(&mut engine);
-        let space = ActionSpace::all_tunable(engine.registry());
-        let (states, dim) = (simdb::TOTAL_METRIC_COUNT, space.dim());
-        let mut agent = Ddpg::new(DdpgConfig::paper(states, dim));
-        let mut processor = StateProcessor::new();
-        let mut rng = StdRng::seed_from_u64(lab.seed);
+        let mut env = lab.env(&Setting::new(MySqlCdb, Hw::cdb_a(), SysbenchRw, None));
+        let telemetry = Telemetry::ring(64, TraceLevel::Step);
+        env.set_telemetry(telemetry.clone());
+        let cfg = TrainerConfig {
+            episodes: 1,
+            steps_per_episode: 5,
+            random_warmup_steps: 0,
+            ..lab.trainer_config()
+        };
+        let (states, dim) = (simdb::TOTAL_METRIC_COUNT, env.space().dim());
         let transition = |i: usize| Transition {
             state: vec![0.1 * (i as f32 % 7.0); states],
             action: vec![0.5; dim],
@@ -343,17 +348,16 @@ impl Experiment for Efficiency {
             next_state: vec![0.1; states],
             done: false,
         };
-        let batch: Vec<Transition> = (0..32).map(transition).collect();
-        let txns = lab.scale.measure_txns;
-        let mut step = |_| {
-            let (wl, agent, processor) = (wl.as_mut(), &mut agent, &mut processor);
-            profile_step(&mut engine, wl, agent, processor, &space, 64, txns, &batch, &mut rng)
-        };
+        cdbtune::train_offline(&mut env, &cfg, (0..cfg.batch_size).map(transition).collect());
+        let steps = telemetry.drain_ring().into_iter().filter_map(|e| match e {
+            TraceEvent::Step { timing, crashed: false, degraded: false, .. } => Some(timing),
+            _ => None,
+        });
         let budget = |b: TunerBudget| {
             (b.tool.to_string(), b.total_steps, b.minutes_per_step, b.total_minutes())
         };
         Efficiency {
-            steps: (0..5).map(&mut step).collect(),
+            steps: steps.collect(),
             budgets: TunerBudget::paper_rows().into_iter().map(budget).collect(),
         }
     }
@@ -1006,6 +1010,20 @@ impl Experiment for Vec<DqnRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::ExperimentScale;
+
+    #[test]
+    fn efficiency_rows_time_every_step_component() {
+        let lab = Lab { scale: ExperimentScale::quick(), seed: Efficiency::LAB.0 };
+        let steps = Efficiency::run(&lab).steps;
+        assert!((1..=5).contains(&steps.len()), "{} measured steps", steps.len());
+        for t in &steps {
+            assert!(t.stress_wall_us > 0, "{t:?}");
+            assert!(t.stress_simulated_sec > 0.0, "{t:?}");
+            assert!(t.model_update_wall_us > 0, "{t:?}");
+            assert!(t.total_wall_us() >= t.stress_wall_us, "{t:?}");
+        }
+    }
 
     #[test]
     fn ids_are_unique_and_the_table_holds_the_nineteen_checks() {

@@ -369,8 +369,10 @@ impl DbEnv {
         &self.space
     }
 
-    /// Replaces the action space (knob-count sweeps). Resets episode state
-    /// and the quarantine bookkeeping (cell keys are dimension-specific).
+    /// Replaces the action space (knob-count sweeps) and clears the
+    /// quarantine bookkeeping — quarantined cells and crash streaks — whose
+    /// cell keys are dimension-specific. Episode state is left as it is:
+    /// callers start a new episode with [`Self::reset_episode`].
     pub fn set_space(&mut self, space: ActionSpace) {
         self.space = space;
         self.quarantined.clear();

@@ -76,7 +76,7 @@ pub use telemetry::{
     EngineSample, JsonlSink, NullSink, PhaseTiming, RecoveryDelta, ReplayTrace, RewardTrace,
     RingSink, Telemetry, TelemetrySink, TraceEvent, TraceLevel,
 };
-pub use timing::{profile_step, StepTiming, TunerBudget};
+pub use timing::TunerBudget;
 pub use trainer::{
     resume_from_checkpoint, train_offline, train_offline_resumable, CheckpointError, TrainedModel,
     TrainerConfig, TrainingCheckpoint, TrainingReport,

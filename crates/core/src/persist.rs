@@ -28,7 +28,7 @@ use crate::env::RecoveryStats;
 use crate::jsonio::Json;
 use crate::reward::{RewardConfig, RewardKind};
 use crate::state::StateProcessor;
-use crate::timing::StepTiming;
+use crate::telemetry::PhaseTiming;
 use crate::trainer::{
     ConvergenceTracker, TrainedModel, TrainingCheckpoint, TrainingReport, DEFAULT_REWARD_SCALE,
 };
@@ -279,7 +279,7 @@ persist_struct!(TrainingReport {
     best_throughput, best_latency_us, best_action, actor_eval_history, crashes, wall_seconds,
     recovery ?= RecoveryStats::default(),
 });
-persist_struct!(StepTiming {
+persist_struct!(PhaseTiming {
     stress_wall_us, stress_simulated_sec, metrics_wall_us, model_update_wall_us,
     recommendation_wall_us, deployment_wall_us,
 });

@@ -151,9 +151,8 @@ impl RewardTrace {
     }
 }
 
-/// Per-phase timings of one tuning step, mirroring `timing::StepTiming`
-/// (§5.1.1, Table 2): wall-clock µs per component plus the simulated
-/// seconds the stress window represents.
+/// Per-phase timings of one tuning step (§5.1.1, Table 2): wall-clock µs
+/// per component plus the simulated seconds the stress window represents.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseTiming {
     /// Actor inference, wall µs.

@@ -33,5 +33,5 @@ pub use dqn::{Dqn, DqnConfig};
 pub use env::{Environment, StepResult, Transition};
 pub use eval::SnapshotPolicy;
 pub use noise::{perturb, GaussianNoise, NoiseProcess};
-pub use per::{PerStats, PrioritizedBatch, PrioritizedReplay};
+pub use per::{PerStats, PrioritizedReplay};
 pub use replay::ReplayBuffer;

@@ -99,18 +99,6 @@ impl SumTree {
     }
 }
 
-/// A batch sampled from the prioritized buffer.
-#[derive(Debug)]
-pub struct PrioritizedBatch<'a> {
-    /// The sampled transitions.
-    pub transitions: Vec<&'a Transition>,
-    /// Buffer slots of each sample (pass back to
-    /// [`PrioritizedReplay::update_priorities`]).
-    pub indices: Vec<usize>,
-    /// Importance-sampling weights, normalized to max 1.
-    pub weights: Vec<f32>,
-}
-
 /// Observability counters of a [`PrioritizedReplay`] buffer, exposed for
 /// the telemetry layer.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -207,9 +195,9 @@ impl PrioritizedReplay {
         self.len = (self.len + 1).min(self.data.len());
     }
 
-    /// Proportional draw shared by [`Self::sample`] and
-    /// [`Self::sample_into`]: fills `indices`/`weights` (cleared first) and
-    /// anneals β. Caller-owned vectors make the hot path allocation-free.
+    /// The proportional draw of [`Self::sample_into`]: fills
+    /// `indices`/`weights` (cleared first) and anneals β. Caller-owned
+    /// vectors make the hot path allocation-free.
     fn draw(
         &mut self,
         n: usize,
@@ -249,18 +237,6 @@ impl PrioritizedReplay {
             *w /= max_w;
         }
         self.beta = (self.beta + self.beta_increment).min(1.0);
-    }
-
-    /// Samples `n` transitions proportionally to priority, with IS weights.
-    pub fn sample(&mut self, n: usize, rng: &mut impl Rng) -> PrioritizedBatch<'_> {
-        let mut indices = Vec::new();
-        let mut weights = Vec::new();
-        self.draw(n, rng, &mut indices, &mut weights);
-        let transitions = indices
-            .iter()
-            .map(|&i| self.data[i].as_ref().expect("sampled slot is filled"))
-            .collect();
-        PrioritizedBatch { transitions, indices, weights }
     }
 
     /// Samples `n` transitions proportionally to priority directly into
@@ -313,6 +289,14 @@ mod tests {
         }
     }
 
+    /// [`PrioritizedReplay::sample_into`] into fresh buffers: the sampled
+    /// rewards, slots and IS weights.
+    fn sample(buf: &mut PrioritizedReplay, n: usize, rng: &mut StdRng) -> (Vec<f32>, Vec<usize>, Vec<f32>) {
+        let (mut batch, mut indices, mut weights) = (TransitionBatch::new(), Vec::new(), Vec::new());
+        buf.sample_into(n, rng, &mut batch, &mut indices, &mut weights);
+        (batch.rewards().to_vec(), indices, weights)
+    }
+
     #[test]
     fn sumtree_total_tracks_sets() {
         let mut s = SumTree::new(8);
@@ -350,8 +334,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut hot = 0;
         for _ in 0..50 {
-            let batch = buf.sample(16, &mut rng);
-            hot += batch.transitions.iter().filter(|x| x.reward == 7.0).count();
+            let (rewards, _, _) = sample(&mut buf, 16, &mut rng);
+            hot += rewards.iter().filter(|&&r| r == 7.0).count();
         }
         assert!(hot > 300, "hot item sampled {hot}/800 times");
     }
@@ -366,23 +350,19 @@ mod tests {
         tds[3] = 10.0;
         buf.update_priorities(&(0..16).collect::<Vec<_>>(), &tds);
         let mut rng = StdRng::seed_from_u64(2);
-        let batch = buf.sample(64, &mut rng);
+        let (_, indices, weights) = sample(&mut buf, 64, &mut rng);
         // Weights of the hot item must be the smallest (it is over-sampled).
         let mut hot_w = f32::MAX;
         let mut cold_w: f32 = 0.0;
-        for (i, tr) in batch.indices.iter().zip(&batch.transitions) {
-            if *i == 3 {
-                hot_w = hot_w.min(batch.weights[batch.indices.iter().position(|x| x == i).unwrap()]);
-            }
-            let _ = tr;
-        }
-        for (pos, &i) in batch.indices.iter().enumerate() {
-            if i != 3 {
-                cold_w = cold_w.max(batch.weights[pos]);
+        for (&i, &w) in indices.iter().zip(&weights) {
+            if i == 3 {
+                hot_w = hot_w.min(w);
+            } else {
+                cold_w = cold_w.max(w);
             }
         }
         assert!(hot_w < cold_w, "hot {hot_w} vs cold {cold_w}");
-        assert!(batch.weights.iter().all(|&w| w <= 1.0 + 1e-6));
+        assert!(weights.iter().all(|&w| w <= 1.0 + 1e-6));
     }
 
     #[test]
@@ -392,7 +372,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let b0 = buf.beta();
         for _ in 0..100 {
-            let _ = buf.sample(4, &mut rng);
+            let _ = sample(&mut buf, 4, &mut rng);
         }
         assert!(buf.beta() > b0);
         assert!(buf.beta() <= 1.0);
@@ -457,7 +437,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let indices: Vec<usize> = (0..64).collect();
         for round in 0..200 {
-            let _ = buf.sample(32, &mut rng);
+            let _ = sample(&mut buf, 32, &mut rng);
             let tds: Vec<f32> = (0..64).map(|i| 0.01 + ((i + round) % 7) as f32).collect();
             buf.update_priorities(&indices, &tds);
         }
@@ -483,12 +463,11 @@ mod tests {
         }
         buf.tree.set(6, 1000.0); // empty slot, dominant priority
         let mut rng = StdRng::seed_from_u64(5);
-        let batch = buf.sample(16, &mut rng);
+        let (_, indices, weights) = sample(&mut buf, 16, &mut rng);
         // Every sampled index must point at real data (the pre-fix contract),
         // and weights stay in the normalized (0, 1] range.
-        assert!(batch.indices.iter().all(|&i| i < 4));
-        assert!(batch.weights.iter().all(|&w| w > 0.0 && w <= 1.0 + 1e-6));
-        drop(batch);
+        assert!(indices.iter().all(|&i| i < 4));
+        assert!(weights.iter().all(|&w| w > 0.0 && w <= 1.0 + 1e-6));
         assert!(buf.stats().fallback_hits > 0, "dominant empty leaf must trigger fallbacks");
     }
 
@@ -532,7 +511,7 @@ mod tests {
         }
         assert_eq!(buf.len(), 4);
         let mut rng = StdRng::seed_from_u64(4);
-        let batch = buf.sample(8, &mut rng);
-        assert!(batch.transitions.iter().all(|x| x.reward >= 6.0));
+        let (rewards, _, _) = sample(&mut buf, 8, &mut rng);
+        assert!(rewards.iter().all(|&r| r >= 6.0));
     }
 }

@@ -1,4 +1,4 @@
-//! Golden digest of the DDPG update under the AVX2+FMA kernels.
+//! Golden digest of the DDPG update.
 //!
 //! Every performance change to `tinynn`'s kernels or to
 //! `Ddpg::train_step_batch` promises the same bits; this test holds it to
@@ -9,9 +9,9 @@
 //! FNV-1a digest: per-step stats and TD errors, the final weights of all
 //! four networks, and a probe action. The constant was recorded at the
 //! commit before the update stopped computing discarded gradients; a
-//! mismatch means the arithmetic changed, not just its speed. The portable
-//! kernels sum in a different order, so the digest is checked only where
-//! AVX2+FMA are detected.
+//! mismatch means the arithmetic changed, not just its speed. Every kernel
+//! family (portable, AVX2, AVX-512) gives the same bits, so the digest is
+//! checked on every host.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,13 +69,8 @@ fn train(fnv: &mut Fnv, action_dim: usize, batch: usize, updates: usize, seed: u
     fnv.f32s(&agent.act(&probe));
 }
 
-#[cfg(target_arch = "x86_64")]
 #[test]
 fn ddpg_update_digest_is_unchanged() {
-    if !(std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma"))
-    {
-        return;
-    }
     let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
     train(&mut fnv, 64, 32, 32, 5);
     train(&mut fnv, 4, 4, 64, 11);

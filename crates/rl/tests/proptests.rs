@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rl::{perturb, Ddpg, DdpgConfig, PrioritizedReplay, ReplayBuffer, Transition};
+use rl::{perturb, Ddpg, DdpgConfig, PrioritizedReplay, ReplayBuffer, Transition, TransitionBatch};
 
 const CASES: u64 = 256;
 
@@ -57,11 +57,12 @@ fn prioritized_sampling_is_valid() {
         for i in 0..pushes {
             buf.push(transition(i, 2));
         }
-        let b = buf.sample(batch, rng);
-        assert_eq!(b.transitions.len(), batch);
-        assert_eq!(b.indices.len(), batch);
-        for (&idx, &w) in b.indices.iter().zip(&b.weights) {
-            assert!(idx < capacity);
+        let (mut b, mut indices, mut weights) = (TransitionBatch::new(), Vec::new(), Vec::new());
+        buf.sample_into(batch, rng, &mut b, &mut indices, &mut weights);
+        assert_eq!(b.len(), batch);
+        assert_eq!(indices.len(), batch);
+        for (&idx, &w) in indices.iter().zip(&weights) {
+            assert!(idx < capacity.min(pushes as usize));
             assert!(w > 0.0 && w <= 1.0 + 1e-6);
         }
     });
@@ -80,8 +81,9 @@ fn priority_updates_are_total() {
         }
         let indices: Vec<usize> = (0..errors.len()).collect();
         buf.update_priorities(&indices, &errors);
-        let b = buf.sample(16, rng);
-        assert_eq!(b.transitions.len(), 16);
+        let (mut b, mut indices, mut weights) = (TransitionBatch::new(), Vec::new(), Vec::new());
+        buf.sample_into(16, rng, &mut b, &mut indices, &mut weights);
+        assert_eq!(b.len(), 16);
     });
 }
 

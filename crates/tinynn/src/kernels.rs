@@ -1,27 +1,24 @@
 //! Matmul and activation microkernels over flat row-major `f32` slices.
 //!
 //! Three product shapes cover every matmul call site in the training stack
-//! (`Y = X·W`, `dW = Xᵀ·dY`, `dX = dY·Wᵀ`), and each gets a cache-blocked,
-//! 4×-unrolled kernel with independent accumulators so the compiler can keep
-//! fused multiply-add chains in flight instead of serializing on one sum.
-//! All kernels **accumulate** (`out += …`): callers that want overwrite
-//! semantics zero `out` first, callers that want `+=` (gradient
-//! accumulation) skip the zeroing — that is how `Matrix::*_into` and
-//! `Matrix::*_acc` share these loops.
+//! (`Y = X·W`, `dW = Xᵀ·dY`, `dX = dY·Wᵀ`). All kernels **accumulate**
+//! (`out += …`): callers that want overwrite semantics zero `out` first,
+//! callers that want `+=` (gradient accumulation) skip the zeroing — that is
+//! how `Matrix::*_into` and `Matrix::*_acc` share these loops.
 //!
-//! On x86-64 every kernel additionally carries an AVX2+FMA specialization:
-//! the same loop nest compiled under `#[target_feature(enable = "avx2,fma")]`
-//! so the unrolled zip chains lower to 256-bit `vfmadd` instead of the
-//! baseline-SSE2 codegen rustc emits by default; the three products also
-//! carry a 16-lane AVX-512 one that gives every output element the AVX2
-//! arithmetic, bit for bit. Dispatch is a one-time runtime probe
-//! ([`kernel_width`]) cached in an atomic; non-x86 targets compile only the
-//! portable bodies. The [`tanh`] kernel replaces the per-element libm call
+//! Every product has one arithmetic on every host. On x86-64 it runs as
+//! AVX2+FMA register tiles, or as 16-lane AVX-512 ones that give every
+//! output element the AVX2 arithmetic, bit for bit. Elsewhere (or without
+//! AVX2+FMA) it runs as plain scalar loops that spell the same arithmetic
+//! out per element: the same fused and unfused chains in the same order and
+//! the same horizontal-sum tree (`kernels::tests` pins all three families
+//! equal). Dispatch is a one-time runtime probe ([`kernel_width`]) cached in
+//! an atomic. The [`tanh`] kernel replaces the per-element libm call
 //! (~16 ns/element, the single hottest non-matmul instruction in a DDPG
 //! step) with a branchless exp2-based polynomial that vectorizes.
 //!
 //! The original unblocked loops are retained verbatim in [`naive`] (including
-//! the `a == 0.0` sparsity shortcut the blocked kernels deliberately drop —
+//! the `a == 0.0` sparsity shortcut the fast kernels deliberately drop —
 //! it made ReLU-sparse backward passes take a data-dependent branch per
 //! element, and the scalar-libm `tanh`). They are the reference for the
 //! differential tests below and the denominator of the perf gate's speedup
@@ -33,8 +30,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// Which kernel family [`crate::Matrix`] dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Cache-blocked, 4×-unrolled kernels with runtime AVX2+FMA
-    /// specialization (the default).
+    /// The fast kernels: AVX2/AVX-512 register tiles where the host has
+    /// them, their arithmetic as scalar loops elsewhere (the default).
     Blocked,
     /// The original unblocked reference loops (for differential testing and
     /// the perf harness's baseline leg).
@@ -121,18 +118,7 @@ pub fn kernel_width() -> &'static str {
 /// b = 3–5 batches, `act`'s single row — the AVX2 tiles are faster.
 const WIDE_MIN: usize = 8;
 
-/// Rows of the shared operand processed per panel: a `KC x NC` panel of `b`
-/// is at most 128 KiB, comfortably inside L2 next to the `out` rows it feeds.
-const KC: usize = 128;
-/// Columns per panel (f32 lanes), sized so four unrolled `b` rows plus the
-/// output row stay resident in L1 while a panel is being consumed.
-const NC: usize = 512;
-
 /// `out += a · b` where `a` is `m x k`, `b` is `k x n`, `out` is `m x n`.
-///
-/// Blocked over (k, n) panels; within a panel the k-loop is unrolled 4× so
-/// each pass over the output row folds four `b` rows with independent
-/// multiply-add chains.
 pub fn matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), m * k, "matmul: a length");
     assert_eq!(b.len(), k * n, "matmul: b length");
@@ -148,61 +134,10 @@ pub fn matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32
         Width::Avx2 | Width::Avx512 => return unsafe { avx2::matmul(m, k, n, a, b, out) },
         Width::Portable => {}
     }
-    matmul_body(m, k, n, a, b, out)
-}
-
-#[inline(always)]
-fn matmul_body(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    let mut k0 = 0;
-    while k0 < k {
-        let kb = KC.min(k - k0);
-        let mut j0 = 0;
-        while j0 < n {
-            let jb = NC.min(n - j0);
-            for i in 0..m {
-                let a_row = &a[i * k + k0..i * k + k0 + kb];
-                let out_row = &mut out[i * n + j0..i * n + j0 + jb];
-                let mut kk = 0;
-                while kk + 4 <= kb {
-                    let a0 = a_row[kk];
-                    let a1 = a_row[kk + 1];
-                    let a2 = a_row[kk + 2];
-                    let a3 = a_row[kk + 3];
-                    let base = (k0 + kk) * n + j0;
-                    let b0 = &b[base..base + jb];
-                    let b1 = &b[base + n..base + n + jb];
-                    let b2 = &b[base + 2 * n..base + 2 * n + jb];
-                    let b3 = &b[base + 3 * n..base + 3 * n + jb];
-                    for ((((o, &v0), &v1), &v2), &v3) in
-                        out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                    {
-                        *o += a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3;
-                    }
-                    kk += 4;
-                }
-                while kk < kb {
-                    let av = a_row[kk];
-                    let base = (k0 + kk) * n + j0;
-                    let b_row = &b[base..base + jb];
-                    for (o, &v) in out_row.iter_mut().zip(b_row) {
-                        *o += av * v;
-                    }
-                    kk += 1;
-                }
-            }
-            j0 += jb;
-        }
-        k0 += kb;
-    }
+    gaxpy_body(m, k, n, a, k, 1, b, out)
 }
 
 /// `out += aᵀ · b` where `a` is `r x c`, `b` is `r x n`, `out` is `c x n`.
-///
-/// Processes four `a`/`b` row pairs per sweep so each output row is loaded
-/// and stored once per four scatter contributions.
 pub fn t_matmul(r: usize, c: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), r * c, "t_matmul: a length");
     assert_eq!(b.len(), r * n, "t_matmul: b length");
@@ -218,55 +153,37 @@ pub fn t_matmul(r: usize, c: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
         Width::Avx2 | Width::Avx512 => return unsafe { avx2::t_matmul(r, c, n, a, b, out) },
         Width::Portable => {}
     }
-    t_matmul_body(r, c, n, a, b, out)
+    gaxpy_body(c, r, n, a, 1, c, b, out)
 }
 
-#[inline(always)]
-fn t_matmul_body(r: usize, c: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), r * c);
-    debug_assert_eq!(b.len(), r * n);
-    debug_assert_eq!(out.len(), c * n);
-    let mut rr = 0;
-    while rr + 4 <= r {
-        let a0 = &a[rr * c..(rr + 1) * c];
-        let a1 = &a[(rr + 1) * c..(rr + 2) * c];
-        let a2 = &a[(rr + 2) * c..(rr + 3) * c];
-        let a3 = &a[(rr + 3) * c..(rr + 4) * c];
-        let b0 = &b[rr * n..(rr + 1) * n];
-        let b1 = &b[(rr + 1) * n..(rr + 2) * n];
-        let b2 = &b[(rr + 2) * n..(rr + 3) * n];
-        let b3 = &b[(rr + 3) * n..(rr + 4) * n];
-        for i in 0..c {
-            let (x0, x1, x2, x3) = (a0[i], a1[i], a2[i], a3[i]);
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for ((((o, &v0), &v1), &v2), &v3) in
-                out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-            {
-                *o += x0 * v0 + x1 * v1 + x2 * v2 + x3 * v3;
+/// The portable `matmul` / `t_matmul`: `out[i][j] += Σ_t a(i, t) · b[t][j]`
+/// with `a(i, t) = a[i·ra + t·sa]`, as in `avx2::gaxpy`, and with its
+/// arithmetic. Each element is one chain in depth order starting from its
+/// value in `out`: fused (`mul_add`) in the first `8⌊n/8⌋` columns, which
+/// the vector tiles cover, and the unfused `+=` in the scalar tail.
+#[allow(clippy::too_many_arguments)]
+fn gaxpy_body(rows: usize, d: usize, n: usize, a: &[f32], ra: usize, sa: usize, b: &[f32], out: &mut [f32]) {
+    let n8 = n / 8 * 8;
+    for i in 0..rows {
+        let (fused, tail) = out[i * n..(i + 1) * n].split_at_mut(n8);
+        for t in 0..d {
+            let x = a[i * ra + t * sa];
+            let (b8, b_tail) = b[t * n..(t + 1) * n].split_at(n8);
+            for (o, &y) in fused.iter_mut().zip(b8) {
+                *o = x.mul_add(y, *o);
+            }
+            for (o, &y) in tail.iter_mut().zip(b_tail) {
+                *o += x * y;
             }
         }
-        rr += 4;
-    }
-    while rr < r {
-        let a_row = &a[rr * c..(rr + 1) * c];
-        let b_row = &b[rr * n..(rr + 1) * n];
-        for (i, &av) in a_row.iter().enumerate() {
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (o, &v) in out_row.iter_mut().zip(b_row) {
-                *o += av * v;
-            }
-        }
-        rr += 1;
     }
 }
 
 /// `out += a · bᵀ` where `a` is `m x k`, `b` is `n x k`, `out` is `m x n`.
 ///
-/// Four output columns share one streaming pass over the `a` row; each
-/// column accumulates into an 8-lane array so the reduction runs as four
-/// independent vector FMA chains (a scalar `s += a*b` dot product cannot be
-/// vectorized under strict FP semantics — the lane split makes the
-/// reassociation explicit) and is horizontally summed once at the end.
+/// Each output is a dot product over 8-lane partial sums (a scalar `s += a*b`
+/// dot product cannot be vectorized under strict FP semantics — the lane
+/// split makes the reassociation explicit), summed horizontally once.
 pub fn matmul_t(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), m * k, "matmul_t: a length");
     assert_eq!(b.len(), n * k, "matmul_t: b length");
@@ -283,76 +200,31 @@ pub fn matmul_t(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
     matmul_t_body(m, k, n, a, b, out)
 }
 
-/// f32 lanes per dot-product accumulator; one AVX2 register.
-const DOT_LANES: usize = 8;
-
-#[inline(always)]
+/// The portable `matmul_t`, with `avx2::matmul_t`'s arithmetic. The first
+/// `4⌊n/4⌋` columns take `avx2::dot_rx4`'s one 8-lane `mul_add` chain; the
+/// rest take `avx2::dot1`'s two, 8-blocks alternating from chain 0 (a lone
+/// last block joins chain 0), added lane-wise. Then `avx2::hsum`'s tree,
+/// the unfused k-tail and `out += s`.
 fn matmul_t_body(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
+    let (k8, n4) = (k / 8 * 8, n / 4 * 4);
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &b[j * k..(j + 1) * k];
-            let b1 = &b[(j + 1) * k..(j + 2) * k];
-            let b2 = &b[(j + 2) * k..(j + 3) * k];
-            let b3 = &b[(j + 3) * k..(j + 4) * k];
-            let mut acc = [[0.0f32; DOT_LANES]; 4];
-            let mut kk = 0;
-            while kk + DOT_LANES <= k {
-                let av = &a_row[kk..kk + DOT_LANES];
-                let v0 = &b0[kk..kk + DOT_LANES];
-                let v1 = &b1[kk..kk + DOT_LANES];
-                let v2 = &b2[kk..kk + DOT_LANES];
-                let v3 = &b3[kk..kk + DOT_LANES];
-                for l in 0..DOT_LANES {
-                    acc[0][l] += av[l] * v0[l];
-                    acc[1][l] += av[l] * v1[l];
-                    acc[2][l] += av[l] * v2[l];
-                    acc[3][l] += av[l] * v3[l];
-                }
-                kk += DOT_LANES;
-            }
-            let mut s = [0.0f32; 4];
-            for (sc, lanes) in s.iter_mut().zip(&acc) {
-                *sc = lanes.iter().sum();
-            }
-            while kk < k {
-                let av = a_row[kk];
-                s[0] += av * b0[kk];
-                s[1] += av * b1[kk];
-                s[2] += av * b2[kk];
-                s[3] += av * b3[kk];
-                kk += 1;
-            }
-            out_row[j] += s[0];
-            out_row[j + 1] += s[1];
-            out_row[j + 2] += s[2];
-            out_row[j + 3] += s[3];
-            j += 4;
-        }
-        while j < n {
+        for j in 0..n {
             let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = [0.0f32; DOT_LANES];
-            let mut kk = 0;
-            while kk + DOT_LANES <= k {
-                let av = &a_row[kk..kk + DOT_LANES];
-                let bv = &b_row[kk..kk + DOT_LANES];
-                for l in 0..DOT_LANES {
-                    acc[l] += av[l] * bv[l];
+            let mut c = [[0.0f32; 8]; 2];
+            for kk in (0..k8).step_by(8) {
+                let chain = &mut c[usize::from(j >= n4 && kk % 16 == 8)];
+                for (l, v) in chain.iter_mut().enumerate() {
+                    *v = a_row[kk + l].mul_add(b_row[kk + l], *v);
                 }
-                kk += DOT_LANES;
             }
-            let mut s: f32 = acc.iter().sum();
-            while kk < k {
+            // The one-chain columns add no `c[1]`: `-0.0 + 0.0` is `+0.0`.
+            let v: [f32; 8] = if j < n4 { c[0] } else { std::array::from_fn(|l| c[0][l] + c[1][l]) };
+            let mut s = ((v[0] + v[4]) + (v[2] + v[6])) + ((v[1] + v[5]) + (v[3] + v[7]));
+            for kk in k8..k {
                 s += a_row[kk] * b_row[kk];
-                kk += 1;
             }
-            out_row[j] += s;
-            j += 1;
+            out[i * n + j] += s;
         }
     }
 }
@@ -510,8 +382,8 @@ macro_rules! gaxpy_tiles {
 /// intrinsics keeps eight independent fused-multiply-add chains resident in
 /// ymm registers, which is what it takes to approach single-core FMA
 /// throughput at DDPG layer shapes (64-row minibatches, 16–256-wide layers).
-/// Semantics are identical to the portable bodies: accumulate into `out`,
-/// panel-order float summation (differential-tested against [`naive`]).
+/// The portable bodies spell out the same arithmetic per element, so the two
+/// agree bit for bit (`kernels::tests`).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
@@ -922,7 +794,7 @@ mod avx512 {
 
 /// The pre-optimization reference loops, kept for differential testing and
 /// as the baseline leg of the perf harness. Semantics (accumulate into
-/// `out`) and argument order match the blocked kernels above.
+/// `out`) and argument order match the kernels above.
 pub mod naive {
     /// `out += a · b` — the original i-k-j loop, including its data-dependent
     /// `a == 0.0` skip.
@@ -995,7 +867,7 @@ pub mod naive {
 
 #[cfg(test)]
 mod tests {
-    //! Differential tests: the blocked kernels must agree with the retained
+    //! Differential tests: the fast kernels must agree with the retained
     //! naive loops within 1e-5 relative error across randomized shapes,
     //! including degenerate (1-row/1-column) and non-multiple-of-block
     //! sizes, and including ReLU-style sparse inputs that exercised the old
@@ -1010,7 +882,7 @@ mod tests {
             let tol = 1e-5 * (1.0 + r.abs());
             assert!(
                 (f - r).abs() <= tol,
-                "{what}: element {idx} diverged: blocked {f} vs naive {r}"
+                "{what}: element {idx} diverged: fast {f} vs naive {r}"
             );
         }
     }
@@ -1027,8 +899,8 @@ mod tests {
             .collect()
     }
 
-    /// Shape set: degenerate 1s, odd remainders around the 4× unroll, and
-    /// sizes straddling the KC/NC panel boundaries.
+    /// Shape set: degenerate 1s, odd remainders around the 4- and 8-wide
+    /// tiles, and long and wide products.
     fn shapes() -> Vec<(usize, usize, usize)> {
         vec![
             (1, 1, 1),
@@ -1104,46 +976,61 @@ mod tests {
         }
     }
 
-    /// The 16-lane family against the AVX2 one, called module to module
-    /// and through the gated dispatch, over every column remainder class
+    /// Every family this host runs against the portable bodies, bit for
+    /// bit: AVX2 and AVX-512 called module to module, and the gated
+    /// dispatch. The grid covers every column remainder class
     /// (n mod 16 ∈ {0, 1, 7, 8, 9, 15}, n < 8), rows on both sides of
-    /// [`WIDE_MIN`] and of every row-tile remainder, depth on both sides of
-    /// a multiple of 8 and of 64, into a non-zero `out`.
-    /// Where every column is in `gaxpy`'s scalar tail (n < 8), the two
-    /// streaming products also equal the naive loops: per element the same
-    /// unfused `+=` chain in depth order (no zero in `a` to skip).
-    #[cfg(target_arch = "x86_64")]
+    /// [`WIDE_MIN`] and of every row-tile remainder, and depth 0 and depth
+    /// on both sides of a multiple of 8, 16 and 64. Two input sets: random
+    /// factors into an `out` mixed with ±0.0, subnormals and large values;
+    /// and tiny factors of opposite sign into `-0.0`, where every product
+    /// underflows to `-0.0`, so a sum that picks up a stray `+0.0` shows.
+    /// Where every column is in the scalar tail (n < 8), the two streaming
+    /// products also equal the naive loops: per element the same unfused
+    /// `+=` chain in depth order (no zero in `a` to skip).
     #[test]
-    fn avx512_products_equal_avx2_bit_for_bit() {
-        if width() != Width::Avx512 {
-            eprintln!(
-                "skipped: this host lacks AVX-512F/DQ or AVX2+FMA (kernel width {})",
-                kernel_width()
-            );
-            return;
-        }
+    fn every_family_equals_the_portable_products_bit_for_bit() {
         type Product = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+        let portable: [Product; 3] = [
+            |m, k, n, a, b, o| gaxpy_body(m, k, n, a, k, 1, b, o),
+            |r, c, n, a, b, o| gaxpy_body(c, r, n, a, 1, c, b, o),
+            matmul_t_body,
+        ];
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+        let mut families: Vec<(&str, [Product; 3])> = vec![("dispatch", [matmul, t_matmul, matmul_t])];
         // SAFETY: (every wrapper below) `width` confirmed each feature the
         // modules enable; the kernels' own asserts ran in the callers'
         // shapes below, which match each slice length.
-        let wide: [Product; 3] = [
-            |m, k, n, a, b, o| unsafe { avx512::matmul(m, k, n, a, b, o) },
-            |r, c, n, a, b, o| unsafe { avx512::t_matmul(r, c, n, a, b, o) },
-            |m, k, n, a, b, o| unsafe { avx512::matmul_t(m, k, n, a, b, o) },
-        ];
-        let narrow: [Product; 3] = [
-            |m, k, n, a, b, o| unsafe { avx2::matmul(m, k, n, a, b, o) },
-            |r, c, n, a, b, o| unsafe { avx2::t_matmul(r, c, n, a, b, o) },
-            |m, k, n, a, b, o| unsafe { avx2::matmul_t(m, k, n, a, b, o) },
-        ];
-        let gated: [Product; 3] = [matmul, t_matmul, matmul_t];
+        #[cfg(target_arch = "x86_64")]
+        if width() != Width::Portable {
+            families.push((
+                "avx2",
+                [
+                    |m, k, n, a, b, o| unsafe { avx2::matmul(m, k, n, a, b, o) },
+                    |r, c, n, a, b, o| unsafe { avx2::t_matmul(r, c, n, a, b, o) },
+                    |m, k, n, a, b, o| unsafe { avx2::matmul_t(m, k, n, a, b, o) },
+                ],
+            ));
+        }
+        #[cfg(target_arch = "x86_64")]
+        if width() == Width::Avx512 {
+            families.push((
+                "avx512",
+                [
+                    |m, k, n, a, b, o| unsafe { avx512::matmul(m, k, n, a, b, o) },
+                    |r, c, n, a, b, o| unsafe { avx512::t_matmul(r, c, n, a, b, o) },
+                    |m, k, n, a, b, o| unsafe { avx512::matmul_t(m, k, n, a, b, o) },
+                ],
+            ));
+        }
+        eprintln!("kernel width {}: {} families", kernel_width(), families.len());
         let names = ["matmul", "t_matmul", "matmul_t"];
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        const EDGES: [f32; 8] = [0.0, -0.0, 1.0e-45, -1.0e-40, 3.0e38, -3.0e38, 1.0e30, -1.0e20];
         let mut rng = StdRng::seed_from_u64(0x512);
         for rows in [1, 4, 7, 8, 9, 32, 33] {
-            for depth in [1, 7, 8, 63, 64, 65, 127, 256] {
+            for depth in [0, 1, 7, 8, 16, 63, 64, 65, 127, 256] {
                 for n in [1, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 64, 65] {
-                    let seed = random_vec(&mut rng, rows * n, 0.0);
                     // (first, second) extents of `a` and the length of `b`:
                     // matmul is rows×depth · depth×n, t_matmul (depth×rows)ᵀ
                     // · depth×n, matmul_t rows×depth · (n×depth)ᵀ.
@@ -1155,20 +1042,33 @@ mod tests {
                     .into_iter()
                     .enumerate()
                     {
-                        let a = random_vec(&mut rng, a_dims.0 * a_dims.1, 0.0);
-                        let b = random_vec(&mut rng, b_len, 0.0);
-                        let run = |f: Product| {
-                            let mut out = seed.clone();
-                            f(a_dims.0, a_dims.1, n, &a, &b, &mut out);
-                            bits(&out)
-                        };
-                        let want = run(narrow[p]);
-                        let what = format!("{} rows {rows} depth {depth} n {n}", names[p]);
-                        assert_eq!(run(wide[p]), want, "{what}: avx512");
-                        assert_eq!(run(gated[p]), want, "{what}: dispatch");
-                        if n < 8 && p < 2 {
-                            let reference = [naive::matmul, naive::t_matmul][p];
-                            assert_eq!(run(reference), want, "{what}: naive");
+                        let a_len = a_dims.0 * a_dims.1;
+                        let edged = (0..rows * n)
+                            .map(|_| {
+                                if rng.gen_bool(0.5) {
+                                    EDGES[rng.gen_range(0..EDGES.len())]
+                                } else {
+                                    rng.gen_range(-2.0f32..2.0)
+                                }
+                            })
+                            .collect();
+                        let random = (random_vec(&mut rng, a_len, 0.0), random_vec(&mut rng, b_len, 0.0), edged);
+                        let underflow = (vec![1.0e-30; a_len], vec![-1.0e-30; b_len], vec![-0.0; rows * n]);
+                        for (set, (a, b, seed)) in [("random", random), ("underflow", underflow)] {
+                            let run = |f: Product| {
+                                let mut out = seed.clone();
+                                f(a_dims.0, a_dims.1, n, &a, &b, &mut out);
+                                bits(&out)
+                            };
+                            let want = run(portable[p]);
+                            let what = format!("{} {set} rows {rows} depth {depth} n {n}", names[p]);
+                            for (family, products) in &families {
+                                assert_eq!(run(products[p]), want, "{what}: {family}");
+                            }
+                            if n < 8 && p < 2 {
+                                let reference = [naive::matmul, naive::t_matmul][p];
+                                assert_eq!(run(reference), want, "{what}: naive");
+                            }
                         }
                     }
                 }
