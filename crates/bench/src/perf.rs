@@ -11,9 +11,10 @@
 //!    with blocked kernels; the naive leg runs the slice-of-clones
 //!    `train_step` path with [`KernelMode::Naive`], reproducing the
 //!    pre-overhaul cost model.
-//! 3. **simdb bulk load** — `Table::bulk_load` of a 16-table
+//! 3. **simdb storage** — `Table::bulk_load` of a 16-table
 //!    Sysbench-shaped instance against the retained row-by-row
-//!    `Table::insert` loop.
+//!    `Table::insert` loop, and seeded `Table::lookup`s on the two
+//!    instances those loads build.
 //! 4. **service** — an open-loop run of 10 000 sessions (300 with `quick`)
 //!    against a `cdbtuned` subprocess: request p99 and the admitted share.
 //!
@@ -50,6 +51,10 @@ pub const TRAIN_SPEEDUP_MIN: f64 = 3.0;
 /// Floor of `simdb_bulk_load_speedup`: `Table::bulk_load` over loading the
 /// same rows one `Table::insert` at a time.
 pub const BULK_LOAD_SPEEDUP_MIN: f64 = 5.43;
+
+/// Floor of `simdb_point_lookup_speedup`: `Table::lookup` on the bulk-loaded
+/// instance over the same lookups on the instance loaded row by row.
+pub const POINT_LOOKUP_SPEEDUP_MIN: f64 = 4.5;
 
 /// Ceiling of `svc_request_p99_ms`. A healthy run measures single- to
 /// double-digit milliseconds; shared hosts show multi-second
@@ -254,7 +259,24 @@ fn train_step_speedup(quick: bool) -> f64 {
     })
 }
 
-// ---- simdb bulk load ----
+// ---- simdb storage ----
+
+/// Table `id` of the storage leg's instance, filled by `fill`.
+fn sysbench_table(id: usize, fill: fn(&mut Table)) -> Table {
+    let mut t = Table::new(id, "sbtest", LOAD_ROW_WIDTH);
+    fill(&mut t);
+    t
+}
+
+fn load_in_bulk(t: &mut Table) {
+    t.bulk_load(LOAD_ROWS);
+}
+
+fn load_row_by_row(t: &mut Table) {
+    for key in 0..LOAD_ROWS {
+        t.insert(key);
+    }
+}
 
 /// Rows/sec of loading the storage leg's instance in bulk over loading it
 /// row by row.
@@ -264,25 +286,45 @@ fn bulk_load_speedup(quick: bool) -> f64 {
         median_of(reps, || {
             ops_per_sec(iters, || {
                 for id in 0..LOAD_TABLES {
-                    let mut t = Table::new(id, "sbtest", LOAD_ROW_WIDTH);
-                    fill(&mut t);
-                    std::hint::black_box(&t);
+                    std::hint::black_box(sysbench_table(id, fill));
                 }
             })
         })
     };
-    let bulk = load(|t| t.bulk_load(LOAD_ROWS));
-    let row_by_row = load(|t| {
-        for key in 0..LOAD_ROWS {
-            t.insert(key);
-        }
-    });
-    bulk / row_by_row.max(1e-9)
+    load(load_in_bulk) / load(load_row_by_row).max(1e-9)
 }
 
-/// The in-process checks: the two matmul speedups, `train_step_speedup`
-/// and `simdb_bulk_load_speedup`. Leaves the process-wide kernel mode at
-/// [`KernelMode::Blocked`] (the default) on return.
+/// Point lookups/sec on the storage leg's instance loaded in bulk over the
+/// same seeded lookups on it loaded row by row. A bulk-loaded index routes
+/// a key to its leaf by one division; one built by inserts owns no bulk
+/// leaf and descends. Repetitions alternate leg by leg and the gate reads
+/// the median of the per-repetition ratios, as for `train_step_speedup`.
+fn point_lookup_speedup(quick: bool) -> f64 {
+    let (reps, iters) = if quick { (5, 40) } else { (9, 200) };
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x6c6f_6f6b);
+    let probes: Vec<(usize, u64)> = (0..4_096)
+        .map(|_| (rng.gen_range(0..LOAD_TABLES), rng.gen_range(0..LOAD_ROWS)))
+        .collect();
+    let instance = |fill| (0..LOAD_TABLES).map(|id| sysbench_table(id, fill)).collect::<Vec<_>>();
+    let (bulk, row_by_row) = (instance(load_in_bulk), instance(load_row_by_row));
+    let lookups = |tables: &[Table]| {
+        ops_per_sec(iters, || {
+            for &(table, key) in &probes {
+                std::hint::black_box(tables[table].lookup(key));
+            }
+        })
+    };
+    lookups(&bulk); // warmup
+    median_of(reps, || {
+        let descent = lookups(&row_by_row);
+        lookups(&bulk) / descent.max(1e-9)
+    })
+}
+
+/// The in-process checks: the two matmul speedups, `train_step_speedup`,
+/// `simdb_bulk_load_speedup` and `simdb_point_lookup_speedup`. Leaves the
+/// process-wide kernel mode at [`KernelMode::Blocked`] (the default) on
+/// return.
 pub fn ratio_checks(quick: bool) -> Vec<Check> {
     vec![
         Check {
@@ -304,6 +346,11 @@ pub fn ratio_checks(quick: bool) -> Vec<Check> {
             name: "simdb_bulk_load_speedup",
             value: bulk_load_speedup(quick),
             bound: Bound::AtLeast(BULK_LOAD_SPEEDUP_MIN),
+        },
+        Check {
+            name: "simdb_point_lookup_speedup",
+            value: point_lookup_speedup(quick),
+            bound: Bound::AtLeast(POINT_LOOKUP_SPEEDUP_MIN),
         },
     ]
 }

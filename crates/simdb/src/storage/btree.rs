@@ -19,7 +19,8 @@
 //! run `first..first + len` (leaf `i` starts at `i * ⌈fanout / 2⌉`, the fill
 //! a sequential load leaves) and its values follow from the key, so loading
 //! an index writes only its internal nodes — a few allocations whatever its
-//! size, a few percent of the words — and a lookup reads no leaf memory.
+//! size, a few percent of the words — and a lookup reads no leaf memory,
+//! and no internal node either for a key in a bulk leaf's range.
 //! Extents are sized to what the node holds when it is written: a bulk-loaded
 //! internal node, or a dense leaf at its first remove or overwrite, gets room
 //! for exactly its keys; a node that must take one more key moves once to an
@@ -29,6 +30,19 @@
 //! ones with a `next`. [`BPlusTree::insert`] and
 //! [`BPlusTree::get_or_insert_with`] descend once, remember the path, and
 //! split back up along it.
+//!
+//! Lookups, removes and scans find their leaf by arithmetic when they can:
+//! with `m = ⌈fanout / 2⌉`, a key `k` with `k / m` below the number of
+//! leaves the bulk load built goes to leaf `k / m`, whatever was written
+//! since; any other key descends. This is exact with no per-leaf check.
+//! Leaf `i` starts at `i·m`, and the separator on its left never changes: a
+//! split adds separators only inside the node that splits, and lazy
+//! deletion never merges. So only keys `≥ i·m` ever reach leaf `i`. A split
+//! keeps the `⌊(fanout + 1) / 2⌋ = m` smallest keys on the left, so the new
+//! separator is the leaf's `(m + 1)`-th smallest key, and at most `m`
+//! integers lie in `i·m..(i + 1)·m`: the separator lies at or past
+//! `(i + 1)·m`. Every key of that range stays routed to leaf `i` for good,
+//! whether the leaf is dense, written or split, the last leaf too.
 
 const MIN_FANOUT: usize = 4;
 
@@ -75,6 +89,9 @@ pub struct BPlusTree {
     depth: usize,
     /// A dense leaf maps key `k` to `k / keys_per_value`.
     keys_per_value: u64,
+    /// Leaves [`BPlusTree::bulk_load`] built, ids `0..dense_leaves`; leaf
+    /// `i` owns the keys `i·m..(i + 1)·m`, `m = ⌈fanout / 2⌉`, for good.
+    dense_leaves: u64,
 }
 
 /// Splits `items` into the node sizes a level reaches when its items arrive
@@ -106,6 +123,7 @@ impl BPlusTree {
             len: 0,
             depth: 1,
             keys_per_value: 1,
+            dense_leaves: 0,
         };
         tree.root = tree.alloc(NIL);
         tree
@@ -139,6 +157,7 @@ impl BPlusTree {
         // leaf, and the room becomes resident only as leaves are written.
         tree.words = Vec::with_capacity(words + 2 * len + leaves);
         tree.len = len;
+        tree.dense_leaves = leaves as u64;
         for (start, n) in ascending_fill(len, fanout, mid) {
             let next = if start + n < len { address(tree.nodes.len() + 1) } else { NIL };
             tree.nodes.push(Node { start: NIL, len: n as u32, cap: 0, next });
@@ -389,7 +408,13 @@ impl BPlusTree {
         (slot, self.words[n.value_start() + slot] as u32)
     }
 
+    /// The leaf `key` belongs in: by one division when a bulk-loaded leaf
+    /// owns it (see the module doc), by a descent otherwise.
     fn find_leaf(&self, key: u64) -> u32 {
+        let owner = key / self.dense_leaf_keys() as u64;
+        if owner < self.dense_leaves {
+            return owner as u32;
+        }
         let mut id = self.root;
         for _ in 1..self.depth {
             id = self.child(id, key).1;
@@ -537,6 +562,16 @@ mod tests {
             chain.push(id);
         }
         chain
+    }
+
+    /// The leaf a root-to-leaf descent reaches, which `find_leaf` answers
+    /// by arithmetic for a key a bulk-loaded leaf owns.
+    fn descended_leaf(t: &BPlusTree, key: u64) -> u32 {
+        let mut id = t.root;
+        for _ in 1..t.depth {
+            id = t.child(id, key).1;
+        }
+        id
     }
 
     /// The two-descent definition `scan_from`'s leaf count must keep: count
@@ -912,5 +947,40 @@ mod tests {
         assert!(splits >= 5, "10k keys at fanout 4 split the root repeatedly");
         assert_eq!(t.depth(), shape(&t).len());
         assert_eq!(BPlusTree::new(4).depth(), 1);
+    }
+
+    #[test]
+    fn bulk_leaf_routing_equals_the_descent() {
+        // Counts include last leaves holding more than ⌈fanout / 2⌉ keys
+        // (7 and 65 at fanout 4, 100 at 64) and a single leaf (1, 3).
+        for fanout in [4usize, 5, 8, 64] {
+            for count in [1u64, 3, 7, 64, 65, 100, 1_000, 5_003] {
+                let ctx = format!("fanout {fanout}, count {count}");
+                let mut t = BPlusTree::bulk_load(fanout, count, 3);
+                let mut m: BTreeMap<u64, u64> = (0..count).map(|k| (k, k / 3)).collect();
+                let keys = 2 * count + 50;
+                let mut x = count ^ ((fanout as u64) << 32);
+                for i in 0..4_000u64 {
+                    let k = lcg(&mut x) % keys;
+                    match lcg(&mut x) % 4 {
+                        0 => assert_eq!(t.remove(k), m.remove(&k), "{ctx}, remove {k}"),
+                        1 => assert_eq!(t.insert(k, i), m.insert(k, i), "{ctx}, insert {k}"),
+                        2 => assert_eq!(
+                            t.get_or_insert_with(k, || i),
+                            *m.entry(k).or_insert(i),
+                            "{ctx}, get_or_insert_with {k}"
+                        ),
+                        _ => assert_eq!(t.get(k), m.get(&k).copied(), "{ctx}, get {k}"),
+                    }
+                    if i % 97 == 0 {
+                        for k in 0..keys {
+                            let (routed, descended) = (t.find_leaf(k), descended_leaf(&t, k));
+                            assert_eq!(routed, descended, "{ctx}, op {i}, key {k}");
+                        }
+                    }
+                }
+                assert_eq!(t.range_from(0, usize::MAX), m.into_iter().collect::<Vec<_>>(), "{ctx}");
+            }
+        }
     }
 }

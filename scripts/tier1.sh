@@ -31,8 +31,8 @@ cargo run --release -p analyzer --bin tunelint -- --root .
 # Perf gate (DESIGN.md §11): the checks neither benchmark/ nor the golden
 # test can see, each against a floor constant in crates/bench/src/perf.rs —
 # the blocked-vs-naive matmul speedups, the >=3x train_step speedup, the
-# bulk-load speedup, and an open-loop run of 300 sessions against a cdbtuned
-# subprocess (request p99 and admitted share). Every check is a ratio of two
+# bulk-load and point-lookup speedups, and an open-loop run of 300 sessions
+# against a cdbtuned subprocess (request p99 and admitted share). Every check is a ratio of two
 # legs timed here or a bound with seconds of slack, so no number from another
 # machine is involved; perf exits 1 on a miss or a service leg that cannot run.
 cargo run --release -p bench --bin perf -- --quick
