@@ -17,6 +17,14 @@
 //! (~16 ns/element, the single hottest non-matmul instruction in a DDPG
 //! step) with a branchless exp2-based polynomial that vectorizes.
 //!
+//! The parameter-sized passes of a DDPG update follow `tanh`'s pattern: a
+//! portable body, recompiled under the AVX2 `#[target_feature]` wrapper and
+//! dispatched by width. `adam` is the Adam update (`optim::Adam::step`),
+//! `polyak` the target blend (`Matrix::polyak_from`) and `sum_sq` the f64
+//! sum of squares behind the bound in `Mlp::clip_grad_norm`. All are
+//! element-wise, with correctly rounded operations only, so every width
+//! gives the same bits.
+//!
 //! The original unblocked loops are retained verbatim in [`naive`] (including
 //! the `a == 0.0` sparsity shortcut the fast kernels deliberately drop —
 //! it made ReLU-sparse backward passes take a data-dependent branch per
@@ -104,7 +112,8 @@ fn probe() -> Width {
 
 /// The widest kernel family products dispatch to on this host: `"portable"`,
 /// `"avx2"` or `"avx512"`. Read-only; the 16-lane family runs only products
-/// whose minibatch dimension is at least 8, and `tanh` stays at AVX2.
+/// whose minibatch dimension is at least 8, and `tanh` and the optimizer
+/// passes stay at AVX2.
 pub fn kernel_width() -> &'static str {
     match width() {
         Width::Portable => "portable",
@@ -287,6 +296,109 @@ fn tanh_body(xs: &[f32], out: &mut [f32]) {
         let t = 1.0 - 2.0 / (e + 1.0); // tanh(|x|) ≥ +0, sign bit clear
         *o = f32::from_bits(t.to_bits() | (x.to_bits() & SIGN));
     }
+}
+
+/// The scalars of one Adam update: learning rate, betas, epsilon and the
+/// two bias corrections `1 − βᵗ`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct AdamStep {
+    pub(crate) lr: f32,
+    pub(crate) b1: f32,
+    pub(crate) b2: f32,
+    pub(crate) eps: f32,
+    pub(crate) bc1: f32,
+    pub(crate) bc2: f32,
+}
+
+/// Adam's per-element update of one parameter `w` with gradient `g` and
+/// moments `m`, `v`:
+/// `m = b1·m + (1 − b1)·g`, `v = b2·v + (1 − b2)·g·g`,
+/// `w −= lr·(m / bc1) / (√(v / bc2) + eps)`.
+///
+/// When `bc1` is exactly 1.0 its division is skipped (`x / 1.0` is `x` bit
+/// for bit, NaN and subnormals included). In f32, `1 − 0.9ᵗ` is 1.0 from
+/// t = 165 on, so from there an update pays one division per element fewer.
+pub(crate) fn adam(h: AdamStep, w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
+    let n = w.len();
+    assert!(g.len() == n && m.len() == n && v.len() == n, "adam: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if width() != Width::Portable {
+        // SAFETY: `width` confirmed AVX2+FMA, the only precondition of the
+        // wrapper (its body is safe code recompiled with wider codegen).
+        unsafe { avx2::adam(h, w, g, m, v) };
+        return;
+    }
+    adam_body(h, w, g, m, v)
+}
+
+/// [`adam`]'s loop, unswitched on whether `bc1` is exactly 1.0.
+#[inline(always)]
+fn adam_body(h: AdamStep, w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
+    if h.bc1 == 1.0 {
+        adam_loop::<true>(h, w, g, m, v)
+    } else {
+        adam_loop::<false>(h, w, g, m, v)
+    }
+}
+
+/// One instance of [`adam`]'s loop: `ONE1` means `bc1` is exactly 1.0 and
+/// its division is skipped.
+#[inline(always)]
+fn adam_loop<const ONE1: bool>(h: AdamStep, w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
+    let AdamStep { lr, b1, b2, eps, bc1, bc2 } = h;
+    for ((w, &g), (mi, vi)) in w.iter_mut().zip(g).zip(m.iter_mut().zip(v.iter_mut())) {
+        *mi = b1 * *mi + (1.0 - b1) * g;
+        *vi = b2 * *vi + (1.0 - b2) * g * g;
+        let m_hat = if ONE1 { *mi } else { *mi / bc1 };
+        let v_hat = *vi / bc2;
+        *w -= lr * m_hat / (v_hat.sqrt() + eps);
+    }
+}
+
+/// Polyak blend `dst = tau·src + (1 − tau)·dst`, element-wise.
+pub(crate) fn polyak(dst: &mut [f32], src: &[f32], tau: f32) {
+    assert_eq!(dst.len(), src.len(), "polyak: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if width() != Width::Portable {
+        // SAFETY: as in `adam`.
+        unsafe { avx2::polyak(dst, src, tau) };
+        return;
+    }
+    polyak_body(dst, src, tau)
+}
+
+#[inline(always)]
+fn polyak_body(dst: &mut [f32], src: &[f32], tau: f32) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = tau * s + (1.0 - tau) * *d;
+    }
+}
+
+/// `Σ x²` in f64, in an unspecified order. Each square of an f32 is exact
+/// in f64 and every term is non-negative, so the result is within a
+/// relative `len·2⁻⁵³` of the exact sum whatever the order: the bound
+/// `Mlp::clip_grad_norm` needs to skip its exact f32 sum.
+pub(crate) fn sum_sq(xs: &[f32]) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if width() != Width::Portable {
+        // SAFETY: as in `adam`.
+        return unsafe { avx2::sum_sq(xs) };
+    }
+    sum_sq_body(xs)
+}
+
+/// [`sum_sq`] over 16 independent lanes (four ymm chains at AVX2 width),
+/// summed once at the end.
+#[inline(always)]
+fn sum_sq_body(xs: &[f32]) -> f64 {
+    let mut acc = [0.0f64; 16];
+    let (chunks, tail) = xs.as_chunks::<16>();
+    for chunk in chunks {
+        for (a, &x) in acc.iter_mut().zip(chunk) {
+            *a += f64::from(x) * f64::from(x);
+        }
+    }
+    tail.iter().fold(acc.iter().sum(), |s, &x| s + f64::from(x) * f64::from(x))
 }
 
 /// Defines `tile` and `sweep`, the register tiles of the x86 `gaxpy`
@@ -641,6 +753,30 @@ mod avx2 {
     // codegen; callers must (and do, via `width`) verify AVX2+FMA.
     pub(super) unsafe fn tanh(xs: &[f32], out: &mut [f32]) {
         super::tanh_body(xs, out)
+    }
+
+    /// AVX2 `adam`: the portable body recompiled, as `tanh`. Square root
+    /// and division are correctly rounded at every width, and rustc fuses
+    /// no multiply-add it was not asked to, so the bits are the portable
+    /// body's.
+    #[target_feature(enable = "avx2,fma")]
+    // SAFETY: as `tanh`.
+    pub(super) unsafe fn adam(h: super::AdamStep, w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
+        super::adam_body(h, w, g, m, v)
+    }
+
+    /// AVX2 `polyak`: the portable body recompiled, as `tanh`.
+    #[target_feature(enable = "avx2,fma")]
+    // SAFETY: as `tanh`.
+    pub(super) unsafe fn polyak(dst: &mut [f32], src: &[f32], tau: f32) {
+        super::polyak_body(dst, src, tau)
+    }
+
+    /// AVX2 `sum_sq`: the portable body recompiled, as `tanh`.
+    #[target_feature(enable = "avx2,fma")]
+    // SAFETY: as `tanh`.
+    pub(super) unsafe fn sum_sq(xs: &[f32]) -> f64 {
+        super::sum_sq_body(xs)
     }
 }
 
@@ -1072,6 +1208,65 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+        elementwise_families_equal_the_portable_bodies(&mut rng);
+    }
+
+    /// The parameter-sized passes, every family against the portable
+    /// bodies bit for bit: `adam` with `bc1` below and at 1.0, `polyak`, and `sum_sq` (one summation order at every width).
+    /// Lengths cover every remainder of 8 and 16 lanes; inputs mix ±0.0,
+    /// subnormals and large values.
+    fn elementwise_families_equal_the_portable_bodies(rng: &mut StdRng) {
+        type AdamFn = fn(AdamStep, &mut [f32], &[f32], &mut [f32], &mut [f32]);
+        type PolyakFn = fn(&mut [f32], &[f32], f32);
+        type SumSqFn = fn(&[f32]) -> f64;
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+        let mut families: Vec<(&str, AdamFn, PolyakFn, SumSqFn)> = vec![("dispatch", adam, polyak, sum_sq)];
+        // SAFETY: (every wrapper below) `width` confirmed AVX2+FMA.
+        #[cfg(target_arch = "x86_64")]
+        if width() != Width::Portable {
+            families.push((
+                "avx2",
+                |h, w, g, m, v| unsafe { avx2::adam(h, w, g, m, v) },
+                |d, s, tau| unsafe { avx2::polyak(d, s, tau) },
+                |xs| unsafe { avx2::sum_sq(xs) },
+            ));
+        }
+        const EDGES: [f32; 6] = [0.0, -0.0, 1.0e-45, -1.0e-40, 3.0e30, -1.0e-20];
+        let mut edged = |len: usize, positive: bool| -> Vec<f32> {
+            (0..len)
+                .map(|_| {
+                    let x = if rng.gen_bool(0.2) { EDGES[rng.gen_range(0..EDGES.len())] } else { rng.gen_range(-2.0f32..2.0) };
+                    if positive { x.abs() } else { x }
+                })
+                .collect()
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for len in [0, 1, 7, 8, 9, 15, 16, 17, 31, 33, 255, 1024] {
+            let (w, g, m, v) = (edged(len, false), edged(len, false), edged(len, false), edged(len, true));
+            for (bc1, bc2) in [(0.1, 0.001), (0.99999994, 0.8), (1.0, 0.8)] {
+                let h = AdamStep { lr: 1e-3, b1: 0.9, b2: 0.999, eps: 1e-8, bc1, bc2 };
+                let run = |f: AdamFn| {
+                    let (mut w, mut m, mut v) = (w.clone(), m.clone(), v.clone());
+                    f(h, &mut w, &g, &mut m, &mut v);
+                    [bits(&w), bits(&m), bits(&v)]
+                };
+                let want = run(adam_body);
+                for (family, f, _, _) in &families {
+                    assert_eq!(run(*f), want, "adam len {len} bc ({bc1}, {bc2}): {family}");
+                }
+            }
+            let blend = |f: PolyakFn| {
+                let mut d = w.clone();
+                f(&mut d, &g, 0.01);
+                bits(&d)
+            };
+            let want = blend(polyak_body);
+            let want_sq = sum_sq_body(&g).to_bits();
+            for (family, _, f, sq) in &families {
+                assert_eq!(blend(*f), want, "polyak len {len}: {family}");
+                assert_eq!(sq(&g).to_bits(), want_sq, "sum_sq len {len}: {family}");
             }
         }
     }

@@ -29,6 +29,8 @@ pub struct BatchNorm {
     gxh: Matrix,
     mean_dy: Matrix,
     mean_dy_xhat: Matrix,
+    /// Per-column `gamma / std` of the backward pass.
+    gain: Matrix,
 }
 
 impl BatchNorm {
@@ -48,6 +50,7 @@ impl BatchNorm {
             gxh: Matrix::default(),
             mean_dy: Matrix::default(),
             mean_dy_xhat: Matrix::default(),
+            gain: Matrix::default(),
         }
     }
 
@@ -138,21 +141,26 @@ impl Layer for BatchNorm {
         grad_out.col_mean_into(&mut self.mean_dy);
         self.gxh.col_mean_into(&mut self.mean_dy_xhat);
         grad_in.resize(grad_out.rows(), grad_out.cols());
-        let single_sample = grad_out.rows() == 1;
+        // `gamma / s * x` parses as `(gamma / s) * x`, so one gain per
+        // column gives every element the same bits.
+        self.gamma.value.zip_map_into(&self.batch_std, &mut self.gain, |gamma, s| gamma / s);
+        let (gain, mean_dy, mean_dy_xhat) =
+            (self.gain.as_slice(), self.mean_dy.as_slice(), self.mean_dy_xhat.as_slice());
         for r in 0..grad_out.rows() {
-            for c in 0..grad_out.cols() {
-                let g = grad_out[(r, c)];
-                let gamma = self.gamma.value[(0, c)];
-                let s = self.batch_std[(0, c)];
-                grad_in[(r, c)] = if single_sample {
-                    // Eval-style normalization (running stats treated as
-                    // constants): gradient is a simple per-feature scale.
-                    gamma / s * g
-                } else {
-                    gamma / s
-                        * (g - self.mean_dy[(0, c)]
-                            - self.x_hat[(r, c)] * self.mean_dy_xhat[(0, c)])
-                };
+            let (dx, dy) = (grad_in.row_mut(r), grad_out.row(r));
+            if grad_out.rows() == 1 {
+                // Eval-style normalization (running stats treated as
+                // constants): gradient is a simple per-feature scale.
+                for (dx, (&k, &g)) in dx.iter_mut().zip(gain.iter().zip(dy)) {
+                    *dx = k * g;
+                }
+                continue;
+            }
+            let means = mean_dy.iter().zip(mean_dy_xhat);
+            for ((dx, (&k, &g)), (&xh, (&m, &mx))) in
+                dx.iter_mut().zip(gain.iter().zip(dy)).zip(self.x_hat.row(r).iter().zip(means))
+            {
+                *dx = k * (g - m - xh * mx);
             }
         }
     }
@@ -164,6 +172,7 @@ impl Layer for BatchNorm {
         self.batch_std.resize(1, d);
         self.mean_dy.resize(1, d);
         self.mean_dy_xhat.resize(1, d);
+        self.gain.resize(1, d);
         self.x_hat.resize(rows, d);
         self.gxh.resize(rows, d);
     }
@@ -227,7 +236,7 @@ mod tests {
     use crate::init::Init;
     use crate::layers::gradcheck::{bwd, fwd};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn normalizes_batch_to_zero_mean_unit_var() {
@@ -281,6 +290,45 @@ mod tests {
         bn2.load_state(&state);
         let probe = Init::Normal(1.0).sample(4, 3, &mut rng);
         assert_eq!(fwd(&mut bn, &probe, false), fwd(&mut bn2, &probe, false));
+    }
+
+    /// The input gradient as `backward_into` computed it before it walked
+    /// row slices: the indexed loop with `gamma / s` per element, read
+    /// from the layer's state after a backward pass.
+    fn input_grad_reference(bn: &BatchNorm, grad_out: &Matrix) -> Matrix {
+        let mut grad_in = Matrix::zeros(grad_out.rows(), grad_out.cols());
+        let single_sample = grad_out.rows() == 1;
+        for r in 0..grad_out.rows() {
+            for c in 0..grad_out.cols() {
+                let g = grad_out[(r, c)];
+                let gamma = bn.gamma.value[(0, c)];
+                let s = bn.batch_std[(0, c)];
+                grad_in[(r, c)] = if single_sample {
+                    gamma / s * g
+                } else {
+                    gamma / s * (g - bn.mean_dy[(0, c)] - bn.x_hat[(r, c)] * bn.mean_dy_xhat[(0, c)])
+                };
+            }
+        }
+        grad_in
+    }
+
+    #[test]
+    fn backward_equals_the_indexed_loop_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for rows in [1, 32] {
+            let mut bn = BatchNorm::new(11);
+            // Move gamma off 1.0 so `gamma / s` rounds.
+            for g in bn.gamma.value.as_mut_slice() {
+                *g = rng.gen_range(0.5f32..1.5);
+            }
+            let x = Init::Normal(2.0).sample(rows, 11, &mut rng);
+            let y = fwd(&mut bn, &x, true);
+            let g = Init::Normal(1.0).sample(rows, 11, &mut rng);
+            let dx = bwd(&mut bn, &x, &y, &g);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&dx), bits(&input_grad_reference(&bn, &g)), "rows {rows}");
+        }
     }
 
     #[test]

@@ -289,9 +289,7 @@ impl Matrix {
             (source.rows, source.cols),
             "polyak_from shape mismatch"
         );
-        for (d, &s) in self.data.iter_mut().zip(&source.data) {
-            *d = tau * s + (1.0 - tau) * *d;
-        }
+        kernels::polyak(&mut self.data, &source.data, tau);
     }
 
     /// `self += other`.

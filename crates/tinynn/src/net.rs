@@ -6,6 +6,7 @@
 //! steady-state `forward_ref` → `backward_ref` cycle therefore performs zero
 //! heap allocations — see DESIGN.md §11 for the ownership rules.
 
+use crate::kernels;
 use crate::layers::{Grads, Layer, Param};
 use crate::matrix::Matrix;
 
@@ -175,7 +176,36 @@ impl Mlp {
     }
 
     /// Clips the global gradient norm to `max_norm` (no-op when below).
+    ///
+    /// The norm is the f32 chain `sq += Σ g·g`: each parameter's squares
+    /// summed in order, then added to `sq`. The gradients are scaled by
+    /// `max_norm / √sq` when `√sq > max_norm`. That chain is serial, so a
+    /// vectorized f64 sum first proves most calls cannot clip, and only the
+    /// rest run it:
+    ///
+    /// - Over N gradients in P parameters the chain rounds N squares and
+    ///   K = N + P additions, all of non-negative terms. With u = 2⁻²⁴, a
+    ///   square errs by a relative u, or by 2⁻¹⁵⁰ absolute where it
+    ///   underflows, and an addition by a relative u. So
+    ///   `sq ≤ (1 + u)^(K+1)·S + N·2⁻¹⁴⁹`, where S is the exact `Σ g²`.
+    /// - `est`, the f64 sum of the squares ([`crate::kernels`]' `sum_sq`),
+    ///   adds exact terms (an f32 squared fits an f64), so in any order
+    ///   `S ≤ est·(1 + N·2⁻⁵²)`.
+    /// - With (K + 1)·u ≤ 1/8, `(1 + u)^(K+1) ≤ 1 + 1.07·(K + 1)·u`. Hence
+    ///   `sq < est·(1 + 2(K + 1)·u) + N·2⁻¹⁴⁹`; the factor 2 also covers
+    ///   the f64 sum's and this bound's own roundings.
+    /// - Every partial sum obeys the same bound, so if it is also below
+    ///   `f32::MAX`, no rounding overflows and the steps above hold.
+    /// - If the bound is below `max_norm²`, so is `sq`. Then `√sq`, rounded,
+    ///   is at most `max_norm`, and the chain would not clip.
+    ///
+    /// A NaN or infinite gradient makes `est` NaN or infinite, and the
+    /// comparison false, so such calls take the exact chain, as does a
+    /// `max_norm` that is not positive.
     pub fn clip_grad_norm(&mut self, max_norm: f32) {
+        if self.cannot_clip(max_norm) {
+            return;
+        }
         let mut sq = 0.0f32;
         self.visit_params(&mut |p| {
             sq += p.grad.as_slice().iter().map(|g| g * g).sum::<f32>();
@@ -185,6 +215,23 @@ impl Mlp {
             let scale = max_norm / norm;
             self.visit_params(&mut |p| p.grad.scale(scale));
         }
+    }
+
+    /// The bound of [`Mlp::clip_grad_norm`]: true when the exact chain is
+    /// proven not to clip at `max_norm`.
+    fn cannot_clip(&mut self, max_norm: f32) -> bool {
+        const U: f64 = f32::EPSILON as f64 / 2.0; // 2⁻²⁴
+        const TINY: f64 = f32::from_bits(1) as f64; // 2⁻¹⁴⁹
+        let (mut est, mut n, mut k) = (0.0f64, 0.0f64, 0.0f64);
+        self.visit_params(&mut |p| {
+            let g = p.grad.as_slice();
+            est += kernels::sum_sq(g);
+            n += g.len() as f64;
+            k += g.len() as f64 + 1.0;
+        });
+        let bound = est * (1.0 + 2.0 * (k + 1.0) * U) + n * TINY;
+        let limit = (f64::from(max_norm) * f64::from(max_norm)).min(f64::from(f32::MAX));
+        max_norm > 0.0 && (k + 1.0) * U <= 0.125 && bound < limit
     }
 
     /// Captures a serializable snapshot of parameters and buffers.
@@ -248,7 +295,7 @@ mod tests {
     use crate::loss::mse_loss;
     use crate::optim::Adam;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn tiny_net(rng: &mut StdRng) -> Mlp {
         Mlp::new(vec![
@@ -398,6 +445,118 @@ mod tests {
         let mut sq = 0.0;
         net.visit_params(&mut |p| sq += p.grad.as_slice().iter().map(|g| g * g).sum::<f32>());
         assert!(sq.sqrt() <= 1.0 + 1e-4);
+    }
+
+    /// `clip_grad_norm` as it was before the f64 bound: the exact f32 chain
+    /// on every call, the reference the bound must not change a bit of.
+    fn clip_reference(net: &mut Mlp, max_norm: f32) {
+        let mut sq = 0.0f32;
+        net.visit_params(&mut |p| {
+            sq += p.grad.as_slice().iter().map(|g| g * g).sum::<f32>();
+        });
+        let norm = sq.sqrt();
+        if norm > max_norm && norm > 0.0 {
+            let scale = max_norm / norm;
+            net.visit_params(&mut |p| p.grad.scale(scale));
+        }
+    }
+
+    fn set_grads(net: &mut Mlp, grads: &[f32]) {
+        let mut at = 0;
+        net.visit_params(&mut |p| {
+            let g = p.grad.as_mut_slice();
+            g.copy_from_slice(&grads[at..at + g.len()]);
+            at += g.len();
+        });
+        assert_eq!(at, grads.len());
+    }
+
+    /// 3 656 parameters in two dense layers: room for the 2 001-element
+    /// chain of `clip_bound_covers_a_chain_that_rounds_up_every_step`.
+    fn clip_net() -> Mlp {
+        let rng = &mut StdRng::seed_from_u64(33);
+        Mlp::new(vec![
+            Box::new(Dense::new(48, 64, Init::Uniform(0.1), rng)),
+            Box::new(Relu()),
+            Box::new(Dense::new(64, 8, Init::Uniform(0.1), rng)),
+        ])
+    }
+
+    /// Clips one gradient set with `clip_grad_norm` and with the reference
+    /// on two copies of the net; returns whether the reference clipped.
+    fn clip_both_ways(grads: &[f32], max_norm: f32, what: &str) -> bool {
+        let (mut fast, mut reference) = (clip_net(), clip_net());
+        set_grads(&mut fast, grads);
+        set_grads(&mut reference, grads);
+        fast.clip_grad_norm(max_norm);
+        clip_reference(&mut reference, max_norm);
+        let (got, want) = (grad_bits(&mut fast), grad_bits(&mut reference));
+        assert_eq!(got, want, "{what}");
+        want != grads.iter().map(|g| g.to_bits()).collect::<Vec<_>>()
+    }
+
+    #[test]
+    fn clip_grad_norm_equals_the_exact_chain_bit_for_bit() {
+        let mut n = 0;
+        clip_net().visit_params(&mut |p| n += p.grad.as_slice().len());
+        let max_norm = 5.0f32;
+        let mut rng = StdRng::seed_from_u64(34);
+        let mut clipped = [0usize; 5];
+        for set in 0..40 {
+            let raw: Vec<f32> = (0..n)
+                .map(|_| match rng.gen_range(0..40) {
+                    0 => 0.0,
+                    1 => f32::from_bits(rng.gen_range(1..0x0080_0000)), // subnormal
+                    _ => rng.gen_range(-1.0f32..1.0),
+                })
+                .collect();
+            let norm = raw.iter().map(|&g| f64::from(g) * f64::from(g)).sum::<f64>().sqrt();
+            for (i, factor) in [0.5, 0.999, 1.0, 1.001, 2.0].into_iter().enumerate() {
+                let scale = (factor * f64::from(max_norm) / norm) as f32;
+                let grads: Vec<f32> = raw.iter().map(|g| g * scale).collect();
+                clipped[i] += usize::from(clip_both_ways(&grads, max_norm, &format!("set {set} ×{factor}")));
+            }
+        }
+        assert_eq!((clipped[0], clipped[1], clipped[4]), (0, 0, 40), "clip counts {clipped:?}");
+        // Special entries take the exact chain: all zeros, all subnormal, a
+        // NaN, ±inf, and a square that overflows f32.
+        let special: [(&str, f32); 6] = [
+            ("zero", 0.0),
+            ("subnormal", f32::from_bits(3)),
+            ("nan", f32::NAN),
+            ("inf", f32::INFINITY),
+            ("-inf", f32::NEG_INFINITY),
+            ("overflow", 2.0e19),
+        ];
+        for (what, x) in special {
+            let mut grads = vec![if what == "subnormal" { x } else { 1e-3 }; n];
+            grads[n / 2] = x;
+            clip_both_ways(&grads, max_norm, what);
+            clip_both_ways(&grads, 1e30, &format!("{what}, max_norm 1e30"));
+        }
+        assert!(!clip_both_ways(&vec![0.0; n], max_norm, "all zero"));
+        for bad in [0.0, -1.0, f32::NAN, f32::INFINITY] {
+            clip_both_ways(&vec![1.0; n], bad, &format!("max_norm {bad}"));
+        }
+    }
+
+    /// A gradient set whose f32 chain rounds up on every addition: one
+    /// square just under `max_norm²` first, then 2 000 squares of ≈ 0.75
+    /// ulp of the running sum. The exact sum (and the f64 estimate) stays
+    /// below `max_norm²`, the chain crosses it and clips. Only the
+    /// `(K + 1)` slack of the bound sends this set down the exact chain.
+    #[test]
+    fn clip_bound_covers_a_chain_that_rounds_up_every_step() {
+        let mut n = 0;
+        clip_net().visit_params(&mut |p| n += p.grad.as_slice().len());
+        let tiny = (0.75 * 2f64.powi(-19)).sqrt() as f32; // the running sum sits in [16, 32)
+        let mut grads = vec![0.0f32; n];
+        grads[1..=2_000].fill(tiny);
+        let rest: f64 = grads.iter().map(|&g| f64::from(g) * f64::from(g)).sum();
+        grads[0] = (25.0 - 4e-4 - rest).sqrt() as f32;
+        let est: f64 = grads.iter().map(|&g| f64::from(g) * f64::from(g)).sum();
+        assert!(est < 25.0, "estimate {est}");
+        assert!(clip_both_ways(&grads, 5.0, "rounding-up chain"), "the chain should clip");
     }
 
     #[test]
