@@ -143,7 +143,7 @@ impl MemoryPool {
         }
     }
 
-    /// Clones out every stored transition, oldest-slot first (crash-safe
+    /// Clones out every stored transition in slot order (crash-safe
     /// training checkpoints persist the pool this way; priorities are
     /// rebuilt as max-priority on reload, which re-anneals quickly).
     pub fn transitions(&self) -> Vec<Transition> {

@@ -22,7 +22,7 @@ use crate::env::Transition;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tinynn::{
-    Adam, BatchNorm, Dense, Dropout, Init, Layer, Matrix, Mlp, NetState, Relu, Tanh,
+    Adam, BatchNorm, Dense, Dropout, Init, Layer, Matrix, Mlp, NetState, Param, Relu, Tanh,
     PAPER_WEIGHT_INIT,
 };
 
@@ -232,6 +232,10 @@ pub(crate) enum Weights<'a> {
     /// Copy them out of a snapshot, layer by layer ([`Ddpg::from_snapshot`]):
     /// nothing is sampled only to be overwritten.
     Load(&'a NetState),
+    /// [`Weights::Load`] into an [`Mlp::inference_only`] network: the target
+    /// networks and the serving policy, which only ever run forward, carry
+    /// no gradient and no backward scratch.
+    Inference(&'a NetState),
 }
 
 impl Weights<'_> {
@@ -239,13 +243,14 @@ impl Weights<'_> {
     fn dense(&mut self, layer: usize, in_dim: usize, out_dim: usize, init: Init) -> Box<dyn Layer> {
         match self {
             Weights::Sample(rng) => Box::new(Dense::new(in_dim, out_dim, init, *rng)),
-            Weights::Load(net) => {
+            Weights::Load(net) | Weights::Inference(net) => {
                 let Some([w, b]) = net.layers.get(layer).map(Vec::as_slice) else {
                     // lint:allow(panic) reason=from_snapshot documents a panic on a mismatched snapshot
                     panic!("snapshot layer {layer} is not a dense layer")
                 };
                 assert_eq!((w.rows(), w.cols()), (in_dim, out_dim), "snapshot layer {layer} shape");
-                Box::new(Dense::from_params(w.clone(), b.clone()))
+                let param = if matches!(self, Weights::Inference(_)) { Param::without_grad } else { Param::new };
+                Box::new(Dense::from_params(param(w.clone()), param(b.clone())))
             }
         }
     }
@@ -253,7 +258,7 @@ impl Weights<'_> {
     /// Layer `layer` of the network: batch norm over `dim` features.
     fn batch_norm(&self, layer: usize, dim: usize) -> Box<dyn Layer> {
         let mut bn = BatchNorm::new(dim);
-        if let Weights::Load(net) = self {
+        if let Weights::Load(net) | Weights::Inference(net) = self {
             bn.load_state(net.layers.get(layer).map_or(&[], Vec::as_slice));
         }
         Box::new(bn)
@@ -261,10 +266,14 @@ impl Weights<'_> {
 
     /// The finished network; a snapshot must have had exactly its layers.
     fn finish(&self, layers: Vec<Box<dyn Layer>>) -> Mlp {
-        if let Weights::Load(net) = self {
+        if let Weights::Load(net) | Weights::Inference(net) = self {
             assert_eq!(net.layers.len(), layers.len(), "snapshot layer count");
         }
-        Mlp::new(layers)
+        if matches!(self, Weights::Inference(_)) {
+            Mlp::inference_only(layers)
+        } else {
+            Mlp::new(layers)
+        }
     }
 }
 
@@ -319,8 +328,8 @@ impl Ddpg {
         let actor = build_actor(&cfg, &mut Weights::Sample(&mut rng), 0xA0);
         let critic = build_critic(&cfg, &mut Weights::Sample(&mut rng), 0xB0);
         // The targets start as copies of the online networks.
-        let actor_target = build_actor(&cfg, &mut Weights::Load(&actor.state()), 0xA1);
-        let critic_target = build_critic(&cfg, &mut Weights::Load(&critic.state()), 0xB1);
+        let actor_target = build_actor(&cfg, &mut Weights::Inference(&actor.state()), 0xA1);
+        let critic_target = build_critic(&cfg, &mut Weights::Inference(&critic.state()), 0xB1);
         Self::assemble(cfg, actor, critic, actor_target, critic_target)
     }
 
@@ -561,8 +570,8 @@ impl Ddpg {
         let cfg = snap.config.clone();
         let actor = build_actor(&cfg, &mut Weights::Load(&snap.actor), 0xA0);
         let critic = build_critic(&cfg, &mut Weights::Load(&snap.critic), 0xB0);
-        let actor_target = build_actor(&cfg, &mut Weights::Load(&snap.actor_target), 0xA1);
-        let critic_target = build_critic(&cfg, &mut Weights::Load(&snap.critic_target), 0xB1);
+        let actor_target = build_actor(&cfg, &mut Weights::Inference(&snap.actor_target), 0xA1);
+        let critic_target = build_critic(&cfg, &mut Weights::Inference(&snap.critic_target), 0xB1);
         Self::assemble(cfg, actor, critic, actor_target, critic_target)
     }
 }
@@ -708,6 +717,29 @@ mod tests {
         };
         assert_eq!(shapes(&moved), shapes(&copied));
         assert_eq!(bits(&moved), bits(&copied));
+    }
+
+    #[test]
+    fn target_networks_hold_no_gradient_on_either_build_path() {
+        let agent = Ddpg::new(tiny_cfg());
+        let restored = Ddpg::from_snapshot(&agent.snapshot());
+        for mut a in [agent, restored] {
+            let (mut online, mut target) = (0, 0);
+            a.actor.visit_params(&mut |p| online += p.grad.as_slice().len());
+            a.critic.visit_params(&mut |p| online += p.grad.as_slice().len());
+            a.actor_target.visit_params(&mut |p| target += p.grad.as_slice().len());
+            a.critic_target.visit_params(&mut |p| target += p.grad.as_slice().len());
+            assert!(online > 0);
+            assert_eq!(target, 0, "a target network carries gradients");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "inference-only")]
+    fn a_backward_pass_through_a_target_network_panics() {
+        let mut agent = Ddpg::new(tiny_cfg());
+        let y = agent.critic_target.forward(&Matrix::filled(4, 6, 0.5), false);
+        let _ = agent.critic_target.backward_ref(&y);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl SnapshotPolicy {
     /// running statistics) loaded from it.
     pub fn from_snapshot(snap: &DdpgSnapshot) -> Self {
         let cfg = &snap.config;
-        let actor = build_actor(cfg, &mut Weights::Load(&snap.actor), 0xA0);
+        let actor = build_actor(cfg, &mut Weights::Inference(&snap.actor), 0xA0);
         Self {
             state_dim: cfg.state_dim,
             action_dim: cfg.action_dim,

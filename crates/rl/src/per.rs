@@ -5,19 +5,33 @@
 //! which increases the convergence speed by a factor of two". Implemented
 //! with a sum-tree for O(log n) proportional sampling and importance
 //! weights annealed by β.
+//!
+//! The transitions live in the uniform pool's ring ([`ReplayBuffer`]): a
+//! push lands in slot `len` until the ring is full, then overwrites the
+//! oldest slot, and storage grows with the data. A pool sized for 100 000
+//! transitions that holds 120 keeps 120.
+//!
+//! The sum tree is allocated zeroed at full capacity (2·capacity − 1 nodes)
+//! and never grows: its shape fixes the order in which the f64 priorities
+//! are added, so a tree grown with the data would round its sums
+//! differently and move every proportional draw. The pages of the zeroed
+//! allocation that no set leaf reaches are never written, because both an
+//! incremental set and the periodic exact rebuild touch only the ancestors
+//! of leaves that were ever set (`SumTree::rebuild`).
 
 use crate::batch::TransitionBatch;
 use crate::env::Transition;
+use crate::replay::ReplayBuffer;
 use rand::Rng;
 
 /// How many incremental `set`s a [`SumTree`] tolerates before recomputing
 /// its internal nodes exactly. Incremental `+=` propagation accumulates
 /// float error (catastrophically so when priorities of very different
 /// magnitudes alternate on one path), and a drifted root lets `find(mass)`
-/// walk into an empty/zero-priority region. A periodic exact rebuild is
-/// O(capacity) ≈ the cost of `REBUILD_INTERVAL`·log(capacity) incremental
-/// updates' worth of work once every 4096 sets — noise in the training
-/// loop — and bounds the drift to what at most 4095 sets can produce.
+/// walk into an empty/zero-priority region. A periodic exact rebuild
+/// recomputes the ancestors of the leaves ever set, O(len + log capacity)
+/// nodes, once every 4096 sets — noise in the training loop — and bounds
+/// the drift to what at most 4095 sets can produce.
 const REBUILD_INTERVAL: u32 = 4096;
 
 /// A fixed-capacity sum-tree over priorities.
@@ -26,6 +40,10 @@ struct SumTree {
     /// Complete binary tree in an array; leaves start at `capacity - 1`.
     nodes: Vec<f64>,
     capacity: usize,
+    /// One past the highest leaf ever set: leaves from here on, and every
+    /// internal node that is not an ancestor of a lower leaf, still hold
+    /// the 0.0 they were allocated with.
+    leaves_set: usize,
     /// Incremental updates since the last exact rebuild.
     sets_since_rebuild: u32,
     /// Lifetime exact rebuilds (telemetry).
@@ -37,6 +55,7 @@ impl SumTree {
         Self {
             nodes: vec![0.0; 2 * capacity - 1],
             capacity,
+            leaves_set: 0,
             sets_since_rebuild: 0,
             rebuilds: 0,
         }
@@ -58,6 +77,7 @@ impl SumTree {
         let mut idx = leaf + self.capacity - 1;
         let delta = priority - self.nodes[idx];
         self.nodes[idx] = priority;
+        self.leaves_set = self.leaves_set.max(leaf + 1);
         self.sets_since_rebuild += 1;
         if self.sets_since_rebuild >= REBUILD_INTERVAL {
             self.rebuild();
@@ -69,9 +89,35 @@ impl SumTree {
         }
     }
 
-    /// Recomputes every internal node bottom-up from the (exact) leaves,
+    /// Recomputes the internal nodes bottom-up from the (exact) leaves,
     /// discarding accumulated incremental-update drift.
+    ///
+    /// Only the ancestors of leaves `0..leaves_set` are written. Every other
+    /// internal node has only ever held 0.0, which recomputing it would
+    /// write back as 0.0 + 0.0, so the nodes equal a rebuild of all
+    /// `capacity - 1` internal nodes bit for bit. The parents of a
+    /// contiguous index range are the contiguous range of its endpoints'
+    /// parents, so the walk goes one range per step up the tree. The leaf
+    /// range spans at most two adjacent depths, hence so does each range
+    /// above it, and a node's children are always recomputed before it:
+    /// they sit in the same range at a higher index, or in an earlier one.
     fn rebuild(&mut self) {
+        let (mut lo, mut hi) = (self.capacity - 1, self.capacity - 2 + self.leaves_set);
+        while hi > 0 {
+            lo = lo.saturating_sub(1) / 2;
+            hi = (hi - 1) / 2;
+            for idx in (lo..=hi).rev() {
+                self.nodes[idx] = self.nodes[2 * idx + 1] + self.nodes[2 * idx + 2];
+            }
+        }
+        self.sets_since_rebuild = 0;
+        self.rebuilds += 1;
+    }
+
+    /// The exact rebuild over every internal node: the reference
+    /// [`Self::rebuild`] must equal bit for bit.
+    #[cfg(test)]
+    fn rebuild_full(&mut self) {
         for idx in (0..self.capacity - 1).rev() {
             self.nodes[idx] = self.nodes[2 * idx + 1] + self.nodes[2 * idx + 2];
         }
@@ -111,9 +157,10 @@ pub struct PerStats {
     pub beta: f64,
     /// Maximum priority seen so far.
     pub max_priority: f64,
-    /// Proportional draws that walked into an empty leaf and were resampled
-    /// uniformly. Nonzero means the sum-tree and the stored data disagree —
-    /// the failure mode the periodic exact rebuild exists to prevent.
+    /// Proportional draws that walked into an empty slot (one at or past
+    /// `len`) and were resampled uniformly. Nonzero means the sum-tree and
+    /// the stored data disagree — the failure mode the periodic exact
+    /// rebuild exists to prevent.
     pub fallback_hits: u64,
     /// Exact rebuilds of the sum-tree's internal nodes.
     pub tree_rebuilds: u64,
@@ -123,9 +170,9 @@ pub struct PerStats {
 #[derive(Debug, Clone)]
 pub struct PrioritizedReplay {
     tree: SumTree,
-    data: Vec<Option<Transition>>,
-    write: usize,
-    len: usize,
+    /// The transitions; a ring slot is the sum tree's leaf of the same
+    /// number.
+    ring: ReplayBuffer,
     alpha: f64,
     beta: f64,
     beta_increment: f64,
@@ -141,9 +188,7 @@ impl PrioritizedReplay {
         assert!(capacity > 1, "capacity must exceed 1");
         Self {
             tree: SumTree::new(capacity),
-            data: vec![None; capacity],
-            write: 0,
-            len: 0,
+            ring: ReplayBuffer::new(capacity),
             alpha,
             beta,
             beta_increment: 1e-4,
@@ -153,19 +198,20 @@ impl PrioritizedReplay {
         }
     }
 
-    /// Iterates the stored transitions (checkpointing the pool).
+    /// Iterates the stored transitions in slot order (checkpointing the
+    /// pool).
     pub fn iter(&self) -> impl Iterator<Item = &Transition> {
-        self.data.iter().filter_map(|slot| slot.as_ref())
+        self.ring.iter()
     }
 
     /// Number of stored transitions.
     pub fn len(&self) -> usize {
-        self.len
+        self.ring.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ring.is_empty()
     }
 
     /// Current β (annealed toward 1 as sampling proceeds).
@@ -176,7 +222,7 @@ impl PrioritizedReplay {
     /// Observability counters (see [`PerStats`]).
     pub fn stats(&self) -> PerStats {
         PerStats {
-            len: self.len,
+            len: self.len(),
             alpha: self.alpha,
             beta: self.beta,
             max_priority: self.max_priority,
@@ -188,11 +234,8 @@ impl PrioritizedReplay {
     /// Adds a transition with the maximum seen priority (new experience is
     /// always replayed at least once).
     pub fn push(&mut self, t: Transition) {
-        let slot = self.write;
-        self.data[slot] = Some(t);
+        let slot = self.ring.push_slot(t);
         self.tree.set(slot, self.max_priority.powf(self.alpha));
-        self.write = (self.write + 1) % self.data.len();
-        self.len = (self.len + 1).min(self.data.len());
     }
 
     /// The proportional draw of [`Self::sample_into`]: fills
@@ -205,7 +248,8 @@ impl PrioritizedReplay {
         indices: &mut Vec<usize>,
         weights: &mut Vec<f32>,
     ) {
-        assert!(self.len > 0, "cannot sample an empty prioritized buffer");
+        let len = self.len();
+        assert!(len > 0, "cannot sample an empty prioritized buffer");
         indices.clear();
         weights.clear();
         indices.reserve(n);
@@ -216,19 +260,19 @@ impl PrioritizedReplay {
             let lo = segment * i as f64;
             let mass = lo + rng.gen::<f64>() * segment;
             let mut leaf = self.tree.find(mass.min(total - 1e-9));
-            let p = if self.data[leaf].is_none() {
-                // The proportional walk reached an empty leaf: the tree and
+            let p = if leaf >= len {
+                // The proportional walk reached an empty slot: the tree and
                 // the data disagree. Recover by drawing uniformly — and use
                 // the uniform probability 1/len for the IS weight (the old
                 // code kept the leaf's proportional priority, silently
                 // corrupting the weight of the fallback sample).
                 self.fallback_hits += 1;
-                leaf = rng.gen_range(0..self.len);
-                1.0 / self.len as f64
+                leaf = rng.gen_range(0..len);
+                1.0 / len as f64
             } else {
                 (self.tree.get(leaf) / total).max(1e-12)
             };
-            let w = (self.len as f64 * p).powf(-self.beta);
+            let w = (len as f64 * p).powf(-self.beta);
             indices.push(leaf);
             weights.push(w as f32);
         }
@@ -253,13 +297,10 @@ impl PrioritizedReplay {
     ) {
         assert!(n > 0, "cannot sample an empty minibatch");
         self.draw(n, rng, indices, weights);
-        let (ds, da) = {
-            let t = self.data[indices[0]].as_ref().expect("sampled slot is filled");
-            (t.state.len(), t.action.len())
-        };
-        batch.begin(n, ds, da);
+        let first = self.ring.get(indices[0]);
+        batch.begin(n, first.state.len(), first.action.len());
         for &i in indices.iter() {
-            batch.push(self.data[i].as_ref().expect("sampled slot is filled"));
+            batch.push(self.ring.get(i));
         }
     }
 
@@ -493,10 +534,7 @@ mod tests {
             assert!(weights.iter().all(|&w| w > 0.0 && w <= 1.0 + 1e-6));
             // The packed rows must be the transitions the indices point at.
             for (row, &slot) in indices.iter().enumerate() {
-                assert_eq!(
-                    batch.rewards()[row],
-                    buf.data[slot].as_ref().unwrap().reward
-                );
+                assert_eq!(batch.rewards()[row], buf.ring.get(slot).reward);
             }
             hot += batch.rewards().iter().filter(|&&r| r == 7.0).count();
         }
@@ -513,5 +551,221 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let (rewards, _, _) = sample(&mut buf, 8, &mut rng);
         assert!(rewards.iter().all(|&r| r >= 6.0));
+    }
+
+    /// Internal nodes that are ancestors of leaves `0..k`, found by walking
+    /// each leaf to the root.
+    fn ancestors(capacity: usize, k: usize) -> Vec<bool> {
+        let mut anc = vec![false; 2 * capacity - 1];
+        for leaf in 0..k {
+            let mut idx = leaf + capacity - 1;
+            while idx > 0 {
+                idx = (idx - 1) / 2;
+                anc[idx] = true;
+            }
+        }
+        anc
+    }
+
+    fn node_bits(s: &SumTree) -> Vec<u64> {
+        s.nodes.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A tree of `capacity` leaves after `sets` random sets among the
+    /// first `k` leaves (always including leaf `k - 1`); no set reaches a
+    /// rebuild.
+    fn random_tree(capacity: usize, k: usize, sets: usize, rng: &mut StdRng) -> SumTree {
+        let mut s = SumTree::new(capacity);
+        s.set(k - 1, 0.5);
+        for _ in 0..sets {
+            let p = match rng.gen_range(0..8) {
+                0 => 1e12 * rng.gen::<f64>(),
+                1 => 0.0,
+                _ => (1e-3 + rng.gen::<f64>() * 100.0).powf(0.6),
+            };
+            s.set(rng.gen_range(0..k), p);
+        }
+        s
+    }
+
+    #[test]
+    fn ancestor_rebuild_equals_the_full_rebuild_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0xA11);
+        let mut capacities = vec![2, 3, 4, 5, 7, 8, 9, 64, 100, 1000, 1023, 1024, 1025, 100_000];
+        capacities.extend((0..12).map(|_| rng.gen_range(2..5000)));
+        for capacity in capacities {
+            let mut fills = vec![1, capacity, rng.gen_range(1..=capacity)];
+            fills.push((capacity / 2).max(1));
+            for k in fills {
+                let sets = rng.gen_range(1..3 * k.min(500) + 2);
+                let mut fast = random_tree(capacity, k, sets, &mut rng);
+                let mut full = fast.clone();
+                // Scribble over every ancestor of a set leaf, so a node the
+                // rebuild skips keeps a wrong value instead of a sum that
+                // the incremental sets happened to get exactly right.
+                let anc = ancestors(capacity, fast.leaves_set);
+                for (node, _) in fast.nodes.iter_mut().zip(&anc).filter(|(_, &a)| a) {
+                    *node = -12345.0;
+                }
+                fast.rebuild();
+                full.rebuild_full();
+                assert_eq!(node_bits(&fast), node_bits(&full), "capacity {capacity}, {k} leaves set");
+                // A second round on top of the rebuilt tree.
+                for _ in 0..sets {
+                    let leaf = rng.gen_range(0..k);
+                    let p = rng.gen::<f64>() * 7.0;
+                    fast.set(leaf, p);
+                    full.set(leaf, p);
+                }
+                fast.rebuild();
+                full.rebuild_full();
+                assert_eq!(node_bits(&fast), node_bits(&full), "capacity {capacity}, {k} leaves, round 2");
+            }
+        }
+    }
+
+    #[test]
+    fn rebuild_writes_no_node_outside_the_ancestors_of_set_leaves_and_their_children() {
+        let poison = f64::from_bits(0x7FF8_DEAD_BEEF_0001);
+        let mut rng = StdRng::seed_from_u64(0xA12);
+        for capacity in [2, 3, 5, 8, 100, 1000, 4099, 100_000] {
+            for k in [1, 2.min(capacity), capacity / 3 + 1, capacity] {
+                let mut s = random_tree(capacity, k, 2 * k, &mut rng);
+                let mut reference = s.clone();
+                reference.rebuild_full();
+                // Read set: the ancestors and their children.
+                let anc = ancestors(capacity, s.leaves_set);
+                let mut read = anc.clone();
+                for idx in (0..capacity - 1).filter(|&i| anc[i]) {
+                    read[2 * idx + 1] = true;
+                    read[2 * idx + 2] = true;
+                }
+                let untouched: Vec<usize> = (0..s.nodes.len()).filter(|&i| !read[i]).collect();
+                for &i in &untouched {
+                    s.nodes[i] = poison;
+                }
+                s.rebuild();
+                for &i in &untouched {
+                    assert_eq!(s.nodes[i].to_bits(), poison.to_bits(), "capacity {capacity}: node {i} written");
+                }
+                for i in (0..s.nodes.len()).filter(|&i| read[i]) {
+                    assert_eq!(s.nodes[i].to_bits(), reference.nodes[i].to_bits(), "capacity {capacity}: node {i}");
+                }
+            }
+        }
+    }
+
+    /// The layout the ring replaced: every slot of a `Vec<Option<_>>`
+    /// written up front, a `write`/`len` pair, and a sum tree that rebuilds
+    /// all its internal nodes — what the ring and the ancestor-only rebuild
+    /// must reproduce draw for draw.
+    struct Prefilled {
+        tree: SumTree,
+        data: Vec<Option<Transition>>,
+        write: usize,
+        len: usize,
+        alpha: f64,
+        beta: f64,
+        max_priority: f64,
+        fallback_hits: u64,
+    }
+
+    impl Prefilled {
+        fn new(capacity: usize, alpha: f64, beta: f64) -> Self {
+            let tree = SumTree::new(capacity);
+            Self { tree, data: vec![None; capacity], write: 0, len: 0, alpha, beta, max_priority: 1.0, fallback_hits: 0 }
+        }
+
+        fn set(&mut self, leaf: usize, priority: f64) {
+            let tree = &mut self.tree;
+            let mut idx = leaf + tree.capacity - 1;
+            let delta = priority - tree.nodes[idx];
+            tree.nodes[idx] = priority;
+            tree.sets_since_rebuild += 1;
+            if tree.sets_since_rebuild >= REBUILD_INTERVAL {
+                tree.rebuild_full();
+                return;
+            }
+            while idx > 0 {
+                idx = (idx - 1) / 2;
+                tree.nodes[idx] += delta;
+            }
+        }
+
+        fn push(&mut self, t: Transition) {
+            let slot = self.write;
+            self.data[slot] = Some(t);
+            self.set(slot, self.max_priority.powf(self.alpha));
+            self.write = (self.write + 1) % self.data.len();
+            self.len = (self.len + 1).min(self.data.len());
+        }
+
+        fn draw(&mut self, n: usize, rng: &mut StdRng) -> (Vec<usize>, Vec<f32>) {
+            let (mut indices, mut weights) = (Vec::new(), Vec::new());
+            let total = self.tree.total().max(1e-12);
+            let segment = total / n as f64;
+            for i in 0..n {
+                let mass = segment * i as f64 + rng.gen::<f64>() * segment;
+                let mut leaf = self.tree.find(mass.min(total - 1e-9));
+                let p = if self.data[leaf].is_none() {
+                    self.fallback_hits += 1;
+                    leaf = rng.gen_range(0..self.len);
+                    1.0 / self.len as f64
+                } else {
+                    (self.tree.get(leaf) / total).max(1e-12)
+                };
+                indices.push(leaf);
+                weights.push((self.len as f64 * p).powf(-self.beta) as f32);
+            }
+            let max_w = weights.iter().cloned().fold(f32::MIN, f32::max).max(1e-12);
+            for w in weights.iter_mut() {
+                *w /= max_w;
+            }
+            self.beta = (self.beta + 1e-4).min(1.0);
+            (indices, weights)
+        }
+
+        fn update_priorities(&mut self, indices: &[usize], td_errors: &[f32]) {
+            for (&i, &e) in indices.iter().zip(td_errors) {
+                let p = (f64::from(e.abs()) + 1e-3).min(100.0);
+                self.max_priority = self.max_priority.max(p);
+                self.set(i, p.powf(self.alpha));
+            }
+        }
+    }
+
+    #[test]
+    fn ring_draws_equal_the_prefilled_layout_through_a_wrap() {
+        let capacity = 50;
+        let (mut ring, mut old) = (PrioritizedReplay::new(capacity, 0.6, 0.4), Prefilled::new(capacity, 0.6, 0.4));
+        let (mut rng_ring, mut rng_old) = (StdRng::seed_from_u64(0xB0B), StdRng::seed_from_u64(0xB0B));
+        let mut td = StdRng::seed_from_u64(0xB0C);
+        for step in 0..400 {
+            ring.push(t(step as f32));
+            old.push(t(step as f32));
+            if step == 10 {
+                // An empty slot with a dominant priority: draws fall back.
+                ring.tree.set(capacity - 1, 1e3);
+                old.set(capacity - 1, 1e3);
+            }
+            let (_, idx, w) = sample(&mut ring, 16, &mut rng_ring);
+            let (old_idx, old_w) = old.draw(16, &mut rng_old);
+            assert_eq!(idx, old_idx, "step {step}: slots");
+            let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&w), bits(&old_w), "step {step}: IS weights");
+            let errors: Vec<f32> = (0..16).map(|_| td.gen::<f32>() * 3.0).collect();
+            ring.update_priorities(&idx, &errors);
+            old.update_priorities(&idx, &errors);
+        }
+        assert_eq!(node_bits(&ring.tree), node_bits(&old.tree));
+        // 400 pushes + 400 × 16 priority updates = 6 800 sets: one rebuild.
+        assert_eq!((ring.tree.rebuilds, old.tree.rebuilds), (1, 1));
+        let stats = ring.stats();
+        assert!(stats.fallback_hits > 0, "the planted empty slot drew no fallback");
+        assert_eq!((stats.fallback_hits, stats.len), (old.fallback_hits, old.len));
+        let order: Vec<f32> = ring.iter().map(|x| x.reward).collect();
+        let old_order: Vec<f32> = old.data.iter().flatten().map(|x| x.reward).collect();
+        assert_eq!(order, old_order, "slot-ordered iteration");
+        assert_eq!(order[0], 350.0, "slot 0 holds the eighth lap's first push");
     }
 }

@@ -2,7 +2,10 @@
 //!
 //! "We will randomly extract some batches of samples each time and update
 //! the model in order to eliminate the correlations between samples" — a
-//! bounded ring buffer with uniform sampling.
+//! bounded ring buffer with uniform sampling. The ring is also the storage
+//! of [`crate::PrioritizedReplay`]: a push lands in slot `len` until the ring
+//! is full, then overwrites the oldest slot, and holds only what it stores
+//! (the `Vec` grows with the data and never past `capacity`).
 
 use crate::batch::TransitionBatch;
 use crate::env::Transition;
@@ -20,7 +23,7 @@ impl ReplayBuffer {
     /// Creates a buffer holding at most `capacity` transitions.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "replay capacity must be positive");
-        Self { capacity, data: Vec::with_capacity(capacity.min(1 << 16)), write: 0 }
+        Self { capacity, data: Vec::new(), write: 0 }
     }
 
     /// Number of stored transitions.
@@ -40,12 +43,30 @@ impl ReplayBuffer {
 
     /// Adds a transition, evicting the oldest once full.
     pub fn push(&mut self, t: Transition) {
+        self.push_slot(t);
+    }
+
+    /// [`Self::push`], returning the slot the transition landed in:
+    /// `0, 1, …, capacity - 1, 0, 1, …`.
+    pub(crate) fn push_slot(&mut self, t: Transition) -> usize {
+        let slot = self.write;
         if self.data.len() < self.capacity {
+            // Doubling growth, capped so a full ring holds exactly
+            // `capacity` transitions.
+            if self.data.len() == self.data.capacity() {
+                self.data.reserve_exact(self.data.len().max(4).min(self.capacity - self.data.len()));
+            }
             self.data.push(t);
         } else {
-            self.data[self.write] = t;
+            self.data[slot] = t;
         }
-        self.write = (self.write + 1) % self.capacity;
+        self.write = (slot + 1) % self.capacity;
+        slot
+    }
+
+    /// The transition in `slot` (a value [`Self::push_slot`] returned).
+    pub(crate) fn get(&self, slot: usize) -> &Transition {
+        &self.data[slot]
     }
 
     /// Samples `n` transitions uniformly with replacement.
@@ -65,7 +86,8 @@ impl ReplayBuffer {
         }
     }
 
-    /// Iterates over stored transitions (oldest-first is not guaranteed).
+    /// Iterates over stored transitions in slot order (oldest-first only
+    /// until the ring wraps).
     pub fn iter(&self) -> impl Iterator<Item = &Transition> {
         self.data.iter()
     }
@@ -97,6 +119,20 @@ mod tests {
         let rewards: Vec<f32> = b.iter().map(|x| x.reward).collect();
         // 0 and 1 were overwritten by 3 and 4.
         assert!(rewards.contains(&2.0) && rewards.contains(&3.0) && rewards.contains(&4.0));
+    }
+
+    #[test]
+    fn push_reports_ring_slots_and_storage_never_exceeds_capacity() {
+        let mut b = ReplayBuffer::new(5);
+        let slots: Vec<usize> = (0..12).map(|i| b.push_slot(t(i as f32))).collect();
+        assert_eq!(slots, [0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1]);
+        assert_eq!(b.data.capacity(), 5, "a full ring holds exactly its capacity");
+        // Slot order: 10, 11 overwrote slots 0 and 1.
+        let rewards: Vec<f32> = b.iter().map(|x| x.reward).collect();
+        assert_eq!(rewards, [10.0, 11.0, 7.0, 8.0, 9.0]);
+        let mut big = ReplayBuffer::new(100_000);
+        big.push(t(0.0));
+        assert!(big.data.capacity() < 16, "an empty ring reserves nothing up front");
     }
 
     #[test]

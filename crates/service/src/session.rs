@@ -25,10 +25,12 @@ pub struct SessionOutcome {
     pub id: u64,
     /// Tuning steps taken.
     pub steps: usize,
-    /// The fine-tuned model was published to the registry.
+    /// The fine-tuned model was published to the registry (it moved there;
+    /// a close copies no weights).
     pub published: bool,
-    /// The underlying tuning outcome (recommendation, metrics, model).
-    pub outcome: TuningOutcome,
+    /// Session-cumulative recovery actions, the baseline measurement's
+    /// retries included.
+    pub recovery: RecoveryStats,
 }
 
 /// One live tuning session: environment + online tuner + registry context.
@@ -286,35 +288,35 @@ impl TuningSession {
     pub fn close(mut self, registry: &ModelRegistry, drained: bool) -> SessionOutcome {
         // lint:allow(panic) reason=inner is Some from construction until close(), which consumes self
         let inner = self.inner.take().expect("close runs once");
-        let mut outcome = inner.finish(&mut self.env);
-        // The environment lives exactly as long as the session, so its
-        // lifetime counters ARE the session-cumulative recovery stats —
-        // including retries spent measuring the baseline before the online
-        // loop began, which the loop-relative delta in `finish` drops.
-        outcome.recovery = *self.env.recovery_stats();
-        let measured_steps =
-            outcome.steps.iter().filter(|s| !s.crashed && !s.degraded).count();
+        let TuningOutcome { best_config, best_perf, steps, updated_model, .. } =
+            inner.finish(&mut self.env);
+        let measured_steps = steps.iter().filter(|s| !s.crashed && !s.degraded).count();
         let mut published = false;
         if measured_steps > 0 {
-            let best_action = self.env.space().from_config(&outcome.best_config);
+            let best_action = self.env.space().from_config(&best_config);
             published = registry
                 .publish(
                     self.fingerprint.clone(),
-                    outcome.updated_model.clone(),
+                    updated_model,
                     best_action,
-                    outcome.best_perf.throughput_tps,
-                    outcome.steps.len(),
+                    best_perf.throughput_tps,
+                    steps.len(),
                 )
                 .is_ok();
         }
         self.telemetry.emit(&TraceEvent::SessionClose {
             session: self.id,
-            steps: outcome.steps.len() as u64,
-            best_tps: outcome.best_perf.throughput_tps,
+            steps: steps.len() as u64,
+            best_tps: best_perf.throughput_tps,
             drained,
             published,
         });
-        SessionOutcome { id: self.id, steps: outcome.steps.len(), published, outcome }
+        // The environment lives exactly as long as the session, so its
+        // lifetime counters ARE the session-cumulative recovery stats —
+        // including retries spent measuring the baseline before the online
+        // loop began, which the loop-relative delta in `finish` drops.
+        let recovery = *self.env.recovery_stats();
+        SessionOutcome { id: self.id, steps: steps.len(), published, recovery }
     }
 }
 
@@ -465,7 +467,12 @@ mod tests {
         let mut seeder = open(1);
         while seeder.step().is_some() {}
         let fingerprint = seeder.fingerprint().clone();
-        let seeded = seeder.close(&registry, false).outcome;
+        let indices = seeder.env.space().indices().to_vec();
+        assert!(seeder.close(&registry, false).published);
+        let seeded = registry
+            .lookup(&fingerprint, &indices, 0.0)
+            .expect("the seeding session published its model")
+            .entry;
         // Each round warm-starts a session off the live entry (registering
         // its id with the tier), then a publish that beats the entry
         // replaces it under a fresh id.
@@ -477,9 +484,9 @@ mod tests {
                 tier.versions(),
                 registry.len()
             );
-            let tps = seeded.best_perf.throughput_tps * f64::from(1 + round);
+            let tps = seeded.best_tps * f64::from(1 + round);
             registry
-                .publish(fingerprint.clone(), seeded.updated_model.clone(), vec![0.5; 6], tps, 3)
+                .publish(fingerprint.clone(), (*seeded.model).clone(), vec![0.5; 6], tps, 3)
                 .expect("in-memory publish");
             assert_eq!(registry.len(), 1, "a better near-duplicate replaces, never appends");
         }
@@ -537,11 +544,11 @@ mod tests {
         while s.step().is_some() {}
         let out = s.close(&registry, false);
         assert!(
-            out.outcome.recovery.retries >= baseline_retries,
+            out.recovery.retries >= baseline_retries,
             "cumulative accounting keeps the baseline's {baseline_retries} retries"
         );
         assert!(
-            out.outcome.recovery.retries > 0,
+            out.recovery.retries > 0,
             "a 50% deploy-failure plan must force at least one retry"
         );
     }

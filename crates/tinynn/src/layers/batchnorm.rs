@@ -165,16 +165,18 @@ impl Layer for BatchNorm {
         }
     }
 
-    fn prewarm(&mut self, rows: usize, _in_width: usize) {
+    fn prewarm(&mut self, rows: usize, _in_width: usize, train: bool) {
         let d = self.dim();
         self.mean.resize(1, d);
         self.var.resize(1, d);
         self.batch_std.resize(1, d);
-        self.mean_dy.resize(1, d);
-        self.mean_dy_xhat.resize(1, d);
-        self.gain.resize(1, d);
         self.x_hat.resize(rows, d);
-        self.gxh.resize(rows, d);
+        if train {
+            self.mean_dy.resize(1, d);
+            self.mean_dy_xhat.resize(1, d);
+            self.gain.resize(1, d);
+            self.gxh.resize(rows, d);
+        }
     }
 
     fn soft_update_from(&mut self, source: &dyn Layer, tau: f32) {

@@ -25,13 +25,15 @@ impl Dense {
 
     /// Creates a dense layer from existing parameters — `weight` is
     /// `in x out`, `bias` `1 x out` — with no initializer to run: how a
-    /// network is rebuilt straight from a snapshot.
+    /// network is rebuilt straight from a snapshot, with gradients
+    /// ([`Param::new`]) or without ([`Param::without_grad`]).
     ///
     /// # Panics
     /// Panics if `bias` is not `1 x weight.cols()`.
-    pub fn from_params(weight: Matrix, bias: Matrix) -> Self {
-        assert_eq!((bias.rows(), bias.cols()), (1, weight.cols()), "dense bias shape mismatch");
-        Self { weight: Param::new(weight), bias: Param::new(bias) }
+    pub fn from_params(weight: Param, bias: Param) -> Self {
+        let (w, b) = (&weight.value, &bias.value);
+        assert_eq!((b.rows(), b.cols()), (1, w.cols()), "dense bias shape mismatch");
+        Self { weight, bias }
     }
 
     /// Input dimensionality.

@@ -68,8 +68,10 @@ impl Layer for Dropout {
         }
     }
 
-    fn prewarm(&mut self, rows: usize, in_width: usize) {
-        self.mask.resize(rows, in_width);
+    fn prewarm(&mut self, rows: usize, in_width: usize, train: bool) {
+        if train {
+            self.mask.resize(rows, in_width);
+        }
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -26,7 +26,8 @@ use crate::matrix::Matrix;
 pub struct Param {
     /// Current parameter values.
     pub value: Matrix,
-    /// Gradient of the loss w.r.t. `value`, populated by `backward`.
+    /// Gradient of the loss w.r.t. `value`, populated by `backward`; empty
+    /// (0 x 0) in an inference-only network.
     pub grad: Matrix,
 }
 
@@ -35,6 +36,12 @@ impl Param {
     pub fn new(value: Matrix) -> Self {
         let grad = Matrix::zeros(value.rows(), value.cols());
         Self { value, grad }
+    }
+
+    /// Wraps a value matrix with no gradient, for a network that never runs
+    /// backward ([`crate::Mlp::inference_only`]).
+    pub fn without_grad(value: Matrix) -> Self {
+        Self { value, grad: Matrix::default() }
     }
 }
 
@@ -94,8 +101,10 @@ pub trait Layer: Send {
 
     /// Pre-sizes any layer-internal scratch (masks, normalization caches)
     /// for a `rows x in_width` batch so steady-state training never grows a
-    /// buffer. Layers without internal scratch keep the default no-op.
-    fn prewarm(&mut self, _rows: usize, _in_width: usize) {}
+    /// buffer: with `train`, everything a train-mode forward and a backward
+    /// pass use; without, only what an eval-mode forward uses. Layers
+    /// without internal scratch keep the default no-op.
+    fn prewarm(&mut self, _rows: usize, _in_width: usize, _train: bool) {}
 
     /// Polyak-blends this layer's persistent state toward `source`
     /// (`self = tau * source + (1 - tau) * self`) without allocating.

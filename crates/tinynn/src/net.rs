@@ -25,6 +25,8 @@ struct Scratch {
 pub struct Mlp {
     layers: Vec<Box<dyn Layer>>,
     scratch: Scratch,
+    /// False for an [`Mlp::inference_only`] network.
+    trainable: bool,
 }
 
 /// Serializable snapshot of an [`Mlp`]'s learnable state (parameters and
@@ -39,14 +41,28 @@ impl Mlp {
     /// Creates an MLP from a layer stack.
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
         let acts = (0..layers.len() + 1).map(|_| Matrix::default()).collect();
-        Self { layers, scratch: Scratch { acts, g_a: Matrix::default(), g_b: Matrix::default() } }
+        let scratch = Scratch { acts, g_a: Matrix::default(), g_b: Matrix::default() };
+        Self { layers, scratch, trainable: true }
+    }
+
+    /// Creates a network that only runs forward: every parameter's gradient
+    /// is dropped (a no-op for one built with [`Param::without_grad`]),
+    /// [`Mlp::prewarm`] sizes no backward scratch, and a backward pass
+    /// panics. Its values still load, blend ([`Mlp::soft_update_from`]) and
+    /// snapshot like any network's — what a DDPG target network needs.
+    pub fn inference_only(layers: Vec<Box<dyn Layer>>) -> Self {
+        let mut net = Self::new(layers);
+        net.visit_params(&mut |p| p.grad = Matrix::default());
+        net.trainable = false;
+        net
     }
 
     /// Pre-sizes the scratch arena (and every layer's internal scratch) for
     /// batches of `rows x in_width`, so the first training step already runs
-    /// allocation-free. Optional: buffers also grow lazily on first use.
+    /// allocation-free; an inference-only network sizes only what its
+    /// forward pass uses. Optional: buffers also grow lazily on first use.
     pub fn prewarm(&mut self, rows: usize, in_width: usize) {
-        let Self { layers, scratch } = self;
+        let Self { layers, scratch, trainable } = self;
         let mut acts = scratch.acts.iter_mut();
         if let Some(input) = acts.next() {
             input.resize(rows, in_width);
@@ -54,13 +70,15 @@ impl Mlp {
         let mut width = in_width;
         let mut max_width = in_width;
         for (layer, out) in layers.iter_mut().zip(acts) {
-            layer.prewarm(rows, width);
+            layer.prewarm(rows, width, *trainable);
             width = layer.out_width(width);
             max_width = max_width.max(width);
             out.resize(rows, width);
         }
-        scratch.g_a.resize(rows, max_width);
-        scratch.g_b.resize(rows, max_width);
+        if *trainable {
+            scratch.g_a.resize(rows, max_width);
+            scratch.g_b.resize(rows, max_width);
+        }
     }
 
     /// Number of layers.
@@ -77,7 +95,7 @@ impl Mlp {
     /// borrow of the output activation. Zero allocations once the arena is
     /// warm; the borrow is invalidated by the next forward/backward call.
     pub fn forward_ref(&mut self, input: &Matrix, train: bool) -> &Matrix {
-        let Self { layers, scratch } = self;
+        let Self { layers, scratch, .. } = self;
         scratch.acts[0].copy_from(input);
         for (i, layer) in layers.iter_mut().enumerate() {
             let (lo, hi) = scratch.acts.split_at_mut(i + 1);
@@ -124,8 +142,12 @@ impl Mlp {
     /// The one layer walk behind the three backward passes. Every layer
     /// above the first must pass dL/d its input down, so `Grads::Params`
     /// narrows to parameters at layer 0 only.
+    ///
+    /// # Panics
+    /// Panics on an [`Mlp::inference_only`] network.
     fn backward_walk(&mut self, grad_out: &Matrix, grads: Grads) -> &Matrix {
-        let Self { layers, scratch } = self;
+        assert!(self.trainable, "backward pass through an inference-only network");
+        let Self { layers, scratch, .. } = self;
         let n = layers.len();
         if n == 0 {
             scratch.g_a.copy_from(grad_out);
@@ -430,6 +452,33 @@ mod tests {
             }
             assert!(grad_bits(&mut input).iter().all(|&b| b == 0), "input-only touched a gradient");
         }
+    }
+
+    #[test]
+    fn inference_only_forward_matches_and_holds_no_gradient() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let mut trained = actor_shaped(&mut rng);
+        let x = Init::Uniform(1.0).sample(9, 7, &mut rng);
+        let _ = trained.forward_ref(&x, true); // move the running statistics
+        let mut frozen = Mlp::inference_only(actor_shaped(&mut rng).layers);
+        frozen.load_state(&trained.state());
+        frozen.prewarm(9, 7);
+        assert!(frozen.scratch.g_a.as_slice().is_empty() && frozen.scratch.g_b.as_slice().is_empty());
+        let mut grads = 0;
+        frozen.visit_params(&mut |p| grads += p.grad.as_slice().len());
+        assert_eq!(grads, 0, "an inference-only network holds no gradient");
+        assert_eq!(frozen.forward(&x, false), trained.forward(&x, false));
+        frozen.soft_update_from(&trained, 0.5);
+        assert_eq!(frozen.state(), trained.state());
+    }
+
+    #[test]
+    #[should_panic(expected = "inference-only")]
+    fn inference_only_network_refuses_a_backward_pass() {
+        let mut rng = StdRng::seed_from_u64(36);
+        let mut net = Mlp::inference_only(vec![Box::new(Dense::new(2, 3, Init::Uniform(0.1), &mut rng))]);
+        let y = net.forward(&Matrix::filled(4, 2, 1.0), false);
+        let _ = net.backward_ref(&y);
     }
 
     #[test]
