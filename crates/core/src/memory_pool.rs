@@ -4,8 +4,17 @@
 //! experience." One interface over the two backends the paper uses: plain
 //! uniform replay, and the prioritized replay \[38\] that §5.1 adds to halve
 //! convergence time.
+//!
+//! Every learner feeds and replays the pool the same way — offline
+//! training, the parallel cold start and online fine-tuning alike: a step's
+//! transition comes from [`measured_transition`] (a degraded step yields
+//! none), enters through [`MemoryPool::store`] (the one place an env reward
+//! is scaled to the stored scale), and is learned from by
+//! [`MemoryPool::learn`].
 
-use rl::{PerStats, PrioritizedReplay, ReplayBuffer, Transition, TransitionBatch};
+use crate::env::StepOutcome;
+use crate::telemetry::ReplayTrace;
+use rl::{Ddpg, PerStats, PrioritizedReplay, ReplayBuffer, Transition, TransitionBatch};
 
 /// Which replay backend to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +52,8 @@ pub struct BatchScratch {
     indices: Vec<usize>,
     weights: Vec<f32>,
     prioritized: bool,
+    /// TD errors of the last update, fed back as priorities.
+    td: Vec<f32>,
 }
 
 impl BatchScratch {
@@ -69,6 +80,20 @@ impl BatchScratch {
             None
         }
     }
+}
+
+/// The transition a step stores: `None` when the step was degraded (it
+/// carries no measurement, so there is nothing to learn from), otherwise
+/// `state → action → out.state` with the env's raw reward, which
+/// [`MemoryPool::store`] scales.
+pub fn measured_transition(state: &[f32], action: &[f32], out: &StepOutcome) -> Option<Transition> {
+    (!out.degraded).then(|| Transition {
+        state: state.to_vec(),
+        action: action.to_vec(),
+        reward: out.reward as f32,
+        next_state: out.state.clone(),
+        done: out.done,
+    })
 }
 
 /// The memory pool.
@@ -123,6 +148,65 @@ impl MemoryPool {
         match self {
             MemoryPool::Uniform(b) => b.push(t),
             MemoryPool::Prioritized(p) => p.push(t),
+        }
+    }
+
+    /// Stores a transition carrying a raw env reward, scaled by
+    /// `reward_scale` (the model's [`crate::trainer::TrainedModel::reward_scale`]).
+    pub fn store(&mut self, mut t: Transition, reward_scale: f32) {
+        t.reward *= reward_scale;
+        self.push(t);
+    }
+
+    /// Runs `updates` minibatch updates of `n` rows on `agent`: each samples
+    /// into `scratch`, trains on the batch with its importance weights, and
+    /// feeds the TD errors back as priorities. Returns the range of the
+    /// drawn IS weights, `(1, 1)` for uniform replay.
+    pub fn learn(
+        &mut self,
+        agent: &mut Ddpg,
+        updates: usize,
+        n: usize,
+        rng: &mut impl rand::Rng,
+        scratch: &mut BatchScratch,
+    ) -> (f64, f64) {
+        let (mut lo, mut hi) = (1.0f64, 1.0f64);
+        for _ in 0..updates {
+            // Sample straight into the reusable scratch tensors and train on
+            // them in place — no transition clones, no per-update
+            // allocations (DESIGN.md §11).
+            self.sample_into(n, rng, scratch);
+            let weights = scratch.prioritized.then_some(scratch.weights.as_slice());
+            for &x in weights.unwrap_or_default() {
+                lo = lo.min(f64::from(x));
+                hi = hi.max(f64::from(x));
+            }
+            // lint:allow(panic) reason=the training kernel indexes scratch matrices it resizes to the asserted batch geometry
+            let _ = agent.train_step_batch(&scratch.batch, weights, Some(&mut scratch.td));
+            self.update_priorities(scratch.sampled_indices(), &scratch.td);
+        }
+        (lo, hi)
+    }
+
+    /// The pool's part of a step's trace event, with the step's IS-weight
+    /// range as [`MemoryPool::learn`] returned it.
+    pub fn trace(&self, (is_weight_min, is_weight_max): (f64, f64)) -> ReplayTrace {
+        match self.replay_stats() {
+            Some(s) => ReplayTrace {
+                len: s.len as u64,
+                beta: s.beta,
+                max_priority: s.max_priority,
+                is_weight_min,
+                is_weight_max,
+                fallback_hits: s.fallback_hits,
+                tree_rebuilds: s.tree_rebuilds,
+            },
+            None => ReplayTrace {
+                len: self.len() as u64,
+                is_weight_min,
+                is_weight_max,
+                ..ReplayTrace::default()
+            },
         }
     }
 
@@ -274,6 +358,48 @@ mod tests {
         // A later uniform sample must clear the prioritized metadata.
         uni.sample_into(4, &mut rng, &mut scratch);
         assert!(scratch.is_weights().is_none());
+    }
+
+    fn small_agent() -> Ddpg {
+        let mut cfg = rl::DdpgConfig::paper(1, 1);
+        cfg.actor_hidden = vec![8];
+        cfg.critic_hidden = vec![8];
+        cfg.seed = 5;
+        Ddpg::new(cfg)
+    }
+
+    #[test]
+    fn learn_reports_the_drawn_is_weight_range() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut scratch = BatchScratch::new();
+        let mut agent = small_agent();
+
+        // Uniform replay draws no weights and holds no priorities.
+        let mut uni = MemoryPool::new(MemoryKind::Uniform, 16);
+        for i in 0..8 {
+            uni.store(t(i as f32), 0.1);
+        }
+        assert_eq!(uni.learn(&mut agent, 2, 4, &mut rng, &mut scratch), (1.0, 1.0));
+        assert!(scratch.sampled_indices().is_none() && uni.replay_stats().is_none());
+        assert_eq!(uni.trace((1.0, 1.0)).max_priority, 0.0);
+
+        // Prioritized replay: the first update feeds TD errors back, so the
+        // second draws unequal weights, and a one-update call reports the
+        // range of the batch it drew.
+        let mut pri = MemoryPool::new(MemoryKind::Prioritized, 16);
+        for i in 0..8 {
+            pri.store(t(i as f32), 0.1);
+        }
+        let _ = pri.learn(&mut agent, 1, 4, &mut rng, &mut scratch);
+        let (lo, hi) = pri.learn(&mut agent, 1, 4, &mut rng, &mut scratch);
+        let w = scratch.is_weights().expect("prioritized draws carry weights");
+        let min = w.iter().copied().fold(f32::INFINITY, f32::min);
+        assert_eq!(lo, f64::from(min));
+        assert_eq!(hi, 1.0, "IS weights are normalized to a maximum of 1");
+        assert!(lo < 1.0, "TD feedback made the priorities unequal");
+        let trace = pri.trace((lo, hi));
+        assert_eq!((trace.len, trace.is_weight_min), (8, lo));
+        assert!(trace.max_priority > 0.0);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! A tuning request replays the user's workload against the instance,
 //! feeds the observed state through the pre-trained model, deploys the
 //! recommended knobs, and repeats for at most five steps (the paper's
-//! maximum) or until the user is satisfied. The pre-trained model is
-//! *fine-tuned* on the transitions observed during the request so it adapts
-//! to the real workload, and the configuration with the best observed
+//! maximum). The pre-trained model is *fine-tuned* on the transitions
+//! observed during the request so it adapts to the real workload, through
+//! the same memory-pool path offline training stores and learns by
+//! ([`crate::memory_pool`]), and the configuration with the best observed
 //! performance is recommended.
 //!
 //! With [`OnlineConfig::safety`] set, the loop runs under the safety
@@ -19,15 +20,13 @@
 
 use crate::drift::{offered_load, DriftDetector};
 use crate::env::{DbEnv, RecoveryStats, StepOutcome};
+use crate::memory_pool::{measured_transition, BatchScratch, MemoryKind, MemoryPool};
 use crate::safety::{SafetyConfig, SafetyController, SafetyReport};
 use crate::telemetry::{ReplayTrace, TraceEvent, TraceLevel};
 use crate::trainer::TrainedModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rl::{
-    perturb, Ddpg, DdpgSnapshot, GaussianNoise, NoiseProcess, ReplayBuffer, Transition,
-    TransitionBatch,
-};
+use rl::{perturb, Ddpg, DdpgSnapshot, GaussianNoise, NoiseProcess};
 use simdb::{KnobConfig, PerfMetrics};
 use std::sync::Arc;
 
@@ -50,8 +49,6 @@ pub trait SharedPolicy: Send + Sync {
 pub struct OnlineConfig {
     /// Maximum tuning steps per request (paper: 5).
     pub max_steps: usize,
-    /// Fine-tune the model on observed transitions (§2.1.2).
-    pub fine_tune: bool,
     /// Small exploration noise during online steps (the paper's
     /// accumulated-trying-steps exploration, §5.1.3).
     pub noise_sigma: f32,
@@ -60,17 +57,8 @@ pub struct OnlineConfig {
     /// point in aggregate; perturbing a small random subset (the way a DBA
     /// double-checks a couple of knobs at a time) keeps exploration local.
     pub noise_fraction: f32,
-    /// Stop early once throughput improves over the initial configuration
-    /// by this factor (`None` = always run `max_steps`; the paper stops
-    /// when "the user obtains a satisfied performance").
-    pub satisfaction: Option<f64>,
     /// RNG seed.
     pub seed: u64,
-    /// Fine-tune minibatch size (capped by the replay length). `0` inherits
-    /// the trainer batch size the model was built with
-    /// (`model.snapshot.config.batch_size`), so offline and online training
-    /// agree without restating the number.
-    pub minibatch: usize,
     /// Safety layer for live instances: trust-region clamping, regret
     /// budgeting, degradation rollback, and drift detection. `None`
     /// (default) reproduces the paper's unguarded loop.
@@ -81,14 +69,9 @@ impl Default for OnlineConfig {
     fn default() -> Self {
         Self {
             max_steps: 5,
-            fine_tune: true,
             noise_sigma: 0.15,
             noise_fraction: 0.1,
-            satisfaction: None,
             seed: 0,
-            // Online fine-tuning always sampled up to 16 transitions per
-            // update before the size became configurable.
-            minibatch: 16,
             safety: None,
         }
     }
@@ -184,17 +167,15 @@ impl TuningOutcome {
 pub struct OnlineSession {
     /// The weights the session acts with.
     weights: Weights,
-    /// Effective fine-tune minibatch size (resolved from
-    /// [`OnlineConfig::minibatch`], `0` = the model's trainer batch size).
-    minibatch: usize,
     cfg: OnlineConfig,
     reward: crate::reward::RewardConfig,
     action_indices: Vec<usize>,
     reward_scale: f32,
     rng: StdRng,
     noise: GaussianNoise,
-    replay: ReplayBuffer,
-    batch: TransitionBatch,
+    /// The transitions observed so far, fine-tuned on (uniform replay).
+    pool: MemoryPool,
+    scratch: BatchScratch,
     recovery0: RecoveryStats,
     start: std::time::Instant,
     telemetry: crate::telemetry::Telemetry,
@@ -278,11 +259,6 @@ impl OnlineSession {
             env.space().indices(),
             "model was trained for a different knob subset"
         );
-        let minibatch = if cfg.minibatch == 0 {
-            model.snapshot.config.batch_size.max(1)
-        } else {
-            cfg.minibatch
-        };
         env.set_processor(model.processor.clone());
         let rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0x0411));
         let noise =
@@ -307,12 +283,11 @@ impl OnlineSession {
             action_indices: model.action_indices.clone(),
             reward_scale: model.reward_scale,
             weights,
-            minibatch,
             cfg: cfg.clone(),
             rng,
             noise,
-            replay: ReplayBuffer::new(4096),
-            batch: TransitionBatch::new(),
+            pool: MemoryPool::new(MemoryKind::Uniform, Self::REPLAY_CAPACITY),
+            scratch: BatchScratch::new(),
             recovery0,
             // lint:allow(determinism) reason=wall-clock feeds telemetry timings only, never seeded state
             start: std::time::Instant::now(),
@@ -423,7 +398,14 @@ impl OnlineSession {
         perturb(raw, &sparse)
     }
 
-    /// Gradient updates per online step when fine-tuning.
+    /// Transitions the session's pool holds before its ring overwrites
+    /// the oldest.
+    const REPLAY_CAPACITY: usize = 4096;
+    /// Stored transitions before fine-tuning starts.
+    const MIN_REPLAY: usize = 3;
+    /// Largest fine-tune minibatch (capped by the stored transitions).
+    const MINIBATCH: usize = 16;
+    /// Gradient updates per online step once fine-tuning.
     const UPDATES_PER_STEP: usize = 2;
     /// Consecutive failed steps (crashes or unmeasurable degraded steps)
     /// before the request aborts and recommends the best configuration
@@ -431,7 +413,7 @@ impl OnlineSession {
     const MAX_CONSECUTIVE_FAILURES: u32 = 3;
 
     /// Advances the session by one tuning step; `None` once the session is
-    /// finished (budget exhausted, satisfied, or aborted).
+    /// finished (budget exhausted or aborted).
     pub fn step(&mut self, env: &mut DbEnv) -> Option<OnlineStep> {
         if self.finished || self.steps.len() >= self.cfg.max_steps {
             self.finished = true;
@@ -440,16 +422,19 @@ impl OnlineSession {
         let step = self.steps.len() + 1;
         // lint:allow(determinism) reason=wall-clock feeds telemetry timings only, never seeded state
         let t_rec = std::time::Instant::now();
-        let raw = self.policy_act();
-        let recommendation_wall_us = t_rec.elapsed().as_micros() as u64;
-        // Step 1 deploys the model's recommendation verbatim (or the
-        // registry's warm action); later steps explore around the
-        // (fine-tuned) policy.
-        let mut action = if step == 1 {
-            self.warm_action.take().unwrap_or(raw)
-        } else {
+        // Step 1 deploys the registry's warm action, or else the model's
+        // recommendation verbatim; later steps explore around the
+        // (fine-tuned) policy. The policy is asked only when its action
+        // is deployed.
+        let mut action = if step > 1 {
+            let raw = self.policy_act();
             self.sparse_perturb(&raw)
+        } else if let Some(warm) = self.warm_action.take() {
+            warm
+        } else {
+            self.policy_act()
         };
+        let recommendation_wall_us = t_rec.elapsed().as_micros() as u64;
         // Trust region: pull the proposal back toward the best-known-safe
         // action before it touches the instance.
         if let Some(safety) = self.safety.as_mut() {
@@ -526,12 +511,7 @@ impl OnlineSession {
         self.steps.push(recorded.clone());
         // The step event goes out once the step's fine-tune has run, but
         // reports the replay pool as the step found it.
-        let replay = ReplayTrace {
-            len: self.replay.len() as u64,
-            is_weight_min: 1.0,
-            is_weight_max: 1.0,
-            ..ReplayTrace::default()
-        };
+        let replay = self.pool.trace((1.0, 1.0));
         if out.crashed || out.degraded {
             self.consecutive_failures += 1;
             if self.consecutive_failures >= Self::MAX_CONSECUTIVE_FAILURES {
@@ -558,32 +538,21 @@ impl OnlineSession {
                 safety.recenter(&action);
             }
         }
-        // Degraded steps carry no measurement to learn from.
-        if !out.degraded {
-            self.replay.push(Transition {
-                state: self.state.clone(),
-                action: action.clone(),
-                reward: out.reward as f32 * self.reward_scale,
-                next_state: out.state.clone(),
-                done: out.done,
-            });
+        if let Some(t) = measured_transition(&self.state, &action, &out) {
+            self.pool.store(t, self.reward_scale);
         }
 
-        if self.cfg.fine_tune && self.replay.len() >= 3 {
+        if self.pool.len() >= Self::MIN_REPLAY {
             // lint:allow(determinism) reason=wall-clock feeds telemetry timings only, never seeded state
             let t_upd = std::time::Instant::now();
             // First gradient update: a shared session forks its private
             // copy of the weights here (copy-on-write) — the published
             // snapshot other sessions serve from stays immutable.
             self.fork_agent();
-            let n = self.replay.len().min(self.minibatch.max(1));
             if let Weights::Owned(agent) = &mut self.weights {
-                for _ in 0..Self::UPDATES_PER_STEP {
-                    // Reusable packed minibatch: no per-update allocations.
-                    self.replay.sample_into(n, &mut self.rng, &mut self.batch);
-                    // lint:allow(panic) reason=the training kernel indexes scratch matrices it resizes to the asserted batch geometry
-                    let _ = agent.train_step_batch(&self.batch, None, None);
-                }
+                let n = self.pool.len().min(Self::MINIBATCH);
+                let k = Self::UPDATES_PER_STEP;
+                self.pool.learn(agent, k, n, &mut self.rng, &mut self.scratch);
             }
             out.timing.model_update_wall_us = t_upd.elapsed().as_micros() as u64;
         }
@@ -591,11 +560,6 @@ impl OnlineSession {
         self.state = out.state;
         self.noise.decay();
 
-        if let Some(target) = self.cfg.satisfaction {
-            if self.best_perf.throughput_tps >= self.initial_perf.throughput_tps * target {
-                self.finished = true;
-            }
-        }
         if self.steps.len() >= self.cfg.max_steps {
             self.finished = true;
         }
@@ -686,7 +650,7 @@ impl OnlineSession {
                 Weights::Shared { model, .. } => model.snapshot.clone(),
             },
             processor: env.processor().clone(),
-            transitions: self.replay.iter().cloned().collect(),
+            transitions: self.pool.transitions(),
             report,
             tracker: ConvergenceTracker::paper(),
             best_eval: f64::MIN,
@@ -772,27 +736,13 @@ mod tests {
     }
 
     #[test]
-    fn satisfaction_stops_early() {
-        let (mut env, model) = trained();
-        let cfg = OnlineConfig { satisfaction: Some(0.5), ..OnlineConfig::default() };
-        // A 0.5× target is met by the baseline itself → exactly 1 step.
-        let outcome = tune_online(&mut env, &model, &cfg);
-        assert_eq!(outcome.steps.len(), 1);
-    }
-
-    #[test]
     fn fine_tuning_updates_the_model() {
         let (mut env, model) = trained();
-        let cfg = OnlineConfig { fine_tune: true, ..OnlineConfig::default() };
-        let outcome = tune_online(&mut env, &model, &cfg);
+        let outcome = tune_online(&mut env, &model, &OnlineConfig::default());
         assert_ne!(
             outcome.updated_model.snapshot.actor, model.snapshot.actor,
             "fine-tuning must move the actor weights"
         );
-        // Without fine-tuning the weights stay put.
-        let cfg = OnlineConfig { fine_tune: false, ..OnlineConfig::default() };
-        let outcome = tune_online(&mut env, &model, &cfg);
-        assert_eq!(outcome.updated_model.snapshot.actor, model.snapshot.actor);
     }
 
     #[test]
@@ -956,31 +906,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn configured_minibatch_is_actually_sampled() {
-        let (mut env, model) = trained();
-        let cfg = OnlineConfig { minibatch: 3, ..OnlineConfig::default() };
-        let mut session = OnlineSession::begin(&mut env, &model, &cfg);
-        while session.step(&mut env).is_some() {}
-        // Five healthy default steps leave more than 3 transitions in
-        // replay, so the last update's packed batch only holds 3 rows if
-        // the configured size is honoured — the historical hardcoded
-        // `min(len, 16)` would have sampled the whole buffer.
-        assert!(session.replay.len() > 3, "replay must outgrow the configured size");
-        assert_eq!(session.batch.len(), 3, "fine-tune sampled the configured minibatch");
-        let _ = session.finish(&mut env);
-    }
-
-    #[test]
-    fn minibatch_zero_inherits_the_trainer_batch_size() {
-        let (mut env, model) = trained();
-        let cfg = OnlineConfig { minibatch: 0, ..OnlineConfig::default() };
-        let session = OnlineSession::begin(&mut env, &model, &cfg);
-        assert_eq!(session.minibatch, model.snapshot.config.batch_size);
-        assert!(session.minibatch > 0);
-        let _ = session.finish(&mut env);
-    }
-
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Mutex;
 
@@ -1015,11 +940,13 @@ mod tests {
 
     #[test]
     fn shared_session_serves_through_the_tier_and_matches_private() {
-        // Without fine-tuning a shared session never forks: every step
-        // makes exactly one actor call through the shared tier, the
-        // resident weights stay the single Arc'd snapshot, and the observed
-        // steps are bit-identical to a session that owns a private agent.
-        let cfg = OnlineConfig { fine_tune: false, ..OnlineConfig::default() };
+        // A shared session serves steps 1–3 through the shared tier (one
+        // actor call each) and forks its private agent at step 3's first
+        // update. An eval-mode forward draws no dropout RNG and updates no
+        // batch-norm statistic, so the fork starts from the state a
+        // private session's agent still has then: the observed steps and
+        // the fine-tuned actor are bit-identical to the private session's.
+        let cfg = OnlineConfig::default();
         let (mut env_a, model_a) = trained();
         let private = tune_online(&mut env_a, &model_a, &cfg);
 
@@ -1035,11 +962,17 @@ mod tests {
         assert!(session.shares_model(), "admission must not fork");
         let held = session.model().expect("a shared session holds the snapshot");
         assert!(Arc::ptr_eq(held, &arc_model), "no weight copy at admission");
+        for _ in 0..2 {
+            let _ = session.step(&mut env_b);
+        }
+        assert!(session.shares_model(), "no update before step 3, no fork");
+        let _ = session.step(&mut env_b);
+        assert!(!session.shares_model(), "step 3's first update forks");
         while session.step(&mut env_b).is_some() {}
-        assert!(session.shares_model(), "no fine-tune => never forks");
-        assert_eq!(tier.acts.load(Ordering::SeqCst), private.steps.len() as u64);
+        assert_eq!(tier.acts.load(Ordering::SeqCst), 3, "one tier call per step before the fork");
         let out = session.finish(&mut env_b);
-        assert_eq!(out.updated_model.snapshot.actor, model_b.snapshot.actor);
+        assert_eq!(out.updated_model.snapshot.actor, private.updated_model.snapshot.actor);
+        assert_ne!(out.updated_model.snapshot.actor, model_b.snapshot.actor);
         assert_eq!(out.steps.len(), private.steps.len());
         for (a, b) in private.steps.iter().zip(&out.steps) {
             assert_eq!(a.throughput_tps, b.throughput_tps, "step {}", a.step);

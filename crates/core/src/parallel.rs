@@ -12,6 +12,7 @@
 //! the worker index, never on how many threads ran.
 
 use crate::env::DbEnv;
+use crate::memory_pool::measured_transition;
 use crate::telemetry::{Telemetry, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,8 +34,11 @@ pub fn worker_seed(seed: u64, worker: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Collects `steps_per_worker` random-policy transitions from each of
-/// `workers` independent environments, in parallel.
+/// Collects `steps_per_worker` random-policy steps from each of `workers`
+/// independent environments, in parallel, and returns the transitions of
+/// the measured ones (a degraded step stores none). Rewards are the env's
+/// raw rewards: [`crate::trainer::train_offline`] scales its seed
+/// transitions to the stored scale as it stores them.
 ///
 /// `make_env` builds a worker's environment from its worker index (each
 /// worker must get its own engine instance, like each of the paper's
@@ -102,8 +106,8 @@ where
 }
 
 /// One worker's round: `steps` uniformly random actions on its own
-/// environment, drawn from `seed`. Returns the transitions and the number of
-/// steps that crashed the instance.
+/// environment, drawn from `seed`. Returns the measured steps' transitions
+/// and the number of steps that crashed the instance.
 fn explore(mut env: DbEnv, steps: usize, seed: u64) -> (Vec<Transition>, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let dim = env.space().dim();
@@ -114,13 +118,7 @@ fn explore(mut env: DbEnv, steps: usize, seed: u64) -> (Vec<Transition>, u64) {
         let action: Vec<f32> = (0..dim).map(|_| rng.gen()).collect();
         let step = env.step_action(&action);
         crashes += u64::from(step.crashed);
-        out.push(Transition {
-            state: state.clone(),
-            action,
-            reward: step.reward as f32,
-            next_state: step.state.clone(),
-            done: step.done,
-        });
+        out.extend(measured_transition(&state, &action, &step));
         state = if step.done {
             env.reset_episode(env.engine().registry().default_config())
         } else {
@@ -265,6 +263,17 @@ mod tests {
         });
         let payload = result.expect_err("the round must not outlive a dead worker");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker 1 has no instance"));
+    }
+
+    #[test]
+    fn the_explorer_returns_no_degraded_step() {
+        // Every deploy fails its restart: each step is degraded, carries no
+        // measurement and stores no transition.
+        let mut env = make_env(0);
+        env.engine_mut().set_fault_plan(Some(simdb::FaultPlan::new(2).with_restart_failure(1.0)));
+        let (out, _) = explore(env, 3, 1);
+        assert!(out.is_empty(), "{} degraded steps were returned", out.len());
+        assert_eq!(explore(make_env(0), 3, 1).0.len(), 3, "healthy steps are all kept");
     }
 
     #[test]

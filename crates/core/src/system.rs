@@ -42,7 +42,8 @@ impl CdbTune {
     /// Offline training against a standard-workload environment (a DBA
     /// "training request" in Figure 2). Stores the resulting model.
     /// `seed_transitions` may carry samples collected in parallel
-    /// (§5.1's 30-server analogue, [`crate::parallel`]).
+    /// (§5.1's 30-server analogue, [`crate::parallel`]), with raw env
+    /// rewards.
     pub fn train_offline(
         &mut self,
         env: &mut DbEnv,

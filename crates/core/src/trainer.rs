@@ -10,11 +10,11 @@
 //! convergence step is reported (Figs. 8, 14, Table 6 plot it).
 
 use crate::env::{DbEnv, RecoveryStats};
-use crate::memory_pool::{BatchScratch, MemoryKind, MemoryPool, PerConfig};
+use crate::memory_pool::{measured_transition, BatchScratch, MemoryKind, MemoryPool, PerConfig};
 use crate::persist::{self, PersistError};
 use crate::reward::RewardConfig;
 use crate::state::StateProcessor;
-use crate::telemetry::{ReplayTrace, TraceEvent, TraceLevel};
+use crate::telemetry::{TraceEvent, TraceLevel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{perturb, Ddpg, DdpgConfig, DdpgSnapshot, GaussianNoise, NoiseProcess, Transition};
@@ -45,12 +45,6 @@ pub struct TrainerConfig {
     pub noise_decay: f32,
     /// Pure-random steps before the actor drives exploration (cold start).
     pub random_warmup_steps: usize,
-    /// Fraction of episodes that reset to the best configuration found so
-    /// far instead of the default baseline. Warm starts concentrate
-    /// exploration around discovered good regions — the episodic analogue
-    /// of the paper's online tuning continuing from the instance's current
-    /// configuration rather than from scratch.
-    pub warm_start_fraction: f64,
     /// Actor hidden widths (Table 5 default when `None`).
     pub actor_hidden: Option<Vec<usize>>,
     /// Critic hidden widths (Table 5 default when `None`).
@@ -91,7 +85,6 @@ impl Default for TrainerConfig {
             noise_sigma_min: 0.08,
             noise_decay: 0.96,
             random_warmup_steps: 40,
-            warm_start_fraction: 0.5,
             actor_hidden: None,
             critic_hidden: None,
             learning_rate: 1e-3,
@@ -215,13 +208,6 @@ pub struct TrainingReport {
     /// Recovery actions taken while training (retries, rollbacks,
     /// quarantines, imputed metrics, checkpoints).
     pub recovery: RecoveryStats,
-}
-
-/// Deterministic cold/warm episode alternation: spreads
-/// `round(episodes * fraction)` warm starts evenly (Bresenham-style).
-fn is_warm_episode(episode: usize, fraction: f64) -> bool {
-    let fraction = fraction.clamp(0.0, 1.0);
-    ((episode + 1) as f64 * fraction).floor() > (episode as f64 * fraction).floor()
 }
 
 /// Tracks the paper's convergence criterion over a smoothed series.
@@ -419,7 +405,9 @@ impl TrainingCheckpoint {
 
 /// Runs offline training on an environment, returning the trained model and
 /// the report. `seed_transitions` pre-fills the memory pool (incremental
-/// training on accumulated user feedback, §2.1.1, or parallel collection).
+/// training on accumulated user feedback, §2.1.1, or parallel collection);
+/// they carry raw env rewards, which the pool scales by
+/// [`TrainerConfig::reward_scale`] like every step's.
 /// With [`TrainerConfig::checkpoint_dir`] set, a [`TrainingCheckpoint`] is
 /// written every `checkpoint_every_steps` environment steps.
 pub fn train_offline(
@@ -500,7 +488,7 @@ pub fn train_offline_resumable(
         None => {
             agent = Ddpg::new(cfg.ddpg_config(state_dim, action_dim));
             for t in seed_transitions {
-                pool.push(t);
+                pool.store(t, cfg.reward_scale);
             }
             report = TrainingReport {
                 total_steps: 0,
@@ -531,12 +519,12 @@ pub fn train_offline_resumable(
         noise.decay();
     }
     // Resume draws a deterministic RNG stream keyed off the loop position;
-    // it differs from the uninterrupted stream (StdRng is not
-    // checkpointable) but every resume of the same checkpoint is identical.
+    // it differs from the uninterrupted stream (the checkpoint does not
+    // store the generator's state) but every resume of the same checkpoint
+    // is identical.
     let mut rng = StdRng::seed_from_u64(
         cfg.seed.wrapping_add(0x7157).wrapping_add(report.total_steps as u64),
     );
-    let mut td_scratch = Vec::new();
     let mut batch_scratch = BatchScratch::new();
 
     for episode in start_episode..cfg.episodes {
@@ -546,7 +534,12 @@ pub fn train_offline_resumable(
             noise.decay();
             continue;
         }
-        let warm = is_warm_episode(episode, cfg.warm_start_fraction);
+        // Every other episode resets to the best configuration found so
+        // far instead of the default baseline. Warm starts concentrate
+        // exploration around discovered good regions — the episodic
+        // analogue of the paper's online tuning continuing from the
+        // instance's current configuration rather than from scratch.
+        let warm = episode % 2 == 1;
         let baseline = match (&best_config, warm) {
             (Some(cfg), true) => cfg.clone(),
             _ => registry.default_config(),
@@ -601,43 +594,19 @@ pub fn train_offline_resumable(
             }
             let _ = tracker.observe(out.perf.throughput_tps);
 
-            // Degraded steps carry no measurement — nothing to learn from;
-            // they are recorded in the histories but not replayed.
-            if !out.degraded {
-                pool.push(Transition {
-                    state: state.clone(),
-                    action: action.clone(),
-                    reward: out.reward as f32 * cfg.reward_scale,
-                    next_state: out.state.clone(),
-                    done: out.done,
-                });
+            // Degraded steps are recorded in the histories but not replayed.
+            if let Some(t) = measured_transition(&state, &action, &out) {
+                pool.store(t, cfg.reward_scale);
             }
 
             // lint:allow(determinism) reason=wall-clock feeds telemetry timings only, never seeded state
             let t_upd = std::time::Instant::now();
-            let mut is_weight_min = 1.0f64;
-            let mut is_weight_max = 1.0f64;
-            if pool.len() >= cfg.batch_size {
-                for _ in 0..cfg.updates_per_step {
-                    // Sample straight into the reusable scratch tensors and
-                    // train on them in place — no transition clones, no
-                    // per-update allocations (DESIGN.md §11).
-                    pool.sample_into(cfg.batch_size, &mut rng, &mut batch_scratch);
-                    if let Some(w) = batch_scratch.is_weights() {
-                        for &x in w {
-                            is_weight_min = is_weight_min.min(f64::from(x));
-                            is_weight_max = is_weight_max.max(f64::from(x));
-                        }
-                    }
-                    // lint:allow(panic) reason=the training kernel indexes scratch matrices it resizes to the asserted batch geometry
-                    let _ = agent.train_step_batch(
-                        &batch_scratch.batch,
-                        batch_scratch.is_weights(),
-                        Some(&mut td_scratch),
-                    );
-                    pool.update_priorities(batch_scratch.sampled_indices(), &td_scratch);
-                }
-            }
+            let is_weights = if pool.len() >= cfg.batch_size {
+                let (n, k) = (cfg.batch_size, cfg.updates_per_step);
+                pool.learn(&mut agent, k, n, &mut rng, &mut batch_scratch)
+            } else {
+                (1.0, 1.0)
+            };
             out.timing.model_update_wall_us = t_upd.elapsed().as_micros() as u64;
 
             ep_steps += 1;
@@ -646,28 +615,11 @@ pub fn train_offline_resumable(
                 ep_best_tps = ep_best_tps.max(out.perf.throughput_tps);
             }
             if telemetry.enabled(TraceLevel::Step) {
-                let replay = match pool.replay_stats() {
-                    Some(s) => ReplayTrace {
-                        len: s.len as u64,
-                        beta: s.beta,
-                        max_priority: s.max_priority,
-                        is_weight_min,
-                        is_weight_max,
-                        fallback_hits: s.fallback_hits,
-                        tree_rebuilds: s.tree_rebuilds,
-                    },
-                    None => ReplayTrace {
-                        len: pool.len() as u64,
-                        is_weight_min,
-                        is_weight_max,
-                        ..ReplayTrace::default()
-                    },
-                };
                 telemetry.emit(&out.trace_event(
                     report.total_steps as u64,
                     episode as u64,
                     &action,
-                    replay,
+                    pool.trace(is_weights),
                     env.engine_sample(),
                 ));
             }
@@ -828,6 +780,33 @@ mod tests {
         // must run updates without panicking.
         let (_, report) = train_offline(&mut env, &cfg, seed);
         assert_eq!(report.total_steps, 2);
+    }
+
+    #[test]
+    fn seed_transitions_are_stored_at_the_reward_scale() {
+        // A seed carries a raw env reward; the pool stores it scaled, like
+        // every step's, and a checkpoint reads the pool back verbatim.
+        let dir = ckpt_dir("seedscale");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut env = tiny_env();
+        let seed = Transition {
+            state: vec![0.0; 63],
+            action: vec![0.5; 6],
+            reward: 5.0,
+            next_state: vec![0.0; 63],
+            done: false,
+        };
+        let cfg = TrainerConfig {
+            episodes: 1,
+            steps_per_episode: 1,
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every_steps: 1,
+            ..TrainerConfig::smoke()
+        };
+        let _ = train_offline(&mut env, &cfg, vec![seed]);
+        let ck = TrainingCheckpoint::load(&dir).unwrap().expect("checkpoint written");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(ck.transitions[0].reward, 5.0 * cfg.reward_scale);
     }
 
     fn ckpt_dir(tag: &str) -> String {
@@ -1061,17 +1040,6 @@ mod tests {
         let dir = ckpt_dir("missing");
         let _ = std::fs::remove_dir_all(&dir);
         assert!(TrainingCheckpoint::load(&dir).unwrap().is_none());
-    }
-
-    #[test]
-    fn warm_episode_alternation_matches_fraction() {
-        for (fraction, expected) in [(0.0, 0), (0.5, 10), (1.0, 20), (0.25, 5)] {
-            let warm = (0..20).filter(|&e| is_warm_episode(e, fraction)).count();
-            assert_eq!(warm, expected, "fraction {fraction}");
-        }
-        // Warm episodes are spread out, not bunched at the end.
-        let first_half = (0..10).filter(|&e| is_warm_episode(e, 0.5)).count();
-        assert_eq!(first_half, 5);
     }
 
     #[test]
