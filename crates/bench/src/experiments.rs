@@ -10,8 +10,8 @@
 //! check that fails is a finding to record, not a number to retune.
 
 use crate::harness::{
-    bar, baselines, cross_vs_native, iterations, sweep_field, sweep_point, tuner_bars, Bar,
-    CrossPlan, DqnTuner, Lab, Setting, Shipped,
+    bar, baselines, cross_vs_native, sweep_field, sweep_point, tuner_bars, Bar, CrossPlan,
+    DqnTuner, Lab, Setting, Shipped,
 };
 use crate::report::fmt;
 use baselines::ottertune::ranking::rank_knobs_by_correlation;
@@ -174,6 +174,27 @@ fn at_least(what: &str, a: f64, factor: f64, b: f64) -> Shape {
 /// `a > b`, spelled out on failure.
 fn above(what: &str, a: f64, b: f64) -> Shape {
     ensure(a > b, || format!("{what}: {} ≤ {}", fmt(a), fmt(b)))
+}
+
+/// `more ≥ less` (`>` when `strict`) between iteration counts, `None` being
+/// censored: at least the run's budget, which every measured count is
+/// below. A comparison counts only when censoring cannot flip it: a
+/// censored `more` over a measured `less` holds, and every other comparison
+/// with a censored side fails as undecided.
+fn more_iterations(what: &str, more: Option<f64>, less: Option<f64>, strict: bool) -> Shape {
+    let show = |n: Option<f64>| n.map_or("censored".into(), fmt);
+    match (more, less) {
+        (Some(m), Some(l)) => ensure(m > l || (!strict && m == l), || {
+            format!("{what}: {} {} {}", fmt(m), if strict { "≤" } else { "<" }, fmt(l))
+        }),
+        (None, Some(_)) => Ok(()),
+        _ => Err(format!("undecided: censored — {what}: {} vs {}", show(more), show(less))),
+    }
+}
+
+/// An `iterations` cell as [`more_iterations`] compares it.
+fn steps(cell: Option<usize>) -> Option<f64> {
+    cell.map(|n| n as f64)
 }
 
 fn peak(xs: impl Iterator<Item = f64>) -> f64 {
@@ -494,7 +515,7 @@ impl Experiment for Vec<Fig07Row> {
     }
 }
 
-row!(Fig08Row { knobs: usize, throughput: f64, p99_ms: f64, iterations: usize });
+row!(Fig08Row { knobs: usize, throughput: f64, p99_ms: f64, iterations: Option<usize> });
 
 impl Experiment for Vec<Fig08Row> {
     const ID: &'static str = "fig08_knobs_random";
@@ -508,7 +529,8 @@ impl Experiment for Vec<Fig08Row> {
         |rows| {
             let (first, last) = ends(rows)?;
             at_least("throughput 266 vs 20 knobs", last.throughput, 0.95, first.throughput)?;
-            ensure(last.iterations >= first.iterations, || "iterations shrank with knobs".into())
+            let (more, less) = (steps(last.iterations), steps(first.iterations));
+            more_iterations("iterations at 266 vs 20 knobs", more, less, false)
         },
     )];
 
@@ -787,7 +809,7 @@ impl Experiment for Vec<MediaRow> {
 
 // ---- Appendix C.1–C.2 and the §3.3 / §5.1 claims: ablations ----
 
-row!(RewardRow { workload: String, reward: String, iterations: usize, throughput: f64,
+row!(RewardRow { workload: String, reward: String, iterations: Option<usize>, throughput: f64,
     p99_ms: f64 });
 
 impl Experiment for Vec<RewardRow> {
@@ -808,8 +830,8 @@ impl Experiment for Vec<RewardRow> {
                 };
                 let (ours, b, c) = (of("RF-CDBTune")?, of("RF-B")?, of("RF-C")?);
                 at_least(&format!("{} vs RF-B", r.workload), ours.throughput, 0.98, b.throughput)?;
-                let (ours, c) = (ours.iterations, c.iterations);
-                ensure(ours <= c, || format!("{}: slower than RF-C ({ours} > {c})", r.workload))
+                let (c, ours) = (steps(c.iterations), steps(ours.iterations));
+                more_iterations(&format!("{}: RF-C vs RF-CDBTune", r.workload), c, ours, false)
             })
         },
     )];
@@ -872,7 +894,7 @@ impl Experiment for Vec<CoefficientRow> {
 }
 
 row!(NetworkRow { actor_layers: String, critic_layers: String, throughput: f64, p99_ms: f64,
-    iterations: usize });
+    iterations: Option<usize> });
 
 impl Experiment for Vec<NetworkRow> {
     const ID: &'static str = "table06_network_ablation";
@@ -885,9 +907,8 @@ impl Experiment for Vec<NetworkRow> {
         false,
         |rows| {
             let (base, deepest) = ends(rows)?;
-            ensure(deepest.iterations > base.iterations, || {
-                format!("deepest net converged in {} ≤ {}", deepest.iterations, base.iterations)
-            })?;
+            let (more, less) = (steps(deepest.iterations), steps(base.iterations));
+            more_iterations("iterations of the deepest vs the compact net", more, less, true)?;
             let best = peak(rows.iter().map(|r| r.throughput));
             at_least("compact net vs best", base.throughput, 0.9, best)
         },
@@ -910,8 +931,8 @@ impl Experiment for Vec<NetworkRow> {
             };
             let s = Setting::new(MySqlCdb, Hw::cdb_b(), TpcC, None);
             let (bar, iterations) = lab.trained_bar(&s, &trainer);
-            // The paper's "iterations" count gradient work: scale the step
-            // count by the update cost relative to the base architecture.
+            // The paper's "iterations" count gradient work: scale a measured
+            // step count by the update cost relative to the base architecture.
             let weights = |v: &[usize]| v.windows(2).map(|w| w[0] * w[1]).sum::<usize>();
             let layers = |v: &[usize]| v.iter().map(usize::to_string).collect::<Vec<_>>().join("-");
             NetworkRow {
@@ -919,14 +940,15 @@ impl Experiment for Vec<NetworkRow> {
                 critic_layers: layers(&critic),
                 throughput: bar.1,
                 p99_ms: bar.2,
-                iterations: iterations * (weights(&actor) + weights(&critic)) / (128 * 128 * 3),
+                iterations: iterations
+                    .map(|n| n * (weights(&actor) + weights(&critic)) / (128 * 128 * 3)),
             }
         };
         (3..=6).flat_map(|depth| [(depth, 1), (depth, 2)]).map(row).collect()
     }
 }
 
-row!(ReplayRow { memory: String, seed: u64, iterations: usize, best_throughput: f64 });
+row!(ReplayRow { memory: String, seed: u64, iterations: Option<usize>, best_throughput: f64 });
 
 impl Experiment for Vec<ReplayRow> {
     const ID: &'static str = "extra_per_ablation";
@@ -939,16 +961,21 @@ impl Experiment for Vec<ReplayRow> {
         "prioritized replay needs fewer iterations than uniform",
         false,
         |rows| {
+            // A mean over measured runs, or censored when every run is; a
+            // mix bounds the mean by nothing the check could decide on.
             let mean = |memory: &str| {
-                let of = rows.iter().filter(|r| r.memory == memory).map(|r| r.iterations as f64);
-                let of: Vec<f64> = of.collect();
+                let of: Vec<_> = rows.iter().filter(|r| r.memory == memory).collect();
                 ensure(!of.is_empty(), || format!("no {memory} rows"))?;
-                Ok::<f64, String>(of.iter().sum::<f64>() / of.len() as f64)
+                let censored = of.iter().filter(|r| r.iterations.is_none()).count();
+                let sum: usize = of.iter().filter_map(|r| r.iterations).sum();
+                match censored {
+                    0 => Ok(Some(sum as f64 / of.len() as f64)),
+                    c if c == of.len() => Ok(None),
+                    c => Err(format!("undecided: censored — {c} of {} {memory} runs", of.len())),
+                }
             };
             let (prioritized, uniform) = (mean("Prioritized")?, mean("Uniform")?);
-            ensure(prioritized < uniform, || {
-                format!("mean iterations: prioritized {prioritized:.0} ≥ uniform {uniform:.0}")
-            })
+            more_iterations("mean iterations: uniform vs prioritized", uniform, prioritized, true)
         },
     )];
 
@@ -960,7 +987,7 @@ impl Experiment for Vec<ReplayRow> {
             ReplayRow {
                 memory: format!("{memory:?}"),
                 seed,
-                iterations: iterations(&report),
+                iterations: report.steps_to_bar(),
                 best_throughput: report.best_throughput,
             }
         };

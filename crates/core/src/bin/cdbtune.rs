@@ -66,13 +66,11 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     } else {
         train_offline(&mut env, &trainer, Vec::new())
     };
+    let converged =
+        report.steps_to_bar().map_or("censored".into(), |n| format!("steps to bar {n}"));
     println!(
-        "trained in {:.1}s: {} steps, best {:.0} txn/s, {} crashes, converged at {:?}",
-        report.wall_seconds,
-        report.total_steps,
-        report.best_throughput,
-        report.crashes,
-        report.iterations_to_converge
+        "trained in {:.1}s: {} steps, best {:.0} txn/s, {} crashes, {converged}",
+        report.wall_seconds, report.total_steps, report.best_throughput, report.crashes,
     );
     println!("recovery:   {}", report.recovery.summary());
     std::fs::write(&out, model.to_json()).map_err(|e| format!("writing {out}: {e}"))?;

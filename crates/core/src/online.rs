@@ -228,12 +228,10 @@ impl OnlineSession {
     }
 
     /// [`OnlineSession::begin`] for the serving tier: the session borrows
-    /// the shared `model` snapshot (an `Arc` bump, no weight copy) and,
-    /// when `shared` names a shared inference backend publishing that
-    /// model as `version`, serves actor forwards through it until
-    /// the first fine-tune update forks a private agent (copy-on-write).
-    /// With `shared = None` the private agent is materialized eagerly,
-    /// which is exactly [`OnlineSession::begin`].
+    /// the shared `model` snapshot (an `Arc` bump, no weight copy), which
+    /// `tier` publishes as `version`, and serves actor forwards through the
+    /// tier until the first fine-tune update forks a private agent
+    /// (copy-on-write).
     ///
     /// # Panics
     /// When the model was trained for a different knob subset than the
@@ -242,12 +240,9 @@ impl OnlineSession {
         env: &mut DbEnv,
         model: Arc<TrainedModel>,
         cfg: &OnlineConfig,
-        shared: Option<(u64, Arc<dyn SharedPolicy>)>,
+        (version, tier): (u64, Arc<dyn SharedPolicy>),
     ) -> Self {
-        let weights = match shared {
-            Some((version, tier)) => Weights::Shared { model: Arc::clone(&model), version, tier },
-            None => Weights::Owned(online_agent(&model.snapshot)),
-        };
+        let weights = Weights::Shared { model: Arc::clone(&model), version, tier };
         Self::open(env, &model, weights, cfg)
     }
 
@@ -623,10 +618,9 @@ impl OnlineSession {
     /// (and the same atomic-write guarantees) offline training uses. The report carries the per-step histories observed so
     /// far; the transitions are the session's replay contents.
     pub fn drain_checkpoint(&self, env: &DbEnv) -> crate::trainer::TrainingCheckpoint {
-        use crate::trainer::{ConvergenceTracker, TrainingCheckpoint, TrainingReport};
+        use crate::trainer::{TrainingCheckpoint, TrainingReport};
         let report = TrainingReport {
             total_steps: self.steps.len(),
-            iterations_to_converge: None,
             reward_history: self.steps.iter().map(|s| s.reward).collect(),
             throughput_history: self.steps.iter().map(|s| s.throughput_tps).collect(),
             latency_history: self.steps.iter().map(|s| s.p99_latency_us).collect(),
@@ -652,7 +646,6 @@ impl OnlineSession {
             processor: env.processor().clone(),
             transitions: self.pool.transitions(),
             report,
-            tracker: ConvergenceTracker::paper(),
             best_eval: f64::MIN,
             best_snapshot: None,
             quarantined: env.quarantined_keys(),
@@ -957,7 +950,7 @@ mod tests {
             &mut env_b,
             arc_model.clone(),
             &cfg,
-            Some((1, tier.clone())),
+            (1, tier.clone()),
         );
         assert!(session.shares_model(), "admission must not fork");
         let held = session.model().expect("a shared session holds the snapshot");
@@ -988,7 +981,7 @@ mod tests {
             &mut env,
             Arc::new(model.clone()),
             &OnlineConfig::default(),
-            Some((1, tier.clone())),
+            (1, tier.clone()),
         );
         // Fine-tuning starts once replay holds 3 transitions, i.e. inside
         // the 3rd step; the first two steps must stay on the shared tier.
@@ -1021,7 +1014,7 @@ mod tests {
             &mut env,
             Arc::new(model.clone()),
             &OnlineConfig::default(),
-            Some((1, tier.clone())),
+            (1, tier.clone()),
         );
         let first = session.step(&mut env);
         assert!(first.is_some());

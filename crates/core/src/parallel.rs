@@ -42,22 +42,10 @@ pub fn worker_seed(seed: u64, worker: usize) -> u64 {
 ///
 /// `make_env` builds a worker's environment from its worker index (each
 /// worker must get its own engine instance, like each of the paper's
-/// training servers ran its own CDB instance).
+/// training servers ran its own CDB instance). `telemetry` gets one
+/// [`TraceEvent::CollectWorker`] per worker once it joins
+/// ([`Telemetry::null`] for none).
 pub fn collect_parallel<F>(
-    make_env: F,
-    workers: usize,
-    steps_per_worker: usize,
-    seed: u64,
-) -> Vec<Transition>
-where
-    F: Fn(usize) -> DbEnv + Sync,
-{
-    collect_parallel_traced(make_env, workers, steps_per_worker, seed, &Telemetry::null())
-}
-
-/// [`collect_parallel`] with telemetry: emits one
-/// [`TraceEvent::CollectWorker`] per worker once it joins.
-pub fn collect_parallel_traced<F>(
     make_env: F,
     workers: usize,
     steps_per_worker: usize,
@@ -205,7 +193,7 @@ mod tests {
     fn traced_collection_emits_one_event_per_worker() {
         use crate::telemetry::{Telemetry, TraceEvent, TraceLevel};
         let telemetry = Telemetry::ring(64, TraceLevel::Summary);
-        let transitions = collect_parallel_traced(make_env, 2, 3, 11, &telemetry);
+        let transitions = collect_parallel(make_env, 2, 3, 11, &telemetry);
         assert_eq!(transitions.len(), 6);
         let events = telemetry.drain_ring();
         let workers: Vec<_> = events
@@ -224,7 +212,7 @@ mod tests {
 
     #[test]
     fn collects_from_all_workers() {
-        let transitions = collect_parallel(make_env, 3, 5, 42);
+        let transitions = collect_parallel(make_env, 3, 5, 42, &Telemetry::null());
         assert_eq!(transitions.len(), 15);
         for t in &transitions {
             assert_eq!(t.state.len(), 63);
@@ -244,7 +232,7 @@ mod tests {
         };
         let oracle: Vec<Transition> =
             (0..3).flat_map(|w| explore(make_env(w), 5, worker_seed(42, w)).0).collect();
-        let parallel = collect_parallel(make_env, 3, 5, 42);
+        let parallel = collect_parallel(make_env, 3, 5, 42, &Telemetry::null());
         assert_eq!(parallel.len(), oracle.len());
         for (i, (p, o)) in parallel.iter().zip(&oracle).enumerate() {
             assert_eq!(bits(p), bits(o), "transition {i} (worker {}) differs", i / 5);
@@ -259,6 +247,7 @@ mod tests {
                 3,
                 2,
                 5,
+                &Telemetry::null(),
             )
         });
         let payload = result.expect_err("the round must not outlive a dead worker");
@@ -278,7 +267,7 @@ mod tests {
 
     #[test]
     fn workers_explore_differently() {
-        let transitions = collect_parallel(make_env, 2, 4, 7);
+        let transitions = collect_parallel(make_env, 2, 4, 7, &Telemetry::null());
         let (a, b) = transitions.split_at(4);
         assert_ne!(
             a.iter().map(|t| t.action.clone()).collect::<Vec<_>>(),
@@ -290,7 +279,7 @@ mod tests {
     #[test]
     fn collected_samples_feed_training() {
         use crate::trainer::{train_offline, TrainerConfig};
-        let seed = collect_parallel(make_env, 2, 4, 1);
+        let seed = collect_parallel(make_env, 2, 4, 1, &Telemetry::null());
         let mut env = make_env(9);
         let cfg = TrainerConfig {
             episodes: 1,

@@ -29,9 +29,7 @@ use crate::jsonio::Json;
 use crate::reward::{RewardConfig, RewardKind};
 use crate::state::StateProcessor;
 use crate::telemetry::PhaseTiming;
-use crate::trainer::{
-    ConvergenceTracker, TrainedModel, TrainingCheckpoint, TrainingReport, DEFAULT_REWARD_SCALE,
-};
+use crate::trainer::{TrainedModel, TrainingCheckpoint, TrainingReport, DEFAULT_REWARD_SCALE};
 use rl::{DdpgConfig, DdpgSnapshot, Transition};
 use simdb::{EngineFlavor, TOTAL_METRIC_COUNT};
 use std::fmt;
@@ -40,7 +38,9 @@ use workload::WorkloadKind;
 
 /// 1: the serde layout (`u64` as bare numbers, no `version` in a model).
 /// 2: `u64` as decimal strings.
-pub const FORMAT_VERSION: u32 = 2;
+/// 3: a checkpoint's evaluation curve holds `[step, tps]` pairs, and it has
+/// no convergence tracker. A model is as in 2.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why persisted text could not be turned back into a value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -275,18 +275,17 @@ persist_struct!(RecoveryStats {
     degraded_steps, imputed_metrics, checkpoints_written, checkpoints_loaded,
 });
 persist_struct!(TrainingReport {
-    total_steps, iterations_to_converge, reward_history, throughput_history, latency_history,
-    best_throughput, best_latency_us, best_action, actor_eval_history, crashes, wall_seconds,
+    total_steps, reward_history, throughput_history, latency_history, best_throughput,
+    best_latency_us, best_action, actor_eval_history, crashes, wall_seconds,
     recovery ?= RecoveryStats::default(),
 });
 persist_struct!(PhaseTiming {
     stress_wall_us, stress_simulated_sec, metrics_wall_us, model_update_wall_us,
     recommendation_wall_us, deployment_wall_us,
 });
-persist_struct!(ConvergenceTracker { threshold, window, ema, quiet_steps, converged_at, step });
 persist_struct!(TrainingCheckpoint {
-    version ?= 1, seed, episode, ep_step, snapshot, processor, transitions, report, tracker,
-    best_eval, best_snapshot, quarantined ?= Vec::new(),
+    version ?= 1, seed, episode, ep_step, snapshot, processor, transitions, report, best_eval,
+    best_snapshot, quarantined ?= Vec::new(),
 });
 
 /// Parses a document and refuses one from a newer build.
@@ -370,8 +369,6 @@ mod tests {
             next_state: vec![-0.0; TOTAL_METRIC_COUNT],
             done: true,
         };
-        let mut tracker = ConvergenceTracker::paper();
-        tracker.observe(1234.5);
         TrainingCheckpoint {
             version: FORMAT_VERSION,
             seed: u64::MAX,
@@ -382,19 +379,17 @@ mod tests {
             transitions: vec![t.clone(), t],
             report: TrainingReport {
                 total_steps: 27,
-                iterations_to_converge: None,
                 reward_history: vec![0.1, -100.0],
                 throughput_history: vec![1e3],
                 latency_history: vec![f64::MAX],
                 best_throughput: 1e3,
                 best_latency_us: f64::MAX,
                 best_action: vec![0.5; 3],
-                actor_eval_history: Vec::new(),
+                actor_eval_history: vec![(21, 1234.5), (41, 0.0)],
                 crashes: 1,
                 wall_seconds: 0.25,
                 recovery: RecoveryStats { retries: 3, checkpoints_loaded: 1, ..Default::default() },
             },
-            tracker,
             best_eval: f64::MIN,
             best_snapshot: Some((m.snapshot, m.processor)),
             quarantined: vec![0, 1 << 53, u64::MAX],
@@ -416,7 +411,8 @@ mod tests {
         assert_eq!(back.quarantined, vec![0, 1 << 53, u64::MAX]);
         assert_eq!((back.seed, back.episode, back.ep_step), (u64::MAX, 2, 7));
         assert_eq!(back.transitions, c.transitions);
-        assert_eq!((&back.tracker, back.best_eval), (&c.tracker, f64::MIN));
+        assert_eq!(back.report.actor_eval_history, c.report.actor_eval_history);
+        assert_eq!(back.best_eval, f64::MIN);
         assert_eq!(checkpoint_to_json(&back), checkpoint_to_json(&c));
     }
 
@@ -459,6 +455,35 @@ mod tests {
     }
 
     #[test]
+    fn a_version_2_checkpoint_loads_only_with_an_empty_curve() {
+        // Version 2 persisted a convergence tracker and the report's
+        // `iterations_to_converge`, which are now unknown keys, and a curve
+        // of bare throughputs, which carries no steps.
+        let v2 = |curve: Vec<f64>| {
+            let text = checkpoint_to_json(&checkpoint());
+            let mut doc = Json::parse(&edited(&text, &["version"], Some(Json::Num(2.0)))).unwrap();
+            let Json::Obj(fields) = &mut doc else { unreachable!() };
+            let tracker = [("threshold", Json::Num(0.005)), ("converged_at", Json::Null)];
+            fields.push(("tracker".to_string(), Json::obj(tracker)));
+            let report = &mut fields.iter_mut().find(|(k, _)| k == "report").unwrap().1;
+            let Json::Obj(report) = report else { unreachable!() };
+            report.push(("iterations_to_converge".to_string(), Json::Null));
+            let text = doc.to_text();
+            edited(&text, &["report", "actor_eval_history"], Some(curve.encode()))
+        };
+        let c = checkpoint_from_json(&v2(Vec::new())).expect("an empty curve decodes");
+        assert_eq!((c.version, c.report.total_steps), (2, 27));
+        assert!(c.report.actor_eval_history.is_empty());
+        assert_eq!(
+            checkpoint_from_json(&v2(vec![1234.5])).unwrap_err(),
+            PersistError::Invalid {
+                path: "report.actor_eval_history.0".into(),
+                problem: "expected an array of 2".into(),
+            }
+        );
+    }
+
+    #[test]
     fn damaged_documents_are_typed_errors_not_panics() {
         let good = model_to_json(&model());
         for cut in (0..good.len()).step_by(good.len() / 13) {
@@ -498,8 +523,8 @@ mod tests {
         assert_eq!(err, "`snapshot.actor.layers.0.0`: 9007199254740992x8 matrix holds 504 values");
 
         // A newer format is refused by number, in either document.
-        let newer = edited(&good, &["version"], n(3.0));
-        assert_eq!(model_from_json(&newer).unwrap_err(), PersistError::Version(3));
+        let newer = edited(&good, &["version"], n(4.0));
+        assert_eq!(model_from_json(&newer).unwrap_err(), PersistError::Version(4));
         let newer = checkpoint_to_json(&TrainingCheckpoint { version: 9, ..checkpoint() });
         assert_eq!(checkpoint_from_json(&newer).unwrap_err(), PersistError::Version(9));
         let text = checkpoint_to_json(&checkpoint());

@@ -3,11 +3,11 @@
 //! Cold start: with no historical experience, the trainer generates samples
 //! by try-and-error against standard workloads — random exploration first,
 //! then the noisy actor — storing every transition in the memory pool and
-//! updating the DDPG networks from random minibatches. The model converges
-//! when the measured performance changes by less than 0.5 % over five
-//! consecutive steps (Appendix C.1.1's criterion); training may continue
-//! past convergence to the configured step budget, and the first
-//! convergence step is reported (Figs. 8, 14, Table 6 plot it).
+//! updating the DDPG networks from random minibatches, up to the step
+//! budget. Once the random warm-up is over, the first step of each episode
+//! plays the deterministic policy. That evaluation curve picks the shipped
+//! model, and the iterations to converge that Figs. 8, 14 and Table 6 plot
+//! are read off it ([`TrainingReport::steps_to_bar`]).
 
 use crate::env::{DbEnv, RecoveryStats};
 use crate::memory_pool::{measured_transition, BatchScratch, MemoryKind, MemoryPool, PerConfig};
@@ -185,8 +185,6 @@ impl TrainedModel {
 pub struct TrainingReport {
     /// Environment steps taken.
     pub total_steps: usize,
-    /// First step satisfying the 0.5 %×5 convergence criterion.
-    pub iterations_to_converge: Option<usize>,
     /// Reward per step.
     pub reward_history: Vec<f64>,
     /// Measured throughput per step.
@@ -199,8 +197,10 @@ pub struct TrainingReport {
     pub best_latency_us: f64,
     /// Action that produced the best throughput.
     pub best_action: Vec<f32>,
-    /// Deterministic-policy throughput at each episode boundary.
-    pub actor_eval_history: Vec<f64>,
+    /// The evaluation curve: `(step, throughput)` of the deterministic
+    /// policy at the first step of every post-warm-up episode, steps
+    /// counted from 1. A crashed or degraded evaluation reads 0 tps.
+    pub actor_eval_history: Vec<(usize, f64)>,
     /// Crashes triggered by exploration.
     pub crashes: u64,
     /// Wall-clock training time, seconds (accumulated across resumes).
@@ -210,62 +210,22 @@ pub struct TrainingReport {
     pub recovery: RecoveryStats,
 }
 
-/// Tracks the paper's convergence criterion over a smoothed series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConvergenceTracker {
-    pub(crate) threshold: f64,
-    pub(crate) window: usize,
-    pub(crate) ema: Option<f64>,
-    pub(crate) quiet_steps: usize,
-    pub(crate) converged_at: Option<usize>,
-    pub(crate) step: usize,
-}
+/// The share of the evaluation curve's final best that counts as converged.
+const BAR: f64 = 0.95;
 
-impl ConvergenceTracker {
-    /// The paper's convergence threshold: a 0.5 % change.
-    const THRESHOLD: f64 = 0.005;
-    /// Consecutive sub-threshold steps required (paper: 5).
-    const WINDOW: usize = 5;
-
-    /// A tracker for Appendix C.1.1's criterion: less than 0.5 % change
-    /// over five consecutive steps.
-    pub fn paper() -> Self {
-        Self {
-            threshold: Self::THRESHOLD,
-            window: Self::WINDOW,
-            ema: None,
-            quiet_steps: 0,
-            converged_at: None,
-            step: 0,
-        }
-    }
-
-    /// Feeds one performance observation; returns true once converged.
-    pub fn observe(&mut self, value: f64) -> bool {
-        self.step += 1;
-        let prev = self.ema;
-        let ema = match prev {
-            None => value,
-            Some(e) => 0.7 * e + 0.3 * value,
-        };
-        self.ema = Some(ema);
-        if let Some(p) = prev {
-            let change = if p.abs() < 1e-12 { 0.0 } else { ((ema - p) / p).abs() };
-            if change < self.threshold {
-                self.quiet_steps += 1;
-                if self.quiet_steps >= self.window && self.converged_at.is_none() {
-                    self.converged_at = Some(self.step);
-                }
-            } else {
-                self.quiet_steps = 0;
-            }
-        }
-        self.converged_at.is_some()
-    }
-
-    /// First step at which convergence held.
-    pub fn converged_at(&self) -> Option<usize> {
-        self.converged_at
+impl TrainingReport {
+    /// Iterations to converge (Figs. 8, 14 and Table 6 plot them): the
+    /// first step at which the evaluation curve's best-so-far reaches `BAR`
+    /// (0.95) × its final best. `None` is censored: the curve is empty,
+    /// reaches nothing, or first meets the bar only at its last point, so
+    /// it was still climbing at the budget. A pure function of
+    /// [`TrainingReport::actor_eval_history`], so nothing is checkpointed
+    /// for it.
+    pub fn steps_to_bar(&self) -> Option<usize> {
+        let curve = &self.actor_eval_history;
+        let best = curve.iter().fold(0.0, |best, &(_, tps)| f64::max(best, tps));
+        let first = curve.iter().position(|&(_, tps)| best > 0.0 && tps >= BAR * best)?;
+        (first + 1 < curve.len()).then(|| curve[first].0)
     }
 }
 
@@ -293,8 +253,6 @@ pub struct TrainingCheckpoint {
     pub transitions: Vec<Transition>,
     /// Report accumulated so far (histories, bests, recovery counters).
     pub report: TrainingReport,
-    /// Convergence-criterion state.
-    pub tracker: ConvergenceTracker,
     /// Best deterministic-policy evaluation so far.
     pub best_eval: f64,
     /// Best (networks, normalizer) pair so far — the shipped model.
@@ -459,7 +417,6 @@ pub fn train_offline_resumable(
     let mut pool = MemoryPool::with_per(cfg.memory, cfg.memory_capacity, cfg.per);
     let mut agent;
     let mut report;
-    let mut tracker;
     let mut best_snapshot: Option<(DdpgSnapshot, StateProcessor)>;
     let mut best_eval;
     let mut best_config: Option<simdb::KnobConfig> = None;
@@ -475,7 +432,6 @@ pub fn train_offline_resumable(
             }
             report = ck.report;
             report.recovery.checkpoints_loaded += 1;
-            tracker = ck.tracker;
             best_eval = ck.best_eval;
             best_snapshot = ck.best_snapshot;
             if report.best_throughput > 0.0 {
@@ -492,7 +448,6 @@ pub fn train_offline_resumable(
             }
             report = TrainingReport {
                 total_steps: 0,
-                iterations_to_converge: None,
                 reward_history: Vec::new(),
                 throughput_history: Vec::new(),
                 latency_history: Vec::new(),
@@ -504,7 +459,6 @@ pub fn train_offline_resumable(
                 wall_seconds: 0.0,
                 recovery: RecoveryStats::default(),
             };
-            tracker = ConvergenceTracker::paper();
             best_snapshot = None;
             best_eval = f64::MIN;
             start_episode = 0;
@@ -573,9 +527,11 @@ pub fn train_offline_resumable(
             let mut out = env.step_action(&action);
             out.timing.recommendation_wall_us = recommendation_wall_us;
             if evaluate {
-                report.actor_eval_history.push(out.perf.throughput_tps);
-                if !out.crashed && !out.degraded && out.perf.throughput_tps > best_eval {
-                    best_eval = out.perf.throughput_tps;
+                let measured = !out.crashed && !out.degraded;
+                let tps = if measured { out.perf.throughput_tps } else { 0.0 };
+                report.actor_eval_history.push((report.total_steps + 1, tps));
+                if measured && tps > best_eval {
+                    best_eval = tps;
                     // Capture the normalizer together with the weights: the
                     // policy only reproduces its evaluation behaviour with
                     // the exact state encoding it was selected under.
@@ -592,7 +548,6 @@ pub fn train_offline_resumable(
                 report.best_action = action.clone();
                 best_config = Some(env.space().to_config(&registry.default_config(), &action));
             }
-            let _ = tracker.observe(out.perf.throughput_tps);
 
             // Degraded steps are recorded in the histories but not replayed.
             if let Some(t) = measured_transition(&state, &action, &out) {
@@ -633,7 +588,6 @@ pub fn train_offline_resumable(
                     let mut ck_report = report.clone();
                     ck_report.crashes += env.crash_count() - crashes0;
                     ck_report.recovery.merge(&env.recovery_stats().since(&recovery0));
-                    ck_report.iterations_to_converge = tracker.converged_at();
                     ck_report.wall_seconds += start.elapsed().as_secs_f64();
                     let ck = TrainingCheckpoint {
                         version: persist::FORMAT_VERSION,
@@ -644,7 +598,6 @@ pub fn train_offline_resumable(
                         processor: env.processor().clone(),
                         transitions: pool.transitions(),
                         report: ck_report,
-                        tracker: tracker.clone(),
                         best_eval,
                         best_snapshot: best_snapshot.clone(),
                         quarantined: env.quarantined_keys(),
@@ -668,7 +621,6 @@ pub fn train_offline_resumable(
     }
     report.crashes += env.crash_count() - crashes0;
     report.recovery.merge(&env.recovery_stats().since(&recovery0));
-    report.iterations_to_converge = tracker.converged_at();
     report.wall_seconds += start.elapsed().as_secs_f64();
     telemetry.emit(&TraceEvent::RunEnd {
         mode: "train".to_string(),
@@ -882,7 +834,6 @@ mod tests {
     fn blank_report(action_dim: usize) -> TrainingReport {
         TrainingReport {
             total_steps: 0,
-            iterations_to_converge: None,
             reward_history: Vec::new(),
             throughput_history: Vec::new(),
             latency_history: Vec::new(),
@@ -907,7 +858,6 @@ mod tests {
             processor: StateProcessor::new(),
             transitions: Vec::new(),
             report: blank_report(action_dim),
-            tracker: ConvergenceTracker::paper(),
             best_eval: f64::MIN,
             best_snapshot: None,
             quarantined: Vec::new(),
@@ -1042,26 +992,41 @@ mod tests {
         assert!(TrainingCheckpoint::load(&dir).unwrap().is_none());
     }
 
-    #[test]
-    fn convergence_tracker_fires_on_flat_series() {
-        let mut t = ConvergenceTracker::paper();
-        for _ in 0..3 {
-            assert!(!t.observe(1000.0) || t.converged_at().is_some());
-        }
-        for _ in 0..10 {
-            let _ = t.observe(1000.0);
-        }
-        assert!(t.converged_at().is_some());
-        assert!(t.converged_at().unwrap() <= 7);
+    fn curve(points: &[(usize, f64)]) -> TrainingReport {
+        TrainingReport { actor_eval_history: points.to_vec(), ..blank_report(6) }
     }
 
     #[test]
-    fn convergence_tracker_resets_on_jumps() {
-        let mut t = ConvergenceTracker::paper();
-        for i in 0..40 {
-            // Alternating large jumps never converge.
-            let _ = t.observe(if i % 2 == 0 { 1000.0 } else { 2000.0 });
+    fn steps_to_bar_is_the_first_step_within_the_bar_of_the_final_best() {
+        // Best 1 000, bar 950: the point at step 61 (960) is the first to
+        // reach it, and a later dip does not undo that.
+        let report = curve(&[(41, 100.0), (61, 960.0), (81, 1000.0), (101, 900.0)]);
+        assert_eq!(report.steps_to_bar(), Some(61));
+        // A crashed or degraded evaluation reads 0 tps and reaches nothing.
+        let report = curve(&[(41, 0.0), (61, 500.0), (81, 520.0)]);
+        assert_eq!(report.steps_to_bar(), Some(61));
+    }
+
+    #[test]
+    fn steps_to_bar_is_censored_while_the_curve_still_climbs() {
+        assert_eq!(curve(&[]).steps_to_bar(), None, "no evaluation yet");
+        assert_eq!(curve(&[(41, 700.0)]).steps_to_bar(), None, "one point");
+        let climbing = curve(&[(41, 100.0), (61, 500.0), (81, 1000.0)]);
+        assert_eq!(climbing.steps_to_bar(), None, "first at the bar at the last point");
+        assert_eq!(curve(&[(41, 0.0), (61, 0.0)]).steps_to_bar(), None, "every evaluation crashed");
+    }
+
+    #[test]
+    fn the_evaluation_curve_records_each_point_at_its_step() {
+        // Four episodes, each ended after 6 steps by the env's horizon, and
+        // 12 random steps: episodes 2 and 3 open with an evaluation, at
+        // steps 13 and 19.
+        let (_, report) = train_offline(&mut tiny_env(), &TrainerConfig::smoke(), Vec::new());
+        let steps: Vec<usize> = report.actor_eval_history.iter().map(|p| p.0).collect();
+        assert_eq!(steps, [13, 19]);
+        for &(step, tps) in &report.actor_eval_history {
+            let measured = report.throughput_history[step - 1];
+            assert!(tps == measured || tps == 0.0, "step {step}: {tps} against {measured}");
         }
-        assert_eq!(t.converged_at(), None);
     }
 }

@@ -208,7 +208,7 @@ mod tests {
         let tier: Arc<dyn SharedPolicy> = Arc::clone(&server) as Arc<dyn SharedPolicy>;
         let cfg = OnlineConfig::default();
         let mut session =
-            OnlineSession::begin_shared(&mut env, Arc::clone(&model), &cfg, Some((1, tier)));
+            OnlineSession::begin_shared(&mut env, Arc::clone(&model), &cfg, (1, tier));
         assert!(session.step(&mut env).is_some());
         assert!(session.shares_model(), "the first step rides the tier");
         assert!(server.stats().rows > 0);

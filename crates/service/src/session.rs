@@ -104,17 +104,14 @@ impl TuningSession {
                     &mut env,
                     Arc::clone(&m.entry.model),
                     &cfg,
-                    Some((m.entry.id, tier)),
+                    (m.entry.id, tier),
                 );
                 (inner, true, m.distance, Some(m.entry.best_action))
             }
             None => {
-                let model = Arc::new(TrainedModel::cold(
-                    env.space().indices().to_vec(),
-                    *env.reward_config(),
-                    spec.seed,
-                ));
-                (OnlineSession::begin_shared(&mut env, model, &cfg, None), false, 0.0, None)
+                let indices = env.space().indices().to_vec();
+                let model = TrainedModel::cold(indices, *env.reward_config(), spec.seed);
+                (OnlineSession::begin(&mut env, &model, &cfg), false, 0.0, None)
             }
         };
         if let Some(action) = warm_action {

@@ -155,7 +155,8 @@ fn killed_training_resumes_to_the_same_step_count() {
 
 #[test]
 fn parallel_collection_feeds_training() {
-    let seeds = cdbtune::collect_parallel(|w| tiny_env(WorkloadKind::SysbenchRw, 50 + w as u64), 3, 4, 7);
+    let make = |w| tiny_env(WorkloadKind::SysbenchRw, 50 + w as u64);
+    let seeds = cdbtune::collect_parallel(make, 3, 4, 7, &cdbtune::Telemetry::null());
     assert_eq!(seeds.len(), 12);
     let mut env = tiny_env(WorkloadKind::SysbenchRw, 60);
     let cfg = TrainerConfig { episodes: 1, steps_per_episode: 4, ..TrainerConfig::smoke() };
