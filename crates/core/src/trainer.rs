@@ -5,7 +5,8 @@
 //! then the noisy actor — storing every transition in the memory pool and
 //! updating the DDPG networks from random minibatches, up to the step
 //! budget. Once the random warm-up is over, the first step of each episode
-//! plays the deterministic policy. That evaluation curve picks the shipped
+//! that resets to the default configuration plays the deterministic policy
+//! — what a tuning request plays. That evaluation curve picks the shipped
 //! model, and the iterations to converge that Figs. 8, 14 and Table 6 plot
 //! are read off it ([`TrainingReport::steps_to_bar`]).
 
@@ -198,8 +199,9 @@ pub struct TrainingReport {
     /// Action that produced the best throughput.
     pub best_action: Vec<f32>,
     /// The evaluation curve: `(step, throughput)` of the deterministic
-    /// policy at the first step of every post-warm-up episode, steps
-    /// counted from 1. A crashed or degraded evaluation reads 0 tps.
+    /// policy at the first step of every post-warm-up episode that reset to
+    /// the default configuration, steps counted from 1. A crashed or
+    /// degraded evaluation reads 0 tps.
     pub actor_eval_history: Vec<(usize, f64)>,
     /// Crashes triggered by exploration.
     pub crashes: u64,
@@ -509,11 +511,12 @@ pub fn train_offline_resumable(
         let mut ep_reward_sum = 0.0;
         let mut ep_best_tps = 0.0f64;
         for ep_step in ep_start..cfg.steps_per_episode {
-            // The first step of each post-warmup episode plays the
-            // deterministic policy from the baseline state — exactly the
-            // recommendation online tuning will make — and the shipped
-            // model is the snapshot whose such evaluation was best.
-            let evaluate = ep_step == 0 && report.total_steps >= cfg.random_warmup_steps;
+            // The first step of each post-warmup episode that reset to the
+            // default configuration plays the deterministic policy from
+            // there — exactly the recommendation online tuning will make —
+            // and the shipped model is the snapshot whose such evaluation
+            // was best.
+            let evaluate = ep_step == 0 && !warm && report.total_steps >= cfg.random_warmup_steps;
             // lint:allow(determinism) reason=wall-clock feeds telemetry timings only, never seeded state
             let t_rec = std::time::Instant::now();
             let action: Vec<f32> = if evaluate {
@@ -1017,14 +1020,33 @@ mod tests {
     }
 
     #[test]
-    fn the_evaluation_curve_records_each_point_at_its_step() {
-        // Four episodes, each ended after 6 steps by the env's horizon, and
-        // 12 random steps: episodes 2 and 3 open with an evaluation, at
-        // steps 13 and 19.
-        let (_, report) = train_offline(&mut tiny_env(), &TrainerConfig::smoke(), Vec::new());
+    fn every_evaluation_opens_an_episode_reset_to_the_default() {
+        // Six episodes, each ended after 6 steps by the env's horizon, and
+        // 12 random steps. Episodes 2 and 4 reset to the default and open
+        // with an evaluation, at steps 13 and 25; the warm episodes 3 and 5
+        // reset to the best configuration found and evaluate nothing.
+        use crate::telemetry::{Telemetry, TraceEvent, TraceLevel};
+        let mut env = tiny_env();
+        env.set_telemetry(Telemetry::ring(64, TraceLevel::Summary));
+        let cfg = TrainerConfig { episodes: 6, ..TrainerConfig::smoke() };
+        let (_, report) = train_offline(&mut env, &cfg, Vec::new());
+        let (mut first_step, mut warm, mut opened) = (1, Vec::new(), Vec::new());
+        for event in env.telemetry().drain_ring() {
+            match event {
+                TraceEvent::EpisodeStart { warm_start, .. } => warm.push(warm_start),
+                TraceEvent::EpisodeEnd { steps, .. } => {
+                    opened.push(first_step);
+                    first_step += steps as usize;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(warm, [false, true, false, true, false, true]);
         let steps: Vec<usize> = report.actor_eval_history.iter().map(|p| p.0).collect();
-        assert_eq!(steps, [13, 19]);
+        assert_eq!(steps, [13, 25]);
         for &(step, tps) in &report.actor_eval_history {
+            let episode = opened.iter().position(|&s| s == step).expect("an episode's first step");
+            assert!(!warm[episode], "step {step} opens warm episode {episode}");
             let measured = report.throughput_history[step - 1];
             assert!(tps == measured || tps == 0.0, "step {step}: {tps} against {measured}");
         }
