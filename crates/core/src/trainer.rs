@@ -226,8 +226,9 @@ impl TrainingReport {
     pub fn steps_to_bar(&self) -> Option<usize> {
         let curve = &self.actor_eval_history;
         let best = curve.iter().fold(0.0, |best, &(_, tps)| f64::max(best, tps));
-        let first = curve.iter().position(|&(_, tps)| best > 0.0 && tps >= BAR * best)?;
-        (first + 1 < curve.len()).then(|| curve[first].0)
+        let mut met = curve.iter().skip_while(|&&(_, tps)| best <= 0.0 || tps < BAR * best);
+        let &(step, _) = met.next()?;
+        met.next().map(|_| step)
     }
 }
 
