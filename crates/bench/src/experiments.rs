@@ -723,7 +723,7 @@ impl Experiment for Vec<DiskRow> {
     const CHECKS: &'static [Check<Self>] = &[check(
         "fig11 disk adaptability",
         "cross-tested ≥ 85 % of natively trained at every size",
-        false,
+        true,
         |rows| each(rows, |r| cross_holds(r.disk_gb, r.cross_tps, r.normal_tps)),
     )];
 
@@ -751,7 +751,7 @@ impl Experiment for Bars {
     const CHECKS: &'static [Check<Self>] = &[check(
         "fig12 workload adaptability",
         "cross model ≈ native and beats the baseline bars",
-        false,
+        true,
         |bars| {
             let cross = tps(&bars.rows, "M_RW→TPC-C")?;
             at_least("cross vs native", cross, 0.85, tps(&bars.rows, "M_TPC-C→TPC-C")?)?;
@@ -904,7 +904,7 @@ impl Experiment for Vec<NetworkRow> {
     const CHECKS: &'static [Check<Self>] = &[check(
         "table06 network ablation",
         "iterations grow with depth; the compact net stays within 10 % of the best",
-        false,
+        true,
         |rows| {
             let (base, deepest) = ends(rows)?;
             let (more, less) = (steps(deepest.iterations), steps(base.iterations));
@@ -1085,6 +1085,34 @@ mod tests {
         let bars = Bars { rows: vec![("M_RW→TPC-C".into(), 1.0, 1.0)] };
         let why = (<Bars>::CHECKS[0].1)(&bars).unwrap_err();
         assert_eq!(why, "no `M_TPC-C→TPC-C` bar");
+    }
+
+    #[test]
+    fn a_censored_count_decides_only_what_censoring_cannot_flip() {
+        let per = |uniform: [Option<usize>; 2], prioritized: [Option<usize>; 2]| {
+            let row = |memory: &str, iterations| ReplayRow {
+                memory: memory.into(),
+                iterations,
+                ..Default::default()
+            };
+            let rows: Vec<ReplayRow> = (uniform.map(|n| row("Uniform", n)).into_iter())
+                .chain(prioritized.map(|n| row("Prioritized", n)))
+                .collect();
+            (<Vec<ReplayRow>>::CHECKS[0].1)(&rows)
+        };
+        // Censored uniform runs (≥ the budget) over measured prioritized
+        // ones: decided, whatever the budget was.
+        assert_eq!(per([None, None], [Some(61), Some(101)]), Ok(()));
+        // Measured over censored, or censored on both sides: undecided.
+        let undecided = |shape: Shape| shape.unwrap_err().starts_with("undecided: censored");
+        assert!(undecided(per([Some(61), Some(101)], [None, None])));
+        assert!(undecided(per([None, None], [None, None])));
+        // A mix inside one arm has no mean to compare.
+        assert!(undecided(per([None, Some(81)], [Some(41), Some(41)])));
+        assert_eq!(
+            per([Some(81), Some(81)], [Some(81), Some(121)]),
+            Err("mean iterations: uniform vs prioritized: 81.0 ≤ 101.0".into())
+        );
     }
 
     #[test]
