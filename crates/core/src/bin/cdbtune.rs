@@ -26,7 +26,6 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let steps: usize = args.get("steps", 20)?;
     let seed: u64 = args.get("seed", 42)?;
     let checkpoint_dir: Option<String> = args.raw("checkpoint-dir").map(str::to_string);
-    let checkpoint_every: usize = args.get("checkpoint-every", 20)?;
     let resume: bool = args.get("resume", false)?;
     let per_default = PerConfig::default();
     let per = PerConfig {
@@ -45,7 +44,6 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         steps_per_episode: steps,
         seed,
         checkpoint_dir: checkpoint_dir.clone(),
-        checkpoint_every_steps: checkpoint_every,
         per,
         ..TrainerConfig::default()
     };
@@ -58,8 +56,8 @@ fn cmd_train(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("loading checkpoint from {dir}: {e}"))?
             .ok_or_else(|| format!("no checkpoint found in {dir}"))?;
         eprintln!(
-            "resuming from checkpoint: episode {}, step {} ({} total steps so far)",
-            ck.episode, ck.ep_step, ck.report.total_steps
+            "resuming from checkpoint: {} of {episodes} episodes done ({} steps so far)",
+            ck.episode, ck.report.total_steps
         );
         resume_from_checkpoint(&mut env, &trainer, ck)
             .map_err(|e| format!("checkpoint in {dir} does not fit this session: {e}"))?
@@ -205,7 +203,7 @@ USAGE:
 
 COMMANDS:
   train    train a model offline       (--out model.json [--episodes 20] [--steps 20]
-                                        [--checkpoint-dir d] [--checkpoint-every 20]
+                                        [--checkpoint-dir d] (a checkpoint per episode)
                                         [--resume true] [--per-alpha 0.6] [--per-beta 0.4])
   tune     serve a tuning request      (--model model.json [--steps 5] [--safe true]
                                         [--dynamic 'base=rw,scale=0.02,diurnal=16x0.4,

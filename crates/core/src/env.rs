@@ -268,6 +268,27 @@ fn quantize_action_key(action: &[f32]) -> u64 {
     key
 }
 
+/// What a [`DbEnv`] carries from one episode to the next besides the
+/// engine's tables: the state normalizer, the workload's and the engine's
+/// streams, and the crash bookkeeping. [`DbEnv::reset_episode`] rebuilds
+/// the rest, so an env resumed with this at an episode boundary plays the
+/// next episode as the env it was taken from would have, as long as the
+/// workload's writes before the boundary left its tables as a fresh load
+/// has them (DESIGN.md §7).
+#[derive(Debug, Clone, PartialEq)]
+pub struct EnvCarry {
+    /// The state normalizer.
+    pub processor: StateProcessor,
+    /// The stream the workload draws its windows from.
+    pub workload_rng: u64,
+    /// The engine's stream and fault clock ([`Engine::stream_words`]).
+    pub engine_streams: (u64, u64),
+    /// Quarantined configuration-cell keys, sorted.
+    pub quarantined: Vec<u64>,
+    /// Consecutive crashes per configuration cell, sorted by cell.
+    pub crash_streaks: Vec<(u64, u32)>,
+}
+
 /// A tuning environment over a live engine and workload.
 pub struct DbEnv {
     engine: Engine,
@@ -430,12 +451,35 @@ impl DbEnv {
         keys
     }
 
-    /// Restores quarantined cells drained into a checkpoint, so a resumed
-    /// run never re-explores a region a previous run already proved
-    /// poisonous. Counters are left untouched — the cells were already
+    /// What the environment carries into its next episode. Reading it
+    /// draws nothing.
+    pub fn carry(&self) -> EnvCarry {
+        // lint:allow(determinism) reason=the collected streaks are sorted on the next line
+        let mut crash_streaks: Vec<_> = self.crash_streaks.iter().map(|(&k, &n)| (k, n)).collect();
+        crash_streaks.sort_unstable();
+        EnvCarry {
+            processor: self.processor.clone(),
+            workload_rng: self.rng.state(),
+            engine_streams: self.engine.stream_words(),
+            quarantined: self.quarantined_keys(),
+            crash_streaks,
+        }
+    }
+
+    /// Takes up what [`DbEnv::carry`] returned, before the next
+    /// [`DbEnv::reset_episode`]: a resumed run never re-explores a region
+    /// the interrupted run proved poisonous, and draws the streams it would
+    /// have drawn. Counters are left untouched: the cells were already
     /// counted by the run that quarantined them.
-    pub fn restore_quarantine(&mut self, keys: &[u64]) {
-        self.quarantined.extend(keys.iter().copied());
+    pub fn resume(&mut self, carry: EnvCarry) {
+        let EnvCarry { processor, workload_rng, engine_streams, quarantined, crash_streaks } = carry;
+        self.processor = processor;
+        self.rng = StdRng::from_state(workload_rng);
+        self.engine.set_stream_words(engine_streams);
+        // lint:allow(determinism) reason=collects the sorted list into the set; no order is observed
+        self.quarantined = quarantined.into_iter().collect();
+        // lint:allow(determinism) reason=collects the sorted list into the map; no order is observed
+        self.crash_streaks = crash_streaks.into_iter().collect();
     }
 
     /// Quarantines the cell containing `action` directly (the safety
@@ -874,8 +918,13 @@ pub(crate) mod tests {
     use workload::{build_workload, WorkloadKind};
 
     pub(crate) fn tiny_env() -> DbEnv {
+        tiny_env_on(WorkloadKind::SysbenchRw, 0.005)
+    }
+
+    /// [`tiny_env`] under another workload and dataset scale.
+    pub(crate) fn tiny_env_on(kind: WorkloadKind, scale: f64) -> DbEnv {
         let engine = Engine::new(EngineFlavor::MySqlCdb, HardwareConfig::cdb_a(), 17);
-        let wl = build_workload(WorkloadKind::SysbenchRw, 0.005);
+        let wl = build_workload(kind, scale);
         let space_src = EngineFlavor::MySqlCdb.registry(&HardwareConfig::cdb_a());
         let space = ActionSpace::from_names(
             &space_src,
@@ -1139,7 +1188,7 @@ pub(crate) mod tests {
 
         let mut resumed = tiny_env();
         let _ = resumed.reset();
-        resumed.restore_quarantine(&keys);
+        resumed.resume(EnvCarry { quarantined: keys, ..env.carry() });
         assert_eq!(resumed.quarantined_count(), 2);
         assert!(resumed.is_quarantined(&[0.9, 0.1, 0.9, 0.1, 0.9, 0.1]));
         let out = resumed.step_action(&[0.2; 6]);

@@ -60,7 +60,7 @@ pub mod trainer;
 pub use action::ActionSpace;
 pub use cli::{Args, EnvSpec};
 pub use drift::{DriftConfig, DriftDetector, DriftEvent};
-pub use env::{DbEnv, EnvConfig, EnvError, RecoveryStats, StepOutcome};
+pub use env::{DbEnv, EnvCarry, EnvConfig, EnvError, RecoveryStats, StepOutcome};
 pub use memory_pool::{MemoryKind, MemoryPool, PerConfig};
 pub use online::{
     tune_online, DegradedReason, OnlineConfig, OnlineSession, OnlineStep, SharedPolicy,
@@ -78,6 +78,6 @@ pub use telemetry::{
 };
 pub use timing::TunerBudget;
 pub use trainer::{
-    resume_from_checkpoint, train_offline, train_offline_resumable, CheckpointError, TrainedModel,
+    resume_from_checkpoint, train_offline, CheckpointError, TrainedModel,
     TrainerConfig, TrainingCheckpoint, TrainingReport,
 };

@@ -14,7 +14,10 @@
 
 use crate::env::StepOutcome;
 use crate::telemetry::ReplayTrace;
-use rl::{Ddpg, PerStats, PrioritizedReplay, ReplayBuffer, Transition, TransitionBatch};
+use rl::{
+    Ddpg, PerStats, PrioritizedReplay, PriorityState, ReplayBuffer, RingState, Transition,
+    TransitionBatch,
+};
 
 /// Which replay backend to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,13 +230,35 @@ impl MemoryPool {
         }
     }
 
-    /// Clones out every stored transition in slot order (crash-safe
-    /// training checkpoints persist the pool this way; priorities are
-    /// rebuilt as max-priority on reload, which re-anneals quickly).
-    pub fn transitions(&self) -> Vec<Transition> {
+    /// The pool's exact state: the ring, and the prioritized backend's
+    /// sampling state ([`MemoryPool::from_state`] takes them back).
+    pub fn state(&self) -> (RingState, Option<PriorityState>) {
         match self {
-            MemoryPool::Uniform(b) => b.iter().cloned().collect(),
-            MemoryPool::Prioritized(p) => p.iter().cloned().collect(),
+            MemoryPool::Uniform(b) => (b.state(), None),
+            MemoryPool::Prioritized(p) => {
+                let (ring, priorities) = p.state();
+                (ring, Some(priorities))
+            }
+        }
+    }
+
+    /// The pool of `kind`, `capacity` and α that [`MemoryPool::state`]
+    /// described; it samples as the pool it came from would have. Refused
+    /// when the state is the other backend's or does not fit `capacity`.
+    pub fn from_state(
+        kind: MemoryKind,
+        capacity: usize,
+        per: PerConfig,
+        ring: RingState,
+        priorities: Option<PriorityState>,
+    ) -> Result<Self, String> {
+        match (kind, priorities) {
+            (MemoryKind::Uniform, None) => {
+                ReplayBuffer::from_state(capacity, ring).map(MemoryPool::Uniform)
+            }
+            (MemoryKind::Prioritized, Some(p)) => PrioritizedReplay::from_state(capacity, per.alpha, ring, p)
+                .map(MemoryPool::Prioritized),
+            (kind, _) => Err(format!("the pool was not checkpointed from a {kind:?} backend")),
         }
     }
 
@@ -301,18 +326,25 @@ mod tests {
 
     #[test]
     fn transitions_round_trip_both_backends() {
+        let per = PerConfig::default();
         for kind in [MemoryKind::Uniform, MemoryKind::Prioritized] {
             let mut pool = MemoryPool::new(kind, 16);
             for i in 0..5 {
                 pool.push(t(i as f32));
             }
-            let out = pool.transitions();
-            assert_eq!(out.len(), 5, "{kind:?}");
-            let mut rebuilt = MemoryPool::new(kind, 16);
-            for tr in out {
-                rebuilt.push(tr);
-            }
+            let (ring, priorities) = pool.state();
+            assert_eq!((ring.slots.len(), ring.write), (5, 5), "{kind:?}");
+            assert_eq!(priorities.is_some(), kind == MemoryKind::Prioritized);
+            let other = match kind {
+                MemoryKind::Uniform => MemoryKind::Prioritized,
+                MemoryKind::Prioritized => MemoryKind::Uniform,
+            };
+            let refused = MemoryPool::from_state(other, 16, per, ring.clone(), priorities.clone());
+            assert!(refused.is_err(), "{kind:?} state into a {other:?} pool");
+            assert!(MemoryPool::from_state(kind, 4, per, ring.clone(), priorities.clone()).is_err());
+            let rebuilt = MemoryPool::from_state(kind, 16, per, ring, priorities).unwrap();
             assert_eq!(rebuilt.len(), 5, "{kind:?}");
+            assert_eq!(rebuilt.state(), pool.state(), "{kind:?}");
         }
     }
 

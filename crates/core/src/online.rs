@@ -23,7 +23,7 @@ use crate::env::{DbEnv, RecoveryStats, StepOutcome};
 use crate::memory_pool::{measured_transition, BatchScratch, MemoryKind, MemoryPool};
 use crate::safety::{SafetyConfig, SafetyController, SafetyReport};
 use crate::telemetry::{ReplayTrace, TraceEvent, TraceLevel};
-use crate::trainer::TrainedModel;
+use crate::trainer::{TrainedModel, TrainingCheckpoint, TrainingReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{perturb, Ddpg, DdpgSnapshot, GaussianNoise, NoiseProcess};
@@ -612,13 +612,14 @@ impl OnlineSession {
         self.drift.as_ref().map_or(0, |d| d.detections())
     }
 
-    /// Snapshots the live session as a
-    /// [`crate::trainer::TrainingCheckpoint`] so the `cdbtuned` shutdown
-    /// drain persists in-flight fine-tuning work with the same machinery
-    /// (and the same atomic-write guarantees) offline training uses. The report carries the per-step histories observed so
-    /// far; the transitions are the session's replay contents.
-    pub fn drain_checkpoint(&self, env: &DbEnv) -> crate::trainer::TrainingCheckpoint {
-        use crate::trainer::{TrainingCheckpoint, TrainingReport};
+    /// Snapshots the live session as a [`TrainingCheckpoint`], so the
+    /// `cdbtuned` shutdown drain persists in-flight fine-tuning work with
+    /// the machinery, and the atomic write, offline training uses. The
+    /// learner is the forked agent's; a session that never forked holds the
+    /// shared snapshot with optimizers that have not started. The report
+    /// carries the per-step histories so far, and the replay is the
+    /// session's uniform pool.
+    pub fn drain_checkpoint(&self, env: &DbEnv) -> TrainingCheckpoint {
         let report = TrainingReport {
             total_steps: self.steps.len(),
             reward_history: self.steps.iter().map(|s| s.reward).collect(),
@@ -632,23 +633,23 @@ impl OnlineSession {
             wall_seconds: self.start.elapsed().as_secs_f64(),
             recovery: env.recovery_stats().since(&self.recovery0),
         };
+        let (replay, priorities) = self.pool.state();
         TrainingCheckpoint {
-            version: crate::persist::FORMAT_VERSION,
+            version: crate::persist::CHECKPOINT_VERSION,
             seed: self.cfg.seed,
             episode: 0,
-            ep_step: self.steps.len(),
-            snapshot: match &self.weights {
-                Weights::Owned(agent) => agent.snapshot(),
-                // Never forked: the session's weights are still exactly
-                // the shared snapshot it was admitted against.
-                Weights::Shared { model, .. } => model.snapshot.clone(),
+            learner: match &self.weights {
+                Weights::Owned(agent) => agent.learner_state(),
+                Weights::Shared { model, .. } => Ddpg::from_snapshot(&model.snapshot).learner_state(),
             },
-            processor: env.processor().clone(),
-            transitions: self.pool.transitions(),
+            replay,
+            priorities,
+            rng: self.rng.state(),
+            noise_sigma: self.noise.scale(),
+            env: env.carry(),
             report,
             best_eval: f64::MIN,
             best_snapshot: None,
-            quarantined: env.quarantined_keys(),
         }
     }
 
@@ -839,7 +840,7 @@ mod tests {
         let _ = session.step(&mut env);
         let ck = session.drain_checkpoint(&env);
         assert_eq!(ck.report.total_steps, 2);
-        assert_eq!(ck.ep_step, 2);
+        assert_eq!(ck.replay.slots.len(), 2);
         assert_eq!(ck.report.reward_history.len(), 2);
         assert_eq!(ck.report.best_action.len(), env.space().dim());
         // The drained state passes the same spec validation a resume would
@@ -863,7 +864,7 @@ mod tests {
         session.drain_checkpoint(&env).save_atomic(&dir).expect("checkpoint written");
         let ck = TrainingCheckpoint::load(&dir).expect("decodes").expect("exists");
         let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(ck.version, crate::persist::FORMAT_VERSION);
+        assert_eq!(ck.version, crate::persist::CHECKPOINT_VERSION);
         assert_eq!(ck.report.total_steps, 1);
         let _ = session.finish(&mut env);
     }
@@ -990,7 +991,7 @@ mod tests {
         assert!(session.shares_model(), "no update yet, no fork");
         // A drained-before-fork session snapshots the shared weights.
         let ck = session.drain_checkpoint(&env);
-        assert_eq!(ck.snapshot.actor, model.snapshot.actor);
+        assert_eq!(ck.learner.snapshot.actor, model.snapshot.actor);
         let _ = session.step(&mut env);
         assert!(!session.shares_model(), "the first update forks");
         while session.step(&mut env).is_some() {}

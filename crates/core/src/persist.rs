@@ -21,26 +21,35 @@
 //!   is a [`PersistError`] naming the field, never a panic, and nothing is
 //!   allocated from a length the document merely claims. Unknown keys are
 //!   ignored.
-//! * **Versions.** Documents carry `version` = [`FORMAT_VERSION`]; absent
-//!   means 1 (what the derives wrote), and a newer one is refused.
+//! * **Versions.** A model carries `version` = [`FORMAT_VERSION`]; absent
+//!   means 1 (what the derives wrote), and a newer one is refused. A
+//!   checkpoint carries [`CHECKPOINT_VERSION`] and is read at exactly that
+//!   version: an older one lacks the state a resume needs, and no fallback
+//!   reconstructs it.
 
-use crate::env::RecoveryStats;
+use crate::env::{EnvCarry, RecoveryStats};
 use crate::jsonio::Json;
 use crate::reward::{RewardConfig, RewardKind};
 use crate::state::StateProcessor;
 use crate::telemetry::PhaseTiming;
 use crate::trainer::{TrainedModel, TrainingCheckpoint, TrainingReport, DEFAULT_REWARD_SCALE};
-use rl::{DdpgConfig, DdpgSnapshot, Transition};
+use rl::{DdpgConfig, DdpgSnapshot, LearnerState, PriorityState, RingState, Transition};
 use simdb::{EngineFlavor, TOTAL_METRIC_COUNT};
 use std::fmt;
-use tinynn::{Matrix, NetState};
+use tinynn::{AdamState, Matrix, NetState};
 use workload::WorkloadKind;
 
 /// 1: the serde layout (`u64` as bare numbers, no `version` in a model).
 /// 2: `u64` as decimal strings.
 /// 3: a checkpoint's evaluation curve holds `[step, tps]` pairs, and it has
-/// no convergence tracker. A model is as in 2.
+/// no convergence tracker. A model is as in 2, and is written at 3.
 pub const FORMAT_VERSION: u32 = 3;
+
+/// 4: a checkpoint is the trainer's whole state at an episode end — the
+/// learner state with both optimizers, the exact replay pool, the trainer's
+/// and the environment's streams — and has no position inside an episode.
+/// Only this version is read.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Why persisted text could not be turned back into a value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,6 +58,9 @@ pub enum PersistError {
     Syntax(String),
     /// Written by a newer build than this one reads.
     Version(u32),
+    /// A checkpoint of an older format than [`CHECKPOINT_VERSION`], which
+    /// lacks the state a resume needs.
+    Superseded(u32),
     /// The value at `path` (dotted, from the document root) is missing, has
     /// the wrong type or range, or contradicts another field.
     Invalid {
@@ -64,8 +76,13 @@ impl fmt::Display for PersistError {
         match self {
             PersistError::Syntax(msg) => write!(f, "not a JSON document: {msg}"),
             PersistError::Version(v) => {
-                write!(f, "format version {v} is newer than {FORMAT_VERSION}")
+                write!(f, "format version {v} is newer than this build reads")
             }
+            PersistError::Superseded(v) => write!(
+                f,
+                "checkpoint format version {v} predates {CHECKPOINT_VERSION} and cannot resume \
+                 a run"
+            ),
             PersistError::Invalid { path, problem } => write!(f, "`{path}`: {problem}"),
         }
     }
@@ -283,32 +300,45 @@ persist_struct!(PhaseTiming {
     stress_wall_us, stress_simulated_sec, metrics_wall_us, model_update_wall_us,
     recommendation_wall_us, deployment_wall_us,
 });
+persist_struct!(AdamState { t, m, v });
+persist_struct!(LearnerState { snapshot, actor_opt, critic_opt, smoothing_rng, dropout_rngs });
+persist_struct!(RingState { slots, write });
+persist_struct!(PriorityState {
+    leaves, sums, sets_since_rebuild, rebuilds, beta, max_priority, fallback_hits,
+});
+persist_struct!(EnvCarry { processor, workload_rng, engine_streams, quarantined, crash_streaks });
 persist_struct!(TrainingCheckpoint {
-    version ?= 1, seed, episode, ep_step, snapshot, processor, transitions, report, best_eval,
-    best_snapshot, quarantined ?= Vec::new(),
+    version, seed, episode, learner, replay, priorities, rng, noise_sigma, env, report, best_eval,
+    best_snapshot,
 });
 
-/// Parses a document and refuses one from a newer build.
-fn document(text: &str) -> Result<Json, PersistError> {
+/// Parses a document and reads its version (absent means 1).
+fn document(text: &str) -> Result<(Json, u32), PersistError> {
     let doc = Json::parse(text).map_err(PersistError::Syntax)?;
-    match field(&doc, "version", Some(1u32))? {
-        v if v > FORMAT_VERSION => Err(PersistError::Version(v)),
-        _ => Ok(doc),
-    }
+    let version = field(&doc, "version", Some(1u32))?;
+    Ok((doc, version))
 }
 
 /// What the decoders cannot see field by field: networks
 /// [`rl::Ddpg::from_snapshot`] accepts over the 63-metric state, and a
 /// normalizer of that width.
 fn check(snapshot: &DdpgSnapshot, processor: &StateProcessor) -> Result<(), PersistError> {
+    check_snapshot(snapshot).map_err(|e| e.under("snapshot"))?;
+    check_processor(processor).map_err(|e| e.under("processor"))
+}
+
+fn check_snapshot(snapshot: &DdpgSnapshot) -> Result<(), PersistError> {
     let metrics = snapshot.config.state_dim;
     if metrics != TOTAL_METRIC_COUNT {
-        let problem = format!("networks read {metrics} metrics, not {TOTAL_METRIC_COUNT}");
-        return Err(invalid(problem).under("snapshot"));
+        return Err(invalid(format!("networks read {metrics} metrics, not {TOTAL_METRIC_COUNT}")));
     }
-    snapshot.validate().map_err(|e| invalid(e).under("snapshot"))?;
+    snapshot.validate().map_err(invalid)
+}
+
+fn check_processor(processor: &StateProcessor) -> Result<(), PersistError> {
+    let metrics = TOTAL_METRIC_COUNT;
     if processor.mean.len() != metrics || processor.m2.len() != metrics {
-        return Err(invalid(format!("expected {metrics} means and variances")).under("processor"));
+        return Err(invalid(format!("expected {metrics} means and variances")));
     }
     Ok(())
 }
@@ -322,7 +352,11 @@ pub(crate) fn model_to_json(m: &TrainedModel) -> String {
 }
 
 pub(crate) fn model_from_json(text: &str) -> Result<TrainedModel, PersistError> {
-    let model = TrainedModel::decode(&document(text)?)?;
+    let (doc, version) = document(text)?;
+    if version > FORMAT_VERSION {
+        return Err(PersistError::Version(version));
+    }
+    let model = TrainedModel::decode(&doc)?;
     check(&model.snapshot, &model.processor)?;
     if model.action_indices.len() != model.snapshot.config.action_dim {
         let outputs = model.snapshot.config.action_dim;
@@ -336,10 +370,23 @@ pub(crate) fn checkpoint_to_json(c: &TrainingCheckpoint) -> String {
 }
 
 pub(crate) fn checkpoint_from_json(text: &str) -> Result<TrainingCheckpoint, PersistError> {
-    let ck = TrainingCheckpoint::decode(&document(text)?)?;
-    check(&ck.snapshot, &ck.processor)?;
+    let (doc, version) = document(text)?;
+    match version {
+        v if v > CHECKPOINT_VERSION => return Err(PersistError::Version(v)),
+        v if v < CHECKPOINT_VERSION => return Err(PersistError::Superseded(v)),
+        _ => {}
+    }
+    let ck = TrainingCheckpoint::decode(&doc)?;
+    check_snapshot(&ck.learner.snapshot).map_err(|e| e.under("snapshot").under("learner"))?;
+    ck.learner.validate().map_err(|e| invalid(e).under("learner"))?;
+    check_processor(&ck.env.processor).map_err(|e| e.under("processor").under("env"))?;
     if let Some((snapshot, processor)) = &ck.best_snapshot {
         check(snapshot, processor).map_err(|e| e.under("best_snapshot"))?;
+        let (outputs, knobs) = (snapshot.config.action_dim, ck.learner.snapshot.config.action_dim);
+        if outputs != knobs {
+            let problem = format!("an actor with {outputs} outputs, not the learner's {knobs}");
+            return Err(invalid(problem).under("best_snapshot"));
+        }
     }
     Ok(ck)
 }
@@ -369,14 +416,31 @@ mod tests {
             next_state: vec![-0.0; TOTAL_METRIC_COUNT],
             done: true,
         };
+        // A learner past its first update, so the moments are not empty.
+        let mut agent = rl::Ddpg::from_snapshot(&m.snapshot);
+        let _ = agent.train_step(&[&t, &t], None, None);
+        let mut pool = crate::MemoryPool::new(crate::MemoryKind::Prioritized, 4);
+        for _ in 0..3 {
+            pool.push(t.clone());
+        }
+        pool.update_priorities(Some(&[1]), &[0.25]);
+        let (replay, priorities) = pool.state();
         TrainingCheckpoint {
-            version: FORMAT_VERSION,
+            version: CHECKPOINT_VERSION,
             seed: u64::MAX,
             episode: 2,
-            ep_step: 7,
-            snapshot: m.snapshot.clone(),
-            processor: m.processor.clone(),
-            transitions: vec![t.clone(), t],
+            learner: agent.learner_state(),
+            replay,
+            priorities,
+            rng: u64::MAX - 2,
+            noise_sigma: 0.3,
+            env: EnvCarry {
+                processor: m.processor.clone(),
+                workload_rng: 1 << 63,
+                engine_streams: (u64::MAX, 7),
+                quarantined: vec![0, 1 << 53, u64::MAX],
+                crash_streaks: vec![(u64::MAX - 1, 2)],
+            },
             report: TrainingReport {
                 total_steps: 27,
                 reward_history: vec![0.1, -100.0],
@@ -392,7 +456,6 @@ mod tests {
             },
             best_eval: f64::MIN,
             best_snapshot: Some((m.snapshot, m.processor)),
-            quarantined: vec![0, 1 << 53, u64::MAX],
         }
     }
 
@@ -408,9 +471,10 @@ mod tests {
 
         let c = checkpoint();
         let back = checkpoint_from_json(&checkpoint_to_json(&c)).unwrap();
-        assert_eq!(back.quarantined, vec![0, 1 << 53, u64::MAX]);
-        assert_eq!((back.seed, back.episode, back.ep_step), (u64::MAX, 2, 7));
-        assert_eq!(back.transitions, c.transitions);
+        assert_eq!(back.env, c.env, "full-range stream words and quarantine keys");
+        assert_eq!((back.seed, back.episode, back.rng), (u64::MAX, 2, u64::MAX - 2));
+        assert!(back.learner == c.learner, "weights, moments and streams bit for bit");
+        assert_eq!((&back.replay, &back.priorities), (&c.replay, &c.priorities));
         assert_eq!(back.report.actor_eval_history, c.report.actor_eval_history);
         assert_eq!(back.best_eval, f64::MIN);
         assert_eq!(checkpoint_to_json(&back), checkpoint_to_json(&c));
@@ -445,42 +509,30 @@ mod tests {
         let m = model_from_json(&text).unwrap();
         assert_eq!((m.reward_scale, m.processor.observations()), (DEFAULT_REWARD_SCALE, 20));
 
-        let mut text = checkpoint_to_json(&checkpoint());
-        for path in [&["version"][..], &["quarantined"], &["report", "recovery"]] {
-            text = edited(&text, path, None);
-        }
-        let c = checkpoint_from_json(&edited(&text, &["seed"], Some(Json::Num(7.0)))).unwrap();
-        assert_eq!((c.version, c.seed, c.quarantined.len()), (1, 7, 0));
+        // A checkpoint without a version is a version-1 one, which lacks the
+        // state a resume needs; `recovery` absent from its report still
+        // defaults.
+        let text = checkpoint_to_json(&checkpoint());
+        let unversioned = edited(&text, &["version"], None);
+        assert_eq!(checkpoint_from_json(&unversioned).unwrap_err(), PersistError::Superseded(1));
+        let c = checkpoint_from_json(&edited(&text, &["report", "recovery"], None)).unwrap();
         assert_eq!(c.report.recovery, RecoveryStats::default());
     }
 
     #[test]
-    fn a_version_2_checkpoint_loads_only_with_an_empty_curve() {
-        // Version 2 persisted a convergence tracker and the report's
-        // `iterations_to_converge`, which are now unknown keys, and a curve
-        // of bare throughputs, which carries no steps.
-        let v2 = |curve: Vec<f64>| {
-            let text = checkpoint_to_json(&checkpoint());
-            let mut doc = Json::parse(&edited(&text, &["version"], Some(Json::Num(2.0)))).unwrap();
-            let Json::Obj(fields) = &mut doc else { unreachable!() };
-            let tracker = [("threshold", Json::Num(0.005)), ("converged_at", Json::Null)];
-            fields.push(("tracker".to_string(), Json::obj(tracker)));
-            let report = &mut fields.iter_mut().find(|(k, _)| k == "report").unwrap().1;
-            let Json::Obj(report) = report else { unreachable!() };
-            report.push(("iterations_to_converge".to_string(), Json::Null));
-            let text = doc.to_text();
-            edited(&text, &["report", "actor_eval_history"], Some(curve.encode()))
-        };
-        let c = checkpoint_from_json(&v2(Vec::new())).expect("an empty curve decodes");
-        assert_eq!((c.version, c.report.total_steps), (2, 27));
-        assert!(c.report.actor_eval_history.is_empty());
-        assert_eq!(
-            checkpoint_from_json(&v2(vec![1234.5])).unwrap_err(),
-            PersistError::Invalid {
-                path: "report.actor_eval_history.0".into(),
-                problem: "expected an array of 2".into(),
-            }
-        );
+    fn checkpoints_before_version_4_are_refused_by_version() {
+        // Versions 1–3 hold the networks without their optimizers, the
+        // transitions without their priorities, and no stream: a resume
+        // from them would be another run, so none is read.
+        let text = checkpoint_to_json(&checkpoint());
+        for v in 1..CHECKPOINT_VERSION {
+            let old = edited(&text, &["version"], Some(Json::Num(f64::from(v))));
+            let err = checkpoint_from_json(&old).unwrap_err();
+            assert_eq!(err, PersistError::Superseded(v));
+            assert!(err.to_string().contains(&format!("version {v}")), "{err}");
+        }
+        // A model of version 3 still loads: its format has not changed.
+        assert!(model_from_json(&model_to_json(&model())).is_ok());
     }
 
     #[test]
@@ -530,5 +582,22 @@ mod tests {
         let text = checkpoint_to_json(&checkpoint());
         let bad = edited(&text, &["best_snapshot"], Some(Json::Arr(vec![])));
         assert!(matches!(checkpoint_from_json(&bad), Err(PersistError::Invalid { .. })));
+
+        // A best snapshot whose actor has another width than the learner's,
+        // moments that do not match the networks, and a stream word short.
+        let mut c = checkpoint();
+        let mut wide = c.learner.snapshot.config.clone();
+        wide.action_dim = 5;
+        c.best_snapshot = Some((rl::Ddpg::new(wide).snapshot(), c.env.processor.clone()));
+        let err = checkpoint_from_json(&checkpoint_to_json(&c)).unwrap_err().to_string();
+        assert_eq!(err, "`best_snapshot`: an actor with 5 outputs, not the learner's 3");
+        let mut c = checkpoint();
+        c.learner.critic_opt.v.pop();
+        let err = checkpoint_from_json(&checkpoint_to_json(&c)).unwrap_err().to_string();
+        assert_eq!(err, "`learner`: critic_opt moments do not match the networks' parameters");
+        let mut c = checkpoint();
+        c.learner.dropout_rngs.pop();
+        let err = checkpoint_from_json(&checkpoint_to_json(&c)).unwrap_err();
+        assert!(matches!(err, PersistError::Invalid { ref path, .. } if path == "learner"), "{err}");
     }
 }

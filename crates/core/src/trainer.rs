@@ -9,8 +9,16 @@
 //! — what a tuning request plays. That evaluation curve picks the shipped
 //! model, and the iterations to converge that Figs. 8, 14 and Table 6 plot
 //! are read off it ([`TrainingReport::steps_to_bar`]).
+//!
+//! The hours of try-and-error are paid once, so they are checkpointed: at
+//! the end of every episode the trainer's whole state — the agent with its
+//! optimizers, the exact replay pool, every random stream and what the
+//! environment carries into the next episode — is one [`TrainingCheckpoint`].
+//! [`train_offline`] starts that state fresh, [`resume_from_checkpoint`]
+//! loads it, and both run the same loop, so a resumed run is the run it
+//! interrupted.
 
-use crate::env::{DbEnv, RecoveryStats};
+use crate::env::{DbEnv, EnvCarry, RecoveryStats};
 use crate::memory_pool::{measured_transition, BatchScratch, MemoryKind, MemoryPool, PerConfig};
 use crate::persist::{self, PersistError};
 use crate::reward::RewardConfig;
@@ -18,7 +26,10 @@ use crate::state::StateProcessor;
 use crate::telemetry::{TraceEvent, TraceLevel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rl::{perturb, Ddpg, DdpgConfig, DdpgSnapshot, GaussianNoise, NoiseProcess, Transition};
+use rl::{
+    perturb, Ddpg, DdpgConfig, DdpgSnapshot, GaussianNoise, LearnerState, NoiseProcess,
+    PriorityState, RingState, Transition,
+};
 use std::fmt;
 
 /// Offline-training hyper-parameters.
@@ -63,13 +74,12 @@ pub struct TrainerConfig {
     /// RNG seed.
     pub seed: u64,
     /// Directory for crash-safe training checkpoints (`None` disables
-    /// checkpointing). A checkpoint holds the networks, the normalizer, the
-    /// replay pool, and every counter needed to resume mid-run; it is
-    /// written atomically (temp file + rename) so a kill mid-write leaves
-    /// the previous checkpoint intact.
+    /// checkpointing). A [`TrainingCheckpoint`] is written at the end of
+    /// every episode and holds the trainer's whole state there: the agent
+    /// with its optimizers, the exact replay pool, every stream and the
+    /// environment's carry-over. It is written atomically (temp file +
+    /// rename) so a kill mid-write leaves the previous checkpoint intact.
     pub checkpoint_dir: Option<String>,
-    /// Environment steps between checkpoints (0 also disables).
-    pub checkpoint_every_steps: usize,
 }
 
 impl Default for TrainerConfig {
@@ -93,7 +103,6 @@ impl Default for TrainerConfig {
             reward_scale: DEFAULT_REWARD_SCALE,
             seed: 0,
             checkpoint_dir: None,
-            checkpoint_every_steps: 20,
         }
     }
 }
@@ -232,39 +241,42 @@ impl TrainingReport {
     }
 }
 
-/// A crash-safe snapshot of an offline-training run: everything needed to
-/// resume mid-run after a kill — networks, normalizer, replay pool, the
-/// report so far, and the loop position. Written atomically
+/// A crash-safe checkpoint of an offline-training run, taken at the end of
+/// an episode: the trainer's whole state there, so a resume is the run it
+/// interrupted. At that boundary [`DbEnv::reset_episode`] redeploys the
+/// baseline and reboots the engine, so besides the engine's tables only
+/// what [`EnvCarry`] holds crosses it. Written atomically
 /// (`checkpoint.json.tmp` + rename), so an interrupted write never
 /// clobbers the previous good checkpoint.
 #[derive(Debug, Clone)]
 pub struct TrainingCheckpoint {
-    /// Checkpoint format version ([`crate::persist::FORMAT_VERSION`] when
-    /// written by this build).
+    /// Checkpoint format version ([`crate::persist::CHECKPOINT_VERSION`]
+    /// when written by this build).
     pub version: u32,
-    /// Trainer seed the run started with (resume must reuse it).
+    /// Trainer seed the run started with; a resume under another seed is
+    /// refused.
     pub seed: u64,
-    /// Episode the run was in when checkpointed.
+    /// Episodes completed: the resumed run opens this one.
     pub episode: usize,
-    /// Next step index within that episode.
-    pub ep_step: usize,
-    /// Current DDPG networks.
-    pub snapshot: DdpgSnapshot,
-    /// Current state normalizer.
-    pub processor: StateProcessor,
-    /// Replay-pool contents (priorities are rebuilt as max on reload).
-    pub transitions: Vec<Transition>,
+    /// The agent: networks, optimizers and their streams.
+    pub learner: LearnerState,
+    /// The replay ring.
+    pub replay: RingState,
+    /// The prioritized backend's sampling state (`None` for uniform
+    /// replay).
+    pub priorities: Option<PriorityState>,
+    /// The trainer's stream (exploration and minibatch draws).
+    pub rng: u64,
+    /// The exploration noise's scale for the next episode.
+    pub noise_sigma: f32,
+    /// What the environment carries into the next episode.
+    pub env: EnvCarry,
     /// Report accumulated so far (histories, bests, recovery counters).
     pub report: TrainingReport,
     /// Best deterministic-policy evaluation so far.
     pub best_eval: f64,
     /// Best (networks, normalizer) pair so far — the shipped model.
     pub best_snapshot: Option<(DdpgSnapshot, StateProcessor)>,
-    /// Quarantined configuration-cell keys at checkpoint time. A resumed
-    /// run restores these into the environment so it never re-explores a
-    /// region the interrupted run already proved crash-prone. Defaults to
-    /// empty so pre-existing checkpoints still load.
-    pub quarantined: Vec<u64>,
 }
 
 /// Why a [`TrainingCheckpoint`] cannot drive the current session. Before
@@ -285,6 +297,23 @@ pub enum CheckpointError {
         /// State dimension the checkpoint was trained with.
         found_state_dim: usize,
     },
+    /// The checkpoint was written by a run started from another seed, so
+    /// its environment streams belong to another instance.
+    SeedMismatch {
+        /// Seed the session was started with.
+        expected: u64,
+        /// Seed the checkpointed run was started with.
+        found: u64,
+    },
+    /// A part of the checkpoint cannot be restored into this session: an
+    /// inconsistent learner state, or a replay pool of another backend or
+    /// capacity.
+    Unfit {
+        /// Which part (`learner` or `replay`).
+        part: &'static str,
+        /// What is wrong with it.
+        problem: String,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -301,6 +330,14 @@ impl fmt::Display for CheckpointError {
                  but the session expects {expected_knobs} knobs over \
                  {expected_state_dim} metrics"
             ),
+            CheckpointError::SeedMismatch { expected, found } => write!(
+                f,
+                "checkpoint was written by a run seeded {found}, but the session is seeded \
+                 {expected}"
+            ),
+            CheckpointError::Unfit { part, problem } => {
+                write!(f, "the checkpoint's {part} does not fit the session: {problem}")
+            }
         }
     }
 }
@@ -313,29 +350,40 @@ impl TrainingCheckpoint {
         std::path::Path::new(dir).join("checkpoint.json")
     }
 
-    /// Rejects the checkpoint unless its networks and buffered transitions
-    /// match the session's state/action dimensions.
+    /// Rejects the checkpoint unless its networks (the learner's and the
+    /// best snapshot's) and buffered transitions match the session's
+    /// state/action dimensions, and its learner state is consistent.
     pub fn validate_against(
         &self,
         state_dim: usize,
         action_dim: usize,
     ) -> Result<(), CheckpointError> {
-        let found_state_dim = self.snapshot.config.state_dim;
-        let found_knobs = self.snapshot.config.action_dim;
-        let transitions_fit = self.transitions.iter().all(|t| {
+        let best = self.best_snapshot.as_ref().map(|(snapshot, _)| snapshot);
+        for config in std::iter::once(&self.learner.snapshot).chain(best).map(|s| &s.config) {
+            if (config.state_dim, config.action_dim) != (state_dim, action_dim) {
+                return Err(CheckpointError::SpecMismatch {
+                    expected_knobs: action_dim,
+                    found_knobs: config.action_dim,
+                    expected_state_dim: state_dim,
+                    found_state_dim: config.state_dim,
+                });
+            }
+        }
+        let transitions_fit = self.replay.slots.iter().all(|t| {
             t.state.len() == state_dim
                 && t.next_state.len() == state_dim
                 && t.action.len() == action_dim
         });
-        if found_state_dim != state_dim || found_knobs != action_dim || !transitions_fit {
+        if !transitions_fit {
             return Err(CheckpointError::SpecMismatch {
                 expected_knobs: action_dim,
-                found_knobs,
+                found_knobs: action_dim,
                 expected_state_dim: state_dim,
-                found_state_dim,
+                found_state_dim: state_dim,
             });
         }
-        Ok(())
+        let unfit = |problem| CheckpointError::Unfit { part: "learner", problem };
+        self.learner.validate().map_err(unfit)
     }
 
     /// Writes atomically: serialize to `checkpoint.json.tmp`, then rename
@@ -364,26 +412,68 @@ impl TrainingCheckpoint {
     }
 }
 
+/// The trainer between two episodes: everything a run carries from one to
+/// the next, which a [`TrainingCheckpoint`] persists.
+struct Run {
+    /// The episode to open next.
+    episode: usize,
+    agent: Ddpg,
+    pool: MemoryPool,
+    rng: StdRng,
+    noise: GaussianNoise,
+    report: TrainingReport,
+    best_eval: f64,
+    best_snapshot: Option<(DdpgSnapshot, StateProcessor)>,
+}
+
 /// Runs offline training on an environment, returning the trained model and
 /// the report. `seed_transitions` pre-fills the memory pool (incremental
 /// training on accumulated user feedback, §2.1.1, or parallel collection);
 /// they carry raw env rewards, which the pool scales by
 /// [`TrainerConfig::reward_scale`] like every step's.
 /// With [`TrainerConfig::checkpoint_dir`] set, a [`TrainingCheckpoint`] is
-/// written every `checkpoint_every_steps` environment steps.
+/// written at the end of every episode.
 pub fn train_offline(
     env: &mut DbEnv,
     cfg: &TrainerConfig,
     seed_transitions: Vec<Transition>,
 ) -> (TrainedModel, TrainingReport) {
-    train_offline_resumable(env, cfg, seed_transitions, None)
+    let action_dim = env.space().dim();
+    let mut pool = MemoryPool::with_per(cfg.memory, cfg.memory_capacity, cfg.per);
+    for t in seed_transitions {
+        pool.store(t, cfg.reward_scale);
+    }
+    let run = Run {
+        episode: 0,
+        agent: Ddpg::new(cfg.ddpg_config(simdb::TOTAL_METRIC_COUNT, action_dim)),
+        pool,
+        rng: StdRng::seed_from_u64(cfg.seed.wrapping_add(0x7157)),
+        noise: GaussianNoise::new(action_dim, cfg.noise_sigma, cfg.noise_sigma_min, cfg.noise_decay),
+        report: TrainingReport {
+            total_steps: 0,
+            reward_history: Vec::new(),
+            throughput_history: Vec::new(),
+            latency_history: Vec::new(),
+            best_throughput: 0.0,
+            best_latency_us: f64::MAX,
+            best_action: vec![0.5; action_dim],
+            actor_eval_history: Vec::new(),
+            crashes: 0,
+            wall_seconds: 0.0,
+            recovery: RecoveryStats::default(),
+        },
+        best_eval: f64::MIN,
+        best_snapshot: None,
+    };
+    train(env, cfg, run)
 }
 
 /// Resumes an interrupted run from a [`TrainingCheckpoint`] and trains to
-/// the step budget in `cfg`. The total step count across the interrupted
-/// run and the resume equals an uninterrupted run's. The checkpoint is
-/// validated against the environment's dimensions first — a checkpoint
-/// from a different knob subset or metric schema is a typed
+/// the episode budget in `cfg`. The resumed run continues the interrupted
+/// one bit for bit: the same steps, rewards and shipped model as a run
+/// never interrupted, on a workload that writes no rows (DESIGN.md §7).
+/// The checkpoint is validated against the environment first — one from a
+/// different knob subset, metric schema, seed or replay pool is a typed
 /// [`CheckpointError`], not a silent resume.
 pub fn resume_from_checkpoint(
     env: &mut DbEnv,
@@ -391,17 +481,35 @@ pub fn resume_from_checkpoint(
     checkpoint: TrainingCheckpoint,
 ) -> Result<(TrainedModel, TrainingReport), CheckpointError> {
     checkpoint.validate_against(simdb::TOTAL_METRIC_COUNT, env.space().dim())?;
-    Ok(train_offline_resumable(env, cfg, Vec::new(), Some(checkpoint)))
+    if checkpoint.seed != cfg.seed {
+        return Err(CheckpointError::SeedMismatch { expected: cfg.seed, found: checkpoint.seed });
+    }
+    let TrainingCheckpoint {
+        episode, learner, replay, priorities, rng, noise_sigma, env: carry, mut report, best_eval,
+        best_snapshot, ..
+    } = checkpoint;
+    let pool = MemoryPool::from_state(cfg.memory, cfg.memory_capacity, cfg.per, replay, priorities)
+        .map_err(|problem| CheckpointError::Unfit { part: "replay", problem })?;
+    env.resume(carry);
+    report.recovery.checkpoints_loaded += 1;
+    let action_dim = env.space().dim();
+    let run = Run {
+        episode,
+        agent: Ddpg::from_learner_state(&learner),
+        pool,
+        rng: StdRng::from_state(rng),
+        noise: GaussianNoise::new(action_dim, noise_sigma, cfg.noise_sigma_min, cfg.noise_decay),
+        report,
+        best_eval,
+        best_snapshot,
+    };
+    Ok(train(env, cfg, run))
 }
 
-/// Offline training with optional resume — the engine behind
-/// [`train_offline`] and [`resume_from_checkpoint`].
-pub fn train_offline_resumable(
-    env: &mut DbEnv,
-    cfg: &TrainerConfig,
-    seed_transitions: Vec<Transition>,
-    resume: Option<TrainingCheckpoint>,
-) -> (TrainedModel, TrainingReport) {
+/// The training loop behind [`train_offline`] and
+/// [`resume_from_checkpoint`]: runs `run` from its next episode to the
+/// budget.
+fn train(env: &mut DbEnv, cfg: &TrainerConfig, run: Run) -> (TrainedModel, TrainingReport) {
     // lint:allow(determinism) reason=wall-clock feeds telemetry timings only, never seeded state
     let start = std::time::Instant::now();
     let state_dim = simdb::TOTAL_METRIC_COUNT;
@@ -417,89 +525,28 @@ pub fn train_offline_resumable(
         state_dim: state_dim as u64,
     });
 
-    let mut pool = MemoryPool::with_per(cfg.memory, cfg.memory_capacity, cfg.per);
-    let mut agent;
-    let mut report;
-    let mut best_snapshot: Option<(DdpgSnapshot, StateProcessor)>;
-    let mut best_eval;
-    let mut best_config: Option<simdb::KnobConfig> = None;
-    let start_episode;
-    let resume_ep_step;
-    match resume {
-        Some(ck) => {
-            agent = Ddpg::from_snapshot(&ck.snapshot);
-            env.restore_quarantine(&ck.quarantined);
-            env.set_processor(ck.processor);
-            for t in ck.transitions {
-                pool.push(t);
-            }
-            report = ck.report;
-            report.recovery.checkpoints_loaded += 1;
-            best_eval = ck.best_eval;
-            best_snapshot = ck.best_snapshot;
-            if report.best_throughput > 0.0 {
-                best_config =
-                    Some(env.space().to_config(&registry.default_config(), &report.best_action));
-            }
-            start_episode = ck.episode;
-            resume_ep_step = ck.ep_step;
-        }
-        None => {
-            agent = Ddpg::new(cfg.ddpg_config(state_dim, action_dim));
-            for t in seed_transitions {
-                pool.store(t, cfg.reward_scale);
-            }
-            report = TrainingReport {
-                total_steps: 0,
-                reward_history: Vec::new(),
-                throughput_history: Vec::new(),
-                latency_history: Vec::new(),
-                best_throughput: 0.0,
-                best_latency_us: f64::MAX,
-                best_action: vec![0.5; action_dim],
-                actor_eval_history: Vec::new(),
-                crashes: 0,
-                wall_seconds: 0.0,
-                recovery: RecoveryStats::default(),
-            };
-            best_snapshot = None;
-            best_eval = f64::MIN;
-            start_episode = 0;
-            resume_ep_step = 0;
-        }
-    }
-    let mut noise =
-        GaussianNoise::new(action_dim, cfg.noise_sigma, cfg.noise_sigma_min, cfg.noise_decay);
-    // Replay the per-episode decay so resumed exploration continues at the
-    // sigma the interrupted run had reached.
-    for _ in 0..start_episode {
-        noise.decay();
-    }
-    // Resume draws a deterministic RNG stream keyed off the loop position;
-    // it differs from the uninterrupted stream (the checkpoint does not
-    // store the generator's state) but every resume of the same checkpoint
-    // is identical.
-    let mut rng = StdRng::seed_from_u64(
-        cfg.seed.wrapping_add(0x7157).wrapping_add(report.total_steps as u64),
-    );
+    let Run {
+        episode: first,
+        mut agent,
+        mut pool,
+        mut rng,
+        mut noise,
+        mut report,
+        mut best_eval,
+        mut best_snapshot,
+    } = run;
     let mut batch_scratch = BatchScratch::new();
-
-    for episode in start_episode..cfg.episodes {
-        let ep_start = if episode == start_episode { resume_ep_step } else { 0 };
-        if ep_start >= cfg.steps_per_episode {
-            // The checkpoint landed exactly on an episode boundary.
-            noise.decay();
-            continue;
-        }
+    for episode in first..cfg.episodes {
         // Every other episode resets to the best configuration found so
         // far instead of the default baseline. Warm starts concentrate
         // exploration around discovered good regions — the episodic
         // analogue of the paper's online tuning continuing from the
         // instance's current configuration rather than from scratch.
         let warm = episode % 2 == 1;
-        let baseline = match (&best_config, warm) {
-            (Some(cfg), true) => cfg.clone(),
-            _ => registry.default_config(),
+        let baseline = if warm && report.best_throughput > 0.0 {
+            env.space().to_config(&registry.default_config(), &report.best_action)
+        } else {
+            registry.default_config()
         };
         let mut state = env.reset_episode(baseline);
         telemetry.emit(&TraceEvent::EpisodeStart {
@@ -511,7 +558,7 @@ pub fn train_offline_resumable(
         let mut ep_steps = 0u64;
         let mut ep_reward_sum = 0.0;
         let mut ep_best_tps = 0.0f64;
-        for ep_step in ep_start..cfg.steps_per_episode {
+        for ep_step in 0..cfg.steps_per_episode {
             // The first step of each post-warmup episode that reset to the
             // default configuration plays the deterministic policy from
             // there — exactly the recommendation online tuning will make —
@@ -550,7 +597,6 @@ pub fn train_offline_resumable(
                 report.best_throughput = out.perf.throughput_tps;
                 report.best_latency_us = out.perf.p99_latency_us;
                 report.best_action = action.clone();
-                best_config = Some(env.space().to_config(&registry.default_config(), &action));
             }
 
             // Degraded steps are recorded in the histories but not replayed.
@@ -583,34 +629,6 @@ pub fn train_offline_resumable(
                 ));
             }
             state = out.state;
-
-            if let Some(dir) = &cfg.checkpoint_dir {
-                if cfg.checkpoint_every_steps > 0
-                    && report.total_steps % cfg.checkpoint_every_steps == 0
-                {
-                    report.recovery.checkpoints_written += 1;
-                    let mut ck_report = report.clone();
-                    ck_report.crashes += env.crash_count() - crashes0;
-                    ck_report.recovery.merge(&env.recovery_stats().since(&recovery0));
-                    ck_report.wall_seconds += start.elapsed().as_secs_f64();
-                    let ck = TrainingCheckpoint {
-                        version: persist::FORMAT_VERSION,
-                        seed: cfg.seed,
-                        episode,
-                        ep_step: ep_step + 1,
-                        snapshot: agent.snapshot(),
-                        processor: env.processor().clone(),
-                        transitions: pool.transitions(),
-                        report: ck_report,
-                        best_eval,
-                        best_snapshot: best_snapshot.clone(),
-                        quarantined: env.quarantined_keys(),
-                    };
-                    if ck.save_atomic(dir).is_err() {
-                        report.recovery.checkpoints_written -= 1;
-                    }
-                }
-            }
             if out.done {
                 break;
             }
@@ -622,6 +640,32 @@ pub fn train_offline_resumable(
             best_tps: ep_best_tps,
         });
         noise.decay();
+
+        if let Some(dir) = &cfg.checkpoint_dir {
+            report.recovery.checkpoints_written += 1;
+            let mut ck_report = report.clone();
+            ck_report.crashes += env.crash_count() - crashes0;
+            ck_report.recovery.merge(&env.recovery_stats().since(&recovery0));
+            ck_report.wall_seconds += start.elapsed().as_secs_f64();
+            let (replay, priorities) = pool.state();
+            let ck = TrainingCheckpoint {
+                version: persist::CHECKPOINT_VERSION,
+                seed: cfg.seed,
+                episode: episode + 1,
+                learner: agent.learner_state(),
+                replay,
+                priorities,
+                rng: rng.state(),
+                noise_sigma: noise.scale(),
+                env: env.carry(),
+                report: ck_report,
+                best_eval,
+                best_snapshot: best_snapshot.clone(),
+            };
+            if ck.save_atomic(dir).is_err() {
+                report.recovery.checkpoints_written -= 1;
+            }
+        }
     }
     report.crashes += env.crash_count() - crashes0;
     report.recovery.merge(&env.recovery_stats().since(&recovery0));
@@ -650,7 +694,8 @@ pub fn train_offline_resumable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::tests::tiny_env;
+    use crate::env::tests::{tiny_env, tiny_env_on};
+    use workload::WorkloadKind;
 
     #[test]
     fn smoke_training_produces_model_and_report() {
@@ -756,13 +801,12 @@ mod tests {
             episodes: 1,
             steps_per_episode: 1,
             checkpoint_dir: Some(dir.clone()),
-            checkpoint_every_steps: 1,
             ..TrainerConfig::smoke()
         };
         let _ = train_offline(&mut env, &cfg, vec![seed]);
         let ck = TrainingCheckpoint::load(&dir).unwrap().expect("checkpoint written");
         let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(ck.transitions[0].reward, 5.0 * cfg.reward_scale);
+        assert_eq!(ck.replay.slots[0].reward, 5.0 * cfg.reward_scale);
     }
 
     fn ckpt_dir(tag: &str) -> String {
@@ -778,19 +822,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut env = tiny_env();
         let cfg = TrainerConfig {
-            episodes: 1,
-            steps_per_episode: 3,
+            episodes: 3,
+            steps_per_episode: 2,
             checkpoint_dir: Some(dir.clone()),
-            checkpoint_every_steps: 1,
             ..TrainerConfig::smoke()
         };
         let (_, report) = train_offline(&mut env, &cfg, Vec::new());
-        assert_eq!(report.recovery.checkpoints_written, 3);
+        assert_eq!(report.recovery.checkpoints_written, 3, "one checkpoint per episode");
         let ck = TrainingCheckpoint::load(&dir).unwrap().expect("checkpoint exists");
-        assert_eq!(ck.report.total_steps, 3);
-        assert_eq!(ck.episode, 0);
-        assert_eq!(ck.ep_step, 3);
-        assert_eq!(ck.transitions.len(), 3);
+        assert_eq!(ck.report.total_steps, 6);
+        assert_eq!(ck.episode, 3);
+        assert_eq!(ck.replay.slots.len(), 6);
         assert_eq!(ck.report.recovery.checkpoints_written, 3);
         // The temp file never outlives the rename.
         assert!(!std::path::Path::new(&dir).join("checkpoint.json.tmp").exists());
@@ -805,7 +847,6 @@ mod tests {
             episodes: 3,
             steps_per_episode: 5,
             checkpoint_dir: Some(dir.clone()),
-            checkpoint_every_steps: 2,
             ..TrainerConfig::smoke()
         };
         // Uninterrupted reference run.
@@ -819,7 +860,7 @@ mod tests {
         let (_, partial) = train_offline(&mut env, &cut, Vec::new());
         assert_eq!(partial.total_steps, 5);
         let ck = TrainingCheckpoint::load(&dir).unwrap().expect("checkpoint written");
-        let buffered = ck.transitions.len();
+        let buffered = ck.replay.slots.len();
         assert!(buffered > 0);
         // Resume with the full budget against a fresh environment.
         let mut env = tiny_env();
@@ -831,7 +872,7 @@ mod tests {
         assert!(model.processor.observations() > 0);
         // The resumed pool kept the interrupted run's experience.
         let final_ck = TrainingCheckpoint::load(&dir).unwrap().unwrap();
-        assert!(final_ck.transitions.len() >= buffered);
+        assert!(final_ck.replay.slots.len() >= buffered);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -853,18 +894,22 @@ mod tests {
 
     fn in_memory_ck(state_dim: usize, action_dim: usize) -> TrainingCheckpoint {
         let agent = Ddpg::new(DdpgConfig::paper(state_dim, action_dim));
+        let cfg = TrainerConfig::smoke();
+        let pool = MemoryPool::with_per(cfg.memory, cfg.memory_capacity, cfg.per);
+        let (replay, priorities) = pool.state();
         TrainingCheckpoint {
-            version: 1,
-            seed: 0,
+            version: persist::CHECKPOINT_VERSION,
+            seed: cfg.seed,
             episode: 0,
-            ep_step: 1,
-            snapshot: agent.snapshot(),
-            processor: StateProcessor::new(),
-            transitions: Vec::new(),
+            learner: agent.learner_state(),
+            replay,
+            priorities,
+            rng: 0,
+            noise_sigma: cfg.noise_sigma,
+            env: tiny_env().carry(),
             report: blank_report(action_dim),
             best_eval: f64::MIN,
             best_snapshot: None,
-            quarantined: Vec::new(),
         }
     }
 
@@ -878,8 +923,8 @@ mod tests {
         let bad = [0.9, 0.1, 0.9, 0.1, 0.9, 0.1];
         assert!(env.quarantine_action(&bad));
         let mut ck = in_memory_ck(simdb::TOTAL_METRIC_COUNT, 6);
-        ck.quarantined = env.quarantined_keys();
-        assert!(!ck.quarantined.is_empty());
+        ck.env.quarantined = env.quarantined_keys();
+        assert!(!ck.env.quarantined.is_empty());
 
         let mut fresh = tiny_env();
         assert!(!fresh.is_quarantined(&bad));
@@ -888,6 +933,78 @@ mod tests {
         assert!(fresh.is_quarantined(&bad), "resume must restore quarantined cells");
         let out = fresh.step_action(&bad);
         assert!(out.crashed, "a quarantined cell must stay fenced off after resume");
+    }
+
+    #[test]
+    fn resume_equals_the_uninterrupted_run_bit_for_bit() {
+        // Six episodes on a read-only workload, each ended by the horizon at
+        // 6 steps, cut after three: the random warm-up, updates, a warm
+        // episode and an evaluation fall on each side of the cut. At this
+        // scale the data (173 MB) outgrows the default buffer pool, so every
+        // boot's pre-warm draws from the engine's stream.
+        let ro = || tiny_env_on(WorkloadKind::SysbenchRo, 0.02);
+        let (dir, cut_dir) = (ckpt_dir("bit-for-bit"), ckpt_dir("bit-for-bit-cut"));
+        let _ = (std::fs::remove_dir_all(&dir), std::fs::remove_dir_all(&cut_dir));
+        let full = TrainerConfig { episodes: 6, checkpoint_dir: Some(dir.clone()), ..TrainerConfig::smoke() };
+        let (model, uninterrupted) = train_offline(&mut ro(), &full, Vec::new());
+        let last = TrainingCheckpoint::load(&dir).unwrap().expect("a checkpoint at the end");
+        let cut = TrainerConfig { episodes: 3, checkpoint_dir: Some(cut_dir.clone()), ..full.clone() };
+        let (_, partial) = train_offline(&mut ro(), &cut, Vec::new());
+        let ck = TrainingCheckpoint::load(&cut_dir).unwrap().expect("checkpoint written at the cut");
+        assert_eq!(ck.episode, 3);
+        assert!(ck.learner.critic_opt.t > 0, "no update ran before the cut");
+        assert_eq!(partial.actor_eval_history.len(), 1, "one evaluation before the cut");
+
+        let resume_cfg = TrainerConfig { checkpoint_dir: Some(cut_dir.clone()), ..full.clone() };
+        let (resumed_model, resumed) =
+            resume_from_checkpoint(&mut ro(), &resume_cfg, ck).expect("checkpoint fits the session");
+        let resumed_last = TrainingCheckpoint::load(&cut_dir).unwrap().expect("a checkpoint at the end");
+        let _ = (std::fs::remove_dir_all(&dir), std::fs::remove_dir_all(&cut_dir));
+        assert!(resumed.actor_eval_history.len() > 1, "no evaluation after the cut");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&resumed.reward_history), bits(&uninterrupted.reward_history));
+        assert_eq!(bits(&resumed.throughput_history), bits(&uninterrupted.throughput_history));
+        let curve = |r: &TrainingReport| {
+            r.actor_eval_history.iter().map(|&(step, tps)| (step, tps.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!(curve(&resumed), curve(&uninterrupted));
+        assert!(resumed_model.to_json() == model.to_json(), "the shipped model differs");
+        // The whole state at the end, too: learner, replay with its sum
+        // tree, streams and the environment's carry-over.
+        assert!(resumed_last.learner == last.learner, "the learner differs");
+        assert_eq!((&resumed_last.replay, &resumed_last.priorities), (&last.replay, &last.priorities));
+        assert_eq!((resumed_last.rng, resumed_last.noise_sigma), (last.rng, last.noise_sigma));
+        assert_eq!(resumed_last.env, last.env);
+    }
+
+    #[test]
+    fn a_checkpoint_of_another_seed_is_refused() {
+        let ck = in_memory_ck(simdb::TOTAL_METRIC_COUNT, 6);
+        let cfg = TrainerConfig { seed: 7, ..TrainerConfig::smoke() };
+        let err = resume_from_checkpoint(&mut tiny_env(), &cfg, ck)
+            .expect_err("a checkpoint of seed 0 must not drive a session of seed 7");
+        assert_eq!(err, CheckpointError::SeedMismatch { expected: 7, found: 0 });
+        assert!(err.to_string().contains("seeded 0"), "{err}");
+    }
+
+    #[test]
+    fn a_best_snapshot_of_another_width_is_refused() {
+        // The learner fits the 6-knob session, but the best snapshot, which
+        // is what ships when no later evaluation beats it, has 4 outputs.
+        let mut ck = in_memory_ck(simdb::TOTAL_METRIC_COUNT, 6);
+        let narrow = Ddpg::new(DdpgConfig::paper(simdb::TOTAL_METRIC_COUNT, 4)).snapshot();
+        ck.best_snapshot = Some((narrow, StateProcessor::new()));
+        let err = resume_from_checkpoint(&mut tiny_env(), &TrainerConfig::smoke(), ck)
+            .expect_err("a 4-knob best snapshot must not ship for a 6-knob session");
+        assert_eq!(
+            err,
+            CheckpointError::SpecMismatch {
+                expected_knobs: 6,
+                found_knobs: 4,
+                expected_state_dim: simdb::TOTAL_METRIC_COUNT,
+                found_state_dim: simdb::TOTAL_METRIC_COUNT,
+            }
+        );
     }
 
     #[test]
@@ -915,7 +1032,7 @@ mod tests {
 
         // Matching networks but a foreign replay pool is also a mismatch.
         let mut stale_pool = in_memory_ck(simdb::TOTAL_METRIC_COUNT, 6);
-        stale_pool.transitions.push(Transition {
+        stale_pool.replay.slots.push(Transition {
             state: vec![0.0; 10],
             action: vec![0.5; 6],
             reward: 0.0,

@@ -22,8 +22,8 @@ use crate::env::Transition;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tinynn::{
-    Adam, BatchNorm, Dense, Dropout, Init, Layer, Matrix, Mlp, NetState, Param, Relu, Tanh,
-    PAPER_WEIGHT_INIT,
+    Adam, AdamState, BatchNorm, Dense, Dropout, Init, Layer, Matrix, Mlp, NetState, Param, Relu,
+    Tanh, PAPER_WEIGHT_INIT,
 };
 
 /// DDPG hyper-parameters. Defaults follow the paper: learning rate 0.001
@@ -132,8 +132,8 @@ impl DdpgSnapshot {
             .state_dim
             .checked_add(cfg.action_dim)
             .ok_or_else(|| "state_dim + action_dim overflows".to_string())?;
-        let actor = state_shapes(cfg.state_dim, &cfg.actor_hidden, cfg.action_dim, true);
-        let critic = state_shapes(critic_in, &cfg.critic_hidden, 1, false);
+        let actor = state_shapes(cfg.state_dim, &cfg.actor_hidden, cfg.action_dim, true, false);
+        let critic = state_shapes(critic_in, &cfg.critic_hidden, 1, false, false);
         for (name, net, want) in [
             ("actor", &self.actor, &actor),
             ("critic", &self.critic, &critic),
@@ -152,6 +152,56 @@ impl DdpgSnapshot {
     }
 }
 
+/// Everything an agent carries from one training step to the next: the
+/// inference [`DdpgSnapshot`], both optimizers' step counts and moments, and
+/// the words of its random streams. [`Ddpg::from_learner_state`] continues
+/// training exactly where [`Ddpg::learner_state`] left it, where
+/// [`Ddpg::from_snapshot`] restarts the optimizers and the streams.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LearnerState {
+    /// The four networks.
+    pub snapshot: DdpgSnapshot,
+    /// The actor's optimizer.
+    pub actor_opt: AdamState,
+    /// The critic's optimizer.
+    pub critic_opt: AdamState,
+    /// The target-policy smoothing stream.
+    pub smoothing_rng: u64,
+    /// The dropout layers' streams: the actor's, then the critic's.
+    pub dropout_rngs: Vec<u64>,
+}
+
+impl LearnerState {
+    /// Checks that [`Ddpg::from_learner_state`] will accept this state: a
+    /// snapshot [`DdpgSnapshot::validate`] accepts, moments shaped like the
+    /// parameters they track (none before the first step), and one stream
+    /// word per dropout layer.
+    pub fn validate(&self) -> Result<(), String> {
+        self.snapshot.validate()?;
+        let cfg = &self.snapshot.config;
+        let (ds, da) = (cfg.state_dim, cfg.action_dim);
+        let actor = state_shapes(ds, &cfg.actor_hidden, da, true, true).concat();
+        let critic = state_shapes(ds + da, &cfg.critic_hidden, 1, false, true).concat();
+        for (name, opt, shapes) in
+            [("actor_opt", &self.actor_opt, actor), ("critic_opt", &self.critic_opt, critic)]
+        {
+            let fits = |ms: &[Matrix]| {
+                ms.is_empty() || ms.iter().map(|m| (m.rows(), m.cols())).eq(shapes.iter().copied())
+            };
+            if opt.m.len() != opt.v.len() || !fits(&opt.m) || !fits(&opt.v) {
+                return Err(format!("{name} moments do not match the networks' parameters"));
+            }
+        }
+        // build_actor puts dropout after its second hidden layer, build_critic after its first.
+        let dropouts =
+            usize::from(cfg.actor_hidden.len() >= 2) + usize::from(!cfg.critic_hidden.is_empty());
+        match self.dropout_rngs.len() {
+            n if n == dropouts => Ok(()),
+            n => Err(format!("{n} dropout streams for {dropouts} dropout layers")),
+        }
+    }
+}
+
 /// Largest minibatch [`DdpgSnapshot::validate`] accepts (the paper trains
 /// at 16–32): [`Ddpg::new`] pre-sizes its arenas for this many rows.
 const MAX_BATCH_SIZE: usize = 1 << 16;
@@ -159,12 +209,14 @@ const MAX_BATCH_SIZE: usize = 1 << 16;
 /// The state-matrix shapes, layer by layer, of the network
 /// [`build_actor`] (`actor`) or [`build_critic`] makes for these widths:
 /// the same walk without allocating a weight. `snapshot_of_a_fresh_agent_
-/// validates` pins the two together.
+/// validates` pins the two together. With `params_only`, only the shapes
+/// of the learnable parameters, which the optimizer's moments follow.
 fn state_shapes(
     input: usize,
     hidden: &[usize],
     output: usize,
     actor: bool,
+    params_only: bool,
 ) -> Vec<Vec<(usize, usize)>> {
     let dense = |i, o| vec![(i, o), (1, o)];
     let mut layers = Vec::new();
@@ -173,7 +225,8 @@ fn state_shapes(
         layers.push(dense(prev, h));
         layers.push(Vec::new()); // activation
         match (i, actor) {
-            (0, true) => layers.push(vec![(1, h); 4]), // batch norm
+            // batch norm: γ and β, then the running mean and variance
+            (0, true) => layers.push(vec![(1, h); if params_only { 2 } else { 4 }]),
             (1, true) | (0, false) => layers.push(Vec::new()), // dropout
             _ => {}
         }
@@ -557,6 +610,34 @@ impl Ddpg {
         }
     }
 
+    /// The agent's whole training state, drawing nothing
+    /// ([`Ddpg::from_learner_state`] takes it back).
+    pub fn learner_state(&self) -> LearnerState {
+        LearnerState {
+            snapshot: self.snapshot(),
+            actor_opt: self.actor_opt.state(),
+            critic_opt: self.critic_opt.state(),
+            smoothing_rng: self.smoothing_rng.state(),
+            dropout_rngs: [self.actor.rng_words(), self.critic.rng_words()].concat(),
+        }
+    }
+
+    /// The agent [`Ddpg::learner_state`] described: its next training step
+    /// is the one the original agent would have taken, bit for bit.
+    ///
+    /// # Panics
+    /// Panics where [`LearnerState::validate`] reports an error.
+    pub fn from_learner_state(state: &LearnerState) -> Self {
+        let mut agent = Self::from_snapshot(&state.snapshot);
+        agent.actor_opt = Adam::with_state(agent.cfg.actor_lr, state.actor_opt.clone());
+        agent.critic_opt = Adam::with_state(agent.cfg.critic_lr, state.critic_opt.clone());
+        agent.smoothing_rng = StdRng::from_state(state.smoothing_rng);
+        let (actor, critic) = state.dropout_rngs.split_at(agent.actor.rng_words().len());
+        agent.actor.set_rng_words(actor);
+        agent.critic.set_rng_words(critic);
+        agent
+    }
+
     /// Rebuilds an agent from a snapshot alone — the same agent, bit for
     /// bit, as `Ddpg::new(snap.config)` with the snapshot's weights loaded
     /// over its four networks, but the networks are built straight
@@ -673,6 +754,79 @@ mod tests {
         let probe = [0.3, 0.7, 0.1];
         let bits = |a: Vec<f32>| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(forked.act(&probe)), bits(loaded.act(&probe)));
+    }
+
+    #[test]
+    fn an_agent_restored_from_its_learner_state_trains_on_bit_for_bit() {
+        // Three updates, then the learner state out and back in: over five
+        // more updates on the same batches the restored agent reaches the
+        // same weights, Adam moments, smoothing draws and dropout masks as
+        // the agent that was never interrupted.
+        let cfg = DdpgConfig { dropout: 0.3, ..tiny_cfg() };
+        let mut rng = StdRng::seed_from_u64(0x1EA);
+        let batches: Vec<Vec<Transition>> = (0..8)
+            .map(|_| {
+                (0..8)
+                    .map(|_| Transition {
+                        state: (0..3).map(|_| rng.gen()).collect(),
+                        action: (0..3).map(|_| rng.gen()).collect(),
+                        reward: rng.gen_range(-1.0..1.0),
+                        next_state: (0..3).map(|_| rng.gen()).collect(),
+                        done: rng.gen_bool(0.2),
+                    })
+                    .collect()
+            })
+            .collect();
+        let step = |agent: &mut Ddpg, batch: &[Transition]| {
+            let refs: Vec<&Transition> = batch.iter().collect();
+            agent.train_step(&refs, Some(&[0.75f32; 8][..]), None)
+        };
+        let mut uninterrupted = Ddpg::new(cfg);
+        for batch in &batches[..3] {
+            let _ = step(&mut uninterrupted, batch);
+        }
+        let state = uninterrupted.learner_state();
+        state.validate().unwrap();
+        assert_eq!(state.actor_opt.t, 3);
+        assert_eq!(state.dropout_rngs.len(), 2, "one dropout layer in each network");
+        let mut restored = Ddpg::from_learner_state(&state);
+        assert!(restored.learner_state() == state, "the restore is not the state it was given");
+        for batch in &batches[3..] {
+            assert_eq!(step(&mut restored, batch), step(&mut uninterrupted, batch));
+        }
+        assert!(restored.learner_state() == uninterrupted.learner_state());
+        // A restore through the snapshot alone restarts Adam and the
+        // streams, and its next update already differs.
+        let mut from_snapshot = Ddpg::from_snapshot(&state.snapshot);
+        let mut again = Ddpg::from_learner_state(&state);
+        assert_ne!(step(&mut from_snapshot, &batches[3]), step(&mut again, &batches[3]));
+    }
+
+    #[test]
+    fn learner_state_validation_names_what_does_not_fit() {
+        let mut agent = Ddpg::new(tiny_cfg());
+        let t = Transition {
+            state: vec![0.5; 3],
+            action: vec![0.5; 3],
+            reward: 1.0,
+            next_state: vec![0.5; 3],
+            done: false,
+        };
+        let _ = agent.train_step(&[&t, &t], None, None);
+        let good = agent.learner_state();
+        good.validate().unwrap();
+        let mut fresh = Ddpg::new(tiny_cfg()).learner_state();
+        assert_eq!(fresh.actor_opt.t, 0);
+        fresh.validate().expect("no moments before the first step");
+        fresh.actor_opt.m = good.actor_opt.m.clone();
+        assert!(fresh.validate().unwrap_err().contains("actor_opt"), "m without v");
+        let mut short = good.clone();
+        short.critic_opt.m.pop();
+        short.critic_opt.v.pop();
+        assert!(short.validate().unwrap_err().contains("critic_opt"));
+        let mut streams = good;
+        streams.dropout_rngs.push(1);
+        assert!(streams.validate().unwrap_err().contains("dropout"));
     }
 
     #[test]

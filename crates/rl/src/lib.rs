@@ -28,10 +28,10 @@ pub mod per;
 pub mod replay;
 
 pub use batch::TransitionBatch;
-pub use ddpg::{Ddpg, DdpgConfig, DdpgSnapshot, TrainStats};
+pub use ddpg::{Ddpg, DdpgConfig, DdpgSnapshot, LearnerState, TrainStats};
 pub use dqn::{Dqn, DqnConfig};
 pub use env::{Environment, StepResult, Transition};
 pub use eval::SnapshotPolicy;
 pub use noise::{perturb, GaussianNoise, NoiseProcess};
-pub use per::{PerStats, PrioritizedReplay};
-pub use replay::ReplayBuffer;
+pub use per::{PerStats, PrioritizedReplay, PriorityState};
+pub use replay::{ReplayBuffer, RingState};

@@ -21,8 +21,9 @@
 
 use crate::batch::TransitionBatch;
 use crate::env::Transition;
-use crate::replay::ReplayBuffer;
+use crate::replay::{ReplayBuffer, RingState};
 use rand::Rng;
+use std::ops::RangeInclusive;
 
 /// How many incremental `set`s a [`SumTree`] tolerates before recomputing
 /// its internal nodes exactly. Incremental `+=` propagation accumulates
@@ -102,16 +103,58 @@ impl SumTree {
     /// above it, and a node's children are always recomputed before it:
     /// they sit in the same range at a higher index, or in an earlier one.
     fn rebuild(&mut self) {
-        let (mut lo, mut hi) = (self.capacity - 1, self.capacity - 2 + self.leaves_set);
-        while hi > 0 {
-            lo = lo.saturating_sub(1) / 2;
-            hi = (hi - 1) / 2;
-            for idx in (lo..=hi).rev() {
+        for range in Self::ancestors(self.capacity, self.leaves_set) {
+            for idx in range.rev() {
                 self.nodes[idx] = self.nodes[2 * idx + 1] + self.nodes[2 * idx + 2];
             }
         }
         self.sets_since_rebuild = 0;
         self.rebuilds += 1;
+    }
+
+    /// The internal nodes above leaves `0..leaves_set` of a tree of
+    /// `capacity` leaves, one index range per level from the leaves up (the
+    /// walk [`Self::rebuild`] documents). With those leaves, they are every
+    /// node that may hold something other than 0.0.
+    fn ancestors(
+        capacity: usize,
+        leaves_set: usize,
+    ) -> impl Iterator<Item = RangeInclusive<usize>> {
+        let leaves = (capacity - 1, capacity - 2 + leaves_set);
+        let parents =
+            |&(lo, hi): &(usize, usize)| (hi > 0).then(|| (lo.saturating_sub(1) / 2, (hi - 1) / 2));
+        std::iter::successors(Some(leaves), parents).skip(1).map(|(lo, hi)| lo..=hi)
+    }
+
+    /// The set leaves, and the internal nodes [`Self::ancestors`] names in
+    /// its order.
+    fn live_nodes(&self) -> (Vec<f64>, Vec<f64>) {
+        let first_leaf = self.capacity - 1;
+        let leaves = self.nodes[first_leaf..first_leaf + self.leaves_set].to_vec();
+        let ancestors = Self::ancestors(self.capacity, self.leaves_set).flatten();
+        let sums = ancestors.map(|i| self.nodes[i]).collect();
+        (leaves, sums)
+    }
+
+    /// Writes the live nodes [`Self::live_nodes`] returned into a fresh
+    /// tree, whose other nodes hold 0.0 as in the tree they came from.
+    fn load_live_nodes(&mut self, leaves: &[f64], sums: &[f64]) -> Result<(), String> {
+        let (capacity, set) = (self.capacity, leaves.len());
+        let slots = self.nodes.get_mut(capacity - 1..capacity - 1 + set);
+        let slots = slots.ok_or_else(|| format!("{set} leaf priorities in a tree of {capacity}"))?;
+        slots.copy_from_slice(leaves);
+        self.leaves_set = set;
+        let ancestors: Vec<usize> = Self::ancestors(capacity, set).flatten().collect();
+        if ancestors.len() != sums.len() {
+            let (found, want) = (sums.len(), ancestors.len());
+            return Err(format!("{found} sums for the {want} ancestors of the set leaves"));
+        }
+        for (node, &sum) in ancestors.into_iter().zip(sums) {
+            if let Some(node) = self.nodes.get_mut(node) {
+                *node = sum;
+            }
+        }
+        Ok(())
     }
 
     /// The exact rebuild over every internal node: the reference
@@ -166,6 +209,27 @@ pub struct PerStats {
     pub tree_rebuilds: u64,
 }
 
+/// A [`PrioritizedReplay`]'s sampling state beside its ring: the sum tree
+/// as it stands (incremental sets add deltas, so its sums are not a fresh
+/// rebuild of its leaves), β as annealed so far, and the counters.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PriorityState {
+    /// Priorities of the leaves ever set; leaf `i` is ring slot `i`.
+    pub leaves: Vec<f64>,
+    /// The internal nodes above those leaves, level by level upward.
+    pub sums: Vec<f64>,
+    /// Incremental sets since the last exact rebuild.
+    pub sets_since_rebuild: u32,
+    /// Exact rebuilds so far.
+    pub rebuilds: u64,
+    /// The IS exponent β.
+    pub beta: f64,
+    /// The largest priority seen, which a push is stored at.
+    pub max_priority: f64,
+    /// Draws that fell back to uniform.
+    pub fallback_hits: u64,
+}
+
 /// Proportional prioritized replay buffer.
 #[derive(Debug, Clone)]
 pub struct PrioritizedReplay {
@@ -198,10 +262,46 @@ impl PrioritizedReplay {
         }
     }
 
-    /// Iterates the stored transitions in slot order (checkpointing the
-    /// pool).
-    pub fn iter(&self) -> impl Iterator<Item = &Transition> {
-        self.ring.iter()
+    /// The ring and the sampling state, exactly
+    /// ([`PrioritizedReplay::from_state`] takes them back).
+    pub fn state(&self) -> (RingState, PriorityState) {
+        let (leaves, sums) = self.tree.live_nodes();
+        let priorities = PriorityState {
+            leaves,
+            sums,
+            sets_since_rebuild: self.tree.sets_since_rebuild,
+            rebuilds: self.tree.rebuilds,
+            beta: self.beta,
+            max_priority: self.max_priority,
+            fallback_hits: self.fallback_hits,
+        };
+        (self.ring.state(), priorities)
+    }
+
+    /// The buffer of `capacity` slots with exponent `alpha` that
+    /// [`PrioritizedReplay::state`] described: it draws the same indices and
+    /// IS weights as the buffer it came from. Refused when the ring or the
+    /// tree does not fit `capacity`.
+    pub fn from_state(
+        capacity: usize,
+        alpha: f64,
+        ring: RingState,
+        priorities: PriorityState,
+    ) -> Result<Self, String> {
+        if capacity < 2 {
+            return Err(format!("a prioritized buffer of {capacity} slots"));
+        }
+        let PriorityState {
+            leaves, sums, sets_since_rebuild, rebuilds, beta, max_priority, fallback_hits,
+        } = priorities;
+        let mut buf = Self::new(capacity, alpha, beta);
+        buf.tree.load_live_nodes(&leaves, &sums)?;
+        buf.tree.sets_since_rebuild = sets_since_rebuild;
+        buf.tree.rebuilds = rebuilds;
+        buf.ring = ReplayBuffer::from_state(capacity, ring)?;
+        buf.max_priority = max_priority;
+        buf.fallback_hits = fallback_hits;
+        Ok(buf)
     }
 
     /// Number of stored transitions.
@@ -553,6 +653,60 @@ mod tests {
         assert!(rewards.iter().all(|&r| r >= 6.0));
     }
 
+    #[test]
+    fn a_reloaded_buffer_draws_what_the_original_draws() {
+        // Reload mid-run, past a wrap and before the second exact rebuild:
+        // the reloaded buffer draws the same slots and IS weights and
+        // reports the same stats as the original, through that rebuild.
+        let capacity = 50;
+        let mut original = PrioritizedReplay::new(capacity, 0.6, 0.4);
+        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        let mut td = StdRng::seed_from_u64(0xC0DF);
+        let step = |buf: &mut PrioritizedReplay, rng: &mut StdRng, td: &mut StdRng, i: usize| {
+            buf.push(t(i as f32));
+            let (_, idx, w) = sample(buf, 16, rng);
+            let errors: Vec<f32> = (0..16).map(|_| td.gen::<f32>() * 3.0).collect();
+            buf.update_priorities(&idx, &errors);
+            (idx, w.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), buf.stats())
+        };
+        for i in 0..300 {
+            let _ = step(&mut original, &mut rng, &mut td, i);
+        }
+        assert_eq!(original.stats().tree_rebuilds, 1);
+        let (ring, priorities) = original.state();
+        assert!(priorities.sets_since_rebuild > 0 && priorities.beta > 0.4);
+        let mut reloaded = PrioritizedReplay::from_state(capacity, 0.6, ring, priorities).unwrap();
+        assert_eq!(node_bits(&reloaded.tree), node_bits(&original.tree), "the sums as they stood");
+        let (mut rng2, mut td2) = (rng.clone(), td.clone());
+        for i in 300..500 {
+            let ours = step(&mut reloaded, &mut rng2, &mut td2, i);
+            assert_eq!(ours, step(&mut original, &mut rng, &mut td, i), "step {i}");
+        }
+        assert_eq!(original.stats().tree_rebuilds, 2, "the second rebuild fell after the reload");
+        assert_eq!(node_bits(&reloaded.tree), node_bits(&original.tree));
+        assert_eq!(reloaded.state(), original.state());
+    }
+
+    #[test]
+    fn a_state_that_does_not_fit_the_capacity_is_refused() {
+        let mut buf = PrioritizedReplay::new(8, 0.6, 0.4);
+        for i in 0..5 {
+            buf.push(t(i as f32));
+        }
+        let (ring, priorities) = buf.state();
+        assert!(PrioritizedReplay::from_state(4, 0.6, ring.clone(), priorities.clone()).is_err());
+        assert!(PrioritizedReplay::from_state(16, 0.6, ring.clone(), priorities.clone()).is_err());
+        let mut short = priorities.clone();
+        short.sums.pop();
+        assert!(PrioritizedReplay::from_state(8, 0.6, ring.clone(), short).is_err());
+        let mut long = priorities.clone();
+        long.sums.push(0.0);
+        assert!(PrioritizedReplay::from_state(8, 0.6, ring.clone(), long).is_err());
+        let moved = RingState { write: 2, ..ring.clone() };
+        assert!(PrioritizedReplay::from_state(8, 0.6, moved, priorities.clone()).is_err());
+        assert!(PrioritizedReplay::from_state(8, 0.6, ring, priorities).is_ok());
+    }
+
     /// Internal nodes that are ancestors of leaves `0..k`, found by walking
     /// each leaf to the root.
     fn ancestors(capacity: usize, k: usize) -> Vec<bool> {
@@ -763,7 +917,7 @@ mod tests {
         let stats = ring.stats();
         assert!(stats.fallback_hits > 0, "the planted empty slot drew no fallback");
         assert_eq!((stats.fallback_hits, stats.len), (old.fallback_hits, old.len));
-        let order: Vec<f32> = ring.iter().map(|x| x.reward).collect();
+        let order: Vec<f32> = ring.ring.iter().map(|x| x.reward).collect();
         let old_order: Vec<f32> = old.data.iter().flatten().map(|x| x.reward).collect();
         assert_eq!(order, old_order, "slot-ordered iteration");
         assert_eq!(order[0], 350.0, "slot 0 holds the eighth lap's first push");

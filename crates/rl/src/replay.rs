@@ -19,11 +19,41 @@ pub struct ReplayBuffer {
     write: usize,
 }
 
+/// A ring's exact contents: what [`ReplayBuffer::from_state`] needs to
+/// continue it push for push and draw for draw.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RingState {
+    /// The stored transitions, slot by slot.
+    pub slots: Vec<Transition>,
+    /// The slot the next push lands in.
+    pub write: usize,
+}
+
 impl ReplayBuffer {
     /// Creates a buffer holding at most `capacity` transitions.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "replay capacity must be positive");
         Self { capacity, data: Vec::new(), write: 0 }
+    }
+
+    /// The slots and the write position ([`ReplayBuffer::from_state`]
+    /// takes them back).
+    pub fn state(&self) -> RingState {
+        RingState { slots: self.data.clone(), write: self.write }
+    }
+
+    /// The ring of `capacity` slots holding `state`. Refused when the slots
+    /// overflow the capacity, or when the write position is not where the
+    /// next push of such a ring lands.
+    pub fn from_state(capacity: usize, state: RingState) -> Result<Self, String> {
+        let RingState { slots, write } = state;
+        let len = slots.len();
+        let fits = if len < capacity { write == len } else { len == capacity && write < capacity };
+        if capacity == 0 || !fits {
+            let ring = format!("{len} slots with the next write at {write}");
+            return Err(format!("{ring} do not fit a ring of {capacity}"));
+        }
+        Ok(Self { capacity, data: slots, write })
     }
 
     /// Number of stored transitions.

@@ -148,6 +148,20 @@ impl Engine {
         self.fault_tick = 0;
     }
 
+    /// The engine's random stream and its fault clock: the positions an
+    /// instance carries across a restart besides its tables. Reading them
+    /// draws nothing.
+    pub fn stream_words(&self) -> (u64, u64) {
+        (self.rng.state(), self.fault_tick)
+    }
+
+    /// Continues the random stream and the fault clock from
+    /// [`Engine::stream_words`].
+    pub fn set_stream_words(&mut self, (rng, fault_tick): (u64, u64)) {
+        self.rng = StdRng::from_state(rng);
+        self.fault_tick = fault_tick;
+    }
+
     /// Counters of faults injected so far.
     pub fn fault_stats(&self) -> &FaultStats {
         &self.fault_stats

@@ -78,6 +78,14 @@ impl Layer for Dropout {
         self
     }
 
+    fn rng_word(&self) -> Option<u64> {
+        Some(self.rng.state())
+    }
+
+    fn set_rng_word(&mut self, word: u64) {
+        self.rng = StdRng::from_state(word);
+    }
+
     fn name(&self) -> &'static str {
         "dropout"
     }

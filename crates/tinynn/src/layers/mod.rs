@@ -142,6 +142,16 @@ pub trait Layer: Send {
     /// Implementations panic if shapes or counts disagree.
     fn load_state(&mut self, _state: &[Matrix]) {}
 
+    /// The state word of the layer's random stream (dropout's masks);
+    /// `None` for a layer that draws nothing.
+    fn rng_word(&self) -> Option<u64> {
+        None
+    }
+
+    /// Continues the layer's random stream from a word
+    /// [`Layer::rng_word`] returned. Layers that draw nothing ignore it.
+    fn set_rng_word(&mut self, _word: u64) {}
+
     /// Resets all parameter gradients to zero.
     fn zero_grad(&mut self) {
         self.visit_params(&mut |p| p.grad.fill_zero());

@@ -65,4 +65,4 @@ pub use linalg::{cholesky, solve_lower, solve_lower_transpose, solve_spd, Linalg
 pub use loss::mse_loss;
 pub use matrix::Matrix;
 pub use net::{Mlp, NetState};
-pub use optim::Adam;
+pub use optim::{Adam, AdamState};

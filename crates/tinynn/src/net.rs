@@ -284,6 +284,25 @@ impl Mlp {
         }
     }
 
+    /// The words of the layers' random streams, in layer order (one per
+    /// dropout layer). Reading them draws nothing.
+    pub fn rng_words(&self) -> Vec<u64> {
+        self.layers.iter().filter_map(|l| l.rng_word()).collect()
+    }
+
+    /// Continues every layer's random stream from [`Mlp::rng_words`].
+    ///
+    /// # Panics
+    /// Panics unless there is one word per layer that draws.
+    pub fn set_rng_words(&mut self, words: &[u64]) {
+        let mut words = words.iter();
+        for layer in self.layers.iter_mut().filter(|l| l.rng_word().is_some()) {
+            // lint:allow(panic) reason=set_rng_words documents a panic on a word count that does not match
+            layer.set_rng_word(*words.next().expect("one word per drawing layer"));
+        }
+        assert!(words.next().is_none(), "more words than drawing layers");
+    }
+
     /// Polyak soft update: `self = tau * source + (1 - tau) * self`, applied
     /// to every state matrix (parameters and buffers alike). This is the
     /// target-network update used by DDPG. Runs layer-pairwise in place —

@@ -19,10 +19,35 @@ pub struct Adam {
     v: Vec<Matrix>,
 }
 
+/// What an [`Adam`] has learned about its parameters: the step count and
+/// both moment estimates, one matrix per parameter in visitation order
+/// (none before the first step). The rates are configuration, not state.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct AdamState {
+    /// Steps taken.
+    pub t: u64,
+    /// First-moment estimates.
+    pub m: Vec<Matrix>,
+    /// Second-moment estimates.
+    pub v: Vec<Matrix>,
+}
+
 impl Adam {
     /// Adam with standard betas (0.9, 0.999).
     pub fn new(lr: f32) -> Self {
-        Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
+        Self::with_state(lr, AdamState::default())
+    }
+
+    /// Adam that continues from `state`: the next step is step `state.t + 1`
+    /// on those moments.
+    pub fn with_state(lr: f32, state: AdamState) -> Self {
+        let AdamState { t, m, v } = state;
+        Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t, m, v }
+    }
+
+    /// The step count and moments ([`Adam::with_state`] takes them back).
+    pub fn state(&self) -> AdamState {
+        AdamState { t: self.t, m: self.m.clone(), v: self.v.clone() }
     }
 
     /// Applies one update using the gradients currently accumulated in the

@@ -69,6 +69,20 @@ target/release/cdbtune tune --model "$tmp/model.json" --knobs 3 --scale 0.003 \
     --steps 4 --safe true --dynamic "base=rw,scale=0.003,flash=3+3x2.0,shift=4:wo" \
     | grep "^safety:" >/dev/null
 
+# Kill and resume: a run cut after 2 of 4 episodes (updates start at step
+# 32, inside the second) and resumed from its per-episode checkpoint with
+# the full budget ships the same model file, byte for byte, as the run that
+# was never cut (DESIGN.md §7). Sysbench-RO writes no rows, so nothing the
+# checkpoint does not carry crosses the cut.
+resume_flags="--workload ro --scale 0.003 --knobs 3 --episodes 4"
+target/release/cdbtune train $resume_flags --out "$tmp/full.json" \
+    --checkpoint-dir "$tmp/ck-full" >/dev/null
+target/release/cdbtune train --workload ro --scale 0.003 --knobs 3 --episodes 2 \
+    --out "$tmp/cut.json" --checkpoint-dir "$tmp/ck-cut" >/dev/null
+target/release/cdbtune train $resume_flags --out "$tmp/resumed.json" \
+    --checkpoint-dir "$tmp/ck-cut" --resume true >/dev/null
+cmp "$tmp/full.json" "$tmp/resumed.json"
+
 # Daemon smoke: boot cdbtuned on an ephemeral port with a disk registry,
 # run a guarded pair of sessions started together (--safe threads through
 # the wire) and a burst arriving at 300/s, each gated on zero rejections and
@@ -141,6 +155,10 @@ rc=0
 target/release/cdbtune train --out "$tmp/never.json" --threads 4 2>"$tmp/flag.err" || rc=$?
 [ "$rc" -eq 2 ]
 grep -q -- "--threads" "$tmp/flag.err"
+rc=0
+target/release/cdbtune train --out "$tmp/never.json" --checkpoint-every 20 2>"$tmp/flag.err" || rc=$?
+[ "$rc" -eq 2 ]
+grep -q -- "--checkpoint-every" "$tmp/flag.err"
 # ...except the daemon's `--threads N`, which `benchmark/` boots it with:
 # accepted and ignored like `--runtime events`, so it must come up and drain.
 target/release/cdbtuned --threads 1 >"$tmp/threads.out" 2>/dev/null &

@@ -128,11 +128,7 @@ fn killed_training_resumes_to_the_same_step_count() {
     let dir = std::env::temp_dir().join(format!("cdbtune-e2e-ckpt-{}", std::process::id()));
     let dir = dir.to_string_lossy().into_owned();
     let _ = std::fs::remove_dir_all(&dir);
-    let full = TrainerConfig {
-        checkpoint_dir: Some(dir.clone()),
-        checkpoint_every_steps: 3,
-        ..smoke_trainer()
-    };
+    let full = TrainerConfig { checkpoint_dir: Some(dir.clone()), ..smoke_trainer() };
     let mut env = tiny_env(WorkloadKind::SysbenchRw, 12);
     let (_, uninterrupted) = cdbtune::train_offline(&mut env, &full, Vec::new());
     let _ = std::fs::remove_dir_all(&dir);

@@ -102,6 +102,20 @@ pub mod rngs {
             Self { state: state ^ 0xA076_1D64_78BD_642F }
         }
     }
+
+    impl StdRng {
+        /// The generator's whole state. Reading it draws nothing, and
+        /// [`StdRng::from_state`] continues the stream exactly where it is.
+        pub fn state(&self) -> u64 {
+            self.state
+        }
+
+        /// The generator whose state is `state`, as [`StdRng::state`]
+        /// returned it: no seed mixing, no draw.
+        pub fn from_state(state: u64) -> Self {
+            Self { state }
+        }
+    }
 }
 
 pub mod distributions {
